@@ -173,7 +173,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
     mlp = model_mod.load_checkpoint(ckpt_path)
     ds = data_mod.load_csv(input_csv)
-    x = ds.x if not isinstance(ds, data_mod.LabeledDataset) else ds.x
+    x = ds.x
     grid = epsilons if epsilons else [cfg.extrapolation.epsilon]
     score_spec = cfg.scores[0]
     dump_path = Path(dump_csv)

@@ -6,15 +6,15 @@ every iterate projected back into the l-inf ball around its origin and
 clamped to the data domain. The returned sample is the best iterate seen,
 origin included, so the target never degrades in the chosen direction.
 
-Samples are processed one at a time; the parallel path maps the same
-per-sample routine over a thread pool and reassembles by input index, so
-parallel and sequential runs are bit-identical.
+The whole batch ascends together. The target is built per row and one
+graph pass over its sum gives every row's gradient, since rows do not
+interact under the model; each row keeps its own radius, step size and
+best iterate.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +75,8 @@ class ExtrapolationConfig:
             if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
                 raise ConfigError("pool entries must be non-negative")
 
-    def effective_step_size(self, epsilon: float | None = None) -> float:
+    def effective_step_size(self, epsilon=None):
+        """Step size for radius ``epsilon`` (a scalar or an array of radii)."""
         eps = self.epsilon if epsilon is None else epsilon
         if self.step_size is not None:
             return self.step_size
@@ -93,139 +94,111 @@ class ExtrapolatedBatch:
     epsilons: np.ndarray         # (n,)
     initial_values: np.ndarray   # (n,) target at origin
     final_values: np.ndarray     # (n,) target at best iterate
-    aborted: np.ndarray = field(default=None)  # (n,) bool, non-finite gradient encountered
+    aborted: np.ndarray = field(default=None)  # (n,) bool, non-finite value or gradient encountered
 
     def __post_init__(self):
         if self.aborted is None:
             self.aborted = np.zeros(self.origins.shape[0], dtype=bool)
 
-    @staticmethod
-    def concatenate(parts: list["ExtrapolatedBatch"]) -> "ExtrapolatedBatch":
-        return ExtrapolatedBatch(
-            origins=np.concatenate([p.origins for p in parts]),
-            synthesized=np.concatenate([p.synthesized for p in parts]),
-            epsilons=np.concatenate([p.epsilons for p in parts]),
-            initial_values=np.concatenate([p.initial_values for p in parts]),
-            final_values=np.concatenate([p.final_values for p in parts]),
-            aborted=np.concatenate([p.aborted for p in parts]),
-        )
-
-
-_GRAPH_CACHE: dict[tuple, tuple] = {}
-
 
 def _target_graph(dims: tuple[int, ...], target: str, temperature: float):
-    """(scalar target node, logits node, needs_class_onehot) for a single row "x"."""
-    key = (dims, target, temperature)
-    cached = _GRAPH_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """(per-row target, its sum, logits) for a batch bound to "x"."""
     logits = model_mod.logits_graph(dims)
     if target == "uniform_loss":
-        scalar = ad.reduce_mean(losses.oe_rowwise_expr(logits))
-        needs_onehot = False
+        rows = losses.oe_rowwise_expr(logits)
     elif target == "msp":
-        # Confidence of the currently predicted class; sign-equivalent gradient to msp.
-        scalar = ad.reduce_sum(ad.mul(ad.log_softmax(logits), ad.inp("class_onehot")))
-        needs_onehot = True
+        # Log-confidence of the currently predicted class; sign-equivalent gradient to msp.
+        rows = ad.reduce_sum(ad.mul(ad.log_softmax(logits), ad.inp("class_onehot")), axis=1)
     elif target == "energy":
         t = float(temperature)
-        scalar = ad.reduce_mean(ad.affine(ad.logsumexp(ad.affine(logits, 1.0 / t), axis=1), t))
-        needs_onehot = False
+        rows = ad.affine(ad.logsumexp(ad.affine(logits, 1.0 / t), axis=1), t)
     else:
         raise ConfigError(f"unknown target {target!r}")
-    entry = (scalar, logits, needs_onehot)
-    _GRAPH_CACHE[key] = entry
-    return entry
+    return rows, ad.reduce_sum(rows), logits
 
 
-def _extrapolate_row(mlp: model_mod.MlpClassifier, row: np.ndarray,
-                     cfg: ExtrapolationConfig, epsilon: float,
-                     bindings: dict[str, np.ndarray]):
-    """Best-iterate constrained ascent for one sample; returns (x, eps, v0, v_best, aborted)."""
-    scalar, logits_node, needs_onehot = _target_graph(mlp.dims, cfg.target, cfg.target_temperature)
-    x0 = row[None, :]
+def _ascend(graph, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
+            cfg: ExtrapolationConfig):
+    """Best-iterate constrained ascent on a block of rows.
+
+    Returns (synthesized, v0, v_best, aborted). A block whose radii are all
+    0 is only evaluated. Rows are independent, so a block whose value or
+    gradient turns non-finite is split in halves and retried until each
+    failing row stands alone; such a row comes back at its origin, flagged,
+    with its initial value (NaN if that was not finite).
+    """
+    rows_node, total, logits_node = graph
+    n = x0.shape[0]
+    steps = cfg.steps if eps.any() else 0
+    msp = cfg.target == "msp"
     sign_dir = 1.0 if cfg.direction == "maximize" else -1.0
-    better = (lambda a, b: a > b) if cfg.direction == "maximize" else (lambda a, b: a < b)
-
-    steps = 0 if epsilon == 0.0 else cfg.steps
-    alpha = cfg.effective_step_size(epsilon)
-    lo = x0 - epsilon
-    hi = x0 + epsilon
+    radius = eps[:, None]
+    alpha = cfg.effective_step_size(radius)
+    lo = x0 - radius
+    hi = x0 + radius
     dlo, dhi = cfg.clamp
+    b = dict(bindings)
 
     x = x0
-    best_x = x0
-    best_v = None
     v0 = None
     try:
-        # Visit x_0 ... x_steps; the origin is a candidate, so the best value
-        # never falls below the initial one in the chosen direction.
+        # Visit x_0 ... x_steps; the origin is a candidate, so no row's best
+        # value falls below its initial one in the chosen direction.
         for t in range(steps + 1):
-            b = dict(bindings)
             b["x"] = x
-            if needs_onehot:
-                raw = ad.evaluate(logits_node, b)
-                onehot = np.zeros((1, mlp.n_classes))
-                onehot[0, int(np.argmax(raw[0]))] = 1.0
-                b["class_onehot"] = onehot
+            if msp:
+                logits = ad.evaluate(logits_node, b)
+                b["class_onehot"] = np.eye(logits.shape[1])[np.argmax(logits, axis=1)]
             if t < steps:
-                raw_v, grads, _ = ad.value_and_grad(scalar, b, ["x"])
+                _, grads, (raw,) = ad.value_and_grad(total, b, ["x"], aux=(rows_node,))
             else:
-                raw_v, grads = ad.evaluate(scalar, b), None
-            v = math.exp(float(raw_v)) if needs_onehot else float(raw_v)
+                raw = ad.evaluate(rows_node, b)
+            v = np.exp(raw) if msp else raw
             if t == 0:
-                v0 = best_v = v
-            elif better(v, best_v):
-                best_x, best_v = x, v
-            if grads is not None:
+                v0 = v
+                best_x, best_v = x0.copy(), v.copy()
+            else:
+                improved = v > best_v if sign_dir > 0 else v < best_v
+                best_x[improved] = x[improved]
+                best_v[improved] = v[improved]
+            if t < steps:
                 x = np.clip(np.clip(x + alpha * sign_dir * np.sign(grads["x"]), dlo, dhi), lo, hi)
     except NumericError:
-        if v0 is None:
-            return row.copy(), epsilon, np.nan, np.nan, True
-        return row.copy(), epsilon, v0, v0, True
-    if steps == 0:
-        return row.copy(), epsilon, v0, v0, False
-    return best_x[0].copy(), epsilon, v0, best_v, False
+        if n > 1:
+            h = n // 2
+            halves = (_ascend(graph, bindings, x0[:h], eps[:h], cfg),
+                      _ascend(graph, bindings, x0[h:], eps[h:], cfg))
+            return tuple(np.concatenate(parts) for parts in zip(*halves))
+        v = np.full(1, np.nan) if v0 is None else v0
+        return x0.copy(), v, v.copy(), np.ones(1, dtype=bool)
+    return best_x, v0, best_v, np.zeros(n, dtype=bool)
 
 
 def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
-                    epsilon: float | None = None, parallel: bool = False,
-                    max_workers: int = 4) -> ExtrapolatedBatch:
+                    epsilon=None) -> ExtrapolatedBatch:
     """Synthesize one sample per input row under the l-inf/domain constraints.
 
-    ``epsilon`` overrides cfg.epsilon (used by pool slices). Samples whose
-    gradient turns non-finite are returned as their origin and flagged.
+    ``epsilon`` overrides cfg.epsilon with a scalar or one radius per row
+    (used by pool slices); a row with radius 0 stays at its origin. Rows
+    whose value or gradient turns non-finite are returned as their origin
+    and flagged, without affecting the other rows.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[1] != mlp.n_features:
         raise ShapeError(f"batch shape {x0.shape} does not match model input width")
-    eps = cfg.epsilon if epsilon is None else float(epsilon)
-    if eps < 0:
+    radius = np.asarray(cfg.epsilon if epsilon is None else epsilon, dtype=np.float64)
+    try:
+        eps = np.broadcast_to(radius, x0.shape[:1]).copy()
+    except ValueError:
+        raise ShapeError(f"epsilon shape {radius.shape} does not match {x0.shape[0]} rows") from None
+    if not np.all(eps >= 0):
         raise ConfigError("epsilon must be >= 0")
     dlo, dhi = cfg.clamp
     if x0.size and (x0.min() < dlo - 1e-12 or x0.max() > dhi + 1e-12):
         raise ConfigError("origins must lie inside the domain clamp")
-    bindings = model_mod.param_bindings(mlp)
-
-    rows = list(x0)
-    if parallel and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(
-                lambda row: _extrapolate_row(mlp, row, cfg, eps, bindings), rows))
-    else:
-        results = [_extrapolate_row(mlp, row, cfg, eps, bindings) for row in rows]
-
-    n = len(results)
-    out = ExtrapolatedBatch(
-        origins=x0.copy(),
-        synthesized=np.array([r[0] for r in results]).reshape(n, x0.shape[1]),
-        epsilons=np.array([r[1] for r in results], dtype=np.float64),
-        initial_values=np.array([r[2] for r in results], dtype=np.float64),
-        final_values=np.array([r[3] for r in results], dtype=np.float64),
-        aborted=np.array([r[4] for r in results], dtype=bool),
-    )
-    return out
+    graph = _target_graph(mlp.dims, cfg.target, cfg.target_temperature)
+    synthesized, v0, v_best, aborted = _ascend(graph, model_mod.param_bindings(mlp), x0, eps, cfg)
+    return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 
 def select_subbatch(outlier_batch, ratio: float, rng: np.random.Generator):
@@ -256,9 +229,10 @@ def largest_remainder_counts(fractions, total: int) -> list[int]:
     return counts
 
 
-def build_extrapolation_pool(mlp: model_mod.MlpClassifier, subbatch, cfg: ExtrapolationConfig,
-                             parallel: bool = False) -> ExtrapolatedBatch:
-    """Partition the sub-batch across the pool's epsilon slices and synthesize each.
+def build_extrapolation_pool(mlp: model_mod.MlpClassifier, subbatch,
+                             cfg: ExtrapolationConfig) -> ExtrapolatedBatch:
+    """Split the sub-batch, in order, across the pool's epsilon slices and
+    synthesize every row in one batched run.
 
     A single (epsilon, 1.0) entry is exactly one plain constrained run.
     """
@@ -267,20 +241,8 @@ def build_extrapolation_pool(mlp: model_mod.MlpClassifier, subbatch, cfg: Extrap
         raise ConfigError("pool spec must not be empty")
     subbatch = np.asarray(subbatch, dtype=np.float64)
     counts = largest_remainder_counts([f for _, f in pool], subbatch.shape[0])
-    parts = []
-    start = 0
-    for (eps, _), count in zip(pool, counts):
-        stop = start + count
-        if count:
-            parts.append(pgd_extrapolate(mlp, subbatch[start:stop], cfg,
-                                         epsilon=eps, parallel=parallel))
-        start = stop
-    if not parts:
-        d = subbatch.shape[1] if subbatch.ndim == 2 else mlp.n_features
-        empty = np.zeros((0, d))
-        return ExtrapolatedBatch(empty, empty.copy(), np.zeros(0), np.zeros(0), np.zeros(0),
-                                 np.zeros(0, dtype=bool))
-    return ExtrapolatedBatch.concatenate(parts)
+    eps = np.repeat([e for e, _ in pool], counts)
+    return pgd_extrapolate(mlp, subbatch, cfg, epsilon=eps)
 
 
 def random_noise_extrapolate(x, epsilon: float, rng: np.random.Generator,

@@ -252,10 +252,12 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
 
             if (n_ext and cfg.extrapolation.target == "uniform_loss"
                     and cfg.extrapolation.direction == "maximize"):
-                baseline = float(np.mean(extrap.initial_values))
-                synthesized = float(np.mean(extrap.final_values))
-                assert synthesized >= baseline - 1e-12, (
-                    "best-iterate extrapolation lost ground on the uniform loss")
+                ok = ~extrap.aborted
+                if ok.any() and (np.mean(extrap.final_values[ok])
+                                 < np.mean(extrap.initial_values[ok]) - 1e-12):
+                    raise NumericError(
+                        f"best-iterate extrapolation lost ground on the uniform loss "
+                        f"at epoch {epoch} step {step}")
 
             lr = cosine_lr(step, total_steps, cfg.lr)
             params, velocity = sgd_step(params, grads, velocity, lr, cfg.momentum,

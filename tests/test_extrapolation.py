@@ -1,8 +1,9 @@
 import numpy as np
+import oracles
 import pytest
 
-from oodbench import losses, model
-from oodbench.errors import ConfigError
+from oodbench import losses, model, numerics, scoring
+from oodbench.errors import ConfigError, ShapeError
 from oodbench.extrapolation import (
     ExtrapolationConfig,
     build_extrapolation_pool,
@@ -97,13 +98,105 @@ def test_deterministic_given_same_inputs(small_model):
     assert a.synthesized.tobytes() == b.synthesized.tobytes()
 
 
-def test_parallel_equals_sequential(small_model):
-    x = _batch(16, seed=8)
-    cfg = ExtrapolationConfig(epsilon=0.08, steps=4)
-    seq = pgd_extrapolate(small_model, x, cfg, parallel=False)
-    par = pgd_extrapolate(small_model, x, cfg, parallel=True)
-    assert seq.synthesized.tobytes() == par.synthesized.tobytes()
-    assert seq.final_values.tobytes() == par.final_values.tobytes()
+WORKLOAD_POOL = ((0.02, 0.34), (0.05, 0.33), (0.1, 0.33))
+POOL_CASES = {
+    "workload_pool": dict(steps=5, pool=WORKLOAD_POOL),
+    "zero_slice": dict(steps=4, pool=((0.0, 0.25), (0.08, 0.75))),
+    "step_size": dict(steps=3, step_size=0.03, pool=((0.04, 0.5), (0.12, 0.5))),
+}
+
+
+def _target_values(mlp, x, cfg):
+    logits = model.forward(mlp, x)
+    if cfg.target == "uniform_loss":
+        return numerics.logsumexp(logits, axis=1) - logits.mean(axis=1)
+    if cfg.target == "msp":
+        return scoring.msp_score(logits)
+    return scoring.energy_score(logits, cfg.target_temperature)
+
+
+@pytest.mark.parametrize("pool_case", sorted(POOL_CASES))
+@pytest.mark.parametrize("direction", ["maximize", "minimize"])
+@pytest.mark.parametrize("target", ["uniform_loss", "msp", "energy"])
+def test_batched_matches_rowwise_twin(target, direction, pool_case):
+    mlp = model.init_model([2, 16, 16, 4], seed=21)
+    x = np.random.default_rng(22).uniform(0.0, 1.0, (16, 2))
+    x[0] = [0.0, 1.0]  # starts on the clamp
+    cfg = ExtrapolationConfig(target=target, direction=direction, **POOL_CASES[pool_case])
+    got = build_extrapolation_pool(mlp, x, cfg)
+    counts = largest_remainder_counts([f for _, f in cfg.pool], len(x))
+    ref = oracles.pgd_extrapolate_rowwise(mlp, x, cfg, np.repeat([e for e, _ in cfg.pool], counts))
+
+    np.testing.assert_array_equal(got.epsilons, ref.epsilons)
+    np.testing.assert_array_equal(got.aborted, ref.aborted)
+    np.testing.assert_allclose(got.initial_values, ref.initial_values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.final_values, ref.final_values, rtol=1e-12, atol=0)
+    # A batched matmul rounds differently from a 1-row one, so two iterates
+    # whose values tie within rounding may swap places as the best one (for
+    # example x0 + 2*alpha and its clip to x0 + epsilon, 1 ulp apart).
+    differ = np.any(got.synthesized != ref.synthesized, axis=1)
+    moved = got.synthesized[differ]
+    assert np.all(np.abs(moved - x[differ]) <= got.epsilons[differ, None] + 1e-12)
+    assert moved.min(initial=0.0) >= 0.0 and moved.max(initial=1.0) <= 1.0
+    np.testing.assert_allclose(_target_values(mlp, moved, cfg), got.final_values[differ],
+                               rtol=1e-12, atol=0)
+
+
+def _overflow_model():
+    # Hidden unit 2 fires only for x0 > 0.5 and then drives logit 0 past the
+    # float64 range, so those rows (or iterates) overflow and the rest stay finite.
+    w0 = np.array([[1.0, -1.0, 1e200], [0.5, 1.0, 0.0]])
+    w1 = np.array([[1.0, -1.0, 0.5], [-0.5, 1.0, 0.2], [1e200, 0.0, 0.0]])
+    return model.MlpClassifier((2, 3, 3), (w0, w1), (np.array([0.0, 0.0, -0.5e200]), np.zeros(3)))
+
+
+_OVERFLOW_X = np.array([[0.2, 0.3], [0.8, 0.1], [0.47, 0.6], [0.1, 0.9],
+                        [0.9, 0.9], [0.48, 0.2], [0.3, 0.7], [0.52, 0.5]])
+
+
+@pytest.mark.parametrize("target", ["uniform_loss", "msp", "energy"])
+def test_nonfinite_rows_abort_at_origin(target):
+    mlp = _overflow_model()
+    cfg = ExtrapolationConfig(epsilon=0.05, steps=5, target=target)
+    out = pgd_extrapolate(mlp, _OVERFLOW_X, cfg)
+    # Rows 1, 4, 7 overflow at the origin; rows 2, 5 ascend across x0 = 0.5.
+    np.testing.assert_array_equal(np.flatnonzero(out.aborted), [1, 2, 4, 5, 7])
+    bad = out.aborted
+    assert out.synthesized[bad].tobytes() == _OVERFLOW_X[bad].tobytes()
+    np.testing.assert_array_equal(np.isnan(out.initial_values), np.isin(range(8), [1, 4, 7]))
+    np.testing.assert_array_equal(out.final_values[bad], out.initial_values[bad])
+    ref = oracles.pgd_extrapolate_rowwise(mlp, _OVERFLOW_X, cfg, [0.05] * 8)
+    np.testing.assert_array_equal(out.aborted, ref.aborted)
+    np.testing.assert_allclose(out.initial_values, ref.initial_values, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_row_held_at_origin_never_aborts_on_its_gradient():
+    # At x = (1e-250, 0) the logits are finite but the input gradient passes
+    # through two 1e200 weights and overflows; at x = (0, 0) the relu blocks it.
+    w1 = np.array([[1e200, -1e200], [0.0, 0.0]])
+    mlp = model.MlpClassifier((2, 2, 2), (np.full((2, 2), 1e200), w1), (np.zeros(2), np.zeros(2)))
+    x = np.array([[1e-250, 0.0], [0.0, 0.0], [1e-250, 0.0]])
+    eps = [0.0, 0.05, 0.05]
+    cfg = ExtrapolationConfig(steps=3)
+    out = pgd_extrapolate(mlp, x, cfg, epsilon=eps)
+    ref = oracles.pgd_extrapolate_rowwise(mlp, x, cfg, eps)
+    np.testing.assert_array_equal(out.aborted, [False, False, True])
+    np.testing.assert_array_equal(out.aborted, ref.aborted)
+    np.testing.assert_allclose(out.initial_values, ref.initial_values, rtol=1e-12, atol=0)
+    assert out.synthesized.tobytes() == x.tobytes()
+
+
+def test_nonfinite_rows_leave_finite_rows_untouched():
+    mlp = _overflow_model()
+    cfg = ExtrapolationConfig(epsilon=0.05, steps=5)
+    out = pgd_extrapolate(mlp, _OVERFLOW_X, cfg)
+    ok = ~out.aborted
+    clean = pgd_extrapolate(mlp, _OVERFLOW_X[ok], cfg)
+    assert not clean.aborted.any()
+    assert out.synthesized[ok].tobytes() == clean.synthesized.tobytes()
+    np.testing.assert_allclose(out.initial_values[ok], clean.initial_values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(out.final_values[ok], clean.final_values, rtol=1e-12, atol=0)
 
 
 def test_score_targets_move_their_score(small_model):
@@ -235,3 +328,16 @@ def test_origin_outside_domain_rejected(small_model):
     cfg = ExtrapolationConfig()
     with pytest.raises(ConfigError):
         pgd_extrapolate(small_model, np.array([[2.0, 0.5]]), cfg)
+
+
+def test_per_row_epsilon_and_empty_batch(small_model):
+    x = _batch(3, seed=19)
+    out = pgd_extrapolate(small_model, x, ExtrapolationConfig(), epsilon=[0.0, 0.05, 0.1])
+    assert out.synthesized[0].tobytes() == x[0].tobytes()
+    assert np.all(np.abs(out.synthesized - x) <= out.epsilons[:, None] + 1e-12)
+    with pytest.raises(ShapeError):
+        pgd_extrapolate(small_model, x, ExtrapolationConfig(), epsilon=[0.1, 0.2])
+    with pytest.raises(ConfigError):
+        pgd_extrapolate(small_model, x, ExtrapolationConfig(), epsilon=[0.1, -0.2, 0.1])
+    empty = pgd_extrapolate(small_model, np.zeros((0, 2)), ExtrapolationConfig())
+    assert empty.synthesized.shape == (0, 2) and empty.final_values.shape == (0,)
