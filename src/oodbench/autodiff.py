@@ -347,11 +347,13 @@ def _backward_all(expr: Expression, vals: dict[int, np.ndarray]) -> dict[int, np
     if root.size != 1:
         raise GraphError(f"gradient requires a scalar expression, got shape {root.shape}")
     accum: dict[int, np.ndarray] = {id(expr): np.ones_like(root)}
-    for node in reversed(expr.topo_order()):
-        grad = accum.get(id(node))
-        if grad is None:
-            continue
-        _backward_node(node, grad, vals, accum)
+    # As in _forward_all: value_and_grad checks every gradient it returns.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for node in reversed(expr.topo_order()):
+            grad = accum.get(id(node))
+            if grad is None:
+                continue
+            _backward_node(node, grad, vals, accum)
     return accum
 
 

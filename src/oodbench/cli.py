@@ -24,28 +24,8 @@ from . import metrics as metrics_mod
 from . import model as model_mod
 from . import scoring
 from . import trainer as trainer_mod
-from .errors import ConfigError, DataError, NumericError, OodbenchError
-from .extrapolation import ExtrapolationConfig, pgd_extrapolate
-
-
-def _load_run_config(args) -> config_mod.RunConfig:
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    else:
-        doc = {}
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"seed={int(args.seed)}")
-    if args.out is not None:
-        overrides.append(f"outputs.dir={json.dumps(str(args.out))}")
-    config_mod.apply_overrides(doc, overrides)
-    return config_mod.parse_config(doc)
+from .errors import ConfigError, DataError, OodbenchError
+from .extrapolation import pgd_extrapolate
 
 
 def _out_dir(cfg: config_mod.RunConfig) -> Path:
@@ -115,7 +95,8 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
     id_train, _, aux, _ = _load_benchmark(cfg)
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
     mlp = model_mod.init_model(dims, config_mod.component_seed(cfg.seed, "model"))
-    trained, history = trainer_mod.fine_tune(mlp, id_train, aux.x, cfg.train)
+    trained, history = trainer_mod.fine_tune(mlp, id_train, aux.x, cfg.train, cfg.extrapolation,
+                                             config_mod.component_seed(cfg.seed, "train"))
     model_mod.save_checkpoint(trained, out / "checkpoint.json", seed=cfg.seed)
     history.to_csv(out / "history.csv")
     if history.records:
@@ -303,7 +284,7 @@ def main(argv=None) -> int:
             return cmd_gradcheck(args.cases, args.gc_seed)
         if args.command == "report":
             return cmd_report(args.reports, args.out_csv)
-        cfg = _load_run_config(args)
+        cfg = config_mod.load_config(args.config, args.set or (), seed=args.seed, out=args.out)
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "train":

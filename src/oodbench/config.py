@@ -1,24 +1,34 @@
 """Run configuration: a strict JSON document with sections
 {data, model, train, extrapolation, scores, outputs, theory, seed}.
 
-Unknown keys are rejected so stale manifests fail loudly. All randomness
-flows from the one top-level seed, split per component (data / model /
-train / extrapolation / theory) through named substreams.
+The dataclasses are the schema. ``parse_config`` walks their fields and
+type hints to build a RunConfig from JSON, and ``RunConfig.to_dict`` walks
+the same fields back, so every default is stated once, on its field. An
+unknown key, a missing required key, a wrong JSON type or a wrong tuple
+length raises ConfigError, so stale or malformed manifests fail loudly;
+value checks live in each dataclass's ``__post_init__``. A field whose
+metadata sets ``"config"`` to False (``ScoreSpec.stats``) is not a key.
+
+All randomness flows from the one top-level seed, split per component
+(data / model / train / extrapolation / theory) through named substreams.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .extrapolation import ExtrapolationConfig
+from .numerics import derive_seed
 from .scoring import ScoreSpec
-from .trainer import LossConfig, TrainConfig
+from .trainer import TrainConfig
 
 SCHEMA_VERSION = 1
 
@@ -28,8 +38,7 @@ COMPONENT_STREAMS = {"data": 0, "model": 1, "train": 2, "extrapolation": 3, "the
 def component_seed(seed: int, component: str) -> int:
     if component not in COMPONENT_STREAMS:
         raise ConfigError(f"unknown seed component {component!r}")
-    seq = np.random.SeedSequence([int(seed), COMPONENT_STREAMS[component]])
-    return int(seq.generate_state(1)[0])
+    return derive_seed(seed, COMPONENT_STREAMS[component])
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,11 @@ class DataConfig:
     radius: float = 1.0
     sigma: float = 0.18
     aux: AuxConfig = field(default_factory=AuxConfig)
-    ood_sets: dict = field(default_factory=lambda: {"ring": OodSetConfig()})
+    ood_sets: dict[str, OodSetConfig] = field(default_factory=lambda: {"ring": OodSetConfig()})
+
+    def __post_init__(self):
+        if not self.ood_sets:
+            raise ConfigError("ood_sets must name at least one set")
 
 
 @dataclass(frozen=True)
@@ -79,7 +92,6 @@ class TheoryConfig:
 class OutputsConfig:
     dir: str = "runs/default"
     method_label: str | None = None
-    checkpoint_every_epoch: bool = False
 
 
 @dataclass(frozen=True)
@@ -93,67 +105,21 @@ class RunConfig:
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
     theory: TheoryConfig = field(default_factory=TheoryConfig)
 
-    def to_dict(self) -> dict:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "data": {
-                "classes": self.data.classes,
-                "per_class": self.data.per_class,
-                "test_per_class": self.data.test_per_class,
-                "radius": self.data.radius,
-                "sigma": self.data.sigma,
-                "aux": asdict(self.data.aux),
-                "ood_sets": {name: asdict(c) for name, c in self.data.ood_sets.items()},
-            },
-            "model": {"hidden": list(self.model.hidden)},
-            "train": {
-                "epochs": self.train.epochs,
-                "lr": self.train.lr,
-                "momentum": self.train.momentum,
-                "weight_decay": self.train.weight_decay,
-                "id_batch": self.train.id_batch,
-                "outlier_batch": self.train.outlier_batch,
-                "sampler": self.train.sampler,
-                "loss": {
-                    "kind": self.train.loss.kind,
-                    "balance": self.train.loss.balance,
-                    "m_in": self.train.loss.m_in,
-                    "m_out": self.train.loss.m_out,
-                    "temperature": self.train.loss.temperature,
-                },
-            },
-            "extrapolation": {
-                "ratio": self.extrapolation.ratio,
-                "epsilon": self.extrapolation.epsilon,
-                "steps": self.extrapolation.steps,
-                "step_size": self.extrapolation.step_size,
-                "direction": self.extrapolation.direction,
-                "target": self.extrapolation.target,
-                "target_temperature": self.extrapolation.target_temperature,
-                "clamp": list(self.extrapolation.clamp),
-                "pool": None if self.extrapolation.pool is None
-                        else [[e, f] for e, f in self.extrapolation.pool],
-            },
-            "scores": [
-                {"kind": s.kind, "temperature": s.temperature,
-                 "odin_epsilon": s.odin_epsilon, "percentile": s.percentile}
-                for s in self.scores
-            ],
-            "outputs": {
-                "dir": self.outputs.dir,
-                "method_label": self.outputs.method_label,
-                "checkpoint_every_epoch": self.outputs.checkpoint_every_epoch,
-            },
-            "theory": asdict(self.theory),
-        }
-        return doc
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not self.scores:
+            raise ConfigError("scores must name at least one score")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+    def to_dict(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, **_dump(self)}
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """sha256 of the canonical document, without ``outputs.dir``: where a
+        run is written does not change what it computes."""
+        doc = self.to_dict()
+        del doc["outputs"]["dir"]
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def method_label(self) -> str:
@@ -162,162 +128,111 @@ class RunConfig:
         return self.train.loss.kind
 
 
-def _take(section: dict, known: dict, where: str) -> dict:
-    """Pop known keys with defaults; reject anything left over."""
-    out = {}
-    section = dict(section)
-    for key, default in known.items():
-        out[key] = section.pop(key, default)
-    if section:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(section)}")
-    return out
+@functools.cache
+def _schema(cls) -> tuple[tuple[dataclasses.Field, typing.Any], ...]:
+    """(field, resolved type) for each config key of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls)
+                 if f.metadata.get("config", True))
 
 
-_MISSING = object()
+def _parse(tp, value, where: str):
+    """Build a value of type ``tp`` from its JSON form; ``where`` names it in errors."""
+    if dataclasses.is_dataclass(tp):
+        label = where or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{label} must be an object, got {value!r}")
+        schema = _schema(tp)
+        unknown = sorted(set(value) - {f.name for f, _ in schema})
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {label}: {unknown}")
+        kwargs = {}
+        for f, ftp in schema:
+            if f.name in value:
+                kwargs[f.name] = _parse(ftp, value[f.name],
+                                        f"{where}.{f.name}" if where else f.name)
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{label} needs a {f.name!r} key")
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _parse(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} items, got {len(value)}")
+        return tuple(_parse(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        return {_parse(args[0], k, where): _parse(args[1], v, f"{where}.{k}")
+                for k, v in value.items()}
+    if isinstance(value, bool) and tp is not bool:
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    if tp is float and isinstance(value, int):
+        return float(value)
+    if tp is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, tp):
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    return value
 
 
-def _parse_data(section: dict) -> DataConfig:
-    fields = _take(section, {
-        "classes": 4, "per_class": 256, "test_per_class": 200,
-        "radius": 1.0, "sigma": 0.18, "aux": _MISSING, "ood_sets": _MISSING,
-    }, "data")
-    aux = AuxConfig() if fields["aux"] is _MISSING else AuxConfig(
-        **_take(fields["aux"], {"inner_radius": 1.5, "outer_radius": 2.2,
-                                "arc_fraction": 0.25, "count": 1024}, "data.aux"))
-    if fields["ood_sets"] is _MISSING:
-        ood_sets = {"ring": OodSetConfig()}
-    else:
-        ood_sets = {
-            name: OodSetConfig(**_take(sub, {"inner_radius": 1.5, "outer_radius": 2.2,
-                                             "count": 2048}, f"data.ood_sets.{name}"))
-            for name, sub in fields["ood_sets"].items()
-        }
-        if not ood_sets:
-            raise ConfigError("data.ood_sets must name at least one set")
-    return DataConfig(classes=int(fields["classes"]), per_class=int(fields["per_class"]),
-                      test_per_class=int(fields["test_per_class"]),
-                      radius=float(fields["radius"]), sigma=float(fields["sigma"]),
-                      aux=aux, ood_sets=ood_sets)
-
-
-def _parse_train(section: dict) -> TrainConfig:
-    fields = _take(section, {
-        "epochs": 10, "lr": 0.001, "momentum": 0.9, "weight_decay": 1e-4,
-        "id_batch": 128, "outlier_batch": 128, "sampler": "random", "loss": _MISSING,
-    }, "train")
-    loss = LossConfig() if fields["loss"] is _MISSING else LossConfig(
-        **_take(fields["loss"], {"kind": "oe", "balance": 0.5, "m_in": -23.0,
-                                 "m_out": -5.0, "temperature": 1.0}, "train.loss"))
-    return TrainConfig(epochs=int(fields["epochs"]), lr=float(fields["lr"]),
-                       momentum=float(fields["momentum"]),
-                       weight_decay=float(fields["weight_decay"]),
-                       id_batch=int(fields["id_batch"]),
-                       outlier_batch=int(fields["outlier_batch"]),
-                       sampler=str(fields["sampler"]), loss=loss)
-
-
-def _parse_extrapolation(section: dict) -> ExtrapolationConfig:
-    fields = _take(section, {
-        "ratio": 0.5, "epsilon": 0.05, "steps": 5, "step_size": None,
-        "direction": "maximize", "target": "uniform_loss", "target_temperature": 1.0,
-        "clamp": [0.0, 1.0], "pool": None,
-    }, "extrapolation")
-    pool = fields["pool"]
-    if pool is not None:
-        pool = tuple((float(e), float(f)) for e, f in pool)
-    return ExtrapolationConfig(
-        ratio=float(fields["ratio"]), epsilon=float(fields["epsilon"]),
-        steps=int(fields["steps"]),
-        step_size=None if fields["step_size"] is None else float(fields["step_size"]),
-        direction=str(fields["direction"]), target=str(fields["target"]),
-        target_temperature=float(fields["target_temperature"]),
-        clamp=(float(fields["clamp"][0]), float(fields["clamp"][1])), pool=pool)
-
-
-def _parse_scores(items) -> tuple[ScoreSpec, ...]:
-    specs = []
-    for i, item in enumerate(items):
-        fields = _take(item, {"kind": _MISSING, "temperature": _MISSING,
-                              "odin_epsilon": _MISSING, "percentile": _MISSING},
-                       f"scores[{i}]")
-        if fields["kind"] is _MISSING:
-            raise ConfigError(f"scores[{i}] needs a kind")
-        kwargs = {"kind": str(fields["kind"])}
-        if fields["temperature"] is not _MISSING:
-            kwargs["temperature"] = float(fields["temperature"])
-        elif kwargs["kind"] == "odin":
-            kwargs["temperature"] = 1.0e4
-        if fields["odin_epsilon"] is not _MISSING:
-            kwargs["odin_epsilon"] = float(fields["odin_epsilon"])
-        if fields["percentile"] is not _MISSING:
-            kwargs["percentile"] = float(fields["percentile"])
-        specs.append(ScoreSpec(**kwargs))
-    if not specs:
-        raise ConfigError("scores must name at least one score")
-    return tuple(specs)
+def _dump(value):
+    """JSON form of a config value; the inverse of ``_parse``."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f, _ in _schema(type(value))}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _dump(v) for k, v in value.items()}
+    return value
 
 
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    fields = _take(doc, {
-        "schema_version": SCHEMA_VERSION, "seed": 0, "data": _MISSING, "model": _MISSING,
-        "train": _MISSING, "extrapolation": _MISSING, "scores": _MISSING,
-        "outputs": _MISSING, "theory": _MISSING,
-    }, "config")
-    if fields["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {fields['schema_version']}")
-    data = DataConfig() if fields["data"] is _MISSING else _parse_data(fields["data"])
-    if fields["model"] is _MISSING:
-        model = ModelConfig()
-    else:
-        m = _take(fields["model"], {"hidden": [64, 64]}, "model")
-        model = ModelConfig(hidden=tuple(int(h) for h in m["hidden"]))
-    train = TrainConfig() if fields["train"] is _MISSING else _parse_train(fields["train"])
-    extrap = (ExtrapolationConfig() if fields["extrapolation"] is _MISSING
-              else _parse_extrapolation(fields["extrapolation"]))
-    scores = ((ScoreSpec(kind="msp"), ScoreSpec(kind="energy"))
-              if fields["scores"] is _MISSING else _parse_scores(fields["scores"]))
-    if fields["outputs"] is _MISSING:
-        outputs = OutputsConfig()
-    else:
-        o = _take(fields["outputs"], {"dir": "runs/default", "method_label": None,
-                                      "checkpoint_every_epoch": False}, "outputs")
-        outputs = OutputsConfig(dir=str(o["dir"]), method_label=o["method_label"],
-                                checkpoint_every_epoch=bool(o["checkpoint_every_epoch"]))
-    if fields["theory"] is _MISSING:
-        theory = TheoryConfig()
-    else:
-        t = _take(fields["theory"], {"mu_norm": 4.0, "sigma": 1.0, "dim": 8, "n1": 50,
-                                     "n2": 50, "alpha": 10.0, "tau": 0.0, "trials": 100},
-                  "theory")
-        theory = TheoryConfig(mu_norm=float(t["mu_norm"]), sigma=float(t["sigma"]),
-                              dim=int(t["dim"]), n1=int(t["n1"]), n2=int(t["n2"]),
-                              alpha=float(t["alpha"]), tau=float(t["tau"]),
-                              trials=int(t["trials"]))
-    seed = int(fields["seed"])
-    train = TrainConfig(epochs=train.epochs, lr=train.lr, momentum=train.momentum,
-                        weight_decay=train.weight_decay, id_batch=train.id_batch,
-                        outlier_batch=train.outlier_batch, loss=train.loss,
-                        extrapolation=extrap, sampler=train.sampler,
-                        seed=component_seed(seed, "train"))
-    return RunConfig(seed=seed, data=data, model=model, train=train, extrapolation=extrap,
-                     scores=scores, outputs=outputs, theory=theory)
+    doc = dict(doc)
+    version = _parse(int, doc.pop("schema_version", SCHEMA_VERSION), "schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version}")
+    return _parse(RunConfig, doc, "")
 
 
-def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+def load_config(path=None, overrides=(), *, seed: int | None = None,
+                out: str | None = None) -> RunConfig:
+    """Read ``path`` (the empty document when None), apply the ``--set``
+    overrides, then ``seed`` and ``out`` when given, and parse the result."""
+    doc = {}
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    overrides = list(overrides)
+    if seed is not None:
+        overrides.append(f"seed={int(seed)}")
+    if out is not None:
+        overrides.append(f"outputs.dir={json.dumps(str(out))}")
+    return parse_config(apply_overrides(doc, overrides))
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     """Apply --set key.path=value pairs onto the raw JSON document."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

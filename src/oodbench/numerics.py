@@ -11,6 +11,12 @@ import numpy as np
 from .errors import ShapeError
 
 
+def derive_seed(*entropy: int) -> int:
+    """One 32-bit seed drawn from ``SeedSequence(entropy)``: the config's component
+    streams and the trainer's substreams are all derived through this."""
+    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1)[0])
+
+
 def as_tensor(x) -> np.ndarray:
     """Coerce to a float64 ndarray without copying when already one."""
     return np.asarray(x, dtype=np.float64)

@@ -52,21 +52,26 @@ class ScoreSpec:
     """Which score to compute and its parameters.
 
     kind: one of msp, energy, odin, mahalanobis, ash_energy.
-    temperature applies to energy and odin; odin_epsilon is the input
-    perturbation size; percentile drives the activation-shaping cut.
+    temperature applies to energy and odin; left unset it resolves to
+    ODIN_DEFAULT_TEMPERATURE for odin and 1 otherwise. odin_epsilon is the
+    input perturbation size; percentile drives the activation-shaping cut.
+    stats are fitted at run time, so they are not a config key.
     """
 
     kind: str
-    temperature: float = 1.0
+    temperature: float | None = None
     odin_epsilon: float = ODIN_DEFAULT_EPSILON
     percentile: float = 95.0
-    stats: GaussianStats | None = None
+    stats: GaussianStats | None = field(default=None, metadata={"config": False})
 
     KINDS = ("msp", "energy", "odin", "mahalanobis", "ash_energy")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown score kind {self.kind!r}; expected one of {self.KINDS}")
+        if self.temperature is None:
+            object.__setattr__(self, "temperature",
+                               ODIN_DEFAULT_TEMPERATURE if self.kind == "odin" else 1.0)
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
         if self.odin_epsilon < 0:
@@ -76,8 +81,7 @@ class ScoreSpec:
 
     @staticmethod
     def odin_default() -> "ScoreSpec":
-        return ScoreSpec(kind="odin", temperature=ODIN_DEFAULT_TEMPERATURE,
-                         odin_epsilon=ODIN_DEFAULT_EPSILON)
+        return ScoreSpec(kind="odin")
 
 
 def msp_score(logits) -> np.ndarray:

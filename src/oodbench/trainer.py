@@ -21,6 +21,7 @@ from . import losses
 from . import model as model_mod
 from .errors import ConfigError, NumericError
 from .extrapolation import ExtrapolationConfig, build_extrapolation_pool, select_subbatch
+from .numerics import derive_seed
 
 LOSS_KINDS = ("ce", "oe", "energy_bounded", "divoe")
 
@@ -55,9 +56,6 @@ class TrainConfig:
     id_batch: int = 128
     outlier_batch: int = 128
     loss: LossConfig = field(default_factory=LossConfig)
-    extrapolation: ExtrapolationConfig = field(default_factory=ExtrapolationConfig)
-    sampler: str = "random"
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -129,10 +127,6 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return new_params, new_velocity
 
 
-def _component_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
-
-
 def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
     """Endless stream of fixed-size outlier batches; reshuffles when exhausted."""
     n = outliers.shape[0]
@@ -179,11 +173,13 @@ def _build_loss_graph(dims, kind: str, lc: LossConfig, labels, n_orig: int, n_ex
 
 def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
               aux_outliers: np.ndarray | None, cfg: TrainConfig,
+              extrapolation: ExtrapolationConfig, seed: int,
               collect_outlier_stream: bool = False):
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
-    Deterministic per cfg.seed: batch shuffling, sub-batch selection and
-    any extrapolation randomness come from per-component seed streams.
+    ``extrapolation`` applies to the divoe loss only. Deterministic per
+    ``seed``: batch shuffling, sub-batch selection and any extrapolation
+    randomness come from per-component seed streams.
     A non-finite loss aborts with NumericError rather than being skipped.
     """
     kind = cfg.loss.kind
@@ -201,29 +197,27 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
 
     n_batches = max(1, math.ceil(len(id_train) / cfg.id_batch))
     total_steps = cfg.epochs * n_batches
-    shuffle_seed = _component_seed(cfg.seed, 0)
-    select_rng = np.random.Generator(np.random.PCG64(_component_seed(cfg.seed, 1)))
+    shuffle_seed = derive_seed(seed, 0)
+    select_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     out_stream = None
     if kind != "ce":
         out_stream = _outlier_batches(aux, min(cfg.outlier_batch, aux.shape[0]),
-                                      _component_seed(cfg.seed, 2))
+                                      derive_seed(seed, 2))
 
     param_names = model_mod.param_names(mlp)
     step = 0
     current = mlp
     for epoch in range(cfg.epochs):
         epoch_iter = data_mod.batches(id_train, cfg.id_batch,
-                                      seed=int(np.random.SeedSequence(
-                                          [shuffle_seed, epoch]).generate_state(1)[0]))
+                                      seed=derive_seed(shuffle_seed, epoch))
         for x_id, y_id in epoch_iter:
             out_batch = next(out_stream) if out_stream is not None else None
             extrap = None
             orig_part = out_batch
             if kind == "divoe":
-                to_ext, orig_part = select_subbatch(out_batch, cfg.extrapolation.ratio,
-                                                    select_rng)
+                to_ext, orig_part = select_subbatch(out_batch, extrapolation.ratio, select_rng)
                 if to_ext.shape[0]:
-                    extrap = build_extrapolation_pool(current, to_ext, cfg.extrapolation)
+                    extrap = build_extrapolation_pool(current, to_ext, extrapolation)
 
             n_orig = 0 if orig_part is None else orig_part.shape[0]
             n_ext = 0 if extrap is None else extrap.synthesized.shape[0]
@@ -250,8 +244,8 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             out_value = float(aux_list.pop(0)) if out_node is not None else None
             ext_value = float(aux_list.pop(0)) if ext_node is not None else None
 
-            if (n_ext and cfg.extrapolation.target == "uniform_loss"
-                    and cfg.extrapolation.direction == "maximize"):
+            if (n_ext and extrapolation.target == "uniform_loss"
+                    and extrapolation.direction == "maximize"):
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
                                  < np.mean(extrap.initial_values[ok]) - 1e-12):

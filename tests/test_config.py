@@ -1,0 +1,156 @@
+import json
+
+import pytest
+
+from oodbench import config, data, model, numerics, scoring, trainer
+from oodbench.errors import ConfigError
+from oodbench.extrapolation import ExtrapolationConfig
+
+# Malformed --set overrides; each must surface as ConfigError, never a traceback.
+PROBES = [
+    'data.classes="abc"',
+    "extrapolation.clamp=[0]",
+    "model.hidden=5",
+    "data.ood_sets=[]",
+    "train.loss=3",
+    "extrapolation.pool=[[0.1]]",
+    'seed="x"',
+    "train.epochs=2.7",
+    'train.sampler="bogus"',
+]
+
+UNKNOWN_KEYS = [
+    {"bogus": 1},
+    {"data": {"bogus": 1}},
+    {"data": {"aux": {"bogus": 1}}},
+    {"data": {"ood_sets": {"ring": {"bogus": 1}}}},
+    {"model": {"bogus": 1}},
+    {"train": {"bogus": 1}},
+    {"train": {"loss": {"bogus": 1}}},
+    {"extrapolation": {"bogus": 1}},
+    {"scores": [{"kind": "msp", "bogus": 1}]},
+    {"outputs": {"bogus": 1}},
+    {"theory": {"bogus": 1}},
+    {"train": {"sampler": "random"}},
+    {"outputs": {"checkpoint_every_epoch": False}},
+    {"train": {"seed": 0}},
+    {"train": {"extrapolation": {}}},
+    {"scores": [{"kind": "mahalanobis", "stats": None}]},
+]
+
+
+def _non_default() -> config.RunConfig:
+    return config.RunConfig(
+        seed=7,
+        data=config.DataConfig(classes=3, sigma=0.25, aux=config.AuxConfig(count=64),
+                               ood_sets={"near": config.OodSetConfig(1.2, 1.5, 32),
+                                         "far": config.OodSetConfig(2.2, 4.0, 16)}),
+        model=config.ModelConfig(hidden=(16,)),
+        train=trainer.TrainConfig(epochs=2, lr=0.05,
+                                  loss=trainer.LossConfig(kind="divoe", balance=0.25)),
+        extrapolation=ExtrapolationConfig(steps=3, step_size=0.01, clamp=(-1.0, 2.0),
+                                          pool=((0.02, 0.5), (0.1, 0.5))),
+        scores=(scoring.ScoreSpec("odin", odin_epsilon=0.0), scoring.ScoreSpec("ash_energy")),
+        outputs=config.OutputsConfig(dir="runs/x", method_label="mine"),
+        theory=config.TheoryConfig(trials=5, tau=0.1))
+
+
+@pytest.mark.parametrize("cfg", [config.RunConfig(), _non_default()], ids=["default", "custom"])
+def test_to_dict_round_trips(cfg):
+    doc = cfg.to_dict()
+    assert config.parse_config(json.loads(json.dumps(doc))) == cfg
+    assert doc["schema_version"] == config.SCHEMA_VERSION
+    assert isinstance(doc["extrapolation"]["clamp"], list)
+
+
+def test_empty_document_gives_the_dataclass_defaults():
+    assert config.parse_config({}) == config.RunConfig()
+
+
+@pytest.mark.parametrize("doc", UNKNOWN_KEYS, ids=lambda d: json.dumps(d))
+def test_unknown_key_rejected_at_every_level(doc):
+    with pytest.raises(ConfigError, match="unknown key"):
+        config.parse_config(doc)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_malformed_value_raises_config_error(probe):
+    with pytest.raises(ConfigError):
+        config.parse_config(config.apply_overrides({}, [probe]))
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"scores": [{"temperature": 2.0}]}, "needs a 'kind' key"),
+    ({"scores": []}, "at least one score"),
+    ({"data": {"ood_sets": {}}}, "at least one set"),
+    ({"train": {"lr": True}}, "train.lr must be float"),
+    ({"train": {"epochs": False}}, "train.epochs must be int"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"schema_version": 2}, "schema_version"),
+    ([], "JSON object"),
+])
+def test_invalid_document_rejected(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        config.parse_config(doc)
+
+
+def test_ints_widen_to_float_and_integral_floats_narrow_to_int():
+    cfg = config.parse_config({"train": {"lr": 1, "epochs": 3.0}, "model": {"hidden": [8.0]}})
+    assert cfg.train.lr == 1.0 and type(cfg.train.lr) is float
+    assert cfg.train.epochs == 3 and type(cfg.train.epochs) is int
+    assert cfg.model.hidden == (8,) and type(cfg.model.hidden[0]) is int
+
+
+def test_odin_temperature_has_one_default():
+    parsed = config.parse_config({"scores": [{"kind": "odin"}, {"kind": "energy"}]})
+    assert parsed.scores[0].temperature == scoring.ODIN_DEFAULT_TEMPERATURE == 1.0e4
+    assert scoring.ScoreSpec("odin").temperature == 1.0e4
+    assert parsed.scores[1].temperature == scoring.ScoreSpec("energy").temperature == 1.0
+    assert parsed.scores[0] == scoring.ScoreSpec("odin")
+
+
+def test_digest_ignores_output_dir_but_not_training_knobs():
+    a = config.parse_config({"outputs": {"dir": "runs/a"}})
+    b = config.parse_config({"outputs": {"dir": "runs/b"}})
+    c = config.parse_config({"outputs": {"dir": "runs/a"}, "train": {"lr": 0.002}})
+    assert a.digest() == b.digest()
+    assert a.digest() != c.digest()
+
+
+def test_load_config_applies_overrides_then_seed_and_out(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "train": {"epochs": 4}}), encoding="utf-8")
+    cfg = config.load_config(path, ["train.epochs=2", "seed=5"], seed=9, out=tmp_path / "run")
+    assert (cfg.seed, cfg.train.epochs, cfg.outputs.dir) == (9, 2, str(tmp_path / "run"))
+    assert config.load_config(None) == config.RunConfig()
+
+
+@pytest.mark.parametrize("content, match", [
+    (None, "not found"), (b"{", "not valid JSON"), (b"\xff\xfe", "not valid JSON"),
+    (b"[1]", "JSON object"),
+])
+def test_load_config_file_errors(tmp_path, content, match):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=match):
+        config.load_config(path, ["seed=1"])
+
+
+def test_seed_streams_are_pinned(monkeypatch):
+    train_seed = config.component_seed(0, "train")
+    assert train_seed == 3141116543
+    assert numerics.derive_seed(train_seed, 0) == 4043787560
+    seen = []
+    real = data.batches
+
+    def recording(ds, batch_size, seed):
+        seen.append(seed)
+        return real(ds, batch_size, seed=seed)
+
+    monkeypatch.setattr(trainer.data_mod, "batches", recording)
+    x = data.LabeledDataset(numerics.as_tensor([[0.1, 0.2], [0.8, 0.9]]), [0, 1])
+    trainer.fine_tune(model.init_model([2, 4, 2], seed=1), x, None,
+                      trainer.TrainConfig(epochs=2, loss=trainer.LossConfig(kind="ce")),
+                      ExtrapolationConfig(), train_seed)
+    assert seen == [2810413366, 2350297174]

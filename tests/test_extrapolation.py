@@ -170,7 +170,7 @@ def test_nonfinite_rows_abort_at_origin(target):
     np.testing.assert_allclose(out.initial_values, ref.initial_values, rtol=1e-12, atol=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_row_held_at_origin_never_aborts_on_its_gradient():
     # At x = (1e-250, 0) the logits are finite but the input gradient passes
     # through two 1e200 weights and overflows; at x = (0, 0) the relu blocks it.

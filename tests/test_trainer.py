@@ -16,10 +16,10 @@ def _toy():
     return data.LabeledDataset(x, y), aux
 
 
-def _divoe_cfg():
-    return trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=8,
-                               loss=trainer.LossConfig(kind="divoe"),
-                               extrapolation=ExtrapolationConfig(ratio=0.5, steps=2))
+def _divoe_args():
+    return (trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=8,
+                                loss=trainer.LossConfig(kind="divoe")),
+            ExtrapolationConfig(ratio=0.5, steps=2), 0)
 
 
 def _fake_pool(initial, final, aborted):
@@ -41,7 +41,7 @@ def test_fine_tune_divoe_extrapolates_once_per_step(monkeypatch):
 
     monkeypatch.setattr(trainer, "build_extrapolation_pool", counting)
     mlp = model.init_model([2, 8, 3], seed=1)
-    _, history = trainer.fine_tune(mlp, id_train, aux, _divoe_cfg())
+    _, history = trainer.fine_tune(mlp, id_train, aux, *_divoe_args())
     assert len(calls) == len(history.records) == 2
     assert calls == [4, 4]
     assert all(r.oe_loss_extrap is not None for r in history.records)
@@ -52,14 +52,14 @@ def test_fine_tune_rejects_lost_ground_with_numeric_error(monkeypatch):
     monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(1.0, 0.5, False))
     mlp = model.init_model([2, 8, 3], seed=1)
     with pytest.raises(NumericError, match="lost ground"):
-        trainer.fine_tune(mlp, id_train, aux, _divoe_cfg())
+        trainer.fine_tune(mlp, id_train, aux, *_divoe_args())
 
 
 def test_fine_tune_ignores_aborted_rows_in_best_iterate_check(monkeypatch):
     id_train, aux = _toy()
     monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(np.nan, np.nan, True))
     mlp = model.init_model([2, 8, 3], seed=1)
-    _, history = trainer.fine_tune(mlp, id_train, aux, _divoe_cfg())
+    _, history = trainer.fine_tune(mlp, id_train, aux, *_divoe_args())
     assert len(history.records) == 2
 
 
