@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -113,15 +114,31 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
 
 
 def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
-    """Evaluate a checkpoint: report.json, report.csv and per-sample scores.csv."""
+    """Evaluate a checkpoint: report.json, report.csv and per-sample scores.csv.
+
+    Each (score, set) array is computed once and feeds both the reports and
+    scores.csv; nothing is written unless every report could be assembled.
+    """
     out = _out_dir(cfg)
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
     mlp = model_mod.load_checkpoint(ckpt_path)
     _, id_test, _, ood_sets = _load_benchmark(cfg)
+    if len(id_test) == 0 or any(x.shape[0] == 0 for x in ood_sets.values()):
+        raise DataError("all evaluation sets must be non-empty")
+    id_acc = metrics_mod.id_accuracy(model_mod.forward(mlp, id_test.x), id_test.y)
     method = cfg.method_label()
     digest = cfg.digest()
-    reports = trainer_mod.evaluate_suite(mlp, id_test, ood_sets, cfg.scores,
-                                         method=method, seed=cfg.seed, config_digest=digest)
+    reports = []
+    score_rows = []
+    for spec in cfg.scores:
+        id_scores = scoring.compute_scores(mlp, id_test.x, spec)
+        ood_scores = {name: scoring.compute_scores(mlp, x, spec) for name, x in ood_sets.items()}
+        reports.append(metrics_mod.assemble_report(
+            id_scores, ood_scores, method=method, score_kind=spec.kind,
+            id_acc=id_acc, seed=cfg.seed, config_digest=digest))
+        score_rows.extend((i, "id_test", spec.kind, s) for i, s in enumerate(id_scores))
+        for name, s_vals in ood_scores.items():
+            score_rows.extend((i, f"ood_{name}", spec.kind, s) for i, s in enumerate(s_vals))
     (out / "report.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8")
     with (out / "report.csv").open("w", encoding="utf-8", newline="\n") as fh:
@@ -132,13 +149,6 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
                 writer.writerow([report.method, report.score_kind, row.set_name,
                                  repr(row.fpr95), repr(row.auroc), repr(row.aupr),
                                  repr(report.id_accuracy)])
-    score_rows = []
-    for spec in cfg.scores:
-        id_scores = scoring.compute_scores(mlp, id_test.x, spec)
-        score_rows.extend((i, "id_test", spec.kind, s) for i, s in enumerate(id_scores))
-        for name in sorted(ood_sets):
-            s_vals = scoring.compute_scores(mlp, ood_sets[name], spec)
-            score_rows.extend((i, f"ood_{name}", spec.kind, s) for i, s in enumerate(s_vals))
     scoring.write_score_csv(out / "scores.csv", score_rows)
     for report in reports:
         avg = report.average
@@ -240,6 +250,17 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
     return 0
 
 
+def _epsilon_grid(text: str) -> list[float]:
+    """Parse ``--epsilons``: comma-separated radii, each finite and >= 0."""
+    try:
+        grid = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--epsilons: {exc}") from None
+    if not all(math.isfinite(e) and e >= 0 for e in grid):
+        raise ConfigError(f"--epsilons must be finite and >= 0, got {text!r}")
+    return grid
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oodbench",
                                      description="Desk-scale OOD detection workbench")
@@ -292,9 +313,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint)
         if args.command == "extrapolate":
-            eps = None
-            if args.epsilons:
-                eps = [float(v) for v in args.epsilons.split(",") if v.strip()]
+            eps = _epsilon_grid(args.epsilons) if args.epsilons else None
             return cmd_extrapolate(cfg, args.checkpoint, args.input, args.dump,
                                    args.samples, eps)
         if args.command == "theory-verify":

@@ -4,10 +4,10 @@
 The dataclasses are the schema. ``parse_config`` walks their fields and
 type hints to build a RunConfig from JSON, and ``RunConfig.to_dict`` walks
 the same fields back, so every default is stated once, on its field. An
-unknown key, a missing required key, a wrong JSON type or a wrong tuple
-length raises ConfigError, so stale or malformed manifests fail loudly;
-value checks live in each dataclass's ``__post_init__``. A field whose
-metadata sets ``"config"`` to False (``ScoreSpec.stats``) is not a key.
+unknown key, a missing required key, a wrong JSON type, a wrong tuple
+length or a non-finite float (JSON's NaN/Infinity) raises ConfigError, so
+stale or malformed manifests fail loudly; value checks live in each
+dataclass's ``__post_init__``.
 
 All randomness flows from the one top-level seed, split per component
 (data / model / train / extrapolation / theory) through named substreams.
@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -132,8 +133,7 @@ class RunConfig:
 def _schema(cls) -> tuple[tuple[dataclasses.Field, typing.Any], ...]:
     """(field, resolved type) for each config key of a dataclass."""
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls)
-                 if f.metadata.get("config", True))
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _parse(tp, value, where: str):
@@ -184,6 +184,8 @@ def _parse(tp, value, where: str):
         return int(value)
     if not isinstance(value, tp):
         raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 

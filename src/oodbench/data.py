@@ -88,27 +88,6 @@ def fit_minmax(reference: np.ndarray) -> MinMaxTransform:
     return t
 
 
-def normalize_fit_apply(reference, targets):
-    """Fit min-max on ``reference`` and apply (with clipping) to every target.
-
-    Accepts datasets or raw matrices; returns (normalized targets, transform).
-    """
-
-    def raw(obj):
-        return obj.x if isinstance(obj, (LabeledDataset, UnlabeledDataset)) else np.asarray(obj)
-
-    transform = fit_minmax(raw(reference))
-    normalized = []
-    for target in targets:
-        if isinstance(target, LabeledDataset):
-            normalized.append(LabeledDataset(transform.apply(target.x), target.y))
-        elif isinstance(target, UnlabeledDataset):
-            normalized.append(UnlabeledDataset(transform.apply(target.x)))
-        else:
-            normalized.append(transform.apply(np.asarray(target)))
-    return normalized, transform
-
-
 # -- generators ------------------------------------------------------------------
 
 
@@ -134,16 +113,6 @@ def gen_id_mixture_raw(n_classes: int, per_class: int, radius: float, sigma: flo
     if per_class == 0:
         return LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.intp))
     return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
-
-
-def gen_id_mixture(n_classes: int, per_class: int, radius: float, sigma: float,
-                   seed: int) -> LabeledDataset:
-    """Circle-blob mixture min-max normalized to [0,1]^2 by its own range."""
-    raw = gen_id_mixture_raw(n_classes, per_class, radius, sigma, seed)
-    if len(raw) == 0:
-        return raw
-    (normalized,), _ = normalize_fit_apply(raw, [raw])
-    return normalized
 
 
 def _annulus_raw(inner_r: float, outer_r: float, n: int, rng: np.random.Generator,
@@ -248,7 +217,7 @@ def load_csv(path):
 # -- batching --------------------------------------------------------------------
 
 
-def batches(dataset, batch_size: int, seed: int, drop_last: bool = False):
+def batches(dataset, batch_size: int, seed: int):
     """One seeded-shuffle pass over the dataset in deterministic batch order."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
@@ -257,8 +226,6 @@ def batches(dataset, batch_size: int, seed: int, drop_last: bool = False):
     order = _rng(seed).permutation(x.shape[0])
     for start in range(0, x.shape[0], batch_size):
         idx = order[start:start + batch_size]
-        if drop_last and idx.size < batch_size:
-            return
         if y is None:
             yield x[idx]
         else:

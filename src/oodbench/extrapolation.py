@@ -244,40 +244,3 @@ def build_extrapolation_pool(mlp: model_mod.MlpClassifier, subbatch,
     eps = np.repeat([e for e, _ in pool], counts)
     return pgd_extrapolate(mlp, subbatch, cfg, epsilon=eps)
 
-
-def random_noise_extrapolate(x, epsilon: float, rng: np.random.Generator,
-                             clamp: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
-    """Uniform(-epsilon, epsilon) perturbation per coordinate, clamped to the domain."""
-    if epsilon < 0:
-        raise ConfigError("epsilon must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    if epsilon == 0.0:
-        return x.copy()
-    noise = rng.uniform(-epsilon, epsilon, size=x.shape)
-    return np.clip(x + noise, clamp[0], clamp[1])
-
-
-def mixup_combine(x_out, partners, lambdas) -> np.ndarray:
-    """Convex combination lambda*x_out + (1-lambda)*partner, row-wise."""
-    x_out = np.asarray(x_out, dtype=np.float64)
-    partners = np.asarray(partners, dtype=np.float64)
-    lam = np.asarray(lambdas, dtype=np.float64).reshape(-1, 1)
-    if partners.shape != x_out.shape or lam.shape[0] != x_out.shape[0]:
-        raise ShapeError("mixup operands disagree on shape")
-    return lam * x_out + (1.0 - lam) * partners
-
-
-def mixup_extrapolate(x_out, partner_batch, beta_a: float = 1.0, beta_b: float = 0.1,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Mix each outlier with a uniformly drawn partner, lambda ~ Beta(beta_a, beta_b)."""
-    if beta_a <= 0 or beta_b <= 0:
-        raise ConfigError("beta parameters must be positive")
-    partner_batch = np.asarray(partner_batch, dtype=np.float64)
-    if partner_batch.shape[0] == 0:
-        raise ConfigError("partner batch must be non-empty")
-    x_out = np.asarray(x_out, dtype=np.float64)
-    if rng is None:
-        raise ConfigError("rng is required")
-    lam = rng.beta(beta_a, beta_b, size=x_out.shape[0])
-    idx = rng.integers(0, partner_batch.shape[0], size=x_out.shape[0])
-    return mixup_combine(x_out, partner_batch[idx], lam)

@@ -4,9 +4,9 @@ extrapolated outliers.
 
 Each loss exists as an expression builder (``*_expr``) used for gradients
 and as a numeric wrapper evaluating the same graph on constants, so there
-is exactly one numeric code path per objective. The hybrid builder returns
-the plain outlier-exposure graph whenever one side is empty, which makes
-the ratio-zero reduction bit-exact by construction.
+is exactly one numeric code path per objective. The outlier-exposure rule
+is written once, in ``divoe_loss_terms``: plain OE is its one-sided case,
+which makes the ratio-zero reduction bit-exact by construction.
 """
 
 from __future__ import annotations
@@ -44,28 +44,32 @@ def oe_uniform_loss_expr(logits: ad.Expression) -> ad.Expression:
     return ad.reduce_mean(oe_rowwise_expr(logits))
 
 
-def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
-                       out_logits: ad.Expression, lam: float) -> ad.Expression:
-    return ce_loss_expr(id_logits, labels, n_classes) + float(lam) * oe_uniform_loss_expr(out_logits)
+def divoe_loss_terms(id_logits: ad.Expression, labels, n_classes: int,
+                     orig_out_logits: ad.Expression | None,
+                     extrap_out_logits: ad.Expression | None, lam: float):
+    """Hybrid objective ce + lam * (mean OE over originals + mean OE over synthesized).
 
-
-def divoe_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
-                    orig_out_logits: ad.Expression | None,
-                    extrap_out_logits: ad.Expression | None,
-                    lam: float) -> ad.Expression:
-    """Hybrid objective: ce + lam * (mean OE over originals + mean OE over synthesized).
-
-    An empty side is dropped; with no synthesized rows this is exactly the
-    plain outlier-exposure graph.
+    An empty side (None) is dropped; with no synthesized rows this is exactly
+    the plain outlier-exposure graph. Returns (total, ce, oe_orig, oe_extrap),
+    with None for a dropped side's term.
     """
     if orig_out_logits is None and extrap_out_logits is None:
         raise ConfigError("both outlier sides empty")
-    if extrap_out_logits is None:
-        return oe_total_loss_expr(id_logits, labels, n_classes, orig_out_logits, lam)
-    if orig_out_logits is None:
-        return oe_total_loss_expr(id_logits, labels, n_classes, extrap_out_logits, lam)
-    mixed = oe_uniform_loss_expr(orig_out_logits) + oe_uniform_loss_expr(extrap_out_logits)
-    return ce_loss_expr(id_logits, labels, n_classes) + float(lam) * mixed
+    ce = ce_loss_expr(id_logits, labels, n_classes)
+    oe_orig = None if orig_out_logits is None else oe_uniform_loss_expr(orig_out_logits)
+    oe_extrap = None if extrap_out_logits is None else oe_uniform_loss_expr(extrap_out_logits)
+    if oe_extrap is None:
+        outlier = oe_orig
+    elif oe_orig is None:
+        outlier = oe_extrap
+    else:
+        outlier = oe_orig + oe_extrap
+    return ce + float(lam) * outlier, ce, oe_orig, oe_extrap
+
+
+def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
+                       out_logits: ad.Expression, lam: float) -> ad.Expression:
+    return divoe_loss_terms(id_logits, labels, n_classes, out_logits, None, lam)[0]
 
 
 def energy_margin_expr(logits: ad.Expression, temperature: float) -> ad.Expression:
@@ -150,11 +154,11 @@ def divoe_loss(id_logits, labels, orig_out_logits, extrap_out_logits,
             f"extrapolated row count {extrap.shape[0]} inconsistent with ratio {ratio} "
             f"(expected ceil({ratio}*{n}) = {expected})")
     id_logits = np.asarray(id_logits, dtype=np.float64)
-    expr = divoe_loss_expr(_logits_const(id_logits), labels, id_logits.shape[1],
-                           _logits_const(orig) if orig.shape[0] else None,
-                           _logits_const(extrap) if extrap.shape[0] else None,
-                           lam)
-    return _scalar(expr)
+    terms = divoe_loss_terms(_logits_const(id_logits), labels, id_logits.shape[1],
+                             _logits_const(orig) if orig.shape[0] else None,
+                             _logits_const(extrap) if extrap.shape[0] else None,
+                             lam)
+    return _scalar(terms[0])
 
 
 DEFAULT_OE_LAMBDA = 0.5

@@ -1,22 +1,20 @@
-"""Detection-quality metrics and the kernel two-sample diversity measure.
+"""Detection-quality metrics and the per-score detection report.
 
 ID is the positive class throughout. FPR@TPR uses the largest threshold
 whose TPR still reaches the target, counting ties as positive; AUROC is
 the Mann-Whitney statistic with ties worth one half; AUPR integrates the
-precision-recall step curve from a descending-score sweep.
+precision-recall step curve from a descending-score sweep. A non-finite
+score has no rank, so every metric rejects it with NumericError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.spatial.distance
-import scipy.stats
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 
 def _validate_scores(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
@@ -24,6 +22,8 @@ def _validate_scores(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     ood_scores = np.asarray(ood_scores, dtype=np.float64).reshape(-1)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise DataError("score sets must be non-empty")
+    if not (np.isfinite(id_scores).all() and np.isfinite(ood_scores).all()):
+        raise NumericError("scores must be finite")
     return id_scores, ood_scores
 
 
@@ -52,12 +52,17 @@ def fpr_at_tpr(id_scores, ood_scores, tpr: float = 0.95) -> float:
 
 
 def auroc(id_scores, ood_scores) -> float:
-    """P(id > ood) + 0.5 P(id == ood) over all pairs, computed via rank sums."""
+    """P(id > ood) + 0.5 P(id == ood) over all pairs.
+
+    U = sum over ID scores of #(ood < id) + #(ood <= id), halved: integer
+    counts from the sorted OOD scores, so U is exact.
+    """
     id_scores, ood_scores = _validate_scores(id_scores, ood_scores)
-    n, m = id_scores.size, ood_scores.size
-    ranks = scipy.stats.rankdata(np.concatenate([id_scores, ood_scores]), method="average")
-    u = np.sum(ranks[:n]) - n * (n + 1) / 2.0
-    return float(u / (n * m))
+    ood_sorted = np.sort(ood_scores)
+    below = np.searchsorted(ood_sorted, id_scores, side="left").sum()
+    at_or_below = np.searchsorted(ood_sorted, id_scores, side="right").sum()
+    u = (below + at_or_below) / 2.0
+    return float(u / (id_scores.size * ood_scores.size))
 
 
 def aupr(id_scores, ood_scores) -> float:
@@ -90,42 +95,6 @@ def id_accuracy(logits, labels) -> float:
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ConfigError("label out of range")
     return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
-def median_heuristic_bandwidth(x, y) -> float:
-    """Median pairwise distance over the pooled sample."""
-    pooled = np.concatenate([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
-    dists = scipy.spatial.distance.pdist(pooled)
-    bw = float(np.median(dists))
-    if bw <= 0:
-        raise ConfigError("median-heuristic bandwidth is zero (degenerate sample)")
-    return bw
-
-
-def mmd_rbf(x, y, bandwidth: float | None = None) -> float:
-    """Biased V-statistic MMD^2 with Gaussian kernel exp(-||a-b||^2 / (2 bw^2)).
-
-    bandwidth=None applies the median heuristic on the pooled sample.
-    Sums use math.fsum, so the value is exactly symmetric in (x, y).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        raise DataError("sample sets must be non-empty")
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError("samples disagree on dimension")
-    if bandwidth is None:
-        bandwidth = median_heuristic_bandwidth(x, y)
-    if bandwidth <= 0:
-        raise ConfigError("bandwidth must be positive")
-    denom = 2.0 * bandwidth * bandwidth
-
-    def mean_kernel(a, b):
-        k = np.exp(-scipy.spatial.distance.cdist(a, b, "sqeuclidean") / denom)
-        return math.fsum(k.reshape(-1)) / k.size
-
-    value = mean_kernel(x, x) + mean_kernel(y, y) - 2.0 * mean_kernel(x, y)
-    return max(value, 0.0)
 
 
 @dataclass
@@ -206,19 +175,3 @@ def assemble_report(id_scores, ood_score_sets: dict[str, np.ndarray], *,
     return DetectionReport(method=method, score_kind=score_kind, id_accuracy=id_acc,
                            results=results, seed=seed, config_digest=config_digest)
 
-
-def detection_report(mlp, score_spec, id_test, ood_sets: dict[str, np.ndarray], labels, *,
-                     method: str = "model", seed: int | None = None,
-                     config_digest: str | None = None) -> DetectionReport:
-    """Score every set under (model, score_spec) once and assemble all metrics."""
-    from . import model as model_mod
-    from . import scoring
-
-    id_test = np.asarray(id_test, dtype=np.float64)
-    if id_test.shape[0] == 0 or any(np.asarray(x).shape[0] == 0 for x in ood_sets.values()):
-        raise DataError("all evaluation sets must be non-empty")
-    id_scores = scoring.compute_scores(mlp, id_test, score_spec)
-    ood_scores = {name: scoring.compute_scores(mlp, x, score_spec) for name, x in ood_sets.items()}
-    acc = id_accuracy(model_mod.forward(mlp, id_test), labels)
-    return assemble_report(id_scores, ood_scores, method=method, score_kind=score_spec.kind,
-                           id_acc=acc, seed=seed, config_digest=config_digest)

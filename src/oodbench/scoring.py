@@ -1,4 +1,4 @@
-"""Post-hoc OOD score functions and the threshold decision rule.
+"""Post-hoc OOD score functions and the per-sample score export.
 
 Every score follows one orientation: higher means more in-distribution,
 so a single threshold rule ``ID iff score >= lambda`` serves all of them.
@@ -10,61 +10,36 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from . import model as model_mod
 from . import numerics
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 
 ODIN_DEFAULT_TEMPERATURE = 1.0e4
 ODIN_DEFAULT_EPSILON = 1.4e-3
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianStats:
-    """Per-class means and a shared (tied) covariance, regularized by gamma*I."""
-
-    means: np.ndarray          # (C, h)
-    covariance: np.ndarray     # (h, h), already includes the gamma ridge
-    gamma: float
-    cho_factor: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "cho_factor",
-                               scipy.linalg.cho_factor(self.covariance, lower=True))
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"covariance factorization failed (gamma={self.gamma} too small?)") from exc
-
-    @property
-    def n_features(self) -> int:
-        return self.means.shape[1]
 
 
 @dataclass(frozen=True)
 class ScoreSpec:
     """Which score to compute and its parameters.
 
-    kind: one of msp, energy, odin, mahalanobis, ash_energy.
+    kind: one of msp, energy, odin, ash_energy.
     temperature applies to energy and odin; left unset it resolves to
     ODIN_DEFAULT_TEMPERATURE for odin and 1 otherwise. odin_epsilon is the
     input perturbation size; percentile drives the activation-shaping cut.
-    stats are fitted at run time, so they are not a config key.
     """
 
     kind: str
     temperature: float | None = None
     odin_epsilon: float = ODIN_DEFAULT_EPSILON
     percentile: float = 95.0
-    stats: GaussianStats | None = field(default=None, metadata={"config": False})
 
-    KINDS = ("msp", "energy", "odin", "mahalanobis", "ash_energy")
+    KINDS = ("msp", "energy", "odin", "ash_energy")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -126,49 +101,6 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
     return np.max(numerics.softmax(model_mod.forward(mlp, perturbed) / temperature, axis=-1), axis=1)
 
 
-def fit_mahalanobis(features, labels, gamma: float | None = None) -> GaussianStats:
-    """Class means plus pooled within-class covariance with a gamma*I ridge.
-
-    gamma=None uses the scale-aware default 1e-6 * trace / h. Every class
-    needs at least two samples.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] != labels.shape[0]:
-        raise ShapeError("features and labels disagree")
-    classes = np.unique(labels)
-    h = features.shape[1]
-    means = np.zeros((classes.size, h))
-    pooled = np.zeros((h, h))
-    for k, c in enumerate(classes):
-        rows = features[labels == c]
-        if rows.shape[0] < 2:
-            raise DataError(f"class {c} has fewer than 2 samples")
-        means[k] = rows.mean(axis=0)
-        centered = rows - means[k]
-        pooled += centered.T @ centered
-    pooled /= features.shape[0]
-    if gamma is None:
-        gamma = 1e-6 * np.trace(pooled) / h
-    if gamma < 0:
-        raise ConfigError("gamma must be >= 0")
-    return GaussianStats(means=means, covariance=pooled + gamma * np.eye(h), gamma=float(gamma))
-
-
-def mahalanobis_score(stats: GaussianStats, features) -> np.ndarray:
-    """max over classes of the negated squared Mahalanobis distance; always <= 0."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != stats.n_features:
-        raise ShapeError(f"feature width {features.shape} does not match stats ({stats.n_features})")
-    best = np.full(features.shape[0], -np.inf)
-    for mean in stats.means:
-        delta = (features - mean).T            # (h, m)
-        solved = scipy.linalg.cho_solve(stats.cho_factor, delta)
-        dist2 = np.sum(delta * solved, axis=0)
-        best = np.maximum(best, -dist2)
-    return best
-
-
 def ash_s(activations, percentile: float) -> np.ndarray:
     """Zero activations below the per-row percentile, rescale survivors to keep the row sum.
 
@@ -196,12 +128,6 @@ def ash_s(activations, percentile: float) -> np.ndarray:
     return out
 
 
-def detect(scores, threshold: float) -> list[str]:
-    """Threshold decision rule: "ID" iff score >= threshold, else "OOD"."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return ["ID" if s >= threshold else "OOD" for s in scores]
-
-
 def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
                    domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     """Evaluate the configured score for a batch of raw inputs."""
@@ -212,10 +138,6 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
         return energy_score(model_mod.forward(mlp, batch), spec.temperature)
     if spec.kind == "odin":
         return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon, domain)
-    if spec.kind == "mahalanobis":
-        if spec.stats is None:
-            raise ConfigError("mahalanobis score requires fitted GaussianStats")
-        return mahalanobis_score(spec.stats, model_mod.penultimate_features(mlp, batch))
     if spec.kind == "ash_energy":
         shaped = ash_s(model_mod.penultimate_features(mlp, batch), spec.percentile)
         logits = shaped @ mlp.weights[-1] + mlp.biases[-1]

@@ -84,8 +84,6 @@ class StepRecord:
 @dataclass
 class TrainHistory:
     records: list[StepRecord] = field(default_factory=list)
-    outlier_stream: list[np.ndarray] = field(default_factory=list)
-    synthesized_stream: list[np.ndarray] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -142,39 +140,30 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
 
 
 def _build_loss_graph(dims, kind: str, lc: LossConfig, labels, n_orig: int, n_ext: int):
-    """Scalar training objective with inputs x / x_out / x_ext and shared parameters."""
+    """Scalar training objective with inputs x / x_out / x_ext and shared parameters.
+
+    Returns (total, ce, outlier term, extrapolated term), None for an absent term,
+    so every term's value comes out of the single training pass.
+    """
     n_classes = dims[-1]
     param_nodes = model_mod.make_param_nodes(dims)
     id_logits = model_mod.logits_graph(dims, "x", param_nodes)
+    out_logits = model_mod.logits_graph(dims, "x_out", param_nodes) if n_orig else None
+    ext_logits = model_mod.logits_graph(dims, "x_ext", param_nodes) if n_ext else None
+    if kind in ("oe", "divoe"):
+        return losses.divoe_loss_terms(id_logits, labels, n_classes, out_logits, ext_logits,
+                                       lc.balance)
     ce = losses.ce_loss_expr(id_logits, labels, n_classes)
     if kind == "ce":
         return ce, ce, None, None
-    out_logits = model_mod.logits_graph(dims, "x_out", param_nodes) if n_orig else None
-    ext_logits = model_mod.logits_graph(dims, "x_ext", param_nodes) if n_ext else None
-    if kind == "energy_bounded":
-        hinge = losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out,
-                                                lc.temperature)
-        total = ce + lc.balance * hinge
-        return total, ce, hinge, None
-    # Same structure divoe_loss_expr produces, but built from the shared
-    # subexpressions so their values come out of the single training pass.
-    oe_orig = losses.oe_uniform_loss_expr(out_logits) if out_logits is not None else None
-    oe_ext = losses.oe_uniform_loss_expr(ext_logits) if ext_logits is not None else None
-    if oe_orig is not None and oe_ext is not None:
-        total = ce + lc.balance * (oe_orig + oe_ext)
-    elif oe_orig is not None:
-        total = ce + lc.balance * oe_orig
-    elif oe_ext is not None:
-        total = ce + lc.balance * oe_ext
-    else:
-        raise ConfigError("both outlier sides empty")
-    return total, ce, oe_orig, oe_ext
+    hinge = losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out,
+                                            lc.temperature)
+    return ce + lc.balance * hinge, ce, hinge, None
 
 
 def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
               aux_outliers: np.ndarray | None, cfg: TrainConfig,
-              extrapolation: ExtrapolationConfig, seed: int,
-              collect_outlier_stream: bool = False):
+              extrapolation: ExtrapolationConfig, seed: int):
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
     ``extrapolation`` applies to the divoe loss only. Deterministic per
@@ -265,24 +254,6 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
                 oe_loss_orig=out_value, oe_loss_extrap=ext_value,
                 total_loss=float(total_value)))
-            if collect_outlier_stream and out_batch is not None:
-                history.outlier_stream.append(
-                    orig_part.copy() if n_orig else np.zeros((0, out_batch.shape[1])))
-                if n_ext:
-                    history.synthesized_stream.append(extrap.synthesized.copy())
             step += 1
     return current, history
 
-
-def evaluate_suite(mlp, id_test: data_mod.LabeledDataset, ood_sets: dict[str, np.ndarray],
-                   score_specs, *, method: str = "model", seed: int | None = None,
-                   config_digest: str | None = None):
-    """One DetectionReport per score spec over the named OOD sets."""
-    from . import metrics
-
-    reports = []
-    for spec in score_specs:
-        reports.append(metrics.detection_report(
-            mlp, spec, id_test.x, ood_sets, id_test.y,
-            method=method, seed=seed, config_digest=config_digest))
-    return reports

@@ -1,5 +1,5 @@
-"""Brute-force oracle twins for the detection metrics, the kernel statistic
-and informative extrapolation.
+"""Brute-force oracle twins for the detection metrics and informative
+extrapolation.
 
 Every function here recomputes its result from the definition with plain
 loops, independent of the library implementations.
@@ -57,24 +57,6 @@ def aupr_sweep(id_scores, ood_scores) -> float:
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return area
-
-
-def mmd_double_sum(x, y, bandwidth) -> float:
-    """Biased V-statistic MMD^2 by explicit double sums."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-
-    def k(a, b):
-        return math.exp(-float(np.sum((a - b) ** 2)) / (2.0 * bandwidth ** 2))
-
-    def mean_kk(aa, bb):
-        total = 0.0
-        for a in aa:
-            for b in bb:
-                total += k(a, b)
-        return total / (len(aa) * len(bb))
-
-    return mean_kk(x, x) + mean_kk(y, y) - 2.0 * mean_kk(x, y)
 
 
 def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:

@@ -23,6 +23,15 @@ def test_malformed_config_exits_2(tmp_path, capsys, probe):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("epsilons", ["abc", "0.1,x", "nan", "inf", "0.1,-0.05"])
+def test_malformed_epsilon_grid_exits_2(tmp_path, capsys, epsilons):
+    argv = ["--out", str(tmp_path / "run"), "extrapolate", "--input", str(tmp_path / "in.csv"),
+            "--dump", str(tmp_path / "dump" / "extrap.csv"), "--epsilons", epsilons]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "nope.json"), "gen-data"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -46,3 +55,18 @@ def test_report_digest_does_not_depend_on_out(tmp_path):
     assert digests[0] == digests[1] and len(digests[0]) == 1
     assert (tmp_path / "a" / "checkpoint.json").read_bytes() == \
         (tmp_path / "b" / "checkpoint.json").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_with_non_finite_scores_exits_4(tmp_path, capsys):
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+    for command in ("gen-data", "train"):
+        assert cli.main(base + [command]) == 0
+    doc = json.loads((tmp_path / "run" / "checkpoint.json").read_text(encoding="utf-8"))
+    doc["weights"] = [[w * 1e200 for w in layer] for layer in doc["weights"]]
+    blown = tmp_path / "blown.json"
+    blown.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(base + ["eval", "--checkpoint", str(blown)]) == 4
+    assert "finite" in capsys.readouterr().err
+    assert not any((tmp_path / "run" / name).exists()
+                   for name in ("report.json", "report.csv", "scores.csv"))

@@ -17,6 +17,9 @@ PROBES = [
     'seed="x"',
     "train.epochs=2.7",
     'train.sampler="bogus"',
+    "extrapolation.epsilon=Infinity",
+    "train.weight_decay=NaN",
+    "data.sigma=NaN",
 ]
 
 UNKNOWN_KEYS = [
@@ -88,6 +91,8 @@ def test_malformed_value_raises_config_error(probe):
     ({"seed": -1}, "seed must be >= 0"),
     ({"schema_version": 2}, "schema_version"),
     ([], "JSON object"),
+    ({"scores": [{"kind": "mahalanobis"}]}, "unknown score kind"),
+    ({"extrapolation": {"clamp": [0.0, float("inf")]}}, r"extrapolation.clamp\[1\] must be finite"),
 ])
 def test_invalid_document_rejected(doc, match):
     with pytest.raises(ConfigError, match=match):

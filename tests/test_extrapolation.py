@@ -8,10 +8,7 @@ from oodbench.extrapolation import (
     ExtrapolationConfig,
     build_extrapolation_pool,
     largest_remainder_counts,
-    mixup_combine,
-    mixup_extrapolate,
     pgd_extrapolate,
-    random_noise_extrapolate,
     select_subbatch,
 )
 
@@ -287,41 +284,6 @@ def test_pool_empty_spec_rejected(small_model):
     object.__setattr__(cfg, "pool", ())
     with pytest.raises(ConfigError):
         build_extrapolation_pool(small_model, _batch(4), cfg)
-
-
-def test_random_noise_extrapolate():
-    rng = np.random.default_rng(3)
-    x = _batch(50, seed=14)
-    assert random_noise_extrapolate(x, 0.0, rng).tobytes() == x.tobytes()
-    out = random_noise_extrapolate(x, 0.05, rng)
-    assert np.max(np.abs(out - x)) <= 0.05
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_random_noise_mean_is_centered():
-    rng = np.random.default_rng(4)
-    x = np.full((100_000, 1), 0.5)
-    out = random_noise_extrapolate(x, 0.1, rng)
-    noise = out - x
-    sigma = 0.1 / np.sqrt(3.0)
-    assert abs(noise.mean()) < 3.0 * sigma / np.sqrt(noise.size)
-
-
-def test_mixup_combine_extremes():
-    x = _batch(5, seed=15)
-    partners = _batch(5, seed=16)
-    assert mixup_combine(x, partners, np.ones(5)).tobytes() == x.tobytes()
-    assert mixup_combine(x, partners, np.zeros(5)).tobytes() == partners.tobytes()
-
-
-def test_mixup_extrapolate_draws_partner_per_sample():
-    rng = np.random.default_rng(5)
-    x = _batch(40, seed=17)
-    partners = _batch(7, seed=18)
-    out = mixup_extrapolate(x, partners, beta_a=1.0, beta_b=0.1, rng=rng)
-    assert out.shape == x.shape
-    with pytest.raises(ConfigError):
-        mixup_extrapolate(x, np.zeros((0, 2)), rng=rng)
 
 
 def test_origin_outside_domain_rejected(small_model):

@@ -1,93 +1,34 @@
+"""Sampling of auxiliary-outlier batches during fine-tuning."""
+
+import itertools
+
 import numpy as np
-import pytest
 
-from oodbench import model, sampling, scoring
-from oodbench.errors import ConfigError, DataError
+from oodbench import trainer
 
 
-@pytest.fixture(scope="module")
-def fixed_model():
-    return model.init_model([2, 8, 3], seed=3)
-
-
-def _pool(n=30, seed=0):
-    return sampling.OutlierPool(np.random.default_rng(seed).uniform(0, 1, (n, 2)))
+def _stream(outliers, batch_size, seed, count):
+    return list(itertools.islice(trainer._outlier_batches(outliers, batch_size, seed), count))
 
 
 def test_random_sample_determinism_and_extremes():
-    pool = _pool(10)
-    full = sampling.random_sample(pool, 10, np.random.default_rng(1))
-    assert {tuple(r) for r in full} == {tuple(r) for r in pool.samples}
-    empty = sampling.random_sample(pool, 0, np.random.default_rng(1))
-    assert empty.shape == (0, 2)
-    a = sampling.random_sample(pool, 5, np.random.default_rng(7))
-    b = sampling.random_sample(pool, 5, np.random.default_rng(7))
-    assert a.tobytes() == b.tobytes()
-    with pytest.raises(ConfigError):
-        sampling.random_sample(pool, 11, np.random.default_rng(1))
-
-
-def test_greedy_selects_highest_scores():
-    pool = sampling.OutlierPool(np.arange(6, dtype=float).reshape(3, 2),
-                                cached_scores=np.array([0.1, 0.9, 0.5]))
-    out = sampling.greedy_informative_sample(pool, None, None, 2)
-    np.testing.assert_array_equal(out, pool.samples[[1, 2]])
-
-
-def test_greedy_whole_pool_sorted_desc():
-    pool = sampling.OutlierPool(np.arange(8, dtype=float).reshape(4, 2),
-                                cached_scores=np.array([0.3, 0.1, 0.4, 0.2]))
-    out = sampling.greedy_informative_sample(pool, None, None, 4)
-    np.testing.assert_array_equal(out, pool.samples[[2, 0, 3, 1]])
-
-
-def test_greedy_tie_break_lowest_index():
-    pool = sampling.OutlierPool(np.arange(8, dtype=float).reshape(4, 2),
-                                cached_scores=np.array([0.5, 0.5, 0.5, 0.5]))
-    out = sampling.greedy_informative_sample(pool, None, None, 2)
-    np.testing.assert_array_equal(out, pool.samples[[0, 1]])
-
-
-def test_greedy_matches_brute_force(fixed_model):
-    pool = _pool(200, seed=5)
-    spec = scoring.ScoreSpec(kind="energy")
-    out = sampling.greedy_informative_sample(pool, fixed_model, spec, 20)
-    scores = scoring.compute_scores(fixed_model, pool.samples, spec)
-    chosen_scores = scoring.compute_scores(fixed_model, out, spec)
-    unchosen_min = np.sort(scores)[-20]
-    assert chosen_scores.min() >= unchosen_min - 1e-12
-    # every selected score >= every unselected score
-    threshold = chosen_scores.min()
-    assert np.sum(scores > threshold) <= 20
-
-
-def test_stratify_group_sizes(fixed_model):
-    spec = scoring.ScoreSpec(kind="msp")
-    groups = sampling.stratify_by_score(_pool(10, seed=6), fixed_model, spec, 5)
-    assert [g.shape[0] for g in groups] == [2, 2, 2, 2, 2]
-    groups = sampling.stratify_by_score(_pool(11, seed=7), fixed_model, spec, 5)
-    assert [g.shape[0] for g in groups] == [2, 2, 2, 2, 3]
-    whole = sampling.stratify_by_score(_pool(9, seed=8), fixed_model, spec, 1)
-    assert len(whole) == 1 and whole[0].shape[0] == 9
-
-
-def test_stratify_partitions_pool_and_orders_scores(fixed_model):
-    pool = _pool(40, seed=9)
-    spec = scoring.ScoreSpec(kind="energy")
-    groups = sampling.stratify_by_score(pool, fixed_model, spec, 4)
-    recombined = np.concatenate(groups)
-    assert {tuple(r) for r in recombined} == {tuple(r) for r in pool.samples}
-    maxes = [scoring.compute_scores(fixed_model, g, spec).max() for g in groups[:-1]]
-    mins = [scoring.compute_scores(fixed_model, g, spec).min() for g in groups[1:]]
-    assert all(m <= n + 1e-12 for m, n in zip(maxes, mins))
-
-
-def test_stratify_empty_pool():
-    with pytest.raises(DataError):
-        sampling.stratify_by_score(sampling.OutlierPool(np.zeros((0, 2))), None,
-                                   scoring.ScoreSpec(kind="msp"), 2)
-
-
-def test_pool_cache_size_validated():
-    with pytest.raises(DataError):
-        sampling.OutlierPool(np.zeros((3, 2)), cached_scores=np.zeros(2))
+    pool = np.random.default_rng(0).uniform(0, 1, (10, 2))
+    rows = {tuple(r) for r in pool}
+    # Same seed, same stream; another seed reorders it.
+    a = _stream(pool, 5, seed=7, count=6)
+    b = _stream(pool, 5, seed=7, count=6)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    assert any(x.tobytes() != y.tobytes() for x, y in zip(a, _stream(pool, 5, seed=8, count=6)))
+    # Each pass draws every row once, without replacement, in fixed-size batches.
+    for first, second in zip(a[0::2], a[1::2]):
+        assert first.shape == second.shape == (5, 2)
+        assert {tuple(r) for r in np.concatenate([first, second])} == rows
+    # Whole-pool batches: every batch is a permutation of the pool.
+    for batch in _stream(pool, 10, seed=1, count=3):
+        assert batch.shape == (10, 2) and {tuple(r) for r in batch} == rows
+    # Batch size one: each pass yields every row exactly once.
+    singles = _stream(pool, 1, seed=1, count=10)
+    assert sorted(tuple(s[0]) for s in singles) == sorted(rows)
+    # A remainder that does not fill a batch is dropped for that pass.
+    for batch in _stream(pool, 4, seed=2, count=6):
+        assert batch.shape == (4, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oodbench import model, scoring
-from oodbench.errors import ConfigError, DataError, NumericError, ShapeError
+from oodbench.errors import ConfigError, ShapeError
 
 
 def test_msp_uniform_logits():
@@ -81,68 +81,6 @@ def test_odin_linear_model_score_increases():
     assert np.any(pushed > base)
 
 
-def test_fit_mahalanobis_two_point_classes():
-    feats = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-    labels = np.array([0, 0, 1, 1])
-    stats = scoring.fit_mahalanobis(feats, labels, gamma=1e-6)
-    np.testing.assert_allclose(stats.means, [[-1.0], [1.0]])
-    assert stats.covariance[0, 0] == pytest.approx(1e-6, rel=1e-9)
-
-
-def test_fit_mahalanobis_translation_invariance():
-    rng = np.random.default_rng(2)
-    feats = rng.normal(size=(20, 3))
-    labels = rng.integers(0, 2, 20)
-    s1 = scoring.fit_mahalanobis(feats, labels, gamma=1e-6)
-    shifted = feats.copy()
-    shifted[labels == 1] += 5.0
-    s2 = scoring.fit_mahalanobis(shifted, labels, gamma=1e-6)
-    np.testing.assert_allclose(s1.covariance, s2.covariance, atol=1e-9)
-
-
-def test_fit_mahalanobis_symmetric():
-    rng = np.random.default_rng(3)
-    feats = rng.normal(size=(30, 4))
-    labels = rng.integers(0, 3, 30)
-    stats = scoring.fit_mahalanobis(feats, labels)
-    np.testing.assert_allclose(stats.covariance, stats.covariance.T, atol=1e-12)
-
-
-def test_fit_mahalanobis_small_class_rejected():
-    with pytest.raises(DataError):
-        scoring.fit_mahalanobis(np.ones((3, 2)), np.array([0, 0, 1]))
-
-
-def test_fit_mahalanobis_factorization_failure():
-    with pytest.raises(NumericError):
-        scoring.GaussianStats(means=np.zeros((1, 2)),
-                              covariance=np.array([[0.0, 0.0], [0.0, -1.0]]), gamma=0.0)
-
-
-def test_mahalanobis_score_at_mean_is_zero():
-    feats = np.array([[-1.0], [-1.2], [1.0], [1.2]])
-    stats = scoring.fit_mahalanobis(feats, np.array([0, 0, 1, 1]), gamma=1e-3)
-    scores = scoring.mahalanobis_score(stats, stats.means)
-    np.testing.assert_allclose(scores, 0.0, atol=1e-12)
-    assert np.all(scoring.mahalanobis_score(stats, feats) <= 1e-12)
-
-
-def test_mahalanobis_midpoint_hand_value():
-    stats = scoring.GaussianStats(means=np.array([[-1.0], [1.0]]),
-                                  covariance=np.array([[1.0]]), gamma=0.0)
-    assert scoring.mahalanobis_score(stats, np.array([[0.0]]))[0] == pytest.approx(-1.0)
-
-
-def test_mahalanobis_covariance_scaling():
-    rng = np.random.default_rng(4)
-    feats = rng.normal(size=(5, 3))
-    base_cov = np.eye(3) * 2.0
-    s1 = scoring.GaussianStats(means=np.zeros((2, 3)), covariance=base_cov, gamma=0.0)
-    s2 = scoring.GaussianStats(means=np.zeros((2, 3)), covariance=4.0 * base_cov, gamma=0.0)
-    np.testing.assert_allclose(scoring.mahalanobis_score(s2, feats),
-                               scoring.mahalanobis_score(s1, feats) / 4.0, rtol=1e-12)
-
-
 def test_ash_identity_at_zero_percentile():
     rng = np.random.default_rng(5)
     acts = rng.uniform(0, 1, (4, 6))
@@ -171,19 +109,28 @@ def test_ash_all_zero_row_flagged():
 
 
 def test_detect_rule():
-    assert scoring.detect([0.9, 0.1], 0.5) == ["ID", "OOD"]
-    assert scoring.detect([0.9, 0.1], -np.inf) == ["ID", "ID"]
-    assert scoring.detect([0.5], 0.5) == ["ID"]  # ties are ID per the >= rule
+    # A score at or above the threshold is called ID; the metrics apply that
+    # rule, so an OOD score tied with the threshold counts as a false positive.
+    from oodbench import metrics
+
+    assert metrics.tpr_threshold([0.9, 0.1], 0.5) == 0.9
+    assert metrics.fpr_at_tpr([0.9, 0.1], [0.9, 0.5], 0.5) == 0.5
+    assert metrics.fpr_at_tpr([0.5], [0.5], 1.0) == 1.0  # ties are ID per the >= rule
+    assert metrics.tpr_threshold([0.9, 0.1], 0.0) == np.inf
+    assert metrics.fpr_at_tpr([0.9, 0.1], [0.9, 0.5], 0.0) == 0.0
 
 
 def test_detect_with_calibrated_threshold():
     from oodbench import metrics
 
-    rng = np.random.default_rng(7)
-    id_scores = rng.normal(1.0, 0.3, 200)
-    lam = metrics.tpr_threshold(id_scores, 0.95)
-    decisions = scoring.detect(id_scores, lam)
-    assert np.mean([d == "ID" for d in decisions]) >= 0.95
+    m = model.init_model([2, 8, 3], seed=7)
+    x = np.random.default_rng(7).uniform(0, 1, (200, 2))
+    for kind in ("msp", "energy"):
+        id_scores = scoring.compute_scores(m, x, scoring.ScoreSpec(kind=kind))
+        lam = metrics.tpr_threshold(id_scores, 0.95)
+        assert np.mean(id_scores >= lam) >= 0.95
+        # lam is the largest such threshold: any higher one keeps too few.
+        assert np.mean(id_scores > lam) < 0.95
 
 
 def test_compute_scores_dispatch():
@@ -192,17 +139,12 @@ def test_compute_scores_dispatch():
     for kind in ("msp", "energy", "odin", "ash_energy"):
         out = scoring.compute_scores(m, x, scoring.ScoreSpec(kind=kind))
         assert out.shape == (5,)
-    feats = model.penultimate_features(m, x)
-    stats = scoring.fit_mahalanobis(feats, np.array([0, 0, 1, 1, 1]), gamma=1e-3)
-    out = scoring.compute_scores(m, x, scoring.ScoreSpec(kind="mahalanobis", stats=stats))
-    assert out.shape == (5,)
-    with pytest.raises(ConfigError):
-        scoring.compute_scores(m, x, scoring.ScoreSpec(kind="mahalanobis"))
 
 
 def test_score_spec_validation():
-    with pytest.raises(ConfigError):
-        scoring.ScoreSpec(kind="nope")
+    for kind in ("nope", "mahalanobis"):
+        with pytest.raises(ConfigError, match="unknown score kind"):
+            scoring.ScoreSpec(kind=kind)
     with pytest.raises(ConfigError):
         scoring.ScoreSpec(kind="msp", temperature=0.0)
     with pytest.raises(ConfigError):
