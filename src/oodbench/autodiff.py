@@ -2,13 +2,13 @@
 
 Expressions are immutable DAGs built from named inputs, constants and a
 closed primitive set: matmul, broadcast add, elementwise multiply, relu,
-softmax, log-softmax, logsumexp, sum, mean, square, absolute value and
-scalar affine. ``evaluate`` runs a deterministic forward pass;
-``gradient`` backpropagates through the same graph in reversed
-topological order, so repeated runs are bit-identical.
+log-softmax, logsumexp, sum, mean, square and scalar affine. ``evaluate``
+runs a deterministic forward pass; ``gradient`` backpropagates through the
+same graph in reversed topological order, so repeated runs are
+bit-identical.
 
-Conventions: relu and abs use subgradient 0 at 0; softmax/log-softmax act
-on the last axis; reductions accept ``axis=None`` (full) or a single int.
+Conventions: relu uses subgradient 0 at 0; log-softmax acts on the last
+axis; reductions accept ``axis=None`` (full) or a single int.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import GraphError, NumericError, ShapeError
 
 #: Gradient maps are plain dicts: input name -> array shaped like that input.
 GradientMap = dict[str, np.ndarray]
-
-_REDUCTIONS = ("sum", "mean", "logsumexp")
 
 
 class Expression:
@@ -131,10 +129,6 @@ def relu(x: Expression) -> Expression:
     return Expression("relu", (x,))
 
 
-def softmax(x: Expression) -> Expression:
-    return Expression("softmax", (x,))
-
-
 def log_softmax(x: Expression) -> Expression:
     return Expression("log_softmax", (x,))
 
@@ -153,10 +147,6 @@ def reduce_mean(x: Expression, axis: int | None = None) -> Expression:
 
 def square(x: Expression) -> Expression:
     return Expression("square", (x,))
-
-
-def absolute(x: Expression) -> Expression:
-    return Expression("abs", (x,))
 
 
 def affine(x: Expression, scale: float, shift: float = 0.0) -> Expression:
@@ -196,8 +186,6 @@ def _forward_node(node: Expression, vals: dict[int, np.ndarray],
         return a * b
     if op == "relu":
         return np.maximum(a, 0.0)
-    if op == "softmax":
-        return numerics.softmax(a, axis=-1)
     if op == "log_softmax":
         return numerics.log_softmax(a, axis=-1)
     if op == "logsumexp":
@@ -208,8 +196,6 @@ def _forward_node(node: Expression, vals: dict[int, np.ndarray],
         return np.mean(a, axis=node.payload)
     if op == "square":
         return a * a
-    if op == "abs":
-        return np.abs(a)
     if op == "affine":
         scale, shift = node.payload
         return scale * a + shift
@@ -306,9 +292,6 @@ def _backward_node(node: Expression, grad: np.ndarray, vals: dict[int, np.ndarra
         _accumulate(accum, p1, _unbroadcast(grad * a, b.shape))
     elif op == "relu":
         _accumulate(accum, p0, grad * (a > 0.0))
-    elif op == "softmax":
-        y = vals[id(node)]
-        _accumulate(accum, p0, y * (grad - np.sum(grad * y, axis=-1, keepdims=True)))
     elif op == "log_softmax":
         y = vals[id(node)]
         _accumulate(accum, p0, grad - np.exp(y) * np.sum(grad, axis=-1, keepdims=True))
@@ -325,8 +308,6 @@ def _backward_node(node: Expression, grad: np.ndarray, vals: dict[int, np.ndarra
         _accumulate(accum, p0, _expand_reduced(grad, a.shape, axis) / count)
     elif op == "square":
         _accumulate(accum, p0, grad * 2.0 * a)
-    elif op == "abs":
-        _accumulate(accum, p0, grad * np.sign(a))
     elif op == "affine":
         scale, _ = node.payload
         _accumulate(accum, p0, grad * scale)

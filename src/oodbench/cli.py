@@ -141,14 +141,7 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
             score_rows.extend((i, f"ood_{name}", spec.kind, s) for i, s in enumerate(s_vals))
     (out / "report.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8")
-    with (out / "report.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"])
-        for report in reports:
-            for row in report.results + [report.average]:
-                writer.writerow([report.method, report.score_kind, row.set_name,
-                                 repr(row.fpr95), repr(row.auroc), repr(row.aupr),
-                                 repr(report.id_accuracy)])
+    _write_report_csv(out / "report.csv", reports)
     scoring.write_score_csv(out / "scores.csv", score_rows)
     for report in reports:
         avg = report.average
@@ -224,29 +217,36 @@ def cmd_gradcheck(cases: int, seed: int) -> int:
     return 0 if result.passed else 4
 
 
+def _write_report_csv(path: Path, reports: list[metrics_mod.DetectionReport]) -> int:
+    """One row per (report, OOD set), average row included; returns the row count."""
+    rows = [[report.method, report.score_kind, row.set_name, repr(row.fpr95),
+             repr(row.auroc), repr(row.aupr), repr(report.id_accuracy)]
+            for report in reports for row in report.results + [report.average]]
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"])
+        writer.writerows(rows)
+    return len(rows)
+
+
 def cmd_report(report_paths: list[str], out_csv: str) -> int:
-    """Merge several report.json files into one CSV table."""
-    rows = []
+    """Merge the report lists that ``eval`` writes as report.json into one CSV table."""
+    reports = []
     for rp in report_paths:
         path = Path(rp)
         if not path.exists():
             raise DataError(f"report not found: {path}")
-        docs = json.loads(path.read_text(encoding="utf-8"))
-        if isinstance(docs, dict):
-            docs = [docs]
-        for doc in docs:
-            report = metrics_mod.DetectionReport.from_dict(doc)
-            for row in report.results + [report.average]:
-                rows.append([report.method, report.score_kind, row.set_name,
-                             repr(row.fpr95), repr(row.auroc), repr(row.aupr),
-                             repr(report.id_accuracy)])
+        try:
+            docs = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(docs, list):
+                raise TypeError("expected a list of reports")
+            reports.extend(metrics_mod.DetectionReport.from_dict(doc) for doc in docs)
+        except (ValueError, LookupError, TypeError) as exc:
+            raise DataError(f"{path} is not a report list: {exc!r}") from None
     out_path = Path(out_csv)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"])
-        writer.writerows(rows)
-    print(f"combined {len(rows)} rows into {out_path}")
+    n_rows = _write_report_csv(out_path, reports)
+    print(f"combined {n_rows} rows into {out_path}")
     return 0
 
 

@@ -72,11 +72,6 @@ class MinMaxTransform:
     def to_json(self) -> str:
         return json.dumps({"mins": self.mins.tolist(), "maxs": self.maxs.tolist()})
 
-    @staticmethod
-    def from_json(text: str) -> "MinMaxTransform":
-        doc = json.loads(text)
-        return MinMaxTransform(np.asarray(doc["mins"]), np.asarray(doc["maxs"]))
-
 
 def fit_minmax(reference: np.ndarray) -> MinMaxTransform:
     reference = np.asarray(reference, dtype=np.float64)
@@ -217,16 +212,11 @@ def load_csv(path):
 # -- batching --------------------------------------------------------------------
 
 
-def batches(dataset, batch_size: int, seed: int):
-    """One seeded-shuffle pass over the dataset in deterministic batch order."""
+def batches(dataset: LabeledDataset, batch_size: int, seed: int):
+    """One seeded-shuffle pass over (x, y) batches in deterministic order."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    x = dataset.x
-    y = dataset.y if isinstance(dataset, LabeledDataset) else None
-    order = _rng(seed).permutation(x.shape[0])
-    for start in range(0, x.shape[0], batch_size):
+    order = _rng(seed).permutation(len(dataset))
+    for start in range(0, len(dataset), batch_size):
         idx = order[start:start + batch_size]
-        if y is None:
-            yield x[idx]
-        else:
-            yield x[idx], y[idx]
+        yield dataset.x[idx], dataset.y[idx]

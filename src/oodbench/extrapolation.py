@@ -15,7 +15,7 @@ best iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,11 +94,7 @@ class ExtrapolatedBatch:
     epsilons: np.ndarray         # (n,)
     initial_values: np.ndarray   # (n,) target at origin
     final_values: np.ndarray     # (n,) target at best iterate
-    aborted: np.ndarray = field(default=None)  # (n,) bool, non-finite value or gradient encountered
-
-    def __post_init__(self):
-        if self.aborted is None:
-            self.aborted = np.zeros(self.origins.shape[0], dtype=bool)
+    aborted: np.ndarray          # (n,) bool, non-finite value or gradient encountered
 
 
 def _target_graph(dims: tuple[int, ...], target: str, temperature: float):
@@ -237,8 +233,6 @@ def build_extrapolation_pool(mlp: model_mod.MlpClassifier, subbatch,
     A single (epsilon, 1.0) entry is exactly one plain constrained run.
     """
     pool = cfg.pool if cfg.pool is not None else ((cfg.epsilon, 1.0),)
-    if not pool:
-        raise ConfigError("pool spec must not be empty")
     subbatch = np.asarray(subbatch, dtype=np.float64)
     counts = largest_remainder_counts([f for _, f in pool], subbatch.shape[0])
     eps = np.repeat([e for e, _ in pool], counts)

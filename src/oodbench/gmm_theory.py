@@ -1,11 +1,10 @@
 """Executable oracle for the Gaussian-mixture sample-complexity story.
 
 ID data is N(mu, sigma^2 I), surrogate outliers are N(-mu, sigma^2 I),
-and the classifier is the scaled mean difference theta*. The analytic
-false-positive rate of sign(theta^T x) admits a closed form via the
-normal CDF, and the lower bound on mu^T theta* / (sigma ||theta*||) is
-checked by Monte Carlo over outlier sets built to satisfy the
-boundary-margin constraint by per-point rejection.
+and the classifier is the scaled mean difference theta*. The lower bound
+on mu^T theta* / (sigma ||theta*||) is checked by Monte Carlo over
+outlier sets built to satisfy the boundary-margin constraint by per-point
+rejection.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+
+MAX_REJECTION_DRAWS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class TheoryParams:
     alpha: float
     tau: float
     trials: int = 100
-    max_rejection_draws: int = 2_000_000
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
@@ -59,15 +59,6 @@ class TheoryParams:
             raise ConfigError("trials must be >= 1")
 
 
-def sample_gmm(spec: GmmSpec, n1: int, n2: int, rng: np.random.Generator):
-    """Independent draws: (n1, d) from N(mu, sigma^2 I) and (n2, d) from N(-mu, sigma^2 I)."""
-    if n1 < 1 or n2 < 1:
-        raise ConfigError("sample counts must be >= 1")
-    x_id = spec.mu + spec.sigma * rng.standard_normal((n1, spec.dim))
-    x_out = -spec.mu + spec.sigma * rng.standard_normal((n2, spec.dim))
-    return x_id, x_out
-
-
 def theta_star(x_id, x_out) -> np.ndarray:
     """(sum of ID rows - sum of outlier rows) / (n1 + n2)."""
     x_id = np.asarray(x_id, dtype=np.float64)
@@ -75,23 +66,6 @@ def theta_star(x_id, x_out) -> np.ndarray:
     if x_id.shape[0] == 0 or x_out.shape[0] == 0:
         raise DataError("both sample sets must be non-empty")
     return (x_id.sum(axis=0) - x_out.sum(axis=0)) / (x_id.shape[0] + x_out.shape[0])
-
-
-def _normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def analytic_fpr(theta, mu, sigma: float) -> float:
-    """Exact P(theta^T x > 0) for x ~ N(-mu, sigma^2 I): Phi(-mu^T theta / (sigma ||theta||))."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
-        raise ConfigError("theta must be non-zero")
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    ratio = float(mu @ theta) / (sigma * norm)
-    return _normal_cdf(-ratio)
 
 
 def alignment_ratio(theta, mu, sigma: float) -> float:
@@ -116,25 +90,13 @@ def bound_rhs(mu_norm: float, sigma: float, n: int, d: int, alpha: float, tau: f
     return numerator / denominator
 
 
-def boundary_margin(x_out, mu, sigma: float) -> float:
-    """Empirical constraint level: (1 / (n sigma^2)) * sum |2 x_i^T mu|."""
-    x_out = np.asarray(x_out, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    if x_out.shape[0] == 0:
-        raise DataError("outlier set must be non-empty")
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    return float(np.sum(np.abs(2.0 * (x_out @ mu)))) / (x_out.shape[0] * sigma * sigma)
-
-
 def sample_constrained_outliers(spec: GmmSpec, n: int, level: float,
-                                rng: np.random.Generator,
-                                max_draws: int = 2_000_000) -> np.ndarray:
+                                rng: np.random.Generator) -> np.ndarray:
     """Rejection-sample n points from N(-mu, sigma^2 I) with |2 x^T mu| <= sigma^2 * level.
 
     The per-point condition is sufficient for the summed boundary-margin
-    constraint. Raises NumericError when the draw budget runs out, which
-    signals infeasible parameters.
+    constraint. Raises NumericError when MAX_REJECTION_DRAWS draws yield too
+    few points, which signals infeasible parameters.
     """
     if level < 0:
         raise ConfigError("constraint level must be >= 0")
@@ -143,9 +105,9 @@ def sample_constrained_outliers(spec: GmmSpec, n: int, level: float,
     drawn = 0
     chunk = max(2048, 4 * n)
     while sum(a.shape[0] for a in accepted) < n:
-        if drawn >= max_draws:
+        if drawn >= MAX_REJECTION_DRAWS:
             raise NumericError(
-                f"rejection sampler exhausted {max_draws} draws "
+                f"rejection sampler exhausted {MAX_REJECTION_DRAWS} draws "
                 f"(acceptance too rare for level={level})")
         batch = -spec.mu + spec.sigma * rng.standard_normal((chunk, spec.dim))
         drawn += chunk
@@ -182,25 +144,10 @@ def verify_bound(spec: GmmSpec, params: TheoryParams, rng: np.random.Generator) 
     violations = 0
     for t in range(params.trials):
         x_id = spec.mu + spec.sigma * rng.standard_normal((params.n1, spec.dim))
-        x_out = sample_constrained_outliers(spec, params.n2, params.alpha - params.tau, rng,
-                                            params.max_rejection_draws)
+        x_out = sample_constrained_outliers(spec, params.n2, params.alpha - params.tau, rng)
         ratio = alignment_ratio(theta_star(x_id, x_out), spec.mu, spec.sigma)
         ok = ratio >= rhs
         violations += 0 if ok else 1
         trials.append(BoundTrial(trial=t, ratio=ratio, rhs=rhs, satisfied=ok))
     return BoundCheck(trials=trials, violation_fraction=violations / params.trials)
 
-
-def monte_carlo_fpr(theta, mu, sigma: float, n_samples: int, rng: np.random.Generator,
-                    chunk: int = 100_000) -> float:
-    """Empirical P(theta^T x > 0) under x ~ N(-mu, sigma^2 I); the oracle for analytic_fpr."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    hits = 0
-    remaining = n_samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        x = -mu + sigma * rng.standard_normal((m, mu.size))
-        hits += int(np.count_nonzero(x @ theta > 0))
-        remaining -= m
-    return hits / n_samples

@@ -2,17 +2,14 @@
 the energy-bounded hinge loss, and the hybrid loss mixing original and
 extrapolated outliers.
 
-Each loss exists as an expression builder (``*_expr``) used for gradients
-and as a numeric wrapper evaluating the same graph on constants, so there
-is exactly one numeric code path per objective. The outlier-exposure rule
-is written once, in ``divoe_loss_terms``: plain OE is its one-sided case,
-which makes the ratio-zero reduction bit-exact by construction.
+Each loss is an expression builder (``*_expr``): the trainer differentiates
+it and the extrapolation engine ascends its per-row form, so every
+objective has one graph. The outlier-exposure rule is written once, in
+``divoe_loss_terms``: plain OE is its one-sided case, which makes the
+ratio-zero reduction bit-exact by construction.
 """
 
 from __future__ import annotations
-
-import math
-import warnings
 
 import numpy as np
 
@@ -90,78 +87,6 @@ def energy_bounded_loss_expr(id_logits: ad.Expression, out_logits: ad.Expression
     return id_term + out_term
 
 
-# -- numeric wrappers -----------------------------------------------------------
-
-
-def _scalar(expr: ad.Expression) -> float:
-    return float(ad.evaluate(expr, {}))
-
-
-def _logits_const(logits) -> ad.Expression:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
-    return ad.const(logits)
-
-
-def ce_loss(logits, labels) -> float:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape[0] != np.asarray(labels).shape[0]:
-        raise ShapeError("logits and labels disagree on batch size")
-    return _scalar(ce_loss_expr(_logits_const(logits), labels, logits.shape[1]))
-
-
-def oe_uniform_loss(logits) -> float:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ShapeError("uniform-distribution loss needs at least 2 classes")
-    return _scalar(oe_uniform_loss_expr(_logits_const(logits)))
-
-
-def oe_total_loss(id_logits, labels, out_logits, lam: float) -> float:
-    if lam < 0:
-        raise ConfigError("balancing weight must be >= 0")
-    id_logits = np.asarray(id_logits, dtype=np.float64)
-    out_logits = np.asarray(out_logits, dtype=np.float64)
-    if out_logits.shape[0] == 0:
-        warnings.warn("empty outlier batch: total loss reduces to cross-entropy", stacklevel=2)
-        return ce_loss(id_logits, labels)
-    return _scalar(oe_total_loss_expr(_logits_const(id_logits), labels, id_logits.shape[1],
-                                      _logits_const(out_logits), lam))
-
-
-def energy_bounded_loss(id_logits, out_logits, m_in: float, m_out: float,
-                        temperature: float = 1.0) -> float:
-    return _scalar(energy_bounded_loss_expr(_logits_const(id_logits), _logits_const(out_logits),
-                                            m_in, m_out, temperature))
-
-
-def divoe_loss(id_logits, labels, orig_out_logits, extrap_out_logits,
-               lam: float, ratio: float) -> float:
-    """Numeric hybrid loss; row counts must be consistent with ``ratio``."""
-    if lam < 0:
-        raise ConfigError("balancing weight must be >= 0")
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError("ratio must lie in [0, 1]")
-    orig = np.asarray(orig_out_logits, dtype=np.float64)
-    extrap = np.asarray(extrap_out_logits, dtype=np.float64)
-    n = orig.shape[0] + extrap.shape[0]
-    if n == 0:
-        raise ConfigError("both outlier sides empty")
-    expected = math.ceil(ratio * n)
-    if extrap.shape[0] != expected:
-        raise ShapeError(
-            f"extrapolated row count {extrap.shape[0]} inconsistent with ratio {ratio} "
-            f"(expected ceil({ratio}*{n}) = {expected})")
-    id_logits = np.asarray(id_logits, dtype=np.float64)
-    terms = divoe_loss_terms(_logits_const(id_logits), labels, id_logits.shape[1],
-                             _logits_const(orig) if orig.shape[0] else None,
-                             _logits_const(extrap) if extrap.shape[0] else None,
-                             lam)
-    return _scalar(terms[0])
-
-
 DEFAULT_OE_LAMBDA = 0.5
 DEFAULT_M_IN_10CLASS = -23.0
-DEFAULT_M_IN_100CLASS = -25.0
 DEFAULT_M_OUT = -5.0

@@ -9,7 +9,6 @@ score has no rank, so every metric rejects it with NumericError.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,21 +68,17 @@ def aupr(id_scores, ood_scores) -> float:
     """Area under the precision-recall step curve, ID positive, descending sweep."""
     id_scores, ood_scores = _validate_scores(id_scores, ood_scores)
     n = id_scores.size
-    id_sorted = np.sort(id_scores)
-    ood_sorted = np.sort(ood_scores)
+    # Counts at or above every distinct threshold, highest first; a threshold
+    # above every ID score has no precision and adds no recall.
     thresholds = np.unique(np.concatenate([id_scores, ood_scores]))[::-1]
-    area = 0.0
-    prev_recall = 0.0
-    for lam in thresholds:
-        tp = n - np.searchsorted(id_sorted, lam, side="left")
-        fp = ood_sorted.size - np.searchsorted(ood_sorted, lam, side="left")
-        if tp == 0:
-            continue
-        recall = tp / n
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(area)
+    tp = n - np.searchsorted(np.sort(id_scores), thresholds, side="left")
+    fp = ood_scores.size - np.searchsorted(np.sort(ood_scores), thresholds, side="left")
+    keep = tp > 0
+    tp, fp = tp[keep], fp[keep]
+    recall = tp / n
+    precision = tp / (tp + fp)
+    # cumsum, unlike np.sum, adds strictly left to right, as the step curve does.
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def id_accuracy(logits, labels) -> float:
@@ -141,9 +136,6 @@ class DetectionReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @staticmethod
     def from_dict(doc: dict) -> "DetectionReport":
         rows = [OodSetResult(r["set_name"], r["fpr95"], r["auroc"], r["aupr"])
@@ -151,10 +143,6 @@ class DetectionReport:
         return DetectionReport(method=doc["method"], score_kind=doc["score_kind"],
                                id_accuracy=doc["id_accuracy"], results=rows,
                                seed=doc.get("seed"), config_digest=doc.get("config_digest"))
-
-    @staticmethod
-    def from_json(text: str) -> "DetectionReport":
-        return DetectionReport.from_dict(json.loads(text))
 
 
 def assemble_report(id_scores, ood_score_sets: dict[str, np.ndarray], *,

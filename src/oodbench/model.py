@@ -155,17 +155,21 @@ def load_checkpoint(path) -> MlpClassifier:
         raise DataError(f"checkpoint not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format_version {doc.get('format_version')}")
-    dims = tuple(int(d) for d in doc["dims"])
     try:
+        dims = tuple(int(d) for d in doc["dims"])
         weights = tuple(
             np.asarray(flat, dtype=np.float64).reshape(dims[i], dims[i + 1])
             for i, flat in enumerate(doc["weights"])
         )
         biases = tuple(np.asarray(b, dtype=np.float64) for b in doc["biases"])
         return MlpClassifier(dims, weights, biases)
-    except (ValueError, ShapeError) as exc:
+    except KeyError as exc:
+        raise DataError(f"checkpoint {path} has no {exc} entry") from None
+    except (ConfigError, IndexError, TypeError, ValueError, ShapeError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc

@@ -81,8 +81,10 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
                eps: float = ODIN_DEFAULT_EPSILON, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     """Confidence after a one-step sign-gradient push toward the predicted class.
 
-    The perturbed input is clamped to ``domain``; with eps=0 and T=1 this
-    is exactly ``msp_score`` of the raw logits.
+    The push follows the gradient of log S_top(x; T), the temperature-scaled
+    softmax at the predicted class. The perturbed input is clamped to
+    ``domain``; with eps=0 and T=1 this is exactly ``msp_score`` of the raw
+    logits.
     """
     if temperature <= 0:
         raise ConfigError("temperature must be positive")
@@ -92,7 +94,7 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
     logits = model_mod.forward(mlp, batch)
     top = np.argmax(logits, axis=1)
     graph = model_mod.logits_graph(mlp.dims)
-    picked = ad.reduce_sum(ad.mul(ad.log_softmax(graph),
+    picked = ad.reduce_sum(ad.mul(ad.log_softmax(graph / temperature),
                                   ad.const(np.eye(mlp.n_classes)[top])))
     bindings = model_mod.param_bindings(mlp)
     bindings["x"] = batch

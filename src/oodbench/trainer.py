@@ -126,16 +126,17 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
-    """Endless stream of fixed-size outlier batches; reshuffles when exhausted."""
+    """Endless stream of fixed-size outlier batches; reshuffles when exhausted.
+
+    ``batch_size`` must not exceed the pool (``fine_tune`` caps it there);
+    rows left over from a pass are dropped.
+    """
     n = outliers.shape[0]
     pass_idx = 0
     while True:
         order = np.random.Generator(np.random.PCG64([seed, pass_idx])).permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             yield outliers[order[start:start + batch_size]]
-        if n < batch_size:
-            # Tiny pools: cycle with replacement across passes.
-            yield outliers[order]
         pass_idx += 1
 
 

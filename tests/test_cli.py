@@ -70,3 +70,52 @@ def test_eval_with_non_finite_scores_exits_4(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
     assert not any((tmp_path / "run" / name).exists()
                    for name in ("report.json", "report.csv", "scores.csv"))
+
+
+def _evaluated_run(tmp_path):
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+    for command in ("gen-data", "train", "eval"):
+        assert cli.main(base + [command]) == 0
+    return base
+
+
+def test_report_rewrites_the_eval_csv_byte_for_byte(tmp_path):
+    _evaluated_run(tmp_path)
+    run = tmp_path / "run"
+    merged = tmp_path / "merged" / "report.csv"
+    assert cli.main(["report", str(run / "report.json"), "--out-csv", str(merged)]) == 0
+    assert merged.read_bytes() == (run / "report.csv").read_bytes()
+
+
+# Each fails a different way: no dims, not an object, not UTF-8, a short
+# weight list, more layers than dims, dims not a list, no layers at all.
+BAD_CHECKPOINTS = [
+    b'{"format_version": 1}',
+    b"[1]",
+    b"\xff",
+    b'{"format_version": 1, "dims": [2, 3], "weights": [[0.5]], "biases": [[0, 0, 0]]}',
+    b'{"format_version": 1, "dims": [2], "weights": [[0.5]], "biases": [[0]]}',
+    b'{"format_version": 1, "dims": 5, "weights": [], "biases": []}',
+    b'{"format_version": 1, "dims": [], "weights": [], "biases": []}',
+]
+
+
+@pytest.mark.parametrize("content", BAD_CHECKPOINTS)
+def test_malformed_checkpoint_exits_3(tmp_path, capsys, content):
+    base = _evaluated_run(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert cli.main(base + ["eval", "--checkpoint", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: checkpoint ")
+
+
+@pytest.mark.parametrize("content", [b'[{"method": "x"}]', b"not json", b"\xff",
+                                     b'{"method": "x"}', b"[1]"])
+def test_malformed_report_exits_3(tmp_path, capsys, content):
+    bad = tmp_path / "report.json"
+    bad.write_bytes(content)
+    out_csv = tmp_path / "out" / "merged.csv"
+    assert cli.main(["report", str(bad), "--out-csv", str(out_csv)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not a report list")
+    assert not out_csv.exists()

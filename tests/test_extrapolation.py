@@ -2,6 +2,7 @@ import numpy as np
 import oracles
 import pytest
 
+from oodbench import autodiff as ad
 from oodbench import losses, model, numerics, scoring
 from oodbench.errors import ConfigError, ShapeError
 from oodbench.extrapolation import (
@@ -80,9 +81,13 @@ def test_extrapolation_actually_moves_loss(small_model):
 def test_recorded_values_match_uniform_loss(small_model):
     x = _batch(4, seed=6)
     out = pgd_extrapolate(small_model, x, ExtrapolationConfig(epsilon=0.05, steps=3))
+    def uniform_loss(row):
+        logits = ad.const(model.forward(small_model, row[None, :]))
+        return float(ad.evaluate(losses.oe_uniform_loss_expr(logits), {}))
+
     for i in range(len(x)):
-        before = losses.oe_uniform_loss(model.forward(small_model, x[i:i + 1]))
-        after = losses.oe_uniform_loss(model.forward(small_model, out.synthesized[i:i + 1]))
+        before = uniform_loss(x[i])
+        after = uniform_loss(out.synthesized[i])
         assert out.initial_values[i] == pytest.approx(before, rel=1e-12)
         assert out.final_values[i] == pytest.approx(after, rel=1e-12)
 
@@ -279,11 +284,9 @@ def test_pool_mixed_epsilons(small_model):
     assert np.max(np.abs(out.synthesized[4:] - x[4:])) <= 0.125 + 1e-12
 
 
-def test_pool_empty_spec_rejected(small_model):
-    cfg = ExtrapolationConfig()
-    object.__setattr__(cfg, "pool", ())
-    with pytest.raises(ConfigError):
-        build_extrapolation_pool(small_model, _batch(4), cfg)
+def test_pool_empty_spec_rejected():
+    with pytest.raises(ConfigError, match="pool spec must not be empty"):
+        ExtrapolationConfig(pool=())
 
 
 def test_origin_outside_domain_rejected(small_model):

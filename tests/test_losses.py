@@ -7,50 +7,68 @@ from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
 from oodbench import losses
-from oodbench.errors import ConfigError, ShapeError
+from oodbench.errors import ConfigError
+
+
+def _value(expr) -> float:
+    return float(ad.evaluate(expr, {}))
+
+
+def _ce(logits, labels) -> float:
+    logits = np.asarray(logits, dtype=np.float64)
+    return _value(losses.ce_loss_expr(ad.const(logits), labels, logits.shape[1]))
+
+
+def _oe(logits) -> float:
+    return _value(losses.oe_uniform_loss_expr(ad.const(np.asarray(logits, dtype=np.float64))))
+
+
+def _divoe_terms(id_logits, labels, orig, ext, lam):
+    """Values of (total, ce, oe_orig, oe_extrap); None stays None."""
+    terms = losses.divoe_loss_terms(ad.const(id_logits), labels, id_logits.shape[1],
+                                    None if orig is None else ad.const(orig),
+                                    None if ext is None else ad.const(ext), lam)
+    return tuple(None if t is None else _value(t) for t in terms)
 
 
 def test_ce_uniform_logits():
-    logits = np.zeros((4, 10))
-    assert losses.ce_loss(logits, np.zeros(4, dtype=int)) == pytest.approx(math.log(10.0))
+    assert _ce(np.zeros((4, 10)), np.zeros(4, dtype=int)) == pytest.approx(math.log(10.0))
 
 
 def test_ce_saturated_correct_logit():
     logits = np.zeros((1, 3))
     logits[0, 1] = 100.0
-    assert losses.ce_loss(logits, [1]) < 1e-6
+    assert _ce(logits, [1]) < 1e-6
 
 
 def test_ce_hand_value():
     # -log softmax([2, 0]) at class 0 = log(1 + e^-2)
-    assert losses.ce_loss(np.array([[2.0, 0.0]]), [0]) == pytest.approx(
+    assert _ce(np.array([[2.0, 0.0]]), [0]) == pytest.approx(
         math.log1p(math.exp(-2.0)), rel=1e-12)
 
 
 def test_ce_label_out_of_range():
     with pytest.raises(ConfigError):
-        losses.ce_loss(np.zeros((2, 3)), [0, 3])
+        _ce(np.zeros((2, 3)), [0, 3])
 
 
 def test_oe_uniform_constant_rows():
     # Any constant row attains the minimum value ln C.
     logits = np.full((5, 7), 3.25)
-    assert losses.oe_uniform_loss(logits) == pytest.approx(math.log(7.0), rel=1e-12)
+    assert _oe(logits) == pytest.approx(math.log(7.0), rel=1e-12)
 
 
 def test_oe_uniform_hand_value():
     # lse([2,0]) - mean([2,0]) = 2 + log(1+e^-2) - 1
     expected = 2.0 + math.log1p(math.exp(-2.0)) - 1.0
-    assert losses.oe_uniform_loss(np.array([[2.0, 0.0]])) == pytest.approx(expected, rel=1e-12)
+    assert _oe(np.array([[2.0, 0.0]])) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=6), st.floats(-100, 100))
 def test_oe_uniform_shift_invariance(row, shift):
     logits = np.array([row])
-    a = losses.oe_uniform_loss(logits)
-    b = losses.oe_uniform_loss(logits + shift)
-    assert a == pytest.approx(b, abs=1e-9)
+    assert _oe(logits) == pytest.approx(_oe(logits + shift), abs=1e-9)
 
 
 def test_oe_uniform_gradient_vanishes_at_constant_rows():
@@ -65,27 +83,25 @@ def test_oe_total_reductions():
     id_logits = rng.normal(size=(6, 4))
     out_logits = rng.normal(size=(5, 4))
     labels = rng.integers(0, 4, 6)
-    assert losses.oe_total_loss(id_logits, labels, out_logits, 0.0) == pytest.approx(
-        losses.ce_loss(id_logits, labels), rel=1e-15)
-    combined = losses.oe_total_loss(id_logits, labels, out_logits, 1.0)
-    assert combined == pytest.approx(
-        losses.ce_loss(id_logits, labels) + losses.oe_uniform_loss(out_logits), rel=1e-12)
+
+    def total(lam):
+        return _value(losses.oe_total_loss_expr(ad.const(id_logits), labels, 4,
+                                                ad.const(out_logits), lam))
+
+    assert total(0.0) == pytest.approx(_ce(id_logits, labels), rel=1e-15)
+    assert total(1.0) == pytest.approx(_ce(id_logits, labels) + _oe(out_logits), rel=1e-12)
 
 
-def test_oe_total_empty_outliers_warns():
-    rng = np.random.default_rng(1)
-    id_logits = rng.normal(size=(3, 4))
-    labels = rng.integers(0, 4, 3)
-    with pytest.warns(UserWarning, match="empty outlier batch"):
-        value = losses.oe_total_loss(id_logits, labels, np.zeros((0, 4)), 0.5)
-    assert value == pytest.approx(losses.ce_loss(id_logits, labels))
+def _energy_bounded(id_logits, out_logits, m_in, m_out):
+    return _value(losses.energy_bounded_loss_expr(ad.const(id_logits), ad.const(out_logits),
+                                                  m_in, m_out, 1.0))
 
 
 def test_energy_bounded_inactive_hinge():
     # Construct logits with S_E = -logsumexp(f) = -30 for the ID row.
     id_logits = np.array([[30.0, -500.0]])
     out_logits = np.array([[100.0, -500.0]])  # S_E = -100, far past m_out
-    value = losses.energy_bounded_loss(id_logits, out_logits, m_in=-23.0, m_out=-105.0)
+    value = _energy_bounded(id_logits, out_logits, m_in=-23.0, m_out=-105.0)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -93,13 +109,12 @@ def test_energy_bounded_hinge_arithmetic():
     # Outlier with S_E = -10 against m_out = -5 contributes (5)^2 = 25.
     out_logits = np.array([[10.0, -500.0]])        # logsumexp = 10, S_E = -10
     id_logits = np.array([[100.0, -500.0]])        # S_E = -100, inactive vs m_in=-23
-    value = losses.energy_bounded_loss(id_logits, out_logits, m_in=-23.0, m_out=-5.0)
+    value = _energy_bounded(id_logits, out_logits, m_in=-23.0, m_out=-5.0)
     assert value == pytest.approx(25.0, rel=1e-9)
 
 
 def test_energy_bounded_default_margins_importable():
     assert losses.DEFAULT_M_IN_10CLASS == -23.0
-    assert losses.DEFAULT_M_IN_100CLASS == -25.0
     assert losses.DEFAULT_M_OUT == -5.0
 
 
@@ -108,9 +123,11 @@ def test_divoe_reduces_to_oe_total_bitwise():
     id_logits = rng.normal(size=(4, 3))
     out_logits = rng.normal(size=(6, 3))
     labels = rng.integers(0, 3, 4)
-    a = losses.divoe_loss(id_logits, labels, out_logits, np.zeros((0, 3)), 0.5, 0.0)
-    b = losses.oe_total_loss(id_logits, labels, out_logits, 0.5)
-    assert a == b  # bitwise: identical graph structure
+    total, ce, oe_orig, oe_ext = _divoe_terms(id_logits, labels, out_logits, None, 0.5)
+    assert oe_ext is None
+    assert total == ce + 0.5 * oe_orig  # bitwise: the one-sided case adds nothing
+    assert total == _value(losses.oe_total_loss_expr(ad.const(id_logits), labels, 3,
+                                                     ad.const(out_logits), 0.5))
 
 
 def test_divoe_full_extrapolation_uses_extrap_only():
@@ -118,9 +135,10 @@ def test_divoe_full_extrapolation_uses_extrap_only():
     id_logits = rng.normal(size=(4, 3))
     ext_logits = rng.normal(size=(6, 3))
     labels = rng.integers(0, 3, 4)
-    a = losses.divoe_loss(id_logits, labels, np.zeros((0, 3)), ext_logits, 0.5, 1.0)
-    b = losses.oe_total_loss(id_logits, labels, ext_logits, 0.5)
-    assert a == b
+    total, ce, oe_orig, oe_ext = _divoe_terms(id_logits, labels, None, ext_logits, 0.5)
+    assert oe_orig is None
+    assert total == ce + 0.5 * oe_ext
+    assert total == _divoe_terms(id_logits, labels, ext_logits, None, 0.5)[0]
 
 
 def test_divoe_hand_composed_two_sides():
@@ -129,25 +147,15 @@ def test_divoe_hand_composed_two_sides():
     orig = rng.normal(size=(1, 3))
     ext = rng.normal(size=(1, 3))
     labels = rng.integers(0, 3, 2)
-    value = losses.divoe_loss(id_logits, labels, orig, ext, 0.5, 0.5)
-    expected = (losses.ce_loss(id_logits, labels)
-                + 0.5 * (losses.oe_uniform_loss(orig) + losses.oe_uniform_loss(ext)))
-    assert value == pytest.approx(expected, rel=1e-12)
-
-
-def test_divoe_row_count_validation():
-    rng = np.random.default_rng(5)
-    id_logits = rng.normal(size=(2, 3))
-    labels = rng.integers(0, 3, 2)
-    with pytest.raises(ShapeError):
-        losses.divoe_loss(id_logits, labels, rng.normal(size=(3, 3)),
-                          rng.normal(size=(1, 3)), 0.5, 0.5)
+    total, ce, oe_orig, oe_ext = _divoe_terms(id_logits, labels, orig, ext, 0.5)
+    assert (ce, oe_orig, oe_ext) == (_ce(id_logits, labels), _oe(orig), _oe(ext))
+    expected = _ce(id_logits, labels) + 0.5 * (_oe(orig) + _oe(ext))
+    assert total == pytest.approx(expected, rel=1e-12)
 
 
 def test_divoe_both_sides_empty():
     with pytest.raises(ConfigError):
-        losses.divoe_loss(np.zeros((1, 3)), [0], np.zeros((0, 3)), np.zeros((0, 3)),
-                          0.5, 0.0)
+        _divoe_terms(np.zeros((1, 3)), [0], None, None, 0.5)
 
 
 def test_losses_differentiable_finite_diff():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -27,3 +28,41 @@ def test_every_module_imports_without_scipy():
     names, scipy_modules = json.loads(result.stdout)
     assert scipy_modules == []
     assert {"oodbench.cli", "oodbench.metrics", "oodbench.scoring"} <= set(names)
+
+
+# Public definitions that no module of the package uses, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "losses.oe_total_loss_expr": "the plain-OE graph that perfbench/micro.py times",
+    "scoring.ScoreSpec.odin_default": "the ODIN spec that perfbench/micro.py scores with",
+}
+
+
+def _unreferenced_public_definitions(src: Path) -> set[str]:
+    """Public top-level functions, classes and methods whose name no module uses.
+
+    Matching is by bare name, so a use of one definition also covers any other
+    definition of the same name (``numerics.softmax`` and a graph ``softmax``).
+    """
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return {qualified for qualified, name in defined.items()
+            if not name.startswith("_") and name not in used}
+
+
+def test_every_public_definition_is_used_in_the_package():
+    src = Path(oodbench.__file__).resolve().parent
+    assert _unreferenced_public_definitions(src) == set(UNREFERENCED_ALLOWED)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oodbench import model, scoring
+from oodbench import model, numerics, scoring
 from oodbench.errors import ConfigError, ShapeError
 
 
@@ -79,6 +79,28 @@ def test_odin_linear_model_score_increases():
     pushed = scoring.odin_score(m, x, temperature=1.0, eps=0.01)
     assert np.all(pushed >= base)
     assert np.any(pushed > base)
+
+
+def test_odin_gradient_is_taken_at_the_temperature():
+    # No hidden layer: z = xW + b and d/dx log S_top(x; T) = (W[:, top] - W p_T) / T,
+    # p_T = softmax(z / T). With p_1 >> p_2 at T=1 and p near uniform at T=1e4,
+    # the second coordinate -(2 p_1 - 3 p_2) changes sign between the two.
+    w = np.array([[0.0, -1.0, -1.0], [0.0, 2.0, -3.0]])
+    b = np.array([5.0, 2.0, 0.0])
+    m = model.MlpClassifier((2, 3), (w,), (b,))
+    x = np.array([[0.5, 0.5], [0.2, 0.6], [0.8, 0.3]])
+    z = x @ w + b
+    top = np.argmax(z, axis=1)
+
+    def closed_form(t):
+        p = numerics.softmax(z / t, axis=-1)
+        return (w[:, top].T - p @ w.T) / t
+
+    t, eps = 1.0e4, 0.01
+    assert np.all(np.sign(closed_form(t)[:, 1]) != np.sign(closed_form(1.0)[:, 1]))
+    perturbed = np.clip(x + eps * np.sign(closed_form(t)), 0.0, 1.0)
+    expected = scoring.msp_score(model.forward(m, perturbed) / t)
+    assert scoring.odin_score(m, x, temperature=t, eps=eps).tobytes() == expected.tobytes()
 
 
 def test_ash_identity_at_zero_percentile():
