@@ -181,7 +181,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
                     repr(float(score_after[i]))])
                 sample_writer.writerow([i, repr(float(eps))] +
                                        [format(v, ".17g") for v in batch.synthesized[i]])
-            print(f"epsilon {eps}: mean target {batch.initial_values.mean():.6f} -> "
+            print(f"epsilon {eps}: mean uniform loss {batch.initial_values.mean():.6f} -> "
                   f"{batch.final_values.mean():.6f}, mean {score_spec.kind} "
                   f"{score_before.mean():.6f} -> {score_after.mean():.6f}")
     return 0
@@ -241,7 +241,7 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
             if not isinstance(docs, list):
                 raise TypeError("expected a list of reports")
             reports.extend(metrics_mod.DetectionReport.from_dict(doc) for doc in docs)
-        except (ValueError, LookupError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, DataError) as exc:
             raise DataError(f"{path} is not a report list: {exc!r}") from None
     out_path = Path(out_csv)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -251,11 +251,13 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
 
 
 def _epsilon_grid(text: str) -> list[float]:
-    """Parse ``--epsilons``: comma-separated radii, each finite and >= 0."""
+    """Parse ``--epsilons``: comma-separated radii, at least one, each finite and >= 0."""
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--epsilons: {exc}") from None
+    if not grid:
+        raise ConfigError(f"--epsilons names no radius, got {text!r}")
     if not all(math.isfinite(e) and e >= 0 for e in grid):
         raise ConfigError(f"--epsilons must be finite and >= 0, got {text!r}")
     return grid
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint)
         if args.command == "extrapolate":
-            eps = _epsilon_grid(args.epsilons) if args.epsilons else None
+            eps = None if args.epsilons is None else _epsilon_grid(args.epsilons)
             return cmd_extrapolate(cfg, args.checkpoint, args.input, args.dump,
                                    args.samples, eps)
         if args.command == "theory-verify":

@@ -48,6 +48,10 @@ class OodSetConfig:
     outer_radius: float = 2.2
     count: int = 2048
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConfigError("count must be >= 0")
+
 
 @dataclass(frozen=True)
 class AuxConfig:
@@ -55,6 +59,10 @@ class AuxConfig:
     outer_radius: float = 2.2
     arc_fraction: float = 0.25
     count: int = 1024
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConfigError("count must be >= 0")
 
 
 @dataclass(frozen=True)

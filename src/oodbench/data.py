@@ -3,8 +3,9 @@
 The benchmark geometry: C Gaussian blobs on a circle form the ID task;
 auxiliary outliers live on an annulus arc (limited angular coverage) and
 the unseen OOD test set covers the full ring. Raw coordinates are mapped
-to [0,1]^d by a per-feature min-max transform fitted on the ID training
-set, so perturbation radii are in normalized input units everywhere.
+into DOMAIN, [0,1] per feature, by a min-max transform fitted on the ID
+training set; perturbation radii are in normalized input units, and every
+perturbed input (extrapolation, ODIN) is clipped back into DOMAIN.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+
+DOMAIN = (0.0, 1.0)
 
 
 @dataclass
@@ -50,7 +53,7 @@ class UnlabeledDataset:
 
 @dataclass
 class MinMaxTransform:
-    """Per-feature min-max to [0,1] with clipping; zero-range features map to 0.5."""
+    """Per-feature min-max into DOMAIN with clipping; zero-range features map to 0.5."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -64,7 +67,7 @@ class MinMaxTransform:
         span = self.maxs - self.mins
         degenerate = span == 0
         safe_span = np.where(degenerate, 1.0, span)
-        out = np.clip((x - self.mins) / safe_span, 0.0, 1.0)
+        out = np.clip((x - self.mins) / safe_span, *DOMAIN)
         if np.any(degenerate):
             out[:, degenerate] = 0.5
         return out

@@ -1,10 +1,11 @@
 """Informative-extrapolation engine.
 
-Outliers are synthesized by multi-step sign-gradient ascent on a target
-(uniform-distribution loss, predicted-class confidence, or energy), with
-every iterate projected back into the l-inf ball around its origin and
-clamped to the data domain. The returned sample is the best iterate seen,
-origin included, so the target never degrades in the chosen direction.
+Outliers are synthesized by multi-step sign-gradient ascent on the
+outlier-exposure loss itself: each row's cross-entropy to the uniform
+distribution. Every iterate is clipped to data.DOMAIN and projected back
+into the l-inf ball around its origin. The returned sample is the best
+iterate seen, origin included, so no row's loss falls below its initial
+value.
 
 The whole batch ascends together. The target is built per row and one
 graph pass over its sum gives every row's gradient, since rows do not
@@ -22,10 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from . import model as model_mod
+from .data import DOMAIN
 from .errors import ConfigError, NumericError, ShapeError
-
-DIRECTIONS = ("maximize", "minimize")
-TARGETS = ("uniform_loss", "msp", "energy")
 
 
 @dataclass(frozen=True)
@@ -34,19 +33,14 @@ class ExtrapolationConfig:
 
     ratio: fraction of each outlier batch to synthesize (ceil rounding).
     epsilon: l-inf radius around each origin, in normalized input units.
-    steps: number of sign-gradient updates; step_size defaults to
-    2*epsilon/steps so the ball stays reachable. pool lists
+    steps: number of sign-gradient updates, each of size 2*epsilon/steps
+    for the row's own radius, so the ball stays reachable. pool lists
     (epsilon, fraction) slices; fractions must sum to 1.
     """
 
     ratio: float = 0.5
     epsilon: float = 0.05
     steps: int = 5
-    step_size: float | None = None
-    direction: str = "maximize"
-    target: str = "uniform_loss"
-    target_temperature: float = 1.0
-    clamp: tuple[float, float] = (0.0, 1.0)
     pool: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
@@ -56,16 +50,6 @@ class ExtrapolationConfig:
             raise ConfigError("epsilon must be >= 0")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ConfigError("step_size must be positive when given")
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(f"direction must be one of {DIRECTIONS}")
-        if self.target not in TARGETS:
-            raise ConfigError(f"target must be one of {TARGETS}")
-        if self.target_temperature <= 0:
-            raise ConfigError("target_temperature must be positive")
-        if self.clamp[0] >= self.clamp[1]:
-            raise ConfigError("clamp interval must be non-empty")
         if self.pool is not None:
             if not self.pool:
                 raise ConfigError("pool spec must not be empty")
@@ -75,46 +59,27 @@ class ExtrapolationConfig:
             if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
                 raise ConfigError("pool entries must be non-negative")
 
-    def effective_step_size(self, epsilon=None):
-        """Step size for radius ``epsilon`` (a scalar or an array of radii)."""
-        eps = self.epsilon if epsilon is None else epsilon
-        if self.step_size is not None:
-            return self.step_size
-        if self.steps == 0:
-            return 0.0
-        return 2.0 * eps / self.steps
-
 
 @dataclass
 class ExtrapolatedBatch:
-    """Per-sample synthesis record: origins, best iterates, and target values."""
+    """Per-sample synthesis record: origins, best iterates, and their uniform losses."""
 
     origins: np.ndarray          # (n, d)
     synthesized: np.ndarray      # (n, d)
     epsilons: np.ndarray         # (n,)
-    initial_values: np.ndarray   # (n,) target at origin
-    final_values: np.ndarray     # (n,) target at best iterate
+    initial_values: np.ndarray   # (n,) uniform loss at origin
+    final_values: np.ndarray     # (n,) uniform loss at best iterate
     aborted: np.ndarray          # (n,) bool, non-finite value or gradient encountered
 
 
-def _target_graph(dims: tuple[int, ...], target: str, temperature: float):
-    """(per-row target, its sum, logits) for a batch bound to "x"."""
-    logits = model_mod.logits_graph(dims)
-    if target == "uniform_loss":
-        rows = losses.oe_rowwise_expr(logits)
-    elif target == "msp":
-        # Log-confidence of the currently predicted class; sign-equivalent gradient to msp.
-        rows = ad.reduce_sum(ad.mul(ad.log_softmax(logits), ad.inp("class_onehot")), axis=1)
-    elif target == "energy":
-        t = float(temperature)
-        rows = ad.affine(ad.logsumexp(ad.affine(logits, 1.0 / t), axis=1), t)
-    else:
-        raise ConfigError(f"unknown target {target!r}")
-    return rows, ad.reduce_sum(rows), logits
+def _target_graph(dims: tuple[int, ...]):
+    """(per-row uniform loss, its sum) for a batch bound to "x"."""
+    rows = losses.oe_rowwise_expr(model_mod.logits_graph(dims))
+    return rows, ad.reduce_sum(rows)
 
 
 def _ascend(graph, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
-            cfg: ExtrapolationConfig):
+            steps: int):
     """Best-iterate constrained ascent on a block of rows.
 
     Returns (synthesized, v0, v_best, aborted). A block whose radii are all
@@ -123,47 +88,40 @@ def _ascend(graph, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndar
     failing row stands alone; such a row comes back at its origin, flagged,
     with its initial value (NaN if that was not finite).
     """
-    rows_node, total, logits_node = graph
+    rows_node, total = graph
     n = x0.shape[0]
-    steps = cfg.steps if eps.any() else 0
-    msp = cfg.target == "msp"
-    sign_dir = 1.0 if cfg.direction == "maximize" else -1.0
+    steps = steps if eps.any() else 0
     radius = eps[:, None]
-    alpha = cfg.effective_step_size(radius)
+    alpha = 2.0 * radius / steps if steps else 0.0
     lo = x0 - radius
     hi = x0 + radius
-    dlo, dhi = cfg.clamp
     b = dict(bindings)
 
     x = x0
     v0 = None
     try:
         # Visit x_0 ... x_steps; the origin is a candidate, so no row's best
-        # value falls below its initial one in the chosen direction.
+        # value falls below its initial one.
         for t in range(steps + 1):
             b["x"] = x
-            if msp:
-                logits = ad.evaluate(logits_node, b)
-                b["class_onehot"] = np.eye(logits.shape[1])[np.argmax(logits, axis=1)]
             if t < steps:
-                _, grads, (raw,) = ad.value_and_grad(total, b, ["x"], aux=(rows_node,))
+                _, grads, (v,) = ad.value_and_grad(total, b, ["x"], aux=(rows_node,))
             else:
-                raw = ad.evaluate(rows_node, b)
-            v = np.exp(raw) if msp else raw
+                v = ad.evaluate(rows_node, b)
             if t == 0:
                 v0 = v
                 best_x, best_v = x0.copy(), v.copy()
             else:
-                improved = v > best_v if sign_dir > 0 else v < best_v
+                improved = v > best_v
                 best_x[improved] = x[improved]
                 best_v[improved] = v[improved]
             if t < steps:
-                x = np.clip(np.clip(x + alpha * sign_dir * np.sign(grads["x"]), dlo, dhi), lo, hi)
+                x = np.clip(np.clip(x + alpha * np.sign(grads["x"]), *DOMAIN), lo, hi)
     except NumericError:
         if n > 1:
             h = n // 2
-            halves = (_ascend(graph, bindings, x0[:h], eps[:h], cfg),
-                      _ascend(graph, bindings, x0[h:], eps[h:], cfg))
+            halves = (_ascend(graph, bindings, x0[:h], eps[:h], steps),
+                      _ascend(graph, bindings, x0[h:], eps[h:], steps))
             return tuple(np.concatenate(parts) for parts in zip(*halves))
         v = np.full(1, np.nan) if v0 is None else v0
         return x0.copy(), v, v.copy(), np.ones(1, dtype=bool)
@@ -189,11 +147,10 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
         raise ShapeError(f"epsilon shape {radius.shape} does not match {x0.shape[0]} rows") from None
     if not np.all(eps >= 0):
         raise ConfigError("epsilon must be >= 0")
-    dlo, dhi = cfg.clamp
-    if x0.size and (x0.min() < dlo - 1e-12 or x0.max() > dhi + 1e-12):
-        raise ConfigError("origins must lie inside the domain clamp")
-    graph = _target_graph(mlp.dims, cfg.target, cfg.target_temperature)
-    synthesized, v0, v_best, aborted = _ascend(graph, model_mod.param_bindings(mlp), x0, eps, cfg)
+    if x0.size and (x0.min() < DOMAIN[0] - 1e-12 or x0.max() > DOMAIN[1] + 1e-12):
+        raise ConfigError(f"origins must lie inside the domain {DOMAIN}")
+    synthesized, v0, v_best, aborted = _ascend(
+        _target_graph(mlp.dims), model_mod.param_bindings(mlp), x0, eps, cfg.steps)
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 

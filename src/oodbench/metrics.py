@@ -138,11 +138,31 @@ class DetectionReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "DetectionReport":
-        rows = [OodSetResult(r["set_name"], r["fpr95"], r["auroc"], r["aupr"])
+        """Inverse of ``to_dict``; a field of the wrong JSON type, or a rate
+        outside [0, 1], raises DataError."""
+        rows = [OodSetResult(_field(r, "set_name", str), _rate(r, "fpr95"),
+                             _rate(r, "auroc"), _rate(r, "aupr"))
                 for r in doc["ood_sets"] if r["set_name"] != "average"]
-        return DetectionReport(method=doc["method"], score_kind=doc["score_kind"],
-                               id_accuracy=doc["id_accuracy"], results=rows,
-                               seed=doc.get("seed"), config_digest=doc.get("config_digest"))
+        return DetectionReport(method=_field(doc, "method", str),
+                               score_kind=_field(doc, "score_kind", str),
+                               id_accuracy=_rate(doc, "id_accuracy"), results=rows,
+                               seed=_field(doc, "seed", (int, type(None))),
+                               config_digest=_field(doc, "config_digest", (str, type(None))))
+
+
+def _field(doc: dict, key: str, kind):
+    """``doc.get(key)`` if it is a ``kind``; a bool is never a number."""
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"report field {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _rate(doc: dict, key: str) -> float:
+    value = _field(doc, key, (int, float))
+    if not 0 <= value <= 1:
+        raise DataError(f"report field {key!r} must be a finite number in [0, 1], got {value!r}")
+    return float(value)
 
 
 def assemble_report(id_scores, ood_score_sets: dict[str, np.ndarray], *,

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from . import numerics
+from .data import DOMAIN
 from .errors import ConfigError, ShapeError
 
 ODIN_DEFAULT_TEMPERATURE = 1.0e4
@@ -78,12 +79,12 @@ def energy_score(logits, temperature: float = 1.0) -> np.ndarray:
 
 
 def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DEFAULT_TEMPERATURE,
-               eps: float = ODIN_DEFAULT_EPSILON, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
+               eps: float = ODIN_DEFAULT_EPSILON) -> np.ndarray:
     """Confidence after a one-step sign-gradient push toward the predicted class.
 
     The push follows the gradient of log S_top(x; T), the temperature-scaled
-    softmax at the predicted class. The perturbed input is clamped to
-    ``domain``; with eps=0 and T=1 this is exactly ``msp_score`` of the raw
+    softmax at the predicted class. The perturbed input is clipped to
+    data.DOMAIN; with eps=0 and T=1 this is exactly ``msp_score`` of the raw
     logits.
     """
     if temperature <= 0:
@@ -99,7 +100,7 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
     bindings = model_mod.param_bindings(mlp)
     bindings["x"] = batch
     grads = ad.gradient(picked, bindings, ["x"])
-    perturbed = np.clip(batch + eps * np.sign(grads["x"]), domain[0], domain[1])
+    perturbed = np.clip(batch + eps * np.sign(grads["x"]), *DOMAIN)
     return np.max(numerics.softmax(model_mod.forward(mlp, perturbed) / temperature, axis=-1), axis=1)
 
 
@@ -130,8 +131,7 @@ def ash_s(activations, percentile: float) -> np.ndarray:
     return out
 
 
-def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
-                   domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
+def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec) -> np.ndarray:
     """Evaluate the configured score for a batch of raw inputs."""
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "msp":
@@ -139,7 +139,7 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     if spec.kind == "energy":
         return energy_score(model_mod.forward(mlp, batch), spec.temperature)
     if spec.kind == "odin":
-        return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon, domain)
+        return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon)
     if spec.kind == "ash_energy":
         shaped = ash_s(model_mod.penultimate_features(mlp, batch), spec.percentile)
         logits = shaped @ mlp.weights[-1] + mlp.biases[-1]

@@ -234,8 +234,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             out_value = float(aux_list.pop(0)) if out_node is not None else None
             ext_value = float(aux_list.pop(0)) if ext_node is not None else None
 
-            if (n_ext and extrapolation.target == "uniform_loss"
-                    and extrapolation.direction == "maximize"):
+            if n_ext:
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
                                  < np.mean(extrap.initial_values[ok]) - 1e-12):

@@ -12,6 +12,7 @@ import numpy as np
 from oodbench import autodiff as ad
 from oodbench import losses
 from oodbench import model as model_mod
+from oodbench.data import DOMAIN
 from oodbench.errors import NumericError
 from oodbench.extrapolation import ExtrapolatedBatch
 
@@ -60,33 +61,21 @@ def aupr_sweep(id_scores, ood_scores) -> float:
 
 
 def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:
-    """Best-iterate sign-gradient ascent, one row and one 1-row graph pass at a time.
+    """Best-iterate sign-gradient ascent of the uniform loss, one row and one
+    1-row graph pass at a time.
 
-    Row i uses radius ``epsilons[i]``; a row with radius 0, or every row
-    when cfg.steps is 0, is evaluated once at its origin. A non-finite value
-    or gradient returns the row's origin, flagged, with its initial value
-    (NaN if the first pass failed).
+    Row i uses radius ``epsilons[i]`` and step 2*epsilons[i]/cfg.steps; a
+    row with radius 0, or every row when cfg.steps is 0, is evaluated once
+    at its origin. A non-finite value or gradient returns the row's origin,
+    flagged, with its initial value (NaN if the first pass failed).
     """
-    logits_node = model_mod.logits_graph(mlp.dims)
-    if cfg.target == "uniform_loss":
-        scalar = ad.reduce_mean(losses.oe_rowwise_expr(logits_node))
-    elif cfg.target == "msp":
-        scalar = ad.reduce_sum(ad.mul(ad.log_softmax(logits_node), ad.inp("class_onehot")))
-    else:
-        t = float(cfg.target_temperature)
-        scalar = ad.reduce_mean(ad.affine(ad.logsumexp(ad.affine(logits_node, 1.0 / t), axis=1), t))
-    needs_onehot = cfg.target == "msp"
+    scalar = ad.reduce_mean(losses.oe_rowwise_expr(model_mod.logits_graph(mlp.dims)))
     bindings = model_mod.param_bindings(mlp)
-    sign_dir = 1.0 if cfg.direction == "maximize" else -1.0
-    dlo, dhi = cfg.clamp
-
-    def better(a, b):
-        return a > b if cfg.direction == "maximize" else a < b
 
     def one_row(row, epsilon):
         x0 = row[None, :]
         steps = 0 if epsilon == 0.0 else cfg.steps
-        alpha = cfg.effective_step_size(epsilon)
+        alpha = 2.0 * epsilon / steps if steps else 0.0
         lo, hi = x0 - epsilon, x0 + epsilon
         x = best_x = x0
         best_v = v0 = None
@@ -94,23 +83,17 @@ def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:
             for t in range(steps + 1):
                 b = dict(bindings)
                 b["x"] = x
-                if needs_onehot:
-                    raw = ad.evaluate(logits_node, b)
-                    onehot = np.zeros((1, mlp.n_classes))
-                    onehot[0, int(np.argmax(raw[0]))] = 1.0
-                    b["class_onehot"] = onehot
                 if t < steps:
                     raw_v, grads, _ = ad.value_and_grad(scalar, b, ["x"])
                 else:
                     raw_v, grads = ad.evaluate(scalar, b), None
-                v = math.exp(float(raw_v)) if needs_onehot else float(raw_v)
+                v = float(raw_v)
                 if t == 0:
                     v0 = best_v = v
-                elif better(v, best_v):
+                elif v > best_v:
                     best_x, best_v = x, v
                 if grads is not None:
-                    x = np.clip(np.clip(x + alpha * sign_dir * np.sign(grads["x"]), dlo, dhi),
-                                lo, hi)
+                    x = np.clip(np.clip(x + alpha * np.sign(grads["x"]), *DOMAIN), lo, hi)
         except NumericError:
             v = math.nan if v0 is None else v0
             return row.copy(), v, v, True

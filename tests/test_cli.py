@@ -23,7 +23,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, probe):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("epsilons", ["abc", "0.1,x", "nan", "inf", "0.1,-0.05"])
+@pytest.mark.parametrize("epsilons", ["abc", "0.1,x", "nan", "inf", "0.1,-0.05", ",", ""])
 def test_malformed_epsilon_grid_exits_2(tmp_path, capsys, epsilons):
     argv = ["--out", str(tmp_path / "run"), "extrapolate", "--input", str(tmp_path / "in.csv"),
             "--dump", str(tmp_path / "dump" / "extrap.csv"), "--epsilons", epsilons]
@@ -118,4 +118,34 @@ def test_malformed_report_exits_3(tmp_path, capsys, content):
     out_csv = tmp_path / "out" / "merged.csv"
     assert cli.main(["report", str(bad), "--out-csv", str(out_csv)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {bad} is not a report list")
+    assert not out_csv.exists()
+
+
+_REPORT = {"method": "oe", "score_kind": "msp", "id_accuracy": 0.75, "seed": 1,
+           "config_digest": "ab12",
+           "ood_sets": [{"set_name": "ring", "fpr95": 0.5, "auroc": 0.625, "aupr": 0.25}]}
+
+
+# (key, value, in the OOD-set row?): a wrong JSON type, or a rate outside [0, 1].
+BAD_REPORT_FIELDS = [
+    ("method", 7, False), ("score_kind", None, False), ("id_accuracy", None, False),
+    ("id_accuracy", 1.5, False), ("seed", "1", False), ("seed", True, False),
+    ("config_digest", 5, False), ("set_name", 3, True), ("auroc", True, True),
+    ("fpr95", -0.1, True), ("aupr", float("nan"), True), ("auroc", float("inf"), True),
+]
+
+
+@pytest.mark.parametrize("key, value, in_row", BAD_REPORT_FIELDS)
+def test_report_field_of_wrong_type_exits_3(tmp_path, capsys, key, value, in_row):
+    out_csv = tmp_path / "out" / "merged.csv"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([_REPORT]), encoding="utf-8")
+    assert cli.main(["report", str(good), "--out-csv", str(out_csv)]) == 0
+    out_csv.unlink()
+    doc = json.loads(json.dumps(_REPORT))
+    (doc["ood_sets"][0] if in_row else doc)[key] = value
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps([doc]), encoding="utf-8")
+    assert cli.main(["report", str(bad), "--out-csv", str(out_csv)]) == 3
+    assert f"report field {key!r}" in capsys.readouterr().err
     assert not out_csv.exists()

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,17 +11,19 @@ from oodbench.extrapolation import ExtrapolationConfig
 # Malformed --set overrides; each must surface as ConfigError, never a traceback.
 PROBES = [
     'data.classes="abc"',
-    "extrapolation.clamp=[0]",
     "model.hidden=5",
     "data.ood_sets=[]",
     "train.loss=3",
     "extrapolation.pool=[[0.1]]",
+    "extrapolation.clamp=[0]",  # a removed key
     'seed="x"',
     "train.epochs=2.7",
     'train.sampler="bogus"',
     "extrapolation.epsilon=Infinity",
     "train.weight_decay=NaN",
     "data.sigma=NaN",
+    "data.aux.count=-1",
+    "data.ood_sets.ring.count=-5",
 ]
 
 UNKNOWN_KEYS = [
@@ -39,6 +43,11 @@ UNKNOWN_KEYS = [
     {"train": {"seed": 0}},
     {"train": {"extrapolation": {}}},
     {"scores": [{"kind": "mahalanobis", "stats": None}]},
+    {"extrapolation": {"target": "msp"}},
+    {"extrapolation": {"target_temperature": 2.0}},
+    {"extrapolation": {"direction": "minimize"}},
+    {"extrapolation": {"step_size": 0.01}},
+    {"extrapolation": {"clamp": [0.0, 1.0]}},
 ]
 
 
@@ -51,8 +60,7 @@ def _non_default() -> config.RunConfig:
         model=config.ModelConfig(hidden=(16,)),
         train=trainer.TrainConfig(epochs=2, lr=0.05,
                                   loss=trainer.LossConfig(kind="divoe", balance=0.25)),
-        extrapolation=ExtrapolationConfig(steps=3, step_size=0.01, clamp=(-1.0, 2.0),
-                                          pool=((0.02, 0.5), (0.1, 0.5))),
+        extrapolation=ExtrapolationConfig(steps=3, pool=((0.02, 0.5), (0.1, 0.5))),
         scores=(scoring.ScoreSpec("odin", odin_epsilon=0.0), scoring.ScoreSpec("ash_energy")),
         outputs=config.OutputsConfig(dir="runs/x", method_label="mine"),
         theory=config.TheoryConfig(trials=5, tau=0.1))
@@ -63,7 +71,7 @@ def test_to_dict_round_trips(cfg):
     doc = cfg.to_dict()
     assert config.parse_config(json.loads(json.dumps(doc))) == cfg
     assert doc["schema_version"] == config.SCHEMA_VERSION
-    assert isinstance(doc["extrapolation"]["clamp"], list)
+    assert isinstance(doc["model"]["hidden"], list)
 
 
 def test_empty_document_gives_the_dataclass_defaults():
@@ -92,7 +100,8 @@ def test_malformed_value_raises_config_error(probe):
     ({"schema_version": 2}, "schema_version"),
     ([], "JSON object"),
     ({"scores": [{"kind": "mahalanobis"}]}, "unknown score kind"),
-    ({"extrapolation": {"clamp": [0.0, float("inf")]}}, r"extrapolation.clamp\[1\] must be finite"),
+    ({"extrapolation": {"pool": [[0.1, float("inf")]]}},
+     r"extrapolation.pool\[0\]\[1\] must be finite"),
 ])
 def test_invalid_document_rejected(doc, match):
     with pytest.raises(ConfigError, match=match):
@@ -159,3 +168,19 @@ def test_seed_streams_are_pinned(monkeypatch):
                       trainer.TrainConfig(epochs=2, loss=trainer.LossConfig(kind="ce")),
                       ExtrapolationConfig(), train_seed)
     assert seen == [2810413366, 2350297174]
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+def test_benchmark_workload_configs_parse(smoke):
+    workloads = _benchmark_workloads()
+    for name in workloads.NAMES:
+        cfg, _, _ = workloads.build(name, smoke)
+        config.parse_config(cfg)

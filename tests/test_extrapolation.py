@@ -3,7 +3,7 @@ import oracles
 import pytest
 
 from oodbench import autodiff as ad
-from oodbench import losses, model, numerics, scoring
+from oodbench import losses, model, numerics
 from oodbench.errors import ConfigError, ShapeError
 from oodbench.extrapolation import (
     ExtrapolationConfig,
@@ -29,18 +29,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExtrapolationConfig(epsilon=-0.1)
     with pytest.raises(ConfigError):
-        ExtrapolationConfig(direction="sideways")
-    with pytest.raises(ConfigError):
         ExtrapolationConfig(pool=((0.05, 0.4), (0.1, 0.4)))  # fractions sum to 0.8
     cfg = ExtrapolationConfig(pool=((0.05, 0.5), (0.125, 0.5)))
     assert cfg.pool == ((0.05, 0.5), (0.125, 0.5))
-
-
-def test_default_step_size_traverses_ball():
-    cfg = ExtrapolationConfig(epsilon=0.05, steps=5)
-    assert cfg.effective_step_size() == pytest.approx(2 * 0.05 / 5)
-    assert cfg.effective_step_size(0.125) == pytest.approx(2 * 0.125 / 5)
-    assert ExtrapolationConfig(step_size=0.03).effective_step_size() == 0.03
 
 
 def test_paper_default_configuration():
@@ -64,12 +55,10 @@ def test_linf_constraint_and_domain(small_model):
     assert out.synthesized.min() >= 0.0 and out.synthesized.max() <= 1.0
 
 
-def test_best_iterate_monotonicity_both_directions(small_model):
+def test_best_iterate_never_loses_ground(small_model):
     x = _batch(12, seed=4)
-    up = pgd_extrapolate(small_model, x, ExtrapolationConfig(direction="maximize"))
-    assert np.all(up.final_values >= up.initial_values)
-    down = pgd_extrapolate(small_model, x, ExtrapolationConfig(direction="minimize"))
-    assert np.all(down.final_values <= down.initial_values)
+    out = pgd_extrapolate(small_model, x, ExtrapolationConfig())
+    assert np.all(out.final_values >= out.initial_values)
 
 
 def test_extrapolation_actually_moves_loss(small_model):
@@ -104,27 +93,21 @@ WORKLOAD_POOL = ((0.02, 0.34), (0.05, 0.33), (0.1, 0.33))
 POOL_CASES = {
     "workload_pool": dict(steps=5, pool=WORKLOAD_POOL),
     "zero_slice": dict(steps=4, pool=((0.0, 0.25), (0.08, 0.75))),
-    "step_size": dict(steps=3, step_size=0.03, pool=((0.04, 0.5), (0.12, 0.5))),
+    "three_slices": dict(steps=3, pool=((0.04, 0.25), (0.12, 0.5), (0.3, 0.25))),
 }
 
 
-def _target_values(mlp, x, cfg):
+def _uniform_loss(mlp, x):
     logits = model.forward(mlp, x)
-    if cfg.target == "uniform_loss":
-        return numerics.logsumexp(logits, axis=1) - logits.mean(axis=1)
-    if cfg.target == "msp":
-        return scoring.msp_score(logits)
-    return scoring.energy_score(logits, cfg.target_temperature)
+    return numerics.logsumexp(logits, axis=1) - logits.mean(axis=1)
 
 
 @pytest.mark.parametrize("pool_case", sorted(POOL_CASES))
-@pytest.mark.parametrize("direction", ["maximize", "minimize"])
-@pytest.mark.parametrize("target", ["uniform_loss", "msp", "energy"])
-def test_batched_matches_rowwise_twin(target, direction, pool_case):
+def test_batched_matches_rowwise_twin(pool_case):
     mlp = model.init_model([2, 16, 16, 4], seed=21)
     x = np.random.default_rng(22).uniform(0.0, 1.0, (16, 2))
-    x[0] = [0.0, 1.0]  # starts on the clamp
-    cfg = ExtrapolationConfig(target=target, direction=direction, **POOL_CASES[pool_case])
+    x[0] = [0.0, 1.0]  # starts on the domain's edge
+    cfg = ExtrapolationConfig(**POOL_CASES[pool_case])
     got = build_extrapolation_pool(mlp, x, cfg)
     counts = largest_remainder_counts([f for _, f in cfg.pool], len(x))
     ref = oracles.pgd_extrapolate_rowwise(mlp, x, cfg, np.repeat([e for e, _ in cfg.pool], counts))
@@ -140,7 +123,7 @@ def test_batched_matches_rowwise_twin(target, direction, pool_case):
     moved = got.synthesized[differ]
     assert np.all(np.abs(moved - x[differ]) <= got.epsilons[differ, None] + 1e-12)
     assert moved.min(initial=0.0) >= 0.0 and moved.max(initial=1.0) <= 1.0
-    np.testing.assert_allclose(_target_values(mlp, moved, cfg), got.final_values[differ],
+    np.testing.assert_allclose(_uniform_loss(mlp, moved), got.final_values[differ],
                                rtol=1e-12, atol=0)
 
 
@@ -156,10 +139,9 @@ _OVERFLOW_X = np.array([[0.2, 0.3], [0.8, 0.1], [0.47, 0.6], [0.1, 0.9],
                         [0.9, 0.9], [0.48, 0.2], [0.3, 0.7], [0.52, 0.5]])
 
 
-@pytest.mark.parametrize("target", ["uniform_loss", "msp", "energy"])
-def test_nonfinite_rows_abort_at_origin(target):
+def test_nonfinite_rows_abort_at_origin():
     mlp = _overflow_model()
-    cfg = ExtrapolationConfig(epsilon=0.05, steps=5, target=target)
+    cfg = ExtrapolationConfig(epsilon=0.05, steps=5)
     out = pgd_extrapolate(mlp, _OVERFLOW_X, cfg)
     # Rows 1, 4, 7 overflow at the origin; rows 2, 5 ascend across x0 = 0.5.
     np.testing.assert_array_equal(np.flatnonzero(out.aborted), [1, 2, 4, 5, 7])
@@ -201,39 +183,52 @@ def test_nonfinite_rows_leave_finite_rows_untouched():
     np.testing.assert_allclose(out.final_values[ok], clean.final_values, rtol=1e-12, atol=0)
 
 
-def test_score_targets_move_their_score(small_model):
-    from oodbench import scoring
-
-    x = _batch(10, seed=9)
-    msp_cfg = ExtrapolationConfig(target="msp", epsilon=0.1, steps=5)
-    out = pgd_extrapolate(small_model, x, msp_cfg)
-    before = scoring.msp_score(model.forward(small_model, x))
-    after = scoring.msp_score(model.forward(small_model, out.synthesized))
-    np.testing.assert_allclose(out.initial_values, before, rtol=1e-10)
-    assert np.all(after >= before - 1e-12)
-
-    en_cfg = ExtrapolationConfig(target="energy", epsilon=0.1, steps=5)
-    out = pgd_extrapolate(small_model, x, en_cfg)
-    e_before = scoring.energy_score(model.forward(small_model, x), 1.0)
-    e_after = scoring.energy_score(model.forward(small_model, out.synthesized), 1.0)
-    np.testing.assert_allclose(out.initial_values, e_before, rtol=1e-10)
-    assert np.all(e_after >= e_before - 1e-12)
-
-
 def test_linear_model_single_step_moves_by_alpha():
     # On an affine model, the uniform-loss gradient has a closed form:
-    # softmax(xW)-weighted columns minus their mean; every coordinate with a
-    # nonzero gradient moves by exactly alpha.
+    # softmax(xW)-weighted columns minus their mean. With steps=2 the step is
+    # alpha = 2*epsilon/2 = epsilon, so the first step moves every coordinate
+    # with a nonzero gradient by exactly alpha, and a second step in the same
+    # signs is projected back onto it.
     w = np.array([[1.5, -0.5, 0.2], [-0.3, 0.8, 0.1]])
     m = model.MlpClassifier((2, 3), (w,), (np.zeros(3),))
+
+    def grad(x):
+        p = np.exp(model.forward(m, x)) / np.exp(model.forward(m, x)).sum()
+        return (p @ w.T) - w.mean(axis=1)
+
     x = np.array([[0.5, 0.5]])
-    alpha = 0.02
-    cfg = ExtrapolationConfig(epsilon=0.5, steps=1, step_size=alpha, clamp=(-1.0, 2.0))
-    out = pgd_extrapolate(m, x, cfg)
-    p = np.exp(model.forward(m, x)) / np.exp(model.forward(m, x)).sum()
-    grad = (p @ w.T) - w.mean(axis=1)
-    expected = x + alpha * np.sign(grad)
+    alpha = 0.1
+    expected = x + alpha * np.sign(grad(x))
+    assert np.array_equal(np.sign(grad(expected)), np.sign(grad(x)))
+    out = pgd_extrapolate(m, x, ExtrapolationConfig(epsilon=0.1, steps=2))
     np.testing.assert_allclose(out.synthesized, expected, rtol=1e-12)
+
+
+def test_default_step_size_traverses_ball():
+    # The step is 2*epsilon/steps for each row's own radius, so `steps` steps
+    # span the ball's diameter and every row reaches its ball's corner while
+    # the gradient keeps its signs. On this affine model the uniform loss is
+    # convex and rises along the whole path, so the best iterate is the corner.
+    w = np.array([[1.5, -0.5, 0.2], [-0.3, 0.8, 0.1]])
+    m = model.MlpClassifier((2, 3), (w,), (np.zeros(3),))
+    x = np.full((3, 2), 0.5)
+    radii = [0.02, 0.08, 0.2]
+    direction = np.sign(_uniform_loss_grad(m, w, x[:1]))
+    for eps in radii:
+        path = x[:1] + np.linspace(0.0, eps, 11)[:, None] * direction
+        assert np.array_equal(np.sign(_uniform_loss_grad(m, w, path)),
+                              np.repeat(direction, len(path), axis=0))
+    for steps in (1, 2, 5):
+        out = pgd_extrapolate(m, x, ExtrapolationConfig(steps=steps), epsilon=radii)
+        corners = x + np.array(radii)[:, None] * direction
+        np.testing.assert_allclose(out.synthesized, corners, rtol=0, atol=1e-15)
+
+
+def _uniform_loss_grad(m, w, x):
+    logits = model.forward(m, x)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p @ w.T - w.mean(axis=1)
 
 
 def test_select_subbatch_extremes_and_split():
