@@ -7,13 +7,20 @@ runs a deterministic forward pass; ``gradient`` backpropagates through the
 same graph in reversed topological order, so repeated runs are
 bit-identical.
 
+The first pass over a root compiles its graph into a plan cached on that
+root: the ops in topological order with parents as slot indices, and the
+slot of each input name. Later passes run over lists indexed by slot, so a
+graph built once (a training objective, say) can be re-run on bindings of
+any row count without re-deriving its structure. Every pass still checks
+bindings, shapes and the finiteness of its result and gradients.
+
 Conventions: relu uses subgradient 0 at 0; log-softmax acts on the last
 axis; reductions accept ``axis=None`` (full) or a single int.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,16 +36,17 @@ class Expression:
 
     ``op`` is the primitive kind, ``parents`` the operand nodes, ``payload``
     op-specific data (constant value, input name, axis, affine coefficients).
-    Nodes are immutable after construction and safe to share between threads.
+    Nodes are immutable after construction (a root only caches its compiled
+    plan) and safe to share between threads.
     """
 
-    __slots__ = ("op", "parents", "payload", "_topo")
+    __slots__ = ("op", "parents", "payload", "_plan")
 
     def __init__(self, op: str, parents: tuple["Expression", ...] = (), payload=None):
         self.op = op
         self.parents = parents
         self.payload = payload
-        self._topo: tuple[Expression, ...] | None = None
+        self._plan: _Plan | None = None
 
     # -- construction sugar (lowers onto the primitive set) ------------------
 
@@ -76,29 +84,24 @@ class Expression:
 
     # -- traversal ------------------------------------------------------------
 
-    def topo_order(self) -> tuple["Expression", ...]:
-        """Parents-before-children ordering, cached on first use."""
-        if self._topo is None:
-            order: list[Expression] = []
-            seen: set[int] = set()
-            stack: list[tuple[Expression, bool]] = [(self, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    order.append(node)
-                    continue
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                stack.append((node, True))
-                for parent in reversed(node.parents):
-                    if id(parent) not in seen:
-                        stack.append((parent, False))
-            self._topo = tuple(order)
-        return self._topo
-
-    def input_names(self) -> set[str]:
-        return {n.payload for n in self.topo_order() if n.op == "input"}
+    def topo_order(self) -> list["Expression"]:
+        """Parents-before-children ordering, ending at this node."""
+        order: list[Expression] = []
+        seen: set[int] = set()
+        stack: list[tuple[Expression, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for parent in reversed(node.parents):
+                if id(parent) not in seen:
+                    stack.append((parent, False))
+        return order
 
 
 def inp(name: str) -> Expression:
@@ -154,75 +157,95 @@ def affine(x: Expression, scale: float, shift: float = 0.0) -> Expression:
     return Expression("affine", (x,), payload=(float(scale), float(shift)))
 
 
+# -- compilation ---------------------------------------------------------------
+
+
+class _Plan(NamedTuple):
+    """A graph flattened for repeated passes, one slot per node.
+
+    ``steps[i]`` is (op, parent slots, payload) in topological order, so the
+    root is the last slot; ``inputs`` maps input names and ``slots`` maps
+    ``id(node)`` to slots.
+    """
+
+    steps: list[tuple[str, tuple[int, ...], object]]
+    inputs: dict[str, int]
+    slots: dict[int, int]
+
+
+def _compile(expr: Expression) -> _Plan:
+    """The plan of ``expr``, built on first use and cached on the root.
+
+    A rejected graph is not cached, so it fails again on every call.
+    """
+    if expr._plan is None:
+        order = expr.topo_order()
+        slots = {id(node): i for i, node in enumerate(order)}
+        inputs: dict[str, int] = {}
+        for i, node in enumerate(order):
+            if node.op == "input" and inputs.setdefault(node.payload, i) != i:
+                # Two distinct nodes for one name would split the variable and
+                # silently drop gradient contributions; share the node instead.
+                raise GraphError(f"duplicate input node for name {node.payload!r}")
+        steps = [(n.op, tuple(slots[id(p)] for p in n.parents), n.payload) for n in order]
+        expr._plan = _Plan(steps, inputs, slots)
+    return expr._plan
+
+
 # -- forward -------------------------------------------------------------------
 
 
-def _forward_node(node: Expression, vals: dict[int, np.ndarray],
-                  bindings: Mapping[str, np.ndarray]) -> np.ndarray:
-    op = node.op
-    if op == "input":
-        name = node.payload
-        if name not in bindings:
-            raise GraphError(f"unbound input {name!r}")
-        v = numerics.as_tensor(bindings[name])
-        if not np.all(np.isfinite(v)):
-            raise NumericError(f"binding for {name!r} contains non-finite values")
-        return v
-    if op == "const":
-        return node.payload
-    a = vals[id(node.parents[0])]
-    if op == "matmul":
-        b = vals[id(node.parents[1])]
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-        return a @ b
-    if op == "add":
-        b = vals[id(node.parents[1])]
-        _require_broadcastable(a, b, "add")
-        return a + b
-    if op == "mul":
-        b = vals[id(node.parents[1])]
-        _require_broadcastable(a, b, "mul")
-        return a * b
-    if op == "relu":
-        return np.maximum(a, 0.0)
-    if op == "log_softmax":
-        return numerics.log_softmax(a, axis=-1)
-    if op == "logsumexp":
-        return numerics.logsumexp(a, axis=node.payload)
-    if op == "sum":
-        return np.sum(a, axis=node.payload)
-    if op == "mean":
-        return np.mean(a, axis=node.payload)
-    if op == "square":
-        return a * a
-    if op == "affine":
-        scale, shift = node.payload
-        return scale * a + shift
-    raise GraphError(f"unknown primitive {op!r}")
-
-
-def _require_broadcastable(a: np.ndarray, b: np.ndarray, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
-def _forward_all(expr: Expression, bindings: Mapping[str, np.ndarray]) -> dict[int, np.ndarray]:
-    vals: dict[int, np.ndarray] = {}
-    names: dict[str, int] = {}
+def _forward_all(plan: _Plan, bindings: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """Every slot's value; raises NumericError naming the first non-finite node
+    when the root is not finite."""
+    vals: list[np.ndarray] = []
     # Non-finite intermediates are caught by the explicit checks, so numpy's
     # own overflow warnings are redundant noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for node in expr.topo_order():
-            if node.op == "input":
-                prev = names.setdefault(node.payload, id(node))
-                if prev != id(node):
-                    # Two distinct nodes for one name would split the variable and
-                    # silently drop gradient contributions; share the node instead.
-                    raise GraphError(f"duplicate input node for name {node.payload!r}")
-            vals[id(node)] = _forward_node(node, vals, bindings)
+        for op, parents, payload in plan.steps:
+            if op == "input":
+                if payload not in bindings:
+                    raise GraphError(f"unbound input {payload!r}")
+                v = numerics.as_tensor(bindings[payload])
+                if not np.all(np.isfinite(v)):
+                    raise NumericError(f"binding for {payload!r} contains non-finite values")
+            elif op == "const":
+                v = payload
+            else:
+                a = vals[parents[0]]
+                if op == "matmul":
+                    b = vals[parents[1]]
+                    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+                        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+                    v = a @ b
+                elif op in ("add", "mul"):
+                    b = vals[parents[1]]
+                    try:
+                        v = a + b if op == "add" else a * b
+                    except ValueError:
+                        raise ShapeError(
+                            f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+                elif op == "relu":
+                    v = np.maximum(a, 0.0)
+                elif op == "log_softmax":
+                    v = numerics.log_softmax(a, axis=-1)
+                elif op == "logsumexp":
+                    v = numerics.logsumexp(a, axis=payload)
+                elif op == "sum":
+                    v = np.sum(a, axis=payload)
+                elif op == "mean":
+                    v = np.mean(a, axis=payload)
+                elif op == "square":
+                    v = a * a
+                elif op == "affine":
+                    v = payload[0] * a + payload[1]
+                else:
+                    raise GraphError(f"unknown primitive {op!r}")
+            vals.append(v)
+    if not np.all(np.isfinite(vals[-1])):
+        culprit = next((f"{op} node" for (op, _, _), v in zip(plan.steps, vals)
+                        if not np.all(np.isfinite(v))), "root")
+        raise NumericError(f"non-finite result (first produced by {culprit})")
     return vals
 
 
@@ -232,19 +255,7 @@ def evaluate(expr: Expression, bindings: Mapping[str, np.ndarray]) -> np.ndarray
     Raises GraphError for unbound inputs, ShapeError for incompatible
     operands, NumericError if the result is not finite.
     """
-    vals = _forward_all(expr, bindings)
-    out = vals[id(expr)]
-    if not np.all(np.isfinite(out)):
-        culprit = _first_nonfinite(expr, vals)
-        raise NumericError(f"non-finite result (first produced by {culprit})")
-    return out
-
-
-def _first_nonfinite(expr: Expression, vals: dict[int, np.ndarray]) -> str:
-    for node in expr.topo_order():
-        if not np.all(np.isfinite(vals[id(node)])):
-            return f"{node.op} node"
-    return "root"
+    return _forward_all(_compile(expr), bindings)[-1]
 
 
 # -- backward ------------------------------------------------------------------
@@ -269,73 +280,59 @@ def _expand_reduced(grad: np.ndarray, parent_shape: tuple[int, ...], axis: int |
     return np.broadcast_to(np.expand_dims(grad, axis), parent_shape)
 
 
-def _backward_node(node: Expression, grad: np.ndarray, vals: dict[int, np.ndarray],
-                   accum: dict[int, np.ndarray]) -> None:
-    op = node.op
-    if op in ("input", "const"):
-        return
-    p0 = node.parents[0]
-    a = vals[id(p0)]
-    if op == "matmul":
-        p1 = node.parents[1]
-        b = vals[id(p1)]
-        _accumulate(accum, p0, grad @ b.T)
-        _accumulate(accum, p1, a.T @ grad)
-    elif op == "add":
-        p1 = node.parents[1]
-        _accumulate(accum, p0, _unbroadcast(grad, a.shape))
-        _accumulate(accum, p1, _unbroadcast(grad, vals[id(p1)].shape))
-    elif op == "mul":
-        p1 = node.parents[1]
-        b = vals[id(p1)]
-        _accumulate(accum, p0, _unbroadcast(grad * b, a.shape))
-        _accumulate(accum, p1, _unbroadcast(grad * a, b.shape))
-    elif op == "relu":
-        _accumulate(accum, p0, grad * (a > 0.0))
-    elif op == "log_softmax":
-        y = vals[id(node)]
-        _accumulate(accum, p0, grad - np.exp(y) * np.sum(grad, axis=-1, keepdims=True))
-    elif op == "logsumexp":
-        axis = node.payload
-        out = vals[id(node)]
-        w = np.exp(a - (out if axis is None else np.expand_dims(out, axis)))
-        _accumulate(accum, p0, _expand_reduced(grad, a.shape, axis) * w)
-    elif op == "sum":
-        _accumulate(accum, p0, _expand_reduced(grad, a.shape, node.payload))
-    elif op == "mean":
-        axis = node.payload
-        count = a.size if axis is None else a.shape[axis]
-        _accumulate(accum, p0, _expand_reduced(grad, a.shape, axis) / count)
-    elif op == "square":
-        _accumulate(accum, p0, grad * 2.0 * a)
-    elif op == "affine":
-        scale, _ = node.payload
-        _accumulate(accum, p0, grad * scale)
-    else:
-        raise GraphError(f"unknown primitive {op!r}")
+def _accumulate(grads: list, slot: int, grad: np.ndarray) -> None:
+    prev = grads[slot]
+    grads[slot] = grad if prev is None else prev + grad
 
 
-def _accumulate(accum: dict[int, np.ndarray], node: Expression, grad: np.ndarray) -> None:
-    key = id(node)
-    if key in accum:
-        accum[key] = accum[key] + grad
-    else:
-        accum[key] = grad
-
-
-def _backward_all(expr: Expression, vals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    root = vals[id(expr)]
+def _backward_all(plan: _Plan, vals: list[np.ndarray]) -> list:
+    """Gradient of the root for every slot, None where nothing flows."""
+    root = vals[-1]
     if root.size != 1:
         raise GraphError(f"gradient requires a scalar expression, got shape {root.shape}")
-    accum: dict[int, np.ndarray] = {id(expr): np.ones_like(root)}
+    grads: list = [None] * len(vals)
+    grads[-1] = np.ones_like(root)
     # As in _forward_all: value_and_grad checks every gradient it returns.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for node in reversed(expr.topo_order()):
-            grad = accum.get(id(node))
-            if grad is None:
+        for i in range(len(vals) - 1, -1, -1):
+            grad = grads[i]
+            op, parents, payload = plan.steps[i]
+            if grad is None or op in ("input", "const"):
                 continue
-            _backward_node(node, grad, vals, accum)
-    return accum
+            p0 = parents[0]
+            a = vals[p0]
+            if op == "matmul":
+                p1 = parents[1]
+                _accumulate(grads, p0, grad @ vals[p1].T)
+                _accumulate(grads, p1, a.T @ grad)
+            elif op == "add":
+                p1 = parents[1]
+                _accumulate(grads, p0, _unbroadcast(grad, a.shape))
+                _accumulate(grads, p1, _unbroadcast(grad, vals[p1].shape))
+            elif op == "mul":
+                p1 = parents[1]
+                b = vals[p1]
+                _accumulate(grads, p0, _unbroadcast(grad * b, a.shape))
+                _accumulate(grads, p1, _unbroadcast(grad * a, b.shape))
+            elif op == "relu":
+                _accumulate(grads, p0, grad * (a > 0.0))
+            elif op == "log_softmax":
+                softmax = np.exp(vals[i])
+                _accumulate(grads, p0, grad - softmax * np.sum(grad, axis=-1, keepdims=True))
+            elif op == "logsumexp":
+                out = vals[i]
+                w = np.exp(a - (out if payload is None else np.expand_dims(out, payload)))
+                _accumulate(grads, p0, _expand_reduced(grad, a.shape, payload) * w)
+            elif op == "sum":
+                _accumulate(grads, p0, _expand_reduced(grad, a.shape, payload))
+            elif op == "mean":
+                count = a.size if payload is None else a.shape[payload]
+                _accumulate(grads, p0, _expand_reduced(grad, a.shape, payload) / count)
+            elif op == "square":
+                _accumulate(grads, p0, grad * 2.0 * a)
+            else:  # affine; the forward pass has rejected any other op
+                _accumulate(grads, p0, grad * payload[0])
+    return grads
 
 
 def gradient(expr: Expression, bindings: Mapping[str, np.ndarray],
@@ -352,33 +349,28 @@ def value_and_grad(expr: Expression, bindings: Mapping[str, np.ndarray],
     ``aux`` nodes must belong to the same graph; sharing the pass avoids a
     second forward evaluation in optimization loops.
     """
+    plan = _compile(expr)
     wrt = list(wrt)
-    names = expr.input_names()
     for name in wrt:
-        if name not in names:
+        if name not in plan.inputs:
             raise GraphError(f"name {name!r} not present in expression")
-    vals = _forward_all(expr, bindings)
-    value = vals[id(expr)]
-    if not np.all(np.isfinite(value)):
-        raise NumericError(f"non-finite result (first produced by {_first_nonfinite(expr, vals)})")
-    accum = _backward_all(expr, vals)
-    by_name: dict[str, Expression] = {}
-    for node in expr.topo_order():
-        if node.op == "input":
-            by_name[node.payload] = node
+    aux_slots = [plan.slots.get(id(node)) for node in aux]
+    if None in aux_slots:
+        raise GraphError("aux node does not belong to the expression's graph")
+    vals = _forward_all(plan, bindings)
+    grad_slots = _backward_all(plan, vals)
     grads: GradientMap = {}
     for name in wrt:
-        node = by_name[name]
-        g = accum.get(id(node))
+        slot = plan.inputs[name]
+        g, shape = grad_slots[slot], vals[slot].shape
         if g is None:
-            g = np.zeros_like(vals[id(node)])
-        elif g.shape != vals[id(node)].shape:
-            g = np.broadcast_to(g, vals[id(node)].shape).copy()
+            g = np.zeros_like(vals[slot])
+        elif g.shape != shape:
+            g = np.broadcast_to(g, shape).copy()
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for input {name!r}")
         grads[name] = g
-    aux_values = tuple(vals[id(node)] for node in aux)
-    return value, grads, aux_values
+    return vals[-1], grads, tuple(vals[slot] for slot in aux_slots)
 
 
 def finite_diff_check(expr: Expression, bindings: Mapping[str, np.ndarray],

@@ -129,20 +129,19 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     method = cfg.method_label()
     digest = cfg.digest()
     reports = []
-    score_rows = []
+    score_blocks = []
     for spec in cfg.scores:
         id_scores = scoring.compute_scores(mlp, id_test.x, spec)
         ood_scores = {name: scoring.compute_scores(mlp, x, spec) for name, x in ood_sets.items()}
         reports.append(metrics_mod.assemble_report(
             id_scores, ood_scores, method=method, score_kind=spec.kind,
             id_acc=id_acc, seed=cfg.seed, config_digest=digest))
-        score_rows.extend((i, "id_test", spec.kind, s) for i, s in enumerate(id_scores))
-        for name, s_vals in ood_scores.items():
-            score_rows.extend((i, f"ood_{name}", spec.kind, s) for i, s in enumerate(s_vals))
+        score_blocks.append(("id_test", spec.kind, id_scores))
+        score_blocks.extend((f"ood_{name}", spec.kind, s) for name, s in ood_scores.items())
     (out / "report.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8")
     _write_report_csv(out / "report.csv", reports)
-    scoring.write_score_csv(out / "scores.csv", score_rows)
+    scoring.write_score_csv(out / "scores.csv", score_blocks)
     for report in reports:
         avg = report.average
         print(f"[{report.score_kind}] average FPR95 {avg.fpr95:.4f}  AUROC {avg.auroc:.4f}  "

@@ -60,12 +60,12 @@ def _random_case(rng: np.random.Generator):
     dims = (d, *hidden, c)
     m = int(rng.integers(2, 5))
     kind = int(rng.integers(0, 4))
-    labels = rng.integers(0, c, size=m)
+    target = ad.const(losses.onehot(rng.integers(0, c, size=m), c))
 
     param_nodes = model_mod.make_param_nodes(dims)
     logits = model_mod.logits_graph(dims, "x", param_nodes)
     if kind == 0:
-        scalar = losses.ce_loss_expr(logits, labels, c)
+        scalar = losses.ce_loss_expr(logits, target)
     elif kind == 1:
         scalar = losses.oe_uniform_loss_expr(logits)
     elif kind == 2:
@@ -75,7 +75,7 @@ def _random_case(rng: np.random.Generator):
         scalar = losses.energy_bounded_loss_expr(logits, other, m_in=-8.0, m_out=5.0,
                                                  temperature=1.0)
     else:
-        scalar = losses.ce_loss_expr(logits, labels, c) + 0.5 * losses.oe_uniform_loss_expr(logits)
+        scalar = losses.ce_loss_expr(logits, target) + 0.5 * losses.oe_uniform_loss_expr(logits)
     wrt = [name for i in range(len(dims) - 1) for name in (f"W{i}", f"b{i}")]
     wrt += ["x"] + (["x_out"] if kind == 2 else [])
 

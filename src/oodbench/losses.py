@@ -26,9 +26,9 @@ def onehot(labels, n_classes: int) -> np.ndarray:
     return np.eye(n_classes, dtype=np.float64)[labels.astype(np.intp)]
 
 
-def ce_loss_expr(logits: ad.Expression, labels, n_classes: int) -> ad.Expression:
-    """Mean over the batch of -log softmax at the true class."""
-    picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits), ad.const(onehot(labels, n_classes))), axis=1)
+def ce_loss_expr(logits: ad.Expression, target: ad.Expression) -> ad.Expression:
+    """Mean over the batch of -log softmax at the true class; ``target`` is one-hot."""
+    picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits), target), axis=1)
     return ad.affine(ad.reduce_mean(picked), -1.0)
 
 
@@ -41,7 +41,7 @@ def oe_uniform_loss_expr(logits: ad.Expression) -> ad.Expression:
     return ad.reduce_mean(oe_rowwise_expr(logits))
 
 
-def divoe_loss_terms(id_logits: ad.Expression, labels, n_classes: int,
+def divoe_loss_terms(id_logits: ad.Expression, target: ad.Expression,
                      orig_out_logits: ad.Expression | None,
                      extrap_out_logits: ad.Expression | None, lam: float):
     """Hybrid objective ce + lam * (mean OE over originals + mean OE over synthesized).
@@ -52,7 +52,7 @@ def divoe_loss_terms(id_logits: ad.Expression, labels, n_classes: int,
     """
     if orig_out_logits is None and extrap_out_logits is None:
         raise ConfigError("both outlier sides empty")
-    ce = ce_loss_expr(id_logits, labels, n_classes)
+    ce = ce_loss_expr(id_logits, target)
     oe_orig = None if orig_out_logits is None else oe_uniform_loss_expr(orig_out_logits)
     oe_extrap = None if extrap_out_logits is None else oe_uniform_loss_expr(extrap_out_logits)
     if oe_extrap is None:
@@ -66,7 +66,8 @@ def divoe_loss_terms(id_logits: ad.Expression, labels, n_classes: int,
 
 def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
                        out_logits: ad.Expression, lam: float) -> ad.Expression:
-    return divoe_loss_terms(id_logits, labels, n_classes, out_logits, None, lam)[0]
+    return divoe_loss_terms(id_logits, ad.const(onehot(labels, n_classes)), out_logits, None,
+                            lam)[0]
 
 
 def energy_margin_expr(logits: ad.Expression, temperature: float) -> ad.Expression:

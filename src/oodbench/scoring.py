@@ -9,6 +9,7 @@ convention lives in the losses module only.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,10 +148,17 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec) -> np.n
     raise ConfigError(f"unknown score kind {spec.kind!r}")
 
 
-def write_score_csv(path, rows) -> None:
-    """Score export: rows of (sample_id, set_name, score_kind, score)."""
+def write_score_csv(path, blocks) -> None:
+    """Score export: one row (sample_id, set_name, score_kind, score) per score.
+
+    ``blocks`` yields (set_name, score_kind, scores); sample ids count from 0
+    within each block, which is formatted as one string.
+    """
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "set_name", "score_kind", "score"])
-        for sample_id, set_name, kind, score in rows:
-            writer.writerow([sample_id, set_name, kind, repr(float(score))])
+        fh.write("sample_id,set_name,score_kind,score\n")
+        for set_name, kind, scores in blocks:
+            prefix = io.StringIO()
+            csv.writer(prefix, lineterminator="").writerow([set_name, kind])
+            tag = prefix.getvalue()
+            fh.write("".join(f"{i},{tag},{s}\n" for i, s in
+                             enumerate(map(repr, np.asarray(scores, dtype=np.float64).tolist()))))

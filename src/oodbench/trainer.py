@@ -140,21 +140,21 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
         pass_idx += 1
 
 
-def _build_loss_graph(dims, kind: str, lc: LossConfig, labels, n_orig: int, n_ext: int):
-    """Scalar training objective with inputs x / x_out / x_ext and shared parameters.
+def _build_loss_graph(dims, kind: str, lc: LossConfig, has_orig: bool, has_ext: bool):
+    """Scalar training objective with inputs x / y / x_out / x_ext and shared parameters.
 
+    ``y`` is the one-hot label batch, so one graph serves every step and row count.
     Returns (total, ce, outlier term, extrapolated term), None for an absent term,
     so every term's value comes out of the single training pass.
     """
-    n_classes = dims[-1]
     param_nodes = model_mod.make_param_nodes(dims)
     id_logits = model_mod.logits_graph(dims, "x", param_nodes)
-    out_logits = model_mod.logits_graph(dims, "x_out", param_nodes) if n_orig else None
-    ext_logits = model_mod.logits_graph(dims, "x_ext", param_nodes) if n_ext else None
+    target = ad.inp("y")
+    out_logits = model_mod.logits_graph(dims, "x_out", param_nodes) if has_orig else None
+    ext_logits = model_mod.logits_graph(dims, "x_ext", param_nodes) if has_ext else None
     if kind in ("oe", "divoe"):
-        return losses.divoe_loss_terms(id_logits, labels, n_classes, out_logits, ext_logits,
-                                       lc.balance)
-    ce = losses.ce_loss_expr(id_logits, labels, n_classes)
+        return losses.divoe_loss_terms(id_logits, target, out_logits, ext_logits, lc.balance)
+    ce = losses.ce_loss_expr(id_logits, target)
     if kind == "ce":
         return ce, ce, None, None
     hinge = losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out,
@@ -195,6 +195,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                                       derive_seed(seed, 2))
 
     param_names = model_mod.param_names(mlp)
+    graphs = {}  # (original outliers present, synthesized present) -> loss graph
     step = 0
     current = mlp
     for epoch in range(cfg.epochs):
@@ -211,11 +212,14 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
 
             n_orig = 0 if orig_part is None else orig_part.shape[0]
             n_ext = 0 if extrap is None else extrap.synthesized.shape[0]
-            total_node, ce_node, out_node, ext_node = _build_loss_graph(
-                current.dims, kind, cfg.loss, y_id, n_orig, n_ext)
+            key = (n_orig > 0, n_ext > 0)
+            if key not in graphs:
+                graphs[key] = _build_loss_graph(mlp.dims, kind, cfg.loss, *key)
+            total_node, ce_node, out_node, ext_node = graphs[key]
 
             bindings = dict(params)
             bindings["x"] = x_id
+            bindings["y"] = losses.onehot(y_id, mlp.n_classes)
             if n_orig:
                 bindings["x_out"] = orig_part
             if n_ext:

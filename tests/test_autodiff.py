@@ -177,7 +177,7 @@ def test_finite_diff_random_three_layer_net():
         bindings[f"b{i}"] = rng.normal(0.0, 0.5, size=fo)
     bindings["x"] = rng.uniform(0.1, 0.9, size=(4, 3))
     labels = rng.integers(0, 4, size=4)
-    scalar = losses.ce_loss_expr(model.logits_graph(dims), labels, 4)
+    scalar = losses.ce_loss_expr(model.logits_graph(dims), ad.const(losses.onehot(labels, 4)))
     names = [f"{p}{i}" for i in range(3) for p in ("W", "b")] + ["x"]
     assert ad.finite_diff_check(scalar, bindings, names, h=1e-5) < 1e-6
 
@@ -209,3 +209,53 @@ def test_expression_sugar_lowers_to_primitives():
     expr = (2.0 * x + 1.0 - x) / 2.0
     out = ad.evaluate(expr, {"x": np.array([3.0])})
     np.testing.assert_allclose(out, [2.0])
+
+
+def _mlp_ce_graph(dims):
+    from oodbench import losses, model
+
+    return losses.ce_loss_expr(model.logits_graph(dims), ad.inp("y"))
+
+
+def test_compiled_graph_reruns_bitwise_on_any_row_count():
+    dims = (3, 5, 4)
+    rng = np.random.default_rng(11)
+    params = {"W0": rng.normal(size=(3, 5)), "b0": rng.normal(size=5),
+              "W1": rng.normal(size=(5, 4)), "b1": rng.normal(size=4)}
+    reused = _mlp_ce_graph(dims)
+    for rows in (7, 2, 7, 1):
+        bindings = dict(params, x=rng.uniform(size=(rows, 3)),
+                        y=np.eye(4)[rng.integers(0, 4, rows)])
+        value, grads, _ = ad.value_and_grad(reused, bindings, ["W0", "b1", "x"])
+        fresh_value, fresh_grads, _ = ad.value_and_grad(_mlp_ce_graph(dims), bindings,
+                                                        ["W0", "b1", "x"])
+        assert value.tobytes() == fresh_value.tobytes()
+        assert all(grads[k].tobytes() == fresh_grads[k].tobytes() for k in grads)
+        assert ad.evaluate(reused, bindings).tobytes() == fresh_value.tobytes()
+
+
+def test_duplicate_input_name_rejected_on_every_call():
+    expr = ad.reduce_sum(ad.add(ad.inp("x"), ad.inp("x")))
+    for _ in range(2):
+        with pytest.raises(GraphError, match="duplicate input node for name 'x'"):
+            ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"])
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_broadcast_mismatch_message(op):
+    expr = op(ad.inp("a"), ad.inp("b"))
+    name = op.__name__
+    for _ in range(2):
+        with pytest.raises(ShapeError) as info:
+            ad.evaluate(expr, {"a": np.ones((2, 3)), "b": np.ones((4,))})
+        assert str(info.value) == f"{name}: shapes (2, 3) and (4,) do not broadcast"
+
+
+def test_aux_node_outside_graph_raises_graph_error():
+    x = ad.inp("x")
+    expr = ad.reduce_sum(ad.square(x))
+    with pytest.raises(GraphError, match="aux node"):
+        ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"], aux=(ad.relu(x),))
+    value, _, (inner,) = ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"],
+                                           aux=(expr.parents[0],))
+    assert value == 2.0 and inner.tolist() == [1.0, 1.0]

@@ -13,11 +13,21 @@ def test_run_suite_passes():
 
 
 def test_corrupted_backward_pass_fails(monkeypatch, capsys):
-    real = ad._accumulate
+    # Skew every gradient the backward pass accumulates into an input slot;
+    # the plan of the graph being differentiated says which slots those are.
+    real_compile, real_accumulate = ad._compile, ad._accumulate
+    input_slots: set[int] = set()
 
-    def skewed(accum, node, grad):
-        real(accum, node, grad * (1.0 + 1e-3) if node.op == "input" else grad)
+    def compile_noting_inputs(expr):
+        plan = real_compile(expr)
+        input_slots.clear()
+        input_slots.update(plan.inputs.values())
+        return plan
 
+    def skewed(grads, slot, grad):
+        real_accumulate(grads, slot, grad * (1.0 + 1e-3) if slot in input_slots else grad)
+
+    monkeypatch.setattr(ad, "_compile", compile_noting_inputs)
     monkeypatch.setattr(ad, "_accumulate", skewed)
     result = gradcheck.run_suite(cases=5, seed=3)
     assert not result.passed

@@ -14,9 +14,13 @@ def _value(expr) -> float:
     return float(ad.evaluate(expr, {}))
 
 
+def _target(labels, n_classes):
+    return ad.const(losses.onehot(labels, n_classes))
+
+
 def _ce(logits, labels) -> float:
     logits = np.asarray(logits, dtype=np.float64)
-    return _value(losses.ce_loss_expr(ad.const(logits), labels, logits.shape[1]))
+    return _value(losses.ce_loss_expr(ad.const(logits), _target(labels, logits.shape[1])))
 
 
 def _oe(logits) -> float:
@@ -25,7 +29,7 @@ def _oe(logits) -> float:
 
 def _divoe_terms(id_logits, labels, orig, ext, lam):
     """Values of (total, ce, oe_orig, oe_extrap); None stays None."""
-    terms = losses.divoe_loss_terms(ad.const(id_logits), labels, id_logits.shape[1],
+    terms = losses.divoe_loss_terms(ad.const(id_logits), _target(labels, id_logits.shape[1]),
                                     None if orig is None else ad.const(orig),
                                     None if ext is None else ad.const(ext), lam)
     return tuple(None if t is None else _value(t) for t in terms)
@@ -163,5 +167,5 @@ def test_losses_differentiable_finite_diff():
     z = rng.normal(size=(3, 4)) * 2.0
     node = ad.inp("z")
     for expr in (losses.oe_uniform_loss_expr(node),
-                 losses.ce_loss_expr(node, rng.integers(0, 4, 3), 4)):
+                 losses.ce_loss_expr(node, _target(rng.integers(0, 4, 3), 4))):
         assert ad.finite_diff_check(expr, {"z": z}, ["z"]) < 1e-6

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -175,7 +177,25 @@ def test_score_spec_validation():
 
 def test_score_csv_export(tmp_path):
     path = tmp_path / "scores.csv"
-    scoring.write_score_csv(path, [(0, "id_test", "msp", 0.5), (1, "ood_ring", "msp", 0.25)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample_id,set_name,score_kind,score"
-    assert lines[1] == "0,id_test,msp,0.5"
+    scoring.write_score_csv(path, [("id_test", "msp", np.array([0.5, 0.75])),
+                                   ("ood_ring", "msp", np.array([0.25]))])
+    assert path.read_text().splitlines() == [
+        "sample_id,set_name,score_kind,score", "0,id_test,msp,0.5", "1,id_test,msp,0.75",
+        "0,ood_ring,msp,0.25"]
+
+
+def test_score_csv_matches_per_row_writer(tmp_path):
+    # The block writer must give the bytes of one csv.writer row per score,
+    # quoting included.
+    blocks = [("id_test", "msp", np.array([0.1 + 0.2, -0.0, 1e-300, 1e16, 2.5e-5])),
+              ('ood "a,b"', "energy", np.random.default_rng(3).normal(size=50)),
+              ("ood_empty", "odin", np.array([]))]
+    path = tmp_path / "scores.csv"
+    scoring.write_score_csv(path, blocks)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["sample_id", "set_name", "score_kind", "score"])
+    for set_name, kind, scores in blocks:
+        for i, score in enumerate(scores):
+            writer.writerow([i, set_name, kind, repr(float(score))])
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
