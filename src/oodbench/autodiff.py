@@ -380,8 +380,6 @@ def finite_diff_check(expr: Expression, bindings: Mapping[str, np.ndarray],
     The central difference is the independent oracle for ``gradient``; a
     clean graph keeps this below ~1e-6 for h=1e-5 at unit scales.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
     wrt = list(wrt)
     grads = gradient(expr, bindings, wrt)
     work = {k: numerics.as_tensor(v).copy() for k, v in bindings.items()}

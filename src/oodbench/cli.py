@@ -35,15 +35,6 @@ def _out_dir(cfg: config_mod.RunConfig) -> Path:
     return out
 
 
-def _benchmark_paths(out: Path) -> dict[str, Path]:
-    return {
-        "id_train": out / "id_train.csv",
-        "id_test": out / "id_test.csv",
-        "aux_out": out / "aux_out.csv",
-        "transform": out / "transform.json",
-    }
-
-
 def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     """Write id_train/id_test/aux_out/ood_<name> CSVs plus the transform record."""
     out = _out_dir(cfg)
@@ -57,11 +48,10 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     id_test = data_mod.LabeledDataset(transform.apply(raw_test.x), raw_test.y)
     aux = data_mod.gen_arc_outliers(d.aux.inner_radius, d.aux.outer_radius,
                                     d.aux.arc_fraction, d.aux.count, seed + 2, transform)
-    paths = _benchmark_paths(out)
-    data_mod.save_csv(id_train, paths["id_train"])
-    data_mod.save_csv(id_test, paths["id_test"])
-    data_mod.save_csv(aux, paths["aux_out"])
-    paths["transform"].write_text(transform.to_json(), encoding="utf-8")
+    data_mod.save_csv(id_train, out / "id_train.csv")
+    data_mod.save_csv(id_test, out / "id_test.csv")
+    data_mod.save_csv(aux, out / "aux_out.csv")
+    (out / "transform.json").write_text(transform.to_json(), encoding="utf-8")
     for i, (name, spec) in enumerate(sorted(d.ood_sets.items())):
         ood = data_mod.gen_ring_ood(spec.inner_radius, spec.outer_radius, spec.count,
                                     seed + 3 + i, transform)
@@ -70,30 +60,24 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     return 0
 
 
-def _load_benchmark(cfg: config_mod.RunConfig):
-    out = Path(cfg.outputs.dir)
-    paths = _benchmark_paths(out)
-    for p in (paths["id_train"], paths["id_test"], paths["aux_out"]):
+def _load_sets(cfg: config_mod.RunConfig, *names: str) -> list:
+    """Parse the named gen-data CSVs (``<name>.csv`` under the output
+    directory); an ``id_*`` set must keep its label column."""
+    paths = [Path(cfg.outputs.dir) / f"{name}.csv" for name in names]
+    for p in paths:
         if not p.exists():
             raise DataError(f"missing data file {p}; run gen-data first")
-    id_train = data_mod.load_csv(paths["id_train"])
-    id_test = data_mod.load_csv(paths["id_test"])
-    aux = data_mod.load_csv(paths["aux_out"])
-    ood_sets = {}
-    for name in sorted(cfg.data.ood_sets):
-        p = out / f"ood_{name}.csv"
-        if not p.exists():
-            raise DataError(f"missing data file {p}; run gen-data first")
-        ood_sets[name] = data_mod.load_csv(p).x
-    if not isinstance(id_train, data_mod.LabeledDataset):
-        raise DataError("id_train.csv lost its label column")
-    return id_train, id_test, aux, ood_sets
+    sets = [data_mod.load_csv(p) for p in paths]
+    for name, ds in zip(names, sets):
+        if name.startswith("id_") and not isinstance(ds, data_mod.LabeledDataset):
+            raise DataError(f"{name}.csv lost its label column")
+    return sets
 
 
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
     out = _out_dir(cfg)
-    id_train, _, aux, _ = _load_benchmark(cfg)
+    id_train, aux = _load_sets(cfg, "id_train", "aux_out")
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
     mlp = model_mod.init_model(dims, config_mod.component_seed(cfg.seed, "model"))
     trained, history = trainer_mod.fine_tune(mlp, id_train, aux.x, cfg.train, cfg.extrapolation,
@@ -122,7 +106,9 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     out = _out_dir(cfg)
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
     mlp = model_mod.load_checkpoint(ckpt_path)
-    _, id_test, _, ood_sets = _load_benchmark(cfg)
+    names = sorted(cfg.data.ood_sets)
+    id_test, *oods = _load_sets(cfg, "id_test", *(f"ood_{name}" for name in names))
+    ood_sets = {name: ds.x for name, ds in zip(names, oods)}
     if len(id_test) == 0 or any(x.shape[0] == 0 for x in ood_sets.values()):
         raise DataError("all evaluation sets must be non-empty")
     id_acc = metrics_mod.id_accuracy(model_mod.forward(mlp, id_test.x), id_test.y)

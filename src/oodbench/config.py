@@ -6,8 +6,9 @@ type hints to build a RunConfig from JSON, and ``RunConfig.to_dict`` walks
 the same fields back, so every default is stated once, on its field. An
 unknown key, a missing required key, a wrong JSON type, a wrong tuple
 length or a non-finite float (JSON's NaN/Infinity) raises ConfigError, so
-stale or malformed manifests fail loudly; value checks live in each
-dataclass's ``__post_init__``.
+stale or malformed manifests fail loudly. Each value is checked once, in
+its dataclass's ``__post_init__``, so a bad value fails before a command
+does any work, and the code below the CLI trusts the values it receives.
 
 All randomness flows from the one top-level seed, split per component
 (data / model / train / extrapolation / theory) through named substreams.
@@ -44,6 +45,8 @@ def component_seed(seed: int, component: str) -> int:
 
 @dataclass(frozen=True)
 class OodSetConfig:
+    """An annulus of raw-coordinate radii inner < outer, sampled ``count`` times."""
+
     inner_radius: float = 1.5
     outer_radius: float = 2.2
     count: int = 2048
@@ -51,18 +54,21 @@ class OodSetConfig:
     def __post_init__(self):
         if self.count < 0:
             raise ConfigError("count must be >= 0")
+        if not 0 < self.inner_radius < self.outer_radius:
+            raise ConfigError("need 0 < inner_radius < outer_radius")
 
 
 @dataclass(frozen=True)
-class AuxConfig:
-    inner_radius: float = 1.5
-    outer_radius: float = 2.2
-    arc_fraction: float = 0.25
+class AuxConfig(OodSetConfig):
+    """The auxiliary outliers: the annulus restricted to an arc from angle 0."""
+
     count: int = 1024
+    arc_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ConfigError("count must be >= 0")
+        super().__post_init__()
+        if not 0.0 < self.arc_fraction <= 1.0:
+            raise ConfigError("arc_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,14 @@ class DataConfig:
     ood_sets: dict[str, OodSetConfig] = field(default_factory=lambda: {"ring": OodSetConfig()})
 
     def __post_init__(self):
+        if self.classes < 2:
+            raise ConfigError("classes must be >= 2")
+        if self.per_class < 0 or self.test_per_class < 0:
+            raise ConfigError("per_class and test_per_class must be >= 0")
+        if self.radius <= 0:
+            raise ConfigError("radius must be positive")
+        if self.sigma < 0:
+            raise ConfigError("sigma must be >= 0")
         if not self.ood_sets:
             raise ConfigError("ood_sets must name at least one set")
 
@@ -83,6 +97,10 @@ class DataConfig:
 @dataclass(frozen=True)
 class ModelConfig:
     hidden: tuple[int, ...] = (64, 64)
+
+    def __post_init__(self):
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +113,22 @@ class TheoryConfig:
     alpha: float = 10.0
     tau: float = 0.0
     trials: int = 100
+
+    def __post_init__(self):
+        if self.mu_norm == 0:
+            raise ConfigError("mu_norm must be non-zero")
+        if self.sigma <= 0:
+            raise ConfigError("sigma must be positive")
+        if self.dim < 1:
+            raise ConfigError("dim must be >= 1")
+        if self.n1 < 1 or self.n2 < 1:
+            raise ConfigError("n1 and n2 must be >= 1")
+        if self.tau < 0:
+            raise ConfigError("tau must be >= 0")
+        if self.alpha < self.tau:
+            raise ConfigError("alpha must be >= tau for a feasible constraint")
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
 
 
 @dataclass(frozen=True)

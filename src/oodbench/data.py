@@ -6,6 +6,9 @@ the unseen OOD test set covers the full ring. Raw coordinates are mapped
 into DOMAIN, [0,1] per feature, by a min-max transform fitted on the ID
 training set; perturbation radii are in normalized input units, and every
 perturbed input (extrapolation, ODIN) is clipped back into DOMAIN.
+
+The generators and ``batches`` take values the run configuration has
+already checked (see ``config``); the CSV reader checks everything it reads.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 DOMAIN = (0.0, 1.0)
 
@@ -96,10 +99,6 @@ def _rng(seed: int) -> np.random.Generator:
 def gen_id_mixture_raw(n_classes: int, per_class: int, radius: float, sigma: float,
                        seed: int) -> LabeledDataset:
     """C Gaussian blobs with means equally spaced on a circle, raw coordinates."""
-    if n_classes < 2:
-        raise ConfigError("need at least 2 classes")
-    if per_class < 0 or radius <= 0 or sigma < 0:
-        raise ConfigError("invalid mixture parameters")
     rng = _rng(seed)
     xs = []
     ys = []
@@ -108,15 +107,11 @@ def gen_id_mixture_raw(n_classes: int, per_class: int, radius: float, sigma: flo
         center = radius * np.array([np.cos(angle), np.sin(angle)])
         xs.append(center + sigma * rng.standard_normal((per_class, 2)))
         ys.append(np.full(per_class, c, dtype=np.intp))
-    if per_class == 0:
-        return LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.intp))
     return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
 
 
 def _annulus_raw(inner_r: float, outer_r: float, n: int, rng: np.random.Generator,
                  angle_lo: float, angle_hi: float) -> np.ndarray:
-    if not 0 < inner_r < outer_r:
-        raise ConfigError("need 0 < inner radius < outer radius")
     theta = rng.uniform(angle_lo, angle_hi, size=n)
     # Area-uniform radius within the band.
     u = rng.uniform(0.0, 1.0, size=n)
@@ -139,10 +134,7 @@ def gen_ring_ood(inner_r: float, outer_r: float, n: int, seed: int,
 def gen_arc_outliers_raw(inner_r: float, outer_r: float, arc_fraction: float, n: int,
                          seed: int) -> UnlabeledDataset:
     """Annulus samples restricted to a contiguous arc starting at angle 0."""
-    if not 0.0 < arc_fraction <= 1.0:
-        raise ConfigError("arc_fraction must lie in (0, 1]")
-    rng = _rng(seed)
-    return UnlabeledDataset(_annulus_raw(inner_r, outer_r, n, rng,
+    return UnlabeledDataset(_annulus_raw(inner_r, outer_r, n, _rng(seed),
                                          0.0, 2.0 * np.pi * arc_fraction))
 
 
@@ -217,8 +209,6 @@ def load_csv(path):
 
 def batches(dataset: LabeledDataset, batch_size: int, seed: int):
     """One seeded-shuffle pass over (x, y) batches in deterministic order."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
     order = _rng(seed).permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = order[start:start + batch_size]

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
-NumericError -> 4. Everything else is a programming error and escapes.
+Exit codes the CLI maps them to: ConfigError, GraphError and ShapeError
+-> 2; DataError -> 3; NumericError -> 4. The CLI also maps an OSError to 3.
+Everything else is a programming error and escapes.
 """
 
 

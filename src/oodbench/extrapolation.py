@@ -145,8 +145,6 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
         eps = np.broadcast_to(radius, x0.shape[:1]).copy()
     except ValueError:
         raise ShapeError(f"epsilon shape {radius.shape} does not match {x0.shape[0]} rows") from None
-    if not np.all(eps >= 0):
-        raise ConfigError("epsilon must be >= 0")
     if x0.size and (x0.min() < DOMAIN[0] - 1e-12 or x0.max() > DOMAIN[1] + 1e-12):
         raise ConfigError(f"origins must lie inside the domain {DOMAIN}")
     synthesized, v0, v_best, aborted = _ascend(
@@ -160,8 +158,6 @@ def select_subbatch(outlier_batch, ratio: float, rng: np.random.Generator):
     Both parts keep ascending original-index order, so a zero ratio leaves
     the batch bit-identical in its original order.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError("ratio must lie in [0, 1]")
     batch = np.asarray(outlier_batch, dtype=np.float64)
     n = batch.shape[0]
     k = math.ceil(ratio * n)

@@ -5,6 +5,9 @@ and the classifier is the scaled mean difference theta*. The lower bound
 on mu^T theta* / (sigma ||theta*||) is checked by Monte Carlo over
 outlier sets built to satisfy the boundary-margin constraint by per-point
 rejection.
+
+Callers pass parameters the run configuration has already checked (see
+``config.TheoryConfig``); ``GmmSpec`` and ``TheoryParams`` are plain records.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 
 MAX_REJECTION_DRAWS = 2_000_000
 
@@ -23,15 +26,8 @@ MAX_REJECTION_DRAWS = 2_000_000
 class GmmSpec:
     """Mixture parameters: component mean mu (the other component is -mu), shared sigma."""
 
-    mu: np.ndarray
+    mu: np.ndarray   # (d,)
     sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64).reshape(-1))
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if float(np.linalg.norm(self.mu)) == 0.0:
-            raise ConfigError("mu must be non-zero")
 
     @property
     def dim(self) -> int:
@@ -48,23 +44,11 @@ class TheoryParams:
     tau: float
     trials: int = 100
 
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ConfigError("sample counts must be >= 1")
-        if self.tau < 0:
-            raise ConfigError("tau must be >= 0")
-        if self.alpha - self.tau < 0:
-            raise ConfigError("alpha - tau must be >= 0 for a feasible constraint")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-
 
 def theta_star(x_id, x_out) -> np.ndarray:
     """(sum of ID rows - sum of outlier rows) / (n1 + n2)."""
     x_id = np.asarray(x_id, dtype=np.float64)
     x_out = np.asarray(x_out, dtype=np.float64)
-    if x_id.shape[0] == 0 or x_out.shape[0] == 0:
-        raise DataError("both sample sets must be non-empty")
     return (x_id.sum(axis=0) - x_out.sum(axis=0)) / (x_id.shape[0] + x_out.shape[0])
 
 
@@ -83,8 +67,6 @@ def bound_rhs(mu_norm: float, sigma: float, n: int, d: int, alpha: float, tau: f
     (||mu||^2 - sigma^(1/2) ||mu||^(3/2) - sigma^2 (alpha - tau)/2)
       / (2 sqrt(sigma^2/n (d + 1/sigma) + ||mu||^2)).
     """
-    if mu_norm <= 0 or sigma <= 0 or n < 1 or d < 1:
-        raise ConfigError("mu_norm, sigma positive and n, d >= 1 required")
     numerator = mu_norm ** 2 - sigma ** 0.5 * mu_norm ** 1.5 - sigma ** 2 * (alpha - tau) / 2.0
     denominator = 2.0 * math.sqrt(sigma ** 2 / n * (d + 1.0 / sigma) + mu_norm ** 2)
     return numerator / denominator
@@ -98,8 +80,6 @@ def sample_constrained_outliers(spec: GmmSpec, n: int, level: float,
     constraint. Raises NumericError when MAX_REJECTION_DRAWS draws yield too
     few points, which signals infeasible parameters.
     """
-    if level < 0:
-        raise ConfigError("constraint level must be >= 0")
     threshold = spec.sigma ** 2 * level / 2.0
     accepted: list[np.ndarray] = []
     drawn = 0

@@ -99,12 +99,11 @@ def _random_case(rng: np.random.Generator):
     raise RuntimeError("could not sample a well-conditioned gradcheck case")
 
 
-def run_suite(cases: int = 100, seed: int = 7, h: float = DEFAULT_STEP,
-              tolerance: float = DEFAULT_TOLERANCE) -> GradcheckResult:
+def run_suite(cases: int = 100, seed: int = 7) -> GradcheckResult:
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for _ in range(cases):
         scalar, bindings, wrt = _random_case(rng)
-        err = ad.finite_diff_check(scalar, bindings, wrt, h=h)
+        err = ad.finite_diff_check(scalar, bindings, wrt, h=DEFAULT_STEP)
         worst = max(worst, err)
-    return GradcheckResult(cases=cases, max_relative_error=worst, tolerance=tolerance)
+    return GradcheckResult(cases=cases, max_relative_error=worst, tolerance=DEFAULT_TOLERANCE)

@@ -48,10 +48,8 @@ def divoe_loss_terms(id_logits: ad.Expression, target: ad.Expression,
 
     An empty side (None) is dropped; with no synthesized rows this is exactly
     the plain outlier-exposure graph. Returns (total, ce, oe_orig, oe_extrap),
-    with None for a dropped side's term.
+    with None for a dropped side's term; at least one side is present.
     """
-    if orig_out_logits is None and extrap_out_logits is None:
-        raise ConfigError("both outlier sides empty")
     ce = ce_loss_expr(id_logits, target)
     oe_orig = None if orig_out_logits is None else oe_uniform_loss_expr(orig_out_logits)
     oe_extrap = None if extrap_out_logits is None else oe_uniform_loss_expr(extrap_out_logits)
@@ -73,8 +71,6 @@ def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
 def energy_margin_expr(logits: ad.Expression, temperature: float) -> ad.Expression:
     """Per-row -T*logsumexp(logits/T): the sign convention the hinge margins expect."""
     t = float(temperature)
-    if t <= 0:
-        raise ConfigError("temperature must be positive")
     return ad.affine(ad.logsumexp(ad.affine(logits, 1.0 / t), axis=1), -t)
 
 

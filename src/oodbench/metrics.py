@@ -1,7 +1,7 @@
 """Detection-quality metrics and the per-score detection report.
 
 ID is the positive class throughout. FPR@TPR uses the largest threshold
-whose TPR still reaches the target, counting ties as positive; AUROC is
+whose TPR still reaches TPR (0.95), counting ties as positive; AUROC is
 the Mann-Whitney statistic with ties worth one half; AUPR integrates the
 precision-recall step curve from a descending-score sweep. A non-finite
 score has no rank, so every metric rejects it with NumericError.
@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
+TPR = 0.95
+
 
 def _validate_scores(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     id_scores = np.asarray(id_scores, dtype=np.float64).reshape(-1)
@@ -26,27 +28,23 @@ def _validate_scores(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     return id_scores, ood_scores
 
 
-def tpr_threshold(id_scores, tpr: float = 0.95) -> float:
-    """Largest threshold keeping at least ``tpr`` of the ID scores at or above it."""
+def tpr_threshold(id_scores) -> float:
+    """Largest threshold keeping at least TPR of the ID scores at or above it."""
     id_scores = np.asarray(id_scores, dtype=np.float64).reshape(-1)
     if id_scores.size == 0:
         raise DataError("score sets must be non-empty")
-    if tpr <= 0:
-        return np.inf
-    if tpr > 1:
-        raise ConfigError("tpr must lie in (0, 1]")
     n = id_scores.size
     # #(id >= v) jumps only at observed values; candidates ascend, counts descend.
     candidates = np.unique(id_scores)
     counts = n - np.searchsorted(np.sort(id_scores), candidates, side="left")
-    reaching = np.nonzero(counts / n >= tpr)[0]
+    reaching = np.nonzero(counts / n >= TPR)[0]
     return float(candidates[reaching[-1]])
 
 
-def fpr_at_tpr(id_scores, ood_scores, tpr: float = 0.95) -> float:
+def fpr_at_tpr(id_scores, ood_scores) -> float:
     """Fraction of OOD scores at or above the TPR-calibrated threshold."""
     id_scores, ood_scores = _validate_scores(id_scores, ood_scores)
-    lam = tpr_threshold(id_scores, tpr)
+    lam = tpr_threshold(id_scores)
     return float(np.count_nonzero(ood_scores >= lam) / ood_scores.size)
 
 
@@ -174,7 +172,7 @@ def assemble_report(id_scores, ood_score_sets: dict[str, np.ndarray], *,
     results = [
         OodSetResult(
             set_name=name,
-            fpr95=fpr_at_tpr(id_scores, scores, 0.95),
+            fpr95=fpr_at_tpr(id_scores, scores),
             auroc=auroc(id_scores, scores),
             aupr=aupr(id_scores, scores),
         )

@@ -52,8 +52,6 @@ class MlpClassifier:
 def init_model(dims, seed: int) -> MlpClassifier:
     """He-style initialization: weights ~ N(0, 2/fan_in) from a PCG64 stream, zero biases."""
     dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d <= 0 for d in dims):
-        raise ConfigError(f"invalid layer dims {dims}")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = []
     biases = []

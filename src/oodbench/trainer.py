@@ -100,11 +100,7 @@ class TrainHistory:
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
-    """0.5 * lr0 * (1 + cos(pi * step / total_steps))."""
-    if total_steps < 1:
-        raise ConfigError("total_steps must be >= 1")
-    if not 0 <= step <= total_steps:
-        raise ConfigError("step must lie in [0, total_steps]")
+    """0.5 * lr0 * (1 + cos(pi * step / total_steps)), for 0 <= step < total_steps."""
     return 0.5 * lr0 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
@@ -190,55 +186,46 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     shuffle_seed = derive_seed(seed, 0)
     select_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     out_stream = None
+    n_out = 0
     if kind != "ce":
-        out_stream = _outlier_batches(aux, min(cfg.outlier_batch, aux.shape[0]),
-                                      derive_seed(seed, 2))
+        n_out = min(cfg.outlier_batch, aux.shape[0])
+        out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))
+    # Every step splits an n_out-row outlier batch the same way, so one graph serves the run.
+    n_ext = math.ceil(extrapolation.ratio * n_out) if kind == "divoe" else 0
+    has_orig, has_ext = n_out > n_ext, n_ext > 0
+    total_node, ce_node, out_node, ext_node = _build_loss_graph(mlp.dims, kind, cfg.loss,
+                                                                has_orig, has_ext)
+    aux_nodes = tuple(node for node in (ce_node, out_node, ext_node) if node is not None)
 
     param_names = model_mod.param_names(mlp)
-    graphs = {}  # (original outliers present, synthesized present) -> loss graph
     step = 0
     current = mlp
     for epoch in range(cfg.epochs):
         epoch_iter = data_mod.batches(id_train, cfg.id_batch,
                                       seed=derive_seed(shuffle_seed, epoch))
         for x_id, y_id in epoch_iter:
+            bindings = dict(params, x=x_id, y=losses.onehot(y_id, mlp.n_classes))
             out_batch = next(out_stream) if out_stream is not None else None
-            extrap = None
-            orig_part = out_batch
             if kind == "divoe":
-                to_ext, orig_part = select_subbatch(out_batch, extrapolation.ratio, select_rng)
-                if to_ext.shape[0]:
-                    extrap = build_extrapolation_pool(current, to_ext, extrapolation)
-
-            n_orig = 0 if orig_part is None else orig_part.shape[0]
-            n_ext = 0 if extrap is None else extrap.synthesized.shape[0]
-            key = (n_orig > 0, n_ext > 0)
-            if key not in graphs:
-                graphs[key] = _build_loss_graph(mlp.dims, kind, cfg.loss, *key)
-            total_node, ce_node, out_node, ext_node = graphs[key]
-
-            bindings = dict(params)
-            bindings["x"] = x_id
-            bindings["y"] = losses.onehot(y_id, mlp.n_classes)
-            if n_orig:
-                bindings["x_out"] = orig_part
-            if n_ext:
+                to_ext, out_batch = select_subbatch(out_batch, extrapolation.ratio, select_rng)
+            if has_orig:
+                bindings["x_out"] = out_batch
+            if has_ext:
+                extrap = build_extrapolation_pool(current, to_ext, extrapolation)
                 bindings["x_ext"] = extrap.synthesized
             try:
-                aux_nodes = tuple(node for node in (ce_node, out_node, ext_node)
-                                  if node is not None)
                 total_value, grads, aux_vals = ad.value_and_grad(
                     total_node, bindings, param_names, aux=aux_nodes)
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
 
-            aux_list = list(aux_vals)
-            ce_value = float(aux_list.pop(0))
-            out_value = float(aux_list.pop(0)) if out_node is not None else None
-            ext_value = float(aux_list.pop(0)) if ext_node is not None else None
+            # aux_vals holds ce, then the outlier term and the extrapolated term when present.
+            ce_value, *terms = map(float, aux_vals)
+            out_value = terms[0] if out_node is not None else None
+            ext_value = terms[-1] if ext_node is not None else None
 
-            if n_ext:
+            if has_ext:
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
                                  < np.mean(extrap.initial_values[ok]) - 1e-12):

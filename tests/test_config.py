@@ -24,6 +24,23 @@ PROBES = [
     "data.sigma=NaN",
     "data.aux.count=-1",
     "data.ood_sets.ring.count=-5",
+    # Value checks made once, at parse time, for the code below the CLI.
+    "theory.dim=-1",
+    "theory.dim=0",
+    "theory.sigma=0",
+    "theory.mu_norm=0",
+    "theory.n1=0",
+    "theory.tau=-1",
+    "theory.tau=20",  # above the default alpha of 10
+    "data.classes=1",
+    "data.radius=0",
+    "data.aux.arc_fraction=0",
+    "data.ood_sets.ring.inner_radius=3",
+    "data.aux.outer_radius=1",
+    "model.hidden=[0]",
+    "train.id_batch=0",
+    "extrapolation.epsilon=-0.1",
+    'scores=[{"kind": "energy", "temperature": 0}]',
 ]
 
 UNKNOWN_KEYS = [
@@ -75,7 +92,9 @@ def test_to_dict_round_trips(cfg):
 
 
 def test_empty_document_gives_the_dataclass_defaults():
-    assert config.parse_config({}) == config.RunConfig()
+    cfg = config.parse_config({})
+    assert cfg == config.RunConfig()
+    assert (cfg.data.aux.count, cfg.data.ood_sets["ring"].count) == (1024, 2048)
 
 
 @pytest.mark.parametrize("doc", UNKNOWN_KEYS, ids=lambda d: json.dumps(d))
@@ -106,6 +125,12 @@ def test_malformed_value_raises_config_error(probe):
 def test_invalid_document_rejected(doc, match):
     with pytest.raises(ConfigError, match=match):
         config.parse_config(doc)
+
+
+def test_theory_config_rejects_alpha_below_tau():
+    with pytest.raises(ConfigError, match="alpha must be >= tau"):
+        config.TheoryConfig(alpha=0.5, tau=1.0)
+    config.TheoryConfig(alpha=1.0, tau=1.0)
 
 
 def test_ints_widen_to_float_and_integral_floats_narrow_to_int():

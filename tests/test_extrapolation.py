@@ -297,7 +297,5 @@ def test_per_row_epsilon_and_empty_batch(small_model):
     assert np.all(np.abs(out.synthesized - x) <= out.epsilons[:, None] + 1e-12)
     with pytest.raises(ShapeError):
         pgd_extrapolate(small_model, x, ExtrapolationConfig(), epsilon=[0.1, 0.2])
-    with pytest.raises(ConfigError):
-        pgd_extrapolate(small_model, x, ExtrapolationConfig(), epsilon=[0.1, -0.2, 0.1])
     empty = pgd_extrapolate(small_model, np.zeros((0, 2)), ExtrapolationConfig())
     assert empty.synthesized.shape == (0, 2) and empty.final_values.shape == (0,)

@@ -157,11 +157,6 @@ def test_divoe_hand_composed_two_sides():
     assert total == pytest.approx(expected, rel=1e-12)
 
 
-def test_divoe_both_sides_empty():
-    with pytest.raises(ConfigError):
-        _divoe_terms(np.zeros((1, 3)), [0], None, None, 0.5)
-
-
 def test_losses_differentiable_finite_diff():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(3, 4)) * 2.0

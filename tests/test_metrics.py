@@ -26,7 +26,7 @@ def test_fpr_perfectly_separated():
 
 
 def test_fpr_hand_example():
-    got = metrics.fpr_at_tpr([0.9, 0.8, 0.7, 0.6], [0.65, 0.5], 0.95)
+    got = metrics.fpr_at_tpr([0.9, 0.8, 0.7, 0.6], [0.65, 0.5])
     assert got == 0.5
 
 
@@ -34,7 +34,7 @@ def test_fpr_identical_multisets_lower_bound():
     rng = np.random.default_rng(0)
     for _ in range(20):
         scores = np.round(rng.normal(size=rng.integers(5, 60)), 1)
-        got = metrics.fpr_at_tpr(scores, scores, 0.95)
+        got = metrics.fpr_at_tpr(scores, scores)
         assert got >= 0.95 - 1.0 / scores.size - 1e-12
 
 
@@ -92,7 +92,7 @@ def test_metrics_match_oracles_with_ties():
         assert metrics.auroc(ids, oods) == oracles.auroc_pairwise(ids, oods)
         # Both add the same step terms left to right, so AUPR matches exactly too.
         assert metrics.aupr(ids, oods) == oracles.aupr_sweep(ids, oods)
-        assert abs(metrics.fpr_at_tpr(ids, oods, 0.95)
+        assert abs(metrics.fpr_at_tpr(ids, oods)
                    - oracles.fpr_at_tpr_sweep(ids, oods, 0.95)) < 1e-12
 
 

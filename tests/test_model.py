@@ -32,10 +32,10 @@ def test_init_model_variance_matches_fan_in():
 
 
 def test_init_model_invalid_dims():
+    # ModelConfig checks the hidden widths a run asks for (probe model.hidden=[0]);
+    # MlpClassifier still checks the dims it is given.
     with pytest.raises(ConfigError):
         model.init_model([5], seed=0)
-    with pytest.raises(ConfigError):
-        model.init_model([5, 0, 2], seed=0)
 
 
 def test_forward_zero_parameters():
