@@ -77,10 +77,12 @@ def _load_sets(cfg: config_mod.RunConfig, *names: str) -> list:
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
     out = _out_dir(cfg)
-    id_train, aux = _load_sets(cfg, "id_train", "aux_out")
+    names = ("id_train",) if cfg.train.loss.kind == "ce" else ("id_train", "aux_out")
+    id_train, *aux = _load_sets(cfg, *names)  # plain cross-entropy reads no outliers
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
     mlp = model_mod.init_model(dims, config_mod.component_seed(cfg.seed, "model"))
-    trained, history = trainer_mod.fine_tune(mlp, id_train, aux.x, cfg.train, cfg.extrapolation,
+    trained, history = trainer_mod.fine_tune(mlp, id_train, aux[0].x if aux else None,
+                                             cfg.train, cfg.extrapolation,
                                              config_mod.component_seed(cfg.seed, "train"))
     model_mod.save_checkpoint(trained, out / "checkpoint.json", seed=cfg.seed)
     history.to_csv(out / "history.csv")
@@ -141,8 +143,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     out = _out_dir(cfg)
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
     mlp = model_mod.load_checkpoint(ckpt_path)
-    ds = data_mod.load_csv(input_csv)
-    x = ds.x
+    x = data_mod.load_csv(input_csv).x
     grid = epsilons if epsilons else [cfg.extrapolation.epsilon]
     score_spec = cfg.scores[0]
     dump_path = Path(dump_csv)
@@ -155,20 +156,24 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
                               "score_before", "score_after"])
         sample_writer = csv.writer(samples_fh, lineterminator="\n")
         sample_writer.writerow(["index", "epsilon"] + [f"x{i}" for i in range(x.shape[1])])
-        for eps in grid:
-            batch = pgd_extrapolate(mlp, x, cfg.extrapolation, epsilon=float(eps))
-            score_before = scoring.compute_scores(mlp, batch.origins, score_spec)
-            score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
-            for i in range(x.shape[0]):
+        # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
+        n = x.shape[0]
+        batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation,
+                                epsilon=np.repeat(grid, n))
+        score_before = scoring.compute_scores(mlp, x, score_spec)
+        score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
+        for k, eps in enumerate(grid):
+            rows = slice(k * n, (k + 1) * n)
+            for i, j in enumerate(range(k * n, (k + 1) * n)):
                 dump_writer.writerow([
-                    i, repr(float(eps)), repr(float(batch.initial_values[i])),
-                    repr(float(batch.final_values[i])), repr(float(score_before[i])),
-                    repr(float(score_after[i]))])
+                    i, repr(float(eps)), repr(float(batch.initial_values[j])),
+                    repr(float(batch.final_values[j])), repr(float(score_before[i])),
+                    repr(float(score_after[j]))])
                 sample_writer.writerow([i, repr(float(eps))] +
-                                       [format(v, ".17g") for v in batch.synthesized[i]])
-            print(f"epsilon {eps}: mean uniform loss {batch.initial_values.mean():.6f} -> "
-                  f"{batch.final_values.mean():.6f}, mean {score_spec.kind} "
-                  f"{score_before.mean():.6f} -> {score_after.mean():.6f}")
+                                       [format(v, ".17g") for v in batch.synthesized[j]])
+            print(f"epsilon {eps}: mean uniform loss {batch.initial_values[rows].mean():.6f} -> "
+                  f"{batch.final_values[rows].mean():.6f}, mean {score_spec.kind} "
+                  f"{score_before.mean():.6f} -> {score_after[rows].mean():.6f}")
     return 0
 
 
@@ -198,7 +203,7 @@ def cmd_gradcheck(cases: int, seed: int) -> int:
     result = gradcheck_mod.run_suite(cases=cases, seed=seed)
     status = "PASS" if result.passed else "FAIL"
     print(f"gradcheck {status}: max relative error {result.max_relative_error:.3e} "
-          f"(tolerance {result.tolerance:.0e}, {result.cases} cases)")
+          f"(tolerance {gradcheck_mod.DEFAULT_TOLERANCE:.0e}, {result.cases} cases)")
     return 0 if result.passed else 4
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 
 MAX_REJECTION_DRAWS = 2_000_000
 
@@ -58,7 +58,7 @@ def alignment_ratio(theta, mu, sigma: float) -> float:
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     norm = float(np.linalg.norm(theta))
     if norm == 0.0:
-        raise ConfigError("theta must be non-zero")
+        raise NumericError("theta is zero, so its alignment with mu is undefined")
     return float(mu @ theta) / (sigma * norm)
 
 

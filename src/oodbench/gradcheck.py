@@ -1,9 +1,10 @@
 """Self-check suite: reverse-mode gradients against central finite differences.
 
-Builds randomized small networks under every objective in the package,
-including input gradients used by the perturbation paths, and reports the
-worst relative error. Weights are kept at unit scale so the difference
-quotient stays in its accurate regime.
+Each case is a graph the program differentiates, from the builder it uses:
+every ``trainer._build_loss_graph`` objective with respect to the parameters,
+as ``fine_tune`` steps it, and ``extrapolation._target_graph`` and
+``scoring.odin_graph`` with respect to the input, as the ascent and ODIN push
+it. Weights are kept at unit scale so the difference quotient stays accurate.
 """
 
 from __future__ import annotations
@@ -13,22 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import extrapolation
 from . import losses
 from . import model as model_mod
+from . import scoring
+from . import trainer
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_STEP = 1e-5
+CASES = (*trainer.LOSS_KINDS, "extrapolation", "odin")
 
 
 @dataclass
 class GradcheckResult:
     cases: int
     max_relative_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_relative_error < self.tolerance
+        return self.max_relative_error < DEFAULT_TOLERANCE
 
 
 KINK_CLEARANCE = 1e-3  # min |relu preactivation|; finite differences are
@@ -37,65 +41,57 @@ MIN_GRAD_MAGNITUDE = 0.01  # below this the h=1e-5 difference quotient's own
                            # truncation error dominates the relative test
 
 
-def _hidden_preactivations(dims, bindings, x_names):
-    mins = []
-    for name in x_names:
-        h = bindings[name]
-        for i in range(len(dims) - 2):
-            z = h @ bindings[f"W{i}"] + bindings[f"b{i}"]
-            mins.append(np.min(np.abs(z)))
+def _hidden_preactivations(mlp: model_mod.MlpClassifier, batches) -> float:
+    least = np.inf
+    for h in batches:
+        for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+            z = h @ w + b
+            least = min(least, np.min(np.abs(z)))
             h = np.maximum(z, 0.0)
-    return min(mins) if mins else np.inf
+    return least
 
 
-def _random_case(rng: np.random.Generator):
-    """One randomized (graph, bindings, wrt) triple covering the objective family.
-
-    Cases are resampled until every relu preactivation clears the kink by
-    a wide margin relative to the probe step.
-    """
+def _case(kind: str, rng: np.random.Generator):
+    """One randomized (graph, bindings, wrt) triple for ``kind``, one of CASES, resampled
+    until every relu preactivation clears the kink by a wide margin relative to the step."""
     d = int(rng.integers(2, 5))
     hidden = [int(rng.integers(3, 7)) for _ in range(int(rng.integers(1, 3)))]
     c = int(rng.integers(2, 5))
     dims = (d, *hidden, c)
     m = int(rng.integers(2, 5))
-    kind = int(rng.integers(0, 4))
-    target = ad.const(losses.onehot(rng.integers(0, c, size=m), c))
-
-    param_nodes = model_mod.make_param_nodes(dims)
-    logits = model_mod.logits_graph(dims, "x", param_nodes)
-    if kind == 0:
-        scalar = losses.ce_loss_expr(logits, target)
-    elif kind == 1:
-        scalar = losses.oe_uniform_loss_expr(logits)
-    elif kind == 2:
+    labels = {}
+    if kind in trainer.LOSS_KINDS:
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
-        other = model_mod.logits_graph(dims, "x_out", param_nodes)
-        scalar = losses.energy_bounded_loss_expr(logits, other, m_in=-8.0, m_out=5.0,
-                                                 temperature=1.0)
+        lc = trainer.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
+        graph = trainer._build_loss_graph(dims, kind, lc, kind != "ce", kind == "divoe")[0]
+        batch_names = ("x", "x_out", "x_ext")[:1 + (kind != "ce") + (kind == "divoe")]
+        labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
+    elif kind == "extrapolation":
+        graph, batch_names = extrapolation._target_graph(dims)[1], ("x",)
     else:
-        scalar = losses.ce_loss_expr(logits, target) + 0.5 * losses.oe_uniform_loss_expr(logits)
-    wrt = [name for i in range(len(dims) - 1) for name in (f"W{i}", f"b{i}")]
-    wrt += ["x"] + (["x_out"] if kind == 2 else [])
+        # T = 1: at ODIN's default temperature the input gradient shrinks
+        # with 1/T below MIN_GRAD_MAGNITUDE, so no case would be accepted.
+        graph, batch_names = scoring.odin_graph(dims, rng.integers(0, c, size=m), 1.0), ("x",)
 
     for _ in range(1000):
-        bindings = {}
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            bindings[f"W{i}"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            bindings[f"b{i}"] = rng.normal(0.0, 0.5, size=fan_out)
-        bindings["x"] = rng.uniform(0.05, 0.95, size=(m, d))
-        bindings["x_out"] = rng.uniform(0.05, 0.95, size=(m, d))
-        if _hidden_preactivations(dims, bindings, ["x", "x_out"]) <= KINK_CLEARANCE:
+        layers = [(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)),
+                   rng.normal(0.0, 0.5, size=fan_out))
+                  for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+        mlp = model_mod.MlpClassifier(dims, *zip(*layers))
+        batches = {name: rng.uniform(0.05, 0.95, size=(m, d)) for name in batch_names}
+        if _hidden_preactivations(mlp, batches.values()) <= KINK_CLEARANCE:
             continue
+        bindings = {**model_mod.param_bindings(mlp), **labels, **batches}
+        wrt = model_mod.param_names(mlp) if kind in trainer.LOSS_KINDS else ["x"]
         # Exact-zero coordinates (dead relu paths) are locally constant, so the
         # difference quotient is exactly zero too; only small nonzero gradients
         # fall below the oracle's resolution.
         flat = np.concatenate([g.reshape(-1)
-                               for g in ad.gradient(scalar, bindings, wrt).values()])
+                               for g in ad.gradient(graph, bindings, wrt).values()])
         nonzero = np.abs(flat[flat != 0.0])
         if nonzero.size and nonzero.min() >= MIN_GRAD_MAGNITUDE:
-            return scalar, bindings, wrt
+            return graph, bindings, wrt
     raise RuntimeError("could not sample a well-conditioned gradcheck case")
 
 
@@ -103,7 +99,6 @@ def run_suite(cases: int = 100, seed: int = 7) -> GradcheckResult:
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for _ in range(cases):
-        scalar, bindings, wrt = _random_case(rng)
-        err = ad.finite_diff_check(scalar, bindings, wrt, h=DEFAULT_STEP)
-        worst = max(worst, err)
-    return GradcheckResult(cases=cases, max_relative_error=worst, tolerance=DEFAULT_TOLERANCE)
+        graph, bindings, wrt = _case(CASES[int(rng.integers(len(CASES)))], rng)
+        worst = max(worst, ad.finite_diff_check(graph, bindings, wrt, h=DEFAULT_STEP))
+    return GradcheckResult(cases=cases, max_relative_error=worst)

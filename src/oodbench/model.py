@@ -69,25 +69,24 @@ def _check_batch(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _hidden(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
+    """The batch through every hidden layer (the batch itself if there is none)."""
+    h = _check_batch(model, batch)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+    return h
+
+
 def forward(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     """Logits for a (m, d) batch; pure function of (model, batch)."""
-    h = _check_batch(model, batch)
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h
+    return _hidden(model, batch) @ model.weights[-1] + model.biases[-1]
 
 
 def penultimate_features(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     """Post-activation values of the last hidden layer, shape (m, h_L)."""
     if len(model.dims) < 3:
         raise ShapeError("model has no hidden layer")
-    h = _check_batch(model, batch)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return h
+    return _hidden(model, batch)
 
 
 def make_param_nodes(dims) -> dict[str, ad.Expression]:
@@ -121,10 +120,7 @@ def logits_graph(dims, input_name: str = "x",
 
 
 def param_names(model: MlpClassifier) -> list[str]:
-    names = []
-    for i in range(len(model.weights)):
-        names.extend((f"W{i}", f"b{i}"))
-    return names
+    return list(param_bindings(model))
 
 
 def param_bindings(model: MlpClassifier) -> dict[str, np.ndarray]:

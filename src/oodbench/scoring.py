@@ -77,6 +77,12 @@ def energy_score(logits, temperature: float = 1.0) -> np.ndarray:
     return temperature * numerics.logsumexp(logits / temperature, axis=1)
 
 
+def odin_graph(dims, top, temperature: float) -> ad.Expression:
+    """Sum over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
+    return ad.reduce_sum(ad.mul(ad.log_softmax(model_mod.logits_graph(dims) / temperature),
+                                ad.const(np.eye(dims[-1])[top])))
+
+
 def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DEFAULT_TEMPERATURE,
                eps: float = ODIN_DEFAULT_EPSILON) -> np.ndarray:
     """Confidence after a one-step sign-gradient push toward the predicted class.
@@ -87,14 +93,10 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
     logits.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    logits = model_mod.forward(mlp, batch)
-    top = np.argmax(logits, axis=1)
-    graph = model_mod.logits_graph(mlp.dims)
-    picked = ad.reduce_sum(ad.mul(ad.log_softmax(graph / temperature),
-                                  ad.const(np.eye(mlp.n_classes)[top])))
+    top = np.argmax(model_mod.forward(mlp, batch), axis=1)
     bindings = model_mod.param_bindings(mlp)
     bindings["x"] = batch
-    grads = ad.gradient(picked, bindings, ["x"])
+    grads = ad.gradient(odin_graph(mlp.dims, top, temperature), bindings, ["x"])
     perturbed = np.clip(batch + eps * np.sign(grads["x"]), *DOMAIN)
     return np.max(numerics.softmax(model_mod.forward(mlp, perturbed) / temperature, axis=-1), axis=1)
 

@@ -3,7 +3,8 @@ import json
 import pytest
 from test_config import PROBES
 
-from oodbench import cli
+from oodbench import cli, data, model, scoring
+from oodbench.extrapolation import ExtrapolationConfig, pgd_extrapolate
 
 
 def _tiny_config(tmp_path):
@@ -149,3 +150,36 @@ def test_report_field_of_wrong_type_exits_3(tmp_path, capsys, key, value, in_row
     assert cli.main(["report", str(bad), "--out-csv", str(out_csv)]) == 3
     assert f"report field {key!r}" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_ce_train_reads_no_auxiliary_outliers(tmp_path, capsys):
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+    assert cli.main(base + ["gen-data"]) == 0
+    (tmp_path / "run" / "aux_out.csv").unlink()
+    assert cli.main(base + ["--set", "train.loss.kind=ce", "train"]) == 0
+    assert cli.main(base + ["--set", "train.loss.kind=oe", "train"]) == 3
+    assert "aux_out.csv" in capsys.readouterr().err
+
+
+def test_extrapolate_grid_matches_one_run_per_epsilon(tmp_path):
+    base = _evaluated_run(tmp_path)
+    run = tmp_path / "run"
+    grid = [0.0, 0.05, 0.2]
+    argv = base + ["extrapolate", "--input", str(run / "aux_out.csv"), "--dump",
+                   str(run / "extrap.csv"), "--epsilons", ",".join(map(str, grid))]
+    assert cli.main(argv) == 0
+    mlp = model.load_checkpoint(run / "checkpoint.json")
+    x = data.load_csv(run / "aux_out.csv").x
+    spec = scoring.ScoreSpec(kind="msp")
+    before = scoring.compute_scores(mlp, x, spec)
+    dump, samples = ["index,epsilon,loss_before,loss_after,score_before,score_after"], []
+    for eps in grid:
+        b = pgd_extrapolate(mlp, x, ExtrapolationConfig(), epsilon=eps)
+        after = scoring.compute_scores(mlp, b.synthesized, spec)
+        for i in range(len(x)):
+            dump.append(",".join(repr(float(v)) if k else str(v) for k, v in enumerate(
+                [i, eps, b.initial_values[i], b.final_values[i], before[i], after[i]])))
+            samples.append(",".join([str(i), repr(eps)] +
+                                    [format(v, ".17g") for v in b.synthesized[i]]))
+    assert (run / "extrap.csv").read_text(encoding="utf-8").splitlines() == dump
+    assert (run / "synthesized.csv").read_text(encoding="utf-8").splitlines()[1:] == samples

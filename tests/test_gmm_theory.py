@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oodbench import gmm_theory
-from oodbench.errors import ConfigError, NumericError
+from oodbench.errors import NumericError
 
 
 def _rng(seed):
@@ -30,7 +30,7 @@ def test_theta_star_and_alignment_ratio_hand_sets():
     # mu^T theta / (sigma ||theta||) = 3 / (2 * 5)
     assert gmm_theory.alignment_ratio([3.0, 4.0], [1.0, 0.0], 2.0) == pytest.approx(0.3)
     assert gmm_theory.alignment_ratio(theta, [1.0, 0.0], 1.0) == pytest.approx(5.0 / math.sqrt(29.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(NumericError):
         gmm_theory.alignment_ratio([0.0, 0.0], [1.0, 0.0], 1.0)
 
 
