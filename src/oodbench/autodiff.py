@@ -8,11 +8,20 @@ same graph in reversed topological order, so repeated runs are
 bit-identical.
 
 The first pass over a root compiles its graph into a plan cached on that
-root: the ops in topological order with parents as slot indices, and the
-slot of each input name. Later passes run over lists indexed by slot, so a
-graph built once (a training objective, say) can be re-run on bindings of
-any row count without re-deriving its structure. Every pass still checks
-bindings, shapes and the finiteness of its result and gradients.
+root: the ops in topological order with parents as slot indices, each op's
+forward function looked up once in the ``_FORWARD`` table, and the slot of
+each input name. Later passes run over lists indexed by slot, so a graph
+built once (a training objective, say) can be re-run on bindings of any row
+count without re-deriving its structure. Every pass still checks bindings,
+shapes and the finiteness of its result and gradients.
+
+A backward pass computes only what its caller reads. ``value_and_grad``
+marks the slots from which one of its ``wrt`` inputs is reachable, a mask
+cached on the plan per ``wrt`` tuple, and a two-operand op skips its
+contribution to an unmarked parent. So an input gradient (extrapolation,
+ODIN) computes no parameter gradient and a training step computes none for
+the batches. The gradients returned are the same ops, accumulated in the
+same order, as without the mask.
 
 Conventions: relu uses subgradient 0 at 0; log-softmax acts on the last
 axis; reductions accept ``axis=None`` (full) or a single int.
@@ -111,7 +120,7 @@ def inp(name: str) -> Expression:
 
 def const(value) -> Expression:
     value = numerics.as_tensor(value)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError("constant contains non-finite values")
     return Expression("const", payload=value)
 
@@ -163,14 +172,51 @@ def affine(x: Expression, scale: float, shift: float = 0.0) -> Expression:
 class _Plan(NamedTuple):
     """A graph flattened for repeated passes, one slot per node.
 
-    ``steps[i]`` is (op, parent slots, payload) in topological order, so the
-    root is the last slot; ``inputs`` maps input names and ``slots`` maps
-    ``id(node)`` to slots.
+    ``steps[i]`` is (op, parent slots, payload, forward function) in
+    topological order, so the root is the last slot; the forward function is
+    None for inputs and constants. ``inputs`` maps input names and ``slots``
+    maps ``id(node)`` to slots. ``needed`` caches, per ``wrt`` tuple, which
+    slots reach one of those inputs.
     """
 
-    steps: list[tuple[str, tuple[int, ...], object]]
+    steps: list[tuple[str, tuple[int, ...], object, object]]
     inputs: dict[str, int]
     slots: dict[int, int]
+    needed: dict[tuple[str, ...], list[bool]]
+
+
+def _matmul(payload, a, b):
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+    return a @ b
+
+
+def _broadcasting(op: str, ufunc):
+    def forward(payload, a, b):
+        try:
+            return ufunc(a, b)
+        except ValueError:
+            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return forward
+
+
+def _mean(payload, a):
+    return np.add.reduce(a, axis=payload) / (a.size if payload is None else a.shape[payload])
+
+
+#: Forward function of each primitive, called as ``forward(payload, *operands)``.
+_FORWARD = {
+    "matmul": _matmul,
+    "add": _broadcasting("add", np.add),
+    "mul": _broadcasting("mul", np.multiply),
+    "relu": lambda payload, a: np.maximum(a, 0.0),
+    "log_softmax": lambda payload, a: numerics.log_softmax(a, axis=-1),
+    "logsumexp": lambda payload, a: numerics.logsumexp(a, axis=payload),
+    "sum": lambda payload, a: np.add.reduce(a, axis=payload),
+    "mean": _mean,
+    "square": lambda payload, a: a * a,
+    "affine": lambda payload, a: payload[0] * a + payload[1],
+}
 
 
 def _compile(expr: Expression) -> _Plan:
@@ -182,14 +228,32 @@ def _compile(expr: Expression) -> _Plan:
         order = expr.topo_order()
         slots = {id(node): i for i, node in enumerate(order)}
         inputs: dict[str, int] = {}
+        steps = []
         for i, node in enumerate(order):
             if node.op == "input" and inputs.setdefault(node.payload, i) != i:
                 # Two distinct nodes for one name would split the variable and
                 # silently drop gradient contributions; share the node instead.
                 raise GraphError(f"duplicate input node for name {node.payload!r}")
-        steps = [(n.op, tuple(slots[id(p)] for p in n.parents), n.payload) for n in order]
-        expr._plan = _Plan(steps, inputs, slots)
+            forward = _FORWARD.get(node.op)
+            if forward is None and node.op not in ("input", "const"):
+                raise GraphError(f"unknown primitive {node.op!r}")
+            steps.append((node.op, tuple(slots[id(p)] for p in node.parents), node.payload,
+                          forward))
+        expr._plan = _Plan(steps, inputs, slots, {})
     return expr._plan
+
+
+def _needed(plan: _Plan, wrt: tuple[str, ...]) -> list[bool]:
+    """For each slot, whether one of the inputs in ``wrt`` is reachable from it;
+    computed once per ``wrt`` and cached on the plan."""
+    mask = plan.needed.get(wrt)
+    if mask is None:
+        names = set(wrt)
+        mask = []
+        for op, parents, payload, _ in plan.steps:
+            mask.append(payload in names if op == "input" else any(mask[p] for p in parents))
+        plan.needed[wrt] = mask
+    return mask
 
 
 # -- forward -------------------------------------------------------------------
@@ -202,49 +266,21 @@ def _forward_all(plan: _Plan, bindings: Mapping[str, np.ndarray]) -> list[np.nda
     # Non-finite intermediates are caught by the explicit checks, so numpy's
     # own overflow warnings are redundant noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for op, parents, payload in plan.steps:
-            if op == "input":
+        for op, parents, payload, forward in plan.steps:
+            if forward is not None:
+                v = forward(payload, *[vals[p] for p in parents])
+            elif op == "input":
                 if payload not in bindings:
                     raise GraphError(f"unbound input {payload!r}")
                 v = numerics.as_tensor(bindings[payload])
-                if not np.all(np.isfinite(v)):
+                if not np.isfinite(v).all():
                     raise NumericError(f"binding for {payload!r} contains non-finite values")
-            elif op == "const":
+            else:  # const
                 v = payload
-            else:
-                a = vals[parents[0]]
-                if op == "matmul":
-                    b = vals[parents[1]]
-                    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-                        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-                    v = a @ b
-                elif op in ("add", "mul"):
-                    b = vals[parents[1]]
-                    try:
-                        v = a + b if op == "add" else a * b
-                    except ValueError:
-                        raise ShapeError(
-                            f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-                elif op == "relu":
-                    v = np.maximum(a, 0.0)
-                elif op == "log_softmax":
-                    v = numerics.log_softmax(a, axis=-1)
-                elif op == "logsumexp":
-                    v = numerics.logsumexp(a, axis=payload)
-                elif op == "sum":
-                    v = np.sum(a, axis=payload)
-                elif op == "mean":
-                    v = np.mean(a, axis=payload)
-                elif op == "square":
-                    v = a * a
-                elif op == "affine":
-                    v = payload[0] * a + payload[1]
-                else:
-                    raise GraphError(f"unknown primitive {op!r}")
             vals.append(v)
-    if not np.all(np.isfinite(vals[-1])):
-        culprit = next((f"{op} node" for (op, _, _), v in zip(plan.steps, vals)
-                        if not np.all(np.isfinite(v))), "root")
+    if not np.isfinite(vals[-1]).all():
+        culprit = next((f"{op} node" for (op, _, _, _), v in zip(plan.steps, vals)
+                        if not np.isfinite(v).all()), "root")
         raise NumericError(f"non-finite result (first produced by {culprit})")
     return vals
 
@@ -285,8 +321,9 @@ def _accumulate(grads: list, slot: int, grad: np.ndarray) -> None:
     grads[slot] = grad if prev is None else prev + grad
 
 
-def _backward_all(plan: _Plan, vals: list[np.ndarray]) -> list:
-    """Gradient of the root for every slot, None where nothing flows."""
+def _backward_all(plan: _Plan, vals: list[np.ndarray], needed: list[bool]) -> list:
+    """Gradient of the root for every slot marked in ``needed``, None where
+    nothing flows; a two-operand op skips its contribution to an unmarked parent."""
     root = vals[-1]
     if root.size != 1:
         raise GraphError(f"gradient requires a scalar expression, got shape {root.shape}")
@@ -296,24 +333,30 @@ def _backward_all(plan: _Plan, vals: list[np.ndarray]) -> list:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(len(vals) - 1, -1, -1):
             grad = grads[i]
-            op, parents, payload = plan.steps[i]
+            op, parents, payload, _ = plan.steps[i]
             if grad is None or op in ("input", "const"):
                 continue
             p0 = parents[0]
             a = vals[p0]
             if op == "matmul":
                 p1 = parents[1]
-                _accumulate(grads, p0, grad @ vals[p1].T)
-                _accumulate(grads, p1, a.T @ grad)
+                if needed[p0]:
+                    _accumulate(grads, p0, grad @ vals[p1].T)
+                if needed[p1]:
+                    _accumulate(grads, p1, a.T @ grad)
             elif op == "add":
                 p1 = parents[1]
-                _accumulate(grads, p0, _unbroadcast(grad, a.shape))
-                _accumulate(grads, p1, _unbroadcast(grad, vals[p1].shape))
+                if needed[p0]:
+                    _accumulate(grads, p0, _unbroadcast(grad, a.shape))
+                if needed[p1]:
+                    _accumulate(grads, p1, _unbroadcast(grad, vals[p1].shape))
             elif op == "mul":
                 p1 = parents[1]
                 b = vals[p1]
-                _accumulate(grads, p0, _unbroadcast(grad * b, a.shape))
-                _accumulate(grads, p1, _unbroadcast(grad * a, b.shape))
+                if needed[p0]:
+                    _accumulate(grads, p0, _unbroadcast(grad * b, a.shape))
+                if needed[p1]:
+                    _accumulate(grads, p1, _unbroadcast(grad * a, b.shape))
             elif op == "relu":
                 _accumulate(grads, p0, grad * (a > 0.0))
             elif op == "log_softmax":
@@ -330,7 +373,7 @@ def _backward_all(plan: _Plan, vals: list[np.ndarray]) -> list:
                 _accumulate(grads, p0, _expand_reduced(grad, a.shape, payload) / count)
             elif op == "square":
                 _accumulate(grads, p0, grad * 2.0 * a)
-            else:  # affine; the forward pass has rejected any other op
+            else:  # affine; compilation has rejected any other op
                 _accumulate(grads, p0, grad * payload[0])
     return grads
 
@@ -350,7 +393,7 @@ def value_and_grad(expr: Expression, bindings: Mapping[str, np.ndarray],
     second forward evaluation in optimization loops.
     """
     plan = _compile(expr)
-    wrt = list(wrt)
+    wrt = tuple(wrt)
     for name in wrt:
         if name not in plan.inputs:
             raise GraphError(f"name {name!r} not present in expression")
@@ -358,7 +401,7 @@ def value_and_grad(expr: Expression, bindings: Mapping[str, np.ndarray],
     if None in aux_slots:
         raise GraphError("aux node does not belong to the expression's graph")
     vals = _forward_all(plan, bindings)
-    grad_slots = _backward_all(plan, vals)
+    grad_slots = _backward_all(plan, vals, _needed(plan, wrt))
     grads: GradientMap = {}
     for name in wrt:
         slot = plan.inputs[name]
@@ -367,7 +410,7 @@ def value_and_grad(expr: Expression, bindings: Mapping[str, np.ndarray],
             g = np.zeros_like(vals[slot])
         elif g.shape != shape:
             g = np.broadcast_to(g, shape).copy()
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for input {name!r}")
         grads[name] = g
     return vals[-1], grads, tuple(vals[slot] for slot in aux_slots)

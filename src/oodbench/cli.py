@@ -146,9 +146,16 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     x = data_mod.load_csv(input_csv).x
     grid = epsilons if epsilons else [cfg.extrapolation.epsilon]
     score_spec = cfg.scores[0]
+    # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
+    n = x.shape[0]
+    batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation,
+                            epsilon=np.repeat(grid, n))
+    score_before = scoring.compute_scores(mlp, x, score_spec)
+    score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
     dump_path = Path(dump_csv)
-    dump_path.parent.mkdir(parents=True, exist_ok=True)
     samples_path = Path(samples_csv) if samples_csv else dump_path.with_name("synthesized.csv")
+    for path in (dump_path, samples_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
     with dump_path.open("w", encoding="utf-8", newline="\n") as dump_fh, \
             samples_path.open("w", encoding="utf-8", newline="\n") as samples_fh:
         dump_writer = csv.writer(dump_fh, lineterminator="\n")
@@ -156,12 +163,6 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
                               "score_before", "score_after"])
         sample_writer = csv.writer(samples_fh, lineterminator="\n")
         sample_writer.writerow(["index", "epsilon"] + [f"x{i}" for i in range(x.shape[1])])
-        # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
-        n = x.shape[0]
-        batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation,
-                                epsilon=np.repeat(grid, n))
-        score_before = scoring.compute_scores(mlp, x, score_spec)
-        score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
         for k, eps in enumerate(grid):
             rows = slice(k * n, (k + 1) * n)
             for i, j in enumerate(range(k * n, (k + 1) * n)):
@@ -188,6 +189,7 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
     rng = np.random.Generator(np.random.PCG64(config_mod.component_seed(cfg.seed, "theory")))
     check = gmm_theory.verify_bound(spec, params, rng)
     path = Path(out_csv) if out_csv else out / "theory.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "ratio", "rhs", "satisfied"])
@@ -200,6 +202,8 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
 
 
 def cmd_gradcheck(cases: int, seed: int) -> int:
+    if cases < 1:
+        raise ConfigError(f"--cases must be >= 1, got {cases}")
     result = gradcheck_mod.run_suite(cases=cases, seed=seed)
     status = "PASS" if result.passed else "FAIL"
     print(f"gradcheck {status}: max relative error {result.max_relative_error:.3e} "

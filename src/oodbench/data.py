@@ -149,24 +149,27 @@ def gen_arc_outliers(inner_r: float, outer_r: float, arc_fraction: float, n: int
 
 
 def save_csv(dataset, path) -> None:
-    """Header + rows with 17-significant-digit floats; byte output is deterministic."""
+    """Header + rows with 17-significant-digit floats; byte output is deterministic.
+
+    Rows come from one row template mapped over the column lists, the bytes a
+    per-row ``csv.writer`` would write, since no field needs quoting. They
+    stream to the file instead of being joined, which keeps memory flat.
+    """
     x = dataset.x
     labeled = isinstance(dataset, LabeledDataset)
     header = [f"x{i}" for i in range(x.shape[1])] + (["label"] if labeled else [])
+    template = ",".join(["{:.17g}"] * x.shape[1] + (["{}"] if labeled else [])) + "\n"
+    cols = [x[:, i].tolist() for i in range(x.shape[1])] + ([dataset.y.tolist()] if labeled else [])
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(x.shape[0]):
-            row = [format(v, ".17g") for v in x[i]]
-            if labeled:
-                row.append(str(int(dataset.y[i])))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(template.format, *cols) if cols else ["\n"] * x.shape[0])
 
 
 def load_csv(path):
     """Parse a dataset CSV; a "label" column makes it labeled.
 
-    Malformed rows and non-finite values report their line number.
+    The rows are checked and parsed in whole-file passes; if one fails, a
+    second scan names the first bad line (field count, float, finite, label).
     """
     path = Path(path)
     if not path.exists():
@@ -177,31 +180,45 @@ def load_csv(path):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        has_label = header and header[-1] == "label"
-        feature_cols = header[:-1] if has_label else header
-        if not all(name == f"x{i}" for i, name in enumerate(feature_cols)):
+        has_label = bool(header) and header[-1] == "label"
+        k = len(header) - has_label
+        if not all(name == f"x{i}" for i, name in enumerate(header[:k])):
             raise DataError(f"{path}: unexpected header {header}")
-        xs = []
-        ys = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row[: len(feature_cols)]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not all(np.isfinite(values)):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            xs.append(values)
-            if has_label:
-                try:
-                    ys.append(int(row[-1]))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad label {row[-1]!r}") from None
-    x = np.asarray(xs, dtype=np.float64).reshape(len(xs), len(feature_cols))
+        rows = list(reader)
+    try:
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("field count")
+        x = np.array([float(v) for row in rows for v in row[:k]],
+                     dtype=np.float64).reshape(len(rows), k)
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite value")
+        y = [int(row[-1]) for row in rows] if has_label else None
+    except ValueError:
+        raise DataError(_first_bad_line(path, rows, len(header), has_label)) from None
     if has_label:
-        return LabeledDataset(x, np.asarray(ys, dtype=np.intp))
+        return LabeledDataset(x, np.asarray(y, dtype=np.intp))
     return UnlabeledDataset(x)
+
+
+def _first_bad_line(path: Path, rows: list[list[str]], n_fields: int, has_label: bool) -> str:
+    """The error for the first bad line of ``rows`` (line 2 onward), checking
+    each line's field count, then its floats, their finiteness and its label."""
+    k = n_fields - has_label
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != n_fields:
+            return f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}"
+        try:
+            values = [float(v) for v in row[:k]]
+        except ValueError as exc:
+            return f"{path}:{lineno}: {exc}"
+        if not all(np.isfinite(values)):
+            return f"{path}:{lineno}: non-finite value"
+        if has_label:
+            try:
+                int(row[-1])
+            except ValueError:
+                return f"{path}:{lineno}: bad label {row[-1]!r}"
+    raise AssertionError("the whole-file parse failed on no line")
 
 
 # -- batching --------------------------------------------------------------------

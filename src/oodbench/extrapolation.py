@@ -15,6 +15,7 @@ best iterate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,8 +73,10 @@ class ExtrapolatedBatch:
     aborted: np.ndarray          # (n,) bool, non-finite value or gradient encountered
 
 
+@functools.cache
 def _target_graph(dims: tuple[int, ...]):
-    """(per-row uniform loss, its sum) for a batch bound to "x"."""
+    """(per-row uniform loss, its sum) for a batch bound to "x"; built and
+    compiled once per dims, since graphs are immutable."""
     rows = losses.oe_rowwise_expr(model_mod.logits_graph(dims))
     return rows, ad.reduce_sum(rows)
 

@@ -31,10 +31,10 @@ def logsumexp(x, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
         raise ShapeError("logsumexp: empty axis")
     if axis is None and x.size == 0:
         raise ShapeError("logsumexp: empty input")
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    out = m + np.log(np.add.reduce(np.exp(x - m), axis=axis, keepdims=True))
     if not keepdims:
-        out = np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
+        out = out.squeeze(axis) if axis is not None else out.reshape(())
     return out
 
 

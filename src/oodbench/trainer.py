@@ -199,7 +199,6 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
 
     param_names = model_mod.param_names(mlp)
     step = 0
-    current = mlp
     for epoch in range(cfg.epochs):
         epoch_iter = data_mod.batches(id_train, cfg.id_batch,
                                       seed=derive_seed(shuffle_seed, epoch))
@@ -211,7 +210,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             if has_orig:
                 bindings["x_out"] = out_batch
             if has_ext:
-                extrap = build_extrapolation_pool(current, to_ext, extrapolation)
+                extrap = build_extrapolation_pool(_model(mlp.dims, params), to_ext, extrapolation)
                 bindings["x_ext"] = extrap.synthesized
             try:
                 total_value, grads, aux_vals = ad.value_and_grad(
@@ -236,15 +235,17 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             lr = cosine_lr(step, total_steps, cfg.lr)
             params, velocity = sgd_step(params, grads, velocity, lr, cfg.momentum,
                                         cfg.weight_decay)
-            current = model_mod.MlpClassifier(
-                current.dims,
-                tuple(params[f"W{i}"] for i in range(len(current.weights))),
-                tuple(params[f"b{i}"] for i in range(len(current.biases))),
-            )
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
                 oe_loss_orig=out_value, oe_loss_extrap=ext_value,
                 total_loss=float(total_value)))
             step += 1
-    return current, history
+    return _model(mlp.dims, params), history
+
+
+def _model(dims, params: dict[str, np.ndarray]) -> model_mod.MlpClassifier:
+    """The classifier holding the current parameters (checked to be finite)."""
+    n_layers = len(dims) - 1
+    return model_mod.MlpClassifier(dims, tuple(params[f"W{i}"] for i in range(n_layers)),
+                                   tuple(params[f"b{i}"] for i in range(n_layers)))
 

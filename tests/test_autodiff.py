@@ -253,3 +253,38 @@ def test_aux_node_outside_graph_raises_graph_error():
     value, _, (inner,) = ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"],
                                            aux=(expr.parents[0],))
     assert value == 2.0 and inner.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("wrt", [["x"], ["x_ext", "x_out"], ["W0", "b0", "W1", "b1"], ["b1"]])
+def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
+    from oodbench import losses, model, trainer
+
+    dims, rng = (3, 5, 4), np.random.default_rng(8)
+    graph = trainer._build_loss_graph(dims, "divoe", trainer.LossConfig(kind="divoe"),
+                                      True, True)[0]
+    bindings = {**model.param_bindings(model.init_model(dims, seed=4)),
+                **{name: rng.uniform(size=(6, 3)) for name in ("x", "x_out", "x_ext")},
+                "y": losses.onehot(rng.integers(0, 4, 6), 4)}
+    _, every, _ = ad.value_and_grad(graph, bindings, list(bindings))
+    plan = ad._compile(graph)
+    real = ad._accumulate
+    fed: set[int] = set()
+
+    def recording(grads, slot, grad):
+        fed.add(slot)
+        real(grads, slot, grad)
+
+    monkeypatch.setattr(ad, "_accumulate", recording)
+    for _ in range(2):  # the second pass reuses the mask cached on the plan
+        fed.clear()
+        value, grads, _ = ad.value_and_grad(graph, bindings, wrt)
+        assert {name for name, slot in plan.inputs.items() if slot in fed} == set(wrt)
+        assert sorted(grads) == sorted(wrt)
+        assert all(grads[name].tobytes() == every[name].tobytes() for name in wrt)
+
+
+def test_unknown_primitive_is_rejected_on_every_call():
+    expr = ad.Expression("cube", (ad.inp("x"),))
+    for _ in range(2):
+        with pytest.raises(GraphError, match="unknown primitive 'cube'"):
+            ad.evaluate(expr, {"x": np.ones(2)})

@@ -183,3 +183,31 @@ def test_extrapolate_grid_matches_one_run_per_epsilon(tmp_path):
                                     [format(v, ".17g") for v in b.synthesized[i]]))
     assert (run / "extrap.csv").read_text(encoding="utf-8").splitlines() == dump
     assert (run / "synthesized.csv").read_text(encoding="utf-8").splitlines()[1:] == samples
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_gradcheck_without_cases_exits_2(capsys, cases):
+    assert cli.main(["gradcheck", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--cases" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_theory_verify_creates_the_out_csv_directory(tmp_path):
+    out_csv = tmp_path / "missing" / "dir" / "t.csv"
+    argv = ["--out", str(tmp_path / "run"), "--set", "theory.trials=3", "theory-verify",
+            "--out-csv", str(out_csv)]
+    assert cli.main(argv) == 0
+    assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 3 + 2
+
+
+def test_extrapolate_creates_the_samples_directory(tmp_path):
+    base = _evaluated_run(tmp_path)
+    run = tmp_path / "run"
+    samples = tmp_path / "missing" / "dir" / "s.csv"
+    argv = base + ["extrapolate", "--input", str(run / "aux_out.csv"), "--dump",
+                   str(run / "extrap.csv"), "--samples", str(samples)]
+    assert cli.main(argv) == 0
+    n = len(data.load_csv(run / "aux_out.csv"))
+    assert len(samples.read_text(encoding="utf-8").splitlines()) == n + 1
+    assert len((run / "extrap.csv").read_text(encoding="utf-8").splitlines()) == n + 1

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -40,6 +42,63 @@ def test_load_csv_rejects_malformed_rows(tmp_path, text, match):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=match):
         data.load_csv(path)
+
+
+def _csv_writer_bytes(dataset) -> bytes:
+    """The file a per-row ``csv.writer`` writes: the reference for ``save_csv``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    labeled = isinstance(dataset, data.LabeledDataset)
+    writer.writerow([f"x{i}" for i in range(dataset.x.shape[1])] + (["label"] if labeled else []))
+    for i in range(dataset.x.shape[0]):
+        row = [format(v, ".17g") for v in dataset.x[i]]
+        writer.writerow(row + [str(int(dataset.y[i]))] if labeled else row)
+    return buf.getvalue().encode("utf-8")
+
+
+EXTREMES = np.array([[-0.0, 0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308, 1e-300],
+                     [0.1, -1e22, 123456789.123456789], [1e16, -1e-5, 1.0 / 3.0]])
+
+
+@pytest.mark.parametrize("dataset", [
+    data.LabeledDataset(EXTREMES, [0, 3, 11, 2]),
+    data.UnlabeledDataset(EXTREMES),
+    data.LabeledDataset(np.zeros((0, 2)), np.zeros(0)),
+    data.UnlabeledDataset(np.zeros((0, 3))),
+    data.UnlabeledDataset(np.zeros((3, 0))),
+    data.UnlabeledDataset(np.random.default_rng(1).uniform(0.0, 1.0, (50, 2))),
+], ids=["labeled", "unlabeled", "empty-labeled", "empty-unlabeled", "no-columns", "uniform"])
+def test_save_csv_matches_a_per_row_csv_writer(tmp_path, dataset):
+    data.save_csv(dataset, tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == _csv_writer_bytes(dataset)
+    back = data.load_csv(tmp_path / "d.csv")
+    assert back.x.tobytes() == dataset.x.tobytes()
+
+
+# Each file has several bad lines; the first decides, whatever check the later ones fail.
+@pytest.mark.parametrize("body, match", [
+    ("0.1,0\n0.2\nabc,1\nnan,1\n0.3,x\n", ":3: expected 2 fields, got 1"),
+    ("0.1,0\nabc,1\n0.2\nnan,1\n", ":3: could not convert string to float: 'abc'"),
+    ("nan,1\n0.2\nabc,1\n0.3,x\n", ":2: non-finite value"),
+    ("0.1,one\nnan,0\n", ":2: bad label 'one'"),
+    ("0.1,0\n0.2,1\n-inf,2\n0.4,2.5\n", ":4: non-finite value"),
+    ("abc,x,1\n", ":2: expected 2 fields, got 3"),  # one line, several faults
+    ("abc,x\n", ":2: could not convert string to float: 'abc'"),
+    ("nan,x\n", ":2: non-finite value"),
+])
+def test_load_csv_names_the_first_bad_line(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,label\n" + body, encoding="utf-8")
+    with pytest.raises(DataError, match=match):
+        data.load_csv(path)
+
+
+def test_load_csv_reads_crlf_line_ends(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"x0,x1,label\r\n0.25,-0.0,1\r\n1e-300,3,0\r\n")
+    back = data.load_csv(path)
+    assert back.x.tobytes() == np.array([[0.25, -0.0], [1e-300, 3.0]]).tobytes()
+    assert back.y.tolist() == [1, 0]
 
 
 def test_minmax_applies_clips_and_round_trips_through_json():

@@ -55,11 +55,11 @@ def test_third_contribution_to_an_input_is_checked(monkeypatch):
     seen: dict[int, int] = {}
     input_slots: set[int] = set()
 
-    def backward_counting(plan, vals):
+    def backward_counting(plan, vals, needed):
         seen.clear()
         input_slots.clear()
         input_slots.update(plan.inputs.values())
-        return real_backward(plan, vals)
+        return real_backward(plan, vals, needed)
 
     def skewed(grads, slot, grad):
         seen[slot] = seen.get(slot, 0) + 1

@@ -121,3 +121,29 @@ def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path
                                        for a in (*out.weights, *out.biases))).hexdigest(),
                hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest())
     assert digests == SHORT_BATCH_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind, classifiers", [("oe", 1), ("divoe", 2 + 1)])
+def test_classifier_built_only_where_it_is_read(kind, classifiers, monkeypatch):
+    # 16 rows in batches of 8 make 2 steps; only divoe's extrapolation reads a
+    # classifier mid-run, and the returned model is built once after the loop.
+    from oodbench import extrapolation
+
+    built = []
+
+    class Counting(model.MlpClassifier):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(model, "MlpClassifier", Counting)
+    extrapolation._target_graph.cache_clear()
+    id_train, aux = _toy()
+    cfg = trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=8,
+                              loss=trainer.LossConfig(kind=kind))
+    mlp = model.init_model([2, 4, 3], seed=1)
+    built.clear()
+    out, history = trainer.fine_tune(mlp, id_train, aux, cfg,
+                                     ExtrapolationConfig(ratio=0.5, steps=2), 0)
+    assert len(history.records) == 2 and len(built) == classifiers and out is built[-1]
+    assert extrapolation._target_graph.cache_info().misses == (kind == "divoe")
