@@ -102,30 +102,37 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
 def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     """Evaluate a checkpoint: report.json, report.csv and per-sample scores.csv.
 
-    Each (score, set) array is computed once and feeds both the reports and
-    scores.csv; nothing is written unless every report could be assembled.
+    Each set goes through the model once: its last hidden layer
+    (``model.penultimate_features``) feeds every score kind, and the
+    id_test logits made from it give the ID accuracy. ODIN adds one forward
+    pass over its perturbed inputs. Each (score, set) array is computed once
+    and feeds both the reports and scores.csv; nothing is written unless
+    every report could be assembled.
     """
     out = _out_dir(cfg)
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
     mlp = model_mod.load_checkpoint(ckpt_path)
     names = sorted(cfg.data.ood_sets)
     id_test, *oods = _load_sets(cfg, "id_test", *(f"ood_{name}" for name in names))
-    ood_sets = {name: ds.x for name, ds in zip(names, oods)}
-    if len(id_test) == 0 or any(x.shape[0] == 0 for x in ood_sets.values()):
+    sets = {"id_test": id_test.x, **{f"ood_{name}": ds.x for name, ds in zip(names, oods)}}
+    if any(x.shape[0] == 0 for x in sets.values()):
         raise DataError("all evaluation sets must be non-empty")
-    id_acc = metrics_mod.id_accuracy(model_mod.forward(mlp, id_test.x), id_test.y)
+    scores = [{} for _ in cfg.scores]  # per spec: set name -> scores
+    for set_name, x in sets.items():
+        features = model_mod.penultimate_features(mlp, x)
+        if set_name == "id_test":
+            id_acc = metrics_mod.id_accuracy(model_mod.head(mlp, features), id_test.y)
+        for spec, by_set in zip(cfg.scores, scores):
+            by_set[set_name] = scoring.compute_scores(mlp, x, spec, features=features)
     method = cfg.method_label()
     digest = cfg.digest()
     reports = []
     score_blocks = []
-    for spec in cfg.scores:
-        id_scores = scoring.compute_scores(mlp, id_test.x, spec)
-        ood_scores = {name: scoring.compute_scores(mlp, x, spec) for name, x in ood_sets.items()}
+    for spec, by_set in zip(cfg.scores, scores):
         reports.append(metrics_mod.assemble_report(
-            id_scores, ood_scores, method=method, score_kind=spec.kind,
-            id_acc=id_acc, seed=cfg.seed, config_digest=digest))
-        score_blocks.append(("id_test", spec.kind, id_scores))
-        score_blocks.extend((f"ood_{name}", spec.kind, s) for name, s in ood_scores.items())
+            by_set["id_test"], {name: by_set[f"ood_{name}"] for name in names}, method=method,
+            score_kind=spec.kind, id_acc=id_acc, seed=cfg.seed, config_digest=digest))
+        score_blocks.extend((set_name, spec.kind, s) for set_name, s in by_set.items())
     (out / "report.json").write_text(
         json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8")
     _write_report_csv(out / "report.csv", reports)

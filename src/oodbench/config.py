@@ -153,6 +153,8 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if not self.scores:
             raise ConfigError("scores must name at least one score")
+        if not self.model.hidden and any(spec.kind == "ash_energy" for spec in self.scores):
+            raise ConfigError("ash_energy shapes the last hidden layer, but model.hidden is empty")
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **_dump(self)}

@@ -1,10 +1,14 @@
 """Multilayer perceptron classifier with a penultimate feature tap.
 
 The network is relu -> ... -> relu -> affine with C-way logits. The same
-layer arithmetic is available in two forms: plain numpy (``forward``,
-``penultimate_features``) and an expression graph (``logits_graph``) whose
-evaluation is bit-identical to the numpy path, so input and weight
-gradients share one numeric story with inference.
+layer arithmetic is available in two forms: plain numpy and an expression
+graph (``logits_graph``) whose evaluation is bit-identical to the numpy
+path, so input and weight gradients share one numeric story with inference.
+The numpy path splits at the last hidden layer: ``penultimate_features``
+computes its activations (the batch itself for a model with no hidden
+layer) and ``head`` maps them to logits, so ``forward`` is exactly
+``head(model, penultimate_features(model, batch))``. A caller that needs
+both features and logits of a set, as evaluation does, forwards it once.
 """
 
 from __future__ import annotations
@@ -77,15 +81,19 @@ def _hidden(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     return h
 
 
+def head(model: MlpClassifier, features: np.ndarray) -> np.ndarray:
+    """Logits from the last hidden layer's activations: the output layer alone."""
+    return features @ model.weights[-1] + model.biases[-1]
+
+
 def forward(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     """Logits for a (m, d) batch; pure function of (model, batch)."""
-    return _hidden(model, batch) @ model.weights[-1] + model.biases[-1]
+    return head(model, _hidden(model, batch))
 
 
 def penultimate_features(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
-    """Post-activation values of the last hidden layer, shape (m, h_L)."""
-    if len(model.dims) < 3:
-        raise ShapeError("model has no hidden layer")
+    """Post-activation values of the last hidden layer, shape (m, h_L); the
+    batch itself for a model with no hidden layer."""
     return _hidden(model, batch)
 
 

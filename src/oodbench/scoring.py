@@ -24,6 +24,7 @@ from .errors import ConfigError, ShapeError
 
 ODIN_DEFAULT_TEMPERATURE = 1.0e4
 ODIN_DEFAULT_EPSILON = 1.4e-3
+ODIN_BLOCK_ROWS = 4096  # rows per ODIN input-gradient pass
 
 
 @dataclass(frozen=True)
@@ -84,20 +85,31 @@ def odin_graph(dims, top, temperature: float) -> ad.Expression:
 
 
 def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DEFAULT_TEMPERATURE,
-               eps: float = ODIN_DEFAULT_EPSILON) -> np.ndarray:
+               eps: float = ODIN_DEFAULT_EPSILON, top=None) -> np.ndarray:
     """Confidence after a one-step sign-gradient push toward the predicted class.
 
     The push follows the gradient of log S_top(x; T), the temperature-scaled
-    softmax at the predicted class. The perturbed input is clipped to
-    data.DOMAIN; with eps=0 and T=1 this is exactly ``msp_score`` of the raw
-    logits.
+    softmax at the predicted class ``top`` (the argmax of the logits when not
+    given). The perturbed input is clipped to data.DOMAIN; with eps=0 and T=1
+    this is exactly ``msp_score`` of the raw logits.
+
+    The input gradient is taken in blocks of ODIN_BLOCK_ROWS rows, keeping
+    only each block's sign, so its memory does not grow with the batch. The
+    perturbed batch is forwarded whole: OpenBLAS rounding depends on the row
+    count, so a blocked forward would change the low bits of the logits,
+    while the signs of a blocked gradient match a whole-batch pass.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    top = np.argmax(model_mod.forward(mlp, batch), axis=1)
+    if top is None:
+        top = np.argmax(model_mod.forward(mlp, batch), axis=1)
     bindings = model_mod.param_bindings(mlp)
-    bindings["x"] = batch
-    grads = ad.gradient(odin_graph(mlp.dims, top, temperature), bindings, ["x"])
-    perturbed = np.clip(batch + eps * np.sign(grads["x"]), *DOMAIN)
+    step = np.empty_like(batch)
+    for start in range(0, batch.shape[0], ODIN_BLOCK_ROWS):
+        rows = slice(start, start + ODIN_BLOCK_ROWS)
+        bindings["x"] = batch[rows]
+        grads = ad.gradient(odin_graph(mlp.dims, top[rows], temperature), bindings, ["x"])
+        step[rows] = np.sign(grads["x"])
+    perturbed = np.clip(batch + eps * step, *DOMAIN)
     return np.max(numerics.softmax(model_mod.forward(mlp, perturbed) / temperature, axis=-1), axis=1)
 
 
@@ -126,18 +138,30 @@ def ash_s(activations, percentile: float) -> np.ndarray:
     return out
 
 
-def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec) -> np.ndarray:
-    """Evaluate the configured score for a batch of raw inputs."""
+def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
+                   features=None) -> np.ndarray:
+    """Evaluate the configured score for a batch of raw inputs.
+
+    ``features`` are the batch's ``model.penultimate_features``; a caller
+    that scores one batch several ways computes them once and passes them
+    in. Left unset, they are computed here. Every kind reads the logits
+    ``model.head`` makes from them, which equal ``model.forward`` bit for bit.
+    """
     batch = np.asarray(batch, dtype=np.float64)
+    if features is None:
+        features = model_mod.penultimate_features(mlp, batch)
+    if spec.kind == "ash_energy":
+        if len(mlp.dims) < 3:
+            raise ShapeError("ash_energy needs a model with a hidden layer")
+        return energy_score(model_mod.head(mlp, ash_s(features, spec.percentile)),
+                            spec.temperature)
+    logits = model_mod.head(mlp, features)
     if spec.kind == "msp":
-        return msp_score(model_mod.forward(mlp, batch))
+        return msp_score(logits)
     if spec.kind == "energy":
-        return energy_score(model_mod.forward(mlp, batch), spec.temperature)
-    if spec.kind == "odin":
-        return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon)
-    # ash_energy, the last of ScoreSpec.KINDS
-    shaped = ash_s(model_mod.penultimate_features(mlp, batch), spec.percentile)
-    return energy_score(shaped @ mlp.weights[-1] + mlp.biases[-1], spec.temperature)
+        return energy_score(logits, spec.temperature)
+    # odin, the last of ScoreSpec.KINDS
+    return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon, np.argmax(logits, axis=1))
 
 
 def write_score_csv(path, blocks) -> None:

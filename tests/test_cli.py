@@ -211,3 +211,31 @@ def test_extrapolate_creates_the_samples_directory(tmp_path):
     n = len(data.load_csv(run / "aux_out.csv"))
     assert len(samples.read_text(encoding="utf-8").splitlines()) == n + 1
     assert len((run / "extrap.csv").read_text(encoding="utf-8").splitlines()) == n + 1
+
+
+def test_ash_energy_without_a_hidden_layer_exits_2_before_writing(tmp_path, capsys):
+    argv = ["--out", str(tmp_path / "run"), "--set", "model.hidden=[]",
+            "--set", 'scores=[{"kind": "msp"}, {"kind": "ash_energy"}]', "gen-data"]
+    assert cli.main(argv) == 2
+    assert "model.hidden is empty" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+def test_eval_forwards_each_set_once_plus_odin(tmp_path, monkeypatch):
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run"),
+            "--set", 'data.ood_sets={"ring": {"count": 8}, "far": {"inner_radius": 2.2, '
+                     '"outer_radius": 4.0, "count": 5}}',
+            "--set", 'scores=[{"kind": "msp"}, {"kind": "energy"}, {"kind": "odin"}, '
+                     '{"kind": "ash_energy"}]']
+    for command in ("gen-data", "train"):
+        assert cli.main(base + [command]) == 0
+    rows = {"penultimate_features": [], "forward": []}
+    for name, calls in rows.items():
+        def counted(mlp, batch, fn=getattr(model, name), calls=calls):
+            calls.append(batch.shape[0])
+            return fn(mlp, batch)
+        monkeypatch.setattr(model, name, counted)
+    assert cli.main(base + ["eval"]) == 0
+    sizes = [3 * 4, 5, 8]  # id_test, then the OOD sets in name order
+    assert rows == {"penultimate_features": sizes, "forward": sizes}

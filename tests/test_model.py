@@ -79,10 +79,12 @@ def test_penultimate_consistency_identity():
     np.testing.assert_array_equal(model.forward(m, x), recomposed)
 
 
-def test_penultimate_requires_hidden_layer():
+def test_penultimate_of_a_linear_model_is_the_batch():
     m = model.init_model([3, 2], seed=0)
-    with pytest.raises(ShapeError):
-        model.penultimate_features(m, np.ones((1, 3)))
+    x = np.random.default_rng(1).uniform(0, 1, (4, 3))
+    feats = model.penultimate_features(m, x)
+    assert feats.tobytes() == x.tobytes()
+    assert model.head(m, feats).tobytes() == model.forward(m, x).tobytes()
 
 
 def test_penultimate_hand_computed_one_hidden():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oodbench import model, numerics, scoring
-from oodbench.errors import ConfigError, ShapeError
+from oodbench.errors import ConfigError, NumericError, ShapeError
 
 
 def test_msp_uniform_logits():
@@ -99,6 +99,63 @@ def test_odin_gradient_is_taken_at_the_temperature():
     perturbed = np.clip(x + eps * np.sign(closed_form(t)), 0.0, 1.0)
     expected = scoring.msp_score(model.forward(m, perturbed) / t)
     assert scoring.odin_score(m, x, temperature=t, eps=eps).tobytes() == expected.tobytes()
+
+
+def test_blocked_odin_equals_one_pass(monkeypatch):
+    # About 2.5 blocks, so the last block is ragged.
+    n = scoring.ODIN_BLOCK_ROWS * 5 // 2 + 7
+    m = model.init_model([2, 16, 16, 4], seed=11)
+    x = np.random.default_rng(12).uniform(0, 1, (n, 2))
+    spec = scoring.ScoreSpec.odin_default()
+    passes = []
+    gradient = scoring.ad.gradient
+
+    def counted(expr, bindings, wrt):
+        passes.append(bindings["x"].shape[0])
+        return gradient(expr, bindings, wrt)
+
+    monkeypatch.setattr(scoring.ad, "gradient", counted)
+    blocked = scoring.compute_scores(m, x, spec)
+    assert passes == [scoring.ODIN_BLOCK_ROWS] * 2 + [n - 2 * scoring.ODIN_BLOCK_ROWS]
+    monkeypatch.setattr(scoring, "ODIN_BLOCK_ROWS", n)
+    passes.clear()
+    whole = scoring.compute_scores(m, x, spec)
+    assert passes == [n]
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bad_block", [1, 2])
+def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block):
+    # Rows with x0 < x1 sit in the dead half of the one ReLU unit. A row with
+    # x0 == x1 keeps it alive at 1e-3, so its logits are finite while its input
+    # gradient carries the 1e307 first-layer weights times about 240.
+    m = model.MlpClassifier((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e3, -1e3]])),
+                            (np.array([1e-3]), np.zeros(2)))
+    x = np.tile([0.2, 0.7], (scoring.ODIN_BLOCK_ROWS * 5 // 2, 1))
+    spec = scoring.ScoreSpec("odin", temperature=1.0)
+    assert np.all(np.isfinite(scoring.compute_scores(m, x, spec)))
+    x[bad_block * scoring.ODIN_BLOCK_ROWS + 5] = 0.5
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        scoring.compute_scores(m, x, spec)
+
+
+@pytest.mark.parametrize("dims, kind", [((2, 8, 8, 3), kind) for kind in scoring.ScoreSpec.KINDS]
+                         + [((2, 3), kind) for kind in ("msp", "energy", "odin")],
+                         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_scores_from_precomputed_features_are_bitwise_equal(dims, kind):
+    m = model.init_model(dims, seed=13)
+    x = np.random.default_rng(14).uniform(0, 1, (50, 2))
+    spec = scoring.ScoreSpec(kind=kind)
+    features = model.penultimate_features(m, x)
+    with_features = scoring.compute_scores(m, x, spec, features=features)
+    assert with_features.tobytes() == scoring.compute_scores(m, x, spec).tobytes()
+
+
+def test_ash_energy_on_a_model_without_hidden_layer_raises():
+    # eval --checkpoint can load such a model whatever model.hidden says.
+    m = model.init_model((2, 3), seed=13)
+    with pytest.raises(ShapeError, match="hidden layer"):
+        scoring.compute_scores(m, np.full((4, 2), 0.5), scoring.ScoreSpec(kind="ash_energy"))
 
 
 def test_ash_identity_at_zero_percentile():
