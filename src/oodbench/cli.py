@@ -108,6 +108,12 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     pass over its perturbed inputs. Each (score, set) array is computed once
     and feeds both the reports and scores.csv; nothing is written unless
     every report could be assembled.
+
+    Memory order: sets are scored one at a time. A set's features are
+    dropped once the kinds that read them are done, before ODIN runs (it
+    reads only the predicted class, the argmax of the logits) and before the
+    next set's forward. So eval holds either one set's features (with ASH's
+    shaped copy) or ODIN's perturbed forward, never both.
     """
     out = _out_dir(cfg)
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
@@ -120,10 +126,17 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     scores = [{} for _ in cfg.scores]  # per spec: set name -> scores
     for set_name, x in sets.items():
         features = model_mod.penultimate_features(mlp, x)
+        logits = model_mod.head(mlp, features)
         if set_name == "id_test":
-            id_acc = metrics_mod.id_accuracy(model_mod.head(mlp, features), id_test.y)
+            id_acc = metrics_mod.id_accuracy(logits, id_test.y)
         for spec, by_set in zip(cfg.scores, scores):
-            by_set[set_name] = scoring.compute_scores(mlp, x, spec, features=features)
+            if spec.kind != "odin":
+                by_set[set_name] = scoring.compute_scores(mlp, x, spec, features=features)
+        del features  # before ODIN's perturbed forward and the next set's forward
+        top = np.argmax(logits, axis=1)
+        for spec, by_set in zip(cfg.scores, scores):
+            if spec.kind == "odin":
+                by_set[set_name] = scoring.compute_scores(mlp, x, spec, top=top)
     method = cfg.method_label()
     digest = cfg.digest()
     reports = []

@@ -9,6 +9,11 @@ computes its activations (the batch itself for a model with no hidden
 layer) and ``head`` maps them to logits, so ``forward`` is exactly
 ``head(model, penultimate_features(model, batch))``. A caller that needs
 both features and logits of a set, as evaluation does, forwards it once.
+
+Memory order: each hidden layer adds its bias and applies the ReLU in place
+on its own fresh ``h @ w`` product, so a forward holds at most two
+activation arrays at once (the layer's input and its output) and never
+writes into the caller's batch.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ def _hidden(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     """The batch through every hidden layer (the batch itself if there is none)."""
     h = _check_batch(model, batch)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
+        z = h @ w
+        z += b
+        h = np.maximum(z, 0.0, out=z)
     return h
 
 
@@ -162,16 +169,34 @@ def load_checkpoint(path) -> MlpClassifier:
     if not isinstance(doc, dict):
         raise DataError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"unsupported checkpoint format_version {doc.get('format_version')}")
+        raise DataError(f"checkpoint {path} has unsupported format_version "
+                        f"{doc.get('format_version')!r}")
     try:
-        dims = tuple(int(d) for d in doc["dims"])
-        weights = tuple(
-            np.asarray(flat, dtype=np.float64).reshape(dims[i], dims[i + 1])
-            for i, flat in enumerate(doc["weights"])
-        )
-        biases = tuple(np.asarray(b, dtype=np.float64) for b in doc["biases"])
+        dims = tuple(_layer_dim(d) for d in doc["dims"])
+        weights = tuple(_parameters(flat).reshape(dims[i], dims[i + 1])
+                        for i, flat in enumerate(doc["weights"]))
+        biases = tuple(_parameters(b) for b in doc["biases"])
         return MlpClassifier(dims, weights, biases)
     except KeyError as exc:
         raise DataError(f"checkpoint {path} has no {exc} entry") from None
-    except (ConfigError, IndexError, TypeError, ValueError, ShapeError) as exc:
+    except (ConfigError, IndexError, TypeError, ValueError, ShapeError, NumericError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc
+
+
+def _layer_dim(value) -> int:
+    """A checkpoint's layer width: an integer, or a float with an integral value,
+    as the config parser accepts; a bool or a fractional number is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"layer dims must be integers, got {value!r}")
+
+
+def _parameters(values) -> np.ndarray:
+    """A checkpoint's flat list of one layer's weights or biases as float64.
+    numpy would read a string such as "1.5" or a bool as a number; both are
+    refused. Non-finite values are refused by ``MlpClassifier``."""
+    if not all(type(v) in (int, float) for v in values):
+        raise TypeError("layer parameters must be a flat list of numbers")
+    return np.asarray(values, dtype=np.float64)

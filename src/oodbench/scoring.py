@@ -24,7 +24,7 @@ from .errors import ConfigError, ShapeError
 
 ODIN_DEFAULT_TEMPERATURE = 1.0e4
 ODIN_DEFAULT_EPSILON = 1.4e-3
-ODIN_BLOCK_ROWS = 4096  # rows per ODIN input-gradient pass
+BLOCK_ROWS = 4096  # rows per ODIN input-gradient pass and per ASH shaping block
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
     given). The perturbed input is clipped to data.DOMAIN; with eps=0 and T=1
     this is exactly ``msp_score`` of the raw logits.
 
-    The input gradient is taken in blocks of ODIN_BLOCK_ROWS rows, keeping
+    The input gradient is taken in blocks of BLOCK_ROWS rows, keeping
     only each block's sign, so its memory does not grow with the batch. The
     perturbed batch is forwarded whole: OpenBLAS rounding depends on the row
     count, so a blocked forward would change the low bits of the logits,
@@ -104,8 +104,8 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
         top = np.argmax(model_mod.forward(mlp, batch), axis=1)
     bindings = model_mod.param_bindings(mlp)
     step = np.empty_like(batch)
-    for start in range(0, batch.shape[0], ODIN_BLOCK_ROWS):
-        rows = slice(start, start + ODIN_BLOCK_ROWS)
+    for start in range(0, batch.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         bindings["x"] = batch[rows]
         grads = ad.gradient(odin_graph(mlp.dims, top[rows], temperature), bindings, ["x"])
         step[rows] = np.sign(grads["x"])
@@ -116,38 +116,52 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
 def ash_s(activations, percentile: float) -> np.ndarray:
     """Zero activations below the per-row percentile, rescale survivors to keep the row sum.
 
-    Rows whose survivor sum is not positive are returned unchanged with a
-    warning (nothing sensible to rescale).
+    Rows whose survivor sum is not positive are returned unchanged, and one
+    warning gives their count (nothing sensible to rescale).
+
+    Memory order: every step is per row, so rows are shaped in blocks of
+    BLOCK_ROWS into one preallocated output. Beside its input, ash holds
+    that output and one block's temporaries, not several copies of the
+    whole matrix; the result is bitwise that of a whole-matrix pass.
     """
     acts = np.asarray(activations, dtype=np.float64)
     if acts.ndim != 2:
         raise ShapeError("activations must be 2-D")
     if percentile == 0.0:
         return acts.copy()
-    out = acts.copy()
-    cut = np.percentile(acts, percentile, axis=1, keepdims=True)
-    kept = acts >= cut
-    shaped = np.where(kept, acts, 0.0)
-    before = acts.sum(axis=1)
-    after = shaped.sum(axis=1)
-    ok = (before > 0) & (after > 0)
-    if not np.all(ok):
-        warnings.warn(f"{int(np.sum(~ok))} rows left unshaped (non-positive sum)", stacklevel=2)
-    scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
-    out[ok] = shaped[ok] * scale[ok, None]
+    out = np.empty_like(acts)
+    unshaped = 0
+    for start in range(0, acts.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        block = acts[rows]
+        cut = np.percentile(block, percentile, axis=1, keepdims=True)
+        shaped = np.where(block >= cut, block, 0.0)
+        before = block.sum(axis=1)
+        after = shaped.sum(axis=1)
+        ok = (before > 0) & (after > 0)
+        unshaped += int(np.sum(~ok))
+        scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
+        np.multiply(shaped, scale[:, None], out=out[rows])
+        np.copyto(out[rows], block, where=~ok[:, None])
+    if unshaped:
+        warnings.warn(f"{unshaped} rows left unshaped (non-positive sum)", stacklevel=2)
     return out
 
 
 def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
-                   features=None) -> np.ndarray:
+                   features=None, top=None) -> np.ndarray:
     """Evaluate the configured score for a batch of raw inputs.
 
     ``features`` are the batch's ``model.penultimate_features``; a caller
     that scores one batch several ways computes them once and passes them
     in. Left unset, they are computed here. Every kind reads the logits
     ``model.head`` makes from them, which equal ``model.forward`` bit for bit.
+    ``top``, the argmax of those logits, is all that ODIN reads of them: a
+    caller that holds the logits passes it, and ODIN then needs no features.
     """
     batch = np.asarray(batch, dtype=np.float64)
+    if spec.kind == "odin" and top is not None:
+        return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon, top)
     if features is None:
         features = model_mod.penultimate_features(mlp, batch)
     if spec.kind == "ash_energy":

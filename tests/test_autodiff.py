@@ -1,10 +1,7 @@
-import math
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
 from oodbench import numerics
@@ -113,42 +110,10 @@ def test_gradient_deterministic_accumulation():
     assert g1.tobytes() == g2.tobytes()
 
 
-def test_logsumexp_numeric_examples():
-    assert math.isclose(float(numerics.logsumexp(np.zeros(10))), math.log(10.0),
-                        rel_tol=1e-12)
-    assert float(numerics.logsumexp(np.array([1000.0, 1000.0]))) == pytest.approx(
-        1000.0 + math.log(2.0), rel=1e-15)
-
-
-def test_logsumexp_shift_property():
-    x = np.array([0.1, -3.0, 2.2])
-    base = float(numerics.logsumexp(x))
-    shifted = float(numerics.logsumexp(x + 7.5))
-    assert shifted == pytest.approx(base + 7.5, rel=1e-12)
-
-
 def test_logsumexp_empty_axis_raises():
-    with pytest.raises(ShapeError):
-        numerics.logsumexp(np.zeros((0, 3)), axis=0)
+    # The engine's half; numerics.logsumexp's own check is in test_numerics.py.
     with pytest.raises(ShapeError):
         ad.evaluate(ad.logsumexp(ad.inp("x"), axis=1), {"x": np.zeros((2, 0))})
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=20))
-def test_logsumexp_bounds_property(values):
-    x = np.asarray(values)
-    lse = float(numerics.logsumexp(x))
-    assert lse >= np.max(x) - 1e-12
-    assert lse <= np.max(x) + math.log(len(values)) + 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=3),
-                min_size=1, max_size=8))
-def test_softmax_rows_sum_to_one(rows):
-    out = numerics.softmax(np.asarray(rows), axis=-1)
-    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_finite_diff_linear_function_exact():

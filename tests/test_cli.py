@@ -89,7 +89,10 @@ def test_report_rewrites_the_eval_csv_byte_for_byte(tmp_path):
 
 
 # Each fails a different way: no dims, not an object, not UTF-8, a short
-# weight list, more layers than dims, dims not a list, no layers at all.
+# weight list, more layers than dims, dims not a list, no layers at all, an
+# unknown format version; then values Python's json accepts but a checkpoint
+# must not hold: NaN, infinities (also by overflow), a bool or fractional dim,
+# a string or bool parameter.
 BAD_CHECKPOINTS = [
     b'{"format_version": 1}',
     b"[1]",
@@ -98,6 +101,15 @@ BAD_CHECKPOINTS = [
     b'{"format_version": 1, "dims": [2], "weights": [[0.5]], "biases": [[0]]}',
     b'{"format_version": 1, "dims": 5, "weights": [], "biases": []}',
     b'{"format_version": 1, "dims": [], "weights": [], "biases": []}',
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [[NaN, 0, 0, 1]], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, Infinity]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, -Infinity]], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1e999]], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, true], "weights": [[1, 1]], "biases": [[0]]}',
+    b'{"format_version": 1, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, true]]}',
 ]
 
 
@@ -108,8 +120,7 @@ def test_malformed_checkpoint_exits_3(tmp_path, capsys, content):
     bad.write_bytes(content)
     capsys.readouterr()
     assert cli.main(base + ["eval", "--checkpoint", str(bad)]) == 3
-    assert capsys.readouterr().err.startswith("error: checkpoint ")
-
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {bad} ")
 
 @pytest.mark.parametrize("content", [b'[{"method": "x"}]', b"not json", b"\xff",
                                      b'{"method": "x"}', b"[1]"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,34 @@ def test_penultimate_hand_computed_one_hidden():
     np.testing.assert_allclose(feats, [[1.75]])
 
 
+@pytest.mark.parametrize("dims", [(2, 16, 16, 3), (3, 7, 2), (2, 3)])
+def test_forward_equals_the_plain_chain_and_leaves_its_input(dims):
+    m = model.init_model(dims, seed=31)
+    m = model.MlpClassifier(m.dims, m.weights, tuple(np.random.default_rng(32).normal(size=b.shape)
+                                                     for b in m.biases))
+    x = np.random.default_rng(33).uniform(-1, 1, (257, dims[0]))
+    kept = x.copy()
+    h = x
+    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+    assert model.penultimate_features(m, x).tobytes() == h.tobytes()
+    assert model.forward(m, x).tobytes() == (h @ m.weights[-1] + m.biases[-1]).tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
+def test_penultimate_features_peak_memory():
+    # A hidden layer holds its input and its output, never a third array.
+    m = model.init_model((2, 64, 64, 4), seed=34)
+    x = np.random.default_rng(35).uniform(0, 1, (16384, 2))
+    tracemalloc.start()
+    try:
+        feats = model.penultimate_features(m, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * feats.nbytes
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(-5.0, 5.0))
 def test_final_bias_translation_covariance(seed, shift):
@@ -137,3 +167,11 @@ def test_checkpoint_bad_version(tmp_path):
     p.write_text('{"format_version": 99}')
     with pytest.raises(DataError):
         model.load_checkpoint(p)
+
+
+def test_checkpoint_dims_may_be_integral_floats(tmp_path):
+    # As in a config, 2.0 is the integer 2; a bool or 2.5 is refused (test_cli.BAD_CHECKPOINTS).
+    p = tmp_path / "ckpt.json"
+    p.write_text('{"format_version": 1, "dims": [2.0, 2], "weights": [[1, 0, 0, 1]], '
+                 '"biases": [[0, 0]]}', encoding="utf-8")
+    assert model.load_checkpoint(p).dims == (2, 2)

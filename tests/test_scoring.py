@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,7 +105,7 @@ def test_odin_gradient_is_taken_at_the_temperature():
 
 def test_blocked_odin_equals_one_pass(monkeypatch):
     # About 2.5 blocks, so the last block is ragged.
-    n = scoring.ODIN_BLOCK_ROWS * 5 // 2 + 7
+    n = scoring.BLOCK_ROWS * 5 // 2 + 7
     m = model.init_model([2, 16, 16, 4], seed=11)
     x = np.random.default_rng(12).uniform(0, 1, (n, 2))
     spec = scoring.ScoreSpec.odin_default()
@@ -116,8 +118,8 @@ def test_blocked_odin_equals_one_pass(monkeypatch):
 
     monkeypatch.setattr(scoring.ad, "gradient", counted)
     blocked = scoring.compute_scores(m, x, spec)
-    assert passes == [scoring.ODIN_BLOCK_ROWS] * 2 + [n - 2 * scoring.ODIN_BLOCK_ROWS]
-    monkeypatch.setattr(scoring, "ODIN_BLOCK_ROWS", n)
+    assert passes == [scoring.BLOCK_ROWS] * 2 + [n - 2 * scoring.BLOCK_ROWS]
+    monkeypatch.setattr(scoring, "BLOCK_ROWS", n)
     passes.clear()
     whole = scoring.compute_scores(m, x, spec)
     assert passes == [n]
@@ -131,10 +133,10 @@ def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block):
     # gradient carries the 1e307 first-layer weights times about 240.
     m = model.MlpClassifier((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e3, -1e3]])),
                             (np.array([1e-3]), np.zeros(2)))
-    x = np.tile([0.2, 0.7], (scoring.ODIN_BLOCK_ROWS * 5 // 2, 1))
+    x = np.tile([0.2, 0.7], (scoring.BLOCK_ROWS * 5 // 2, 1))
     spec = scoring.ScoreSpec("odin", temperature=1.0)
     assert np.all(np.isfinite(scoring.compute_scores(m, x, spec)))
-    x[bad_block * scoring.ODIN_BLOCK_ROWS + 5] = 0.5
+    x[bad_block * scoring.BLOCK_ROWS + 5] = 0.5
     with pytest.raises(NumericError, match="non-finite gradient"):
         scoring.compute_scores(m, x, spec)
 
@@ -149,6 +151,9 @@ def test_scores_from_precomputed_features_are_bitwise_equal(dims, kind):
     features = model.penultimate_features(m, x)
     with_features = scoring.compute_scores(m, x, spec, features=features)
     assert with_features.tobytes() == scoring.compute_scores(m, x, spec).tobytes()
+    if kind == "odin":  # eval passes ODIN the predicted class alone
+        top = np.argmax(model.head(m, features), axis=1)
+        assert scoring.compute_scores(m, x, spec, top=top).tobytes() == with_features.tobytes()
 
 
 def test_ash_energy_on_a_model_without_hidden_layer_raises():
@@ -183,6 +188,49 @@ def test_ash_all_zero_row_flagged():
     with pytest.warns(UserWarning, match="unshaped"):
         out = scoring.ash_s(acts, 50.0)
     np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
+
+
+def _ash_whole_matrix(acts, percentile):
+    """The shaping formula applied to every row at once."""
+    out = acts.copy()
+    cut = np.percentile(acts, percentile, axis=1, keepdims=True)
+    shaped = np.where(acts >= cut, acts, 0.0)
+    before, after = acts.sum(axis=1), shaped.sum(axis=1)
+    ok = (before > 0) & (after > 0)
+    scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
+    out[ok] = shaped[ok] * scale[ok, None]
+    return out, int(np.sum(~ok))
+
+
+@pytest.mark.parametrize("percentile", [50.0, 95.0])
+def test_blocked_ash_equals_the_whole_matrix_formula(percentile):
+    # About 2.5 blocks, so the last block is ragged; one unshaped row each in
+    # the first and the third block, and one warning with their total.
+    n = scoring.BLOCK_ROWS * 5 // 2 + 7
+    acts = np.maximum(np.random.default_rng(15).normal(size=(n, 24)), 0.0)
+    acts[3] = 0.0
+    acts[2 * scoring.BLOCK_ROWS + 5] = 0.0
+    expected, unshaped = _ash_whole_matrix(acts, percentile)
+    assert unshaped == 2
+    kept = acts.copy()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = scoring.ash_s(acts, percentile)
+    assert [str(w.message) for w in caught] == ["2 rows left unshaped (non-positive sum)"]
+    assert out.tobytes() == expected.tobytes()
+    assert acts.tobytes() == kept.tobytes()
+
+
+def test_ash_peak_memory():
+    # Beside its input, ash holds its output and one block's temporaries.
+    acts = np.maximum(np.random.default_rng(16).normal(size=(16384, 64)), 0.0)
+    tracemalloc.start()
+    try:
+        scoring.ash_s(acts, 95.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * acts.nbytes
 
 
 def test_detect_rule():
