@@ -179,7 +179,8 @@ def load_checkpoint(path) -> MlpClassifier:
         return MlpClassifier(dims, weights, biases)
     except KeyError as exc:
         raise DataError(f"checkpoint {path} has no {exc} entry") from None
-    except (ConfigError, IndexError, TypeError, ValueError, ShapeError, NumericError) as exc:
+    except (ConfigError, IndexError, TypeError, ValueError, OverflowError, ShapeError,
+            NumericError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc
 
 
@@ -196,7 +197,8 @@ def _layer_dim(value) -> int:
 def _parameters(values) -> np.ndarray:
     """A checkpoint's flat list of one layer's weights or biases as float64.
     numpy would read a string such as "1.5" or a bool as a number; both are
-    refused. Non-finite values are refused by ``MlpClassifier``."""
+    refused. Non-finite values are refused by ``MlpClassifier``; an integer too
+    large for a float raises OverflowError here."""
     if not all(type(v) in (int, float) for v in values):
         raise TypeError("layer parameters must be a flat list of numbers")
     return np.asarray(values, dtype=np.float64)

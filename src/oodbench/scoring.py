@@ -154,13 +154,14 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
 
     ``features`` are the batch's ``model.penultimate_features``; a caller
     that scores one batch several ways computes them once and passes them
-    in. Left unset, they are computed here. Every kind reads the logits
-    ``model.head`` makes from them, which equal ``model.forward`` bit for bit.
-    ``top``, the argmax of those logits, is all that ODIN reads of them: a
-    caller that holds the logits passes it, and ODIN then needs no features.
+    in. Left unset, they are computed here. msp, energy and ash_energy read
+    the logits ``model.head`` makes from them, which equal ``model.forward``
+    bit for bit. ODIN reads no features, only ``top``, the argmax of those
+    logits: a caller that holds the logits passes it, and ``odin_score``
+    forwards the batch for it otherwise.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if spec.kind == "odin" and top is not None:
+    if spec.kind == "odin":
         return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon, top)
     if features is None:
         features = model_mod.penultimate_features(mlp, batch)
@@ -172,10 +173,8 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     logits = model_mod.head(mlp, features)
     if spec.kind == "msp":
         return msp_score(logits)
-    if spec.kind == "energy":
-        return energy_score(logits, spec.temperature)
-    # odin, the last of ScoreSpec.KINDS
-    return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon, np.argmax(logits, axis=1))
+    # energy, the one kind left
+    return energy_score(logits, spec.temperature)
 
 
 def write_score_csv(path, blocks) -> None:

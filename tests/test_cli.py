@@ -106,6 +106,9 @@ BAD_CHECKPOINTS = [
     b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, Infinity]]}',
     b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, -Infinity]], "biases": [[0, 0]]}',
     b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1e999]], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 400
+    + b']], "biases": [[0, 0]]}',
+    b'{"format_version": 1, "dims": [2, 1e300], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
     b'{"format_version": 1, "dims": [2, true], "weights": [[1, 1]], "biases": [[0]]}',
     b'{"format_version": 1, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
     b'{"format_version": 1, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], "biases": [[0, 0]]}',
