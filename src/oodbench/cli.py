@@ -40,9 +40,8 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     out = _out_dir(cfg)
     d = cfg.data
     seed = config_mod.component_seed(cfg.seed, "data")
-    raw_train = data_mod.gen_id_mixture_raw(d.classes, d.per_class, d.radius, d.sigma, seed)
-    raw_test = data_mod.gen_id_mixture_raw(d.classes, d.test_per_class, d.radius, d.sigma,
-                                           seed + 1)
+    raw_train = data_mod.gen_id_mixture_raw(d.classes, d.per_class, seed)
+    raw_test = data_mod.gen_id_mixture_raw(d.classes, d.test_per_class, seed + 1)
     transform = data_mod.fit_minmax(raw_train.x)
     id_train = data_mod.LabeledDataset(transform.apply(raw_train.x), raw_train.y)
     id_test = data_mod.LabeledDataset(transform.apply(raw_test.x), raw_test.y)
@@ -79,6 +78,9 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
     out = _out_dir(cfg)
     names = ("id_train",) if cfg.train.loss.kind == "ce" else ("id_train", "aux_out")
     id_train, *aux = _load_sets(cfg, *names)  # plain cross-entropy reads no outliers
+    if aux and aux[0].x.shape[1] != id_train.x.shape[1]:
+        raise DataError(f"aux_out.csv has {aux[0].x.shape[1]} feature columns, "
+                        f"id_train.csv has {id_train.x.shape[1]}")
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
     mlp = model_mod.init_model(dims, config_mod.component_seed(cfg.seed, "model"))
     trained, history = trainer_mod.fine_tune(mlp, id_train, aux[0].x if aux else None,
@@ -164,6 +166,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
     mlp = model_mod.load_checkpoint(ckpt_path)
     x = data_mod.load_csv(input_csv).x
+    if x.shape[0] == 0:
+        raise DataError(f"{input_csv} has no rows to extrapolate")
     grid = epsilons if epsilons else [cfg.extrapolation.epsilon]
     score_spec = cfg.scores[0]
     # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.

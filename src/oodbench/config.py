@@ -11,7 +11,7 @@ its dataclass's ``__post_init__``, so a bad value fails before a command
 does any work, and the code below the CLI trusts the values it receives.
 
 All randomness flows from the one top-level seed, split per component
-(data / model / train / extrapolation / theory) through named substreams.
+(data / model / train / theory) through named substreams.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from .trainer import TrainConfig
 
 SCHEMA_VERSION = 1
 
-COMPONENT_STREAMS = {"data": 0, "model": 1, "train": 2, "extrapolation": 3, "theory": 4}
+COMPONENT_STREAMS = {"data": 0, "model": 1, "train": 2, "theory": 4}  # 3 is retired
 
 
 def component_seed(seed: int, component: str) -> int:
@@ -76,8 +77,6 @@ class DataConfig:
     classes: int = 4
     per_class: int = 256
     test_per_class: int = 200
-    radius: float = 1.0
-    sigma: float = 0.18
     aux: AuxConfig = field(default_factory=AuxConfig)
     ood_sets: dict[str, OodSetConfig] = field(default_factory=lambda: {"ring": OodSetConfig()})
 
@@ -86,12 +85,11 @@ class DataConfig:
             raise ConfigError("classes must be >= 2")
         if self.per_class < 0 or self.test_per_class < 0:
             raise ConfigError("per_class and test_per_class must be >= 0")
-        if self.radius <= 0:
-            raise ConfigError("radius must be positive")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
         if not self.ood_sets:
             raise ConfigError("ood_sets must name at least one set")
+        for name in self.ood_sets:  # each set is written to ood_<name>.csv
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                raise ConfigError(f"ood set name {name!r} must be a non-empty run of [A-Za-z0-9_-]")
 
 
 @dataclass(frozen=True)
@@ -153,6 +151,8 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if not self.scores:
             raise ConfigError("scores must name at least one score")
+        if len({spec.kind for spec in self.scores}) != len(self.scores):
+            raise ConfigError("scores name a score kind more than once")
         if not self.model.hidden and any(spec.kind == "ash_energy" for spec in self.scores):
             raise ConfigError("ash_energy shapes the last hidden layer, but model.hidden is empty")
 

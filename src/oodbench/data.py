@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +23,8 @@ import numpy as np
 from .errors import DataError
 
 DOMAIN = (0.0, 1.0)
+ID_RADIUS = 1.0  # raw-coordinate radius of the circle the ID blob means sit on
+ID_SIGMA = 0.18  # per-coordinate standard deviation of each ID blob
 
 
 @dataclass
@@ -56,7 +57,7 @@ class UnlabeledDataset:
 
 @dataclass
 class MinMaxTransform:
-    """Per-feature min-max into DOMAIN with clipping; zero-range features map to 0.5."""
+    """Per-feature min-max into DOMAIN with clipping; ID_SIGMA > 0 keeps every range non-zero."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -67,13 +68,7 @@ class MinMaxTransform:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        span = self.maxs - self.mins
-        degenerate = span == 0
-        safe_span = np.where(degenerate, 1.0, span)
-        out = np.clip((x - self.mins) / safe_span, *DOMAIN)
-        if np.any(degenerate):
-            out[:, degenerate] = 0.5
-        return out
+        return np.clip((x - self.mins) / (self.maxs - self.mins), *DOMAIN)
 
     def to_json(self) -> str:
         return json.dumps({"mins": self.mins.tolist(), "maxs": self.maxs.tolist()})
@@ -83,10 +78,7 @@ def fit_minmax(reference: np.ndarray) -> MinMaxTransform:
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[0] == 0:
         raise DataError("reference dataset is empty")
-    t = MinMaxTransform(reference.min(axis=0), reference.max(axis=0))
-    if np.any(t.maxs - t.mins == 0):
-        warnings.warn("zero-range feature: normalized value pinned to 0.5", stacklevel=2)
-    return t
+    return MinMaxTransform(reference.min(axis=0), reference.max(axis=0))
 
 
 # -- generators ------------------------------------------------------------------
@@ -96,16 +88,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def gen_id_mixture_raw(n_classes: int, per_class: int, radius: float, sigma: float,
-                       seed: int) -> LabeledDataset:
-    """C Gaussian blobs with means equally spaced on a circle, raw coordinates."""
+def gen_id_mixture_raw(n_classes: int, per_class: int, seed: int) -> LabeledDataset:
+    """C Gaussian blobs of spread ID_SIGMA, means equally spaced on a circle of radius ID_RADIUS."""
     rng = _rng(seed)
     xs = []
     ys = []
     for c in range(n_classes):
         angle = 2.0 * np.pi * c / n_classes
-        center = radius * np.array([np.cos(angle), np.sin(angle)])
-        xs.append(center + sigma * rng.standard_normal((per_class, 2)))
+        center = ID_RADIUS * np.array([np.cos(angle), np.sin(angle)])
+        xs.append(center + ID_SIGMA * rng.standard_normal((per_class, 2)))
         ys.append(np.full(per_class, c, dtype=np.intp))
     return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
 

@@ -70,7 +70,7 @@ def _case(kind: str, rng: np.random.Generator):
     elif kind == "extrapolation":
         graph, batch_names = extrapolation._target_graph(dims)[1], ("x",)
     else:
-        # T = 1: at ODIN's default temperature the input gradient shrinks
+        # T = 1: at ODIN_TEMPERATURE the input gradient shrinks
         # with 1/T below MIN_GRAD_MAGNITUDE, so no case would be accepted.
         graph, batch_names = scoring.odin_graph(dims, rng.integers(0, c, size=m), 1.0), ("x",)
 

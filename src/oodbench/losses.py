@@ -68,17 +68,12 @@ def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
                             lam)[0]
 
 
-def energy_margin_expr(logits: ad.Expression, temperature: float) -> ad.Expression:
-    """Per-row -T*logsumexp(logits/T): the sign convention the hinge margins expect."""
-    t = float(temperature)
-    return ad.affine(ad.logsumexp(ad.affine(logits, 1.0 / t), axis=1), -t)
-
-
 def energy_bounded_loss_expr(id_logits: ad.Expression, out_logits: ad.Expression,
-                             m_in: float, m_out: float, temperature: float) -> ad.Expression:
-    """Squared hinges pushing ID energy below m_in and outlier energy above m_out."""
-    e_id = energy_margin_expr(id_logits, temperature)
-    e_out = energy_margin_expr(out_logits, temperature)
+                             m_in: float, m_out: float) -> ad.Expression:
+    """Squared hinges pushing ID energy below m_in and outlier energy above m_out,
+    with the energy -logsumexp(logits) per row (temperature 1), the margins' sign."""
+    e_id = -ad.logsumexp(id_logits, axis=1)
+    e_out = -ad.logsumexp(out_logits, axis=1)
     id_term = ad.reduce_mean(ad.square(ad.relu(e_id - float(m_in))))
     out_term = ad.reduce_mean(ad.square(ad.relu(float(m_out) - e_out)))
     return id_term + out_term

@@ -2,7 +2,7 @@
 
 Every score follows one orientation: higher means more in-distribution,
 so a single threshold rule ``ID iff score >= lambda`` serves all of them.
-The energy score is therefore T*logsumexp(logits/T); the hinge-loss sign
+The energy score is therefore logsumexp(logits); the hinge-loss sign
 convention lives in the losses module only.
 """
 
@@ -22,40 +22,25 @@ from . import numerics
 from .data import DOMAIN
 from .errors import ConfigError, ShapeError
 
-ODIN_DEFAULT_TEMPERATURE = 1.0e4
-ODIN_DEFAULT_EPSILON = 1.4e-3
+ODIN_TEMPERATURE = 1.0e4
+ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
+ASH_PERCENTILE = 95.0  # ash_energy zeroes each row's activations below this percentile
 BLOCK_ROWS = 4096  # rows per ODIN input-gradient pass and per ASH shaping block
 
 
 @dataclass(frozen=True)
 class ScoreSpec:
-    """Which score to compute and its parameters.
-
-    kind: one of msp, energy, odin, ash_energy.
-    temperature applies to energy and odin; left unset it resolves to
-    ODIN_DEFAULT_TEMPERATURE for odin and 1 otherwise. odin_epsilon is the
-    input perturbation size; percentile drives the activation-shaping cut.
-    """
+    """Which score to compute, one of KINDS. Each kind's settings are fixed: energy
+    and ash_energy at temperature 1, odin at ODIN_TEMPERATURE and ODIN_EPSILON,
+    ash_energy at ASH_PERCENTILE."""
 
     kind: str
-    temperature: float | None = None
-    odin_epsilon: float = ODIN_DEFAULT_EPSILON
-    percentile: float = 95.0
 
     KINDS = ("msp", "energy", "odin", "ash_energy")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown score kind {self.kind!r}; expected one of {self.KINDS}")
-        if self.temperature is None:
-            object.__setattr__(self, "temperature",
-                               ODIN_DEFAULT_TEMPERATURE if self.kind == "odin" else 1.0)
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if self.odin_epsilon < 0:
-            raise ConfigError("odin_epsilon must be >= 0")
-        if not 0.0 <= self.percentile < 100.0:
-            raise ConfigError("percentile must lie in [0, 100)")
 
     @staticmethod
     def odin_default() -> "ScoreSpec":
@@ -70,12 +55,12 @@ def msp_score(logits) -> np.ndarray:
     return np.max(numerics.softmax(logits, axis=-1), axis=1)
 
 
-def energy_score(logits, temperature: float = 1.0) -> np.ndarray:
-    """T*logsumexp(logits/T) per row; monotone in every logit."""
+def energy_score(logits) -> np.ndarray:
+    """logsumexp(logits) per row, the energy score at temperature 1; monotone in every logit."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError("energy needs 2-D logits")
-    return temperature * numerics.logsumexp(logits / temperature, axis=1)
+    return numerics.logsumexp(logits, axis=1)
 
 
 def odin_graph(dims, top, temperature: float) -> ad.Expression:
@@ -84,14 +69,13 @@ def odin_graph(dims, top, temperature: float) -> ad.Expression:
                                 ad.const(np.eye(dims[-1])[top])))
 
 
-def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DEFAULT_TEMPERATURE,
-               eps: float = ODIN_DEFAULT_EPSILON, top=None) -> np.ndarray:
+def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     """Confidence after a one-step sign-gradient push toward the predicted class.
 
-    The push follows the gradient of log S_top(x; T), the temperature-scaled
-    softmax at the predicted class ``top`` (the argmax of the logits when not
-    given). The perturbed input is clipped to data.DOMAIN; with eps=0 and T=1
-    this is exactly ``msp_score`` of the raw logits.
+    The push of size ODIN_EPSILON follows the gradient of log S_top(x; T), the
+    softmax at T = ODIN_TEMPERATURE at the predicted class ``top`` (the argmax
+    of the logits when not given). The perturbed input is clipped to
+    data.DOMAIN; at an epsilon of 0 and T=1 this is exactly ``msp_score``.
 
     The input gradient is taken in blocks of BLOCK_ROWS rows, keeping
     only each block's sign, so its memory does not grow with the batch. The
@@ -107,14 +91,14 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, temperature: float = ODIN_DE
     for start in range(0, batch.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         bindings["x"] = batch[rows]
-        grads = ad.gradient(odin_graph(mlp.dims, top[rows], temperature), bindings, ["x"])
+        grads = ad.gradient(odin_graph(mlp.dims, top[rows], ODIN_TEMPERATURE), bindings, ["x"])
         step[rows] = np.sign(grads["x"])
-    perturbed = np.clip(batch + eps * step, *DOMAIN)
-    return np.max(numerics.softmax(model_mod.forward(mlp, perturbed) / temperature, axis=-1), axis=1)
+    logits = model_mod.forward(mlp, np.clip(batch + ODIN_EPSILON * step, *DOMAIN))
+    return np.max(numerics.softmax(logits / ODIN_TEMPERATURE, axis=-1), axis=1)
 
 
-def ash_s(activations, percentile: float) -> np.ndarray:
-    """Zero activations below the per-row percentile, rescale survivors to keep the row sum.
+def ash_s(activations) -> np.ndarray:
+    """Zero activations below the per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
 
     Rows whose survivor sum is not positive are returned unchanged, and one
     warning gives their count (nothing sensible to rescale).
@@ -127,14 +111,12 @@ def ash_s(activations, percentile: float) -> np.ndarray:
     acts = np.asarray(activations, dtype=np.float64)
     if acts.ndim != 2:
         raise ShapeError("activations must be 2-D")
-    if percentile == 0.0:
-        return acts.copy()
     out = np.empty_like(acts)
     unshaped = 0
     for start in range(0, acts.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = acts[rows]
-        cut = np.percentile(block, percentile, axis=1, keepdims=True)
+        cut = np.percentile(block, ASH_PERCENTILE, axis=1, keepdims=True)
         shaped = np.where(block >= cut, block, 0.0)
         before = block.sum(axis=1)
         after = shaped.sum(axis=1)
@@ -162,19 +144,18 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":
-        return odin_score(mlp, batch, spec.temperature, spec.odin_epsilon, top)
+        return odin_score(mlp, batch, top)
     if features is None:
         features = model_mod.penultimate_features(mlp, batch)
     if spec.kind == "ash_energy":
         if len(mlp.dims) < 3:
             raise ShapeError("ash_energy needs a model with a hidden layer")
-        return energy_score(model_mod.head(mlp, ash_s(features, spec.percentile)),
-                            spec.temperature)
+        return energy_score(model_mod.head(mlp, ash_s(features)))
     logits = model_mod.head(mlp, features)
     if spec.kind == "msp":
         return msp_score(logits)
     # energy, the one kind left
-    return energy_score(logits, spec.temperature)
+    return energy_score(logits)
 
 
 def write_score_csv(path, blocks) -> None:

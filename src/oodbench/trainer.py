@@ -24,6 +24,8 @@ from .extrapolation import ExtrapolationConfig, build_extrapolation_pool, select
 from .numerics import derive_seed
 
 LOSS_KINDS = ("ce", "oe", "energy_bounded", "divoe")
+MOMENTUM = 0.9  # Nesterov momentum of every SGD step
+WEIGHT_DECAY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -34,15 +36,12 @@ class LossConfig:
     balance: float = losses.DEFAULT_OE_LAMBDA
     m_in: float = losses.DEFAULT_M_IN_10CLASS
     m_out: float = losses.DEFAULT_M_OUT
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ConfigError(f"loss kind must be one of {LOSS_KINDS}")
         if self.balance < 0:
             raise ConfigError("balance must be >= 0")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,6 @@ class TrainConfig:
 
     epochs: int = 10
     lr: float = 0.001
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     id_batch: int = 128
     outlier_batch: int = 128
     loss: LossConfig = field(default_factory=LossConfig)
@@ -64,10 +61,6 @@ class TrainConfig:
             raise ConfigError("learning rate must be >= 0")
         if self.id_batch < 1 or self.outlier_batch < 1:
             raise ConfigError("batch sizes must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight decay must be >= 0")
 
 
 @dataclass
@@ -105,18 +98,18 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             velocity: dict[str, np.ndarray], lr: float, momentum: float,
-             weight_decay: float):
-    """One Nesterov update: g += wd*p; v' = m*v + g; p' = p - lr*(g + m*v')."""
+             velocity: dict[str, np.ndarray], lr: float):
+    """One Nesterov update: g += wd*p; v' = m*v + g; p' = p - lr*(g + m*v'),
+    with m = MOMENTUM and wd = WEIGHT_DECAY."""
     new_params = {}
     new_velocity = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ConfigError(f"gradient shape {g.shape} does not match parameter {name}")
-        g = g + weight_decay * p
-        v = momentum * velocity[name] + g
-        new_params[name] = p - lr * (g + momentum * v)
+        g = g + WEIGHT_DECAY * p
+        v = MOMENTUM * velocity[name] + g
+        new_params[name] = p - lr * (g + MOMENTUM * v)
         new_velocity[name] = v
     return new_params, new_velocity
 
@@ -153,8 +146,7 @@ def _build_loss_graph(dims, kind: str, lc: LossConfig, has_orig: bool, has_ext: 
     ce = losses.ce_loss_expr(id_logits, target)
     if kind == "ce":
         return ce, ce, None, None
-    hinge = losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out,
-                                            lc.temperature)
+    hinge = losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out)
     return ce + lc.balance * hinge, ce, hinge, None
 
 
@@ -172,8 +164,6 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
     if kind != "ce" and (aux is None or aux.shape[0] == 0):
         raise ConfigError(f"loss kind {kind!r} requires a non-empty auxiliary outlier pool")
-    if mlp.n_features != id_train.x.shape[1]:
-        raise ConfigError("model input width does not match the training data")
 
     params = dict(model_mod.param_bindings(mlp))
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
@@ -233,8 +223,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                         f"at epoch {epoch} step {step}")
 
             lr = cosine_lr(step, total_steps, cfg.lr)
-            params, velocity = sgd_step(params, grads, velocity, lr, cfg.momentum,
-                                        cfg.weight_decay)
+            params, velocity = sgd_step(params, grads, velocity, lr)
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
                 oe_loss_orig=out_value, oe_loss_extrap=ext_value,

@@ -175,6 +175,27 @@ def test_ce_train_reads_no_auxiliary_outliers(tmp_path, capsys):
     assert "aux_out.csv" in capsys.readouterr().err
 
 
+def test_train_with_an_outlier_pool_of_another_width_exits_3(tmp_path, capsys):
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+    assert cli.main(base + ["gen-data"]) == 0
+    (tmp_path / "run" / "aux_out.csv").write_text("x0,x1,x2\n0.1,0.2,0.3\n", encoding="utf-8")
+    assert cli.main(base + ["train"]) == 3
+    assert "aux_out.csv has 3 feature columns" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+
+def test_extrapolate_on_an_input_with_no_rows_exits_3(tmp_path, capsys):
+    base = _evaluated_run(tmp_path)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x0,x1\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = base + ["extrapolate", "--input", str(empty), "--dump", str(tmp_path / "d" / "e.csv")]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"{empty} has no rows" in captured.err and captured.out == ""
+    assert not (tmp_path / "d").exists()
+
+
 def test_extrapolate_grid_matches_one_run_per_epsilon(tmp_path):
     base = _evaluated_run(tmp_path)
     run = tmp_path / "run"

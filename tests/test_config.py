@@ -15,13 +15,16 @@ PROBES = [
     "data.ood_sets=[]",
     "train.loss=3",
     "extrapolation.pool=[[0.1]]",
-    "extrapolation.clamp=[0]",  # a removed key
+    # Removed keys.
+    "extrapolation.clamp=[0]",
+    "train.weight_decay=NaN",
+    "data.sigma=NaN",
+    "data.radius=0",
+    'scores=[{"kind": "energy", "temperature": 0}]',
     'seed="x"',
     "train.epochs=2.7",
     'train.sampler="bogus"',
     "extrapolation.epsilon=Infinity",
-    "train.weight_decay=NaN",
-    "data.sigma=NaN",
     "data.aux.count=-1",
     "data.ood_sets.ring.count=-5",
     # Value checks made once, at parse time, for the code below the CLI.
@@ -33,14 +36,16 @@ PROBES = [
     "theory.tau=-1",
     "theory.tau=20",  # above the default alpha of 10
     "data.classes=1",
-    "data.radius=0",
     "data.aux.arc_fraction=0",
     "data.ood_sets.ring.inner_radius=3",
     "data.aux.outer_radius=1",
     "model.hidden=[0]",
     "train.id_batch=0",
     "extrapolation.epsilon=-0.1",
-    'scores=[{"kind": "energy", "temperature": 0}]',
+    # Each OOD set is written to ood_<name>.csv, and each score kind is computed once.
+    'data.ood_sets={"a/b": {"count": 16}}',
+    'data.ood_sets={"": {"count": 16}}',
+    'scores=[{"kind": "msp"}, {"kind": "msp"}]',
 ]
 
 UNKNOWN_KEYS = [
@@ -65,20 +70,29 @@ UNKNOWN_KEYS = [
     {"extrapolation": {"direction": "minimize"}},
     {"extrapolation": {"step_size": 0.01}},
     {"extrapolation": {"clamp": [0.0, 1.0]}},
+    # Fixed settings, now constants of the modules that read them.
+    {"train": {"momentum": 0.9}},
+    {"train": {"weight_decay": 1e-4}},
+    {"train": {"loss": {"temperature": 1.0}}},
+    {"scores": [{"kind": "energy", "temperature": 1.0}]},
+    {"scores": [{"kind": "odin", "odin_epsilon": 1.4e-3}]},
+    {"scores": [{"kind": "ash_energy", "percentile": 95.0}]},
+    {"data": {"radius": 1.0}},
+    {"data": {"sigma": 0.18}},
 ]
 
 
 def _non_default() -> config.RunConfig:
     return config.RunConfig(
         seed=7,
-        data=config.DataConfig(classes=3, sigma=0.25, aux=config.AuxConfig(count=64),
+        data=config.DataConfig(classes=3, aux=config.AuxConfig(count=64),
                                ood_sets={"near": config.OodSetConfig(1.2, 1.5, 32),
                                          "far": config.OodSetConfig(2.2, 4.0, 16)}),
         model=config.ModelConfig(hidden=(16,)),
         train=trainer.TrainConfig(epochs=2, lr=0.05,
                                   loss=trainer.LossConfig(kind="divoe", balance=0.25)),
         extrapolation=ExtrapolationConfig(steps=3, pool=((0.02, 0.5), (0.1, 0.5))),
-        scores=(scoring.ScoreSpec("odin", odin_epsilon=0.0), scoring.ScoreSpec("ash_energy")),
+        scores=(scoring.ScoreSpec("odin"), scoring.ScoreSpec("ash_energy")),
         outputs=config.OutputsConfig(dir="runs/x", method_label="mine"),
         theory=config.TheoryConfig(trials=5, tau=0.1))
 
@@ -110,7 +124,7 @@ def test_malformed_value_raises_config_error(probe):
 
 
 @pytest.mark.parametrize("doc, match", [
-    ({"scores": [{"temperature": 2.0}]}, "needs a 'kind' key"),
+    ({"scores": [{}]}, "needs a 'kind' key"),
     ({"scores": []}, "at least one score"),
     ({"data": {"ood_sets": {}}}, "at least one set"),
     ({"train": {"lr": True}}, "train.lr must be float"),
@@ -139,14 +153,6 @@ def test_ints_widen_to_float_and_integral_floats_narrow_to_int():
     assert cfg.train.lr == 1.0 and type(cfg.train.lr) is float
     assert cfg.train.epochs == 3 and type(cfg.train.epochs) is int
     assert cfg.model.hidden == (8,) and type(cfg.model.hidden[0]) is int
-
-
-def test_odin_temperature_has_one_default():
-    parsed = config.parse_config({"scores": [{"kind": "odin"}, {"kind": "energy"}]})
-    assert parsed.scores[0].temperature == scoring.ODIN_DEFAULT_TEMPERATURE == 1.0e4
-    assert scoring.ScoreSpec("odin").temperature == 1.0e4
-    assert parsed.scores[1].temperature == scoring.ScoreSpec("energy").temperature == 1.0
-    assert parsed.scores[0] == scoring.ScoreSpec("odin")
 
 
 def test_digest_ignores_output_dir_but_not_training_knobs():

@@ -111,22 +111,19 @@ def test_minmax_applies_clips_and_round_trips_through_json():
     assert again.apply(ref).tobytes() == t.apply(ref).tobytes()
 
 
-def test_minmax_zero_range_feature_pins_to_half():
-    with pytest.warns(UserWarning, match="zero-range"):
-        t = data.fit_minmax(np.array([[1.0, 3.0], [2.0, 3.0]]))
-    np.testing.assert_array_equal(t.apply(np.array([[1.5, 7.0]])), [[0.5, 0.5]])
+def test_minmax_rejects_an_empty_reference():
     with pytest.raises(DataError):
         data.fit_minmax(np.zeros((0, 2)))
 
 
 def test_id_mixture_is_deterministic_per_seed():
-    a = data.gen_id_mixture_raw(4, 50, 1.0, 0.18, seed=3)
-    b = data.gen_id_mixture_raw(4, 50, 1.0, 0.18, seed=3)
-    c = data.gen_id_mixture_raw(4, 50, 1.0, 0.18, seed=4)
+    a = data.gen_id_mixture_raw(4, 50, seed=3)
+    b = data.gen_id_mixture_raw(4, 50, seed=3)
+    c = data.gen_id_mixture_raw(4, 50, seed=4)
     assert a.x.tobytes() == b.x.tobytes() and np.array_equal(a.y, b.y)
     assert a.x.tobytes() != c.x.tobytes()
     assert np.array_equal(np.bincount(a.y), [50] * 4)
-    empty = data.gen_id_mixture_raw(4, 0, 1.0, 0.18, seed=3)
+    empty = data.gen_id_mixture_raw(4, 0, seed=3)
     assert empty.x.shape == (0, 2) and empty.y.shape == (0,) and empty.y.dtype == np.intp
 
 

@@ -98,7 +98,7 @@ def test_oe_total_reductions():
 
 def _energy_bounded(id_logits, out_logits, m_in, m_out):
     return _value(losses.energy_bounded_loss_expr(ad.const(id_logits), ad.const(out_logits),
-                                                  m_in, m_out, 1.0))
+                                                  m_in, m_out))
 
 
 def test_energy_bounded_inactive_hinge():

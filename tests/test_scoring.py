@@ -32,51 +32,54 @@ def test_msp_requires_two_classes():
 
 
 def test_energy_zero_logits():
-    got = scoring.energy_score(np.zeros((2, 10)), 1.0)
+    got = scoring.energy_score(np.zeros((2, 10)))
     np.testing.assert_allclose(got, math.log(10.0), rtol=1e-12)
 
 
 def test_energy_pair_hand_value():
-    assert scoring.energy_score(np.array([[1.0, 1.0]]), 1.0)[0] == pytest.approx(
+    assert scoring.energy_score(np.array([[1.0, 1.0]]))[0] == pytest.approx(
         1.0 + math.log(2.0), rel=1e-12)
 
 
 def test_energy_single_class_is_logit():
-    for t in (0.5, 1.0, 10.0):
-        assert scoring.energy_score(np.array([[3.7]]), t)[0] == pytest.approx(3.7, rel=1e-12)
+    assert scoring.energy_score(np.array([[3.7]]))[0] == pytest.approx(3.7, rel=1e-12)
 
 
 def test_energy_additive_constant():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(4, 6))
-    base = scoring.energy_score(logits, 1.0)
-    shifted = scoring.energy_score(logits + 2.0, 1.0)
+    base = scoring.energy_score(logits)
+    shifted = scoring.energy_score(logits + 2.0)
     np.testing.assert_allclose(shifted, base + 2.0, atol=1e-12)
 
 
 
-def test_odin_eps0_t1_equals_msp_bitwise():
+def test_odin_eps0_t1_equals_msp_bitwise(monkeypatch):
+    monkeypatch.setattr(scoring, "ODIN_TEMPERATURE", 1.0)
+    monkeypatch.setattr(scoring, "ODIN_EPSILON", 0.0)
     m = model.init_model([3, 8, 4], seed=5)
     x = np.random.default_rng(1).uniform(0.05, 0.95, (10, 3))
-    odin = scoring.odin_score(m, x, temperature=1.0, eps=0.0)
+    odin = scoring.odin_score(m, x)
     msp = scoring.msp_score(model.forward(m, x))
     assert odin.tobytes() == msp.tobytes()
 
 
 def test_odin_defaults_match_reference_values():
-    assert scoring.ODIN_DEFAULT_TEMPERATURE == 1.0e4
-    assert scoring.ODIN_DEFAULT_EPSILON == 1.4e-3
-    spec = scoring.ScoreSpec.odin_default()
-    assert spec.temperature == 1.0e4 and spec.odin_epsilon == 1.4e-3
+    assert scoring.ODIN_TEMPERATURE == 1.0e4
+    assert scoring.ODIN_EPSILON == 1.4e-3
+    assert scoring.ASH_PERCENTILE == 95.0
+    assert scoring.ScoreSpec.odin_default() == scoring.ScoreSpec("odin")
 
 
-def test_odin_linear_model_score_increases():
+def test_odin_linear_model_score_increases(monkeypatch):
     # Single affine layer: one sign step moves the top-class confidence up.
     w = np.array([[2.0, -1.0], [0.5, 1.5]])
     m = model.MlpClassifier((2, 2), (w,), (np.zeros(2),))
     x = np.array([[0.5, 0.5], [0.4, 0.6]])
     base = scoring.msp_score(model.forward(m, x))
-    pushed = scoring.odin_score(m, x, temperature=1.0, eps=0.01)
+    monkeypatch.setattr(scoring, "ODIN_TEMPERATURE", 1.0)
+    monkeypatch.setattr(scoring, "ODIN_EPSILON", 0.01)
+    pushed = scoring.odin_score(m, x)
     assert np.all(pushed >= base)
     assert np.any(pushed > base)
 
@@ -96,11 +99,11 @@ def test_odin_gradient_is_taken_at_the_temperature():
         p = numerics.softmax(z / t, axis=-1)
         return (w[:, top].T - p @ w.T) / t
 
-    t, eps = 1.0e4, 0.01
+    t, eps = scoring.ODIN_TEMPERATURE, scoring.ODIN_EPSILON
     assert np.all(np.sign(closed_form(t)[:, 1]) != np.sign(closed_form(1.0)[:, 1]))
     perturbed = np.clip(x + eps * np.sign(closed_form(t)), 0.0, 1.0)
     expected = scoring.msp_score(model.forward(m, perturbed) / t)
-    assert scoring.odin_score(m, x, temperature=t, eps=eps).tobytes() == expected.tobytes()
+    assert scoring.odin_score(m, x).tobytes() == expected.tobytes()
 
 
 def test_blocked_odin_equals_one_pass(monkeypatch):
@@ -127,14 +130,15 @@ def test_blocked_odin_equals_one_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("bad_block", [1, 2])
-def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block):
+def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block, monkeypatch):
     # Rows with x0 < x1 sit in the dead half of the one ReLU unit. A row with
     # x0 == x1 keeps it alive at 1e-3, so its logits are finite while its input
     # gradient carries the 1e307 first-layer weights times about 240.
     m = model.MlpClassifier((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e3, -1e3]])),
                             (np.array([1e-3]), np.zeros(2)))
     x = np.tile([0.2, 0.7], (scoring.BLOCK_ROWS * 5 // 2, 1))
-    spec = scoring.ScoreSpec("odin", temperature=1.0)
+    monkeypatch.setattr(scoring, "ODIN_TEMPERATURE", 1.0)
+    spec = scoring.ScoreSpec("odin")
     assert np.all(np.isfinite(scoring.compute_scores(m, x, spec)))
     x[bad_block * scoring.BLOCK_ROWS + 5] = 0.5
     with pytest.raises(NumericError, match="non-finite gradient"):
@@ -163,22 +167,25 @@ def test_ash_energy_on_a_model_without_hidden_layer_raises():
         scoring.compute_scores(m, np.full((4, 2), 0.5), scoring.ScoreSpec(kind="ash_energy"))
 
 
-def test_ash_identity_at_zero_percentile():
+def test_ash_identity_at_zero_percentile(monkeypatch):
+    monkeypatch.setattr(scoring, "ASH_PERCENTILE", 0.0)
     rng = np.random.default_rng(5)
     acts = rng.uniform(0, 1, (4, 6))
-    out = scoring.ash_s(acts, 0.0)
+    out = scoring.ash_s(acts)
     assert out.tobytes() == acts.tobytes()
 
 
-def test_ash_hand_example():
-    out = scoring.ash_s(np.array([[4.0, 3.0, 2.0, 1.0]]), 50.0)
+def test_ash_hand_example(monkeypatch):
+    monkeypatch.setattr(scoring, "ASH_PERCENTILE", 50.0)
+    out = scoring.ash_s(np.array([[4.0, 3.0, 2.0, 1.0]]))
     np.testing.assert_allclose(out, [[40.0 / 7.0, 30.0 / 7.0, 0.0, 0.0]], rtol=1e-12)
 
 
-def test_ash_preserves_row_sums_and_argmax():
+def test_ash_preserves_row_sums_and_argmax(monkeypatch):
+    monkeypatch.setattr(scoring, "ASH_PERCENTILE", 60.0)
     rng = np.random.default_rng(6)
     acts = rng.uniform(0.01, 1, (10, 8))
-    out = scoring.ash_s(acts, 60.0)
+    out = scoring.ash_s(acts)
     np.testing.assert_allclose(out.sum(axis=1), acts.sum(axis=1), rtol=1e-12)
     np.testing.assert_array_equal(np.argmax(out, axis=1), np.argmax(acts, axis=1))
 
@@ -186,7 +193,7 @@ def test_ash_preserves_row_sums_and_argmax():
 def test_ash_all_zero_row_flagged():
     acts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     with pytest.warns(UserWarning, match="unshaped"):
-        out = scoring.ash_s(acts, 50.0)
+        out = scoring.ash_s(acts)
     np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
 
 
@@ -203,7 +210,8 @@ def _ash_whole_matrix(acts, percentile):
 
 
 @pytest.mark.parametrize("percentile", [50.0, 95.0])
-def test_blocked_ash_equals_the_whole_matrix_formula(percentile):
+def test_blocked_ash_equals_the_whole_matrix_formula(percentile, monkeypatch):
+    monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
     # About 2.5 blocks, so the last block is ragged; one unshaped row each in
     # the first and the third block, and one warning with their total.
     n = scoring.BLOCK_ROWS * 5 // 2 + 7
@@ -215,7 +223,7 @@ def test_blocked_ash_equals_the_whole_matrix_formula(percentile):
     kept = acts.copy()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = scoring.ash_s(acts, percentile)
+        out = scoring.ash_s(acts)
     assert [str(w.message) for w in caught] == ["2 rows left unshaped (non-positive sum)"]
     assert out.tobytes() == expected.tobytes()
     assert acts.tobytes() == kept.tobytes()
@@ -226,7 +234,7 @@ def test_ash_peak_memory():
     acts = np.maximum(np.random.default_rng(16).normal(size=(16384, 64)), 0.0)
     tracemalloc.start()
     try:
-        scoring.ash_s(acts, 95.0)
+        scoring.ash_s(acts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,10 +278,6 @@ def test_score_spec_validation():
     for kind in ("nope", "mahalanobis"):
         with pytest.raises(ConfigError, match="unknown score kind"):
             scoring.ScoreSpec(kind=kind)
-    with pytest.raises(ConfigError):
-        scoring.ScoreSpec(kind="msp", temperature=0.0)
-    with pytest.raises(ConfigError):
-        scoring.ScoreSpec(kind="ash_energy", percentile=100.0)
 
 
 def test_score_csv_export(tmp_path):
