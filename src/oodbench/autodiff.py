@@ -12,8 +12,9 @@ root: the ops in topological order with parents as slot indices, each op's
 forward function looked up once in the ``_FORWARD`` table, and the slot of
 each input name. Later passes run over lists indexed by slot, so a graph
 built once (a training objective, say) can be re-run on bindings of any row
-count without re-deriving its structure. Every pass still checks bindings,
-shapes and the finiteness of its result and gradients.
+count without re-deriving its structure. Every pass still checks that its
+bindings, result and gradients are finite; an unbound input or unknown
+primitive fails with KeyError and incompatible operands with ValueError.
 
 A backward pass computes only what its caller reads. ``value_and_grad``
 marks the slots from which one of its ``wrt`` inputs is reachable, a mask
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from . import numerics
-from .errors import GraphError, NumericError, ShapeError
+from .errors import NumericError
 
 #: Gradient maps are plain dicts: input name -> array shaped like that input.
 GradientMap = dict[str, np.ndarray]
@@ -185,30 +186,15 @@ class _Plan(NamedTuple):
     needed: dict[tuple[str, ...], list[bool]]
 
 
-def _matmul(payload, a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def _broadcasting(op: str, ufunc):
-    def forward(payload, a, b):
-        try:
-            return ufunc(a, b)
-        except ValueError:
-            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-    return forward
-
-
 def _mean(payload, a):
     return np.add.reduce(a, axis=payload) / (a.size if payload is None else a.shape[payload])
 
 
 #: Forward function of each primitive, called as ``forward(payload, *operands)``.
 _FORWARD = {
-    "matmul": _matmul,
-    "add": _broadcasting("add", np.add),
-    "mul": _broadcasting("mul", np.multiply),
+    "matmul": lambda payload, a, b: a @ b,
+    "add": lambda payload, a, b: a + b,
+    "mul": lambda payload, a, b: a * b,
     "relu": lambda payload, a: np.maximum(a, 0.0),
     "log_softmax": lambda payload, a: numerics.log_softmax(a, axis=-1),
     "logsumexp": lambda payload, a: numerics.logsumexp(a, axis=payload),
@@ -233,10 +219,8 @@ def _compile(expr: Expression) -> _Plan:
             if node.op == "input" and inputs.setdefault(node.payload, i) != i:
                 # Two distinct nodes for one name would split the variable and
                 # silently drop gradient contributions; share the node instead.
-                raise GraphError(f"duplicate input node for name {node.payload!r}")
-            forward = _FORWARD.get(node.op)
-            if forward is None and node.op not in ("input", "const"):
-                raise GraphError(f"unknown primitive {node.op!r}")
+                raise ValueError(f"duplicate input node for name {node.payload!r}")
+            forward = None if node.op in ("input", "const") else _FORWARD[node.op]
             steps.append((node.op, tuple(slots[id(p)] for p in node.parents), node.payload,
                           forward))
         expr._plan = _Plan(steps, inputs, slots, {})
@@ -270,8 +254,6 @@ def _forward_all(plan: _Plan, bindings: Mapping[str, np.ndarray]) -> list[np.nda
             if forward is not None:
                 v = forward(payload, *[vals[p] for p in parents])
             elif op == "input":
-                if payload not in bindings:
-                    raise GraphError(f"unbound input {payload!r}")
                 v = numerics.as_tensor(bindings[payload])
                 if not np.isfinite(v).all():
                     raise NumericError(f"binding for {payload!r} contains non-finite values")
@@ -288,8 +270,7 @@ def _forward_all(plan: _Plan, bindings: Mapping[str, np.ndarray]) -> list[np.nda
 def evaluate(expr: Expression, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
     """Deterministic forward value of ``expr`` under ``bindings``.
 
-    Raises GraphError for unbound inputs, ShapeError for incompatible
-    operands, NumericError if the result is not finite.
+    Raises NumericError if a binding or the result is not finite.
     """
     return _forward_all(_compile(expr), bindings)[-1]
 
@@ -326,7 +307,7 @@ def _backward_all(plan: _Plan, vals: list[np.ndarray], needed: list[bool]) -> li
     nothing flows; a two-operand op skips its contribution to an unmarked parent."""
     root = vals[-1]
     if root.size != 1:
-        raise GraphError(f"gradient requires a scalar expression, got shape {root.shape}")
+        raise ValueError(f"gradient requires a scalar expression, got shape {root.shape}")
     grads: list = [None] * len(vals)
     grads[-1] = np.ones_like(root)
     # As in _forward_all: value_and_grad checks every gradient it returns.
@@ -394,12 +375,7 @@ def value_and_grad(expr: Expression, bindings: Mapping[str, np.ndarray],
     """
     plan = _compile(expr)
     wrt = tuple(wrt)
-    for name in wrt:
-        if name not in plan.inputs:
-            raise GraphError(f"name {name!r} not present in expression")
-    aux_slots = [plan.slots.get(id(node)) for node in aux]
-    if None in aux_slots:
-        raise GraphError("aux node does not belong to the expression's graph")
+    aux_slots = [plan.slots[id(node)] for node in aux]
     vals = _forward_all(plan, bindings)
     grad_slots = _backward_all(plan, vals, _needed(plan, wrt))
     grads: GradientMap = {}

@@ -2,8 +2,11 @@
 
 Subcommands: gen-data, train, eval, extrapolate, theory-verify, gradcheck,
 report. Every command is deterministic given (config, seed) and writes
-only under the declared output directory. Exit codes: 0 success, 2 config
-error, 3 data/IO error, 4 numeric failure.
+only under the declared output directory. Exit codes: 0 success, 2 a
+ConfigError (config or argument), 3 a DataError or OSError (input file), 4 a
+NumericError. Each input is checked once, where it is read: a dataset CSV by
+``_read_csv``, a checkpoint by ``model.load_checkpoint``, the config by its
+dataclasses. Any other exception is a programming error and escapes.
 """
 
 from __future__ import annotations
@@ -59,28 +62,61 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     return 0
 
 
-def _load_sets(cfg: config_mod.RunConfig, *names: str) -> list:
-    """Parse the named gen-data CSVs (``<name>.csv`` under the output
-    directory); an ``id_*`` set must keep its label column."""
-    paths = [Path(cfg.outputs.dir) / f"{name}.csv" for name in names]
-    for p in paths:
-        if not p.exists():
-            raise DataError(f"missing data file {p}; run gen-data first")
-    sets = [data_mod.load_csv(p) for p in paths]
-    for name, ds in zip(names, sets):
-        if name.startswith("id_") and not isinstance(ds, data_mod.LabeledDataset):
-            raise DataError(f"{name}.csv lost its label column")
+def _read_csv(path: Path, width: int | None, classes: int | None):
+    """A dataset CSV with rows, ``width`` feature columns (any non-zero count
+    when None), values inside data.DOMAIN and, when ``classes`` is given,
+    labels in [0, classes); any other is a DataError naming the file."""
+    ds = data_mod.load_csv(path)
+    x = ds.x
+    expected = width if width is not None else max(x.shape[1], 1)
+    if x.shape[0] == 0:
+        raise DataError(f"{path} has no rows")
+    if x.shape[1] != expected:
+        raise DataError(f"{path} has {x.shape[1]} feature columns, expected {expected}")
+    lo, hi = data_mod.DOMAIN
+    if x.min() < lo or x.max() > hi:
+        outside = float(x[(x < lo) | (x > hi)][0])
+        raise DataError(f"{path} holds {outside!r}, outside the domain [{lo}, {hi}]")
+    if classes is not None:
+        if not isinstance(ds, data_mod.LabeledDataset):
+            raise DataError(f"{path} lost its label column")
+        bad = ds.y[(ds.y < 0) | (ds.y >= classes)]
+        if bad.size:
+            raise DataError(f"{path} holds label {bad[0]}, outside [0, {classes})")
+    return ds
+
+
+def _load_sets(cfg: config_mod.RunConfig, names: tuple[str, ...], width: int | None,
+               classes: int) -> list:
+    """The named gen-data CSVs under the output directory, read by ``_read_csv``
+    with ``width`` columns (the first set's when None); ``id_*`` sets are labeled."""
+    sets = []
+    for name in names:
+        path = Path(cfg.outputs.dir) / f"{name}.csv"
+        if not path.exists():
+            raise DataError(f"missing data file {path}; run gen-data first")
+        sets.append(_read_csv(path, width, classes if name.startswith("id_") else None))
+        width = sets[0].x.shape[1]
     return sets
+
+
+def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None,
+                kinds: list[str]) -> model_mod.MlpClassifier:
+    """The checkpoint (default ``<out>/checkpoint.json``), refused without a
+    hidden layer when ``kinds``, the score kinds to compute, need one."""
+    path = Path(checkpoint) if checkpoint else Path(cfg.outputs.dir) / "checkpoint.json"
+    mlp = model_mod.load_checkpoint(path)
+    if "ash_energy" in kinds and len(mlp.dims) < 3:
+        raise DataError(f"checkpoint {path} has no hidden layer for ash_energy to shape")
+    return mlp
 
 
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
     out = _out_dir(cfg)
+    # plain cross-entropy reads no outliers
     names = ("id_train",) if cfg.train.loss.kind == "ce" else ("id_train", "aux_out")
-    id_train, *aux = _load_sets(cfg, *names)  # plain cross-entropy reads no outliers
-    if aux and aux[0].x.shape[1] != id_train.x.shape[1]:
-        raise DataError(f"aux_out.csv has {aux[0].x.shape[1]} feature columns, "
-                        f"id_train.csv has {id_train.x.shape[1]}")
+    id_train, *aux = _load_sets(cfg, names, None, cfg.data.classes)
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
     mlp = model_mod.init_model(dims, config_mod.component_seed(cfg.seed, "model"))
     trained, history = trainer_mod.fine_tune(mlp, id_train, aux[0].x if aux else None,
@@ -118,13 +154,11 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     shaped copy) or ODIN's perturbed forward, never both.
     """
     out = _out_dir(cfg)
-    ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
-    mlp = model_mod.load_checkpoint(ckpt_path)
+    mlp = _load_model(cfg, checkpoint, [spec.kind for spec in cfg.scores])
     names = sorted(cfg.data.ood_sets)
-    id_test, *oods = _load_sets(cfg, "id_test", *(f"ood_{name}" for name in names))
+    id_test, *oods = _load_sets(cfg, ("id_test", *(f"ood_{name}" for name in names)),
+                                mlp.n_features, mlp.n_classes)
     sets = {"id_test": id_test.x, **{f"ood_{name}": ds.x for name, ds in zip(names, oods)}}
-    if any(x.shape[0] == 0 for x in sets.values()):
-        raise DataError("all evaluation sets must be non-empty")
     scores = [{} for _ in cfg.scores]  # per spec: set name -> scores
     for set_name, x in sets.items():
         features = model_mod.penultimate_features(mlp, x)
@@ -162,14 +196,11 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
 def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv: str,
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
     """Synthesize from the inputs over an epsilon grid and dump per-sample records."""
-    out = _out_dir(cfg)
-    ckpt_path = Path(checkpoint) if checkpoint else out / "checkpoint.json"
-    mlp = model_mod.load_checkpoint(ckpt_path)
-    x = data_mod.load_csv(input_csv).x
-    if x.shape[0] == 0:
-        raise DataError(f"{input_csv} has no rows to extrapolate")
-    grid = epsilons if epsilons else [cfg.extrapolation.epsilon]
+    _out_dir(cfg)
     score_spec = cfg.scores[0]
+    mlp = _load_model(cfg, checkpoint, [score_spec.kind])
+    x = _read_csv(Path(input_csv), mlp.n_features, None).x
+    grid = epsilons if epsilons else [cfg.extrapolation.epsilon]
     # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
     n = x.shape[0]
     batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation,

@@ -8,7 +8,10 @@ training set; perturbation radii are in normalized input units, and every
 perturbed input (extrapolation, ODIN) is clipped back into DOMAIN.
 
 The generators and ``batches`` take values the run configuration has
-already checked (see ``config``); the CSV reader checks everything it reads.
+already checked (see ``config``); the CSV reader checks each line it reads.
+The CLI then checks each dataset CSV against what the code below it relies
+on: at least one row, the model's feature width, every value inside DOMAIN
+and every label in [0, C). gen-data output always meets this contract.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ class LabeledDataset:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.intp)
-        if self.x.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
-            raise DataError("sample matrix and labels disagree on row count")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -48,8 +49,6 @@ class UnlabeledDataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        if self.x.ndim != 2:
-            raise DataError("sample matrix must be 2-D")
 
     def __len__(self) -> int:
         return self.x.shape[0]

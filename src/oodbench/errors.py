@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per CLI exit code.
 
-Exit codes the CLI maps them to: ConfigError, GraphError and ShapeError
--> 2; DataError -> 3; NumericError -> 4. The CLI also maps an OSError to 3.
-Everything else is a programming error and escapes.
+ConfigError -> 2; DataError -> 3; NumericError -> 4. The CLI also maps an
+OSError to 3. Input is checked once, where the CLI reads it, so the code
+below the CLI raises only these three for a run's own failures; a
+programming error escapes as a builtin exception (KeyError, ValueError, ...).
 """
 
 
@@ -17,7 +18,7 @@ class ConfigError(OodbenchError):
 
 
 class DataError(OodbenchError):
-    """Malformed or inconsistent data (CSV parse failure, shape problems)."""
+    """Malformed or inconsistent input data: a CSV, a checkpoint or a report file."""
 
     exit_code = 3
 
@@ -26,15 +27,3 @@ class NumericError(OodbenchError):
     """Non-finite value where a finite one is required, or a failed factorization."""
 
     exit_code = 4
-
-
-class GraphError(OodbenchError):
-    """Ill-formed expression-graph usage: unbound input, unknown name, non-scalar root."""
-
-    exit_code = 2
-
-
-class ShapeError(OodbenchError):
-    """Operand shapes incompatible with the requested operation."""
-
-    exit_code = 2

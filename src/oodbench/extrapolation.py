@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import losses
 from . import model as model_mod
 from .data import DOMAIN
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 
 
 @dataclass(frozen=True)
@@ -135,21 +135,15 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
                     epsilon=None) -> ExtrapolatedBatch:
     """Synthesize one sample per input row under the l-inf/domain constraints.
 
-    ``epsilon`` overrides cfg.epsilon with a scalar or one radius per row
-    (used by pool slices); a row with radius 0 stays at its origin. Rows
-    whose value or gradient turns non-finite are returned as their origin
-    and flagged, without affecting the other rows.
+    The origins ``x0`` lie inside data.DOMAIN, as the CLI checks. ``epsilon``
+    overrides cfg.epsilon with a scalar or one radius per row (used by pool
+    slices); a row with radius 0 stays at its origin. Rows whose value or
+    gradient turns non-finite are returned as their origin and flagged,
+    without affecting the other rows.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 2 or x0.shape[1] != mlp.n_features:
-        raise ShapeError(f"batch shape {x0.shape} does not match model input width")
     radius = np.asarray(cfg.epsilon if epsilon is None else epsilon, dtype=np.float64)
-    try:
-        eps = np.broadcast_to(radius, x0.shape[:1]).copy()
-    except ValueError:
-        raise ShapeError(f"epsilon shape {radius.shape} does not match {x0.shape[0]} rows") from None
-    if x0.size and (x0.min() < DOMAIN[0] - 1e-12 or x0.max() > DOMAIN[1] + 1e-12):
-        raise ConfigError(f"origins must lie inside the domain {DOMAIN}")
+    eps = np.broadcast_to(radius, x0.shape[:1]).copy()
     synthesized, v0, v_best, aborted = _ascend(
         _target_graph(mlp.dims), model_mod.param_bindings(mlp), x0, eps, cfg.steps)
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -50,10 +50,10 @@ class MlpClassifier:
         if len(self.dims) < 2 or any(d <= 0 for d in self.dims):
             raise ConfigError(f"invalid layer dims {self.dims}")
         if len(self.weights) != len(self.dims) - 1 or len(self.biases) != len(self.dims) - 1:
-            raise ShapeError("layer count does not match dims")
+            raise ValueError("layer count does not match dims")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.dims[i], self.dims[i + 1]) or b.shape != (self.dims[i + 1],):
-                raise ShapeError(f"layer {i} shapes {w.shape}/{b.shape} do not chain with dims")
+                raise ValueError(f"layer {i} shapes {w.shape}/{b.shape} do not chain with dims")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise NumericError(f"layer {i} contains non-finite parameters")
 
@@ -71,16 +71,9 @@ def init_model(dims, seed: int) -> MlpClassifier:
     return MlpClassifier(dims, tuple(weights), tuple(biases))
 
 
-def _check_batch(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.n_features:
-        raise ShapeError(f"batch shape {batch.shape} does not match input width {model.n_features}")
-    return batch
-
-
 def _hidden(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     """The batch through every hidden layer (the batch itself if there is none)."""
-    h = _check_batch(model, batch)
+    h = np.asarray(batch, dtype=np.float64)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = h @ w
         z += b
@@ -179,8 +172,7 @@ def load_checkpoint(path) -> MlpClassifier:
         return MlpClassifier(dims, weights, biases)
     except KeyError as exc:
         raise DataError(f"checkpoint {path} has no {exc} entry") from None
-    except (ConfigError, IndexError, TypeError, ValueError, OverflowError, ShapeError,
-            NumericError) as exc:
+    except (ConfigError, IndexError, TypeError, ValueError, OverflowError, NumericError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc
 
 

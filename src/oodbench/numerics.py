@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-
 
 def derive_seed(*entropy: int) -> int:
     """One 32-bit seed drawn from ``SeedSequence(entropy)``: the config's component
@@ -23,14 +21,11 @@ def as_tensor(x) -> np.ndarray:
 
 
 def logsumexp(x, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(x))) along ``axis`` with max-subtraction for stability."""
+    """log(sum(exp(x))) along ``axis`` with max-subtraction for stability.
+
+    An empty reduction or an axis out of range raises numpy's ValueError.
+    """
     x = as_tensor(x)
-    if axis is not None and (x.ndim == 0 or axis >= x.ndim or axis < -x.ndim):
-        raise ShapeError(f"logsumexp: axis {axis} invalid for shape {x.shape}")
-    if axis is not None and x.shape[axis] == 0:
-        raise ShapeError("logsumexp: empty axis")
-    if axis is None and x.size == 0:
-        raise ShapeError("logsumexp: empty input")
     m = np.maximum.reduce(x, axis=axis, keepdims=True)
     out = m + np.log(np.add.reduce(np.exp(x - m), axis=axis, keepdims=True))
     if not keepdims:

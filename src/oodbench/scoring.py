@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import model as model_mod
 from . import numerics
 from .data import DOMAIN
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 ODIN_TEMPERATURE = 1.0e4
 ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
@@ -48,18 +48,12 @@ class ScoreSpec:
 
 
 def msp_score(logits) -> np.ndarray:
-    """Maximum softmax probability per row, in (1/C, 1]."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ShapeError("msp needs 2-D logits with at least 2 classes")
+    """Maximum softmax probability per row of (m, C) logits, in [1/C, 1]."""
     return np.max(numerics.softmax(logits, axis=-1), axis=1)
 
 
 def energy_score(logits) -> np.ndarray:
     """logsumexp(logits) per row, the energy score at temperature 1; monotone in every logit."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError("energy needs 2-D logits")
     return numerics.logsumexp(logits, axis=1)
 
 
@@ -109,8 +103,6 @@ def ash_s(activations) -> np.ndarray:
     whole matrix; the result is bitwise that of a whole-matrix pass.
     """
     acts = np.asarray(activations, dtype=np.float64)
-    if acts.ndim != 2:
-        raise ShapeError("activations must be 2-D")
     out = np.empty_like(acts)
     unshaped = 0
     for start in range(0, acts.shape[0], BLOCK_ROWS):
@@ -140,7 +132,8 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     the logits ``model.head`` makes from them, which equal ``model.forward``
     bit for bit. ODIN reads no features, only ``top``, the argmax of those
     logits: a caller that holds the logits passes it, and ``odin_score``
-    forwards the batch for it otherwise.
+    forwards the batch for it otherwise. ash_energy needs a hidden layer to
+    shape, which the CLI checks where it loads the model.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":
@@ -148,8 +141,6 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     if features is None:
         features = model_mod.penultimate_features(mlp, batch)
     if spec.kind == "ash_energy":
-        if len(mlp.dims) < 3:
-            raise ShapeError("ash_energy needs a model with a hidden layer")
         return energy_score(model_mod.head(mlp, ash_s(features)))
     logits = model_mod.head(mlp, features)
     if spec.kind == "msp":

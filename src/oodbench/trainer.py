@@ -104,10 +104,7 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     new_params = {}
     new_velocity = {}
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ConfigError(f"gradient shape {g.shape} does not match parameter {name}")
-        g = g + WEIGHT_DECAY * p
+        g = grads[name] + WEIGHT_DECAY * p
         v = MOMENTUM * velocity[name] + g
         new_params[name] = p - lr * (g + MOMENTUM * v)
         new_velocity[name] = v
@@ -155,6 +152,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
               extrapolation: ExtrapolationConfig, seed: int):
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
+    ``aux_outliers`` is a non-empty pool (the CLI checks), None for ce.
     ``extrapolation`` applies to the divoe loss only. Deterministic per
     ``seed``: batch shuffling, sub-batch selection and any extrapolation
     randomness come from per-component seed streams.
@@ -162,9 +160,6 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     """
     kind = cfg.loss.kind
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
-    if kind != "ce" and (aux is None or aux.shape[0] == 0):
-        raise ConfigError(f"loss kind {kind!r} requires a non-empty auxiliary outlier pool")
-
     params = dict(model_mod.param_bindings(mlp))
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     history = TrainHistory()

@@ -5,7 +5,7 @@ import pytest
 
 from oodbench import autodiff as ad
 from oodbench import numerics
-from oodbench.errors import GraphError, NumericError, ShapeError
+from oodbench.errors import NumericError
 
 
 def test_relu_evaluate():
@@ -26,13 +26,13 @@ def test_matmul_hand_example():
 
 
 def test_evaluate_unbound_input_raises():
-    with pytest.raises(GraphError, match="unbound"):
+    with pytest.raises(KeyError, match="'x'"):
         ad.evaluate(ad.relu(ad.inp("x")), {})
 
 
 def test_evaluate_shape_mismatch_raises():
     expr = ad.matmul(ad.inp("a"), ad.inp("b"))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):
         ad.evaluate(expr, {"a": np.ones((2, 3)), "b": np.ones((2, 3))})
 
 
@@ -59,7 +59,7 @@ def test_evaluate_is_pure():
 
 def test_duplicate_input_name_rejected():
     expr = ad.add(ad.inp("x"), ad.inp("x"))
-    with pytest.raises(GraphError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate"):
         ad.evaluate(expr, {"x": np.ones(2)})
 
 
@@ -76,13 +76,13 @@ def test_gradient_logsumexp_is_softmax():
 
 
 def test_gradient_requires_scalar():
-    with pytest.raises(GraphError, match="scalar"):
+    with pytest.raises(ValueError, match="scalar"):
         ad.gradient(ad.relu(ad.inp("x")), {"x": np.ones(3)}, ["x"])
 
 
 def test_gradient_unknown_name():
     expr = ad.reduce_sum(ad.inp("x"))
-    with pytest.raises(GraphError, match="not present"):
+    with pytest.raises(KeyError, match="'y'"):
         ad.gradient(expr, {"x": np.ones(2)}, ["y"])
 
 
@@ -111,8 +111,8 @@ def test_gradient_deterministic_accumulation():
 
 
 def test_logsumexp_empty_axis_raises():
-    # The engine's half; numerics.logsumexp's own check is in test_numerics.py.
-    with pytest.raises(ShapeError):
+    # numpy's own error, through the engine; the direct call is in test_numerics.py.
+    with pytest.raises(ValueError):
         ad.evaluate(ad.logsumexp(ad.inp("x"), axis=1), {"x": np.zeros((2, 0))})
 
 
@@ -196,24 +196,23 @@ def test_compiled_graph_reruns_bitwise_on_any_row_count():
 def test_duplicate_input_name_rejected_on_every_call():
     expr = ad.reduce_sum(ad.add(ad.inp("x"), ad.inp("x")))
     for _ in range(2):
-        with pytest.raises(GraphError, match="duplicate input node for name 'x'"):
+        with pytest.raises(ValueError, match="duplicate input node for name 'x'"):
             ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"])
 
 
 @pytest.mark.parametrize("op", [ad.add, ad.mul])
 def test_broadcast_mismatch_message(op):
     expr = op(ad.inp("a"), ad.inp("b"))
-    name = op.__name__
-    for _ in range(2):
-        with pytest.raises(ShapeError) as info:
+    for _ in range(2):  # numpy's message, and a failed pass leaves the plan reusable
+        with pytest.raises(ValueError, match=r"could not be broadcast.*\(2,3\) \(4,\)"):
             ad.evaluate(expr, {"a": np.ones((2, 3)), "b": np.ones((4,))})
-        assert str(info.value) == f"{name}: shapes (2, 3) and (4,) do not broadcast"
+    assert ad.evaluate(expr, {"a": np.ones((2, 3)), "b": np.ones(3)}).shape == (2, 3)
 
 
-def test_aux_node_outside_graph_raises_graph_error():
+def test_aux_node_outside_graph_raises_key_error():
     x = ad.inp("x")
     expr = ad.reduce_sum(ad.square(x))
-    with pytest.raises(GraphError, match="aux node"):
+    with pytest.raises(KeyError):
         ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"], aux=(ad.relu(x),))
     value, _, (inner,) = ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"],
                                            aux=(expr.parents[0],))
@@ -251,5 +250,5 @@ def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
 def test_unknown_primitive_is_rejected_on_every_call():
     expr = ad.Expression("cube", (ad.inp("x"),))
     for _ in range(2):
-        with pytest.raises(GraphError, match="unknown primitive 'cube'"):
+        with pytest.raises(KeyError, match="'cube'"):
             ad.evaluate(expr, {"x": np.ones(2)})

@@ -175,25 +175,61 @@ def test_ce_train_reads_no_auxiliary_outliers(tmp_path, capsys):
     assert "aux_out.csv" in capsys.readouterr().err
 
 
-def test_train_with_an_outlier_pool_of_another_width_exits_3(tmp_path, capsys):
-    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+_CE = ["--set", "train.loss.kind=ce"]
+_OE = ["--set", "train.loss.kind=oe"]
+_DIVOE = ["--set", "train.loss.kind=divoe"]
+_ASH = ["--set", 'scores=[{"kind": "msp"}, {"kind": "ash_energy"}]']
+_NO_HIDDEN_LAYER = ('{"format_version": 1, "dims": [2, 3], "weights": [[1, 0, 0, 0, 1, 0]], '
+                    '"biases": [[0, 0, 0]]}')
+
+# Each is one input file with the one fault a check where the CLI reads it
+# refuses: a label outside [0, classes) (3 here), a width other than the
+# model's or none at all, a value outside data.DOMAIN, no rows; then a
+# checkpoint with no hidden layer for ash_energy to shape. Fields: command,
+# extra arguments, the file (under the run directory; input.csv is
+# extrapolate's --input and a .json is eval's --checkpoint), its content.
+BAD_DATA = [
+    pytest.param("train", [], "id_train.csv", "x0,x1,label\n0.5,0.5,7\n", id="train-label-7"),
+    pytest.param("eval", [], "id_test.csv", "x0,x1,label\n0.5,0.5,7\n", id="eval-label-7"),
+    pytest.param("eval", [], "id_test.csv", "x0,x1,label\n0.5,0.5,-1\n", id="eval-label-minus-1"),
+    pytest.param("eval", [], "ood_ring.csv", "x0,x1,x2\n0.1,0.2,0.3\n", id="eval-3-columns"),
+    pytest.param("extrapolate", [], "input.csv", "x0,x1,x2\n0.1,0.2,0.3\n",
+                 id="extrapolate-3-columns"),
+    pytest.param("train", _OE, "aux_out.csv", "x0,x1,x2\n0.1,0.2,0.3\n", id="oe-aux-3-columns"),
+    pytest.param("train", _DIVOE, "aux_out.csv", "x0,x1\n1.5,0.5\n", id="divoe-aux-outside-domain"),
+    pytest.param("eval", [], "ood_ring.csv", "x0,x1\n1.5,0.5\n", id="eval-outside-domain"),
+    pytest.param("extrapolate", [], "input.csv", "x0,x1\n1.5,0.5\n",
+                 id="extrapolate-outside-domain"),
+    pytest.param("train", [], "id_train.csv", "x0,x1,label\n", id="train-no-rows"),
+    pytest.param("train", _CE, "id_train.csv", "label\n0\n", id="ce-no-feature-columns"),
+    pytest.param("train", _OE, "aux_out.csv", "x0,x1\n", id="oe-aux-no-rows"),
+    pytest.param("extrapolate", [], "input.csv", "x0,x1\n", id="extrapolate-no-rows"),
+    pytest.param("eval", _ASH, "flat.json", _NO_HIDDEN_LAYER, id="eval-ash-without-hidden-layer"),
+]
+OUTPUTS = {"train": ["checkpoint.json", "history.csv"],
+           "eval": ["report.json", "report.csv", "scores.csv"],
+           "extrapolate": ["dump"]}
+
+
+@pytest.mark.parametrize("command, extra, name, content", BAD_DATA)
+def test_bad_data_exits_3(tmp_path, capsys, command, extra, name, content):
+    run = tmp_path / "run"
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(run), *extra]
     assert cli.main(base + ["gen-data"]) == 0
-    (tmp_path / "run" / "aux_out.csv").write_text("x0,x1,x2\n0.1,0.2,0.3\n", encoding="utf-8")
-    assert cli.main(base + ["train"]) == 3
-    assert "aux_out.csv has 3 feature columns" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "checkpoint.json").exists()
-
-
-def test_extrapolate_on_an_input_with_no_rows_exits_3(tmp_path, capsys):
-    base = _evaluated_run(tmp_path)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("x0,x1\n", encoding="utf-8")
+    if command != "train":
+        assert cli.main(base + ["train"]) == 0
+    bad = run / name
+    bad.write_text(content, encoding="utf-8")
+    argv = {"train": ["train"],
+            "eval": ["eval", "--checkpoint", str(bad)] if name.endswith(".json") else ["eval"],
+            "extrapolate": ["extrapolate", "--input", str(bad),
+                            "--dump", str(run / "dump" / "extrap.csv")]}[command]
     capsys.readouterr()
-    argv = base + ["extrapolate", "--input", str(empty), "--dump", str(tmp_path / "d" / "e.csv")]
-    assert cli.main(argv) == 3
+    assert cli.main(base + argv) == 3
     captured = capsys.readouterr()
-    assert f"{empty} has no rows" in captured.err and captured.out == ""
-    assert not (tmp_path / "d").exists()
+    assert captured.err.startswith("error: ") and str(bad) in captured.err
+    assert captured.out == ""
+    assert not any((run / output).exists() for output in OUTPUTS[command])
 
 
 def test_extrapolate_grid_matches_one_run_per_epsilon(tmp_path):

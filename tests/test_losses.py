@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
 from oodbench import losses
-from oodbench.errors import ConfigError
 
 
 def _value(expr) -> float:
@@ -52,7 +51,9 @@ def test_ce_hand_value():
 
 
 def test_ce_label_out_of_range():
-    with pytest.raises(ConfigError):
+    # numpy's own IndexError. A negative label would index from the end
+    # instead, so the CLI refuses labels outside [0, C) where it reads them.
+    with pytest.raises(IndexError):
         _ce(np.zeros((2, 3)), [0, 3])
 
 

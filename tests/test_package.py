@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import oodbench
+from oodbench.errors import ConfigError, DataError, NumericError, OodbenchError
 
 # The baseline is taken first, so what site hooks import at startup is not counted.
 SCRIPT = """
@@ -69,3 +70,8 @@ def _unreferenced_public_definitions(src: Path) -> set[str]:
 def test_every_public_definition_is_used_in_the_package():
     src = Path(oodbench.__file__).resolve().parent
     assert _unreferenced_public_definitions(src) == set(UNREFERENCED_ALLOWED)
+
+
+def test_each_exit_code_has_one_error_class():
+    assert {cls: cls.exit_code for cls in OodbenchError.__subclasses__()} == \
+        {ConfigError: 2, DataError: 3, NumericError: 4}
