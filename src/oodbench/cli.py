@@ -367,9 +367,7 @@ def main(argv=None) -> int:
             eps = None if args.epsilons is None else _epsilon_grid(args.epsilons)
             return cmd_extrapolate(cfg, args.checkpoint, args.input, args.dump,
                                    args.samples, eps)
-        if args.command == "theory-verify":
-            return cmd_theory_verify(cfg, args.out_csv)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_theory_verify(cfg, args.out_csv)
     except OodbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

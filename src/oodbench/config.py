@@ -39,8 +39,6 @@ COMPONENT_STREAMS = {"data": 0, "model": 1, "train": 2, "theory": 4}  # 3 is ret
 
 
 def component_seed(seed: int, component: str) -> int:
-    if component not in COMPONENT_STREAMS:
-        raise ConfigError(f"unknown seed component {component!r}")
     return derive_seed(seed, COMPONENT_STREAMS[component])
 
 
@@ -53,8 +51,8 @@ class OodSetConfig:
     count: int = 2048
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ConfigError("count must be >= 0")
+        if self.count < 1:
+            raise ConfigError("count must be >= 1")
         if not 0 < self.inner_radius < self.outer_radius:
             raise ConfigError("need 0 < inner_radius < outer_radius")
 
@@ -83,8 +81,8 @@ class DataConfig:
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigError("classes must be >= 2")
-        if self.per_class < 0 or self.test_per_class < 0:
-            raise ConfigError("per_class and test_per_class must be >= 0")
+        if self.per_class < 1 or self.test_per_class < 1:
+            raise ConfigError("per_class and test_per_class must be >= 1")
         if not self.ood_sets:
             raise ConfigError("ood_sets must name at least one set")
         for name in self.ood_sets:  # each set is written to ood_<name>.csv

@@ -75,8 +75,6 @@ class MinMaxTransform:
 
 def fit_minmax(reference: np.ndarray) -> MinMaxTransform:
     reference = np.asarray(reference, dtype=np.float64)
-    if reference.shape[0] == 0:
-        raise DataError("reference dataset is empty")
     return MinMaxTransform(reference.min(axis=0), reference.max(axis=0))
 
 

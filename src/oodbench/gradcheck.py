@@ -64,8 +64,9 @@ def _case(kind: str, rng: np.random.Generator):
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
         lc = trainer.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
-        graph = trainer._build_loss_graph(dims, kind, lc, kind != "ce", kind == "divoe")[0]
-        batch_names = ("x", "x_out", "x_ext")[:1 + (kind != "ce") + (kind == "divoe")]
+        outlier_inputs = ("x_out", "x_ext")[:(kind != "ce") + (kind == "divoe")]
+        graph = trainer._build_loss_graph(dims, kind, lc, outlier_inputs)[0]
+        batch_names = ("x", *outlier_inputs)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
         graph, batch_names = extrapolation._target_graph(dims)[1], ("x",)

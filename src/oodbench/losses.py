@@ -1,12 +1,11 @@
-"""Training objectives: cross-entropy, the uniform-distribution outlier loss,
-the energy-bounded hinge loss, and the hybrid loss mixing original and
-extrapolated outliers.
+"""Training objectives: cross-entropy, the uniform-distribution outlier loss
+and the energy-bounded hinge loss.
 
 Each loss is an expression builder (``*_expr``): the trainer differentiates
 it and the extrapolation engine ascends its per-row form, so every
-objective has one graph. The outlier-exposure rule is written once, in
-``divoe_loss_terms``: plain OE is its one-sided case, which makes the
-ratio-zero reduction bit-exact by construction.
+objective has one graph. The trainer adds one outlier term per outlier batch
+a step binds (``trainer._build_loss_graph``), so DivOE's hybrid objective is
+plain OE with a second, synthesized batch.
 """
 
 from __future__ import annotations
@@ -36,31 +35,10 @@ def oe_uniform_loss_expr(logits: ad.Expression) -> ad.Expression:
     return ad.reduce_mean(oe_rowwise_expr(logits))
 
 
-def divoe_loss_terms(id_logits: ad.Expression, target: ad.Expression,
-                     orig_out_logits: ad.Expression | None,
-                     extrap_out_logits: ad.Expression | None, lam: float):
-    """Hybrid objective ce + lam * (mean OE over originals + mean OE over synthesized).
-
-    An empty side (None) is dropped; with no synthesized rows this is exactly
-    the plain outlier-exposure graph. Returns (total, ce, oe_orig, oe_extrap),
-    with None for a dropped side's term; at least one side is present.
-    """
-    ce = ce_loss_expr(id_logits, target)
-    oe_orig = None if orig_out_logits is None else oe_uniform_loss_expr(orig_out_logits)
-    oe_extrap = None if extrap_out_logits is None else oe_uniform_loss_expr(extrap_out_logits)
-    if oe_extrap is None:
-        outlier = oe_orig
-    elif oe_orig is None:
-        outlier = oe_extrap
-    else:
-        outlier = oe_orig + oe_extrap
-    return ce + float(lam) * outlier, ce, oe_orig, oe_extrap
-
-
 def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
                        out_logits: ad.Expression, lam: float) -> ad.Expression:
-    return divoe_loss_terms(id_logits, ad.const(onehot(labels, n_classes)), out_logits, None,
-                            lam)[0]
+    return (ce_loss_expr(id_logits, ad.const(onehot(labels, n_classes)))
+            + float(lam) * oe_uniform_loss_expr(out_logits))
 
 
 def energy_bounded_loss_expr(id_logits: ad.Expression, out_logits: ad.Expression,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, NumericError
+from .errors import DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -48,7 +48,7 @@ class MlpClassifier:
 
     def __post_init__(self):
         if len(self.dims) < 2 or any(d <= 0 for d in self.dims):
-            raise ConfigError(f"invalid layer dims {self.dims}")
+            raise ValueError(f"invalid layer dims {self.dims}")
         if len(self.weights) != len(self.dims) - 1 or len(self.biases) != len(self.dims) - 1:
             raise ValueError("layer count does not match dims")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -172,7 +172,7 @@ def load_checkpoint(path) -> MlpClassifier:
         return MlpClassifier(dims, weights, biases)
     except KeyError as exc:
         raise DataError(f"checkpoint {path} has no {exc} entry") from None
-    except (ConfigError, IndexError, TypeError, ValueError, OverflowError, NumericError) as exc:
+    except (IndexError, TypeError, ValueError, OverflowError, NumericError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc
 
 

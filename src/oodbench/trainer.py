@@ -126,25 +126,25 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
         pass_idx += 1
 
 
-def _build_loss_graph(dims, kind: str, lc: LossConfig, has_orig: bool, has_ext: bool):
-    """Scalar training objective with inputs x / y / x_out / x_ext and shared parameters.
+def _build_loss_graph(dims, kind: str, lc: LossConfig, outlier_inputs: tuple[str, ...]):
+    """Scalar training objective over inputs x / y and the named outlier batches,
+    with shared parameters; returns (total, terms).
 
     ``y`` is the one-hot label batch, so one graph serves every step and row count.
-    Returns (total, ce, outlier term, extrapolated term), None for an absent term,
-    so every term's value comes out of the single training pass.
+    ``terms`` is ce followed by one outlier term per name in ``outlier_inputs`` (the
+    uniform loss, or the energy hinge for energy_bounded), and total is
+    ce + balance * their sum, so every term's value comes out of the single training pass.
     """
     param_nodes = model_mod.make_param_nodes(dims)
     id_logits = model_mod.logits_graph(dims, "x", param_nodes)
-    target = ad.inp("y")
-    out_logits = model_mod.logits_graph(dims, "x_out", param_nodes) if has_orig else None
-    ext_logits = model_mod.logits_graph(dims, "x_ext", param_nodes) if has_ext else None
-    if kind in ("oe", "divoe"):
-        return losses.divoe_loss_terms(id_logits, target, out_logits, ext_logits, lc.balance)
-    ce = losses.ce_loss_expr(id_logits, target)
-    if kind == "ce":
-        return ce, ce, None, None
-    hinge = losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out)
-    return ce + lc.balance * hinge, ce, hinge, None
+    ce = losses.ce_loss_expr(id_logits, ad.inp("y"))
+    terms = []
+    for name in outlier_inputs:
+        out_logits = model_mod.logits_graph(dims, name, param_nodes)
+        terms.append(losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out)
+                     if kind == "energy_bounded" else losses.oe_uniform_loss_expr(out_logits))
+    total = ce + lc.balance * sum(terms[1:], terms[0]) if terms else ce
+    return total, (ce, *terms)
 
 
 def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
@@ -153,9 +153,11 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
     ``aux_outliers`` is a non-empty pool (the CLI checks), None for ce.
-    ``extrapolation`` applies to the divoe loss only. Deterministic per
-    ``seed``: batch shuffling, sub-batch selection and any extrapolation
-    randomness come from per-component seed streams.
+    Every loss but ce binds an outlier batch as ``x_out``. divoe splits a
+    ``ceil(ratio * n)``-row sub-batch off it and binds that sub-batch's
+    extrapolation as ``x_ext``; a split that takes every row leaves no ``x_out``.
+    Deterministic per ``seed``: batch shuffling, sub-batch selection and any
+    extrapolation randomness come from per-component seed streams.
     A non-finite loss aborts with NumericError rather than being skipped.
     """
     kind = cfg.loss.kind
@@ -177,10 +179,8 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
         out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))
     # Every step splits an n_out-row outlier batch the same way, so one graph serves the run.
     n_ext = math.ceil(extrapolation.ratio * n_out) if kind == "divoe" else 0
-    has_orig, has_ext = n_out > n_ext, n_ext > 0
-    total_node, ce_node, out_node, ext_node = _build_loss_graph(mlp.dims, kind, cfg.loss,
-                                                                has_orig, has_ext)
-    aux_nodes = tuple(node for node in (ce_node, out_node, ext_node) if node is not None)
+    inputs = ("x_out",) * (n_out > n_ext) + ("x_ext",) * (n_ext > 0)
+    total_node, term_nodes = _build_loss_graph(mlp.dims, kind, cfg.loss, inputs)
 
     param_names = model_mod.param_names(mlp)
     step = 0
@@ -190,38 +190,33 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
         for x_id, y_id in epoch_iter:
             bindings = dict(params, x=x_id, y=losses.onehot(y_id, mlp.n_classes))
             out_batch = next(out_stream) if out_stream is not None else None
-            if kind == "divoe":
+            if "x_ext" in inputs:
                 to_ext, out_batch = select_subbatch(out_batch, extrapolation.ratio, select_rng)
-            if has_orig:
-                bindings["x_out"] = out_batch
-            if has_ext:
                 extrap = build_extrapolation_pool(_model(mlp.dims, params), to_ext, extrapolation)
-                bindings["x_ext"] = extrap.synthesized
-            try:
-                total_value, grads, aux_vals = ad.value_and_grad(
-                    total_node, bindings, param_names, aux=aux_nodes)
-            except NumericError as exc:
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
-
-            # aux_vals holds ce, then the outlier term and the extrapolated term when present.
-            ce_value, *terms = map(float, aux_vals)
-            out_value = terms[0] if out_node is not None else None
-            ext_value = terms[-1] if ext_node is not None else None
-
-            if has_ext:
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
                                  < np.mean(extrap.initial_values[ok]) - 1e-12):
                     raise NumericError(
                         f"best-iterate extrapolation lost ground on the uniform loss "
                         f"at epoch {epoch} step {step}")
+                bindings["x_ext"] = extrap.synthesized
+            if "x_out" in inputs:
+                bindings["x_out"] = out_batch
+            try:
+                total_value, grads, term_values = ad.value_and_grad(
+                    total_node, bindings, param_names, aux=term_nodes)
+            except NumericError as exc:
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
+            ce_value, *values = map(float, term_values)
+            outlier_values = dict(zip(inputs, values))
 
             lr = cosine_lr(step, total_steps, cfg.lr)
             params, velocity = sgd_step(params, grads, velocity, lr)
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
-                oe_loss_orig=out_value, oe_loss_extrap=ext_value,
+                oe_loss_orig=outlier_values.get("x_out"),
+                oe_loss_extrap=outlier_values.get("x_ext"),
                 total_loss=float(total_value)))
             step += 1
     return _model(mlp.dims, params), history

@@ -225,7 +225,7 @@ def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
 
     dims, rng = (3, 5, 4), np.random.default_rng(8)
     graph = trainer._build_loss_graph(dims, "divoe", trainer.LossConfig(kind="divoe"),
-                                      True, True)[0]
+                                      ("x_out", "x_ext"))[0]
     bindings = {**model.param_bindings(model.init_model(dims, seed=4)),
                 **{name: rng.uniform(size=(6, 3)) for name in ("x", "x_out", "x_ext")},
                 "y": losses.onehot(rng.integers(0, 4, 6), 4)}

@@ -27,6 +27,11 @@ PROBES = [
     "extrapolation.epsilon=Infinity",
     "data.aux.count=-1",
     "data.ood_sets.ring.count=-5",
+    # A zero count would write a header-only CSV that train and eval refuse.
+    "data.per_class=0",
+    "data.test_per_class=0",
+    "data.aux.count=0",
+    "data.ood_sets.ring.count=0",
     # Value checks made once, at parse time, for the code below the CLI.
     "theory.dim=-1",
     "theory.dim=0",

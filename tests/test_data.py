@@ -111,11 +111,6 @@ def test_minmax_applies_clips_and_round_trips_through_json():
     assert again.apply(ref).tobytes() == t.apply(ref).tobytes()
 
 
-def test_minmax_rejects_an_empty_reference():
-    with pytest.raises(DataError):
-        data.fit_minmax(np.zeros((0, 2)))
-
-
 def test_id_mixture_is_deterministic_per_seed():
     a = data.gen_id_mixture_raw(4, 50, seed=3)
     b = data.gen_id_mixture_raw(4, 50, seed=3)

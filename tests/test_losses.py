@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
-from oodbench import losses
+from oodbench import losses, trainer
 
 
 def _value(expr) -> float:
@@ -26,12 +26,15 @@ def _oe(logits) -> float:
     return _value(losses.oe_uniform_loss_expr(ad.const(np.asarray(logits, dtype=np.float64))))
 
 
-def _divoe_terms(id_logits, labels, orig, ext, lam):
-    """Values of (total, ce, oe_orig, oe_extrap); None stays None."""
-    terms = losses.divoe_loss_terms(ad.const(id_logits), _target(labels, id_logits.shape[1]),
-                                    None if orig is None else ad.const(orig),
-                                    None if ext is None else ad.const(ext), lam)
-    return tuple(None if t is None else _value(t) for t in terms)
+def _objective(kind, batches, lam=0.5):
+    """Values of trainer._build_loss_graph's (total, ce, *terms) over the named outlier
+    batches; the model is one identity layer, so every batch is its own logits."""
+    c = batches["x"].shape[1]
+    inputs = tuple(name for name in batches if name not in ("x", "y"))
+    total, terms = trainer._build_loss_graph((c, c), kind,
+                                             trainer.LossConfig(kind=kind, balance=lam), inputs)
+    bindings = {"W0": np.eye(c), "b0": np.zeros(c), **batches}
+    return tuple(float(ad.evaluate(node, bindings)) for node in (total, *terms))
 
 
 def test_ce_uniform_logits():
@@ -123,38 +126,37 @@ def test_energy_bounded_default_margins_importable():
     assert losses.DEFAULT_M_OUT == -5.0
 
 
+def _id_batch(rng, m, c):
+    labels = rng.integers(0, c, m)
+    return labels, {"x": rng.normal(size=(m, c)), "y": losses.onehot(labels, c)}
+
+
 def test_divoe_reduces_to_oe_total_bitwise():
     rng = np.random.default_rng(2)
-    id_logits = rng.normal(size=(4, 3))
-    out_logits = rng.normal(size=(6, 3))
-    labels = rng.integers(0, 3, 4)
-    total, ce, oe_orig, oe_ext = _divoe_terms(id_logits, labels, out_logits, None, 0.5)
-    assert oe_ext is None
-    assert total == ce + 0.5 * oe_orig  # bitwise: the one-sided case adds nothing
-    assert total == _value(losses.oe_total_loss_expr(ad.const(id_logits), labels, 3,
-                                                     ad.const(out_logits), 0.5))
+    labels, batches = _id_batch(rng, 4, 3)
+    batches["x_out"] = rng.normal(size=(6, 3))
+    total, ce, oe_orig = _objective("divoe", batches)
+    assert (total, ce, oe_orig) == _objective("oe", batches)
+    assert total == ce + 0.5 * oe_orig  # bitwise: one outlier batch adds nothing
+    assert total == _value(losses.oe_total_loss_expr(ad.const(batches["x"]), labels, 3,
+                                                     ad.const(batches["x_out"]), 0.5))
 
 
 def test_divoe_full_extrapolation_uses_extrap_only():
     rng = np.random.default_rng(3)
-    id_logits = rng.normal(size=(4, 3))
-    ext_logits = rng.normal(size=(6, 3))
-    labels = rng.integers(0, 3, 4)
-    total, ce, oe_orig, oe_ext = _divoe_terms(id_logits, labels, None, ext_logits, 0.5)
-    assert oe_orig is None
-    assert total == ce + 0.5 * oe_ext
-    assert total == _divoe_terms(id_logits, labels, ext_logits, None, 0.5)[0]
+    _, batches = _id_batch(rng, 4, 3)
+    ext = rng.normal(size=(6, 3))
+    assert _objective("divoe", {**batches, "x_ext": ext}) == \
+        _objective("divoe", {**batches, "x_out": ext})
 
 
 def test_divoe_hand_composed_two_sides():
     rng = np.random.default_rng(4)
-    id_logits = rng.normal(size=(2, 3))
-    orig = rng.normal(size=(1, 3))
-    ext = rng.normal(size=(1, 3))
-    labels = rng.integers(0, 3, 2)
-    total, ce, oe_orig, oe_ext = _divoe_terms(id_logits, labels, orig, ext, 0.5)
-    assert (ce, oe_orig, oe_ext) == (_ce(id_logits, labels), _oe(orig), _oe(ext))
-    expected = _ce(id_logits, labels) + 0.5 * (_oe(orig) + _oe(ext))
+    labels, batches = _id_batch(rng, 2, 3)
+    orig, ext = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+    total, ce, oe_orig, oe_ext = _objective("divoe", {**batches, "x_out": orig, "x_ext": ext})
+    assert (ce, oe_orig, oe_ext) == (_ce(batches["x"], labels), _oe(orig), _oe(ext))
+    expected = _ce(batches["x"], labels) + 0.5 * (_oe(orig) + _oe(ext))
     assert total == pytest.approx(expected, rel=1e-12)
 
 

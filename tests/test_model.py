@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
 from oodbench import model
-from oodbench.errors import ConfigError, DataError
+from oodbench.errors import DataError
 
 
 def test_init_model_deterministic():
@@ -36,7 +36,7 @@ def test_init_model_variance_matches_fan_in():
 def test_init_model_invalid_dims():
     # ModelConfig checks the hidden widths a run asks for (probe model.hidden=[0]);
     # MlpClassifier still checks the dims it is given.
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         model.init_model([5], seed=0)
 
 

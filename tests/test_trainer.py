@@ -48,6 +48,37 @@ def test_fine_tune_divoe_extrapolates_once_per_step(monkeypatch):
     assert all(r.oe_loss_extrap is not None for r in history.records)
 
 
+def _run(kind, ratio):
+    id_train, aux = _toy()
+    cfg = trainer.TrainConfig(epochs=2, lr=0.05, id_batch=8, outlier_batch=8,
+                              loss=trainer.LossConfig(kind=kind))
+    out, history = trainer.fine_tune(model.init_model([2, 8, 3], seed=1), id_train, aux, cfg,
+                                     ExtrapolationConfig(ratio=ratio, steps=2), 0)
+    return [*out.weights, *out.biases], history.records
+
+
+def test_fine_tune_divoe_at_ratio_zero_trains_as_oe():
+    divoe_params, divoe_records = _run("divoe", 0.0)
+    oe_params, oe_records = _run("oe", 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(divoe_params, oe_params))
+    assert divoe_records == oe_records
+    assert all(r.oe_loss_extrap is None for r in divoe_records)
+
+
+def test_fine_tune_divoe_at_ratio_one_extrapolates_the_whole_batch(monkeypatch):
+    calls = []
+    real = trainer.build_extrapolation_pool
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "build_extrapolation_pool", counting)
+    _, records = _run("divoe", 1.0)
+    assert calls == [8] * len(records) == [8] * 4
+    assert all(r.oe_loss_orig is None and r.oe_loss_extrap is not None for r in records)
+
+
 def test_fine_tune_rejects_lost_ground_with_numeric_error(monkeypatch):
     id_train, aux = _toy()
     monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(1.0, 0.5, False))
