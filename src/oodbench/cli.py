@@ -114,8 +114,8 @@ def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None,
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
     out = _out_dir(cfg)
-    # plain cross-entropy reads no outliers
-    names = ("id_train",) if cfg.train.loss.kind == "ce" else ("id_train", "aux_out")
+    outlier_batches = trainer_mod.OUTLIER_BATCHES[cfg.train.loss.kind]
+    names = ("id_train", "aux_out") if outlier_batches else ("id_train",)
     id_train, *aux = _load_sets(cfg, names, None, cfg.data.classes)
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
     mlp = model_mod.init_model(dims, config_mod.component_seed(cfg.seed, "model"))
@@ -195,12 +195,12 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
 
 def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv: str,
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
-    """Synthesize from the inputs over an epsilon grid and dump per-sample records."""
+    """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records."""
     _out_dir(cfg)
     score_spec = cfg.scores[0]
     mlp = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
-    grid = epsilons if epsilons else [cfg.extrapolation.epsilon]
+    grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
     # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
     n = x.shape[0]
     batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation,
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--input", required=True, help="input samples CSV")
     p_ex.add_argument("--dump", required=True, help="per-sample record CSV to write")
     p_ex.add_argument("--samples", help="synthesized samples CSV (default: synthesized.csv)")
-    p_ex.add_argument("--epsilons", help="comma-separated epsilon grid")
+    p_ex.add_argument("--epsilons", help="comma-separated epsilon grid "
+                      "(default: the radii of extrapolation.pool)")
 
     p_th = sub.add_parser("theory-verify", help="Monte Carlo check of the alignment bound")
     p_th.add_argument("--out-csv", help="per-trial CSV path (default: <out>/theory.csv)")

@@ -9,8 +9,8 @@ value.
 
 The whole batch ascends together. The target is built per row and one
 graph pass over its sum gives every row's gradient, since rows do not
-interact under the model; each row keeps its own radius, step size and
-best iterate.
+interact under the model; each row keeps its own radius (its slice of
+``ExtrapolationConfig.pool``), step size and best iterate.
 """
 
 from __future__ import annotations
@@ -33,32 +33,28 @@ class ExtrapolationConfig:
     """Knobs for the constrained multi-step update.
 
     ratio: fraction of each outlier batch to synthesize (ceil rounding).
-    epsilon: l-inf radius around each origin, in normalized input units.
     steps: number of sign-gradient updates, each of size 2*epsilon/steps
-    for the row's own radius, so the ball stays reachable. pool lists
-    (epsilon, fraction) slices; fractions must sum to 1.
+    for the row's own radius, so the ball stays reachable.
+    pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
+    input units and the fractions summing to 1; ((epsilon, 1.0),) is one radius.
     """
 
     ratio: float = 0.5
-    epsilon: float = 0.05
     steps: int = 5
-    pool: tuple[tuple[float, float], ...] | None = None
+    pool: tuple[tuple[float, float], ...] = ((0.05, 1.0),)
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigError("ratio must lie in [0, 1]")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        if self.pool is not None:
-            if not self.pool:
-                raise ConfigError("pool spec must not be empty")
-            total = math.fsum(f for _, f in self.pool)
-            if abs(total - 1.0) > 1e-9:
-                raise ConfigError(f"pool fractions sum to {total}, expected 1")
-            if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
-                raise ConfigError("pool entries must be non-negative")
+        if not self.pool:
+            raise ConfigError("pool spec must not be empty")
+        total = math.fsum(f for _, f in self.pool)
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"pool fractions sum to {total}, expected 1")
+        if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
+            raise ConfigError("pool entries must be non-negative")
 
 
 @dataclass
@@ -136,14 +132,16 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
     """Synthesize one sample per input row under the l-inf/domain constraints.
 
     The origins ``x0`` lie inside data.DOMAIN, as the CLI checks. ``epsilon``
-    overrides cfg.epsilon with a scalar or one radius per row (used by pool
-    slices); a row with radius 0 stays at its origin. Rows whose value or
-    gradient turns non-finite are returned as their origin and flagged,
-    without affecting the other rows.
+    gives the rows their radii (a scalar, or one per row); by default the rows
+    are split, in order, across cfg.pool's slices. A row with radius 0 stays at
+    its origin. Rows whose value or gradient turns non-finite are returned as
+    their origin and flagged, without affecting the other rows.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    radius = np.asarray(cfg.epsilon if epsilon is None else epsilon, dtype=np.float64)
-    eps = np.broadcast_to(radius, x0.shape[:1]).copy()
+    if epsilon is None:
+        epsilon = np.repeat([e for e, _ in cfg.pool],
+                            largest_remainder_counts([f for _, f in cfg.pool], x0.shape[0]))
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), x0.shape[:1]).copy()
     synthesized, v0, v_best, aborted = _ascend(
         _target_graph(mlp.dims), model_mod.param_bindings(mlp), x0, eps, cfg.steps)
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
@@ -177,14 +175,5 @@ def largest_remainder_counts(fractions, total: int) -> list[int]:
 
 def build_extrapolation_pool(mlp: model_mod.MlpClassifier, subbatch,
                              cfg: ExtrapolationConfig) -> ExtrapolatedBatch:
-    """Split the sub-batch, in order, across the pool's epsilon slices and
-    synthesize every row in one batched run.
-
-    A single (epsilon, 1.0) entry is exactly one plain constrained run.
-    """
-    pool = cfg.pool if cfg.pool is not None else ((cfg.epsilon, 1.0),)
-    subbatch = np.asarray(subbatch, dtype=np.float64)
-    counts = largest_remainder_counts([f for _, f in pool], subbatch.shape[0])
-    eps = np.repeat([e for e, _ in pool], counts)
-    return pgd_extrapolate(mlp, subbatch, cfg, epsilon=eps)
-
+    """Synthesize a training step's sub-batch across the pool's epsilon slices."""
+    return pgd_extrapolate(mlp, subbatch, cfg)

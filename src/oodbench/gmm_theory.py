@@ -42,7 +42,7 @@ class TheoryParams:
     n2: int
     alpha: float
     tau: float
-    trials: int = 100
+    trials: int
 
 
 def theta_star(x_id, x_out) -> np.ndarray:

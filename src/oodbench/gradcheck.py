@@ -64,7 +64,7 @@ def _case(kind: str, rng: np.random.Generator):
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
         lc = trainer.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
-        outlier_inputs = ("x_out", "x_ext")[:(kind != "ce") + (kind == "divoe")]
+        outlier_inputs = trainer.OUTLIER_BATCHES[kind]
         graph = trainer._build_loss_graph(dims, kind, lc, outlier_inputs)[0]
         batch_names = ("x", *outlier_inputs)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)

@@ -4,8 +4,8 @@ and the energy-bounded hinge loss.
 Each loss is an expression builder (``*_expr``): the trainer differentiates
 it and the extrapolation engine ascends its per-row form, so every
 objective has one graph. The trainer adds one outlier term per outlier batch
-a step binds (``trainer._build_loss_graph``), so DivOE's hybrid objective is
-plain OE with a second, synthesized batch.
+a step binds (``trainer._build_loss_graph``; energy_bounded adds its ID hinge
+once), so DivOE's hybrid objective is plain OE with a second, synthesized batch.
 """
 
 from __future__ import annotations
@@ -41,15 +41,17 @@ def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
             + float(lam) * oe_uniform_loss_expr(out_logits))
 
 
-def energy_bounded_loss_expr(id_logits: ad.Expression, out_logits: ad.Expression,
-                             m_in: float, m_out: float) -> ad.Expression:
-    """Squared hinges pushing ID energy below m_in and outlier energy above m_out,
-    with the energy -logsumexp(logits) per row (temperature 1), the margins' sign."""
+def energy_id_hinge_expr(id_logits: ad.Expression, m_in: float) -> ad.Expression:
+    """Squared hinge pushing ID energy below m_in, with the energy
+    -logsumexp(logits) per row (temperature 1), the margins' sign."""
     e_id = -ad.logsumexp(id_logits, axis=1)
+    return ad.reduce_mean(ad.square(ad.relu(e_id - float(m_in))))
+
+
+def energy_out_hinge_expr(out_logits: ad.Expression, m_out: float) -> ad.Expression:
+    """Squared hinge pushing outlier energy above m_out, one per outlier batch."""
     e_out = -ad.logsumexp(out_logits, axis=1)
-    id_term = ad.reduce_mean(ad.square(ad.relu(e_id - float(m_in))))
-    out_term = ad.reduce_mean(ad.square(ad.relu(float(m_out) - e_out)))
-    return id_term + out_term
+    return ad.reduce_mean(ad.square(ad.relu(float(m_out) - e_out)))
 
 
 DEFAULT_OE_LAMBDA = 0.5

@@ -23,7 +23,10 @@ from .errors import ConfigError, NumericError
 from .extrapolation import ExtrapolationConfig, build_extrapolation_pool, select_subbatch
 from .numerics import derive_seed
 
-LOSS_KINDS = ("ce", "oe", "energy_bounded", "divoe")
+# The outlier batches each loss kind binds (see fine_tune).
+OUTLIER_BATCHES = {"ce": (), "oe": ("x_out",), "energy_bounded": ("x_out",),
+                   "divoe": ("x_out", "x_ext")}
+LOSS_KINDS = tuple(OUTLIER_BATCHES)
 MOMENTUM = 0.9  # Nesterov momentum of every SGD step
 WEIGHT_DECAY = 1e-4
 
@@ -69,8 +72,8 @@ class StepRecord:
     step: int
     lr: float
     ce_loss: float
-    oe_loss_orig: float | None
-    oe_loss_extrap: float | None
+    outlier_loss: float | None
+    extrapolated_loss: float | None
     total_loss: float
 
 
@@ -81,13 +84,13 @@ class TrainHistory:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "step", "lr", "ce_loss", "oe_loss_orig",
-                             "oe_loss_extrap", "total_loss"])
+            writer.writerow(["epoch", "step", "lr", "ce_loss", "outlier_loss",
+                             "extrapolated_loss", "total_loss"])
             for r in self.records:
                 writer.writerow([
                     r.epoch, r.step, repr(r.lr), repr(r.ce_loss),
-                    "" if r.oe_loss_orig is None else repr(r.oe_loss_orig),
-                    "" if r.oe_loss_extrap is None else repr(r.oe_loss_extrap),
+                    "" if r.outlier_loss is None else repr(r.outlier_loss),
+                    "" if r.extrapolated_loss is None else repr(r.extrapolated_loss),
                     repr(r.total_loss),
                 ])
 
@@ -132,8 +135,9 @@ def _build_loss_graph(dims, kind: str, lc: LossConfig, outlier_inputs: tuple[str
 
     ``y`` is the one-hot label batch, so one graph serves every step and row count.
     ``terms`` is ce followed by one outlier term per name in ``outlier_inputs`` (the
-    uniform loss, or the energy hinge for energy_bounded), and total is
-    ce + balance * their sum, so every term's value comes out of the single training pass.
+    uniform loss, or the outlier energy hinge for energy_bounded), and total is
+    ce + balance * their sum (plus energy_bounded's ID hinge, once), so every
+    term's value comes out of the single training pass.
     """
     param_nodes = model_mod.make_param_nodes(dims)
     id_logits = model_mod.logits_graph(dims, "x", param_nodes)
@@ -141,9 +145,11 @@ def _build_loss_graph(dims, kind: str, lc: LossConfig, outlier_inputs: tuple[str
     terms = []
     for name in outlier_inputs:
         out_logits = model_mod.logits_graph(dims, name, param_nodes)
-        terms.append(losses.energy_bounded_loss_expr(id_logits, out_logits, lc.m_in, lc.m_out)
+        terms.append(losses.energy_out_hinge_expr(out_logits, lc.m_out)
                      if kind == "energy_bounded" else losses.oe_uniform_loss_expr(out_logits))
-    total = ce + lc.balance * sum(terms[1:], terms[0]) if terms else ce
+    id_hinge = [losses.energy_id_hinge_expr(id_logits, lc.m_in)] if kind == "energy_bounded" else []
+    parts = id_hinge + terms
+    total = ce + lc.balance * sum(parts[1:], parts[0]) if parts else ce
     return total, (ce, *terms)
 
 
@@ -152,10 +158,11 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
               extrapolation: ExtrapolationConfig, seed: int):
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
-    ``aux_outliers`` is a non-empty pool (the CLI checks), None for ce.
-    Every loss but ce binds an outlier batch as ``x_out``. divoe splits a
-    ``ceil(ratio * n)``-row sub-batch off it and binds that sub-batch's
-    extrapolation as ``x_ext``; a split that takes every row leaves no ``x_out``.
+    ``aux_outliers`` is a non-empty pool (the CLI checks), None for a kind that
+    binds no outlier batch (``OUTLIER_BATCHES``). ``x_out`` is drawn from the
+    aux stream; ``x_ext`` extrapolates a ``ceil(ratio * n)``-row sub-batch split
+    off it across extrapolation.pool, and a split that takes every row leaves
+    no ``x_out``.
     Deterministic per ``seed``: batch shuffling, sub-batch selection and any
     extrapolation randomness come from per-component seed streams.
     A non-finite loss aborts with NumericError rather than being skipped.
@@ -174,11 +181,11 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     select_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     out_stream = None
     n_out = 0
-    if kind != "ce":
+    if OUTLIER_BATCHES[kind]:
         n_out = min(cfg.outlier_batch, aux.shape[0])
         out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))
     # Every step splits an n_out-row outlier batch the same way, so one graph serves the run.
-    n_ext = math.ceil(extrapolation.ratio * n_out) if kind == "divoe" else 0
+    n_ext = math.ceil(extrapolation.ratio * n_out) if "x_ext" in OUTLIER_BATCHES[kind] else 0
     inputs = ("x_out",) * (n_out > n_ext) + ("x_ext",) * (n_ext > 0)
     total_node, term_nodes = _build_loss_graph(mlp.dims, kind, cfg.loss, inputs)
 
@@ -215,8 +222,8 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             params, velocity = sgd_step(params, grads, velocity, lr)
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
-                oe_loss_orig=outlier_values.get("x_out"),
-                oe_loss_extrap=outlier_values.get("x_ext"),
+                outlier_loss=outlier_values.get("x_out"),
+                extrapolated_loss=outlier_values.get("x_ext"),
                 total_loss=float(total_value)))
             step += 1
     return _model(mlp.dims, params), history

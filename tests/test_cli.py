@@ -256,6 +256,30 @@ def test_extrapolate_grid_matches_one_run_per_epsilon(tmp_path):
     assert (run / "synthesized.csv").read_text(encoding="utf-8").splitlines()[1:] == samples
 
 
+# Without --epsilons, extrapolate runs the pool's distinct radii in pool order.
+@pytest.mark.parametrize("pool, grid", [
+    (None, "0.05"),
+    ("[[0.02, 0.5], [0.1, 0.5]]", "0.02,0.1"),
+    ("[[0.1, 0.25], [0.02, 0.5], [0.1, 0.25]]", "0.1,0.02"),
+])
+def test_extrapolate_without_epsilons_uses_the_pool_radii(tmp_path, pool, grid):
+    base = _evaluated_run(tmp_path)
+    run = tmp_path / "run"
+    n = len(data.load_csv(run / "aux_out.csv").x)
+    outputs = []
+    for name, args in (("pool", []), ("grid", ["--epsilons", grid])):
+        dump, samples = run / f"{name}.csv", run / f"{name}_samples.csv"
+        argv = ["--set", f"extrapolation.pool={pool}"] if pool else []
+        assert cli.main(base + argv + ["extrapolate", "--input", str(run / "aux_out.csv"),
+                                        "--dump", str(dump), "--samples", str(samples),
+                                        *args]) == 0
+        outputs.append((dump.read_bytes(), samples.read_bytes()))
+    assert outputs[0] == outputs[1]
+    rows = [line.split(",")[:2] for line in outputs[0][0].decode().splitlines()[1:]]
+    assert [(int(i), float(e)) for i, e in rows] == \
+        [(i, float(e)) for e in grid.split(",") for i in range(n)]
+
+
 @pytest.mark.parametrize("cases", ["0", "-5"])
 def test_gradcheck_without_cases_exits_2(capsys, cases):
     assert cli.main(["gradcheck", "--cases", cases]) == 2

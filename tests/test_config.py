@@ -15,8 +15,10 @@ PROBES = [
     "data.ood_sets=[]",
     "train.loss=3",
     "extrapolation.pool=[[0.1]]",
-    # Removed keys.
+    # Removed keys (a single radius is a one-slice extrapolation.pool).
     "extrapolation.clamp=[0]",
+    "extrapolation.epsilon=Infinity",
+    "extrapolation.epsilon=-0.1",
     "train.weight_decay=NaN",
     "data.sigma=NaN",
     "data.radius=0",
@@ -24,7 +26,7 @@ PROBES = [
     'seed="x"',
     "train.epochs=2.7",
     'train.sampler="bogus"',
-    "extrapolation.epsilon=Infinity",
+    "extrapolation.pool=[[Infinity, 1.0]]",
     "data.aux.count=-1",
     "data.ood_sets.ring.count=-5",
     # A zero count would write a header-only CSV that train and eval refuse.
@@ -46,7 +48,7 @@ PROBES = [
     "data.aux.outer_radius=1",
     "model.hidden=[0]",
     "train.id_batch=0",
-    "extrapolation.epsilon=-0.1",
+    "extrapolation.pool=[[-0.1, 1.0]]",
     # Each OOD set is written to ood_<name>.csv, and each score kind is computed once.
     'data.ood_sets={"a/b": {"count": 16}}',
     'data.ood_sets={"": {"count": 16}}',
@@ -75,6 +77,7 @@ UNKNOWN_KEYS = [
     {"extrapolation": {"direction": "minimize"}},
     {"extrapolation": {"step_size": 0.01}},
     {"extrapolation": {"clamp": [0.0, 1.0]}},
+    {"extrapolation": {"epsilon": 0.1}},
     # Fixed settings, now constants of the modules that read them.
     {"train": {"momentum": 0.9}},
     {"train": {"weight_decay": 1e-4}},

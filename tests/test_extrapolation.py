@@ -27,7 +27,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExtrapolationConfig(ratio=1.5)
     with pytest.raises(ConfigError):
-        ExtrapolationConfig(epsilon=-0.1)
+        ExtrapolationConfig(pool=((-0.1, 1.0),))
     with pytest.raises(ConfigError):
         ExtrapolationConfig(pool=((0.05, 0.4), (0.1, 0.4)))  # fractions sum to 0.8
     cfg = ExtrapolationConfig(pool=((0.05, 0.5), (0.125, 0.5)))
@@ -36,12 +36,12 @@ def test_config_validation():
 
 def test_paper_default_configuration():
     cfg = ExtrapolationConfig()
-    assert cfg.ratio == 0.5 and cfg.epsilon == 0.05 and cfg.steps == 5
+    assert cfg.ratio == 0.5 and cfg.pool == ((0.05, 1.0),) and cfg.steps == 5
 
 
 def test_zero_steps_and_zero_epsilon_return_input_bitwise(small_model):
     x = _batch()
-    for cfg in (ExtrapolationConfig(steps=0), ExtrapolationConfig(epsilon=0.0)):
+    for cfg in (ExtrapolationConfig(steps=0), ExtrapolationConfig(pool=((0.0, 1.0),))):
         out = pgd_extrapolate(small_model, x, cfg)
         assert out.synthesized.tobytes() == x.tobytes()
         np.testing.assert_array_equal(out.initial_values, out.final_values)
@@ -49,7 +49,7 @@ def test_zero_steps_and_zero_epsilon_return_input_bitwise(small_model):
 
 def test_linf_constraint_and_domain(small_model):
     x = _batch(20, seed=3)
-    cfg = ExtrapolationConfig(epsilon=0.07, steps=6)
+    cfg = ExtrapolationConfig(steps=6, pool=((0.07, 1.0),))
     out = pgd_extrapolate(small_model, x, cfg)
     assert np.max(np.abs(out.synthesized - x)) <= 0.07 + 1e-12
     assert out.synthesized.min() >= 0.0 and out.synthesized.max() <= 1.0
@@ -63,13 +63,13 @@ def test_best_iterate_never_loses_ground(small_model):
 
 def test_extrapolation_actually_moves_loss(small_model):
     x = _batch(12, seed=5)
-    out = pgd_extrapolate(small_model, x, ExtrapolationConfig(epsilon=0.1, steps=5))
+    out = pgd_extrapolate(small_model, x, ExtrapolationConfig(steps=5, pool=((0.1, 1.0),)))
     assert np.mean(out.final_values) > np.mean(out.initial_values)
 
 
 def test_recorded_values_match_uniform_loss(small_model):
     x = _batch(4, seed=6)
-    out = pgd_extrapolate(small_model, x, ExtrapolationConfig(epsilon=0.05, steps=3))
+    out = pgd_extrapolate(small_model, x, ExtrapolationConfig(steps=3, pool=((0.05, 1.0),)))
     def uniform_loss(row):
         logits = ad.const(model.forward(small_model, row[None, :]))
         return float(ad.evaluate(losses.oe_uniform_loss_expr(logits), {}))
@@ -141,7 +141,7 @@ _OVERFLOW_X = np.array([[0.2, 0.3], [0.8, 0.1], [0.47, 0.6], [0.1, 0.9],
 
 def test_nonfinite_rows_abort_at_origin():
     mlp = _overflow_model()
-    cfg = ExtrapolationConfig(epsilon=0.05, steps=5)
+    cfg = ExtrapolationConfig(steps=5, pool=((0.05, 1.0),))
     out = pgd_extrapolate(mlp, _OVERFLOW_X, cfg)
     # Rows 1, 4, 7 overflow at the origin; rows 2, 5 ascend across x0 = 0.5.
     np.testing.assert_array_equal(np.flatnonzero(out.aborted), [1, 2, 4, 5, 7])
@@ -173,7 +173,7 @@ def test_row_held_at_origin_never_aborts_on_its_gradient():
 
 def test_nonfinite_rows_leave_finite_rows_untouched():
     mlp = _overflow_model()
-    cfg = ExtrapolationConfig(epsilon=0.05, steps=5)
+    cfg = ExtrapolationConfig(steps=5, pool=((0.05, 1.0),))
     out = pgd_extrapolate(mlp, _OVERFLOW_X, cfg)
     ok = ~out.aborted
     clean = pgd_extrapolate(mlp, _OVERFLOW_X[ok], cfg)
@@ -200,7 +200,7 @@ def test_linear_model_single_step_moves_by_alpha():
     alpha = 0.1
     expected = x + alpha * np.sign(grad(x))
     assert np.array_equal(np.sign(grad(expected)), np.sign(grad(x)))
-    out = pgd_extrapolate(m, x, ExtrapolationConfig(epsilon=0.1, steps=2))
+    out = pgd_extrapolate(m, x, ExtrapolationConfig(steps=2, pool=((0.1, 1.0),)))
     np.testing.assert_allclose(out.synthesized, expected, rtol=1e-12)
 
 
@@ -262,11 +262,21 @@ def test_largest_remainder_counts():
 
 def test_pool_single_entry_equals_plain_pgd_bitwise(small_model):
     x = _batch(10, seed=12)
-    cfg = ExtrapolationConfig(epsilon=0.06, steps=4, pool=((0.06, 1.0),))
+    cfg = ExtrapolationConfig(steps=4, pool=((0.06, 1.0),))
     pooled = build_extrapolation_pool(small_model, x, cfg)
     plain = pgd_extrapolate(small_model, x, cfg, epsilon=0.06)
     assert pooled.synthesized.tobytes() == plain.synthesized.tobytes()
     assert pooled.final_values.tobytes() == plain.final_values.tobytes()
+
+
+def test_default_radii_split_the_rows_across_the_pool_bitwise(small_model):
+    # 11 rows over fractions (0.25, 0.5, 0.25): largest remainders give 3, 5, 3.
+    x = _batch(11, seed=14)
+    cfg = ExtrapolationConfig(steps=3, pool=((0.04, 0.25), (0.12, 0.5), (0.3, 0.25)))
+    pooled = pgd_extrapolate(small_model, x, cfg)
+    explicit = pgd_extrapolate(small_model, x, cfg, epsilon=[0.04] * 3 + [0.12] * 5 + [0.3] * 3)
+    for field in ("epsilons", "synthesized", "initial_values", "final_values", "aborted"):
+        assert getattr(pooled, field).tobytes() == getattr(explicit, field).tobytes(), field
 
 
 def test_pool_mixed_epsilons(small_model):

@@ -101,8 +101,8 @@ def test_oe_total_reductions():
 
 
 def _energy_bounded(id_logits, out_logits, m_in, m_out):
-    return _value(losses.energy_bounded_loss_expr(ad.const(id_logits), ad.const(out_logits),
-                                                  m_in, m_out))
+    return _value(losses.energy_id_hinge_expr(ad.const(id_logits), m_in)
+                  + losses.energy_out_hinge_expr(ad.const(out_logits), m_out))
 
 
 def test_energy_bounded_inactive_hinge():
@@ -119,6 +119,18 @@ def test_energy_bounded_hinge_arithmetic():
     id_logits = np.array([[100.0, -500.0]])        # S_E = -100, inactive vs m_in=-23
     value = _energy_bounded(id_logits, out_logits, m_in=-23.0, m_out=-5.0)
     assert value == pytest.approx(25.0, rel=1e-9)
+
+
+def test_energy_bounded_outlier_term_is_the_outlier_hinge_alone():
+    # Identity layer: the ID energy -1 sits 22 above m_in = -23 and the outlier
+    # energy -10 sits 5 below m_out = -5, so the hinges are 22^2 and 5^2. The
+    # outlier term holds the outlier hinge only; the total adds the ID hinge once.
+    _, batches = _id_batch(np.random.default_rng(8), 1, 2)
+    batches["x"] = np.array([[1.0, -500.0]])
+    batches["x_out"] = np.array([[10.0, -500.0]])
+    total, ce, outlier = _objective("energy_bounded", batches)
+    assert outlier == pytest.approx(25.0, rel=1e-12)
+    assert total == pytest.approx(ce + 0.5 * (484.0 + 25.0), rel=1e-12)
 
 
 def test_energy_bounded_default_margins_importable():

@@ -26,7 +26,7 @@ def _divoe_args():
 def _fake_pool(initial, final, aborted):
     def pool(mlp, subbatch, cfg):
         n = subbatch.shape[0]
-        return ExtrapolatedBatch(subbatch.copy(), subbatch.copy(), np.full(n, cfg.epsilon),
+        return ExtrapolatedBatch(subbatch.copy(), subbatch.copy(), np.zeros(n),
                                  np.full(n, initial), np.full(n, final), np.full(n, aborted))
     return pool
 
@@ -45,7 +45,7 @@ def test_fine_tune_divoe_extrapolates_once_per_step(monkeypatch):
     _, history = trainer.fine_tune(mlp, id_train, aux, *_divoe_args())
     assert len(calls) == len(history.records) == 2
     assert calls == [4, 4]
-    assert all(r.oe_loss_extrap is not None for r in history.records)
+    assert all(r.extrapolated_loss is not None for r in history.records)
 
 
 def _run(kind, ratio):
@@ -62,7 +62,7 @@ def test_fine_tune_divoe_at_ratio_zero_trains_as_oe():
     oe_params, oe_records = _run("oe", 0.0)
     assert all(np.array_equal(a, b) for a, b in zip(divoe_params, oe_params))
     assert divoe_records == oe_records
-    assert all(r.oe_loss_extrap is None for r in divoe_records)
+    assert all(r.extrapolated_loss is None for r in divoe_records)
 
 
 def test_fine_tune_divoe_at_ratio_one_extrapolates_the_whole_batch(monkeypatch):
@@ -76,7 +76,7 @@ def test_fine_tune_divoe_at_ratio_one_extrapolates_the_whole_batch(monkeypatch):
     monkeypatch.setattr(trainer, "build_extrapolation_pool", counting)
     _, records = _run("divoe", 1.0)
     assert calls == [8] * len(records) == [8] * 4
-    assert all(r.oe_loss_orig is None and r.oe_loss_extrap is not None for r in records)
+    assert all(r.outlier_loss is None and r.extrapolated_loss is not None for r in records)
 
 
 def test_fine_tune_rejects_lost_ground_with_numeric_error(monkeypatch):
@@ -110,18 +110,20 @@ def test_cli_train_maps_lost_ground_to_exit_4(monkeypatch, tmp_path, capsys):
 
 
 # sha256 of the trained parameters (W0, W1, b0, b1 bytes) and of history.csv for
-# the short-batch toy run below, pinned from the trainer that built a new loss
-# graph on every step (x86-64, numpy 2.4.6, OpenBLAS 0.3.31). Another BLAS
-# kernel or numpy build may round differently; re-pin from that trainer there.
+# the short-batch toy run below (x86-64, numpy 2.4.6, OpenBLAS 0.3.31). The
+# parameter digests were pinned from the trainer that built a new loss graph on
+# every step, the history digests from the one whose outlier columns hold one
+# term per bound batch. Another BLAS kernel or numpy build may round
+# differently; re-pin from those trainers there.
 SHORT_BATCH_DIGESTS = {
     "ce": ("9dd7a9770954fd260f71bc348c6f1866eb91c1a86ab8a3d2483735df9caff459",
-           "763184b1ea248f15c20afc13509cd6d082a35132ef7512f17889370c93858826"),
+           "5db9b52ef15e57c0498b8f3126c7da936d679b6a591008c511c5e762b894cee3"),
     "oe": ("98e27242acb9dd5abb3673f068f5e3291295ecb358e4eb6a430ac0fe20d074c0",
-           "0f444b6d598f658cd56b77ae6e3b2311ef32bc1e5d790041bebbe2b261fb56c2"),
+           "32695bf34dbab8d62da789f6a101180936f83464551231b4098869c1b9b6dc7b"),
     "energy_bounded": ("eb87c2382a98a1aec8b2c6e1fd96df88f9d0b2e1ae92f6a3947ab5143f8b9621",
-                       "943e3bac430046af7fb435aa4a467cde17d61f7e055c1395bb79a67c0a5569f6"),
+                       "9534e3dcd431749d0e5daeef55370e6ebc8c7b3e8061841f29fe8f101d972a83"),
     "divoe": ("458fbf0f81224e4a480cbf5552ebe087900bfa50422a42cb6a14e2e4f6cddb9d",
-              "305b27cf878449bcd2a9698b6f5b4bd4b7bf1159b1a23e95f57fe805046e8bc4"),
+              "d43dafca9c9087bfef6974ae83be295a21ad6e4f15a69ef6e7fd5379b4c5ed35"),
 }
 
 
