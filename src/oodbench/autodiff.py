@@ -1,31 +1,33 @@
 """Minimal reverse-mode differentiation over dense float64 tensors.
 
-Expressions are immutable DAGs built from named inputs, constants and a
-closed primitive set: matmul, broadcast add, elementwise multiply, relu,
-log-softmax, logsumexp, sum, mean, square and scalar affine. ``evaluate``
-runs a deterministic forward pass; ``gradient`` backpropagates through the
-same graph in reversed topological order, so repeated runs are
-bit-identical.
+Expressions are immutable DAGs built from named inputs, constants, a small
+primitive set (broadcast add, elementwise multiply, log-softmax, sum, mean
+and scalar affine) and kernel nodes. A kernel runs a closed-form op as one
+node (``model.MlpKernel``, the loss terms in ``losses``): its forward returns
+the value plus what its backward reads. ``evaluate`` runs a deterministic
+forward pass; ``gradient`` backpropagates through the same graph in reversed
+topological order, so repeated runs are bit-identical.
 
 The first pass over a root compiles its graph into a plan cached on that
 root: the ops in topological order with parents as slot indices, each op's
-forward function looked up once in the ``_FORWARD`` table, and the slot of
-each input name. Later passes run over lists indexed by slot, so a graph
-built once (a training objective, say) can be re-run on bindings of any row
-count without re-deriving its structure. Every pass still checks that its
-bindings, result and gradients are finite; an unbound input or unknown
-primitive fails with KeyError and incompatible operands with ValueError.
+forward function looked up once, and the slot of each input name. Later
+passes run over lists indexed by slot, so a graph built once (a training
+objective, say) can be re-run on bindings of any row count. What kernels
+save lives in a list beside the slot values, local to the pass, so threads
+can share one compiled graph. Every pass checks that its bindings, result
+and gradients are finite; an unbound input or unknown primitive fails with
+KeyError and incompatible operands with ValueError.
 
 A backward pass computes only what its caller reads. ``value_and_grad``
 marks the slots from which one of its ``wrt`` inputs is reachable, a mask
-cached on the plan per ``wrt`` tuple, and a two-operand op skips its
-contribution to an unmarked parent. So an input gradient (extrapolation,
-ODIN) computes no parameter gradient and a training step computes none for
-the batches. The gradients returned are the same ops, accumulated in the
-same order, as without the mask.
+cached on the plan per ``wrt`` tuple; an op skips its contribution to an
+unmarked parent, and a kernel computes none for an unmarked operand. So an
+input gradient (extrapolation, ODIN) computes no parameter gradient and a
+training step computes none for the batches, with the same ops, accumulated
+in the same order, as without the mask.
 
-Conventions: relu uses subgradient 0 at 0; log-softmax acts on the last
-axis; reductions accept ``axis=None`` (full) or a single int.
+Conventions: log-softmax acts on the last axis; reductions accept
+``axis=None`` (full) or a single int.
 """
 
 from __future__ import annotations
@@ -37,15 +39,12 @@ import numpy as np
 from . import numerics
 from .errors import NumericError
 
-#: Gradient maps are plain dicts: input name -> array shaped like that input.
-GradientMap = dict[str, np.ndarray]
-
-
 class Expression:
     """One node of an expression DAG.
 
-    ``op`` is the primitive kind, ``parents`` the operand nodes, ``payload``
-    op-specific data (constant value, input name, axis, affine coefficients).
+    ``op`` is the primitive kind or "kernel", ``parents`` the operand nodes,
+    ``payload`` op-specific data (constant value, input name, axis, affine
+    coefficients, a kernel's (op, payload)).
     Nodes are immutable after construction (a root only caches its compiled
     plan) and safe to share between threads.
     """
@@ -60,37 +59,11 @@ class Expression:
 
     # -- construction sugar (lowers onto the primitive set) ------------------
 
-    def __add__(self, other):
-        if isinstance(other, Expression):
-            return add(self, other)
-        return affine(self, 1.0, float(other))
+    def __add__(self, other: "Expression") -> "Expression":
+        return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Expression):
-            return mul(self, other)
-        return affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return affine(self, -1.0, 0.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Expression):
-            return add(self, -other)
-        return affine(self, 1.0, -float(other))
-
-    def __rsub__(self, other):
-        return affine(self, -1.0, float(other))
-
-    def __truediv__(self, other):
-        return affine(self, 1.0 / float(other), 0.0)
-
-    def __repr__(self):
-        tag = self.payload if self.op in ("input", "const") else ""
-        return f"Expression({self.op}{', ' + repr(tag) if self.op == 'input' else ''})"
+    def __rmul__(self, scale: float) -> "Expression":
+        return affine(self, float(scale))
 
     # -- traversal ------------------------------------------------------------
 
@@ -126,10 +99,6 @@ def const(value) -> Expression:
     return Expression("const", payload=value)
 
 
-def matmul(a: Expression, b: Expression) -> Expression:
-    return Expression("matmul", (a, b))
-
-
 def add(a: Expression, b: Expression) -> Expression:
     return Expression("add", (a, b))
 
@@ -138,16 +107,8 @@ def mul(a: Expression, b: Expression) -> Expression:
     return Expression("mul", (a, b))
 
 
-def relu(x: Expression) -> Expression:
-    return Expression("relu", (x,))
-
-
 def log_softmax(x: Expression) -> Expression:
     return Expression("log_softmax", (x,))
-
-
-def logsumexp(x: Expression, axis: int | None = None) -> Expression:
-    return Expression("logsumexp", (x,), payload=axis)
 
 
 def reduce_sum(x: Expression, axis: int | None = None) -> Expression:
@@ -158,13 +119,16 @@ def reduce_mean(x: Expression, axis: int | None = None) -> Expression:
     return Expression("mean", (x,), payload=axis)
 
 
-def square(x: Expression) -> Expression:
-    return Expression("square", (x,))
-
-
 def affine(x: Expression, scale: float, shift: float = 0.0) -> Expression:
     """scale * x + shift with python-float coefficients."""
     return Expression("affine", (x,), payload=(float(scale), float(shift)))
+
+
+def kernel(op, operands: tuple[Expression, ...], payload=None) -> Expression:
+    """One node running ``op``: ``op.forward(payload, *operands)`` returns (value,
+    saved) and ``op.backward(payload, grad, operands, saved, needs)`` one gradient
+    per operand, None where ``needs`` is false. Both are looked up on ``op`` per pass."""
+    return Expression("kernel", tuple(operands), payload=(op, payload))
 
 
 # -- compilation ---------------------------------------------------------------
@@ -175,9 +139,9 @@ class _Plan(NamedTuple):
 
     ``steps[i]`` is (op, parent slots, payload, forward function) in
     topological order, so the root is the last slot; the forward function is
-    None for inputs and constants. ``inputs`` maps input names and ``slots``
-    maps ``id(node)`` to slots. ``needed`` caches, per ``wrt`` tuple, which
-    slots reach one of those inputs.
+    None for inputs, constants and kernels. ``inputs`` maps input names and
+    ``slots`` maps ``id(node)`` to slots. ``needed`` caches, per ``wrt`` tuple,
+    which slots reach one of those inputs.
     """
 
     steps: list[tuple[str, tuple[int, ...], object, object]]
@@ -192,15 +156,11 @@ def _mean(payload, a):
 
 #: Forward function of each primitive, called as ``forward(payload, *operands)``.
 _FORWARD = {
-    "matmul": lambda payload, a, b: a @ b,
     "add": lambda payload, a, b: a + b,
     "mul": lambda payload, a, b: a * b,
-    "relu": lambda payload, a: np.maximum(a, 0.0),
     "log_softmax": lambda payload, a: numerics.log_softmax(a, axis=-1),
-    "logsumexp": lambda payload, a: numerics.logsumexp(a, axis=payload),
     "sum": lambda payload, a: np.add.reduce(a, axis=payload),
     "mean": _mean,
-    "square": lambda payload, a: a * a,
     "affine": lambda payload, a: payload[0] * a + payload[1],
 }
 
@@ -220,7 +180,7 @@ def _compile(expr: Expression) -> _Plan:
                 # Two distinct nodes for one name would split the variable and
                 # silently drop gradient contributions; share the node instead.
                 raise ValueError(f"duplicate input node for name {node.payload!r}")
-            forward = None if node.op in ("input", "const") else _FORWARD[node.op]
+            forward = None if node.op in ("input", "const", "kernel") else _FORWARD[node.op]
             steps.append((node.op, tuple(slots[id(p)] for p in node.parents), node.payload,
                           forward))
         expr._plan = _Plan(steps, inputs, slots, {})
@@ -243,16 +203,20 @@ def _needed(plan: _Plan, wrt: tuple[str, ...]) -> list[bool]:
 # -- forward -------------------------------------------------------------------
 
 
-def _forward_all(plan: _Plan, bindings: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-    """Every slot's value; raises NumericError naming the first non-finite node
-    when the root is not finite."""
+def _forward_all(plan: _Plan, bindings: Mapping[str, np.ndarray]) -> tuple[list, list]:
+    """Every slot's value, and what each kernel saved for its backward (None at
+    other slots); raises NumericError naming the first non-finite node when the
+    root is not finite."""
     vals: list[np.ndarray] = []
+    saved: list = [None] * len(plan.steps)
     # Non-finite intermediates are caught by the explicit checks, so numpy's
     # own overflow warnings are redundant noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for op, parents, payload, forward in plan.steps:
+        for i, (op, parents, payload, forward) in enumerate(plan.steps):
             if forward is not None:
                 v = forward(payload, *[vals[p] for p in parents])
+            elif op == "kernel":
+                v, saved[i] = payload[0].forward(payload[1], *[vals[p] for p in parents])
             elif op == "input":
                 v = numerics.as_tensor(bindings[payload])
                 if not np.isfinite(v).all():
@@ -261,10 +225,11 @@ def _forward_all(plan: _Plan, bindings: Mapping[str, np.ndarray]) -> list[np.nda
                 v = payload
             vals.append(v)
     if not np.isfinite(vals[-1]).all():
-        culprit = next((f"{op} node" for (op, _, _, _), v in zip(plan.steps, vals)
+        culprit = next((f"{p[0].__name__ if op == 'kernel' else op} node"
+                        for (op, _, p, _), v in zip(plan.steps, vals)
                         if not np.isfinite(v).all()), "root")
         raise NumericError(f"non-finite result (first produced by {culprit})")
-    return vals
+    return vals, saved
 
 
 def evaluate(expr: Expression, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -272,7 +237,7 @@ def evaluate(expr: Expression, bindings: Mapping[str, np.ndarray]) -> np.ndarray
 
     Raises NumericError if a binding or the result is not finite.
     """
-    return _forward_all(_compile(expr), bindings)[-1]
+    return _forward_all(_compile(expr), bindings)[0][-1]
 
 
 # -- backward ------------------------------------------------------------------
@@ -302,9 +267,10 @@ def _accumulate(grads: list, slot: int, grad: np.ndarray) -> None:
     grads[slot] = grad if prev is None else prev + grad
 
 
-def _backward_all(plan: _Plan, vals: list[np.ndarray], needed: list[bool]) -> list:
+def _backward_all(plan: _Plan, vals: list[np.ndarray], saved: list, needed: list[bool]) -> list:
     """Gradient of the root for every slot marked in ``needed``, None where
-    nothing flows; a two-operand op skips its contribution to an unmarked parent."""
+    nothing flows; a two-operand op skips its contribution to an unmarked parent
+    and a kernel computes none for an unmarked operand."""
     root = vals[-1]
     if root.size != 1:
         raise ValueError(f"gradient requires a scalar expression, got shape {root.shape}")
@@ -317,15 +283,16 @@ def _backward_all(plan: _Plan, vals: list[np.ndarray], needed: list[bool]) -> li
             op, parents, payload, _ = plan.steps[i]
             if grad is None or op in ("input", "const"):
                 continue
+            if op == "kernel":
+                grads_in = payload[0].backward(payload[1], grad, [vals[p] for p in parents],
+                                               saved[i], [needed[p] for p in parents])
+                for p, g in zip(parents, grads_in):
+                    if g is not None:
+                        _accumulate(grads, p, g)
+                continue
             p0 = parents[0]
             a = vals[p0]
-            if op == "matmul":
-                p1 = parents[1]
-                if needed[p0]:
-                    _accumulate(grads, p0, grad @ vals[p1].T)
-                if needed[p1]:
-                    _accumulate(grads, p1, a.T @ grad)
-            elif op == "add":
+            if op == "add":
                 p1 = parents[1]
                 if needed[p0]:
                     _accumulate(grads, p0, _unbroadcast(grad, a.shape))
@@ -338,32 +305,23 @@ def _backward_all(plan: _Plan, vals: list[np.ndarray], needed: list[bool]) -> li
                     _accumulate(grads, p0, _unbroadcast(grad * b, a.shape))
                 if needed[p1]:
                     _accumulate(grads, p1, _unbroadcast(grad * a, b.shape))
-            elif op == "relu":
-                _accumulate(grads, p0, grad * (a > 0.0))
             elif op == "log_softmax":
                 softmax = np.exp(vals[i])
                 _accumulate(grads, p0, grad - softmax * np.sum(grad, axis=-1, keepdims=True))
-            elif op == "logsumexp":
-                out = vals[i]
-                w = np.exp(a - (out if payload is None else np.expand_dims(out, payload)))
-                _accumulate(grads, p0, _expand_reduced(grad, a.shape, payload) * w)
             elif op == "sum":
                 _accumulate(grads, p0, _expand_reduced(grad, a.shape, payload))
             elif op == "mean":
                 count = a.size if payload is None else a.shape[payload]
                 _accumulate(grads, p0, _expand_reduced(grad, a.shape, payload) / count)
-            elif op == "square":
-                _accumulate(grads, p0, grad * 2.0 * a)
             else:  # affine; compilation has rejected any other op
                 _accumulate(grads, p0, grad * payload[0])
     return grads
 
 
 def gradient(expr: Expression, bindings: Mapping[str, np.ndarray],
-             wrt: Iterable[str]) -> GradientMap:
+             wrt: Iterable[str]) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of a scalar ``expr`` for each name in ``wrt``."""
-    value, grads, _ = value_and_grad(expr, bindings, wrt)
-    return grads
+    return value_and_grad(expr, bindings, wrt)[1]
 
 
 def value_and_grad(expr: Expression, bindings: Mapping[str, np.ndarray],
@@ -376,9 +334,9 @@ def value_and_grad(expr: Expression, bindings: Mapping[str, np.ndarray],
     plan = _compile(expr)
     wrt = tuple(wrt)
     aux_slots = [plan.slots[id(node)] for node in aux]
-    vals = _forward_all(plan, bindings)
-    grad_slots = _backward_all(plan, vals, _needed(plan, wrt))
-    grads: GradientMap = {}
+    vals, saved = _forward_all(plan, bindings)
+    grad_slots = _backward_all(plan, vals, saved, _needed(plan, wrt))
+    grads: dict[str, np.ndarray] = {}
     for name in wrt:
         slot = plan.inputs[name]
         g, shape = grad_slots[slot], vals[slot].shape

@@ -253,6 +253,9 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
                              int(trial.satisfied)])
         writer.writerow(["violation_fraction", repr(check.violation_fraction), "", ""])
     print(f"violation fraction: {check.violation_fraction:.2f} over {t.trials} trials")
+    if check.trials[0].rhs <= 0:
+        print(f"warning: the bound's right-hand side is {check.trials[0].rhs!r} <= 0, "
+              "so the check tests nothing", file=sys.stderr)
     return 0
 
 

@@ -4,7 +4,9 @@ Each case is a graph the program differentiates, from the builder it uses:
 every ``trainer._build_loss_graph`` objective with respect to the parameters,
 as ``fine_tune`` steps it, and ``extrapolation._target_graph`` and
 ``scoring.odin_graph`` with respect to the input, as the ascent and ODIN push
-it. Weights are kept at unit scale so the difference quotient stays accurate.
+it, so the closed-form backward of every kernel node (``model.MlpKernel`` and
+the loss kernels) is checked. Weights are kept at unit scale so the
+difference quotient stays accurate.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ MIN_GRAD_MAGNITUDE = 0.01  # below this the h=1e-5 difference quotient's own
 
 
 def _hidden_preactivations(mlp: model_mod.MlpClassifier, batches) -> float:
+    """Least |preactivation| of a hidden unit, from the layer inputs ``_hidden`` gives."""
     least = np.inf
-    for h in batches:
-        for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-            z = h @ w + b
-            least = min(least, np.min(np.abs(z)))
-            h = np.maximum(z, 0.0)
+    for x in batches:
+        acts = [x]
+        model_mod._hidden(mlp, x, acts)
+        for h, w, b in zip(acts, mlp.weights[:-1], mlp.biases[:-1]):
+            least = min(least, np.min(np.abs(h @ w + b)))
     return least
 
 

@@ -1,14 +1,12 @@
 """Multilayer perceptron classifier with a penultimate feature tap.
 
-The network is relu -> ... -> relu -> affine with C-way logits. The same
-layer arithmetic is available in two forms: plain numpy and an expression
-graph (``logits_graph``) whose evaluation is bit-identical to the numpy
-path, so input and weight gradients share one numeric story with inference.
-The numpy path splits at the last hidden layer: ``penultimate_features``
-computes its activations (the batch itself for a model with no hidden
-layer) and ``head`` maps them to logits, so ``forward`` is exactly
-``head(model, penultimate_features(model, batch))``. A caller that needs
-both features and logits of a set, as evaluation does, forwards it once.
+The network is relu -> ... -> relu -> affine with C-way logits. The layer
+arithmetic is written once: ``_hidden`` runs the hidden layers (the batch
+itself for a model with no hidden layer) and ``head`` the output layer, so
+``forward`` is exactly ``head(model, penultimate_features(model, batch))``.
+A caller that needs both features and logits of a set forwards it once.
+``logits_graph`` is the same two functions as one autodiff node,
+``MlpKernel``, whose closed-form backward gives input and weight gradients.
 
 Memory order: each hidden layer adds its bias and applies the ReLU in place
 on its own fresh ``h @ w`` product, so a forward holds at most two
@@ -21,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,17 +70,25 @@ def init_model(dims, seed: int) -> MlpClassifier:
     return MlpClassifier(dims, tuple(weights), tuple(biases))
 
 
-def _hidden(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
-    """The batch through every hidden layer (the batch itself if there is none)."""
+class _Layers(NamedTuple):  # an MlpClassifier's parameters, without its checks
+    weights: tuple
+    biases: tuple
+
+
+def _hidden(model: MlpClassifier | _Layers, batch: np.ndarray, acts: list | None = None):
+    """The batch through every hidden layer (the batch itself if there is none);
+    ``acts``, when given, collects each hidden layer's activations."""
     h = np.asarray(batch, dtype=np.float64)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = h @ w
         z += b
         h = np.maximum(z, 0.0, out=z)
+        if acts is not None:
+            acts.append(h)
     return h
 
 
-def head(model: MlpClassifier, features: np.ndarray) -> np.ndarray:
+def head(model: MlpClassifier | _Layers, features: np.ndarray) -> np.ndarray:
     """Logits from the last hidden layer's activations: the output layer alone."""
     return features @ model.weights[-1] + model.biases[-1]
 
@@ -106,9 +113,41 @@ def make_param_nodes(dims) -> dict[str, ad.Expression]:
     return nodes
 
 
+class MlpKernel:
+    """The logits of a batch as one autodiff kernel over (x, W0, b0, W1, b1, ...)."""
+
+    @staticmethod
+    def forward(payload, x, *params):
+        """Logits, and each layer's input: the batch, then each hidden activation."""
+        layers = _Layers(params[0::2], params[1::2])
+        acts = [x]
+        return head(layers, _hidden(layers, x, acts)), acts
+
+    @staticmethod
+    def backward(payload, grad, operands, acts, needs):
+        """Gradients for (x, W0, b0, ...) from the logits' gradient, from the top
+        layer down: db = g.sum(0), dW = h.T @ g, then g @ W.T and the ReLU mask
+        (subgradient 0 at 0) while a lower operand is needed."""
+        out = [None] * len(operands)
+        g = grad
+        for i in range(len(acts) - 1, -1, -1):
+            if needs[2 + 2 * i]:
+                out[2 + 2 * i] = g.sum(axis=0)
+            if needs[1 + 2 * i]:
+                out[1 + 2 * i] = acts[i].T @ g
+            if not any(needs[:1 + 2 * i]):
+                break
+            g = g @ operands[1 + 2 * i].T
+            if i:
+                g = g * (acts[i] > 0.0)
+        if needs[0]:
+            out[0] = g
+        return out
+
+
 def logits_graph(dims, input_name: str = "x",
                  params: dict[str, ad.Expression] | None = None) -> ad.Expression:
-    """Expression for the logits of a batch bound to ``input_name``.
+    """``MlpKernel`` node for the logits of a batch bound to ``input_name``.
 
     Parameters are free inputs named W0/b0, W1/b1, ... so the same graph
     serves weight gradients (training) and input gradients (perturbation).
@@ -118,13 +157,8 @@ def logits_graph(dims, input_name: str = "x",
     dims = tuple(dims)
     if params is None:
         params = make_param_nodes(dims)
-    h = ad.inp(input_name)
-    last = len(dims) - 2
-    for i in range(len(dims) - 1):
-        h = ad.add(ad.matmul(h, params[f"W{i}"]), params[f"b{i}"])
-        if i < last:
-            h = ad.relu(h)
-    return h
+    operands = [params[f"{kind}{i}"] for i in range(len(dims) - 1) for kind in ("W", "b")]
+    return ad.kernel(MlpKernel, (ad.inp(input_name), *operands))
 
 
 def param_names(model: MlpClassifier) -> list[str]:

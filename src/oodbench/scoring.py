@@ -59,8 +59,8 @@ def energy_score(logits) -> np.ndarray:
 
 def odin_graph(dims, top, temperature: float) -> ad.Expression:
     """Sum over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
-    return ad.reduce_sum(ad.mul(ad.log_softmax(model_mod.logits_graph(dims) / temperature),
-                                ad.const(np.eye(dims[-1])[top])))
+    logits = ad.affine(model_mod.logits_graph(dims), 1.0 / temperature)
+    return ad.reduce_sum(ad.mul(ad.log_softmax(logits), ad.const(np.eye(dims[-1])[top])))
 
 
 def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:

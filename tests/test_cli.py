@@ -296,6 +296,20 @@ def test_theory_verify_creates_the_out_csv_directory(tmp_path):
     assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 3 + 2
 
 
+@pytest.mark.parametrize("overrides, warns", [([], False), (["--set", "theory.mu_norm=1"], True)])
+def test_theory_verify_warns_when_the_bound_checks_nothing(tmp_path, capsys, overrides, warns):
+    # At the defaults the right-hand side is about 0.37; at mu_norm 1 it is negative.
+    argv = ["--out", str(tmp_path), "--set", "theory.trials=3", *overrides, "theory-verify"]
+    assert cli.main(argv) == 0
+    err = capsys.readouterr().err
+    if warns:
+        assert err.startswith("warning: the bound's right-hand side is -")
+        assert err.endswith(" <= 0, so the check tests nothing\n")
+    else:
+        assert err == ""
+    assert len((tmp_path / "theory.csv").read_text(encoding="utf-8").splitlines()) == 3 + 2
+
+
 def test_extrapolate_creates_the_samples_directory(tmp_path):
     base = _evaluated_run(tmp_path)
     run = tmp_path / "run"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oodbench import autodiff as ad
-from oodbench import cli, gradcheck, trainer
+from oodbench import cli, gradcheck, losses, model, trainer
 
 
 def test_run_suite_passes():
@@ -55,11 +55,11 @@ def test_third_contribution_to_an_input_is_checked(monkeypatch):
     seen: dict[int, int] = {}
     input_slots: set[int] = set()
 
-    def backward_counting(plan, vals, needed):
+    def backward_counting(plan, vals, saved, needed):
         seen.clear()
         input_slots.clear()
         input_slots.update(plan.inputs.values())
-        return real_backward(plan, vals, needed)
+        return real_backward(plan, vals, saved, needed)
 
     def skewed(grads, slot, grad):
         seen[slot] = seen.get(slot, 0) + 1
@@ -68,6 +68,45 @@ def test_third_contribution_to_an_input_is_checked(monkeypatch):
 
     monkeypatch.setattr(ad, "_backward_all", backward_counting)
     monkeypatch.setattr(ad, "_accumulate", skewed)
+    result = gradcheck.run_suite(cases=20, seed=3)
+    assert not result.passed
+    assert result.max_relative_error > 1e-4
+
+
+def _skew_first_layer_dw(real, payload, grad, operands, acts, needs):
+    out = list(real(payload, grad, operands, acts, needs))
+    if out[1] is not None:
+        out[1] = out[1] * (1.0 + 1e-3)
+    return out
+
+
+class _PassEveryUnit(np.ndarray):
+    """Activations whose ReLU mask ``h > 0`` is true for every unit, dead ones
+    included; their values, and so dW = h.T @ g, are unchanged."""
+
+    def __gt__(self, other):
+        return np.ones(self.shape, dtype=bool)
+
+
+def _skew_relu_mask(real, payload, grad, operands, acts, needs):
+    return real(payload, grad, operands, [h.view(_PassEveryUnit) for h in acts], needs)
+
+
+def _skew_ce_dz(real, payload, grad, operands, log_p, needs):
+    dz, dy = real(payload, grad, operands, log_p, needs)
+    return (None if dz is None else dz * (1.0 + 1e-3)), dy
+
+
+@pytest.mark.parametrize("kernel, mutation", [
+    (model.MlpKernel, _skew_first_layer_dw),
+    (model.MlpKernel, _skew_relu_mask),
+    (losses.CeKernel, _skew_ce_dz),
+], ids=["mlp_dW0", "relu_mask", "ce_dz"])
+def test_skewed_kernel_backward_fails(monkeypatch, kernel, mutation):
+    # The engine looks a kernel's backward up on every pass, so graphs already
+    # compiled (extrapolation caches its own) run the skewed one too.
+    real = kernel.backward
+    monkeypatch.setattr(kernel, "backward", staticmethod(lambda *args: mutation(real, *args)))
     result = gradcheck.run_suite(cases=20, seed=3)
     assert not result.passed
     assert result.max_relative_error > 1e-4
