@@ -262,6 +262,8 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
 def cmd_gradcheck(cases: int, seed: int) -> int:
     if cases < 1:
         raise ConfigError(f"--cases must be >= 1, got {cases}")
+    if seed < 0:
+        raise ConfigError(f"--gc-seed must be >= 0, got {seed}")
     result = gradcheck_mod.run_suite(cases=cases, seed=seed)
     status = "PASS" if result.passed else "FAIL"
     print(f"gradcheck {status}: max relative error {result.max_relative_error:.3e} "

@@ -7,15 +7,14 @@ into the l-inf ball around its origin. The returned sample is the best
 iterate seen, origin included, so no row's loss falls below its initial
 value.
 
-The whole batch ascends together. The target is built per row and one
-graph pass over its sum gives every row's gradient, since rows do not
-interact under the model; each row keeps its own radius (its slice of
-``ExtrapolationConfig.pool``), step size and best iterate.
+The whole batch ascends together. The target is the per-row uniform loss,
+and one pass over its sum gives every row's value and gradient, since rows
+do not interact under the model; each row keeps its own radius (its slice
+of ``ExtrapolationConfig.pool``), step size and best iterate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -69,15 +68,14 @@ class ExtrapolatedBatch:
     aborted: np.ndarray          # (n,) bool, non-finite value or gradient encountered
 
 
-@functools.cache
 def _target_graph(dims: tuple[int, ...]):
-    """(per-row uniform loss, its sum) for a batch bound to "x"; built and
-    compiled once per dims, since graphs are immutable."""
-    rows = losses.oe_rowwise_expr(model_mod.logits_graph(dims))
-    return rows, ad.reduce_sum(rows)
+    """(per-row uniform loss, their sum) as objectives over a batch bound to "x"."""
+    logits = model_mod.logits_graph(dims)
+    return (ad.Objective(losses.oe_uniform_loss_expr(logits, None)),
+            ad.Objective(losses.oe_uniform_loss_expr(logits, "sum")))
 
 
-def _ascend(graph, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
+def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
             steps: int):
     """Best-iterate constrained ascent on a block of rows.
 
@@ -87,7 +85,7 @@ def _ascend(graph, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndar
     failing row stands alone; such a row comes back at its origin, flagged,
     with its initial value (NaN if that was not finite).
     """
-    rows_node, total = graph
+    rows, total = target
     n = x0.shape[0]
     steps = steps if eps.any() else 0
     radius = eps[:, None]
@@ -104,9 +102,9 @@ def _ascend(graph, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndar
         for t in range(steps + 1):
             b["x"] = x
             if t < steps:
-                _, grads, (v,) = ad.value_and_grad(total, b, ["x"], aux=(rows_node,))
+                _, grads, (v,) = ad.value_and_grad(total, b, ["x"])
             else:
-                v = ad.evaluate(rows_node, b)
+                v = ad.evaluate(rows, b)
             if t == 0:
                 v0 = v
                 best_x, best_v = x0.copy(), v.copy()
@@ -119,8 +117,8 @@ def _ascend(graph, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndar
     except NumericError:
         if n > 1:
             h = n // 2
-            halves = (_ascend(graph, bindings, x0[:h], eps[:h], steps),
-                      _ascend(graph, bindings, x0[h:], eps[h:], steps))
+            halves = (_ascend(target, bindings, x0[:h], eps[:h], steps),
+                      _ascend(target, bindings, x0[h:], eps[h:], steps))
             return tuple(np.concatenate(parts) for parts in zip(*halves))
         v = np.full(1, np.nan) if v0 is None else v0
         return x0.copy(), v, v.copy(), np.ones(1, dtype=bool)

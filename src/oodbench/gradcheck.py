@@ -1,12 +1,12 @@
 """Self-check suite: reverse-mode gradients against central finite differences.
 
-Each case is a graph the program differentiates, from the builder it uses:
-every ``trainer._build_loss_graph`` objective with respect to the parameters,
-as ``fine_tune`` steps it, and ``extrapolation._target_graph`` and
-``scoring.odin_graph`` with respect to the input, as the ascent and ODIN push
-it, so the closed-form backward of every kernel node (``model.MlpKernel`` and
-the loss kernels) is checked. Weights are kept at unit scale so the
-difference quotient stays accurate.
+Each case is an objective the program differentiates, from the builder it
+uses: every ``trainer._build_loss_graph`` objective with respect to the
+parameters, as ``fine_tune`` steps it, and ``extrapolation._target_graph``
+and ``scoring.odin_graph`` with respect to the input, as the ascent and ODIN
+push it, so the closed-form backward of every kernel (``model.MlpKernel``,
+the loss kernels and ``scoring.OdinKernel``) is checked. Weights are kept at
+unit scale so the difference quotient stays accurate.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _hidden_preactivations(mlp: model_mod.MlpClassifier, batches) -> float:
 
 
 def _case(kind: str, rng: np.random.Generator):
-    """One randomized (graph, bindings, wrt) triple for ``kind``, one of CASES, resampled
+    """One randomized (objective, bindings, wrt) triple for ``kind``, one of CASES, resampled
     until every relu preactivation clears the kink by a wide margin relative to the step."""
     d = int(rng.integers(2, 5))
     hidden = [int(rng.integers(3, 7)) for _ in range(int(rng.integers(1, 3)))]
@@ -68,15 +68,15 @@ def _case(kind: str, rng: np.random.Generator):
         # hinges active and smooth without inflating the loss magnitude.
         lc = trainer.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
         outlier_inputs = trainer.OUTLIER_BATCHES[kind]
-        graph = trainer._build_loss_graph(dims, kind, lc, outlier_inputs)[0]
+        objective = trainer._build_loss_graph(dims, kind, lc, outlier_inputs)
         batch_names = ("x", *outlier_inputs)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
-        graph, batch_names = extrapolation._target_graph(dims)[1], ("x",)
+        objective, batch_names = extrapolation._target_graph(dims)[1], ("x",)
     else:
         # T = 1: at ODIN_TEMPERATURE the input gradient shrinks
         # with 1/T below MIN_GRAD_MAGNITUDE, so no case would be accepted.
-        graph, batch_names = scoring.odin_graph(dims, rng.integers(0, c, size=m), 1.0), ("x",)
+        objective, batch_names = scoring.odin_graph(dims, rng.integers(0, c, size=m), 1.0), ("x",)
 
     for _ in range(1000):
         layers = [(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)),
@@ -92,10 +92,10 @@ def _case(kind: str, rng: np.random.Generator):
         # difference quotient is exactly zero too; only small nonzero gradients
         # fall below the oracle's resolution.
         flat = np.concatenate([g.reshape(-1)
-                               for g in ad.gradient(graph, bindings, wrt).values()])
+                               for g in ad.gradient(objective, bindings, wrt).values()])
         nonzero = np.abs(flat[flat != 0.0])
         if nonzero.size and nonzero.min() >= MIN_GRAD_MAGNITUDE:
-            return graph, bindings, wrt
+            return objective, bindings, wrt
     raise RuntimeError("could not sample a well-conditioned gradcheck case")
 
 
@@ -103,6 +103,6 @@ def run_suite(cases: int = 100, seed: int = 7) -> GradcheckResult:
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for _ in range(cases):
-        graph, bindings, wrt = _case(CASES[int(rng.integers(len(CASES)))], rng)
-        worst = max(worst, ad.finite_diff_check(graph, bindings, wrt, h=DEFAULT_STEP))
+        objective, bindings, wrt = _case(CASES[int(rng.integers(len(CASES)))], rng)
+        worst = max(worst, ad.finite_diff_check(objective, bindings, wrt, h=DEFAULT_STEP))
     return GradcheckResult(cases=cases, max_relative_error=worst)

@@ -1,15 +1,16 @@
 """Training objectives: cross-entropy, the uniform-distribution outlier loss
 and the energy-bounded hinge loss.
 
-Each loss is an expression builder (``*_expr``): the trainer differentiates
-it and the extrapolation engine ascends its per-row form, so every
-objective has one graph. The trainer adds one outlier term per outlier batch
-a step binds (``trainer._build_loss_graph``; energy_bounded adds its ID hinge
-once), so DivOE's hybrid objective is plain OE with a second, synthesized batch.
+Each loss is a kernel, one closed-form forward and backward on the logits of
+one batch, and a builder (``*_expr``) that makes it an ``autodiff.Term``. The
+trainer differentiates their sum and the extrapolation engine ascends the
+per-row uniform loss, so every objective has one definition. The trainer
+adds one outlier term per outlier batch a step binds
+(``trainer._build_loss_graph``; energy_bounded adds its ID hinge once), so
+DivOE's hybrid objective is plain OE with a second, synthesized batch.
 
-Cross-entropy, the per-row uniform loss and the energy hinge are each one
-autodiff kernel node. Each keeps the op order of the primitive graph it
-replaced (``-1.0 * x + 0.0`` included), so training outputs stay bitwise equal.
+Each kernel keeps the op order of the general autodiff engine it replaced
+(``-1.0 * x + 0.0`` included), so training outputs stay bitwise equal.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import numerics
+from .model import Logits
 
 
 def onehot(labels, n_classes: int) -> np.ndarray:
@@ -26,25 +28,24 @@ def onehot(labels, n_classes: int) -> np.ndarray:
 
 
 class CeKernel:
-    """-mean(sum(log_softmax(z) * y, axis=1)) over operands (z, y)."""
+    """-mean(sum(log_softmax(z) * y, axis=1)) for the one-hot target y, the payload."""
 
     @staticmethod
-    def forward(payload, z, y):
+    def forward(y, z):
         log_p = numerics.log_softmax(z, axis=-1)
         mean = np.add.reduce(np.add.reduce(log_p * y, axis=1), axis=None) / z.shape[0]
         return -1.0 * mean + 0.0, log_p
 
     @staticmethod
-    def backward(payload, grad, operands, log_p, needs):
-        g = (grad * -1.0) / log_p.shape[0]
-        dz = g * operands[1]
-        return (dz - np.exp(log_p) * np.sum(dz, axis=-1, keepdims=True) if needs[0] else None,
-                g * log_p if needs[1] else None)
+    def backward(y, grad, z, log_p):
+        dz = ((grad * -1.0) / log_p.shape[0]) * y
+        return dz - np.exp(log_p) * np.sum(dz, axis=-1, keepdims=True)
 
 
-def ce_loss_expr(logits: ad.Expression, target: ad.Expression) -> ad.Expression:
-    """Mean over the batch of -log softmax at the true class; ``target`` is one-hot."""
-    return ad.kernel(CeKernel, (logits, target))
+def ce_loss_expr(logits: Logits, target) -> ad.Term:
+    """Mean over the batch of -log softmax at the true class; ``target`` is the
+    one-hot label matrix, or the name of the binding that holds it."""
+    return ad.Term(CeKernel, logits, target)
 
 
 class OeRowsKernel:
@@ -56,24 +57,20 @@ class OeRowsKernel:
         return lse + (-1.0 * (np.add.reduce(z, axis=1) / z.shape[1]) + 0.0), lse
 
     @staticmethod
-    def backward(payload, grad, operands, lse, needs):
-        z = operands[0]
-        return (((grad * -1.0) / z.shape[1])[:, None] + grad[:, None] * np.exp(z - lse[:, None]),)
+    def backward(payload, grad, z, lse):
+        return ((grad * -1.0) / z.shape[1])[:, None] + grad[:, None] * np.exp(z - lse[:, None])
 
 
-def oe_rowwise_expr(logits: ad.Expression) -> ad.Expression:
-    """Per-row uniform-distribution loss: logsumexp(row) - mean(row), shape (m,)."""
-    return ad.kernel(OeRowsKernel, (logits,))
+def oe_uniform_loss_expr(logits: Logits, reduce: str | None = "mean") -> ad.Term:
+    """Uniform-distribution loss logsumexp(row) - mean(row): its mean over the
+    rows, their sum, or (``reduce=None``) one value per row."""
+    return ad.Term(OeRowsKernel, logits, reduce=reduce)
 
 
-def oe_uniform_loss_expr(logits: ad.Expression) -> ad.Expression:
-    return ad.reduce_mean(oe_rowwise_expr(logits))
-
-
-def oe_total_loss_expr(id_logits: ad.Expression, labels, n_classes: int,
-                       out_logits: ad.Expression, lam: float) -> ad.Expression:
-    return (ce_loss_expr(id_logits, ad.const(onehot(labels, n_classes)))
-            + float(lam) * oe_uniform_loss_expr(out_logits))
+def oe_total_loss_expr(id_logits: Logits, labels, n_classes: int,
+                       out_logits: Logits, lam: float) -> ad.Objective:
+    return ad.Objective(ce_loss_expr(id_logits, onehot(labels, n_classes)), float(lam),
+                        (oe_uniform_loss_expr(out_logits),))
 
 
 class EnergyHingeKernel:
@@ -88,21 +85,21 @@ class EnergyHingeKernel:
         return np.add.reduce(r * r, axis=None) / r.size, (lse, r)
 
     @staticmethod
-    def backward(payload, grad, operands, saved, needs):
-        (z,), (lse, r) = operands, saved
+    def backward(payload, grad, z, saved):
+        lse, r = saved
         g = (grad / r.size) * 2.0 * r * (r > 0.0) * payload[0] * -1.0
-        return (g[:, None] * np.exp(z - lse[:, None]),)
+        return g[:, None] * np.exp(z - lse[:, None])
 
 
-def energy_id_hinge_expr(id_logits: ad.Expression, m_in: float) -> ad.Expression:
+def energy_id_hinge_expr(id_logits: Logits, m_in: float) -> ad.Term:
     """Squared hinge pushing ID energy below m_in, with the energy
     -logsumexp(logits) per row (temperature 1), the margins' sign."""
-    return ad.kernel(EnergyHingeKernel, (id_logits,), (1.0, -float(m_in)))
+    return ad.Term(EnergyHingeKernel, id_logits, (1.0, -float(m_in)))
 
 
-def energy_out_hinge_expr(out_logits: ad.Expression, m_out: float) -> ad.Expression:
+def energy_out_hinge_expr(out_logits: Logits, m_out: float) -> ad.Term:
     """Squared hinge pushing outlier energy above m_out, one per outlier batch."""
-    return ad.kernel(EnergyHingeKernel, (out_logits,), (-1.0, float(m_out)))
+    return ad.Term(EnergyHingeKernel, out_logits, (-1.0, float(m_out)))
 
 
 DEFAULT_OE_LAMBDA = 0.5

@@ -5,8 +5,9 @@ arithmetic is written once: ``_hidden`` runs the hidden layers (the batch
 itself for a model with no hidden layer) and ``head`` the output layer, so
 ``forward`` is exactly ``head(model, penultimate_features(model, batch))``.
 A caller that needs both features and logits of a set forwards it once.
-``logits_graph`` is the same two functions as one autodiff node,
-``MlpKernel``, whose closed-form backward gives input and weight gradients.
+``MlpKernel`` runs them on bound parameters, with the closed-form backward
+that gives input and weight gradients, for the ``Logits`` of a batch that an
+objective term reads (``logits_graph``).
 
 Memory order: each hidden layer adds its bias and applies the ReLU in place
 on its own fresh ``h @ w`` product, so a forward holds at most two
@@ -23,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -104,31 +104,35 @@ def penultimate_features(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     return _hidden(model, batch)
 
 
-def make_param_nodes(dims) -> dict[str, ad.Expression]:
-    """One shared input node per parameter name; reuse across logits graphs."""
-    nodes = {}
-    for i in range(len(tuple(dims)) - 1):
-        nodes[f"W{i}"] = ad.inp(f"W{i}")
-        nodes[f"b{i}"] = ad.inp(f"b{i}")
-    return nodes
+def make_param_nodes(dims) -> dict[str, str]:
+    """The binding of each parameter W0/b0, W1/b1, ...: its own name, as in ``param_bindings``."""
+    return {f"{kind}{i}": f"{kind}{i}" for i in range(len(tuple(dims)) - 1) for kind in "Wb"}
+
+
+class Logits(NamedTuple):
+    """The MLP logits of the batch bound to ``batch``, under the parameters bound to
+    ``params`` (W0, b0, W1, b1, ... in layer order)."""
+
+    batch: str
+    params: tuple[str, ...]
 
 
 class MlpKernel:
-    """The logits of a batch as one autodiff kernel over (x, W0, b0, W1, b1, ...)."""
+    """The logits of a batch and their backward, on bound parameters (W0, b0, W1, b1, ...)."""
 
     @staticmethod
-    def forward(payload, x, *params):
+    def forward(x, params):
         """Logits, and each layer's input: the batch, then each hidden activation."""
         layers = _Layers(params[0::2], params[1::2])
         acts = [x]
         return head(layers, _hidden(layers, x, acts)), acts
 
     @staticmethod
-    def backward(payload, grad, operands, acts, needs):
-        """Gradients for (x, W0, b0, ...) from the logits' gradient, from the top
-        layer down: db = g.sum(0), dW = h.T @ g, then g @ W.T and the ReLU mask
-        (subgradient 0 at 0) while a lower operand is needed."""
-        out = [None] * len(operands)
+    def backward(grad, params, acts, needs):
+        """Gradients for (x, W0, b0, ...) where ``needs`` says, from the logits'
+        gradient and the top layer down: db = g.sum(0), dW = h.T @ g, then g @ W.T
+        and the ReLU mask (subgradient 0 at 0) while a lower one is needed."""
+        out = [None] * len(needs)
         g = grad
         for i in range(len(acts) - 1, -1, -1):
             if needs[2 + 2 * i]:
@@ -137,7 +141,7 @@ class MlpKernel:
                 out[1 + 2 * i] = acts[i].T @ g
             if not any(needs[:1 + 2 * i]):
                 break
-            g = g @ operands[1 + 2 * i].T
+            g = g @ params[2 * i].T
             if i:
                 g = g * (acts[i] > 0.0)
         if needs[0]:
@@ -145,20 +149,18 @@ class MlpKernel:
         return out
 
 
-def logits_graph(dims, input_name: str = "x",
-                 params: dict[str, ad.Expression] | None = None) -> ad.Expression:
-    """``MlpKernel`` node for the logits of a batch bound to ``input_name``.
+def logits_graph(dims, input_name: str = "x", params: dict[str, str] | None = None) -> Logits:
+    """The logits of the batch bound to ``input_name`` under a ``dims`` model.
 
-    Parameters are free inputs named W0/b0, W1/b1, ... so the same graph
-    serves weight gradients (training) and input gradients (perturbation).
-    Graphs that must coexist under one objective share ``params`` nodes,
-    keeping every input name unique within the combined DAG.
+    ``params`` maps each parameter name (W0, b0, ...) to its binding, by default
+    ``make_param_nodes(dims)``, so the same handle serves weight gradients
+    (training) and input gradients (perturbation).
     """
     dims = tuple(dims)
     if params is None:
         params = make_param_nodes(dims)
-    operands = [params[f"{kind}{i}"] for i in range(len(dims) - 1) for kind in ("W", "b")]
-    return ad.kernel(MlpKernel, (ad.inp(input_name), *operands))
+    return Logits(input_name, tuple(params[f"{kind}{i}"]
+                                    for i in range(len(dims) - 1) for kind in "Wb"))
 
 
 def param_names(model: MlpClassifier) -> list[str]:

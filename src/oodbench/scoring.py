@@ -3,7 +3,8 @@
 Every score follows one orientation: higher means more in-distribution,
 so a single threshold rule ``ID iff score >= lambda`` serves all of them.
 The energy score is therefore logsumexp(logits); the hinge-loss sign
-convention lives in the losses module only.
+convention lives in the losses module only. ODIN's push follows the input
+gradient of a one-term objective, ``OdinKernel`` on the batch's logits.
 """
 
 from __future__ import annotations
@@ -57,10 +58,26 @@ def energy_score(logits) -> np.ndarray:
     return numerics.logsumexp(logits, axis=1)
 
 
-def odin_graph(dims, top, temperature: float) -> ad.Expression:
+class OdinKernel:
+    """sum(log_softmax(z / T) * onehot) for the payload (onehot, 1 / T)."""
+
+    @staticmethod
+    def forward(payload, z):
+        onehot, inv_t = payload
+        log_p = numerics.log_softmax(inv_t * z + 0.0, axis=-1)
+        return np.add.reduce(log_p * onehot, axis=None), log_p
+
+    @staticmethod
+    def backward(payload, grad, z, log_p):
+        onehot, inv_t = payload
+        g = np.broadcast_to(grad, log_p.shape) * onehot
+        return (g - np.exp(log_p) * np.sum(g, axis=-1, keepdims=True)) * inv_t
+
+
+def odin_graph(dims, top, temperature: float) -> ad.Objective:
     """Sum over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
-    logits = ad.affine(model_mod.logits_graph(dims), 1.0 / temperature)
-    return ad.reduce_sum(ad.mul(ad.log_softmax(logits), ad.const(np.eye(dims[-1])[top])))
+    return ad.Objective(ad.Term(OdinKernel, model_mod.logits_graph(dims),
+                                (np.eye(dims[-1])[top], 1.0 / temperature)))
 
 
 def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:

@@ -130,27 +130,21 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
 
 
 def _build_loss_graph(dims, kind: str, lc: LossConfig, outlier_inputs: tuple[str, ...]):
-    """Scalar training objective over inputs x / y and the named outlier batches,
-    with shared parameters; returns (total, terms).
+    """Scalar training objective over batches x / y and the named outlier batches.
 
-    ``y`` is the one-hot label batch, so one graph serves every step and row count.
-    ``terms`` is ce followed by one outlier term per name in ``outlier_inputs`` (the
-    uniform loss, or the outlier energy hinge for energy_bounded), and total is
-    ce + balance * their sum (plus energy_bounded's ID hinge, once), so every
-    term's value comes out of the single training pass.
+    ``y`` is the one-hot label batch, so one objective serves every step and row
+    count. Its head is ce and its group one outlier term per name in
+    ``outlier_inputs`` (the uniform loss, or the outlier energy hinge for
+    energy_bounded, after its ID hinge), so the total is ce + balance * their
+    sum and every term's value comes out of the single training pass.
     """
-    param_nodes = model_mod.make_param_nodes(dims)
-    id_logits = model_mod.logits_graph(dims, "x", param_nodes)
-    ce = losses.ce_loss_expr(id_logits, ad.inp("y"))
-    terms = []
-    for name in outlier_inputs:
-        out_logits = model_mod.logits_graph(dims, name, param_nodes)
-        terms.append(losses.energy_out_hinge_expr(out_logits, lc.m_out)
-                     if kind == "energy_bounded" else losses.oe_uniform_loss_expr(out_logits))
+    id_logits = model_mod.logits_graph(dims, "x")
+    terms = [losses.energy_out_hinge_expr(model_mod.logits_graph(dims, name), lc.m_out)
+             if kind == "energy_bounded"
+             else losses.oe_uniform_loss_expr(model_mod.logits_graph(dims, name))
+             for name in outlier_inputs]
     id_hinge = [losses.energy_id_hinge_expr(id_logits, lc.m_in)] if kind == "energy_bounded" else []
-    parts = id_hinge + terms
-    total = ce + lc.balance * sum(parts[1:], parts[0]) if parts else ce
-    return total, (ce, *terms)
+    return ad.Objective(losses.ce_loss_expr(id_logits, "y"), lc.balance, (*id_hinge, *terms))
 
 
 def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
@@ -184,10 +178,11 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     if OUTLIER_BATCHES[kind]:
         n_out = min(cfg.outlier_batch, aux.shape[0])
         out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))
-    # Every step splits an n_out-row outlier batch the same way, so one graph serves the run.
+    # Every step splits an n_out-row outlier batch the same way, so one objective serves the run.
     n_ext = math.ceil(extrapolation.ratio * n_out) if "x_ext" in OUTLIER_BATCHES[kind] else 0
     inputs = ("x_out",) * (n_out > n_ext) + ("x_ext",) * (n_ext > 0)
-    total_node, term_nodes = _build_loss_graph(mlp.dims, kind, cfg.loss, inputs)
+    objective = _build_loss_graph(mlp.dims, kind, cfg.loss, inputs)
+    terms = (objective.head, *objective.group)
 
     param_names = model_mod.param_names(mlp)
     step = 0
@@ -210,13 +205,12 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             if "x_out" in inputs:
                 bindings["x_out"] = out_batch
             try:
-                total_value, grads, term_values = ad.value_and_grad(
-                    total_node, bindings, param_names, aux=term_nodes)
+                total_value, grads, outputs = ad.value_and_grad(objective, bindings, param_names)
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
-            ce_value, *values = map(float, term_values)
-            outlier_values = dict(zip(inputs, values))
+            ce_value, *values = (float(t.reduced(out)) for t, out in zip(terms, outputs))
+            outlier_values = dict(zip(inputs, values[len(values) - len(inputs):]))
 
             lr = cosine_lr(step, total_steps, cfg.lr)
             params, velocity = sgd_step(params, grads, velocity, lr)

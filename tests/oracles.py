@@ -62,14 +62,14 @@ def aupr_sweep(id_scores, ood_scores) -> float:
 
 def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:
     """Best-iterate sign-gradient ascent of the uniform loss, one row and one
-    1-row graph pass at a time.
+    1-row pass at a time.
 
     Row i uses radius ``epsilons[i]`` and step 2*epsilons[i]/cfg.steps; a
     row with radius 0, or every row when cfg.steps is 0, is evaluated once
     at its origin. A non-finite value or gradient returns the row's origin,
     flagged, with its initial value (NaN if the first pass failed).
     """
-    scalar = ad.reduce_mean(losses.oe_rowwise_expr(model_mod.logits_graph(mlp.dims)))
+    scalar = ad.Objective(losses.oe_uniform_loss_expr(model_mod.logits_graph(mlp.dims)))
     bindings = model_mod.param_bindings(mlp)
 
     def one_row(row, epsilon):

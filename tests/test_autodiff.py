@@ -10,31 +10,56 @@ from oodbench.errors import NumericError
 
 
 def _layers(*pairs):
-    """Bindings W0/b0, W1/b1, ... of an MLP node from (weights, bias) pairs."""
+    """Bindings W0/b0, W1/b1, ... of an MLP from (weights, bias) pairs."""
     out = {}
     for i, (w, b) in enumerate(pairs):
         out[f"W{i}"], out[f"b{i}"] = np.asarray(w, dtype=float), np.asarray(b, dtype=float)
     return out
 
 
+def _forward(bindings, n_layers):
+    """The logits ``MlpKernel`` gives for x under W0/b0, ..."""
+    params = [bindings[f"{kind}{i}"] for i in range(n_layers) for kind in "Wb"]
+    return model.MlpKernel.forward(bindings["x"], params)
+
+
+def _hinge_objective():
+    """mean(relu(x + 0)^2) on a one-class identity model: the outlier energy
+    hinge at m_out = 0, since the energy of a single logit z is -z."""
+    return ad.Objective(losses.energy_out_hinge_expr(model.logits_graph((1, 1)), 0.0))
+
+
+_IDENTITY_1 = _layers((np.ones((1, 1)), np.zeros(1)))
+
+
+def _divoe(dims):
+    return trainer._build_loss_graph(dims, "divoe", trainer.LossConfig(kind="divoe"),
+                                     ("x_out", "x_ext"))
+
+
+def _divoe_bindings(dims, rng, rows, seed):
+    return {**model.param_bindings(model.init_model(dims, seed=seed)),
+            **{name: rng.uniform(size=(rows, dims[0])) for name in ("x", "x_out", "x_ext")},
+            "y": losses.onehot(rng.integers(0, dims[-1], rows), dims[-1])}
+
+
 def test_relu_evaluate():
-    # Identity layers around the MLP node's ReLU show it alone.
+    # Identity layers around the MLP's ReLU show it alone.
     eye = (np.eye(3), np.zeros(3))
-    out = ad.evaluate(model.logits_graph((3, 3, 3)),
-                      {**_layers(eye, eye), "x": np.array([[-1.0, 0.0, 2.0]])})
+    out, _ = _forward({**_layers(eye, eye), "x": np.array([[-1.0, 0.0, 2.0]])}, 2)
     np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
 
 def test_softmax_uniform_on_zero_logits():
-    out = ad.evaluate(ad.log_softmax(ad.inp("z")), {"z": np.zeros((2, 10))})
-    np.testing.assert_allclose(np.exp(out), 0.1, atol=1e-15)
+    # What the cross-entropy kernel saves for its backward is log_softmax(z).
+    _, log_p = losses.CeKernel.forward(np.eye(10)[[0, 3]], np.zeros((2, 10)))
+    np.testing.assert_allclose(np.exp(log_p), 0.1, atol=1e-15)
 
 
 def test_matmul_hand_example():
-    # The MLP node of a model with no hidden layer is x @ W0 + b0.
-    out = ad.evaluate(model.logits_graph((2, 1)),
-                      {**_layers(([[1.0], [1.0]], [0.0])),
-                       "x": np.array([[1.0, 2.0], [3.0, 4.0]])})
+    # The MLP of a model with no hidden layer is x @ W0 + b0.
+    out, _ = _forward({**_layers(([[1.0], [1.0]], [0.0])),
+                       "x": np.array([[1.0, 2.0], [3.0, 4.0]])}, 1)
     np.testing.assert_array_equal(out, [[3.0], [7.0]])
 
 
@@ -43,123 +68,145 @@ def test_mlp_node_hand_gradient_with_a_unit_at_exactly_zero():
     # so its bias, its weight column and its path to x all receive 0.
     bindings = {**_layers(([[1.0, 1.0], [-1.0, 1.0]], [0.0, 0.5]), ([[2.0], [3.0]], [0.25])),
                 "x": np.array([[1.0, 1.0]])}
-    expr = ad.reduce_sum(model.logits_graph((2, 2, 1)))
-    value, grads, _ = ad.value_and_grad(expr, bindings, ["x", "W0", "b0", "W1", "b1"])
-    assert value == 7.75
-    np.testing.assert_array_equal(grads["b1"], [1.0])
-    np.testing.assert_array_equal(grads["W1"], [[0.0], [2.5]])
-    np.testing.assert_array_equal(grads["b0"], [0.0, 3.0])
-    np.testing.assert_array_equal(grads["W0"], [[0.0, 3.0], [0.0, 3.0]])
-    np.testing.assert_array_equal(grads["x"], [[3.0, 3.0]])
+    z, acts = _forward(bindings, 2)
+    assert z.tolist() == [[7.75]]
+    params = [bindings[name] for name in ("W0", "b0", "W1", "b1")]
+    gx, gw0, gb0, gw1, gb1 = model.MlpKernel.backward(np.ones((1, 1)), params, acts, [True] * 5)
+    np.testing.assert_array_equal(gb1, [1.0])
+    np.testing.assert_array_equal(gw1, [[0.0], [2.5]])
+    np.testing.assert_array_equal(gb0, [0.0, 3.0])
+    np.testing.assert_array_equal(gw0, [[0.0, 3.0], [0.0, 3.0]])
+    np.testing.assert_array_equal(gx, [[3.0, 3.0]])
 
 
 def test_evaluate_unbound_input_raises():
     with pytest.raises(KeyError, match="'x'"):
-        ad.evaluate(ad.reduce_sum(ad.inp("x")), {})
+        ad.evaluate(_hinge_objective(), dict(_IDENTITY_1))
 
 
 def test_evaluate_shape_mismatch_raises():
-    # numpy's matmul, through the MLP node: W0 has 2 rows for 3 input columns.
+    # numpy's matmul, through the MLP: W0 has 2 rows for 3 input columns.
+    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((3, 3))))
     with pytest.raises(ValueError):
-        ad.evaluate(model.logits_graph((3, 3)),
-                    {**_layers((np.ones((2, 3)), np.zeros(3))), "x": np.ones((2, 3))})
+        ad.evaluate(objective, {**_layers((np.ones((2, 3)), np.zeros(3))), "x": np.ones((2, 3))})
 
 
 def test_evaluate_nonfinite_overflow_raises():
-    # multiply overflow outside the guarded logsumexp path
-    x = ad.inp("x")
-    with pytest.raises(NumericError):
-        ad.evaluate(ad.mul(x, x), {"x": np.array([1e300])})
+    # The square in the hinge overflows; the pass names the kernel and its batch.
+    with pytest.raises(NumericError, match="EnergyHingeKernel on 'x'"):
+        ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "x": np.array([[1e300]])})
 
 
 def test_evaluate_rejects_nonfinite_bindings():
-    with pytest.raises(NumericError):
-        ad.evaluate(ad.reduce_sum(ad.inp("x")), {"x": np.array([np.nan])})
+    with pytest.raises(NumericError, match="binding for 'b0'"):
+        ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "b0": np.array([np.nan]),
+                                         "x": np.ones((1, 1))})
 
 
 def test_evaluate_is_pure():
-    expr = ad.log_softmax(model.logits_graph((4, 5)))
+    dims = (4, 5, 3)
     rng = np.random.default_rng(0)
-    bindings = {"x": rng.normal(size=(3, 4)),
-                **_layers((rng.normal(size=(4, 5)), rng.normal(size=5)))}
-    a = ad.evaluate(expr, bindings)
-    b = ad.evaluate(expr, bindings)
+    bindings = _divoe_bindings(dims, rng, 3, seed=1)
+    a = ad.evaluate(_divoe(dims), bindings)
+    b = ad.evaluate(_divoe(dims), bindings)
     assert a.tobytes() == b.tobytes()
 
 
 def test_duplicate_input_name_rejected():
-    expr = ad.add(ad.inp("x"), ad.inp("x"))
-    with pytest.raises(ValueError, match="duplicate"):
-        ad.evaluate(expr, {"x": np.ones(2)})
+    # One batch read under two parameter sets would be forwarded once and
+    # silently lose the second set's gradients.
+    shadow = model.logits_graph((2, 2), "x", {"W0": "V0", "b0": "c0"})
+    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((2, 2))), 1.0,
+                             (losses.oe_uniform_loss_expr(shadow),))
+    bindings = {**_layers((np.eye(2), np.zeros(2))), "V0": np.eye(2), "c0": np.zeros(2),
+                "x": np.ones((1, 2))}
+    with pytest.raises(ValueError, match="duplicate input name 'x'"):
+        ad.evaluate(objective, bindings)
+
+
+def test_duplicate_input_name_rejected_on_every_call():
+    # A batch named like a parameter would mix its gradient into the parameter's.
+    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((2, 2), "W0")))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate input name 'W0'"):
+            ad.value_and_grad(objective, _layers((np.eye(2), np.zeros(2))), ["W0"])
 
 
 def test_gradient_quadratic():
-    x = ad.inp("x")
-    grads = ad.gradient(ad.reduce_sum(ad.mul(x, x)), {"x": np.array([1.0, 2.0])}, ["x"])
-    np.testing.assert_array_equal(grads["x"], [2.0, 4.0])
+    # mean((x + 0)^2) over two rows: the gradient is x itself.
+    grads = ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.array([[1.0], [2.0]])},
+                        ["x"])
+    np.testing.assert_array_equal(grads["x"], [[1.0], [2.0]])
 
 
 def test_gradient_logsumexp_is_softmax():
     # The uniform-loss row is logsumexp - mean: its gradient is softmax - 1/C.
     x = np.array([[0.3, -1.2, 2.5, 0.0]])
-    grads = ad.gradient(ad.reduce_sum(losses.oe_rowwise_expr(ad.inp("x"))), {"x": x}, ["x"])
+    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((4, 4)), "sum"))
+    grads = ad.gradient(objective, {**_layers((np.eye(4), np.zeros(4))), "x": x}, ["x"])
     np.testing.assert_allclose(grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
 
 
 def test_gradient_requires_scalar():
+    # A head that keeps its rows can be evaluated, not differentiated.
+    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((3, 3)), None))
+    bindings = {**_layers((np.eye(3), np.zeros(3))), "x": np.ones((2, 3))}
+    assert ad.evaluate(objective, bindings).shape == (2,)
     with pytest.raises(ValueError, match="scalar"):
-        ad.gradient(ad.affine(ad.inp("x"), 2.0), {"x": np.ones(3)}, ["x"])
+        ad.gradient(objective, bindings, ["x"])
 
 
 def test_gradient_unknown_name():
-    expr = ad.reduce_sum(ad.inp("x"))
     with pytest.raises(KeyError, match="'y'"):
-        ad.gradient(expr, {"x": np.ones(2)}, ["y"])
+        ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, ["y"])
 
 
 def test_gradient_shapes_match_inputs():
-    expr = ad.reduce_mean(model.logits_graph((4, 2)))
+    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((4, 2))))
     bindings = {"x": np.ones((3, 4)), **_layers((np.ones((4, 2)), np.zeros(2)))}
-    grads = ad.gradient(expr, bindings, ["x", "W0", "b0"])
+    grads = ad.gradient(objective, bindings, ["x", "W0", "b0"])
     assert grads["x"].shape == (3, 4)
     assert grads["W0"].shape == (4, 2)
     assert grads["b0"].shape == (2,)
 
 
 def test_gradient_broadcast_add_bias():
-    expr = ad.reduce_sum(ad.add(ad.inp("x"), ad.inp("b")))
-    grads = ad.gradient(expr, {"x": np.ones((3, 4)), "b": np.zeros(4)}, ["b"])
-    np.testing.assert_array_equal(grads["b"], [3.0, 3.0, 3.0, 3.0])
+    # The bias is added to every row, so its gradient sums the rows'.
+    bindings = {"x": np.ones((3, 4)), **_layers((np.eye(4), np.zeros(4)))}
+    _, acts = _forward(bindings, 1)
+    _, _, db = model.MlpKernel.backward(np.ones((3, 4)), [bindings["W0"], bindings["b0"]],
+                                        acts, [False, False, True])
+    np.testing.assert_array_equal(db, [3.0, 3.0, 3.0, 3.0])
 
 
 def test_gradient_deterministic_accumulation():
-    rng = np.random.default_rng(5)
-    x = ad.inp("x")
-    expr = ad.reduce_sum(ad.mul(ad.affine(x, 2.0, 1.0), ad.log_softmax(x)))
-    bindings = {"x": rng.normal(size=(4, 6))}
-    g1 = ad.gradient(expr, bindings, ["x"])["x"]
-    g2 = ad.gradient(expr, bindings, ["x"])["x"]
-    assert g1.tobytes() == g2.tobytes()
+    dims = (3, 6, 4)
+    bindings = _divoe_bindings(dims, np.random.default_rng(5), 4, seed=2)
+    g1 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
+    g2 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
+    assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
 
 
 def test_logsumexp_empty_axis_raises():
     # numpy's own error, through a loss kernel; the direct call is in test_numerics.py.
     with pytest.raises(ValueError):
-        ad.evaluate(losses.oe_rowwise_expr(ad.inp("x")), {"x": np.zeros((2, 0))})
+        losses.OeRowsKernel.forward(None, np.zeros((2, 0)))
 
 
-def test_finite_diff_linear_function_exact():
-    w = np.array([0.5, -1.25, 2.0])
-    expr = ad.reduce_sum(ad.mul(ad.const(w), ad.inp("x")))
-    err = ad.finite_diff_check(expr, {"x": np.array([0.3, 0.7, -0.2])}, ["x"])
+def test_finite_diff_quadratic_function_exact():
+    # A central difference has no truncation error on a quadratic.
+    err = ad.finite_diff_check(_hinge_objective(),
+                               {**_IDENTITY_1, "x": np.array([[0.3], [0.7], [1.2]])}, ["x"])
     assert err <= 1e-10
 
 
 def test_finite_diff_constant_expression():
-    expr = ad.reduce_sum(ad.mul(ad.const(np.zeros(3)), ad.inp("x")))
-    grads = ad.gradient(expr, {"x": np.ones(3)}, ["x"])
-    np.testing.assert_array_equal(grads["x"], np.zeros(3))
-    assert ad.finite_diff_check(expr, {"x": np.ones(3)}, ["x"]) == 0.0
+    # Cross-entropy over one class is log 1 = 0 whatever the logits.
+    objective = ad.Objective(losses.ce_loss_expr(model.logits_graph((3, 1)), np.ones((2, 1))))
+    bindings = {**_layers((np.ones((3, 1)), np.zeros(1))), "x": np.ones((2, 3))}
+    grads = ad.gradient(objective, bindings, ["x"])
+    np.testing.assert_array_equal(grads["x"], np.zeros((2, 3)))
+    assert ad.finite_diff_check(objective, bindings, ["x"]) == 0.0
 
 
 # gradcheck samples one or two hidden layers, so (2, 3) is the only check of a
@@ -175,20 +222,20 @@ def test_finite_diff_random_three_layer_net(dims):
         bindings[f"b{i}"] = rng.normal(0.0, 0.5, size=fo)
     bindings["x"] = rng.uniform(0.1, 0.9, size=(4, dims[0]))
     labels = rng.integers(0, dims[-1], size=4)
-    scalar = losses.ce_loss_expr(model.logits_graph(dims),
-                                 ad.const(losses.onehot(labels, dims[-1])))
+    objective = ad.Objective(losses.ce_loss_expr(model.logits_graph(dims),
+                                                 losses.onehot(labels, dims[-1])))
     names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")] + ["x"]
-    assert ad.finite_diff_check(scalar, bindings, names, h=1e-5) < 1e-6
+    assert ad.finite_diff_check(objective, bindings, names, h=1e-5) < 1e-6
 
 
 def test_concurrent_evaluation_of_disjoint_expressions():
     rng = np.random.default_rng(9)
-    exprs = [ad.reduce_sum(ad.mul(x, x)) for x in (ad.inp("x") for _ in range(4))]
-    bindings = [{"x": rng.normal(size=16)} for _ in range(4)]
-    expected = [float(ad.evaluate(e, b)) for e, b in zip(exprs, bindings)]
+    objectives = [_hinge_objective() for _ in range(4)]
+    bindings = [{**_IDENTITY_1, "x": rng.normal(size=(16, 1))} for _ in range(4)]
+    expected = [float(ad.evaluate(e, b)) for e, b in zip(objectives, bindings)]
     results = [None] * 4
     def work(i):
-        results[i] = float(ad.evaluate(exprs[i], bindings[i]))
+        results[i] = float(ad.evaluate(objectives[i], bindings[i]))
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     for t in threads:
         t.start()
@@ -198,21 +245,18 @@ def test_concurrent_evaluation_of_disjoint_expressions():
 
 
 def test_threads_share_one_compiled_divoe_graph():
-    # What a kernel saves lives in the pass, so threads running one compiled
-    # graph on bindings of different row counts get the sequential results.
+    # A pass keeps what the kernels save to itself, so threads running one
+    # objective on bindings of different row counts get the sequential results.
     dims = (3, 5, 4)
-    total, terms = trainer._build_loss_graph(dims, "divoe", trainer.LossConfig(kind="divoe"),
-                                             ("x_out", "x_ext"))
+    objective = _divoe(dims)
     rng = np.random.default_rng(12)
-    bindings = [{**model.param_bindings(model.init_model(dims, seed=i)),
-                 **{name: rng.uniform(size=(4 + 3 * i, 3)) for name in ("x", "x_out", "x_ext")},
-                 "y": losses.onehot(rng.integers(0, 4, 4 + 3 * i), 4)} for i in range(4)]
+    bindings = [_divoe_bindings(dims, rng, 4 + 3 * i, seed=i) for i in range(4)]
     names = ["W0", "b0", "W1", "b1"]
 
     def run(i):
-        value, grads, aux = ad.value_and_grad(total, bindings[i], names, aux=terms)
+        value, grads, outputs = ad.value_and_grad(objective, bindings[i], names)
         return [value.tobytes(), *(grads[n].tobytes() for n in names),
-                *(v.tobytes() for v in aux)]
+                *(v.tobytes() for v in outputs)]
 
     expected = [run(i) for i in range(4)]
     results: list = [[] for _ in range(4)]
@@ -236,15 +280,8 @@ def test_threads_share_one_compiled_divoe_graph():
     assert all(got == [expected[i]] * 25 for i, got in enumerate(results))
 
 
-def test_expression_sugar_lowers_to_primitives():
-    x = ad.inp("x")
-    expr = 2.0 * x + x
-    out = ad.evaluate(expr, {"x": np.array([3.0])})
-    np.testing.assert_allclose(out, [9.0])
-
-
-def _mlp_ce_graph(dims):
-    return losses.ce_loss_expr(model.logits_graph(dims), ad.inp("y"))
+def _mlp_ce_objective(dims):
+    return ad.Objective(losses.ce_loss_expr(model.logits_graph(dims), "y"))
 
 
 def test_compiled_graph_reruns_bitwise_on_any_row_count():
@@ -252,72 +289,71 @@ def test_compiled_graph_reruns_bitwise_on_any_row_count():
     rng = np.random.default_rng(11)
     params = {"W0": rng.normal(size=(3, 5)), "b0": rng.normal(size=5),
               "W1": rng.normal(size=(5, 4)), "b1": rng.normal(size=4)}
-    reused = _mlp_ce_graph(dims)
+    reused = _mlp_ce_objective(dims)
     for rows in (7, 2, 7, 1):
         bindings = dict(params, x=rng.uniform(size=(rows, 3)),
                         y=np.eye(4)[rng.integers(0, 4, rows)])
         value, grads, _ = ad.value_and_grad(reused, bindings, ["W0", "b1", "x"])
-        fresh_value, fresh_grads, _ = ad.value_and_grad(_mlp_ce_graph(dims), bindings,
+        fresh_value, fresh_grads, _ = ad.value_and_grad(_mlp_ce_objective(dims), bindings,
                                                         ["W0", "b1", "x"])
         assert value.tobytes() == fresh_value.tobytes()
         assert all(grads[k].tobytes() == fresh_grads[k].tobytes() for k in grads)
         assert ad.evaluate(reused, bindings).tobytes() == fresh_value.tobytes()
 
 
-def test_duplicate_input_name_rejected_on_every_call():
-    expr = ad.reduce_sum(ad.add(ad.inp("x"), ad.inp("x")))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="duplicate input node for name 'x'"):
-            ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"])
-
-
-@pytest.mark.parametrize("op", [ad.add, ad.mul])
+@pytest.mark.parametrize("op", ["add", "mul"])
 def test_broadcast_mismatch_message(op):
-    expr = op(ad.inp("a"), ad.inp("b"))
-    for _ in range(2):  # numpy's message, and a failed pass leaves the plan reusable
+    # A kernel's own add (the MLP's bias) or multiply (the cross-entropy's target)
+    # raises numpy's message, and a failed pass leaves the objective reusable.
+    objective = ad.Objective(losses.ce_loss_expr(model.logits_graph((3, 3)), "y"))
+    good = {**_layers((np.eye(3), np.zeros(3))), "x": np.ones((2, 3)), "y": np.eye(3)[[0, 1]]}
+    bad = {**good, **({"b0": np.zeros(4)} if op == "add" else {"y": np.ones(4)})}
+    for _ in range(2):
         with pytest.raises(ValueError, match=r"could not be broadcast.*\(2,3\) \(4,\)"):
-            ad.evaluate(expr, {"a": np.ones((2, 3)), "b": np.ones((4,))})
-    assert ad.evaluate(expr, {"a": np.ones((2, 3)), "b": np.ones(3)}).shape == (2, 3)
+            ad.evaluate(objective, bad)
+    assert ad.evaluate(objective, good).shape == ()
 
 
-def test_aux_node_outside_graph_raises_key_error():
-    x = ad.inp("x")
-    expr = ad.reduce_sum(ad.mul(x, x))
-    with pytest.raises(KeyError):
-        ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"], aux=(ad.affine(x, 2.0),))
-    value, _, (inner,) = ad.value_and_grad(expr, {"x": np.ones(2)}, ["x"],
-                                           aux=(expr.parents[0],))
-    assert value == 2.0 and inner.tolist() == [1.0, 1.0]
+def test_outputs_are_each_terms_kernel_value():
+    # Head first, then the group; the uniform loss keeps its rows, which its
+    # term reduces to what the objective adds.
+    dims = (3, 5, 4)
+    objective = _divoe(dims)
+    bindings = _divoe_bindings(dims, np.random.default_rng(6), 5, seed=3)
+    value, _, (ce, oe_out, oe_ext) = ad.value_and_grad(objective, bindings, ["b1"])
+    assert ce.shape == () and oe_out.shape == oe_ext.shape == (5,)
+    terms = [t.reduced(out) for t, out in zip(objective.group, (oe_out, oe_ext))]
+    assert value == ce + (0.5 * (terms[0] + terms[1]) + 0.0)
+    assert ad.evaluate(objective, bindings) == value
 
 
 @pytest.mark.parametrize("wrt", [["x"], ["x_ext", "x_out"], ["W0", "b0", "W1", "b1"], ["b1"]])
 def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
-    dims, rng = (3, 5, 4), np.random.default_rng(8)
-    graph = trainer._build_loss_graph(dims, "divoe", trainer.LossConfig(kind="divoe"),
-                                      ("x_out", "x_ext"))[0]
-    bindings = {**model.param_bindings(model.init_model(dims, seed=4)),
-                **{name: rng.uniform(size=(6, 3)) for name in ("x", "x_out", "x_ext")},
-                "y": losses.onehot(rng.integers(0, 4, 6), 4)}
-    _, every, _ = ad.value_and_grad(graph, bindings, list(bindings))
-    plan = ad._compile(graph)
+    dims = (3, 5, 4)
+    objective = _divoe(dims)
+    bindings = _divoe_bindings(dims, np.random.default_rng(8), 6, seed=4)
+    _, every, _ = ad.value_and_grad(objective, bindings,
+                                    ["x", "x_out", "x_ext", "W0", "b0", "W1", "b1"])
     real = ad._accumulate
-    fed: set[int] = set()
+    fed: set[str] = set()
 
-    def recording(grads, slot, grad):
-        fed.add(slot)
-        real(grads, slot, grad)
+    def recording(grads, name, grad):
+        fed.add(name)
+        real(grads, name, grad)
 
     monkeypatch.setattr(ad, "_accumulate", recording)
-    for _ in range(2):  # the second pass reuses the mask cached on the plan
+    for _ in range(2):
         fed.clear()
-        value, grads, _ = ad.value_and_grad(graph, bindings, wrt)
-        assert {name for name, slot in plan.inputs.items() if slot in fed} == set(wrt)
+        value, grads, _ = ad.value_and_grad(objective, bindings, wrt)
+        assert fed == set(wrt)
         assert sorted(grads) == sorted(wrt)
         assert all(grads[name].tobytes() == every[name].tobytes() for name in wrt)
 
 
 def test_unknown_primitive_is_rejected_on_every_call():
-    expr = ad.Expression("cube", (ad.inp("x"),))
+    # A reduction other than "mean" or "sum" is refused, not taken for a sum.
+    objective = ad.Objective(ad.Term(losses.OeRowsKernel, model.logits_graph((2, 2)),
+                                     reduce="max"))
     for _ in range(2):
-        with pytest.raises(KeyError, match="'cube'"):
-            ad.evaluate(expr, {"x": np.ones(2)})
+        with pytest.raises(KeyError, match="unknown reduction 'max'"):
+            ad.evaluate(objective, {**_layers((np.eye(2), np.zeros(2))), "x": np.ones((1, 2))})

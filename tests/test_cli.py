@@ -1,9 +1,10 @@
+import csv
 import json
 
 import pytest
 from test_config import PROBES
 
-from oodbench import cli, data, model, scoring
+from oodbench import cli, data, gmm_theory, model, scoring
 from oodbench.extrapolation import ExtrapolationConfig, pgd_extrapolate
 
 
@@ -288,6 +289,14 @@ def test_gradcheck_without_cases_exits_2(capsys, cases):
     assert "PASS" not in captured.out
 
 
+def test_gradcheck_negative_seed_exits_2(capsys):
+    # PCG64 takes no negative seed; the CLI refuses it before the suite runs.
+    assert cli.main(["gradcheck", "--cases", "1", "--gc-seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--gc-seed" in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+
+
 def test_theory_verify_creates_the_out_csv_directory(tmp_path):
     out_csv = tmp_path / "missing" / "dir" / "t.csv"
     argv = ["--out", str(tmp_path / "run"), "--set", "theory.trials=3", "theory-verify",
@@ -308,6 +317,21 @@ def test_theory_verify_warns_when_the_bound_checks_nothing(tmp_path, capsys, ove
     else:
         assert err == ""
     assert len((tmp_path / "theory.csv").read_text(encoding="utf-8").splitlines()) == 3 + 2
+
+
+def test_theory_verify_fails_against_a_bound_no_ratio_can_meet(tmp_path, capsys, monkeypatch):
+    # Negative control: by Cauchy-Schwarz mu^T theta / (sigma ||theta||) <= ||mu|| / sigma,
+    # so a right-hand side of ||mu|| / sigma + 1 is violated by every trial.
+    monkeypatch.setattr(gmm_theory, "bound_rhs",
+                        lambda mu_norm, sigma, n, d, alpha, tau: mu_norm / sigma + 1.0)
+    argv = ["--out", str(tmp_path), "--set", "theory.trials=4", "theory-verify"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "violation fraction: 1.00 over 4 trials\n"
+    with (tmp_path / "theory.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 4 + 2  # header, trials, violation fraction: what perfbench reads
+    assert [row[3] for row in rows[1:-1]] == ["0"] * 4
+    assert rows[-1][:2] == ["violation_fraction", "1.0"]
 
 
 def test_extrapolate_creates_the_samples_directory(tmp_path):

@@ -14,21 +14,13 @@ def test_run_suite_passes():
 
 
 def test_corrupted_backward_pass_fails(monkeypatch, capsys):
-    # Skew every gradient the backward pass accumulates into an input slot;
-    # the plan of the graph being differentiated says which slots those are.
-    real_compile, real_accumulate = ad._compile, ad._accumulate
-    input_slots: set[int] = set()
+    # Skew every gradient the backward pass accumulates into an input (a
+    # parameter or a batch).
+    real_accumulate = ad._accumulate
 
-    def compile_noting_inputs(expr):
-        plan = real_compile(expr)
-        input_slots.clear()
-        input_slots.update(plan.inputs.values())
-        return plan
+    def skewed(grads, name, grad):
+        real_accumulate(grads, name, grad * (1.0 + 1e-3))
 
-    def skewed(grads, slot, grad):
-        real_accumulate(grads, slot, grad * (1.0 + 1e-3) if slot in input_slots else grad)
-
-    monkeypatch.setattr(ad, "_compile", compile_noting_inputs)
     monkeypatch.setattr(ad, "_accumulate", skewed)
     result = gradcheck.run_suite(cases=5, seed=3)
     assert not result.passed
@@ -43,38 +35,34 @@ def test_every_loss_kind_is_a_case():
 
 @pytest.mark.parametrize("kind", gradcheck.CASES)
 def test_each_case_kind_passes(kind):
-    graph, bindings, wrt = gradcheck._case(kind, np.random.Generator(np.random.PCG64(11)))
-    err = ad.finite_diff_check(graph, bindings, wrt, h=gradcheck.DEFAULT_STEP)
+    objective, bindings, wrt = gradcheck._case(kind, np.random.Generator(np.random.PCG64(11)))
+    err = ad.finite_diff_check(objective, bindings, wrt, h=gradcheck.DEFAULT_STEP)
     assert err < gradcheck.DEFAULT_TOLERANCE
 
 
 def test_third_contribution_to_an_input_is_checked(monkeypatch):
-    # Only a parameter that feeds three logits graphs (divoe's x, x_out and
+    # Only a parameter that feeds three batches' logits (divoe's x, x_out and
     # x_ext) receives a third contribution; skewing just that one must show.
-    real_backward, real_accumulate = ad._backward_all, ad._accumulate
-    seen: dict[int, int] = {}
-    input_slots: set[int] = set()
+    real_backward, real_accumulate = ad._backward, ad._accumulate
+    seen: dict[str, int] = {}
 
-    def backward_counting(plan, vals, saved, needed):
+    def backward_counting(objective, fwd, wrt):
         seen.clear()
-        input_slots.clear()
-        input_slots.update(plan.inputs.values())
-        return real_backward(plan, vals, saved, needed)
+        return real_backward(objective, fwd, wrt)
 
-    def skewed(grads, slot, grad):
-        seen[slot] = seen.get(slot, 0) + 1
-        third = slot in input_slots and seen[slot] == 3
-        real_accumulate(grads, slot, grad * (1.0 + 1e-3) if third else grad)
+    def skewed(grads, name, grad):
+        seen[name] = seen.get(name, 0) + 1
+        real_accumulate(grads, name, grad * (1.0 + 1e-3) if seen[name] == 3 else grad)
 
-    monkeypatch.setattr(ad, "_backward_all", backward_counting)
+    monkeypatch.setattr(ad, "_backward", backward_counting)
     monkeypatch.setattr(ad, "_accumulate", skewed)
     result = gradcheck.run_suite(cases=20, seed=3)
     assert not result.passed
     assert result.max_relative_error > 1e-4
 
 
-def _skew_first_layer_dw(real, payload, grad, operands, acts, needs):
-    out = list(real(payload, grad, operands, acts, needs))
+def _skew_first_layer_dw(real, grad, params, acts, needs):
+    out = list(real(grad, params, acts, needs))
     if out[1] is not None:
         out[1] = out[1] * (1.0 + 1e-3)
     return out
@@ -88,13 +76,12 @@ class _PassEveryUnit(np.ndarray):
         return np.ones(self.shape, dtype=bool)
 
 
-def _skew_relu_mask(real, payload, grad, operands, acts, needs):
-    return real(payload, grad, operands, [h.view(_PassEveryUnit) for h in acts], needs)
+def _skew_relu_mask(real, grad, params, acts, needs):
+    return real(grad, params, [h.view(_PassEveryUnit) for h in acts], needs)
 
 
-def _skew_ce_dz(real, payload, grad, operands, log_p, needs):
-    dz, dy = real(payload, grad, operands, log_p, needs)
-    return (None if dz is None else dz * (1.0 + 1e-3)), dy
+def _skew_ce_dz(real, y, grad, z, log_p):
+    return real(y, grad, z, log_p) * (1.0 + 1e-3)
 
 
 @pytest.mark.parametrize("kernel, mutation", [
@@ -103,8 +90,8 @@ def _skew_ce_dz(real, payload, grad, operands, log_p, needs):
     (losses.CeKernel, _skew_ce_dz),
 ], ids=["mlp_dW0", "relu_mask", "ce_dz"])
 def test_skewed_kernel_backward_fails(monkeypatch, kernel, mutation):
-    # The engine looks a kernel's backward up on every pass, so graphs already
-    # compiled (extrapolation caches its own) run the skewed one too.
+    # A pass looks each kernel's backward up when it runs it, so objectives
+    # built before the patch run the skewed one too.
     real = kernel.backward
     monkeypatch.setattr(kernel, "backward", staticmethod(lambda *args: mutation(real, *args)))
     result = gradcheck.run_suite(cases=20, seed=3)

@@ -6,35 +6,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
-from oodbench import losses, trainer
+from oodbench import losses, model, trainer
 
 
-def _value(expr) -> float:
-    return float(ad.evaluate(expr, {}))
+def _identity(c, **batches):
+    """Bindings of a one-layer identity model, under which every batch is its own logits."""
+    return {"W0": np.eye(c), "b0": np.zeros(c),
+            **{name: np.asarray(z, dtype=np.float64) for name, z in batches.items()}}
 
 
-def _target(labels, n_classes):
-    return ad.const(losses.onehot(labels, n_classes))
+def _logits(c, name="z"):
+    return model.logits_graph((c, c), name)
+
+
+def _value(objective, **batches) -> float:
+    c = next(iter(batches.values())).shape[1]
+    return float(ad.evaluate(objective, _identity(c, **batches)))
 
 
 def _ce(logits, labels) -> float:
     logits = np.asarray(logits, dtype=np.float64)
-    return _value(losses.ce_loss_expr(ad.const(logits), _target(labels, logits.shape[1])))
+    c = logits.shape[1]
+    return _value(ad.Objective(losses.ce_loss_expr(_logits(c), losses.onehot(labels, c))),
+                  z=logits)
 
 
 def _oe(logits) -> float:
-    return _value(losses.oe_uniform_loss_expr(ad.const(np.asarray(logits, dtype=np.float64))))
+    logits = np.asarray(logits, dtype=np.float64)
+    return _value(ad.Objective(losses.oe_uniform_loss_expr(_logits(logits.shape[1]))), z=logits)
 
 
 def _objective(kind, batches, lam=0.5):
-    """Values of trainer._build_loss_graph's (total, ce, *terms) over the named outlier
+    """trainer._build_loss_graph's total, ce and outlier terms over the named outlier
     batches; the model is one identity layer, so every batch is its own logits."""
     c = batches["x"].shape[1]
     inputs = tuple(name for name in batches if name not in ("x", "y"))
-    total, terms = trainer._build_loss_graph((c, c), kind,
-                                             trainer.LossConfig(kind=kind, balance=lam), inputs)
-    bindings = {"W0": np.eye(c), "b0": np.zeros(c), **batches}
-    return tuple(float(ad.evaluate(node, bindings)) for node in (total, *terms))
+    objective = trainer._build_loss_graph((c, c), kind,
+                                          trainer.LossConfig(kind=kind, balance=lam), inputs)
+    total, _, outputs = ad.value_and_grad(objective, {"W0": np.eye(c), "b0": np.zeros(c),
+                                                      **batches}, [])
+    terms = [float(t.reduced(out)) for t, out in zip((objective.head, *objective.group), outputs)]
+    return (float(total), terms[0], *terms[len(terms) - len(inputs):])
 
 
 def test_ce_uniform_logits():
@@ -80,9 +92,8 @@ def test_oe_uniform_shift_invariance(row, shift):
 
 
 def test_oe_uniform_gradient_vanishes_at_constant_rows():
-    logits_node = ad.inp("z")
-    expr = losses.oe_uniform_loss_expr(logits_node)
-    grads = ad.gradient(expr, {"z": np.full((3, 5), 1.7)}, ["z"])
+    objective = ad.Objective(losses.oe_uniform_loss_expr(_logits(5)))
+    grads = ad.gradient(objective, _identity(5, z=np.full((3, 5), 1.7)), ["z"])
     np.testing.assert_allclose(grads["z"], 0.0, atol=1e-15)
 
 
@@ -93,16 +104,17 @@ def test_oe_total_reductions():
     labels = rng.integers(0, 4, 6)
 
     def total(lam):
-        return _value(losses.oe_total_loss_expr(ad.const(id_logits), labels, 4,
-                                                ad.const(out_logits), lam))
+        return _value(losses.oe_total_loss_expr(_logits(4), labels, 4, _logits(4, "z_out"), lam),
+                      z=id_logits, z_out=out_logits)
 
     assert total(0.0) == pytest.approx(_ce(id_logits, labels), rel=1e-15)
     assert total(1.0) == pytest.approx(_ce(id_logits, labels) + _oe(out_logits), rel=1e-12)
 
 
 def _energy_bounded(id_logits, out_logits, m_in, m_out):
-    return _value(losses.energy_id_hinge_expr(ad.const(id_logits), m_in)
-                  + losses.energy_out_hinge_expr(ad.const(out_logits), m_out))
+    objective = ad.Objective(losses.energy_id_hinge_expr(_logits(2), m_in), 1.0,
+                             (losses.energy_out_hinge_expr(_logits(2, "z_out"), m_out),))
+    return _value(objective, z=id_logits, z_out=out_logits)
 
 
 def test_energy_bounded_inactive_hinge():
@@ -150,8 +162,9 @@ def test_divoe_reduces_to_oe_total_bitwise():
     total, ce, oe_orig = _objective("divoe", batches)
     assert (total, ce, oe_orig) == _objective("oe", batches)
     assert total == ce + 0.5 * oe_orig  # bitwise: one outlier batch adds nothing
-    assert total == _value(losses.oe_total_loss_expr(ad.const(batches["x"]), labels, 3,
-                                                     ad.const(batches["x_out"]), 0.5))
+    assert total == _value(losses.oe_total_loss_expr(_logits(3, "x"), labels, 3,
+                                                     _logits(3, "x_out"), 0.5),
+                           x=batches["x"], x_out=batches["x_out"])
 
 
 def test_divoe_full_extrapolation_uses_extrap_only():
@@ -175,7 +188,6 @@ def test_divoe_hand_composed_two_sides():
 def test_losses_differentiable_finite_diff():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(3, 4)) * 2.0
-    node = ad.inp("z")
-    for expr in (losses.oe_uniform_loss_expr(node),
-                 losses.ce_loss_expr(node, _target(rng.integers(0, 4, 3), 4))):
-        assert ad.finite_diff_check(expr, {"z": z}, ["z"]) < 1e-6
+    for term in (losses.oe_uniform_loss_expr(_logits(4)),
+                 losses.ce_loss_expr(_logits(4), losses.onehot(rng.integers(0, 4, 3), 4))):
+        assert ad.finite_diff_check(ad.Objective(term), _identity(4, z=z), ["z"]) < 1e-6

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodbench import autodiff as ad
 from oodbench import model
 from oodbench.errors import DataError
 
@@ -139,12 +138,14 @@ def test_final_bias_translation_covariance(seed, shift):
 
 
 def test_graph_matches_numpy_forward_bitwise():
+    # The logits an objective's terms read are model.forward's, bit for bit.
     m = model.init_model([3, 8, 5], seed=2)
     x = np.random.default_rng(4).uniform(0, 1, (7, 3))
     bindings = model.param_bindings(m)
-    bindings["x"] = x
-    via_graph = ad.evaluate(model.logits_graph(m.dims), bindings)
-    assert via_graph.tobytes() == model.forward(m, x).tobytes()
+    handle = model.logits_graph(m.dims)
+    via_kernel, _ = model.MlpKernel.forward(x, [bindings[name] for name in handle.params])
+    assert handle == ("x", ("W0", "b0", "W1", "b1"))
+    assert via_kernel.tobytes() == model.forward(m, x).tobytes()
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -130,7 +130,7 @@ SHORT_BATCH_DIGESTS = {
 @pytest.mark.parametrize("kind", sorted(SHORT_BATCH_DIGESTS))
 def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path):
     # 20 ID rows in batches of 8: every epoch ends on a 4-row batch, so one
-    # graph must serve two row counts.
+    # objective must serve two row counts.
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, (20, 2))
     y = (x[:, 0] > 0.5).astype(int) + (x[:, 1] > 0.5).astype(int)
@@ -160,8 +160,6 @@ def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path
 def test_classifier_built_only_where_it_is_read(kind, classifiers, monkeypatch):
     # 16 rows in batches of 8 make 2 steps; only divoe's extrapolation reads a
     # classifier mid-run, and the returned model is built once after the loop.
-    from oodbench import extrapolation
-
     built = []
 
     class Counting(model.MlpClassifier):
@@ -170,7 +168,6 @@ def test_classifier_built_only_where_it_is_read(kind, classifiers, monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(model, "MlpClassifier", Counting)
-    extrapolation._target_graph.cache_clear()
     id_train, aux = _toy()
     cfg = trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=8,
                               loss=trainer.LossConfig(kind=kind))
@@ -179,4 +176,3 @@ def test_classifier_built_only_where_it_is_read(kind, classifiers, monkeypatch):
     out, history = trainer.fine_tune(mlp, id_train, aux, cfg,
                                      ExtrapolationConfig(ratio=0.5, steps=2), 0)
     assert len(history.records) == 2 and len(built) == classifiers and out is built[-1]
-    assert extrapolation._target_graph.cache_info().misses == (kind == "divoe")
