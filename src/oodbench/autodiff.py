@@ -1,28 +1,29 @@
 """Reverse-mode differentiation of a flat sum of loss terms over MLP logits.
 
-Every objective the workbench differentiates has one shape: a head term
-plus ``scale`` times the sum of a group of terms. A ``Term`` is one loss
-kernel (the classes in ``losses`` and ``scoring.OdinKernel``) applied to the
-MLP logits of one named batch, ``model.Logits``; a kernel whose value is one
-number per row enters the objective through its mean or its sum. A kernel
-has ``forward(payload, z)``, returning its value and what its backward
-reads, and ``backward(payload, grad, z, saved)``, returning dL/dz. A payload
-that is a string names a binding, such as the one-hot labels ``y``.
+Every objective the workbench differentiates is a head term plus ``scale``
+times the sum of a group of terms. A ``Term`` applies a per-row loss
+``f(payload, z) -> (values, gradient)`` to the (m, C) MLP logits z of one
+named batch (``model.Logits``): one value per row and, in closed form, each
+value's gradient with respect to its own row of z. A payload that is a
+string names a binding, such as the one-hot labels ``y``. ``Term.reduced``,
+the mean or the sum of the rows, is the one place a batch is reduced. Rows
+do not interact, so a term's dL/dz is its row gradient times the weight
+each row enters with: 1 or 1/m, times ``scale`` in the group.
 
 ``value_and_grad`` forwards each distinct batch once through
-``model.MlpKernel``, runs each term's kernel and combines the values as
-``head + (scale * ((t1 + t2) + ...) + 0.0)``. It then runs the terms'
-backwards in reverse order, summing each batch's dL/dz, and the MLP backward
-per batch in reverse first-use order, so the parameter gradients add up in
-one fixed order and repeated runs are bit-identical. An objective is an
-immutable tuple and a pass keeps its state local, so threads can share one.
-Every pass checks that the bindings it reads, its value and the gradients it
-returns are finite, and raises NumericError naming the one that is not.
+``model.MlpKernel``, adds the reduced values as
+``head + scale * ((t1 + t2) + ...)``, sums each batch's dL/dz over its terms
+in reverse order and runs the MLP backward per batch in reverse first-use
+order, so the parameter gradients add up in one fixed order and repeated
+runs are bit-identical. An objective is an immutable tuple and a pass keeps
+its state local, so threads can share one. Every pass checks that the
+bindings it reads, its value and the gradients it returns are finite, and
+raises NumericError naming the one that is not.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,29 +32,26 @@ from .errors import NumericError
 
 
 class Term(NamedTuple):
-    """``kernel`` on the logits of one batch; a per-row kernel enters the
-    objective through ``reduce``, "mean" or "sum" (None keeps its rows)."""
+    """The per-row loss ``rows`` on the logits of one batch; its rows enter the
+    objective through ``reduce``, their "mean" or their "sum"."""
 
-    kernel: type
+    rows: Callable
     logits: model.Logits
     payload: object = None
-    reduce: str | None = None
+    reduce: str = "mean"
 
-    def reduced(self, out):
-        """The term's value as the objective adds it, from its kernel's output."""
-        if self.reduce is None:
-            return out
-        total = np.add.reduce(out, axis=None)
+    def reduced(self, values):
+        """The term's value as the objective adds it, from its per-row values."""
+        total = np.add.reduce(values, axis=None)
         if self.reduce == "sum":
             return total
         if self.reduce == "mean":
-            return total / out.size
+            return total / values.size
         raise KeyError(f"unknown reduction {self.reduce!r}")
 
 
 class Objective(NamedTuple):
-    """head + (scale * ((group[0] + group[1]) + ...) + 0.0); the head alone if
-    the group is empty."""
+    """head + scale * ((group[0] + group[1]) + ...); the head alone if no group."""
 
     head: Term
     scale: float = 1.0
@@ -62,7 +60,7 @@ class Objective(NamedTuple):
 
 def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
     """One pass: (value, each batch's (handle, logits, layer inputs) in first-use
-    order, the bindings read, each term's output, each term's (payload, saved))."""
+    order, the bindings read, each term's per-row values, each term's row gradients)."""
     bound: dict[str, np.ndarray] = {}
 
     def read(name):
@@ -75,7 +73,7 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
 
     terms = (objective.head, *objective.group)
     logits: dict[str, tuple] = {}
-    outputs, saved = [], []
+    outputs, rowgrads = [], []
     # Non-finite intermediates are caught by the explicit checks, so numpy's
     # own overflow warnings are redundant noise here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -91,28 +89,27 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
                 raise ValueError(f"duplicate input name {handle.batch!r}: "
                                  "its terms read different parameters")
             payload = read(term.payload) if isinstance(term.payload, str) else term.payload
-            out, s = term.kernel.forward(payload, logits[handle.batch][1])
+            out, rowgrad = term.rows(payload, logits[handle.batch][1])
             outputs.append(out)
-            saved.append((payload, s))
+            rowgrads.append(rowgrad)
         values = [t.reduced(out) for t, out in zip(terms, outputs)]
         value = values[0]
         if objective.group:
             rest = values[1]
             for v in values[2:]:  # plain adds, left to right; sum() may compensate floats
                 rest = rest + v
-            value = value + (objective.scale * rest + 0.0)
-    if not np.isfinite(value).all():
+            value = value + objective.scale * rest
+    if not np.isfinite(value):
         stages = [*((f"MlpKernel on {b!r}", z) for b, (_, z, _) in logits.items()),
-                  *((f"{t.kernel.__name__} on {t.logits.batch!r}", out)
+                  *((f"{t.rows.__name__} on {t.logits.batch!r}", out)
                     for t, out in zip(terms, outputs))]
         culprit = next((name for name, v in stages if not np.isfinite(v).all()), "the sum")
         raise NumericError(f"non-finite result (first produced by {culprit})")
-    return value, logits, bound, outputs, saved
+    return value, logits, bound, outputs, rowgrads
 
 
 def evaluate(objective: Objective, bindings: Mapping[str, np.ndarray]):
-    """Deterministic value of ``objective`` under ``bindings``: a scalar, or one
-    value per row for a head that keeps its rows.
+    """Deterministic scalar value of ``objective`` under ``bindings``.
 
     Raises NumericError if a binding it reads or the value is not finite.
     """
@@ -128,30 +125,23 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
     """Gradients of the value of the pass ``fwd`` for the inputs in ``wrt``: no
     batch whose logits reach none of them is run back, and the MLP backward
     computes no gradient for a parameter or batch outside them."""
-    value, logits, bound, outputs, saved = fwd
-    if np.size(value) != 1:
-        raise ValueError(f"gradient requires a scalar objective, got shape {np.shape(value)}")
+    _, logits, bound, outputs, rowgrads = fwd
     needs = {batch: [name in wrt for name in (batch, *handle.params)]
              for batch, (handle, _, _) in logits.items()}
     terms = (objective.head, *objective.group)
-    seed = np.ones_like(value)
-    group_grad = seed * objective.scale
     dz: dict[str, np.ndarray] = {}
     grads: dict[str, np.ndarray] = {}
     # As in _forward: value_and_grad checks every gradient it returns.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(len(terms) - 1, -1, -1):
-            term, out = terms[i], outputs[i]
+            term = terms[i]
             batch = term.logits.batch
             if not any(needs[batch]):
                 continue
-            g = seed if i == 0 else group_grad
-            if term.reduce is not None:
-                g = np.broadcast_to(g, out.shape)
-                if term.reduce == "mean":
-                    g = g / out.size
-            payload, s = saved[i]
-            d = term.kernel.backward(payload, g, logits[batch][1], s)
+            g = 1.0 if i == 0 else objective.scale
+            if term.reduce == "mean":
+                g = g / outputs[i].size
+            d = g * rowgrads[i]
             dz[batch] = d if batch not in dz else dz[batch] + d
         for batch in reversed(logits):  # reverse first-use order, so x goes last
             if batch not in dz:
@@ -167,15 +157,15 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
 
 def gradient(objective: Objective, bindings: Mapping[str, np.ndarray],
              wrt: Iterable[str]) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of a scalar ``objective`` for each name in ``wrt``."""
+    """Exact reverse-mode gradients of ``objective`` for each name in ``wrt``."""
     return value_and_grad(objective, bindings, wrt)[1]
 
 
 def value_and_grad(objective: Objective, bindings: Mapping[str, np.ndarray],
                    wrt: Iterable[str]):
     """Value, the gradient for each batch or parameter name in ``wrt``, and each
-    term's kernel output (head first; one value per row for a per-row kernel),
-    all from one pass. A name the objective does not read raises KeyError."""
+    term's per-row values (head first), all from one pass. A name the objective
+    does not read raises KeyError."""
     wrt = tuple(wrt)
     fwd = _forward(objective, bindings)
     grads = _backward(objective, fwd, wrt)

@@ -7,10 +7,11 @@ into the l-inf ball around its origin. The returned sample is the best
 iterate seen, origin included, so no row's loss falls below its initial
 value.
 
-The whole batch ascends together. The target is the per-row uniform loss,
-and one pass over its sum gives every row's value and gradient, since rows
-do not interact under the model; each row keeps its own radius (its slice
-of ``ExtrapolationConfig.pool``), step size and best iterate.
+The whole batch ascends together. The target is the sum over the rows of
+the per-row uniform loss, ``losses.oe_rows``; rows do not interact under the
+model, so one pass over that sum gives every row's value (its term's per-row
+output) and every row's input gradient. Each row keeps its own radius (its
+slice of ``ExtrapolationConfig.pool``), step size and best iterate.
 """
 
 from __future__ import annotations
@@ -68,11 +69,9 @@ class ExtrapolatedBatch:
     aborted: np.ndarray          # (n,) bool, non-finite value or gradient encountered
 
 
-def _target_graph(dims: tuple[int, ...]):
-    """(per-row uniform loss, their sum) as objectives over a batch bound to "x"."""
-    logits = model_mod.logits_graph(dims)
-    return (ad.Objective(losses.oe_uniform_loss_expr(logits, None)),
-            ad.Objective(losses.oe_uniform_loss_expr(logits, "sum")))
+def _target_graph(dims: tuple[int, ...]) -> ad.Objective:
+    """The sum of the per-row uniform loss over a batch bound to "x"."""
+    return ad.Objective(losses.oe_uniform_loss_expr(model_mod.logits_graph(dims), "sum"))
 
 
 def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
@@ -85,7 +84,6 @@ def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.nda
     failing row stands alone; such a row comes back at its origin, flagged,
     with its initial value (NaN if that was not finite).
     """
-    rows, total = target
     n = x0.shape[0]
     steps = steps if eps.any() else 0
     radius = eps[:, None]
@@ -98,13 +96,10 @@ def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.nda
     v0 = None
     try:
         # Visit x_0 ... x_steps; the origin is a candidate, so no row's best
-        # value falls below its initial one.
+        # value falls below its initial one. The last visit needs no gradient.
         for t in range(steps + 1):
             b["x"] = x
-            if t < steps:
-                _, grads, (v,) = ad.value_and_grad(total, b, ["x"])
-            else:
-                v = ad.evaluate(rows, b)
+            _, grads, (v,) = ad.value_and_grad(target, b, ["x"] if t < steps else [])
             if t == 0:
                 v0 = v
                 best_x, best_v = x0.copy(), v.copy()

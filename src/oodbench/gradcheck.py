@@ -4,9 +4,10 @@ Each case is an objective the program differentiates, from the builder it
 uses: every ``trainer._build_loss_graph`` objective with respect to the
 parameters, as ``fine_tune`` steps it, and ``extrapolation._target_graph``
 and ``scoring.odin_graph`` with respect to the input, as the ascent and ODIN
-push it, so the closed-form backward of every kernel (``model.MlpKernel``,
-the loss kernels and ``scoring.OdinKernel``) is checked. Weights are kept at
-unit scale so the difference quotient stays accurate.
+push it. So every closed-form gradient is checked: the MLP backward
+(``model.MlpKernel``), each per-row loss in ``losses`` and
+``scoring.odin_rows``, and the weight ``autodiff`` gives their rows. Weights
+are kept at unit scale so the difference quotient stays accurate.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _case(kind: str, rng: np.random.Generator):
         batch_names = ("x", *outlier_inputs)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
-        objective, batch_names = extrapolation._target_graph(dims)[1], ("x",)
+        objective, batch_names = extrapolation._target_graph(dims), ("x",)
     else:
         # T = 1: at ODIN_TEMPERATURE the input gradient shrinks
         # with 1/T below MIN_GRAD_MAGNITUDE, so no case would be accepted.

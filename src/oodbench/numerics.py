@@ -1,4 +1,4 @@
-"""Stable elementwise numerics shared by the loss kernels and the scorers.
+"""Stable elementwise numerics shared by the per-row losses and the scorers.
 
 All functions take and return float64 arrays. The log-sum-exp family uses
 max-subtraction so inputs with magnitude up to ~1e3 stay finite.

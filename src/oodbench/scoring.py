@@ -4,7 +4,8 @@ Every score follows one orientation: higher means more in-distribution,
 so a single threshold rule ``ID iff score >= lambda`` serves all of them.
 The energy score is therefore logsumexp(logits); the hinge-loss sign
 convention lives in the losses module only. ODIN's push follows the input
-gradient of a one-term objective, ``OdinKernel`` on the batch's logits.
+gradient of a one-term objective: the sum over the batch of ``odin_rows``,
+each row's log-softmax at its predicted class.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import losses
 from . import model as model_mod
 from . import numerics
 from .data import DOMAIN
@@ -58,26 +60,18 @@ def energy_score(logits) -> np.ndarray:
     return numerics.logsumexp(logits, axis=1)
 
 
-class OdinKernel:
-    """sum(log_softmax(z / T) * onehot) for the payload (onehot, 1 / T)."""
-
-    @staticmethod
-    def forward(payload, z):
-        onehot, inv_t = payload
-        log_p = numerics.log_softmax(inv_t * z + 0.0, axis=-1)
-        return np.add.reduce(log_p * onehot, axis=None), log_p
-
-    @staticmethod
-    def backward(payload, grad, z, log_p):
-        onehot, inv_t = payload
-        g = np.broadcast_to(grad, log_p.shape) * onehot
-        return (g - np.exp(log_p) * np.sum(g, axis=-1, keepdims=True)) * inv_t
+def odin_rows(payload, z):
+    """log softmax(z / T) at the one-hot target per row, for the payload
+    (onehot, 1 / T); gradient (onehot - softmax(z / T)) / T."""
+    onehot, inv_t = payload
+    log_p = numerics.log_softmax(inv_t * z, axis=-1)
+    return np.add.reduce(log_p * onehot, axis=1), (onehot - np.exp(log_p)) * inv_t
 
 
 def odin_graph(dims, top, temperature: float) -> ad.Objective:
     """Sum over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
-    return ad.Objective(ad.Term(OdinKernel, model_mod.logits_graph(dims),
-                                (np.eye(dims[-1])[top], 1.0 / temperature)))
+    return ad.Objective(ad.Term(odin_rows, model_mod.logits_graph(dims),
+                                (losses.onehot(top, dims[-1]), 1.0 / temperature), "sum"))
 
 
 def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:

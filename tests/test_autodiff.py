@@ -51,9 +51,10 @@ def test_relu_evaluate():
 
 
 def test_softmax_uniform_on_zero_logits():
-    # What the cross-entropy kernel saves for its backward is log_softmax(z).
-    _, log_p = losses.CeKernel.forward(np.eye(10)[[0, 3]], np.zeros((2, 10)))
-    np.testing.assert_allclose(np.exp(log_p), 0.1, atol=1e-15)
+    # The cross-entropy's row gradient is softmax(z) - y.
+    y = np.eye(10)[[0, 3]]
+    _, rowgrad = losses.ce_rows(y, np.zeros((2, 10)))
+    np.testing.assert_allclose(rowgrad + y, 0.1, atol=1e-15)
 
 
 def test_matmul_hand_example():
@@ -92,8 +93,8 @@ def test_evaluate_shape_mismatch_raises():
 
 
 def test_evaluate_nonfinite_overflow_raises():
-    # The square in the hinge overflows; the pass names the kernel and its batch.
-    with pytest.raises(NumericError, match="EnergyHingeKernel on 'x'"):
+    # The square in the hinge overflows; the pass names the loss and its batch.
+    with pytest.raises(NumericError, match="energy_hinge_rows on 'x'"):
         ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "x": np.array([[1e300]])})
 
 
@@ -147,15 +148,6 @@ def test_gradient_logsumexp_is_softmax():
     np.testing.assert_allclose(grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
 
 
-def test_gradient_requires_scalar():
-    # A head that keeps its rows can be evaluated, not differentiated.
-    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((3, 3)), None))
-    bindings = {**_layers((np.eye(3), np.zeros(3))), "x": np.ones((2, 3))}
-    assert ad.evaluate(objective, bindings).shape == (2,)
-    with pytest.raises(ValueError, match="scalar"):
-        ad.gradient(objective, bindings, ["x"])
-
-
 def test_gradient_unknown_name():
     with pytest.raises(KeyError, match="'y'"):
         ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, ["y"])
@@ -188,9 +180,9 @@ def test_gradient_deterministic_accumulation():
 
 
 def test_logsumexp_empty_axis_raises():
-    # numpy's own error, through a loss kernel; the direct call is in test_numerics.py.
+    # numpy's own error, through a per-row loss; the direct call is in test_numerics.py.
     with pytest.raises(ValueError):
-        losses.OeRowsKernel.forward(None, np.zeros((2, 0)))
+        losses.oe_rows(None, np.zeros((2, 0)))
 
 
 def test_finite_diff_quadratic_function_exact():
@@ -245,7 +237,7 @@ def test_concurrent_evaluation_of_disjoint_expressions():
 
 
 def test_threads_share_one_compiled_divoe_graph():
-    # A pass keeps what the kernels save to itself, so threads running one
+    # A pass keeps its per-row values and gradients to itself, so threads running one
     # objective on bindings of different row counts get the sequential results.
     dims = (3, 5, 4)
     objective = _divoe(dims)
@@ -315,15 +307,15 @@ def test_broadcast_mismatch_message(op):
 
 
 def test_outputs_are_each_terms_kernel_value():
-    # Head first, then the group; the uniform loss keeps its rows, which its
-    # term reduces to what the objective adds.
+    # Head first, then the group; every term keeps its rows, which it reduces
+    # to what the objective adds.
     dims = (3, 5, 4)
     objective = _divoe(dims)
     bindings = _divoe_bindings(dims, np.random.default_rng(6), 5, seed=3)
-    value, _, (ce, oe_out, oe_ext) = ad.value_and_grad(objective, bindings, ["b1"])
-    assert ce.shape == () and oe_out.shape == oe_ext.shape == (5,)
-    terms = [t.reduced(out) for t, out in zip(objective.group, (oe_out, oe_ext))]
-    assert value == ce + (0.5 * (terms[0] + terms[1]) + 0.0)
+    value, _, outputs = ad.value_and_grad(objective, bindings, ["b1"])
+    assert [out.shape for out in outputs] == [(5,)] * 3
+    ce, *terms = (t.reduced(out) for t, out in zip((objective.head, *objective.group), outputs))
+    assert value == ce + 0.5 * (terms[0] + terms[1])
     assert ad.evaluate(objective, bindings) == value
 
 
@@ -352,7 +344,7 @@ def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
 
 def test_unknown_primitive_is_rejected_on_every_call():
     # A reduction other than "mean" or "sum" is refused, not taken for a sum.
-    objective = ad.Objective(ad.Term(losses.OeRowsKernel, model.logits_graph((2, 2)),
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2)),
                                      reduce="max"))
     for _ in range(2):
         with pytest.raises(KeyError, match="unknown reduction 'max'"):

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import oracles
 import pytest
 
 from oodbench import autodiff as ad
-from oodbench import losses, model, numerics
+from oodbench import losses, model, numerics, scoring
 from oodbench.errors import ConfigError
 from oodbench.extrapolation import (
     ExtrapolationConfig,
@@ -305,3 +307,38 @@ def test_per_row_epsilon_and_empty_batch(small_model):
         pgd_extrapolate(small_model, x, ExtrapolationConfig(), epsilon=[0.1, 0.2])
     empty = pgd_extrapolate(small_model, np.zeros((0, 2)), ExtrapolationConfig())
     assert empty.synthesized.shape == (0, 2) and empty.final_values.shape == (0,)
+
+
+# sha256 of the ascent's (synthesized, initial, final, aborted) on 21, 64 and
+# 3072 rows over the benchmark's 3-slice pool, and of ODIN on 5000 rows (one
+# full 4096-row block and a partial one), from the model below (x86-64, numpy
+# 2.4.6, OpenBLAS 0.3.31). Pinned from the per-row loss kernels that reduced
+# inside their own forward and backward. Both targets are sums, whose rows
+# enter with weight exactly 1, so no row count may move these. Another BLAS
+# kernel or numpy build may round differently; re-pin from those kernels there.
+ROW_OUTPUT_DIGESTS = {
+    21: "36708aa09002aa6c9988b9e650fac7216ef8c057dbba82042a06fc54f8c8d859",
+    64: "c1837207ae53e0a106b78ad51a7ca5d9cfaa53cdaba48f9e1e810a1b4ddf24fb",
+    3072: "c695a47c1fff8d50a67bf2123f7ce1043e34a6290b885ec783da53669367d273",
+    "odin": "bf7dfc30fde47500f67a3b6c5e96582a847b2209d5b8b46997b465c68534cc39",
+}
+
+
+def _sha256(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def test_ascent_and_odin_outputs_unchanged():
+    base = model.init_model([2, 16, 16, 4], seed=11)
+    rng = np.random.default_rng(12)
+    mlp = model.MlpClassifier(base.dims, base.weights,
+                              tuple(rng.normal(0.0, 0.5, b.shape) for b in base.biases))
+    cfg = ExtrapolationConfig(ratio=1.0, steps=5,
+                              pool=((0.02, 0.34), (0.05, 0.33), (0.1, 0.33)))
+    digests = {}
+    for n in (21, 64, 3072):
+        out = pgd_extrapolate(mlp, np.random.default_rng(n).uniform(0.0, 1.0, (n, 2)), cfg)
+        digests[n] = _sha256(out.synthesized, out.initial_values, out.final_values, out.aborted)
+    x = np.random.default_rng(5000).uniform(0.0, 1.0, (5000, 2))
+    digests["odin"] = _sha256(scoring.odin_score(mlp, x))
+    assert digests == ROW_OUTPUT_DIGESTS

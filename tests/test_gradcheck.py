@@ -80,20 +80,21 @@ def _skew_relu_mask(real, grad, params, acts, needs):
     return real(grad, params, [h.view(_PassEveryUnit) for h in acts], needs)
 
 
-def _skew_ce_dz(real, y, grad, z, log_p):
-    return real(y, grad, z, log_p) * (1.0 + 1e-3)
+def _skew_ce_dz(real, y, z):
+    values, rowgrad = real(y, z)
+    return values, rowgrad * (1.0 + 1e-3)
 
 
-@pytest.mark.parametrize("kernel, mutation", [
-    (model.MlpKernel, _skew_first_layer_dw),
-    (model.MlpKernel, _skew_relu_mask),
-    (losses.CeKernel, _skew_ce_dz),
+@pytest.mark.parametrize("owner, name, mutation", [
+    (model.MlpKernel, "backward", _skew_first_layer_dw),
+    (model.MlpKernel, "backward", _skew_relu_mask),
+    (losses, "ce_rows", _skew_ce_dz),
 ], ids=["mlp_dW0", "relu_mask", "ce_dz"])
-def test_skewed_kernel_backward_fails(monkeypatch, kernel, mutation):
-    # A pass looks each kernel's backward up when it runs it, so objectives
-    # built before the patch run the skewed one too.
-    real = kernel.backward
-    monkeypatch.setattr(kernel, "backward", staticmethod(lambda *args: mutation(real, *args)))
+def test_skewed_kernel_backward_fails(monkeypatch, owner, name, mutation):
+    # A pass looks the MLP backward up when it runs it, and gradcheck builds
+    # each case's objective, which holds its per-row losses, after the patch.
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: mutation(real, *args))
     result = gradcheck.run_suite(cases=20, seed=3)
     assert not result.passed
     assert result.max_relative_error > 1e-4

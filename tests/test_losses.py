@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
-from oodbench import losses, model, trainer
+from oodbench import losses, model, scoring, trainer
 
 
 def _identity(c, **batches):
@@ -191,3 +191,50 @@ def test_losses_differentiable_finite_diff():
     for term in (losses.oe_uniform_loss_expr(_logits(4)),
                  losses.ce_loss_expr(_logits(4), losses.onehot(rng.integers(0, 4, 3), 4))):
         assert ad.finite_diff_check(ad.Objective(term), _identity(4, z=z), ["z"]) < 1e-6
+
+
+# Every per-row loss, with payloads that keep both hinge signs active on the
+# logits below: sign +1 is the ID hinge, sign -1 the outlier hinge.
+ROW_LOSSES = [
+    ("ce", losses.ce_rows, lambda m, c: losses.onehot(np.arange(m) % c, c)),
+    ("oe", losses.oe_rows, lambda m, c: None),
+    ("energy_id", losses.energy_hinge_rows, lambda m, c: (1.0, 10.0)),
+    ("energy_out", losses.energy_hinge_rows, lambda m, c: (-1.0, 5.0)),
+    ("odin_t1", scoring.odin_rows, lambda m, c: (losses.onehot(np.arange(m) % c, c), 1.0)),
+    ("odin_t1e4", scoring.odin_rows,
+     lambda m, c: (losses.onehot(np.arange(m) % c, c), 1.0 / scoring.ODIN_TEMPERATURE)),
+]
+
+
+@pytest.mark.parametrize("rows, payload", [r[1:] for r in ROW_LOSSES],
+                         ids=[r[0] for r in ROW_LOSSES])
+def test_row_gradient_matches_central_differences(rows, payload):
+    z = np.random.default_rng(21).normal(size=(5, 4)) * 2.0
+    p = payload(*z.shape)
+    values, rowgrad = rows(p, z)
+    assert values.shape == (5,) and rowgrad.shape == z.shape
+    h = 1e-5
+    fd = np.empty_like(z)
+    for i, j in np.ndindex(*z.shape):
+        up, down = z.copy(), z.copy()
+        up[i, j] += h
+        down[i, j] -= h
+        fd[i, j] = (rows(p, up)[0][i] - rows(p, down)[0][i]) / (2.0 * h)
+    np.testing.assert_allclose(rowgrad, fd, rtol=1e-6, atol=1e-6 * np.abs(rowgrad).max())
+
+
+@pytest.mark.parametrize("rows, payload", [r[1:] for r in ROW_LOSSES],
+                         ids=[r[0] for r in ROW_LOSSES])
+def test_rows_do_not_interact(rows, payload):
+    # The ascent's bisection and ODIN's blocks evaluate slices of a batch.
+    z = np.random.default_rng(22).normal(size=(6, 3)) * 2.0
+    p = payload(*z.shape)
+    values, rowgrad = rows(p, z)
+    for k in range(z.shape[0]):
+        moved = z.copy()
+        moved[k] += np.array([0.75, -1.5, 3.0])
+        v, g = rows(p, moved)
+        others = np.arange(z.shape[0]) != k
+        assert v[k] != values[k]
+        assert v[others].tobytes() == values[others].tobytes()
+        assert g[others].tobytes() == rowgrad[others].tobytes()
