@@ -4,9 +4,9 @@ Subcommands: gen-data, train, eval, extrapolate, theory-verify, gradcheck,
 report. Every command is deterministic given (config, seed) and writes
 only under the declared output directory. Exit codes: 0 success, 2 a
 ConfigError (config or argument), 3 a DataError or OSError (input file), 4 a
-NumericError. Each input is checked once, where it is read: a dataset CSV by
-``_read_csv``, a checkpoint by ``model.load_checkpoint``, the config by its
-dataclasses. Any other exception is a programming error and escapes.
+NumericError or a gradcheck FAIL. Each input is checked once, where it is
+read: a dataset CSV by ``_read_csv``, a checkpoint by ``model.load_checkpoint``,
+the config by its dataclasses. Any other exception is a programming error and escapes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from . import config as config_mod
 from . import data as data_mod
 from . import gradcheck as gradcheck_mod
 from . import gmm_theory
+from . import losses
 from . import metrics as metrics_mod
 from . import model as model_mod
 from . import scoring
@@ -114,8 +115,8 @@ def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None,
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
     out = _out_dir(cfg)
-    outlier_batches = trainer_mod.OUTLIER_BATCHES[cfg.train.loss.kind]
-    names = ("id_train", "aux_out") if outlier_batches else ("id_train",)
+    binds_aux = bool(losses.OUTLIER_BATCHES[cfg.train.loss.kind])
+    names = ("id_train", "aux_out") if binds_aux else ("id_train",)
     id_train, *aux = _load_sets(cfg, names, None, cfg.data.classes)
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
     mlp = model_mod.init_model(dims, config_mod.component_seed(cfg.seed, "model"))

@@ -263,6 +263,8 @@ def load_config(path=None, overrides=(), *, seed: int | None = None,
             raise ConfigError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:  # a directory, or a file we may not read
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     overrides = list(overrides)

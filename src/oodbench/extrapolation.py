@@ -8,9 +8,9 @@ iterate seen, origin included, so no row's loss falls below its initial
 value.
 
 The whole batch ascends together. The target is the sum over the rows of
-the per-row uniform loss, ``losses.oe_rows``; rows do not interact under the
-model, so one pass over that sum gives every row's value (its term's per-row
-output) and every row's input gradient. Each row keeps its own radius (its
+``losses.oe_rows``, the uniform loss ``losses.objective`` averages per outlier
+batch. Rows do not interact under the model, so one pass over that sum gives
+every row's value and input gradient. Each row keeps its own radius (its
 slice of ``ExtrapolationConfig.pool``), step size and best iterate.
 """
 
@@ -71,7 +71,7 @@ class ExtrapolatedBatch:
 
 def _target_graph(dims: tuple[int, ...]) -> ad.Objective:
     """The sum of the per-row uniform loss over a batch bound to "x"."""
-    return ad.Objective(losses.oe_uniform_loss_expr(model_mod.logits_graph(dims), "sum"))
+    return ad.Objective(ad.Term(losses.oe_rows, model_mod.logits_graph(dims), reduce="sum"))
 
 
 def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,

@@ -1,13 +1,13 @@
 """Self-check suite: reverse-mode gradients against central finite differences.
 
 Each case is an objective the program differentiates, from the builder it
-uses: every ``trainer._build_loss_graph`` objective with respect to the
-parameters, as ``fine_tune`` steps it, and ``extrapolation._target_graph``
-and ``scoring.odin_graph`` with respect to the input, as the ascent and ODIN
-push it. So every closed-form gradient is checked: the MLP backward
-(``model.MlpKernel``), each per-row loss in ``losses`` and
-``scoring.odin_rows``, and the weight ``autodiff`` gives their rows. Weights
-are kept at unit scale so the difference quotient stays accurate.
+uses: each kind's ``losses.objective`` from ``trainer._build_loss_graph``
+with respect to the parameters, as ``fine_tune`` steps it, and
+``extrapolation._target_graph`` and ``scoring.odin_graph`` with respect to
+the input, as the ascent and ODIN push it. So every closed-form gradient is
+checked: the MLP backward (``model.MlpKernel``), each per-row loss in
+``losses`` and ``scoring.odin_rows``, and the weight ``autodiff`` gives
+their rows. Weights are kept at unit scale so the difference quotient stays accurate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import trainer
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_STEP = 1e-5
-CASES = (*trainer.LOSS_KINDS, "extrapolation", "odin")
+CASES = (*losses.KINDS, "extrapolation", "odin")
 
 
 @dataclass
@@ -64,12 +64,12 @@ def _case(kind: str, rng: np.random.Generator):
     dims = (d, *hidden, c)
     m = int(rng.integers(2, 5))
     labels = {}
-    if kind in trainer.LOSS_KINDS:
+    if kind in losses.KINDS:
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
-        lc = trainer.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
-        outlier_inputs = trainer.OUTLIER_BATCHES[kind]
-        objective = trainer._build_loss_graph(dims, kind, lc, outlier_inputs)
+        lc = losses.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
+        outlier_inputs = losses.OUTLIER_BATCHES[kind]
+        objective = trainer._build_loss_graph(dims, lc, outlier_inputs)
         batch_names = ("x", *outlier_inputs)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
@@ -88,7 +88,7 @@ def _case(kind: str, rng: np.random.Generator):
         if _hidden_preactivations(mlp, batches.values()) <= KINK_CLEARANCE:
             continue
         bindings = {**model_mod.param_bindings(mlp), **labels, **batches}
-        wrt = model_mod.param_names(mlp) if kind in trainer.LOSS_KINDS else ["x"]
+        wrt = model_mod.param_names(mlp) if kind in losses.KINDS else ["x"]
         # Exact-zero coordinates (dead relu paths) are locally constant, so the
         # difference quotient is exactly zero too; only small nonzero gradients
         # fall below the oracle's resolution.

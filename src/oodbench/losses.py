@@ -1,24 +1,47 @@
-"""Training objectives: cross-entropy, the uniform-distribution outlier loss
-and the energy-bounded hinge loss.
+"""The loss family: cross-entropy, the uniform-distribution outlier loss and
+the energy-bounded hinge loss, and the one objective every kind trains on.
 
 Each loss is a per-row function ``f(payload, z) -> (values, gradient)`` on
 the (m, C) logits z of one batch: one value per row and, in closed form,
-each value's gradient with respect to its own row. A builder (``*_expr``)
-makes it an ``autodiff.Term``, which reduces the rows by their mean or sum.
-The trainer differentiates the sum of the terms and the extrapolation engine
-ascends the per-row uniform loss, so every objective has one definition. The
-trainer adds one outlier term per outlier batch a step binds
-(``trainer._build_loss_graph``; energy_bounded adds its ID hinge once), so
-DivOE's hybrid objective is plain OE with a second, synthesized batch.
+each value's gradient with respect to its own row. ``objective`` makes them
+``autodiff.Term``s: ce on the ID logits plus ``LossConfig.balance`` times one
+outlier term per outlier batch (energy_bounded adds its ID hinge first), so
+DivOE's hybrid objective is plain OE with a second, synthesized batch. The
+trainer differentiates that sum and the extrapolation engine ascends the
+per-row uniform loss, so every loss has one definition.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import numerics
+from .errors import ConfigError
 from .model import Logits
+
+# The outlier batches each loss kind binds (see trainer.fine_tune).
+OUTLIER_BATCHES = {"ce": (), "oe": ("x_out",), "energy_bounded": ("x_out",),
+                   "divoe": ("x_out", "x_ext")}
+KINDS = tuple(OUTLIER_BATCHES)
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    """Objective family and its parameters; margins only matter for the hinge loss."""
+
+    kind: str = "oe"
+    balance: float = 0.5
+    m_in: float = -23.0
+    m_out: float = -5.0
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"loss kind must be one of {KINDS}")
+        if self.balance < 0:
+            raise ConfigError("balance must be >= 0")
 
 
 def onehot(labels, n_classes: int) -> np.ndarray:
@@ -32,30 +55,12 @@ def ce_rows(y, z):
     return np.add.reduce(-log_p * y, axis=1), np.exp(log_p) - y
 
 
-def ce_loss_expr(logits: Logits, target) -> ad.Term:
-    """Mean over the batch of -log softmax at the true class; ``target`` is the
-    one-hot label matrix, or the name of the binding that holds it."""
-    return ad.Term(ce_rows, logits, target)
-
-
 def oe_rows(payload, z):
     """logsumexp(z) - mean(z) per row, the cross-entropy to the uniform
     distribution; gradient softmax(z) - 1/C."""
     lse = numerics.logsumexp(z, axis=1)
     c = z.shape[1]
     return lse - np.add.reduce(z, axis=1) / c, np.exp(z - lse[:, None]) - 1.0 / c
-
-
-def oe_uniform_loss_expr(logits: Logits, reduce: str = "mean") -> ad.Term:
-    """Uniform-distribution loss logsumexp(row) - mean(row): the mean or the sum
-    over the rows."""
-    return ad.Term(oe_rows, logits, reduce=reduce)
-
-
-def oe_total_loss_expr(id_logits: Logits, labels, n_classes: int,
-                       out_logits: Logits, lam: float) -> ad.Objective:
-    return ad.Objective(ce_loss_expr(id_logits, onehot(labels, n_classes)), float(lam),
-                        (oe_uniform_loss_expr(out_logits),))
 
 
 def energy_hinge_rows(payload, z):
@@ -68,17 +73,20 @@ def energy_hinge_rows(payload, z):
     return r * r, (-2.0 * sign * r)[:, None] * np.exp(z - lse[:, None])
 
 
-def energy_id_hinge_expr(id_logits: Logits, m_in: float) -> ad.Term:
-    """Mean squared hinge pushing ID energy below m_in, with the energy
-    -logsumexp(logits) per row (temperature 1), the margins' sign."""
-    return ad.Term(energy_hinge_rows, id_logits, (1.0, -float(m_in)))
+def objective(lc: LossConfig, id_logits: Logits, target, outlier_logits) -> ad.Objective:
+    """Mean ce of ``id_logits`` at ``target`` (one-hot labels or their binding's
+    name) plus ``lc.balance`` times the group: for energy_bounded the ID hinge
+    (energy below m_in), then an outlier hinge (energy above m_out) per handle
+    in ``outlier_logits``; for the other kinds each handle's uniform loss."""
+    if lc.kind == "energy_bounded":
+        group = (ad.Term(energy_hinge_rows, id_logits, (1.0, -float(lc.m_in))),
+                 *(ad.Term(energy_hinge_rows, z, (-1.0, float(lc.m_out)))
+                   for z in outlier_logits))
+    else:
+        group = tuple(ad.Term(oe_rows, z) for z in outlier_logits)
+    return ad.Objective(ad.Term(ce_rows, id_logits, target), lc.balance, group)
 
 
-def energy_out_hinge_expr(out_logits: Logits, m_out: float) -> ad.Term:
-    """Mean squared hinge pushing outlier energy above m_out, one per outlier batch."""
-    return ad.Term(energy_hinge_rows, out_logits, (-1.0, float(m_out)))
-
-
-DEFAULT_OE_LAMBDA = 0.5
-DEFAULT_M_IN_10CLASS = -23.0
-DEFAULT_M_OUT = -5.0
+def oe_total_loss_expr(id_logits: Logits, labels, n_classes: int,
+                       out_logits: Logits, lam: float) -> ad.Objective:
+    return objective(LossConfig("oe", lam), id_logits, onehot(labels, n_classes), (out_logits,))

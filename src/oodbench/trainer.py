@@ -3,7 +3,8 @@ per-step cosine-annealed learning rate.
 
 Per batch: sample an ID mini-batch and an outlier mini-batch, split off a
 sub-batch by the extrapolation ratio, synthesize it against the current
-model snapshot, then take one gradient step on the combined objective.
+model snapshot, then take one gradient step on the kind's objective,
+``losses.objective``, which ``_build_loss_graph`` binds once per run.
 The outlier stream reshuffles and cycles so every ID batch is paired.
 """
 
@@ -23,28 +24,8 @@ from .errors import ConfigError, NumericError
 from .extrapolation import ExtrapolationConfig, build_extrapolation_pool, select_subbatch
 from .numerics import derive_seed
 
-# The outlier batches each loss kind binds (see fine_tune).
-OUTLIER_BATCHES = {"ce": (), "oe": ("x_out",), "energy_bounded": ("x_out",),
-                   "divoe": ("x_out", "x_ext")}
-LOSS_KINDS = tuple(OUTLIER_BATCHES)
 MOMENTUM = 0.9  # Nesterov momentum of every SGD step
 WEIGHT_DECAY = 1e-4
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Objective family and its parameters; margins only matter for the hinge loss."""
-
-    kind: str = "oe"
-    balance: float = losses.DEFAULT_OE_LAMBDA
-    m_in: float = losses.DEFAULT_M_IN_10CLASS
-    m_out: float = losses.DEFAULT_M_OUT
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"loss kind must be one of {LOSS_KINDS}")
-        if self.balance < 0:
-            raise ConfigError("balance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,7 +36,7 @@ class TrainConfig:
     lr: float = 0.001
     id_batch: int = 128
     outlier_batch: int = 128
-    loss: LossConfig = field(default_factory=LossConfig)
+    loss: losses.LossConfig = field(default_factory=losses.LossConfig)
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -129,22 +110,11 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
         pass_idx += 1
 
 
-def _build_loss_graph(dims, kind: str, lc: LossConfig, outlier_inputs: tuple[str, ...]):
-    """Scalar training objective over batches x / y and the named outlier batches.
-
-    ``y`` is the one-hot label batch, so one objective serves every step and row
-    count. Its head is ce and its group one outlier term per name in
-    ``outlier_inputs`` (the uniform loss, or the outlier energy hinge for
-    energy_bounded, after its ID hinge), so the total is ce + balance * their
-    sum and every term's value comes out of the single training pass.
-    """
-    id_logits = model_mod.logits_graph(dims, "x")
-    terms = [losses.energy_out_hinge_expr(model_mod.logits_graph(dims, name), lc.m_out)
-             if kind == "energy_bounded"
-             else losses.oe_uniform_loss_expr(model_mod.logits_graph(dims, name))
-             for name in outlier_inputs]
-    id_hinge = [losses.energy_id_hinge_expr(id_logits, lc.m_in)] if kind == "energy_bounded" else []
-    return ad.Objective(losses.ce_loss_expr(id_logits, "y"), lc.balance, (*id_hinge, *terms))
+def _build_loss_graph(dims, lc: losses.LossConfig, outlier_inputs: tuple[str, ...]):
+    """``losses.objective`` over batches x / y and the named outlier batches; ``y``
+    is the one-hot label batch, so one objective serves every step and row count."""
+    return losses.objective(lc, model_mod.logits_graph(dims, "x"), "y",
+                            [model_mod.logits_graph(dims, name) for name in outlier_inputs])
 
 
 def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
@@ -153,7 +123,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
     ``aux_outliers`` is a non-empty pool (the CLI checks), None for a kind that
-    binds no outlier batch (``OUTLIER_BATCHES``). ``x_out`` is drawn from the
+    binds no outlier batch (``losses.OUTLIER_BATCHES``). ``x_out`` is drawn from the
     aux stream; ``x_ext`` extrapolates a ``ceil(ratio * n)``-row sub-batch split
     off it across extrapolation.pool, and a split that takes every row leaves
     no ``x_out``.
@@ -161,7 +131,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     extrapolation randomness come from per-component seed streams.
     A non-finite loss aborts with NumericError rather than being skipped.
     """
-    kind = cfg.loss.kind
+    outlier_batches = losses.OUTLIER_BATCHES[cfg.loss.kind]
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
     params = dict(model_mod.param_bindings(mlp))
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
@@ -175,13 +145,13 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     select_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
     out_stream = None
     n_out = 0
-    if OUTLIER_BATCHES[kind]:
+    if outlier_batches:
         n_out = min(cfg.outlier_batch, aux.shape[0])
         out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))
     # Every step splits an n_out-row outlier batch the same way, so one objective serves the run.
-    n_ext = math.ceil(extrapolation.ratio * n_out) if "x_ext" in OUTLIER_BATCHES[kind] else 0
+    n_ext = math.ceil(extrapolation.ratio * n_out) if "x_ext" in outlier_batches else 0
     inputs = ("x_out",) * (n_out > n_ext) + ("x_ext",) * (n_ext > 0)
-    objective = _build_loss_graph(mlp.dims, kind, cfg.loss, inputs)
+    objective = _build_loss_graph(mlp.dims, cfg.loss, inputs)
     terms = (objective.head, *objective.group)
 
     param_names = model_mod.param_names(mlp)
@@ -210,7 +180,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
             ce_value, *values = (float(t.reduced(out)) for t, out in zip(terms, outputs))
-            outlier_values = dict(zip(inputs, values[len(values) - len(inputs):]))
+            outlier_values = {t.logits.batch: v for t, v in zip(objective.group, values)}
 
             lr = cosine_lr(step, total_steps, cfg.lr)
             params, velocity = sgd_step(params, grads, velocity, lr)

@@ -69,7 +69,7 @@ def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:
     at its origin. A non-finite value or gradient returns the row's origin,
     flagged, with its initial value (NaN if the first pass failed).
     """
-    scalar = ad.Objective(losses.oe_uniform_loss_expr(model_mod.logits_graph(mlp.dims)))
+    scalar = ad.Objective(ad.Term(losses.oe_rows, model_mod.logits_graph(mlp.dims)))
     bindings = model_mod.param_bindings(mlp)
 
     def one_row(row, epsilon):

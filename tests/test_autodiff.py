@@ -26,15 +26,14 @@ def _forward(bindings, n_layers):
 def _hinge_objective():
     """mean(relu(x + 0)^2) on a one-class identity model: the outlier energy
     hinge at m_out = 0, since the energy of a single logit z is -z."""
-    return ad.Objective(losses.energy_out_hinge_expr(model.logits_graph((1, 1)), 0.0))
+    return ad.Objective(ad.Term(losses.energy_hinge_rows, model.logits_graph((1, 1)), (-1.0, 0.0)))
 
 
 _IDENTITY_1 = _layers((np.ones((1, 1)), np.zeros(1)))
 
 
 def _divoe(dims):
-    return trainer._build_loss_graph(dims, "divoe", trainer.LossConfig(kind="divoe"),
-                                     ("x_out", "x_ext"))
+    return trainer._build_loss_graph(dims, losses.LossConfig(kind="divoe"), ("x_out", "x_ext"))
 
 
 def _divoe_bindings(dims, rng, rows, seed):
@@ -87,7 +86,7 @@ def test_evaluate_unbound_input_raises():
 
 def test_evaluate_shape_mismatch_raises():
     # numpy's matmul, through the MLP: W0 has 2 rows for 3 input columns.
-    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((3, 3))))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((3, 3))))
     with pytest.raises(ValueError):
         ad.evaluate(objective, {**_layers((np.ones((2, 3)), np.zeros(3))), "x": np.ones((2, 3))})
 
@@ -117,8 +116,8 @@ def test_duplicate_input_name_rejected():
     # One batch read under two parameter sets would be forwarded once and
     # silently lose the second set's gradients.
     shadow = model.logits_graph((2, 2), "x", {"W0": "V0", "b0": "c0"})
-    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((2, 2))), 1.0,
-                             (losses.oe_uniform_loss_expr(shadow),))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2))), 1.0,
+                             (ad.Term(losses.oe_rows, shadow),))
     bindings = {**_layers((np.eye(2), np.zeros(2))), "V0": np.eye(2), "c0": np.zeros(2),
                 "x": np.ones((1, 2))}
     with pytest.raises(ValueError, match="duplicate input name 'x'"):
@@ -127,7 +126,7 @@ def test_duplicate_input_name_rejected():
 
 def test_duplicate_input_name_rejected_on_every_call():
     # A batch named like a parameter would mix its gradient into the parameter's.
-    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((2, 2), "W0")))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2), "W0")))
     for _ in range(2):
         with pytest.raises(ValueError, match="duplicate input name 'W0'"):
             ad.value_and_grad(objective, _layers((np.eye(2), np.zeros(2))), ["W0"])
@@ -143,7 +142,7 @@ def test_gradient_quadratic():
 def test_gradient_logsumexp_is_softmax():
     # The uniform-loss row is logsumexp - mean: its gradient is softmax - 1/C.
     x = np.array([[0.3, -1.2, 2.5, 0.0]])
-    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((4, 4)), "sum"))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 4)), reduce="sum"))
     grads = ad.gradient(objective, {**_layers((np.eye(4), np.zeros(4))), "x": x}, ["x"])
     np.testing.assert_allclose(grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
 
@@ -154,7 +153,7 @@ def test_gradient_unknown_name():
 
 
 def test_gradient_shapes_match_inputs():
-    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph((4, 2))))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 2))))
     bindings = {"x": np.ones((3, 4)), **_layers((np.ones((4, 2)), np.zeros(2)))}
     grads = ad.gradient(objective, bindings, ["x", "W0", "b0"])
     assert grads["x"].shape == (3, 4)
@@ -194,7 +193,7 @@ def test_finite_diff_quadratic_function_exact():
 
 def test_finite_diff_constant_expression():
     # Cross-entropy over one class is log 1 = 0 whatever the logits.
-    objective = ad.Objective(losses.ce_loss_expr(model.logits_graph((3, 1)), np.ones((2, 1))))
+    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 1)), np.ones((2, 1))))
     bindings = {**_layers((np.ones((3, 1)), np.zeros(1))), "x": np.ones((2, 3))}
     grads = ad.gradient(objective, bindings, ["x"])
     np.testing.assert_array_equal(grads["x"], np.zeros((2, 3)))
@@ -214,8 +213,8 @@ def test_finite_diff_random_three_layer_net(dims):
         bindings[f"b{i}"] = rng.normal(0.0, 0.5, size=fo)
     bindings["x"] = rng.uniform(0.1, 0.9, size=(4, dims[0]))
     labels = rng.integers(0, dims[-1], size=4)
-    objective = ad.Objective(losses.ce_loss_expr(model.logits_graph(dims),
-                                                 losses.onehot(labels, dims[-1])))
+    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims),
+                                     losses.onehot(labels, dims[-1])))
     names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")] + ["x"]
     assert ad.finite_diff_check(objective, bindings, names, h=1e-5) < 1e-6
 
@@ -273,7 +272,7 @@ def test_threads_share_one_compiled_divoe_graph():
 
 
 def _mlp_ce_objective(dims):
-    return ad.Objective(losses.ce_loss_expr(model.logits_graph(dims), "y"))
+    return ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims), "y"))
 
 
 def test_compiled_graph_reruns_bitwise_on_any_row_count():
@@ -297,7 +296,7 @@ def test_compiled_graph_reruns_bitwise_on_any_row_count():
 def test_broadcast_mismatch_message(op):
     # A kernel's own add (the MLP's bias) or multiply (the cross-entropy's target)
     # raises numpy's message, and a failed pass leaves the objective reusable.
-    objective = ad.Objective(losses.ce_loss_expr(model.logits_graph((3, 3)), "y"))
+    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 3)), "y"))
     good = {**_layers((np.eye(3), np.zeros(3))), "x": np.ones((2, 3)), "y": np.eye(3)[[0, 1]]}
     bad = {**good, **({"b0": np.zeros(4)} if op == "add" else {"y": np.ones(4)})}
     for _ in range(2):

@@ -39,6 +39,13 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_config_directory_exits_2(tmp_path, capsys):
+    # A --config that cannot be read is a config error, like a missing one.
+    assert cli.main(["--config", str(tmp_path), "--out", str(tmp_path / "run"), "gen-data"]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_before_gen_data_exits_3(tmp_path, capsys):
     base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
     assert cli.main(base + ["train"]) == 3

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oodbench import config, data, model, numerics, scoring, trainer
+from oodbench import config, data, losses, model, numerics, scoring, trainer
 from oodbench.errors import ConfigError
 from oodbench.extrapolation import ExtrapolationConfig
 
@@ -98,7 +98,7 @@ def _non_default() -> config.RunConfig:
                                          "far": config.OodSetConfig(2.2, 4.0, 16)}),
         model=config.ModelConfig(hidden=(16,)),
         train=trainer.TrainConfig(epochs=2, lr=0.05,
-                                  loss=trainer.LossConfig(kind="divoe", balance=0.25)),
+                                  loss=losses.LossConfig(kind="divoe", balance=0.25)),
         extrapolation=ExtrapolationConfig(steps=3, pool=((0.02, 0.5), (0.1, 0.5))),
         scores=(scoring.ScoreSpec("odin"), scoring.ScoreSpec("ash_energy")),
         outputs=config.OutputsConfig(dir="runs/x", method_label="mine"),
@@ -181,11 +181,13 @@ def test_load_config_applies_overrides_then_seed_and_out(tmp_path):
 
 @pytest.mark.parametrize("content, match", [
     (None, "not found"), (b"{", "not valid JSON"), (b"\xff\xfe", "not valid JSON"),
-    (b"[1]", "JSON object"),
+    (b"[1]", "JSON object"), ("dir", "cannot read config file"),
 ])
 def test_load_config_file_errors(tmp_path, content, match):
     path = tmp_path / "cfg.json"
-    if content is not None:
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
         path.write_bytes(content)
     with pytest.raises(ConfigError, match=match):
         config.load_config(path, ["seed=1"])
@@ -205,7 +207,7 @@ def test_seed_streams_are_pinned(monkeypatch):
     monkeypatch.setattr(trainer.data_mod, "batches", recording)
     x = data.LabeledDataset(numerics.as_tensor([[0.1, 0.2], [0.8, 0.9]]), [0, 1])
     trainer.fine_tune(model.init_model([2, 4, 2], seed=1), x, None,
-                      trainer.TrainConfig(epochs=2, loss=trainer.LossConfig(kind="ce")),
+                      trainer.TrainConfig(epochs=2, loss=losses.LossConfig(kind="ce")),
                       ExtrapolationConfig(), train_seed)
     assert seen == [2810413366, 2350297174]
 

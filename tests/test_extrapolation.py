@@ -72,7 +72,7 @@ def test_extrapolation_actually_moves_loss(small_model):
 def test_recorded_values_match_uniform_loss(small_model):
     x = _batch(4, seed=6)
     out = pgd_extrapolate(small_model, x, ExtrapolationConfig(steps=3, pool=((0.05, 1.0),)))
-    objective = ad.Objective(losses.oe_uniform_loss_expr(model.logits_graph(small_model.dims)))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph(small_model.dims)))
     bindings = model.param_bindings(small_model)
 
     def uniform_loss(row):

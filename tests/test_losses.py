@@ -27,13 +27,13 @@ def _value(objective, **batches) -> float:
 def _ce(logits, labels) -> float:
     logits = np.asarray(logits, dtype=np.float64)
     c = logits.shape[1]
-    return _value(ad.Objective(losses.ce_loss_expr(_logits(c), losses.onehot(labels, c))),
+    return _value(ad.Objective(ad.Term(losses.ce_rows, _logits(c), losses.onehot(labels, c))),
                   z=logits)
 
 
 def _oe(logits) -> float:
     logits = np.asarray(logits, dtype=np.float64)
-    return _value(ad.Objective(losses.oe_uniform_loss_expr(_logits(logits.shape[1]))), z=logits)
+    return _value(ad.Objective(ad.Term(losses.oe_rows, _logits(logits.shape[1]))), z=logits)
 
 
 def _objective(kind, batches, lam=0.5):
@@ -41,8 +41,8 @@ def _objective(kind, batches, lam=0.5):
     batches; the model is one identity layer, so every batch is its own logits."""
     c = batches["x"].shape[1]
     inputs = tuple(name for name in batches if name not in ("x", "y"))
-    objective = trainer._build_loss_graph((c, c), kind,
-                                          trainer.LossConfig(kind=kind, balance=lam), inputs)
+    objective = trainer._build_loss_graph((c, c), losses.LossConfig(kind=kind, balance=lam),
+                                          inputs)
     total, _, outputs = ad.value_and_grad(objective, {"W0": np.eye(c), "b0": np.zeros(c),
                                                       **batches}, [])
     terms = [float(t.reduced(out)) for t, out in zip((objective.head, *objective.group), outputs)]
@@ -92,7 +92,7 @@ def test_oe_uniform_shift_invariance(row, shift):
 
 
 def test_oe_uniform_gradient_vanishes_at_constant_rows():
-    objective = ad.Objective(losses.oe_uniform_loss_expr(_logits(5)))
+    objective = ad.Objective(ad.Term(losses.oe_rows, _logits(5)))
     grads = ad.gradient(objective, _identity(5, z=np.full((3, 5), 1.7)), ["z"])
     np.testing.assert_allclose(grads["z"], 0.0, atol=1e-15)
 
@@ -112,8 +112,9 @@ def test_oe_total_reductions():
 
 
 def _energy_bounded(id_logits, out_logits, m_in, m_out):
-    objective = ad.Objective(losses.energy_id_hinge_expr(_logits(2), m_in), 1.0,
-                             (losses.energy_out_hinge_expr(_logits(2, "z_out"), m_out),))
+    hinge = losses.energy_hinge_rows
+    objective = ad.Objective(ad.Term(hinge, _logits(2), (1.0, -m_in)), 1.0,
+                             (ad.Term(hinge, _logits(2, "z_out"), (-1.0, m_out)),))
     return _value(objective, z=id_logits, z_out=out_logits)
 
 
@@ -146,8 +147,8 @@ def test_energy_bounded_outlier_term_is_the_outlier_hinge_alone():
 
 
 def test_energy_bounded_default_margins_importable():
-    assert losses.DEFAULT_M_IN_10CLASS == -23.0
-    assert losses.DEFAULT_M_OUT == -5.0
+    assert losses.LossConfig().m_in == -23.0
+    assert losses.LossConfig().m_out == -5.0
 
 
 def _id_batch(rng, m, c):
@@ -188,8 +189,8 @@ def test_divoe_hand_composed_two_sides():
 def test_losses_differentiable_finite_diff():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(3, 4)) * 2.0
-    for term in (losses.oe_uniform_loss_expr(_logits(4)),
-                 losses.ce_loss_expr(_logits(4), losses.onehot(rng.integers(0, 4, 3), 4))):
+    for term in (ad.Term(losses.oe_rows, _logits(4)),
+                 ad.Term(losses.ce_rows, _logits(4), losses.onehot(rng.integers(0, 4, 3), 4))):
         assert ad.finite_diff_check(ad.Objective(term), _identity(4, z=z), ["z"]) < 1e-6
 
 

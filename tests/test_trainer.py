@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oodbench import cli, data, model, trainer
+from oodbench import cli, data, losses, model, trainer
 from oodbench.errors import NumericError
 from oodbench.extrapolation import ExtrapolatedBatch, ExtrapolationConfig
 
@@ -19,7 +19,7 @@ def _toy():
 
 def _divoe_args():
     return (trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=8,
-                                loss=trainer.LossConfig(kind="divoe")),
+                                loss=losses.LossConfig(kind="divoe")),
             ExtrapolationConfig(ratio=0.5, steps=2), 0)
 
 
@@ -29,6 +29,19 @@ def _fake_pool(initial, final, aborted):
         return ExtrapolatedBatch(subbatch.copy(), subbatch.copy(), np.zeros(n),
                                  np.full(n, initial), np.full(n, final), np.full(n, aborted))
     return pool
+
+
+def test_sgd_step_hand_value():
+    # g = 0.5 + 1e-4 * 1; v' = 0.9 * 0.2 + g; p' = 1 - 0.1 * (g + 0.9 * v')
+    params, velocity = trainer.sgd_step({"W0": np.array([1.0])}, {"W0": np.array([0.5])},
+                                        {"W0": np.array([0.2])}, 0.1)
+    assert velocity["W0"][0] == pytest.approx(0.6801, rel=1e-12)
+    assert params["W0"][0] == pytest.approx(0.888781, rel=1e-12)
+
+
+def test_cosine_lr_starts_at_lr0_and_halves_midway():
+    assert trainer.cosine_lr(0, 100, 0.02) == 0.02
+    assert trainer.cosine_lr(50, 100, 0.02) == pytest.approx(0.01, rel=1e-12)
 
 
 def test_fine_tune_divoe_extrapolates_once_per_step(monkeypatch):
@@ -51,7 +64,7 @@ def test_fine_tune_divoe_extrapolates_once_per_step(monkeypatch):
 def _run(kind, ratio):
     id_train, aux = _toy()
     cfg = trainer.TrainConfig(epochs=2, lr=0.05, id_batch=8, outlier_batch=8,
-                              loss=trainer.LossConfig(kind=kind))
+                              loss=losses.LossConfig(kind=kind))
     out, history = trainer.fine_tune(model.init_model([2, 8, 3], seed=1), id_train, aux, cfg,
                                      ExtrapolationConfig(ratio=ratio, steps=2), 0)
     return [*out.weights, *out.biases], history.records
@@ -144,7 +157,7 @@ def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path
 
     monkeypatch.setattr(trainer, "_build_loss_graph", counting)
     cfg = trainer.TrainConfig(epochs=2, lr=0.05, id_batch=8, outlier_batch=8,
-                              loss=trainer.LossConfig(kind=kind))
+                              loss=losses.LossConfig(kind=kind))
     out, history = trainer.fine_tune(model.init_model([2, 8, 3], seed=1),
                                      data.LabeledDataset(x, y), aux, cfg,
                                      ExtrapolationConfig(ratio=0.5, steps=2), 0)
@@ -170,7 +183,7 @@ def test_classifier_built_only_where_it_is_read(kind, classifiers, monkeypatch):
     monkeypatch.setattr(model, "MlpClassifier", Counting)
     id_train, aux = _toy()
     cfg = trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=8,
-                              loss=trainer.LossConfig(kind=kind))
+                              loss=losses.LossConfig(kind=kind))
     mlp = model.init_model([2, 4, 3], seed=1)
     built.clear()
     out, history = trainer.fine_tune(mlp, id_train, aux, cfg,
