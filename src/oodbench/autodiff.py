@@ -19,6 +19,12 @@ runs are bit-identical. An objective is an immutable tuple and a pass keeps
 its state local, so threads can share one. Every pass checks that the
 bindings it reads, its value and the gradients it returns are finite, and
 raises NumericError naming the one that is not.
+
+The bindings ``evaluate`` reads may carry a leading stack axis of S slices:
+batches (S, m, d), weights (S, fan_in, fan_out) and biases (S, 1, fan_out),
+while unstacked ones broadcast. Every layer multiplies slice by slice and
+every reduction runs along the last axis, so ``evaluate`` then returns the S
+values that S separate passes would, bit for bit (``gradcheck`` relies on it).
 """
 
 from __future__ import annotations
@@ -42,11 +48,11 @@ class Term(NamedTuple):
 
     def reduced(self, values):
         """The term's value as the objective adds it, from its per-row values."""
-        total = np.add.reduce(values, axis=None)
+        total = np.add.reduce(values, axis=-1)
         if self.reduce == "sum":
             return total
         if self.reduce == "mean":
-            return total / values.size
+            return total / values.shape[-1]
         raise KeyError(f"unknown reduction {self.reduce!r}")
 
 
@@ -99,7 +105,7 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
             for v in values[2:]:  # plain adds, left to right; sum() may compensate floats
                 rest = rest + v
             value = value + objective.scale * rest
-    if not np.isfinite(value):
+    if not np.isfinite(value).all():
         stages = [*((f"MlpKernel on {b!r}", z) for b, (_, z, _) in logits.items()),
                   *((f"{t.rows.__name__} on {t.logits.batch!r}", out)
                     for t, out in zip(terms, outputs))]
@@ -109,7 +115,8 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
 
 
 def evaluate(objective: Objective, bindings: Mapping[str, np.ndarray]):
-    """Deterministic scalar value of ``objective`` under ``bindings``.
+    """Deterministic value of ``objective`` under ``bindings``: a scalar, or one
+    per slice when the bindings are stacked (see the module docstring).
 
     Raises NumericError if a binding it reads or the value is not finite.
     """
@@ -174,31 +181,3 @@ def value_and_grad(objective: Objective, bindings: Mapping[str, np.ndarray],
             raise NumericError(f"non-finite gradient for input {name!r}")
     return fwd[0], {name: grads[name] for name in wrt}, tuple(fwd[3])
 
-
-def finite_diff_check(objective: Objective, bindings: Mapping[str, np.ndarray],
-                      wrt: Iterable[str], h: float = 1e-5) -> float:
-    """Max over coordinates of |analytic - central difference| / (|analytic| + 1e-12).
-
-    The central difference is the independent oracle for ``gradient``; a
-    clean objective keeps this below ~1e-6 for h=1e-5 at unit scales.
-    """
-    wrt = list(wrt)
-    grads = gradient(objective, bindings, wrt)
-    work = {k: numerics.as_tensor(v).copy() for k, v in bindings.items()}
-    worst = 0.0
-    for name in wrt:
-        arr = work[name]
-        flat = arr.reshape(-1)
-        analytic = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(evaluate(objective, work))
-            flat[i] = orig - h
-            down = float(evaluate(objective, work))
-            flat[i] = orig
-            fd = (up - down) / (2.0 * h)
-            err = abs(analytic[i] - fd) / (abs(analytic[i]) + 1e-12)
-            if err > worst:
-                worst = err
-    return worst

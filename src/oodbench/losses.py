@@ -2,8 +2,10 @@
 the energy-bounded hinge loss, and the one objective every kind trains on.
 
 Each loss is a per-row function ``f(payload, z) -> (values, gradient)`` on
-the (m, C) logits z of one batch: one value per row and, in closed form,
-each value's gradient with respect to its own row. ``objective`` makes them
+the (..., m, C) logits z of one batch: one value per row and, in closed form,
+each value's gradient with respect to its own row. Each reduces the class
+axis, the last one, so a stack of batches (``autodiff``'s stack axis) gets
+the values each batch would get alone. ``objective`` makes them
 ``autodiff.Term``s: ce on the ID logits plus ``LossConfig.balance`` times one
 outlier term per outlier batch (energy_bounded adds its ID hinge first), so
 DivOE's hybrid objective is plain OE with a second, synthesized batch. The
@@ -52,15 +54,15 @@ def onehot(labels, n_classes: int) -> np.ndarray:
 def ce_rows(y, z):
     """-log softmax(z) at the one-hot target y per row; gradient softmax(z) - y."""
     log_p = numerics.log_softmax(z, axis=-1)
-    return np.add.reduce(-log_p * y, axis=1), np.exp(log_p) - y
+    return np.add.reduce(-log_p * y, axis=-1), np.exp(log_p) - y
 
 
 def oe_rows(payload, z):
     """logsumexp(z) - mean(z) per row, the cross-entropy to the uniform
     distribution; gradient softmax(z) - 1/C."""
-    lse = numerics.logsumexp(z, axis=1)
-    c = z.shape[1]
-    return lse - np.add.reduce(z, axis=1) / c, np.exp(z - lse[:, None]) - 1.0 / c
+    lse = numerics.logsumexp(z, axis=-1)
+    c = z.shape[-1]
+    return lse - np.add.reduce(z, axis=-1) / c, np.exp(z - lse[..., None]) - 1.0 / c
 
 
 def energy_hinge_rows(payload, z):
@@ -68,9 +70,9 @@ def energy_hinge_rows(payload, z):
     (temperature 1), for the payload (sign, shift); with r = relu(...), the
     gradient is -2 * sign * r * softmax(z)."""
     sign, shift = payload
-    lse = numerics.logsumexp(z, axis=1)
+    lse = numerics.logsumexp(z, axis=-1)
     r = np.maximum(sign * -lse + shift, 0.0)
-    return r * r, (-2.0 * sign * r)[:, None] * np.exp(z - lse[:, None])
+    return r * r, (-2.0 * sign * r)[..., None] * np.exp(z - lse[..., None])
 
 
 def objective(lc: LossConfig, id_logits: Logits, target, outlier_logits) -> ad.Objective:

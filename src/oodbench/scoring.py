@@ -65,7 +65,7 @@ def odin_rows(payload, z):
     (onehot, 1 / T); gradient (onehot - softmax(z / T)) / T."""
     onehot, inv_t = payload
     log_p = numerics.log_softmax(inv_t * z, axis=-1)
-    return np.add.reduce(log_p * onehot, axis=1), (onehot - np.exp(log_p)) * inv_t
+    return np.add.reduce(log_p * onehot, axis=-1), (onehot - np.exp(log_p)) * inv_t
 
 
 def odin_graph(dims, top, temperature: float) -> ad.Objective:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oodbench import autodiff as ad
-from oodbench import losses, model, numerics, trainer
+from oodbench import gradcheck, losses, model, numerics, trainer
 from oodbench.errors import NumericError
 
 
@@ -97,6 +97,38 @@ def test_evaluate_nonfinite_overflow_raises():
         ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "x": np.array([[1e300]])})
 
 
+def test_evaluate_on_a_stack_is_each_slice_alone():
+    # A stack of three 2-row batches gives the three values of three passes, bit for bit.
+    xs = np.array([[[0.3], [0.7]], [[1.2], [-0.4]], [[2.5], [0.1]]])
+    values = ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "x": xs})
+    assert values.shape == (3,)
+    assert [v.tobytes() for v in values] == \
+        [ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "x": x}).tobytes() for x in xs]
+
+
+@pytest.mark.parametrize("stacked, culprit", [
+    ({"x": np.array([[[0.3]], [[1e300]], [[0.5]]])}, "energy_hinge_rows on 'x'"),
+    ({"x": np.full((3, 1, 1), 10.0),
+      "W0": np.array([[[1.0]], [[1e308]], [[1.0]]])}, "MlpKernel on 'x'"),
+], ids=["loss", "mlp"])
+def test_evaluate_on_a_stack_names_the_stage_of_a_nonfinite_slice(stacked, culprit):
+    # One slice overflows; the stack as a whole fails, naming the first stage
+    # that produced the non-finite value, as a pass on that slice alone would.
+    with pytest.raises(NumericError, match=culprit):
+        ad.evaluate(_hinge_objective(), {**_IDENTITY_1, **stacked})
+
+
+@pytest.mark.parametrize("m", [3, 37, 300])
+@pytest.mark.parametrize("reduce", ["mean", "sum"])
+def test_reduced_stack_equals_separate_reductions(reduce, m):
+    # Pairwise summation starts above 8 rows and blocks at 128.
+    values = np.random.default_rng(m).normal(size=(5, m))
+    term = ad.Term(losses.oe_rows, model.logits_graph((2, 2)), reduce=reduce)
+    stacked = term.reduced(values)
+    assert stacked.shape == (5,)
+    assert [v.tobytes() for v in stacked] == [term.reduced(v).tobytes() for v in values]
+
+
 def test_evaluate_rejects_nonfinite_bindings():
     with pytest.raises(NumericError, match="binding for 'b0'"):
         ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "b0": np.array([np.nan]),
@@ -186,8 +218,9 @@ def test_logsumexp_empty_axis_raises():
 
 def test_finite_diff_quadratic_function_exact():
     # A central difference has no truncation error on a quadratic.
-    err = ad.finite_diff_check(_hinge_objective(),
-                               {**_IDENTITY_1, "x": np.array([[0.3], [0.7], [1.2]])}, ["x"])
+    err = gradcheck.finite_diff_check(_hinge_objective(),
+                                      {**_IDENTITY_1, "x": np.array([[0.3], [0.7], [1.2]])},
+                                      ["x"])
     assert err <= 1e-10
 
 
@@ -197,7 +230,7 @@ def test_finite_diff_constant_expression():
     bindings = {**_layers((np.ones((3, 1)), np.zeros(1))), "x": np.ones((2, 3))}
     grads = ad.gradient(objective, bindings, ["x"])
     np.testing.assert_array_equal(grads["x"], np.zeros((2, 3)))
-    assert ad.finite_diff_check(objective, bindings, ["x"]) == 0.0
+    assert gradcheck.finite_diff_check(objective, bindings, ["x"]) == 0.0
 
 
 # gradcheck samples one or two hidden layers, so (2, 3) is the only check of a
@@ -216,7 +249,7 @@ def test_finite_diff_random_three_layer_net(dims):
     objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims),
                                      losses.onehot(labels, dims[-1])))
     names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")] + ["x"]
-    assert ad.finite_diff_check(objective, bindings, names, h=1e-5) < 1e-6
+    assert gradcheck.finite_diff_check(objective, bindings, names, h=1e-5) < 1e-6
 
 
 def test_concurrent_evaluation_of_disjoint_expressions():

@@ -1,6 +1,7 @@
 """The finite-difference self-test behind ``gradcheck``."""
 
 import numpy as np
+import oracles
 import pytest
 
 from oodbench import autodiff as ad
@@ -36,8 +37,16 @@ def test_every_loss_kind_is_a_case():
 @pytest.mark.parametrize("kind", gradcheck.CASES)
 def test_each_case_kind_passes(kind):
     objective, bindings, wrt = gradcheck._case(kind, np.random.Generator(np.random.PCG64(11)))
-    err = ad.finite_diff_check(objective, bindings, wrt, h=gradcheck.DEFAULT_STEP)
+    err = gradcheck.finite_diff_check(objective, bindings, wrt, h=gradcheck.DEFAULT_STEP)
     assert err < gradcheck.DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize("kind", gradcheck.CASES)
+def test_stacked_check_is_the_per_coordinate_loop_bitwise(kind):
+    for seed in (1, 7, 42):
+        case = gradcheck._case(kind, np.random.Generator(np.random.PCG64(seed)))
+        assert gradcheck.finite_diff_check(*case, h=gradcheck.DEFAULT_STEP) == \
+            oracles.finite_diff_check_loop(*case, h=gradcheck.DEFAULT_STEP)
 
 
 def test_third_contribution_to_an_input_is_checked(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodbench import autodiff as ad
-from oodbench import losses, model, scoring, trainer
+from oodbench import gradcheck, losses, model, scoring, trainer
 
 
 def _identity(c, **batches):
@@ -191,7 +191,7 @@ def test_losses_differentiable_finite_diff():
     z = rng.normal(size=(3, 4)) * 2.0
     for term in (ad.Term(losses.oe_rows, _logits(4)),
                  ad.Term(losses.ce_rows, _logits(4), losses.onehot(rng.integers(0, 4, 3), 4))):
-        assert ad.finite_diff_check(ad.Objective(term), _identity(4, z=z), ["z"]) < 1e-6
+        assert gradcheck.finite_diff_check(ad.Objective(term), _identity(4, z=z), ["z"]) < 1e-6
 
 
 # Every per-row loss, with payloads that keep both hinge signs active on the
@@ -239,3 +239,19 @@ def test_rows_do_not_interact(rows, payload):
         assert v[k] != values[k]
         assert v[others].tobytes() == values[others].tobytes()
         assert g[others].tobytes() == rowgrad[others].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 4), (3, 37, 11)], ids=["small", "wide"])
+@pytest.mark.parametrize("rows, payload", [r[1:] for r in ROW_LOSSES],
+                         ids=[r[0] for r in ROW_LOSSES])
+def test_stacked_rows_equal_separate_calls(rows, payload, shape):
+    # gradcheck evaluates a stack of perturbed batches in one pass: each slice
+    # gets the bytes a call on that batch alone gets.
+    z = np.random.default_rng(23).normal(size=shape) * 2.0
+    p = payload(*shape[1:])
+    values, rowgrad = rows(p, z)
+    assert values.shape == shape[:2] and rowgrad.shape == shape
+    for s in range(shape[0]):
+        v, g = rows(p, z[s])
+        assert values[s].tobytes() == v.tobytes()
+        assert rowgrad[s].tobytes() == g.tobytes()

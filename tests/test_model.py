@@ -148,6 +148,31 @@ def test_graph_matches_numpy_forward_bitwise():
     assert via_kernel.tobytes() == model.forward(m, x).tobytes()
 
 
+@pytest.mark.parametrize("dims", [(3, 4), (3, 6, 5, 4)], ids=["no_hidden", "two_hidden"])
+def test_kernel_forward_on_a_stack_equals_separate_passes(dims):
+    # gradcheck's stacked pass: the batch broadcast to (S, m, d) and one input
+    # stacked, a weight as (S, fan_in, fan_out), a bias as (S, 1, fan_out). Each
+    # slice's logits and activations are a pass on that slice's input alone, byte
+    # for byte; a numpy whose stacked matmul fused the slices would fail here.
+    rng = np.random.default_rng(6)
+    m = model.init_model(dims, seed=3)
+    names = model.logits_graph(dims).params
+    inputs = {"x": rng.uniform(0, 1, (4, dims[0])),
+              **{k: v + rng.normal(0.0, 0.5, v.shape) for k, v in model.param_bindings(m).items()}}
+    stack = 9
+    for name, value in inputs.items():
+        stacked = dict(inputs, x=np.broadcast_to(inputs["x"], (stack, *inputs["x"].shape)))
+        stacked[name] = value + rng.normal(size=(stack, *np.atleast_2d(value).shape))
+        z, acts = model.MlpKernel.forward(stacked["x"], [stacked[k] for k in names])
+        assert z.shape == (stack, 4, dims[-1])
+        for s in range(stack):
+            alone = dict(inputs)
+            alone[name] = stacked[name][s].reshape(value.shape)
+            z1, acts1 = model.MlpKernel.forward(alone["x"], [alone[k] for k in names])
+            assert z[s].tobytes() == z1.tobytes()
+            assert [a[s].tobytes() for a in acts] == [a.tobytes() for a in acts1]
+
+
 def test_checkpoint_roundtrip(tmp_path):
     m = model.init_model([2, 5, 3], seed=13)
     path = tmp_path / "ckpt.json"
