@@ -1,24 +1,26 @@
-"""Reverse-mode differentiation of a flat sum of loss terms over MLP logits.
+"""Reverse-mode differentiation of a flat sum of loss terms over MLP logits,
+with respect to the MLP's parameters.
 
-Every objective the workbench differentiates is a head term plus ``scale``
+Every objective the trainer differentiates is a head term plus ``scale``
 times the sum of a group of terms. A ``Term`` applies a per-row loss
 ``f(payload, z) -> (values, gradient)`` to the (m, C) MLP logits z of one
 named batch (``model.Logits``): one value per row and, in closed form, each
 value's gradient with respect to its own row of z. A payload that is a
 string names a binding, such as the one-hot labels ``y``. ``Term.reduced``,
-the mean or the sum of the rows, is the one place a batch is reduced. Rows
-do not interact, so a term's dL/dz is its row gradient times the weight
-each row enters with: 1 or 1/m, times ``scale`` in the group.
+the mean of the rows, is the one place a batch is reduced. Rows do not
+interact, so a term's dL/dz is its row gradient times 1/m, times ``scale``
+in the group. Input gradients, which the ascent and ODIN take, come from
+``model.input_gradient`` without an objective.
 
 ``value_and_grad`` forwards each distinct batch once through
-``model.MlpKernel``, adds the reduced values as
+``model.mlp_forward``, adds the reduced values as
 ``head + scale * ((t1 + t2) + ...)``, sums each batch's dL/dz over its terms
-in reverse order and runs the MLP backward per batch in reverse first-use
-order, so the parameter gradients add up in one fixed order and repeated
-runs are bit-identical. An objective is an immutable tuple and a pass keeps
-its state local, so threads can share one. Every pass checks that the
-bindings it reads, its value and the gradients it returns are finite, and
-raises NumericError naming the one that is not.
+in reverse order and runs ``model.mlp_backward`` per batch in reverse
+first-use order, so the parameter gradients add up in one fixed order and
+repeated runs are bit-identical. An objective is an immutable tuple and a
+pass keeps its state local, so threads can share one. Every pass checks that
+the bindings it reads, its value and the gradients it returns are finite,
+and raises NumericError naming the one that is not.
 
 The bindings ``evaluate`` reads may carry a leading stack axis of S slices:
 batches (S, m, d), weights (S, fan_in, fan_out) and biases (S, 1, fan_out),
@@ -38,22 +40,16 @@ from .errors import NumericError
 
 
 class Term(NamedTuple):
-    """The per-row loss ``rows`` on the logits of one batch; its rows enter the
-    objective through ``reduce``, their "mean" or their "sum"."""
+    """The per-row loss ``rows`` on the logits of one batch; the objective adds
+    the mean of its rows."""
 
     rows: Callable
     logits: model.Logits
     payload: object = None
-    reduce: str = "mean"
 
     def reduced(self, values):
         """The term's value as the objective adds it, from its per-row values."""
-        total = np.add.reduce(values, axis=-1)
-        if self.reduce == "sum":
-            return total
-        if self.reduce == "mean":
-            return total / values.shape[-1]
-        raise KeyError(f"unknown reduction {self.reduce!r}")
+        return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 class Objective(NamedTuple):
@@ -89,7 +85,7 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
                 if handle.batch in handle.params:
                     raise ValueError(f"duplicate input name {handle.batch!r}")
                 x = read(handle.batch)
-                z, acts = model.MlpKernel.forward(x, [read(p) for p in handle.params])
+                z, acts = model.mlp_forward(x, [read(p) for p in handle.params])
                 logits[handle.batch] = (handle, z, acts)
             elif logits[handle.batch][0] != handle:
                 raise ValueError(f"duplicate input name {handle.batch!r}: "
@@ -106,7 +102,7 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
                 rest = rest + v
             value = value + objective.scale * rest
     if not np.isfinite(value).all():
-        stages = [*((f"MlpKernel on {b!r}", z) for b, (_, z, _) in logits.items()),
+        stages = [*((f"mlp_forward on {b!r}", z) for b, (_, z, _) in logits.items()),
                   *((f"{t.rows.__name__} on {t.logits.batch!r}", out)
                     for t, out in zip(terms, outputs))]
         culprit = next((name for name, v in stages if not np.isfinite(v).all()), "the sum")
@@ -129,11 +125,11 @@ def _accumulate(grads: dict, name: str, grad: np.ndarray) -> None:
 
 
 def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
-    """Gradients of the value of the pass ``fwd`` for the inputs in ``wrt``: no
-    batch whose logits reach none of them is run back, and the MLP backward
-    computes no gradient for a parameter or batch outside them."""
+    """Gradients of the value of the pass ``fwd`` for the parameters in ``wrt``:
+    no batch whose logits reach none of them is run back, and the MLP backward
+    computes no gradient for a parameter outside them, nor for any batch."""
     _, logits, bound, outputs, rowgrads = fwd
-    needs = {batch: [name in wrt for name in (batch, *handle.params)]
+    needs = {batch: [False, *(name in wrt for name in handle.params)]
              for batch, (handle, _, _) in logits.items()}
     terms = (objective.head, *objective.group)
     dz: dict[str, np.ndarray] = {}
@@ -145,9 +141,7 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
             batch = term.logits.batch
             if not any(needs[batch]):
                 continue
-            g = 1.0 if i == 0 else objective.scale
-            if term.reduce == "mean":
-                g = g / outputs[i].size
+            g = (1.0 if i == 0 else objective.scale) / outputs[i].size
             d = g * rowgrads[i]
             dz[batch] = d if batch not in dz else dz[batch] + d
         for batch in reversed(logits):  # reverse first-use order, so x goes last
@@ -156,23 +150,17 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
             handle, _, acts = logits[batch]
             params = [bound[p] for p in handle.params]
             for name, g in zip((batch, *handle.params),
-                               model.MlpKernel.backward(dz[batch], params, acts, needs[batch])):
+                               model.mlp_backward(dz[batch], params, acts, needs[batch])):
                 if g is not None:
                     _accumulate(grads, name, g)
     return grads
 
 
-def gradient(objective: Objective, bindings: Mapping[str, np.ndarray],
-             wrt: Iterable[str]) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of ``objective`` for each name in ``wrt``."""
-    return value_and_grad(objective, bindings, wrt)[1]
-
-
 def value_and_grad(objective: Objective, bindings: Mapping[str, np.ndarray],
                    wrt: Iterable[str]):
-    """Value, the gradient for each batch or parameter name in ``wrt``, and each
-    term's per-row values (head first), all from one pass. A name the objective
-    does not read raises KeyError."""
+    """Value, the gradient for each parameter name in ``wrt``, and each term's
+    per-row values (head first), all from one pass. A name that is not a
+    parameter the objective reads, a batch's included, raises KeyError."""
     wrt = tuple(wrt)
     fwd = _forward(objective, bindings)
     grads = _backward(objective, fwd, wrt)

@@ -5,9 +5,10 @@ arithmetic is written once: ``_hidden`` runs the hidden layers (the batch
 itself for a model with no hidden layer) and ``head`` the output layer, so
 ``forward`` is exactly ``head(model, penultimate_features(model, batch))``.
 A caller that needs both features and logits of a set forwards it once.
-``MlpKernel`` runs them on bound parameters, with the closed-form backward
-that gives input and weight gradients, for the ``Logits`` of a batch that an
-objective term reads (``logits_graph``).
+``mlp_forward`` runs them on bound parameters and ``mlp_backward`` is their
+closed-form backward: autodiff calls both for the ``Logits`` that an objective
+term reads (``logits_graph``), and ``input_gradient`` for each row's value and
+input gradient under one per-row loss, as the ascent and ODIN push inputs.
 
 Memory order: each hidden layer adds its bias and applies the ReLU in place
 on its own fresh ``h @ w`` product, so a forward holds at most two
@@ -117,36 +118,44 @@ class Logits(NamedTuple):
     params: tuple[str, ...]
 
 
-class MlpKernel:
-    """The logits of a batch and their backward, on bound parameters (W0, b0, W1, b1, ...)."""
+def mlp_forward(x, params):
+    """Logits of the batch ``x`` on bound parameters (W0, b0, W1, b1, ...), and
+    each layer's input: the batch, then each hidden activation."""
+    layers = _Layers(params[0::2], params[1::2])
+    acts = [x]
+    return head(layers, _hidden(layers, x, acts)), acts
 
-    @staticmethod
-    def forward(x, params):
-        """Logits, and each layer's input: the batch, then each hidden activation."""
-        layers = _Layers(params[0::2], params[1::2])
-        acts = [x]
-        return head(layers, _hidden(layers, x, acts)), acts
 
-    @staticmethod
-    def backward(grad, params, acts, needs):
-        """Gradients for (x, W0, b0, ...) where ``needs`` says, from the logits'
-        gradient and the top layer down: db = g.sum(0), dW = h.T @ g, then g @ W.T
-        and the ReLU mask (subgradient 0 at 0) while a lower one is needed."""
-        out = [None] * len(needs)
-        g = grad
-        for i in range(len(acts) - 1, -1, -1):
-            if needs[2 + 2 * i]:
-                out[2 + 2 * i] = g.sum(axis=0)
-            if needs[1 + 2 * i]:
-                out[1 + 2 * i] = acts[i].T @ g
-            if not any(needs[:1 + 2 * i]):
-                break
-            g = g @ params[2 * i].T
-            if i:
-                g = g * (acts[i] > 0.0)
-        if needs[0]:
-            out[0] = g
-        return out
+def mlp_backward(grad, params, acts, needs):
+    """Gradients for (x, W0, b0, ...) where ``needs`` says, from the logits'
+    gradient and the top layer down: db = g.sum(0), dW = h.T @ g, then g @ W.T
+    and the ReLU mask (subgradient 0 at 0) while a lower one is needed."""
+    out = [None] * len(needs)
+    g = grad
+    for i in range(len(acts) - 1, -1, -1):
+        if needs[2 + 2 * i]:
+            out[2 + 2 * i] = g.sum(axis=0)
+        if needs[1 + 2 * i]:
+            out[1 + 2 * i] = acts[i].T @ g
+        if not any(needs[:1 + 2 * i]):
+            break
+        g = g @ params[2 * i].T
+        if i:
+            g = g * (acts[i] > 0.0)
+    if needs[0]:
+        out[0] = g
+    return out
+
+
+def input_gradient(model: MlpClassifier, x, rows, payload):
+    """Each row's value of the per-row loss ``rows(payload, z)`` on the logits z
+    of the (m, d) batch ``x``, and its gradient with respect to that row of x,
+    from one forward and one input backward. Nothing is checked for
+    finiteness: the caller decides what a non-finite row means."""
+    params = [p for layer in zip(model.weights, model.biases) for p in layer]
+    z, acts = mlp_forward(x, params)
+    values, dz = rows(payload, z)
+    return values, mlp_backward(dz, params, acts, [True] + [False] * len(params))[0]
 
 
 def logits_graph(dims, input_name: str = "x", params: dict[str, str] | None = None) -> Logits:

@@ -1,5 +1,6 @@
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ def _layers(*pairs):
 
 
 def _forward(bindings, n_layers):
-    """The logits ``MlpKernel`` gives for x under W0/b0, ..."""
+    """The logits ``mlp_forward`` gives for x under W0/b0, ..."""
     params = [bindings[f"{kind}{i}"] for i in range(n_layers) for kind in "Wb"]
-    return model.MlpKernel.forward(bindings["x"], params)
+    return model.mlp_forward(bindings["x"], params)
 
 
 def _hinge_objective():
@@ -30,6 +31,11 @@ def _hinge_objective():
 
 
 _IDENTITY_1 = _layers((np.ones((1, 1)), np.zeros(1)))
+
+
+def _identity_model(c):
+    """A one-layer model whose logits are its input."""
+    return model.MlpClassifier((c, c), (np.eye(c),), (np.zeros(c),))
 
 
 def _divoe(dims):
@@ -71,7 +77,7 @@ def test_mlp_node_hand_gradient_with_a_unit_at_exactly_zero():
     z, acts = _forward(bindings, 2)
     assert z.tolist() == [[7.75]]
     params = [bindings[name] for name in ("W0", "b0", "W1", "b1")]
-    gx, gw0, gb0, gw1, gb1 = model.MlpKernel.backward(np.ones((1, 1)), params, acts, [True] * 5)
+    gx, gw0, gb0, gw1, gb1 = model.mlp_backward(np.ones((1, 1)), params, acts, [True] * 5)
     np.testing.assert_array_equal(gb1, [1.0])
     np.testing.assert_array_equal(gw1, [[0.0], [2.5]])
     np.testing.assert_array_equal(gb0, [0.0, 3.0])
@@ -109,7 +115,7 @@ def test_evaluate_on_a_stack_is_each_slice_alone():
 @pytest.mark.parametrize("stacked, culprit", [
     ({"x": np.array([[[0.3]], [[1e300]], [[0.5]]])}, "energy_hinge_rows on 'x'"),
     ({"x": np.full((3, 1, 1), 10.0),
-      "W0": np.array([[[1.0]], [[1e308]], [[1.0]]])}, "MlpKernel on 'x'"),
+      "W0": np.array([[[1.0]], [[1e308]], [[1.0]]])}, "mlp_forward on 'x'"),
 ], ids=["loss", "mlp"])
 def test_evaluate_on_a_stack_names_the_stage_of_a_nonfinite_slice(stacked, culprit):
     # One slice overflows; the stack as a whole fails, naming the first stage
@@ -118,12 +124,12 @@ def test_evaluate_on_a_stack_names_the_stage_of_a_nonfinite_slice(stacked, culpr
         ad.evaluate(_hinge_objective(), {**_IDENTITY_1, **stacked})
 
 
-@pytest.mark.parametrize("m", [3, 37, 300])
-@pytest.mark.parametrize("reduce", ["mean", "sum"])
-def test_reduced_stack_equals_separate_reductions(reduce, m):
+# The mean is a term's one reduction.
+@pytest.mark.parametrize("m", [3, 37, 300], ids=lambda m: f"mean-{m}")
+def test_reduced_stack_equals_separate_reductions(m):
     # Pairwise summation starts above 8 rows and blocks at 128.
     values = np.random.default_rng(m).normal(size=(5, m))
-    term = ad.Term(losses.oe_rows, model.logits_graph((2, 2)), reduce=reduce)
+    term = ad.Term(losses.oe_rows, model.logits_graph((2, 2)))
     stacked = term.reduced(values)
     assert stacked.shape == (5,)
     assert [v.tobytes() for v in stacked] == [term.reduced(v).tobytes() for v in values]
@@ -165,48 +171,53 @@ def test_duplicate_input_name_rejected_on_every_call():
 
 
 def test_gradient_quadratic():
-    # mean((x + 0)^2) over two rows: the gradient is x itself.
-    grads = ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.array([[1.0], [2.0]])},
-                        ["x"])
-    np.testing.assert_array_equal(grads["x"], [[1.0], [2.0]])
+    # mean((x + b0)^2) over the rows 1 and 2 at b0 = 0: the bias gradient is 3,
+    # and each row's input gradient of (x + 0)^2 is 2x.
+    x = np.array([[1.0], [2.0]])
+    _, grads, _ = ad.value_and_grad(_hinge_objective(), {**_IDENTITY_1, "x": x}, ["b0"])
+    np.testing.assert_array_equal(grads["b0"], [3.0])
+    _, dx = model.input_gradient(_identity_model(1), x, losses.energy_hinge_rows, (-1.0, 0.0))
+    np.testing.assert_array_equal(dx, 2.0 * x)
 
 
 def test_gradient_logsumexp_is_softmax():
     # The uniform-loss row is logsumexp - mean: its gradient is softmax - 1/C.
     x = np.array([[0.3, -1.2, 2.5, 0.0]])
-    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 4)), reduce="sum"))
-    grads = ad.gradient(objective, {**_layers((np.eye(4), np.zeros(4))), "x": x}, ["x"])
-    np.testing.assert_allclose(grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
+    _, dx = model.input_gradient(_identity_model(4), x, losses.oe_rows, None)
+    np.testing.assert_allclose(dx + 0.25, numerics.softmax(x), rtol=1e-14)
 
 
 def test_gradient_unknown_name():
-    with pytest.raises(KeyError, match="'y'"):
-        ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, ["y"])
+    # Only parameters are differentiated: a batch's name is unknown too.
+    for name in ("y", "x"):
+        with pytest.raises(KeyError, match=f"'{name}'"):
+            ad.value_and_grad(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, [name])
 
 
 def test_gradient_shapes_match_inputs():
     objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 2))))
     bindings = {"x": np.ones((3, 4)), **_layers((np.ones((4, 2)), np.zeros(2)))}
-    grads = ad.gradient(objective, bindings, ["x", "W0", "b0"])
-    assert grads["x"].shape == (3, 4)
+    _, grads, _ = ad.value_and_grad(objective, bindings, ["W0", "b0"])
     assert grads["W0"].shape == (4, 2)
     assert grads["b0"].shape == (2,)
+    mlp = model.MlpClassifier((4, 2), (bindings["W0"],), (bindings["b0"],))
+    assert model.input_gradient(mlp, bindings["x"], losses.oe_rows, None)[1].shape == (3, 4)
 
 
 def test_gradient_broadcast_add_bias():
     # The bias is added to every row, so its gradient sums the rows'.
     bindings = {"x": np.ones((3, 4)), **_layers((np.eye(4), np.zeros(4)))}
     _, acts = _forward(bindings, 1)
-    _, _, db = model.MlpKernel.backward(np.ones((3, 4)), [bindings["W0"], bindings["b0"]],
-                                        acts, [False, False, True])
+    _, _, db = model.mlp_backward(np.ones((3, 4)), [bindings["W0"], bindings["b0"]],
+                                  acts, [False, False, True])
     np.testing.assert_array_equal(db, [3.0, 3.0, 3.0, 3.0])
 
 
 def test_gradient_deterministic_accumulation():
     dims = (3, 6, 4)
     bindings = _divoe_bindings(dims, np.random.default_rng(5), 4, seed=2)
-    g1 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
-    g2 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
+    g1 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "b1"])[1]
+    g2 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "b1"])[1]
     assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
 
 
@@ -217,20 +228,27 @@ def test_logsumexp_empty_axis_raises():
 
 
 def test_finite_diff_quadratic_function_exact():
-    # A central difference has no truncation error on a quadratic.
-    err = gradcheck.finite_diff_check(_hinge_objective(),
-                                      {**_IDENTITY_1, "x": np.array([[0.3], [0.7], [1.2]])},
-                                      ["x"])
+    # A central difference has no truncation error on a quadratic: here
+    # mean((x W0 + b0)^2) in each parameter coordinate alone.
+    bindings = {**_IDENTITY_1, "x": np.array([[0.3], [0.7], [1.2]])}
+    _, grads, _ = ad.value_and_grad(_hinge_objective(), bindings, ["W0", "b0"])
+    err = gradcheck.finite_diff_check(partial(ad.evaluate, _hinge_objective()), bindings, grads)
     assert err <= 1e-10
 
 
 def test_finite_diff_constant_expression():
     # Cross-entropy over one class is log 1 = 0 whatever the logits.
-    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 1)), np.ones((2, 1))))
+    y = np.ones((2, 1))
+    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 1)), y))
     bindings = {**_layers((np.ones((3, 1)), np.zeros(1))), "x": np.ones((2, 3))}
-    grads = ad.gradient(objective, bindings, ["x"])
-    np.testing.assert_array_equal(grads["x"], np.zeros((2, 3)))
-    assert gradcheck.finite_diff_check(objective, bindings, ["x"]) == 0.0
+    _, grads, _ = ad.value_and_grad(objective, bindings, ["W0", "b0"])
+    assert all(not g.any() for g in grads.values())
+    assert gradcheck.finite_diff_check(partial(ad.evaluate, objective), bindings, grads) == 0.0
+    mlp = model.MlpClassifier((3, 1), (bindings["W0"],), (bindings["b0"],))
+    _, dx = model.input_gradient(mlp, bindings["x"], losses.ce_rows, y)
+    np.testing.assert_array_equal(dx, np.zeros((2, 3)))
+    value = partial(gradcheck._summed_rows, mlp, losses.ce_rows, y)
+    assert gradcheck.finite_diff_check(value, {"x": bindings["x"]}, {"x": dx}) == 0.0
 
 
 # gradcheck samples one or two hidden layers, so (2, 3) is the only check of a
@@ -245,11 +263,17 @@ def test_finite_diff_random_three_layer_net(dims):
         bindings[f"W{i}"] = rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo))
         bindings[f"b{i}"] = rng.normal(0.0, 0.5, size=fo)
     bindings["x"] = rng.uniform(0.1, 0.9, size=(4, dims[0]))
-    labels = rng.integers(0, dims[-1], size=4)
-    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims),
-                                     losses.onehot(labels, dims[-1])))
-    names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")] + ["x"]
-    assert gradcheck.finite_diff_check(objective, bindings, names, h=1e-5) < 1e-6
+    y = losses.onehot(rng.integers(0, dims[-1], size=4), dims[-1])
+    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims), y))
+    names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")]
+    _, grads, _ = ad.value_and_grad(objective, bindings, names)
+    assert gradcheck.finite_diff_check(partial(ad.evaluate, objective), bindings, grads) < 1e-6
+    # The input gradient of the rows' sum, as the ascent and ODIN take it.
+    mlp = model.MlpClassifier(dims, tuple(bindings[f"W{i}"] for i in range(len(dims) - 1)),
+                              tuple(bindings[f"b{i}"] for i in range(len(dims) - 1)))
+    _, dx = model.input_gradient(mlp, bindings["x"], losses.ce_rows, y)
+    value = partial(gradcheck._summed_rows, mlp, losses.ce_rows, y)
+    assert gradcheck.finite_diff_check(value, {"x": bindings["x"]}, {"x": dx}) < 1e-6
 
 
 def test_concurrent_evaluation_of_disjoint_expressions():
@@ -317,9 +341,9 @@ def test_compiled_graph_reruns_bitwise_on_any_row_count():
     for rows in (7, 2, 7, 1):
         bindings = dict(params, x=rng.uniform(size=(rows, 3)),
                         y=np.eye(4)[rng.integers(0, 4, rows)])
-        value, grads, _ = ad.value_and_grad(reused, bindings, ["W0", "b1", "x"])
+        value, grads, _ = ad.value_and_grad(reused, bindings, ["W0", "b1"])
         fresh_value, fresh_grads, _ = ad.value_and_grad(_mlp_ce_objective(dims), bindings,
-                                                        ["W0", "b1", "x"])
+                                                        ["W0", "b1"])
         assert value.tobytes() == fresh_value.tobytes()
         assert all(grads[k].tobytes() == fresh_grads[k].tobytes() for k in grads)
         assert ad.evaluate(reused, bindings).tobytes() == fresh_value.tobytes()
@@ -351,13 +375,12 @@ def test_outputs_are_each_terms_kernel_value():
     assert ad.evaluate(objective, bindings) == value
 
 
-@pytest.mark.parametrize("wrt", [["x"], ["x_ext", "x_out"], ["W0", "b0", "W1", "b1"], ["b1"]])
+@pytest.mark.parametrize("wrt", [["W0"], ["W1", "b0"], ["W0", "b0", "W1", "b1"], ["b1"]])
 def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
     dims = (3, 5, 4)
     objective = _divoe(dims)
     bindings = _divoe_bindings(dims, np.random.default_rng(8), 6, seed=4)
-    _, every, _ = ad.value_and_grad(objective, bindings,
-                                    ["x", "x_out", "x_ext", "W0", "b0", "W1", "b1"])
+    _, every, _ = ad.value_and_grad(objective, bindings, ["W0", "b0", "W1", "b1"])
     real = ad._accumulate
     fed: set[str] = set()
 
@@ -372,12 +395,3 @@ def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
         assert fed == set(wrt)
         assert sorted(grads) == sorted(wrt)
         assert all(grads[name].tobytes() == every[name].tobytes() for name in wrt)
-
-
-def test_unknown_primitive_is_rejected_on_every_call():
-    # A reduction other than "mean" or "sum" is refused, not taken for a sum.
-    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2)),
-                                     reduce="max"))
-    for _ in range(2):
-        with pytest.raises(KeyError, match="unknown reduction 'max'"):
-            ad.evaluate(objective, {**_layers((np.eye(2), np.zeros(2))), "x": np.ones((1, 2))})

@@ -5,7 +5,7 @@ import oracles
 import pytest
 
 from oodbench import autodiff as ad
-from oodbench import cli, gradcheck, losses, model
+from oodbench import cli, gradcheck, losses, model, scoring
 
 
 def test_run_suite_passes():
@@ -15,8 +15,8 @@ def test_run_suite_passes():
 
 
 def test_corrupted_backward_pass_fails(monkeypatch, capsys):
-    # Skew every gradient the backward pass accumulates into an input (a
-    # parameter or a batch).
+    # Skew every parameter gradient autodiff accumulates; the input cases
+    # (extrapolation, odin) do not go through it.
     real_accumulate = ad._accumulate
 
     def skewed(grads, name, grad):
@@ -36,8 +36,8 @@ def test_every_loss_kind_is_a_case():
 
 @pytest.mark.parametrize("kind", gradcheck.CASES)
 def test_each_case_kind_passes(kind):
-    objective, bindings, wrt = gradcheck._case(kind, np.random.Generator(np.random.PCG64(11)))
-    err = gradcheck.finite_diff_check(objective, bindings, wrt, h=gradcheck.DEFAULT_STEP)
+    value, bindings, grads = gradcheck._case(kind, np.random.Generator(np.random.PCG64(11)))
+    err = gradcheck.finite_diff_check(value, bindings, grads, h=gradcheck.DEFAULT_STEP)
     assert err < gradcheck.DEFAULT_TOLERANCE
 
 
@@ -89,19 +89,22 @@ def _skew_relu_mask(real, grad, params, acts, needs):
     return real(grad, params, [h.view(_PassEveryUnit) for h in acts], needs)
 
 
-def _skew_ce_dz(real, y, z):
-    values, rowgrad = real(y, z)
+def _skew_row_dz(real, payload, z):
+    values, rowgrad = real(payload, z)
     return values, rowgrad * (1.0 + 1e-3)
 
 
 @pytest.mark.parametrize("owner, name, mutation", [
-    (model.MlpKernel, "backward", _skew_first_layer_dw),
-    (model.MlpKernel, "backward", _skew_relu_mask),
-    (losses, "ce_rows", _skew_ce_dz),
-], ids=["mlp_dW0", "relu_mask", "ce_dz"])
+    (model, "mlp_backward", _skew_first_layer_dw),
+    (model, "mlp_backward", _skew_relu_mask),
+    (losses, "ce_rows", _skew_row_dz),
+    (losses, "oe_rows", _skew_row_dz),
+    (scoring, "odin_rows", _skew_row_dz),
+], ids=["mlp_dW0", "relu_mask", "ce_dz", "oe_dz", "odin_dz"])
 def test_skewed_kernel_backward_fails(monkeypatch, owner, name, mutation):
     # A pass looks the MLP backward up when it runs it, and gradcheck builds
-    # each case's objective, which holds its per-row losses, after the patch.
+    # each case, which holds its per-row losses, after the patch. Only the
+    # odin case reads odin_rows, so odin_dz fails through the input path.
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: mutation(real, *args))
     result = gradcheck.run_suite(cases=20, seed=3)
