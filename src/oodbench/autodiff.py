@@ -1,16 +1,14 @@
-"""Reverse-mode differentiation of a flat sum of loss terms over MLP logits,
-with respect to the MLP's parameters.
+"""Reverse-mode differentiation of a flat sum of loss terms over MLP logits.
 
-Every objective the trainer differentiates is a head term plus ``scale``
+Every objective the workbench differentiates is a head term plus ``scale``
 times the sum of a group of terms. A ``Term`` applies a per-row loss
 ``f(payload, z) -> (values, gradient)`` to the (m, C) MLP logits z of one
 named batch (``model.Logits``): one value per row and, in closed form, each
 value's gradient with respect to its own row of z. A payload that is a
 string names a binding, such as the one-hot labels ``y``. ``Term.reduced``,
-the mean of the rows, is the one place a batch is reduced. Rows do not
-interact, so a term's dL/dz is its row gradient times 1/m, times ``scale``
-in the group. Input gradients, which the ascent and ODIN take, come from
-``model.input_gradient`` without an objective.
+the mean or the sum of the rows, is the one place a batch is reduced. Rows
+do not interact, so a term's dL/dz is its row gradient times the weight
+each row enters with: 1 or 1/m, times ``scale`` in the group.
 
 ``value_and_grad`` forwards each distinct batch once through
 ``model.mlp_forward``, adds the reduced values as
@@ -40,16 +38,22 @@ from .errors import NumericError
 
 
 class Term(NamedTuple):
-    """The per-row loss ``rows`` on the logits of one batch; the objective adds
-    the mean of its rows."""
+    """The per-row loss ``rows`` on the logits of one batch; its rows enter the
+    objective through ``reduce``, their "mean" or their "sum"."""
 
     rows: Callable
     logits: model.Logits
     payload: object = None
+    reduce: str = "mean"
 
     def reduced(self, values):
         """The term's value as the objective adds it, from its per-row values."""
-        return np.add.reduce(values, axis=-1) / values.shape[-1]
+        total = np.add.reduce(values, axis=-1)
+        if self.reduce == "sum":
+            return total
+        if self.reduce == "mean":
+            return total / values.shape[-1]
+        raise KeyError(f"unknown reduction {self.reduce!r}")
 
 
 class Objective(NamedTuple):
@@ -125,11 +129,11 @@ def _accumulate(grads: dict, name: str, grad: np.ndarray) -> None:
 
 
 def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
-    """Gradients of the value of the pass ``fwd`` for the parameters in ``wrt``:
-    no batch whose logits reach none of them is run back, and the MLP backward
-    computes no gradient for a parameter outside them, nor for any batch."""
+    """Gradients of the value of the pass ``fwd`` for the inputs in ``wrt``: no
+    batch whose logits reach none of them is run back, and the MLP backward
+    computes no gradient for a parameter or batch outside them."""
     _, logits, bound, outputs, rowgrads = fwd
-    needs = {batch: [False, *(name in wrt for name in handle.params)]
+    needs = {batch: [name in wrt for name in (batch, *handle.params)]
              for batch, (handle, _, _) in logits.items()}
     terms = (objective.head, *objective.group)
     dz: dict[str, np.ndarray] = {}
@@ -141,7 +145,9 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
             batch = term.logits.batch
             if not any(needs[batch]):
                 continue
-            g = (1.0 if i == 0 else objective.scale) / outputs[i].size
+            g = 1.0 if i == 0 else objective.scale
+            if term.reduce == "mean":
+                g = g / outputs[i].size
             d = g * rowgrads[i]
             dz[batch] = d if batch not in dz else dz[batch] + d
         for batch in reversed(logits):  # reverse first-use order, so x goes last
@@ -156,11 +162,17 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
     return grads
 
 
+def gradient(objective: Objective, bindings: Mapping[str, np.ndarray],
+             wrt: Iterable[str]) -> dict[str, np.ndarray]:
+    """Exact reverse-mode gradients of ``objective`` for each name in ``wrt``."""
+    return value_and_grad(objective, bindings, wrt)[1]
+
+
 def value_and_grad(objective: Objective, bindings: Mapping[str, np.ndarray],
                    wrt: Iterable[str]):
-    """Value, the gradient for each parameter name in ``wrt``, and each term's
-    per-row values (head first), all from one pass. A name that is not a
-    parameter the objective reads, a batch's included, raises KeyError."""
+    """Value, the gradient for each batch or parameter name in ``wrt``, and each
+    term's per-row values (head first), all from one pass. A name the objective
+    does not read raises KeyError."""
     wrt = tuple(wrt)
     fwd = _forward(objective, bindings)
     grads = _backward(objective, fwd, wrt)

@@ -7,12 +7,11 @@ into the l-inf ball around its origin. The returned sample is the best
 iterate seen, origin included, so no row's loss falls below its initial
 value.
 
-The whole batch ascends together: one ``model.input_gradient`` per step
-gives every row's ``losses.oe_rows``, the uniform loss ``losses.objective``
-averages per outlier batch, and its input gradient. Rows do not interact
-under the model, so a per-row finiteness mask aborts a failing row and the
-others carry on unchanged. Each row keeps its own radius (its slice of
-``ExtrapolationConfig.pool``), step size and best iterate.
+The whole batch ascends together. The target is the sum over the rows of
+``losses.oe_rows``, the uniform loss ``losses.objective`` averages per outlier
+batch. Rows do not interact under the model, so one pass over that sum gives
+every row's value and input gradient. Each row keeps its own radius (its
+slice of ``ExtrapolationConfig.pool``), step size and best iterate.
 """
 
 from __future__ import annotations
@@ -22,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import losses
 from . import model as model_mod
 from .data import DOMAIN
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 @dataclass(frozen=True)
@@ -69,48 +69,55 @@ class ExtrapolatedBatch:
     aborted: np.ndarray          # (n,) bool, non-finite value or gradient encountered
 
 
-def _ascend(mlp: model_mod.MlpClassifier, x0: np.ndarray, eps: np.ndarray, steps: int):
+def _target_graph(dims: tuple[int, ...]) -> ad.Objective:
+    """The sum of the per-row uniform loss over a batch bound to "x"."""
+    return ad.Objective(ad.Term(losses.oe_rows, model_mod.logits_graph(dims), reduce="sum"))
+
+
+def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
+            steps: int):
     """Best-iterate constrained ascent on a block of rows.
 
     Returns (synthesized, v0, v_best, aborted). A block whose radii are all
-    0 is only evaluated. Each pass aborts the rows whose value, or whose
-    gradient while the row moves, is not finite; such a row comes back at its
-    origin, flagged, with its initial value (NaN if its first pass failed).
-    A row with radius 0 stays at its origin and never aborts on its gradient.
+    0 is only evaluated. Rows are independent, so a block whose value or
+    gradient turns non-finite is split in halves and retried until each
+    failing row stands alone; such a row comes back at its origin, flagged,
+    with its initial value (NaN if that was not finite).
     """
+    n = x0.shape[0]
     steps = steps if eps.any() else 0
-    moving = (eps > 0.0)[:, None]
     radius = eps[:, None]
     alpha = 2.0 * radius / steps if steps else 0.0
-    lo, hi = x0 - radius, x0 + radius
+    lo = x0 - radius
+    hi = x0 + radius
+    b = dict(bindings)
+
     x = x0
-    # An aborted row keeps computing, non-finite values included, until the
-    # mask returns it to its origin, so numpy's warnings about it are noise.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    v0 = None
+    try:
         # Visit x_0 ... x_steps; the origin is a candidate, so no row's best
         # value falls below its initial one. The last visit needs no gradient.
         for t in range(steps + 1):
-            if t < steps:
-                v, dx = model_mod.input_gradient(mlp, x, losses.oe_rows, None)
-                failed = ~np.isfinite(v) | (moving & ~np.isfinite(dx)).any(axis=1)
-            else:
-                v = losses.oe_rows(None, model_mod.forward(mlp, x))[0]
-                failed = ~np.isfinite(v)
+            b["x"] = x
+            _, grads, (v,) = ad.value_and_grad(target, b, ["x"] if t < steps else [])
             if t == 0:
-                v0 = np.where(failed, np.nan, v)
-                aborted = failed
+                v0 = v
                 best_x, best_v = x0.copy(), v.copy()
             else:
-                aborted |= failed
                 improved = v > best_v
                 best_x[improved] = x[improved]
                 best_v[improved] = v[improved]
             if t < steps:
-                step = np.clip(np.clip(x + alpha * np.sign(dx), *DOMAIN), lo, hi)
-                x = np.where(moving, step, x)
-    best_x[aborted] = x0[aborted]
-    best_v[aborted] = v0[aborted]
-    return best_x, v0, best_v, aborted
+                x = np.clip(np.clip(x + alpha * np.sign(grads["x"]), *DOMAIN), lo, hi)
+    except NumericError:
+        if n > 1:
+            h = n // 2
+            halves = (_ascend(target, bindings, x0[:h], eps[:h], steps),
+                      _ascend(target, bindings, x0[h:], eps[h:], steps))
+            return tuple(np.concatenate(parts) for parts in zip(*halves))
+        v = np.full(1, np.nan) if v0 is None else v0
+        return x0.copy(), v, v.copy(), np.ones(1, dtype=bool)
+    return best_x, v0, best_v, np.zeros(n, dtype=bool)
 
 
 def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
@@ -128,7 +135,8 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
         epsilon = np.repeat([e for e, _ in cfg.pool],
                             largest_remainder_counts([f for _, f in cfg.pool], x0.shape[0]))
     eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), x0.shape[:1]).copy()
-    synthesized, v0, v_best, aborted = _ascend(mlp, x0, eps, cfg.steps)
+    synthesized, v0, v_best, aborted = _ascend(
+        _target_graph(mlp.dims), model_mod.param_bindings(mlp), x0, eps, cfg.steps)
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 

@@ -1,29 +1,29 @@
 """Self-check suite: reverse-mode gradients against central finite differences.
 
-Each case is a function the program differentiates, built as the program
-builds it: each kind's ``losses.objective`` (``trainer._build_loss_graph``)
-through ``autodiff`` with respect to the parameters, as ``fine_tune`` steps
-it, and the rows of ``losses.oe_rows`` and ``scoring.odin_rows`` through
-``model.input_gradient`` with respect to the input, as the ascent and ODIN
-push it. So every closed-form gradient is checked: ``model.mlp_backward``,
-each per-row loss and the weight ``autodiff`` gives their rows. Weights are
-kept at unit scale so the difference quotient stays accurate.
+Each case is an objective the program differentiates, from the builder it
+uses: each kind's ``losses.objective`` from ``trainer._build_loss_graph``
+with respect to the parameters, as ``fine_tune`` steps it, and
+``extrapolation._target_graph`` and ``scoring.odin_graph`` with respect to
+the input, as the ascent and ODIN push it. So every closed-form gradient is
+checked: the MLP backward (``model.mlp_backward``), each per-row loss in
+``losses`` and ``scoring.odin_rows``, and the weight ``autodiff`` gives
+their rows. Weights are kept at unit scale so the difference quotient stays accurate.
 
-A case is (value, bindings, grads): ``value`` maps bindings, stacked or not,
-to one value per slice, and ``grads`` holds each checked binding's analytic
-gradient. ``finite_diff_check`` calls ``value`` once per checked binding, on
-the stack of its 2n perturbed copies, whose values are those of the 2n
-separate passes bit for bit.
+A case is (objective, bindings, grads), where ``grads`` holds the analytic
+gradient of each checked input, computed once when the case is sampled.
+``finite_diff_check`` takes one ``autodiff.evaluate`` per input in ``grads``,
+on the stack of that input's 2n perturbed copies, whose values are those of
+the 2n separate passes bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
+from . import extrapolation
 from . import losses
 from . import model as model_mod
 from . import numerics
@@ -62,33 +62,29 @@ def _hidden_preactivations(mlp: model_mod.MlpClassifier, batches) -> float:
     return least
 
 
-def _summed_rows(mlp, rows, payload, bindings):
-    """The sum over the batch bound to "x" of ``rows(payload, z)`` on its logits z,
-    one value per slice of a stacked batch."""
-    return np.add.reduce(rows(payload, model_mod.forward(mlp, bindings["x"]))[0], axis=-1)
-
-
 def _case(kind: str, rng: np.random.Generator):
-    """One randomized (value, bindings, grads) case for ``kind``, one of CASES, resampled
+    """One randomized (objective, bindings, grads) triple for ``kind``, one of CASES, resampled
     until every relu preactivation clears the kink by a wide margin relative to the step."""
     d = int(rng.integers(2, 5))
     hidden = [int(rng.integers(3, 7)) for _ in range(int(rng.integers(1, 3)))]
     c = int(rng.integers(2, 5))
     dims = (d, *hidden, c)
     m = int(rng.integers(2, 5))
-    batch_names = ("x", *losses.OUTLIER_BATCHES.get(kind, ()))
+    labels = {}
     if kind in losses.KINDS:
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
         lc = losses.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
-        objective = trainer._build_loss_graph(dims, lc, batch_names[1:])
-        labels = {"y": losses.onehot(rng.integers(0, c, size=m), c)}
+        outlier_inputs = losses.OUTLIER_BATCHES[kind]
+        objective = trainer._build_loss_graph(dims, lc, outlier_inputs)
+        batch_names = ("x", *outlier_inputs)
+        labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
-        rows, payload = losses.oe_rows, None
+        objective, batch_names = extrapolation._target_graph(dims), ("x",)
     else:
         # T = 1: at ODIN_TEMPERATURE the input gradient shrinks
         # with 1/T below MIN_GRAD_MAGNITUDE, so no case would be accepted.
-        rows, payload = scoring.odin_rows, (losses.onehot(rng.integers(0, c, size=m), c), 1.0)
+        objective, batch_names = scoring.odin_graph(dims, rng.integers(0, c, size=m), 1.0), ("x",)
 
     for _ in range(1000):
         layers = [(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)),
@@ -98,35 +94,32 @@ def _case(kind: str, rng: np.random.Generator):
         batches = {name: rng.uniform(0.05, 0.95, size=(m, d)) for name in batch_names}
         if _hidden_preactivations(mlp, batches.values()) <= KINK_CLEARANCE:
             continue
-        if kind in losses.KINDS:
-            value = partial(ad.evaluate, objective)
-            bindings = {**model_mod.param_bindings(mlp), **labels, **batches}
-            grads = ad.value_and_grad(objective, bindings, model_mod.param_names(mlp))[1]
-        else:
-            value, bindings = partial(_summed_rows, mlp, rows, payload), batches
-            grads = {"x": model_mod.input_gradient(mlp, batches["x"], rows, payload)[1]}
+        bindings = {**model_mod.param_bindings(mlp), **labels, **batches}
+        wrt = model_mod.param_names(mlp) if kind in losses.KINDS else ["x"]
         # Exact-zero coordinates (dead relu paths) are locally constant, so the
         # difference quotient is exactly zero too; only small nonzero gradients
         # fall below the oracle's resolution.
+        grads = ad.gradient(objective, bindings, wrt)
         flat = np.concatenate([g.reshape(-1) for g in grads.values()])
         nonzero = np.abs(flat[flat != 0.0])
         if nonzero.size and nonzero.min() >= MIN_GRAD_MAGNITUDE:
-            return value, bindings, grads
+            return objective, bindings, grads
     raise RuntimeError("could not sample a well-conditioned gradcheck case")
 
 
-def finite_diff_check(value, bindings, grads, h: float = 1e-5) -> float:
+def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = 1e-5) -> float:
     """Max over coordinates of |analytic - central difference| / (|analytic| + 1e-12).
 
-    The central difference of ``value`` is the independent oracle for
-    ``grads``; a clean case keeps this below ~1e-6 for h=1e-5 at unit scales.
-    For each binding in ``grads`` with n coordinates, one call of ``value``
-    evaluates a stack of 2n copies of the bindings: slice 2i has coordinate i
-    at +h and slice 2i+1 at -h. A 1-D binding (a bias) stacks as (2n, 1, n),
-    so it broadcasts as a row, and every binding not in ``grads`` (a batch,
-    the labels) is broadcast to the stack, so each layer's output is stacked.
+    The central difference is the independent oracle for ``grads``, the
+    analytic gradient of each checked input; a clean objective keeps this
+    below ~1e-6 for h=1e-5 at unit scales. For each input in ``grads`` with
+    n coordinates, one pass evaluates a stack of 2n copies of the bindings:
+    slice 2i has coordinate i at +h and slice 2i+1 at -h. A 1-D binding (a
+    bias) stacks as (2n, 1, n), so it broadcasts as a row, and every batch is
+    broadcast to the stack, so each layer's output is stacked.
     """
     bindings = {k: numerics.as_tensor(v) for k, v in bindings.items()}
+    batches = {t.logits.batch for t in (objective.head, *objective.group)}
     worst = 0.0
     for name, grad in grads.items():
         arr = bindings[name]
@@ -135,10 +128,9 @@ def finite_diff_check(value, bindings, grads, h: float = 1e-5) -> float:
         i = np.arange(n)
         stack[2 * i, i] += h
         stack[2 * i + 1, i] -= h
-        stacked = {k: np.broadcast_to(v, (2 * n, *v.shape))
-                   for k, v in bindings.items() if k not in grads}
+        stacked = {b: np.broadcast_to(bindings[b], (2 * n, *bindings[b].shape)) for b in batches}
         stacked[name] = stack.reshape(2 * n, *np.atleast_2d(arr).shape)
-        values = value({**bindings, **stacked})
+        values = ad.evaluate(objective, {**bindings, **stacked})
         fd = (values[0::2] - values[1::2]) / (2.0 * h)
         analytic = grad.reshape(-1)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / (np.abs(analytic) + 1e-12))))

@@ -6,9 +6,8 @@ itself for a model with no hidden layer) and ``head`` the output layer, so
 ``forward`` is exactly ``head(model, penultimate_features(model, batch))``.
 A caller that needs both features and logits of a set forwards it once.
 ``mlp_forward`` runs them on bound parameters and ``mlp_backward`` is their
-closed-form backward: autodiff calls both for the ``Logits`` that an objective
-term reads (``logits_graph``), and ``input_gradient`` for each row's value and
-input gradient under one per-row loss, as the ascent and ODIN push inputs.
+closed-form backward, giving input and weight gradients, for the ``Logits``
+of a batch that an objective term reads (``logits_graph``).
 
 Memory order: each hidden layer adds its bias and applies the ReLU in place
 on its own fresh ``h @ w`` product, so a forward holds at most two
@@ -145,17 +144,6 @@ def mlp_backward(grad, params, acts, needs):
     if needs[0]:
         out[0] = g
     return out
-
-
-def input_gradient(model: MlpClassifier, x, rows, payload):
-    """Each row's value of the per-row loss ``rows(payload, z)`` on the logits z
-    of the (m, d) batch ``x``, and its gradient with respect to that row of x,
-    from one forward and one input backward. Nothing is checked for
-    finiteness: the caller decides what a non-finite row means."""
-    params = [p for layer in zip(model.weights, model.biases) for p in layer]
-    z, acts = mlp_forward(x, params)
-    values, dz = rows(payload, z)
-    return values, mlp_backward(dz, params, acts, [True] + [False] * len(params))[0]
 
 
 def logits_graph(dims, input_name: str = "x", params: dict[str, str] | None = None) -> Logits:

@@ -3,9 +3,9 @@
 Every score follows one orientation: higher means more in-distribution,
 so a single threshold rule ``ID iff score >= lambda`` serves all of them.
 The energy score is therefore logsumexp(logits); the hinge-loss sign
-convention lives in the losses module only. ODIN's push follows each row's
-input gradient of ``odin_rows``, its log-softmax at its predicted class, from
-``model.input_gradient``.
+convention lives in the losses module only. ODIN's push follows the input
+gradient of a one-term objective: the sum over the batch of ``odin_rows``,
+each row's log-softmax at its predicted class.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import losses
 from . import model as model_mod
 from . import numerics
 from .data import DOMAIN
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 ODIN_TEMPERATURE = 1.0e4
 ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
@@ -67,6 +68,12 @@ def odin_rows(payload, z):
     return np.add.reduce(log_p * onehot, axis=-1), (onehot - np.exp(log_p)) * inv_t
 
 
+def odin_graph(dims, top, temperature: float) -> ad.Objective:
+    """Sum over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
+    return ad.Objective(ad.Term(odin_rows, model_mod.logits_graph(dims),
+                                (losses.onehot(top, dims[-1]), 1.0 / temperature), "sum"))
+
+
 def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     """Confidence after a one-step sign-gradient push toward the predicted class.
 
@@ -79,24 +86,18 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     only each block's sign, so its memory does not grow with the batch. The
     perturbed batch is forwarded whole: OpenBLAS rounding depends on the row
     count, so a blocked forward would change the low bits of the logits,
-    while the signs of a blocked gradient match a whole-batch pass. A
-    non-finite value or gradient in any block raises NumericError.
+    while the signs of a blocked gradient match a whole-batch pass.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if top is None:
         top = np.argmax(model_mod.forward(mlp, batch), axis=1)
+    bindings = model_mod.param_bindings(mlp)
     step = np.empty_like(batch)
     for start in range(0, batch.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        payload = (losses.onehot(top[rows], mlp.n_classes), 1.0 / ODIN_TEMPERATURE)
-        # The finiteness check below reports what numpy would warn about.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values, dx = model_mod.input_gradient(mlp, batch[rows], odin_rows, payload)
-        if not np.isfinite(values).all():
-            raise NumericError("non-finite result of odin_rows on 'x'")
-        if not np.isfinite(dx).all():
-            raise NumericError("non-finite gradient for input 'x'")
-        step[rows] = np.sign(dx)
+        bindings["x"] = batch[rows]
+        grads = ad.gradient(odin_graph(mlp.dims, top[rows], ODIN_TEMPERATURE), bindings, ["x"])
+        step[rows] = np.sign(grads["x"])
     logits = model_mod.forward(mlp, np.clip(batch + ODIN_EPSILON * step, *DOMAIN))
     return np.max(numerics.softmax(logits / ODIN_TEMPERATURE, axis=-1), axis=1)
 

@@ -2,25 +2,19 @@
 extrapolation and the finite-difference gradient check.
 
 Every function here recomputes its result from the definition with plain
-loops. The metric twins share no code with the library. The extrapolation
-twin takes each 1-row pass's value and input gradient from
-``model.input_gradient``, whose gradients gradcheck checks against finite
-differences; what it checks independently is the ascent around those
-passes: per-row radii and step sizes, the projection, the best-iterate
-choice and the abort of a row whose value or gradient is not finite. The
-gradient-check twin takes a case's value function and analytic gradients
-as given and checks the stacked difference quotients, one coordinate and
-two unstacked calls at a time.
+loops, independent of the library implementations.
 """
 
 import math
 
 import numpy as np
 
+from oodbench import autodiff as ad
 from oodbench import losses
 from oodbench import model as model_mod
 from oodbench import numerics
 from oodbench.data import DOMAIN
+from oodbench.errors import NumericError
 from oodbench.extrapolation import ExtrapolatedBatch
 
 
@@ -76,6 +70,9 @@ def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:
     at its origin. A non-finite value or gradient returns the row's origin,
     flagged, with its initial value (NaN if the first pass failed).
     """
+    scalar = ad.Objective(ad.Term(losses.oe_rows, model_mod.logits_graph(mlp.dims)))
+    bindings = model_mod.param_bindings(mlp)
+
     def one_row(row, epsilon):
         x0 = row[None, :]
         steps = 0 if epsilon == 0.0 else cfg.steps
@@ -83,19 +80,24 @@ def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:
         lo, hi = x0 - epsilon, x0 + epsilon
         x = best_x = x0
         best_v = v0 = None
-        for t in range(steps + 1):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                raw_v, grad = model_mod.input_gradient(mlp, x, losses.oe_rows, None)
-            v = float(raw_v[0])
-            if not math.isfinite(v) or (t < steps and not np.isfinite(grad).all()):
-                v = math.nan if v0 is None else v0
-                return row.copy(), v, v, True
-            if t == 0:
-                v0 = best_v = v
-            elif v > best_v:
-                best_x, best_v = x, v
-            if t < steps:
-                x = np.clip(np.clip(x + alpha * np.sign(grad), *DOMAIN), lo, hi)
+        try:
+            for t in range(steps + 1):
+                b = dict(bindings)
+                b["x"] = x
+                if t < steps:
+                    raw_v, grads, _ = ad.value_and_grad(scalar, b, ["x"])
+                else:
+                    raw_v, grads = ad.evaluate(scalar, b), None
+                v = float(raw_v)
+                if t == 0:
+                    v0 = best_v = v
+                elif v > best_v:
+                    best_x, best_v = x, v
+                if grads is not None:
+                    x = np.clip(np.clip(x + alpha * np.sign(grads["x"]), *DOMAIN), lo, hi)
+        except NumericError:
+            v = math.nan if v0 is None else v0
+            return row.copy(), v, v, True
         return best_x[0].copy(), v0, best_v, False
 
     epsilons = [float(e) for e in epsilons]
@@ -111,9 +113,10 @@ def pgd_extrapolate_rowwise(mlp, x0, cfg, epsilons) -> ExtrapolatedBatch:
     )
 
 
-def finite_diff_check_loop(value, bindings, grads, h=1e-5) -> float:
+def finite_diff_check_loop(objective, bindings, grads, h=1e-5) -> float:
     """Max over coordinates of |analytic - central difference| / (|analytic| + 1e-12),
-    perturbing one coordinate at a time with two unstacked calls of ``value`` each."""
+    for the analytic gradients ``grads``, perturbing one coordinate at a time
+    with two unstacked passes each."""
     work = {k: numerics.as_tensor(v).copy() for k, v in bindings.items()}
     worst = 0.0
     for name, grad in grads.items():
@@ -122,9 +125,9 @@ def finite_diff_check_loop(value, bindings, grads, h=1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = float(value(work))
+            up = float(ad.evaluate(objective, work))
             flat[i] = orig - h
-            down = float(value(work))
+            down = float(ad.evaluate(objective, work))
             flat[i] = orig
             fd = (up - down) / (2.0 * h)
             err = abs(analytic[i] - fd) / (abs(analytic[i]) + 1e-12)

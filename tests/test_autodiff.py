@@ -1,6 +1,5 @@
 import sys
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ def _layers(*pairs):
 
 
 def _forward(bindings, n_layers):
-    """The logits ``mlp_forward`` gives for x under W0/b0, ..."""
+    """The logits ``model.mlp_forward`` gives for x under W0/b0, ..."""
     params = [bindings[f"{kind}{i}"] for i in range(n_layers) for kind in "Wb"]
     return model.mlp_forward(bindings["x"], params)
 
@@ -31,11 +30,6 @@ def _hinge_objective():
 
 
 _IDENTITY_1 = _layers((np.ones((1, 1)), np.zeros(1)))
-
-
-def _identity_model(c):
-    """A one-layer model whose logits are its input."""
-    return model.MlpClassifier((c, c), (np.eye(c),), (np.zeros(c),))
 
 
 def _divoe(dims):
@@ -124,12 +118,12 @@ def test_evaluate_on_a_stack_names_the_stage_of_a_nonfinite_slice(stacked, culpr
         ad.evaluate(_hinge_objective(), {**_IDENTITY_1, **stacked})
 
 
-# The mean is a term's one reduction.
-@pytest.mark.parametrize("m", [3, 37, 300], ids=lambda m: f"mean-{m}")
-def test_reduced_stack_equals_separate_reductions(m):
+@pytest.mark.parametrize("m", [3, 37, 300])
+@pytest.mark.parametrize("reduce", ["mean", "sum"])
+def test_reduced_stack_equals_separate_reductions(reduce, m):
     # Pairwise summation starts above 8 rows and blocks at 128.
     values = np.random.default_rng(m).normal(size=(5, m))
-    term = ad.Term(losses.oe_rows, model.logits_graph((2, 2)))
+    term = ad.Term(losses.oe_rows, model.logits_graph((2, 2)), reduce=reduce)
     stacked = term.reduced(values)
     assert stacked.shape == (5,)
     assert [v.tobytes() for v in stacked] == [term.reduced(v).tobytes() for v in values]
@@ -171,37 +165,32 @@ def test_duplicate_input_name_rejected_on_every_call():
 
 
 def test_gradient_quadratic():
-    # mean((x + b0)^2) over the rows 1 and 2 at b0 = 0: the bias gradient is 3,
-    # and each row's input gradient of (x + 0)^2 is 2x.
-    x = np.array([[1.0], [2.0]])
-    _, grads, _ = ad.value_and_grad(_hinge_objective(), {**_IDENTITY_1, "x": x}, ["b0"])
-    np.testing.assert_array_equal(grads["b0"], [3.0])
-    _, dx = model.input_gradient(_identity_model(1), x, losses.energy_hinge_rows, (-1.0, 0.0))
-    np.testing.assert_array_equal(dx, 2.0 * x)
+    # mean((x + 0)^2) over two rows: the gradient is x itself.
+    grads = ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.array([[1.0], [2.0]])},
+                        ["x"])
+    np.testing.assert_array_equal(grads["x"], [[1.0], [2.0]])
 
 
 def test_gradient_logsumexp_is_softmax():
     # The uniform-loss row is logsumexp - mean: its gradient is softmax - 1/C.
     x = np.array([[0.3, -1.2, 2.5, 0.0]])
-    _, dx = model.input_gradient(_identity_model(4), x, losses.oe_rows, None)
-    np.testing.assert_allclose(dx + 0.25, numerics.softmax(x), rtol=1e-14)
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 4)), reduce="sum"))
+    grads = ad.gradient(objective, {**_layers((np.eye(4), np.zeros(4))), "x": x}, ["x"])
+    np.testing.assert_allclose(grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
 
 
 def test_gradient_unknown_name():
-    # Only parameters are differentiated: a batch's name is unknown too.
-    for name in ("y", "x"):
-        with pytest.raises(KeyError, match=f"'{name}'"):
-            ad.value_and_grad(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, [name])
+    with pytest.raises(KeyError, match="'y'"):
+        ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, ["y"])
 
 
 def test_gradient_shapes_match_inputs():
     objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 2))))
     bindings = {"x": np.ones((3, 4)), **_layers((np.ones((4, 2)), np.zeros(2)))}
-    _, grads, _ = ad.value_and_grad(objective, bindings, ["W0", "b0"])
+    grads = ad.gradient(objective, bindings, ["x", "W0", "b0"])
+    assert grads["x"].shape == (3, 4)
     assert grads["W0"].shape == (4, 2)
     assert grads["b0"].shape == (2,)
-    mlp = model.MlpClassifier((4, 2), (bindings["W0"],), (bindings["b0"],))
-    assert model.input_gradient(mlp, bindings["x"], losses.oe_rows, None)[1].shape == (3, 4)
 
 
 def test_gradient_broadcast_add_bias():
@@ -216,8 +205,8 @@ def test_gradient_broadcast_add_bias():
 def test_gradient_deterministic_accumulation():
     dims = (3, 6, 4)
     bindings = _divoe_bindings(dims, np.random.default_rng(5), 4, seed=2)
-    g1 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "b1"])[1]
-    g2 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "b1"])[1]
+    g1 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
+    g2 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
     assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
 
 
@@ -228,27 +217,20 @@ def test_logsumexp_empty_axis_raises():
 
 
 def test_finite_diff_quadratic_function_exact():
-    # A central difference has no truncation error on a quadratic: here
-    # mean((x W0 + b0)^2) in each parameter coordinate alone.
+    # A central difference has no truncation error on a quadratic.
+    objective = _hinge_objective()
     bindings = {**_IDENTITY_1, "x": np.array([[0.3], [0.7], [1.2]])}
-    _, grads, _ = ad.value_and_grad(_hinge_objective(), bindings, ["W0", "b0"])
-    err = gradcheck.finite_diff_check(partial(ad.evaluate, _hinge_objective()), bindings, grads)
+    err = gradcheck.finite_diff_check(objective, bindings, ad.gradient(objective, bindings, ["x"]))
     assert err <= 1e-10
 
 
 def test_finite_diff_constant_expression():
     # Cross-entropy over one class is log 1 = 0 whatever the logits.
-    y = np.ones((2, 1))
-    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 1)), y))
+    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 1)), np.ones((2, 1))))
     bindings = {**_layers((np.ones((3, 1)), np.zeros(1))), "x": np.ones((2, 3))}
-    _, grads, _ = ad.value_and_grad(objective, bindings, ["W0", "b0"])
-    assert all(not g.any() for g in grads.values())
-    assert gradcheck.finite_diff_check(partial(ad.evaluate, objective), bindings, grads) == 0.0
-    mlp = model.MlpClassifier((3, 1), (bindings["W0"],), (bindings["b0"],))
-    _, dx = model.input_gradient(mlp, bindings["x"], losses.ce_rows, y)
-    np.testing.assert_array_equal(dx, np.zeros((2, 3)))
-    value = partial(gradcheck._summed_rows, mlp, losses.ce_rows, y)
-    assert gradcheck.finite_diff_check(value, {"x": bindings["x"]}, {"x": dx}) == 0.0
+    grads = ad.gradient(objective, bindings, ["x"])
+    np.testing.assert_array_equal(grads["x"], np.zeros((2, 3)))
+    assert gradcheck.finite_diff_check(objective, bindings, grads) == 0.0
 
 
 # gradcheck samples one or two hidden layers, so (2, 3) is the only check of a
@@ -263,17 +245,12 @@ def test_finite_diff_random_three_layer_net(dims):
         bindings[f"W{i}"] = rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo))
         bindings[f"b{i}"] = rng.normal(0.0, 0.5, size=fo)
     bindings["x"] = rng.uniform(0.1, 0.9, size=(4, dims[0]))
-    y = losses.onehot(rng.integers(0, dims[-1], size=4), dims[-1])
-    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims), y))
-    names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")]
-    _, grads, _ = ad.value_and_grad(objective, bindings, names)
-    assert gradcheck.finite_diff_check(partial(ad.evaluate, objective), bindings, grads) < 1e-6
-    # The input gradient of the rows' sum, as the ascent and ODIN take it.
-    mlp = model.MlpClassifier(dims, tuple(bindings[f"W{i}"] for i in range(len(dims) - 1)),
-                              tuple(bindings[f"b{i}"] for i in range(len(dims) - 1)))
-    _, dx = model.input_gradient(mlp, bindings["x"], losses.ce_rows, y)
-    value = partial(gradcheck._summed_rows, mlp, losses.ce_rows, y)
-    assert gradcheck.finite_diff_check(value, {"x": bindings["x"]}, {"x": dx}) < 1e-6
+    labels = rng.integers(0, dims[-1], size=4)
+    objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims),
+                                     losses.onehot(labels, dims[-1])))
+    names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")] + ["x"]
+    grads = ad.gradient(objective, bindings, names)
+    assert gradcheck.finite_diff_check(objective, bindings, grads, h=1e-5) < 1e-6
 
 
 def test_concurrent_evaluation_of_disjoint_expressions():
@@ -341,9 +318,9 @@ def test_compiled_graph_reruns_bitwise_on_any_row_count():
     for rows in (7, 2, 7, 1):
         bindings = dict(params, x=rng.uniform(size=(rows, 3)),
                         y=np.eye(4)[rng.integers(0, 4, rows)])
-        value, grads, _ = ad.value_and_grad(reused, bindings, ["W0", "b1"])
+        value, grads, _ = ad.value_and_grad(reused, bindings, ["W0", "b1", "x"])
         fresh_value, fresh_grads, _ = ad.value_and_grad(_mlp_ce_objective(dims), bindings,
-                                                        ["W0", "b1"])
+                                                        ["W0", "b1", "x"])
         assert value.tobytes() == fresh_value.tobytes()
         assert all(grads[k].tobytes() == fresh_grads[k].tobytes() for k in grads)
         assert ad.evaluate(reused, bindings).tobytes() == fresh_value.tobytes()
@@ -375,12 +352,13 @@ def test_outputs_are_each_terms_kernel_value():
     assert ad.evaluate(objective, bindings) == value
 
 
-@pytest.mark.parametrize("wrt", [["W0"], ["W1", "b0"], ["W0", "b0", "W1", "b1"], ["b1"]])
+@pytest.mark.parametrize("wrt", [["x"], ["x_ext", "x_out"], ["W0", "b0", "W1", "b1"], ["b1"]])
 def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
     dims = (3, 5, 4)
     objective = _divoe(dims)
     bindings = _divoe_bindings(dims, np.random.default_rng(8), 6, seed=4)
-    _, every, _ = ad.value_and_grad(objective, bindings, ["W0", "b0", "W1", "b1"])
+    _, every, _ = ad.value_and_grad(objective, bindings,
+                                    ["x", "x_out", "x_ext", "W0", "b0", "W1", "b1"])
     real = ad._accumulate
     fed: set[str] = set()
 
@@ -395,3 +373,12 @@ def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
         assert fed == set(wrt)
         assert sorted(grads) == sorted(wrt)
         assert all(grads[name].tobytes() == every[name].tobytes() for name in wrt)
+
+
+def test_unknown_primitive_is_rejected_on_every_call():
+    # A reduction other than "mean" or "sum" is refused, not taken for a sum.
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2)),
+                                     reduce="max"))
+    for _ in range(2):
+        with pytest.raises(KeyError, match="unknown reduction 'max'"):
+            ad.evaluate(objective, {**_layers((np.eye(2), np.zeros(2))), "x": np.ones((1, 2))})

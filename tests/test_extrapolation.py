@@ -4,7 +4,8 @@ import numpy as np
 import oracles
 import pytest
 
-from oodbench import model, numerics, scoring
+from oodbench import autodiff as ad
+from oodbench import losses, model, numerics, scoring
 from oodbench.errors import ConfigError
 from oodbench.extrapolation import (
     ExtrapolationConfig,
@@ -71,9 +72,11 @@ def test_extrapolation_actually_moves_loss(small_model):
 def test_recorded_values_match_uniform_loss(small_model):
     x = _batch(4, seed=6)
     out = pgd_extrapolate(small_model, x, ExtrapolationConfig(steps=3, pool=((0.05, 1.0),)))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph(small_model.dims)))
+    bindings = model.param_bindings(small_model)
 
     def uniform_loss(row):
-        return float(_uniform_loss(small_model, row[None, :])[0])
+        return float(ad.evaluate(objective, {**bindings, "x": row[None, :]}))
 
     for i in range(len(x)):
         before = uniform_loss(x[i])
@@ -170,22 +173,6 @@ def test_row_held_at_origin_never_aborts_on_its_gradient():
     np.testing.assert_array_equal(out.aborted, ref.aborted)
     np.testing.assert_allclose(out.initial_values, ref.initial_values, rtol=1e-12, atol=0)
     assert out.synthesized.tobytes() == x.tobytes()
-
-
-def test_failing_rows_cost_no_extra_passes(monkeypatch):
-    # Five of the eight rows abort, yet the block makes `steps` gradient passes
-    # and one value pass, each over all eight rows: no row is run again.
-    passes = []
-    for name in ("input_gradient", "forward"):
-        def counted(mlp, x, *rest, real=getattr(model, name), name=name):
-            passes.append((name, x.shape[0]))
-            return real(mlp, x, *rest)
-
-        monkeypatch.setattr(model, name, counted)
-    cfg = ExtrapolationConfig(steps=5, pool=((0.05, 1.0),))
-    out = pgd_extrapolate(_overflow_model(), _OVERFLOW_X, cfg)
-    assert out.aborted.sum() == 5
-    assert passes == [("input_gradient", 8)] * 5 + [("forward", 8)]
 
 
 def test_nonfinite_rows_leave_finite_rows_untouched():

@@ -15,8 +15,8 @@ def test_run_suite_passes():
 
 
 def test_corrupted_backward_pass_fails(monkeypatch, capsys):
-    # Skew every parameter gradient autodiff accumulates; the input cases
-    # (extrapolation, odin) do not go through it.
+    # Skew every gradient the backward pass accumulates into an input (a
+    # parameter or a batch).
     real_accumulate = ad._accumulate
 
     def skewed(grads, name, grad):
@@ -36,8 +36,8 @@ def test_every_loss_kind_is_a_case():
 
 @pytest.mark.parametrize("kind", gradcheck.CASES)
 def test_each_case_kind_passes(kind):
-    value, bindings, grads = gradcheck._case(kind, np.random.Generator(np.random.PCG64(11)))
-    err = gradcheck.finite_diff_check(value, bindings, grads, h=gradcheck.DEFAULT_STEP)
+    objective, bindings, grads = gradcheck._case(kind, np.random.Generator(np.random.PCG64(11)))
+    err = gradcheck.finite_diff_check(objective, bindings, grads, h=gradcheck.DEFAULT_STEP)
     assert err < gradcheck.DEFAULT_TOLERANCE
 
 
@@ -103,8 +103,9 @@ def _skew_row_dz(real, payload, z):
 ], ids=["mlp_dW0", "relu_mask", "ce_dz", "oe_dz", "odin_dz"])
 def test_skewed_kernel_backward_fails(monkeypatch, owner, name, mutation):
     # A pass looks the MLP backward up when it runs it, and gradcheck builds
-    # each case, which holds its per-row losses, after the patch. Only the
-    # odin case reads odin_rows, so odin_dz fails through the input path.
+    # each case's objective, which holds its per-row losses, after the patch.
+    # Only the odin case reads odin_rows, so odin_dz fails through the input
+    # gradient alone.
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: mutation(real, *args))
     result = gradcheck.run_suite(cases=20, seed=3)

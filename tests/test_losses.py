@@ -92,8 +92,9 @@ def test_oe_uniform_shift_invariance(row, shift):
 
 
 def test_oe_uniform_gradient_vanishes_at_constant_rows():
-    _, rowgrad = losses.oe_rows(None, np.full((3, 5), 1.7))
-    np.testing.assert_allclose(rowgrad, 0.0, atol=1e-15)
+    objective = ad.Objective(ad.Term(losses.oe_rows, _logits(5)))
+    grads = ad.gradient(objective, _identity(5, z=np.full((3, 5), 1.7)), ["z"])
+    np.testing.assert_allclose(grads["z"], 0.0, atol=1e-15)
 
 
 def test_oe_total_reductions():
@@ -188,13 +189,11 @@ def test_divoe_hand_composed_two_sides():
 def test_losses_differentiable_finite_diff():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(3, 4)) * 2.0
-    for rows, payload in ((losses.oe_rows, None),
-                          (losses.ce_rows, losses.onehot(rng.integers(0, 4, 3), 4))):
-        def value(bindings):
-            return np.add.reduce(rows(payload, bindings["z"])[0], axis=-1)
-
-        grads = {"z": rows(payload, z)[1]}
-        assert gradcheck.finite_diff_check(value, {"z": z}, grads) < 1e-6
+    for term in (ad.Term(losses.oe_rows, _logits(4)),
+                 ad.Term(losses.ce_rows, _logits(4), losses.onehot(rng.integers(0, 4, 3), 4))):
+        objective, bindings = ad.Objective(term), _identity(4, z=z)
+        grads = ad.gradient(objective, bindings, ["z"])
+        assert gradcheck.finite_diff_check(objective, bindings, grads) < 1e-6
 
 
 # Every per-row loss, with payloads that keep both hinge signs active on the

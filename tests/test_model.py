@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodbench import losses, model
+from oodbench import model
 from oodbench.errors import DataError
 
 
@@ -171,29 +171,6 @@ def test_kernel_forward_on_a_stack_equals_separate_passes(dims):
             z1, acts1 = model.mlp_forward(alone["x"], [alone[k] for k in names])
             assert z[s].tobytes() == z1.tobytes()
             assert [a[s].tobytes() for a in acts] == [a.tobytes() for a in acts1]
-
-
-def test_input_gradient_of_a_linear_model():
-    # No hidden layer: z = x W + b, so each row's input gradient is its row
-    # gradient times W.T, and its value is the loss on model.forward's logits.
-    m = model.init_model([3, 4], seed=5)
-    x = np.random.default_rng(8).uniform(0, 1, (6, 3))
-    values, dx = model.input_gradient(m, x, losses.oe_rows, None)
-    expected, rowgrad = losses.oe_rows(None, model.forward(m, x))
-    assert values.tobytes() == expected.tobytes()
-    assert dx.tobytes() == (rowgrad @ m.weights[0].T).tobytes()
-
-
-def test_input_gradient_rows_do_not_interact():
-    # A batch's values and input gradients are each row's alone, up to the
-    # rounding of a different row count.
-    m = model.init_model([2, 16, 16, 4], seed=9)
-    x = np.random.default_rng(10).uniform(0, 1, (7, 2))
-    values, dx = model.input_gradient(m, x, losses.oe_rows, None)
-    for i in range(len(x)):
-        v1, dx1 = model.input_gradient(m, x[i:i + 1], losses.oe_rows, None)
-        np.testing.assert_allclose(v1, values[i:i + 1], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(dx1, dx[i:i + 1], rtol=1e-12, atol=1e-15)
 
 
 def test_checkpoint_roundtrip(tmp_path):

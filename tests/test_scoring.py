@@ -108,13 +108,13 @@ def test_blocked_odin_equals_one_pass(monkeypatch):
     x = np.random.default_rng(12).uniform(0, 1, (n, 2))
     spec = scoring.ScoreSpec.odin_default()
     passes = []
-    input_gradient = model.input_gradient
+    gradient = scoring.ad.gradient
 
-    def counted(mlp, x, rows, payload):
-        passes.append(x.shape[0])
-        return input_gradient(mlp, x, rows, payload)
+    def counted(expr, bindings, wrt):
+        passes.append(bindings["x"].shape[0])
+        return gradient(expr, bindings, wrt)
 
-    monkeypatch.setattr(model, "input_gradient", counted)
+    monkeypatch.setattr(scoring.ad, "gradient", counted)
     blocked = scoring.compute_scores(m, x, spec)
     assert passes == [scoring.BLOCK_ROWS] * 2 + [n - 2 * scoring.BLOCK_ROWS]
     monkeypatch.setattr(scoring, "BLOCK_ROWS", n)
@@ -138,14 +138,6 @@ def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block, monkeypatch
     x[bad_block * scoring.BLOCK_ROWS + 5] = 0.5
     with pytest.raises(NumericError, match="non-finite gradient"):
         scoring.compute_scores(m, x, spec)
-
-
-def test_odin_non_finite_value_raises():
-    # Logit 0 overflows to -inf while logit 1, the predicted class, stays
-    # finite: the row's log-softmax value is NaN, but its input gradient is 0.
-    m = model.MlpClassifier((2, 2), (np.array([[-1e308, 1.0], [-1e308, 1.0]]),), (np.zeros(2),))
-    with pytest.raises(NumericError, match="non-finite result of odin_rows"):
-        scoring.odin_score(m, np.ones((1, 2)), top=np.array([1]))
 
 
 @pytest.mark.parametrize("dims, kind", [((2, 8, 8, 3), kind) for kind in scoring.ScoreSpec.KINDS]
