@@ -235,7 +235,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
 
 
 def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
-    """Monte Carlo bound check; writes per-trial rows and prints the violation fraction."""
+    """Monte Carlo bound check; writes per-trial rows, prints the violation fraction and
+    the smallest margin."""
     out = _out_dir(cfg)
     t = cfg.theory
     mu = np.full(t.dim, t.mu_norm / np.sqrt(t.dim))
@@ -253,7 +254,8 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
             writer.writerow([trial.trial, repr(trial.ratio), repr(trial.rhs),
                              int(trial.satisfied)])
         writer.writerow(["violation_fraction", repr(check.violation_fraction), "", ""])
-    print(f"violation fraction: {check.violation_fraction:.2f} over {t.trials} trials")
+    print(f"violation fraction: {check.violation_fraction:.2f} over {t.trials} trials, "
+          f"smallest margin (ratio - rhs) {check.min_margin:.4f}")
     if check.trials[0].rhs <= 0:
         print(f"warning: the bound's right-hand side is {check.trials[0].rhs!r} <= 0, "
               "so the check tests nothing", file=sys.stderr)

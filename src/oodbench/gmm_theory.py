@@ -3,8 +3,10 @@
 ID data is N(mu, sigma^2 I), surrogate outliers are N(-mu, sigma^2 I),
 and the classifier is the scaled mean difference theta*. The lower bound
 on mu^T theta* / (sigma ||theta*||) is checked by Monte Carlo over
-outlier sets built to satisfy the boundary-margin constraint by per-point
-rejection.
+outlier sets built to satisfy the boundary-margin constraint point by
+point. The constraint reads only a point's coordinate along mu, so the
+sampler rejects on that one coordinate and then adds the independent
+orthogonal part of the Gaussian.
 
 Callers pass parameters the run configuration has already checked (see
 ``config.TheoryConfig``); ``GmmSpec`` and ``TheoryParams`` are plain records.
@@ -74,26 +76,40 @@ def bound_rhs(mu_norm: float, sigma: float, n: int, d: int, alpha: float, tau: f
 
 def sample_constrained_outliers(spec: GmmSpec, n: int, level: float,
                                 rng: np.random.Generator) -> np.ndarray:
-    """Rejection-sample n points from N(-mu, sigma^2 I) with |2 x^T mu| <= sigma^2 * level.
+    """Sample n points from N(-mu, sigma^2 I) with |2 x^T mu| <= sigma^2 * level.
 
-    The per-point condition is sufficient for the summed boundary-margin
-    constraint. Raises NumericError when MAX_REJECTION_DRAWS draws yield too
-    few points, which signals infeasible parameters.
+    With u = mu / ||mu||, a point of N(-mu, sigma^2 I) is s u plus an
+    independent orthogonal part N(0, sigma^2 (I - u u^T)), where
+    s ~ N(-||mu||, sigma^2) and x^T mu = s ||mu||. So candidates are scalar
+    draws of s, rejected on |s ||mu||| <= sigma^2 * level / 2; each accepted
+    s gets its orthogonal part sigma (z - (z^T u) u), z ~ N(0, I). The built
+    rows are checked again on x^T mu itself, so rounding cannot let a row
+    past the constraint. The per-point condition is sufficient for the
+    summed boundary-margin constraint. Raises NumericError when
+    MAX_REJECTION_DRAWS candidates yield too few points, which signals
+    infeasible parameters.
     """
+    mu_norm = float(np.linalg.norm(spec.mu))
+    u = spec.mu / mu_norm
     threshold = spec.sigma ** 2 * level / 2.0
     accepted: list[np.ndarray] = []
+    kept = 0
     drawn = 0
     chunk = max(2048, 4 * n)
-    while sum(a.shape[0] for a in accepted) < n:
+    while kept < n:
         if drawn >= MAX_REJECTION_DRAWS:
             raise NumericError(
                 f"rejection sampler exhausted {MAX_REJECTION_DRAWS} draws "
                 f"(acceptance too rare for level={level})")
-        batch = -spec.mu + spec.sigma * rng.standard_normal((chunk, spec.dim))
+        s = -mu_norm + spec.sigma * rng.standard_normal(chunk)
         drawn += chunk
-        keep = np.abs(batch @ spec.mu) <= threshold
-        if np.any(keep):
-            accepted.append(batch[keep])
+        s = s[np.abs(s * mu_norm) <= threshold]
+        if s.size:
+            z = rng.standard_normal((s.size, spec.dim))
+            x = np.outer(s, u) + spec.sigma * (z - np.outer(z @ u, u))
+            x = x[np.abs(x @ spec.mu) <= threshold]
+            accepted.append(x)
+            kept += x.shape[0]
     return np.concatenate(accepted)[:n]
 
 
@@ -109,6 +125,7 @@ class BoundTrial:
 class BoundCheck:
     trials: list[BoundTrial]
     violation_fraction: float
+    min_margin: float   # smallest ratio - rhs over the trials; negative iff some trial fails
 
 
 def verify_bound(spec: GmmSpec, params: TheoryParams, rng: np.random.Generator) -> BoundCheck:
@@ -129,5 +146,6 @@ def verify_bound(spec: GmmSpec, params: TheoryParams, rng: np.random.Generator) 
         ok = ratio >= rhs
         violations += 0 if ok else 1
         trials.append(BoundTrial(trial=t, ratio=ratio, rhs=rhs, satisfied=ok))
-    return BoundCheck(trials=trials, violation_fraction=violations / params.trials)
+    return BoundCheck(trials=trials, violation_fraction=violations / params.trials,
+                      min_margin=min(t.ratio - t.rhs for t in trials))
 

@@ -1,5 +1,6 @@
 """Brute-force oracle twins for the detection metrics, informative
-extrapolation and the finite-difference gradient check.
+extrapolation, the finite-difference gradient check and the Gaussian-mixture
+outlier sampler.
 
 Every function here recomputes its result from the definition with plain
 loops, independent of the library implementations.
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from oodbench import autodiff as ad
+from oodbench import gmm_theory
 from oodbench import losses
 from oodbench import model as model_mod
 from oodbench import numerics
@@ -134,3 +136,23 @@ def finite_diff_check_loop(objective, bindings, grads, h=1e-5) -> float:
             if err > worst:
                 worst = err
     return worst
+
+
+def constrained_outliers_full(spec, n, level, rng) -> np.ndarray:
+    """Rejection-sample n points from N(-mu, sigma^2 I) with |2 x^T mu| <= sigma^2 * level,
+    drawing every candidate as a full d-dimensional point."""
+    threshold = spec.sigma ** 2 * level / 2.0
+    accepted = []
+    drawn = 0
+    chunk = max(2048, 4 * n)
+    while sum(a.shape[0] for a in accepted) < n:
+        if drawn >= gmm_theory.MAX_REJECTION_DRAWS:
+            raise NumericError(
+                f"rejection sampler exhausted {gmm_theory.MAX_REJECTION_DRAWS} draws "
+                f"(acceptance too rare for level={level})")
+        batch = -spec.mu + spec.sigma * rng.standard_normal((chunk, spec.dim))
+        drawn += chunk
+        keep = np.abs(batch @ spec.mu) <= threshold
+        if np.any(keep):
+            accepted.append(batch[keep])
+    return np.concatenate(accepted)[:n]

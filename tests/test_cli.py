@@ -333,12 +333,37 @@ def test_theory_verify_fails_against_a_bound_no_ratio_can_meet(tmp_path, capsys,
                         lambda mu_norm, sigma, n, d, alpha, tau: mu_norm / sigma + 1.0)
     argv = ["--out", str(tmp_path), "--set", "theory.trials=4", "theory-verify"]
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out == "violation fraction: 1.00 over 4 trials\n"
     with (tmp_path / "theory.csv").open(encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 4 + 2  # header, trials, violation fraction: what perfbench reads
     assert [row[3] for row in rows[1:-1]] == ["0"] * 4
     assert rows[-1][:2] == ["violation_fraction", "1.0"]
+    margin = min(float(row[1]) - float(row[2]) for row in rows[1:-1])
+    assert margin < 0
+    assert capsys.readouterr().out == (
+        f"violation fraction: 1.00 over 4 trials, smallest margin (ratio - rhs) {margin:.4f}\n")
+
+
+def test_theory_verify_prints_the_smallest_margin(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "--set", "theory.trials=5", "theory-verify"]
+    assert cli.main(argv) == 0
+    with (tmp_path / "theory.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:-1]
+    margin = min(float(ratio) - float(rhs) for _, ratio, rhs, _ in rows)
+    assert margin > 0
+    out = capsys.readouterr().out
+    assert out == f"violation fraction: 0.00 over 5 trials, smallest margin (ratio - rhs) {margin:.4f}\n"
+
+
+def test_theory_verify_exits_4_when_the_level_is_infeasible(tmp_path, capsys):
+    # At level alpha - tau = 0.1 with ||mu|| 4, about 3 in a million candidates pass,
+    # so the first trial runs out of candidates before it has its 50 outliers.
+    argv = ["--out", str(tmp_path), "--set", "theory.alpha=0.1", "theory-verify"]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "exhausted 2000000 draws" in captured.err
+    assert captured.out == "" and not (tmp_path / "theory.csv").exists()
 
 
 def test_extrapolate_creates_the_samples_directory(tmp_path):

@@ -3,9 +3,11 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from oodbench import gmm_theory
+from oodbench.config import TheoryConfig
 from oodbench.errors import NumericError
 
 
@@ -42,6 +44,41 @@ def test_constrained_outliers_meet_the_level():
     assert np.all(np.abs(2.0 * x @ spec.mu) <= spec.sigma ** 2 * level)
 
 
+def test_constrained_outliers_match_the_full_vector_oracle():
+    # Rejecting on the projection and adding the orthogonal part leaves the
+    # distribution of the full-vector rejection sampler: compare the mean vector
+    # and every covariance entry, each within 4 two-sample standard errors.
+    spec = gmm_theory.GmmSpec(mu=np.array([1.0, -2.0, 0.5]), sigma=1.5)
+    n = 20_000
+    fast = gmm_theory.sample_constrained_outliers(spec, n, 0.8, _rng(1))
+    full = oracles.constrained_outliers_full(spec, n, 0.8, _rng(2))
+
+    def within(a, b):
+        se = np.sqrt(a.var(axis=0) / a.shape[0] + b.var(axis=0) / b.shape[0])
+        return np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4.0 * se)
+
+    def products(x):
+        c = x - x.mean(axis=0)
+        return (c[:, :, None] * c[:, None, :]).reshape(x.shape[0], -1)
+
+    assert within(fast, full)
+    assert within(products(fast), products(full))
+
+
+def test_verify_bound_mean_ratio_matches_the_oracle_sampler(monkeypatch):
+    t = TheoryConfig()
+    spec = gmm_theory.GmmSpec(mu=np.full(t.dim, t.mu_norm / math.sqrt(t.dim)), sigma=t.sigma)
+    params = gmm_theory.TheoryParams(n1=t.n1, n2=t.n2, alpha=t.alpha, tau=t.tau,
+                                     trials=t.trials)
+    fast = gmm_theory.verify_bound(spec, params, _rng(5))
+    monkeypatch.setattr(gmm_theory, "sample_constrained_outliers",
+                        oracles.constrained_outliers_full)
+    full = gmm_theory.verify_bound(spec, params, _rng(5))
+    # Over 100 trials each mean has a standard error of about 0.0012.
+    mean = [np.mean([trial.ratio for trial in check.trials]) for check in (fast, full)]
+    assert abs(mean[0] - mean[1]) <= 0.006
+
+
 def test_infeasible_level_raises(monkeypatch):
     monkeypatch.setattr(gmm_theory, "MAX_REJECTION_DRAWS", 10_000)
     spec = gmm_theory.GmmSpec(mu=np.array([1.0, 1.0]), sigma=1.0)
@@ -62,3 +99,12 @@ def test_verify_bound_is_deterministic_and_counts_violations():
     assert 0 < below < 40
     assert a.violation_fraction == below / 40
     assert all(t.satisfied == (t.ratio >= t.rhs) for t in a.trials)
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_min_margin_is_the_smallest_ratio_minus_rhs(n):
+    spec = gmm_theory.GmmSpec(mu=np.full(2, 1.2 / math.sqrt(2.0)), sigma=1.0)
+    params = gmm_theory.TheoryParams(n1=n, n2=n, alpha=0.5, tau=0.0, trials=40)
+    check = gmm_theory.verify_bound(spec, params, _rng(11))
+    assert check.min_margin == min(t.ratio - t.rhs for t in check.trials)
+    assert (check.min_margin < 0) == (check.violation_fraction > 0)
