@@ -5,14 +5,14 @@ report. Every command is deterministic given (config, seed) and writes
 only under the declared output directory. Exit codes: 0 success, 2 a
 ConfigError (config or argument), 3 a DataError or OSError (input file), 4 a
 NumericError or a gradcheck FAIL. Each input is checked once, where it is
-read: a dataset CSV by ``_read_csv``, a checkpoint by ``model.load_checkpoint``,
-the config by its dataclasses. Any other exception is a programming error and escapes.
+read: a dataset CSV by ``_read_csv`` (one that cannot be decoded, UTF-8 or CSV,
+is a DataError too), a checkpoint by ``model.load_checkpoint``, the config by
+its dataclasses. Any other exception is a programming error and escapes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -204,33 +204,28 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
     # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
     n = x.shape[0]
-    batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation,
-                            epsilon=np.repeat(grid, n))
+    eps = np.repeat(np.asarray(grid, dtype=np.float64), n)
+    batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation, epsilon=eps)
     score_before = scoring.compute_scores(mlp, x, score_spec)
     score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
     dump_path = Path(dump_csv)
     samples_path = Path(samples_csv) if samples_csv else dump_path.with_name("synthesized.csv")
     for path in (dump_path, samples_path):
         path.parent.mkdir(parents=True, exist_ok=True)
-    with dump_path.open("w", encoding="utf-8", newline="\n") as dump_fh, \
-            samples_path.open("w", encoding="utf-8", newline="\n") as samples_fh:
-        dump_writer = csv.writer(dump_fh, lineterminator="\n")
-        dump_writer.writerow(["index", "epsilon", "loss_before", "loss_after",
-                              "score_before", "score_after"])
-        sample_writer = csv.writer(samples_fh, lineterminator="\n")
-        sample_writer.writerow(["index", "epsilon"] + [f"x{i}" for i in range(x.shape[1])])
-        for k, eps in enumerate(grid):
-            rows = slice(k * n, (k + 1) * n)
-            for i, j in enumerate(range(k * n, (k + 1) * n)):
-                dump_writer.writerow([
-                    i, repr(float(eps)), repr(float(batch.initial_values[j])),
-                    repr(float(batch.final_values[j])), repr(float(score_before[i])),
-                    repr(float(score_after[j]))])
-                sample_writer.writerow([i, repr(float(eps))] +
-                                       [format(v, ".17g") for v in batch.synthesized[j]])
-            print(f"epsilon {eps}: mean uniform loss {batch.initial_values[rows].mean():.6f} -> "
-                  f"{batch.final_values[rows].mean():.6f}, mean {score_spec.kind} "
-                  f"{score_before.mean():.6f} -> {score_after[rows].mean():.6f}")
+    index, radii = list(range(n)) * len(grid), eps.tolist()
+    data_mod.write_table(
+        dump_path, ["index", "epsilon", "loss_before", "loss_after", "score_before", "score_after"],
+        zip(index, radii, batch.initial_values.tolist(), batch.final_values.tolist(),
+            score_before.tolist() * len(grid), score_after.tolist()))
+    data_mod.write_table(
+        samples_path, ["index", "epsilon", *(f"x{i}" for i in range(x.shape[1]))],
+        ([i, e, *(format(v, ".17g") for v in row)]
+         for i, e, row in zip(index, radii, batch.synthesized.tolist())))
+    for k, radius in enumerate(grid):
+        rows = slice(k * n, (k + 1) * n)
+        print(f"epsilon {radius}: mean uniform loss {batch.initial_values[rows].mean():.6f} -> "
+              f"{batch.final_values[rows].mean():.6f}, mean {score_spec.kind} "
+              f"{score_before.mean():.6f} -> {score_after[rows].mean():.6f}")
     return 0
 
 
@@ -247,13 +242,9 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
     check = gmm_theory.verify_bound(spec, params, rng)
     path = Path(out_csv) if out_csv else out / "theory.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "ratio", "rhs", "satisfied"])
-        for trial in check.trials:
-            writer.writerow([trial.trial, repr(trial.ratio), repr(trial.rhs),
-                             int(trial.satisfied)])
-        writer.writerow(["violation_fraction", repr(check.violation_fraction), "", ""])
+    data_mod.write_table(path, ["trial", "ratio", "rhs", "satisfied"],
+                         [*([t.trial, t.ratio, t.rhs, int(t.satisfied)] for t in check.trials),
+                          ["violation_fraction", check.violation_fraction, None, None]])
     print(f"violation fraction: {check.violation_fraction:.2f} over {t.trials} trials, "
           f"smallest margin (ratio - rhs) {check.min_margin:.4f}")
     if check.trials[0].rhs <= 0:
@@ -276,13 +267,10 @@ def cmd_gradcheck(cases: int, seed: int) -> int:
 
 def _write_report_csv(path: Path, reports: list[metrics_mod.DetectionReport]) -> int:
     """One row per (report, OOD set), average row included; returns the row count."""
-    rows = [[report.method, report.score_kind, row.set_name, repr(row.fpr95),
-             repr(row.auroc), repr(row.aupr), repr(report.id_accuracy)]
-            for report in reports for row in report.results + [report.average]]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"])
-        writer.writerows(rows)
+    rows = [[report.method, report.score_kind, row.set_name, row.fpr95, row.auroc, row.aupr,
+             report.id_accuracy] for report in reports for row in report.results + [report.average]]
+    data_mod.write_table(path, ["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"],
+                         rows)
     return len(rows)
 
 

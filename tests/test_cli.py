@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 from test_config import PROBES
 
-from oodbench import cli, data, gmm_theory, model, scoring
+from oodbench import cli, config, data, gmm_theory, model, scoring
 from oodbench.extrapolation import ExtrapolationConfig, pgd_extrapolate
 
 
@@ -86,6 +88,48 @@ def _evaluated_run(tmp_path):
     for command in ("gen-data", "train", "eval"):
         assert cli.main(base + [command]) == 0
     return base
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    """The file a per-row ``csv.writer`` writes: the reference for the result tables."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_report_and_theory_tables_match_per_row_csv_writer(tmp_path):
+    label = 'a,"b'
+    cfg_path = _tiny_config(tmp_path)
+    run = tmp_path / "run"
+    base = ["--config", str(cfg_path), "--out", str(run), "--set", f"outputs.method_label={label}"]
+    for command in ("gen-data", "train", "eval"):
+        assert cli.main(base + [command]) == 0
+    docs = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    assert {doc["method"] for doc in docs} == {label}
+    header = ["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"]
+    rows = [[doc["method"], doc["score_kind"], r["set_name"], repr(r["fpr95"]), repr(r["auroc"]),
+             repr(r["aupr"]), repr(doc["id_accuracy"])] for doc in docs for r in doc["ood_sets"]]
+    assert (run / "report.csv").read_bytes() == _csv_writer_bytes([header, *rows])
+    merged = tmp_path / "merged.csv"
+    assert cli.main(["report", str(run / "report.json"), str(run / "report.json"),
+                     "--out-csv", str(merged)]) == 0
+    assert merged.read_bytes() == _csv_writer_bytes([header, *rows, *rows])
+
+    assert cli.main(base + ["--set", "theory.trials=3", "theory-verify"]) == 0
+    cfg = config.load_config(cfg_path, ["theory.trials=3"])
+    t = cfg.theory
+    check = gmm_theory.verify_bound(
+        gmm_theory.GmmSpec(mu=np.full(t.dim, t.mu_norm / np.sqrt(t.dim)), sigma=t.sigma),
+        gmm_theory.TheoryParams(n1=t.n1, n2=t.n2, alpha=t.alpha, tau=t.tau, trials=t.trials),
+        np.random.Generator(np.random.PCG64(config.component_seed(cfg.seed, "theory"))))
+    assert len(check.trials) == 3
+    assert (run / "theory.csv").read_bytes() == _csv_writer_bytes([
+        ["trial", "ratio", "rhs", "satisfied"],
+        *([str(r.trial), repr(r.ratio), repr(r.rhs), str(int(r.satisfied))]
+          for r in check.trials),
+        ["violation_fraction", repr(check.violation_fraction), "", ""]])
 
 
 def test_report_rewrites_the_eval_csv_byte_for_byte(tmp_path):
@@ -191,8 +235,9 @@ _NO_HIDDEN_LAYER = ('{"format_version": 1, "dims": [2, 3], "weights": [[1, 0, 0,
                     '"biases": [[0, 0, 0]]}')
 
 # Each is one input file with the one fault a check where the CLI reads it
-# refuses: a label outside [0, classes) (3 here), a width other than the
-# model's or none at all, a value outside data.DOMAIN, no rows; then a
+# refuses: a label outside [0, classes) (3 here) or outside intp, a width
+# other than the model's or none at all, a value outside data.DOMAIN, no rows,
+# bytes that are not UTF-8, a field over csv's length limit; then a
 # checkpoint with no hidden layer for ash_energy to shape. Fields: command,
 # extra arguments, the file (under the run directory; input.csv is
 # extrapolate's --input and a .json is eval's --checkpoint), its content.
@@ -200,6 +245,8 @@ BAD_DATA = [
     pytest.param("train", [], "id_train.csv", "x0,x1,label\n0.5,0.5,7\n", id="train-label-7"),
     pytest.param("eval", [], "id_test.csv", "x0,x1,label\n0.5,0.5,7\n", id="eval-label-7"),
     pytest.param("eval", [], "id_test.csv", "x0,x1,label\n0.5,0.5,-1\n", id="eval-label-minus-1"),
+    pytest.param("train", [], "id_train.csv", "x0,x1,label\n0.5,0.5,99999999999999999999\n",
+                 id="train-label-outside-intp"),
     pytest.param("eval", [], "ood_ring.csv", "x0,x1,x2\n0.1,0.2,0.3\n", id="eval-3-columns"),
     pytest.param("extrapolate", [], "input.csv", "x0,x1,x2\n0.1,0.2,0.3\n",
                  id="extrapolate-3-columns"),
@@ -212,6 +259,11 @@ BAD_DATA = [
     pytest.param("train", _CE, "id_train.csv", "label\n0\n", id="ce-no-feature-columns"),
     pytest.param("train", _OE, "aux_out.csv", "x0,x1\n", id="oe-aux-no-rows"),
     pytest.param("extrapolate", [], "input.csv", "x0,x1\n", id="extrapolate-no-rows"),
+    pytest.param("eval", [], "ood_ring.csv", b"x0,x1\n0.5,\xff\n", id="eval-not-utf-8"),
+    pytest.param("extrapolate", [], "input.csv", b"x0,x1\n\xff,0.5\n",
+                 id="extrapolate-not-utf-8"),
+    pytest.param("eval", [], "ood_ring.csv", "x0,x1\n0." + "5" * 131072 + ",0.5\n",
+                 id="eval-field-over-limit"),
     pytest.param("eval", _ASH, "flat.json", _NO_HIDDEN_LAYER, id="eval-ash-without-hidden-layer"),
 ]
 OUTPUTS = {"train": ["checkpoint.json", "history.csv"],
@@ -227,7 +279,7 @@ def test_bad_data_exits_3(tmp_path, capsys, command, extra, name, content):
     if command != "train":
         assert cli.main(base + ["train"]) == 0
     bad = run / name
-    bad.write_text(content, encoding="utf-8")
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     argv = {"train": ["train"],
             "eval": ["eval", "--checkpoint", str(bad)] if name.endswith(".json") else ["eval"],
             "extrapolate": ["extrapolate", "--input", str(bad),

@@ -36,12 +36,32 @@ def test_csv_round_trip_empty_dataset(tmp_path):
     ("x0,label\n0.1,one\n", "bad label"),
     ("a,b\n", "unexpected header"),
     ("", "empty file"),
+    ("x0,label\n0.1,0\n0.2,99999999999999999999\n", ":3: bad label"),
+    pytest.param(b"x0,x1\n0.1,\xff\n", "can't decode byte 0xff", id="not-utf-8"),
+    pytest.param("x0,x1\n0." + "1" * 131072 + ",0.2\n", "field limit", id="field-over-limit"),
 ])
 def test_load_csv_rejects_malformed_rows(tmp_path, text, match):
     path = tmp_path / "bad.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(DataError, match=match):
         data.load_csv(path)
+
+
+def test_write_table_matches_per_row_csv_writer(tmp_path):
+    header = ["a", "b,c", "d"]
+    rows = [[None, -0.0, 5e-324], [1e16, 'say "hi", twice', 3]]
+    for table in (rows, []):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in table:
+            writer.writerow(row)
+        data.write_table(tmp_path / "t.csv", header, iter(table))
+        assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    assert (tmp_path / "t.csv").read_bytes() == b'a,"b,c",d\n'
+    data.write_table(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes().splitlines()[1:] == [
+        b",-0.0,5e-324", b'1e+16,"say ""hi"", twice",3']
 
 
 def _csv_writer_bytes(dataset) -> bytes:
