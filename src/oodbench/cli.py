@@ -7,12 +7,16 @@ ConfigError (config or argument), 3 a DataError or OSError (input file), 4 a
 NumericError or a gradcheck FAIL. Each input is checked once, where it is
 read: a dataset CSV by ``_read_csv`` (one that cannot be decoded, UTF-8 or CSV,
 is a DataError too), a checkpoint by ``model.load_checkpoint``, the config by
-its dataclasses. Any other exception is a programming error and escapes.
+its dataclasses. The config, checkpoint and report files are read by
+``data.read_json``: one that is missing or unreadable, or that the JSON parser
+refuses (nested too deep, an integer too long), is its reader's typed error.
+Any other exception is a programming error and escapes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -40,25 +44,22 @@ def _out_dir(cfg: config_mod.RunConfig) -> Path:
 
 
 def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
-    """Write id_train/id_test/aux_out/ood_<name> CSVs plus the transform record."""
+    """Write id_train/id_test/aux_out/ood_<name> CSVs, each scaled by the min-max
+    transform fitted on the raw id_train set, plus the transform record."""
     out = _out_dir(cfg)
     d = cfg.data
     seed = config_mod.component_seed(cfg.seed, "data")
-    raw_train = data_mod.gen_id_mixture_raw(d.classes, d.per_class, seed)
-    raw_test = data_mod.gen_id_mixture_raw(d.classes, d.test_per_class, seed + 1)
-    transform = data_mod.fit_minmax(raw_train.x)
-    id_train = data_mod.LabeledDataset(transform.apply(raw_train.x), raw_train.y)
-    id_test = data_mod.LabeledDataset(transform.apply(raw_test.x), raw_test.y)
-    aux = data_mod.gen_arc_outliers(d.aux.inner_radius, d.aux.outer_radius,
-                                    d.aux.arc_fraction, d.aux.count, seed + 2, transform)
-    data_mod.save_csv(id_train, out / "id_train.csv")
-    data_mod.save_csv(id_test, out / "id_test.csv")
-    data_mod.save_csv(aux, out / "aux_out.csv")
-    (out / "transform.json").write_text(transform.to_json(), encoding="utf-8")
+    sets = {"id_train": data_mod.gen_id_mixture_raw(d.classes, d.per_class, seed),
+            "id_test": data_mod.gen_id_mixture_raw(d.classes, d.test_per_class, seed + 1),
+            "aux_out": data_mod.gen_arc_outliers(d.aux.inner_radius, d.aux.outer_radius,
+                                                 d.aux.arc_fraction, d.aux.count, seed + 2)}
     for i, (name, spec) in enumerate(sorted(d.ood_sets.items())):
-        ood = data_mod.gen_ring_ood(spec.inner_radius, spec.outer_radius, spec.count,
-                                    seed + 3 + i, transform)
-        data_mod.save_csv(ood, out / f"ood_{name}.csv")
+        sets[f"ood_{name}"] = data_mod.gen_ring_ood(spec.inner_radius, spec.outer_radius,
+                                                    spec.count, seed + 3 + i)
+    transform = data_mod.fit_minmax(sets["id_train"].x)
+    for name, ds in sets.items():
+        data_mod.save_csv(dataclasses.replace(ds, x=transform.apply(ds.x)), out / f"{name}.csv")
+    (out / "transform.json").write_text(transform.to_json(), encoding="utf-8")
     print(f"wrote benchmark data to {out}")
     return 0
 
@@ -279,10 +280,8 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
     reports = []
     for rp in report_paths:
         path = Path(rp)
-        if not path.exists():
-            raise DataError(f"report not found: {path}")
         try:
-            docs = json.loads(path.read_text(encoding="utf-8"))
+            docs = data_mod.read_json(path, DataError, "report")
             if not isinstance(docs, list):
                 raise TypeError("expected a list of reports")
             reports.extend(metrics_mod.DetectionReport.from_dict(doc) for doc in docs)

@@ -25,8 +25,8 @@ import re
 import types
 import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from .data import read_json
 from .errors import ConfigError
 from .extrapolation import ExtrapolationConfig
 from .numerics import derive_seed
@@ -221,7 +221,10 @@ def _parse(tp, value, where: str):
     if isinstance(value, bool) and tp is not bool:
         raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
     if tp is float and isinstance(value, int):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be finite, got {value!r}") from None
     if tp is int and isinstance(value, float) and value.is_integer():
         return int(value)
     if not isinstance(value, tp):
@@ -256,17 +259,7 @@ def load_config(path=None, overrides=(), *, seed: int | None = None,
                 out: str | None = None) -> RunConfig:
     """Read ``path`` (the empty document when None), apply the ``--set``
     overrides, then ``seed`` and ``out`` when given, and parse the result."""
-    doc = {}
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:  # a directory, or a file we may not read
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    doc = {} if path is None else read_json(path, ConfigError, "config file")
     overrides = list(overrides)
     if seed is not None:
         overrides.append(f"seed={int(seed)}")
@@ -285,7 +278,7 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
         key, raw_value = item.split("=", 1)
         try:
             value = json.loads(raw_value)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON the parser accepts: the raw string
             value = raw_value
         node = doc
         parts = key.split(".")

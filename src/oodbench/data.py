@@ -2,10 +2,11 @@
 
 The benchmark geometry: C Gaussian blobs on a circle form the ID task;
 auxiliary outliers live on an annulus arc (limited angular coverage) and
-the unseen OOD test set covers the full ring. Raw coordinates are mapped
-into DOMAIN, [0,1] per feature, by a min-max transform fitted on the ID
-training set; perturbation radii are in normalized input units, and every
-perturbed input (extrapolation, ODIN) is clipped back into DOMAIN.
+the unseen OOD test set covers the full ring. The generators return raw
+coordinates. gen-data maps every set into DOMAIN, [0,1] per feature, by the
+one min-max transform fitted on the raw ID training set; perturbation radii
+are in normalized input units, and every perturbed input (extrapolation,
+ODIN) is clipped back into DOMAIN.
 
 The generators and ``batches`` take values the run configuration has
 already checked (see ``config``); the CSV reader checks each line it reads.
@@ -13,6 +14,8 @@ The CLI then checks each dataset CSV against what the code below it relies
 on: at least one row, the model's feature width, every value inside DOMAIN
 and every label in [0, C). gen-data output always meets this contract.
 
+``read_json`` reads each JSON input (config, checkpoint, report) and maps
+any file it cannot read or parse to the caller's typed error.
 ``write_table`` writes the small result tables. ``save_csv`` and
 ``scoring.write_score_csv`` format the two large ones in blocks, the bytes of
 a per-row ``csv.writer`` in less time (2-vCPU Xeon VM, best 3 of 7: 40k
@@ -103,39 +106,20 @@ def gen_id_mixture_raw(n_classes: int, per_class: int, seed: int) -> LabeledData
     return LabeledDataset(np.concatenate(xs), np.concatenate(ys))
 
 
-def _annulus_raw(inner_r: float, outer_r: float, n: int, rng: np.random.Generator,
-                 angle_lo: float, angle_hi: float) -> np.ndarray:
-    theta = rng.uniform(angle_lo, angle_hi, size=n)
-    # Area-uniform radius within the band.
+def gen_arc_outliers(inner_r: float, outer_r: float, arc_fraction: float, n: int,
+                     seed: int) -> UnlabeledDataset:
+    """Limited-coverage auxiliary outliers: area-uniform annulus samples on the
+    arc of angles [0, 2*pi*arc_fraction)."""
+    rng = _rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi * arc_fraction, size=n)
     u = rng.uniform(0.0, 1.0, size=n)
     r = np.sqrt(inner_r ** 2 + u * (outer_r ** 2 - inner_r ** 2))
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    return UnlabeledDataset(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
 
 
-def gen_ring_ood_raw(inner_r: float, outer_r: float, n: int, seed: int) -> UnlabeledDataset:
-    """Uniform annulus samples over the full circle, raw coordinates."""
-    return UnlabeledDataset(_annulus_raw(inner_r, outer_r, n, _rng(seed), 0.0, 2.0 * np.pi))
-
-
-def gen_ring_ood(inner_r: float, outer_r: float, n: int, seed: int,
-                 transform: MinMaxTransform) -> UnlabeledDataset:
-    """Full-ring OOD set, normalized with the ID dataset's transform."""
-    raw = gen_ring_ood_raw(inner_r, outer_r, n, seed)
-    return UnlabeledDataset(transform.apply(raw.x))
-
-
-def gen_arc_outliers_raw(inner_r: float, outer_r: float, arc_fraction: float, n: int,
-                         seed: int) -> UnlabeledDataset:
-    """Annulus samples restricted to a contiguous arc starting at angle 0."""
-    return UnlabeledDataset(_annulus_raw(inner_r, outer_r, n, _rng(seed),
-                                         0.0, 2.0 * np.pi * arc_fraction))
-
-
-def gen_arc_outliers(inner_r: float, outer_r: float, arc_fraction: float, n: int,
-                     seed: int, transform: MinMaxTransform) -> UnlabeledDataset:
-    """Limited-coverage auxiliary outliers, normalized with the ID transform."""
-    raw = gen_arc_outliers_raw(inner_r, outer_r, arc_fraction, n, seed)
-    return UnlabeledDataset(transform.apply(raw.x))
+def gen_ring_ood(inner_r: float, outer_r: float, n: int, seed: int) -> UnlabeledDataset:
+    """The full-ring OOD set: the whole annulus as one arc."""
+    return gen_arc_outliers(inner_r, outer_r, 1.0, n, seed)
 
 
 # -- CSV I/O ---------------------------------------------------------------------
@@ -165,6 +149,21 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_json(path, error: type[Exception], what: str):
+    """The JSON document at ``path``; a file that is missing, cannot be read, or
+    is not JSON the parser accepts (not UTF-8, nested too deep, an integer of
+    too many digits) raises ``error`` naming ``what`` and the path."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:  # a directory, or a file we may not read
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def load_csv(path):

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import read_json
 from .errors import DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -185,13 +186,7 @@ def save_checkpoint(model: MlpClassifier, path, seed: int | None = None) -> None
 
 
 def load_checkpoint(path) -> MlpClassifier:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, DataError, "checkpoint")
     if not isinstance(doc, dict):
         raise DataError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:

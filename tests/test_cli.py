@@ -54,6 +54,35 @@ def test_train_before_gen_data_exits_3(tmp_path, capsys):
     assert "run gen-data first" in capsys.readouterr().err
 
 
+def test_gen_data_scales_every_set_by_the_id_train_transform(tmp_path):
+    # "far" sorts before "ring", so the OOD seeds follow sorted, not insertion, order.
+    doc = {"seed": 4, "outputs": {"dir": str(tmp_path / "run")},
+           "data": {"classes": 3, "per_class": 8, "test_per_class": 4,
+                    "aux": {"count": 16, "arc_fraction": 0.5},
+                    "ood_sets": {"ring": {"count": 8},
+                                 "far": {"inner_radius": 3.0, "outer_radius": 4.0, "count": 6}}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["--config", str(path), "gen-data"]) == 0
+    seed = config.component_seed(4, "data")
+    raw = {"id_train": data.gen_id_mixture_raw(3, 8, seed),
+           "id_test": data.gen_id_mixture_raw(3, 4, seed + 1),
+           "aux_out": data.gen_arc_outliers(1.5, 2.2, 0.5, 16, seed + 2),
+           "ood_far": data.gen_ring_ood(3.0, 4.0, 6, seed + 3),
+           "ood_ring": data.gen_ring_ood(1.5, 2.2, 8, seed + 4)}
+    run = tmp_path / "run"
+    assert sorted(p.name for p in run.iterdir()) == sorted(
+        [*(f"{name}.csv" for name in raw), "transform.json"])
+    transform = data.MinMaxTransform(**json.loads((run / "transform.json").read_text("utf-8")))
+    assert transform.to_json() == data.fit_minmax(raw["id_train"].x).to_json()
+    for name, ds in raw.items():
+        written = data.load_csv(run / f"{name}.csv")
+        assert written.x.tobytes() == transform.apply(ds.x).tobytes(), name
+        assert isinstance(written, data.LabeledDataset) == name.startswith("id_")
+        if name.startswith("id_"):
+            assert np.array_equal(written.y, ds.y), name
+
+
 def test_report_digest_does_not_depend_on_out(tmp_path):
     path = _tiny_config(tmp_path)
     digests = []
@@ -165,6 +194,10 @@ BAD_CHECKPOINTS = [
     b'{"format_version": 1, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
     b'{"format_version": 1, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], "biases": [[0, 0]]}',
     b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, true]]}',
+    # Documents json.loads refuses: nested too deep, and an integer of too many digits.
+    pytest.param(b"[" * 100000, id="nested-too-deep"),
+    pytest.param(b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 5000
+                 + b']], "biases": [[0, 0]]}', id="integer-of-5000-digits"),
 ]
 
 
@@ -177,8 +210,11 @@ def test_malformed_checkpoint_exits_3(tmp_path, capsys, content):
     assert cli.main(base + ["eval", "--checkpoint", str(bad)]) == 3
     assert capsys.readouterr().err.startswith(f"error: checkpoint {bad} ")
 
-@pytest.mark.parametrize("content", [b'[{"method": "x"}]', b"not json", b"\xff",
-                                     b'{"method": "x"}', b"[1]"])
+@pytest.mark.parametrize("content", [
+    b'[{"method": "x"}]', b"not json", b"\xff", b'{"method": "x"}', b"[1]",
+    pytest.param(b"[" * 100000, id="nested-too-deep"),
+    pytest.param(b'[{"id_accuracy": ' + b"9" * 5000 + b"}]", id="integer-of-5000-digits"),
+])
 def test_malformed_report_exits_3(tmp_path, capsys, content):
     bad = tmp_path / "report.json"
     bad.write_bytes(content)

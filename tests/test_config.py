@@ -53,6 +53,11 @@ PROBES = [
     'data.ood_sets={"a/b": {"count": 16}}',
     'data.ood_sets={"": {"count": 16}}',
     'scores=[{"kind": "msp"}, {"kind": "msp"}]',
+    # Values json.loads refuses (too deep, too many digits) stay raw strings, and
+    # an integer too large for a float is not a finite float.
+    pytest.param("seed=" + "[" * 5000, id="seed=[*5000"),
+    pytest.param("train.lr=" + "9" * 5000, id="train.lr=9*5000"),
+    pytest.param("train.lr=" + "9" * 400, id="train.lr=9*400"),
 ]
 
 UNKNOWN_KEYS = [
@@ -182,6 +187,9 @@ def test_load_config_applies_overrides_then_seed_and_out(tmp_path):
 @pytest.mark.parametrize("content, match", [
     (None, "not found"), (b"{", "not valid JSON"), (b"\xff\xfe", "not valid JSON"),
     (b"[1]", "JSON object"), ("dir", "cannot read config file"),
+    pytest.param(b"[" * 100000, "not valid JSON", id="nested-too-deep"),
+    pytest.param(b'{"train": {"lr": ' + b"9" * 5000 + b"}}", "not valid JSON",
+                 id="integer-of-5000-digits"),
 ])
 def test_load_config_file_errors(tmp_path, content, match):
     path = tmp_path / "cfg.json"

@@ -143,8 +143,8 @@ def test_id_mixture_is_deterministic_per_seed():
 
 
 def test_ring_stays_in_its_annulus_and_is_deterministic():
-    ring = data.gen_ring_ood_raw(1.5, 2.2, 2000, seed=5).x
-    assert ring.tobytes() == data.gen_ring_ood_raw(1.5, 2.2, 2000, seed=5).x.tobytes()
+    ring = data.gen_ring_ood(1.5, 2.2, 2000, seed=5).x
+    assert ring.tobytes() == data.gen_ring_ood(1.5, 2.2, 2000, seed=5).x.tobytes()
     r = np.hypot(ring[:, 0], ring[:, 1])
     assert r.min() >= 1.5 - 1e-12 and r.max() <= 2.2 + 1e-12
     # Full coverage: every quadrant is hit.
@@ -153,21 +153,12 @@ def test_ring_stays_in_its_annulus_and_is_deterministic():
 
 
 def test_arc_outliers_stay_inside_their_arc():
-    arc = data.gen_arc_outliers_raw(1.5, 2.2, 0.25, 2000, seed=6).x
-    assert arc.tobytes() == data.gen_arc_outliers_raw(1.5, 2.2, 0.25, 2000, seed=6).x.tobytes()
+    arc = data.gen_arc_outliers(1.5, 2.2, 0.25, 2000, seed=6).x
+    assert arc.tobytes() == data.gen_arc_outliers(1.5, 2.2, 0.25, 2000, seed=6).x.tobytes()
     r = np.hypot(arc[:, 0], arc[:, 1])
     theta = np.arctan2(arc[:, 1], arc[:, 0])
     assert r.min() >= 1.5 - 1e-12 and r.max() <= 2.2 + 1e-12
     assert theta.min() >= 0.0 and theta.max() <= np.pi / 2 + 1e-12
-
-
-def test_normalized_generators_apply_the_given_transform():
-    t = data.fit_minmax(np.array([[-2.5, -2.5], [2.5, 2.5]]))
-    ring = data.gen_ring_ood(1.5, 2.2, 100, seed=7, transform=t)
-    assert ring.x.tobytes() == t.apply(data.gen_ring_ood_raw(1.5, 2.2, 100, seed=7).x).tobytes()
-    arc = data.gen_arc_outliers(1.5, 2.2, 0.5, 100, seed=8, transform=t)
-    raw = data.gen_arc_outliers_raw(1.5, 2.2, 0.5, 100, seed=8).x
-    assert arc.x.tobytes() == t.apply(raw).tobytes()
 
 
 @pytest.mark.parametrize("n, batch_size", [(10, 3), (12, 4), (5, 8), (0, 2)])
