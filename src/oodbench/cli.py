@@ -10,6 +10,8 @@ is a DataError too), a checkpoint by ``model.load_checkpoint``, the config by
 its dataclasses. The config, checkpoint and report files are read by
 ``data.read_json``: one that is missing or unreadable, or that the JSON parser
 refuses (nested too deep, an integer too long), is its reader's typed error.
+Each is then typed by ``data.parse`` against its dataclasses, so an unknown
+key is refused in a report or a checkpoint (exit 3) as in the config (exit 2).
 Any other exception is a programming error and escapes.
 """
 
@@ -184,8 +186,8 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
             by_set["id_test"], {name: by_set[f"ood_{name}"] for name in names}, method=method,
             score_kind=spec.kind, id_acc=id_acc, seed=cfg.seed, config_digest=digest))
         score_blocks.extend((set_name, spec.kind, s) for set_name, s in by_set.items())
-    (out / "report.json").write_text(
-        json.dumps([r.to_dict() for r in reports], indent=2), encoding="utf-8")
+    (out / "report.json").write_text(json.dumps(data_mod.dump(tuple(reports)), indent=2),
+                                     encoding="utf-8")
     _write_report_csv(out / "report.csv", reports)
     scoring.write_score_csv(out / "scores.csv", score_blocks)
     for report in reports:
@@ -269,7 +271,7 @@ def cmd_gradcheck(cases: int, seed: int) -> int:
 def _write_report_csv(path: Path, reports: list[metrics_mod.DetectionReport]) -> int:
     """One row per (report, OOD set), average row included; returns the row count."""
     rows = [[report.method, report.score_kind, row.set_name, row.fpr95, row.auroc, row.aupr,
-             report.id_accuracy] for report in reports for row in report.results + [report.average]]
+             report.id_accuracy] for report in reports for row in report.ood_sets]
     data_mod.write_table(path, ["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"],
                          rows)
     return len(rows)
@@ -280,13 +282,11 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
     reports = []
     for rp in report_paths:
         path = Path(rp)
+        docs = data_mod.read_json(path, DataError, "report")
         try:
-            docs = data_mod.read_json(path, DataError, "report")
-            if not isinstance(docs, list):
-                raise TypeError("expected a list of reports")
-            reports.extend(metrics_mod.DetectionReport.from_dict(doc) for doc in docs)
-        except (ValueError, LookupError, TypeError, DataError) as exc:
-            raise DataError(f"{path} is not a report list: {exc!r}") from None
+            reports.extend(data_mod.parse(tuple[metrics_mod.DetectionReport, ...], docs, "reports"))
+        except (ConfigError, DataError) as exc:
+            raise DataError(f"report {path} is malformed: {exc}") from None
     out_path = Path(out_csv)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     n_rows = _write_report_csv(out_path, reports)
@@ -295,15 +295,15 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
 
 
 def _epsilon_grid(text: str) -> list[float]:
-    """Parse ``--epsilons``: comma-separated radii, at least one, each finite and >= 0."""
+    """Parse ``--epsilons``: comma-separated radii, at least one, each >= 0 with a finite double."""
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--epsilons: {exc}") from None
     if not grid:
         raise ConfigError(f"--epsilons names no radius, got {text!r}")
-    if not all(math.isfinite(e) and e >= 0 for e in grid):
-        raise ConfigError(f"--epsilons must be finite and >= 0, got {text!r}")
+    if not all(math.isfinite(2.0 * e) and e >= 0 for e in grid):
+        raise ConfigError(f"--epsilons must be >= 0 and finite when doubled, got {text!r}")
     return grid
 
 

@@ -1,9 +1,10 @@
 """Run configuration: a strict JSON document with sections
 {data, model, train, extrapolation, scores, outputs, theory, seed}.
 
-The dataclasses are the schema. ``parse_config`` walks their fields and
-type hints to build a RunConfig from JSON, and ``RunConfig.to_dict`` walks
-the same fields back, so every default is stated once, on its field. An
+The dataclasses are the schema. ``parse_config`` builds a RunConfig from
+JSON with ``data.parse``, the walker over their fields and type hints that
+types every JSON file, and ``RunConfig.to_dict`` walks the same fields back
+with ``data.dump``, so every default is stated once, on its field. An
 unknown key, a missing required key, a wrong JSON type, a wrong tuple
 length or a non-finite float (JSON's NaN/Infinity) raises ConfigError, so
 stale or malformed manifests fail loudly. Each value is checked once, in
@@ -16,17 +17,13 @@ All randomness flows from the one top-level seed, split per component
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import hashlib
 import json
 import math
 import re
-import types
-import typing
 from dataclasses import dataclass, field
 
-from .data import read_json
+from .data import dump, parse, read_json
 from .errors import ConfigError
 from .extrapolation import ExtrapolationConfig
 from .numerics import derive_seed
@@ -42,6 +39,11 @@ def component_seed(seed: int, component: str) -> int:
     return derive_seed(seed, COMPONENT_STREAMS[component])
 
 
+def _check_square(name: str, value: float) -> None:
+    if not math.isfinite(value * value):  # gen-data and the theory bound square it
+        raise ConfigError(f"{name} must have a finite square, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OodSetConfig:
     """An annulus of raw-coordinate radii inner < outer, sampled ``count`` times."""
@@ -55,6 +57,7 @@ class OodSetConfig:
             raise ConfigError("count must be >= 1")
         if not 0 < self.inner_radius < self.outer_radius:
             raise ConfigError("need 0 < inner_radius < outer_radius")
+        _check_square("outer_radius", self.outer_radius)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,9 @@ class DataConfig:
         if not self.ood_sets:
             raise ConfigError("ood_sets must name at least one set")
         for name in self.ood_sets:  # each set is written to ood_<name>.csv
-            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
-                raise ConfigError(f"ood set name {name!r} must be a non-empty run of [A-Za-z0-9_-]")
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name) or name == "average":
+                raise ConfigError(f"ood set name {name!r} must be a non-empty run of [A-Za-z0-9_-] "
+                                  "other than 'average', the report's mean row")
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,8 @@ class TheoryConfig:
             raise ConfigError("mu_norm must be non-zero")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
+        _check_square("mu_norm", self.mu_norm)
+        _check_square("sigma", self.sigma)
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.n1 < 1 or self.n2 < 1:
@@ -155,7 +161,7 @@ class RunConfig:
             raise ConfigError("ash_energy shapes the last hidden layer, but model.hidden is empty")
 
     def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **_dump(self)}
+        return {"schema_version": SCHEMA_VERSION, **dump(self)}
 
     def digest(self) -> str:
         """sha256 of the canonical document, without ``outputs.dir``: where a
@@ -171,88 +177,14 @@ class RunConfig:
         return self.train.loss.kind
 
 
-@functools.cache
-def _schema(cls) -> tuple[tuple[dataclasses.Field, typing.Any], ...]:
-    """(field, resolved type) for each config key of a dataclass."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
-
-
-def _parse(tp, value, where: str):
-    """Build a value of type ``tp`` from its JSON form; ``where`` names it in errors."""
-    if dataclasses.is_dataclass(tp):
-        label = where or "config"
-        if not isinstance(value, dict):
-            raise ConfigError(f"{label} must be an object, got {value!r}")
-        schema = _schema(tp)
-        unknown = sorted(set(value) - {f.name for f, _ in schema})
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {label}: {unknown}")
-        kwargs = {}
-        for f, ftp in schema:
-            if f.name in value:
-                kwargs[f.name] = _parse(ftp, value[f.name],
-                                        f"{where}.{f.name}" if where else f.name)
-            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-                raise ConfigError(f"{label} needs a {f.name!r} key")
-        try:
-            return tp(**kwargs)
-        except ConfigError as exc:
-            raise ConfigError(f"{label}: {exc}") from None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _parse(inner, value, where)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        if len(args) == 2 and args[1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{where} must have {len(args)} items, got {len(value)}")
-        return tuple(_parse(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {value!r}")
-        return {_parse(args[0], k, where): _parse(args[1], v, f"{where}.{k}")
-                for k, v in value.items()}
-    if isinstance(value, bool) and tp is not bool:
-        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    if tp is float and isinstance(value, int):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{where} must be finite, got {value!r}") from None
-    if tp is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, tp):
-        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    if tp is float and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return value
-
-
-def _dump(value):
-    """JSON form of a config value; the inverse of ``_parse``."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _dump(getattr(value, f.name)) for f, _ in _schema(type(value))}
-    if isinstance(value, tuple):
-        return [_dump(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _dump(v) for k, v in value.items()}
-    return value
-
-
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     doc = dict(doc)
-    version = _parse(int, doc.pop("schema_version", SCHEMA_VERSION), "schema_version")
+    version = parse(int, doc.pop("schema_version", SCHEMA_VERSION), "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    return _parse(RunConfig, doc, "")
+    return parse(RunConfig, doc, "")
 
 
 def load_config(path=None, overrides=(), *, seed: int | None = None,

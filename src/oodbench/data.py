@@ -15,7 +15,14 @@ on: at least one row, the model's feature width, every value inside DOMAIN
 and every label in [0, C). gen-data output always meets this contract.
 
 ``read_json`` reads each JSON input (config, checkpoint, report) and maps
-any file it cannot read or parse to the caller's typed error.
+any file it cannot read or parse to the caller's typed error. ``parse`` and
+``dump`` then type every JSON file in one walk over a dataclass schema:
+``config.RunConfig``, ``metrics.DetectionReport`` (report.json is a list of
+them) and ``model.Checkpoint``, whose fields are each file's keys in order.
+A checkpoint's weights and biases stay bare lists that
+``model._parameters`` types with numpy: walking the 4612 numbers of a
+2-64-64-4 model one at a time took 7.0 ms against numpy's 0.5 ms (2-vCPU
+Xeon VM, in process), while the walk over the rest costs about 30 us.
 ``write_table`` writes the small result tables. ``save_csv`` and
 ``scoring.write_score_csv`` format the two large ones in blocks, the bytes of
 a per-row ``csv.writer`` in less time (2-vCPU Xeon VM, best 3 of 7: 40k
@@ -25,13 +32,18 @@ dataset rows 55-94 ms against 89-92 ms, 272k scores 0.25-0.30 s against 0.59-0.7
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import json
+import math
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError, OodbenchError
 
 DOMAIN = (0.0, 1.0)
 ID_RADIUS = 1.0  # raw-coordinate radius of the circle the ID blob means sit on
@@ -159,11 +171,91 @@ def read_json(path, error: type[Exception], what: str):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise error(f"{what} not found: {path}") from None
+        raise error(f"{what} {path} not found") from None
     except OSError as exc:  # a directory, or a file we may not read
-        raise error(f"cannot read {what} {path}: {exc}") from None
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[dataclasses.Field, typing.Any], ...]:
+    """(field, resolved type) for each key of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def parse(tp, value, where: str):
+    """Build a value of type ``tp`` from its JSON form; ``where`` names it in errors.
+
+    A dataclass is an object with no unknown key and every key without a
+    default; a ``tuple[T, ...]`` is a list; a bool is not a number, an
+    integral float is an int, an int widens to a float, and a float must be
+    finite. A wrong value raises ConfigError; an error a dataclass raises from
+    its own checks keeps its class and gains the dataclass's place.
+    """
+    if dataclasses.is_dataclass(tp):
+        label = where or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{label} must be an object, got {value!r}")
+        schema = _schema(tp)
+        unknown = sorted(set(value) - {f.name for f, _ in schema})
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {label}: {unknown}")
+        kwargs = {}
+        for f, ftp in schema:
+            if f.name in value:
+                kwargs[f.name] = parse(ftp, value[f.name], f"{where}.{f.name}" if where else f.name)
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{label} needs a {f.name!r} key")
+        try:
+            return tp(**kwargs)
+        except OodbenchError as exc:
+            raise type(exc)(f"{label}: {exc}") from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return parse(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} items, got {len(value)}")
+        return tuple(parse(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        return {parse(args[0], k, where): parse(args[1], v, f"{where}.{k}")
+                for k, v in value.items()}
+    if isinstance(value, bool) and tp is not bool:
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    if tp is float and isinstance(value, int):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be finite, got {value!r}") from None
+    if tp is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, tp):
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def dump(value):
+    """JSON form of a value ``parse`` builds; its inverse."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: dump(getattr(value, f.name)) for f, _ in _schema(type(value))}
+    if isinstance(value, tuple):
+        return [dump(v) for v in value]
+    if isinstance(value, dict):
+        return {k: dump(v) for k, v in value.items()}
+    return value
 
 
 def load_csv(path):

@@ -55,6 +55,8 @@ class ExtrapolationConfig:
             raise ConfigError(f"pool fractions sum to {total}, expected 1")
         if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
             raise ConfigError("pool entries must be non-negative")
+        if not all(math.isfinite(2.0 * e) for e, _ in self.pool):
+            raise ConfigError("pool radii must be finite when doubled: a step is 2*epsilon/steps")
 
 
 @dataclass

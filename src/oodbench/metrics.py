@@ -5,6 +5,11 @@ whose TPR still reaches TPR (0.95), counting ties as positive; AUROC is
 the Mann-Whitney statistic with ties worth one half; AUPR integrates the
 precision-recall step curve from a descending-score sweep. A non-finite
 score has no rank, so every metric rejects it with NumericError.
+
+``DetectionReport`` and ``OodSetResult`` are report.json's schema: eval
+writes a list of reports with ``data.dump`` and ``report`` reads it back
+with ``data.parse``, the walker that also types the config. Their
+``__post_init__`` checks each rate and rebuilds the average row.
 """
 
 from __future__ import annotations
@@ -83,92 +88,56 @@ def id_accuracy(logits, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-@dataclass
+def _check_rate(name: str, value: float) -> None:
+    if not 0 <= value <= 1:
+        raise DataError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+@dataclass(frozen=True)
 class OodSetResult:
     set_name: str
     fpr95: float
     auroc: float
     aupr: float
 
+    def __post_init__(self):
+        for name in ("fpr95", "auroc", "aupr"):
+            _check_rate(name, getattr(self, name))
+
 
 @dataclass
 class DetectionReport:
-    """Primary output record: one row per OOD set plus a macro-average row."""
+    """Primary output record: one row per OOD set, then their mean row "average",
+    recomputed over the others, so a report read back equals the one written."""
 
     method: str
     score_kind: str
     id_accuracy: float
-    results: list[OodSetResult]
     seed: int | None = None
     config_digest: str | None = None
-    average: OodSetResult = field(init=False)
+    ood_sets: tuple[OodSetResult, ...] = field(kw_only=True)
 
     def __post_init__(self):
-        if not self.results:
+        _check_rate("id_accuracy", self.id_accuracy)
+        rows = tuple(r for r in self.ood_sets if r.set_name != "average")
+        if not rows:
             raise DataError("report needs at least one OOD set")
-        self.average = OodSetResult(
-            set_name="average",
-            fpr95=float(np.mean([r.fpr95 for r in self.results])),
-            auroc=float(np.mean([r.auroc for r in self.results])),
-            aupr=float(np.mean([r.aupr for r in self.results])),
-        )
+        self.ood_sets = rows + (OodSetResult(
+            "average", *(float(np.mean([getattr(r, k) for r in rows]))
+                         for k in ("fpr95", "auroc", "aupr"))),)
 
-    def to_dict(self) -> dict:
-        rows = self.results + [self.average]
-        return {
-            "method": self.method,
-            "score_kind": self.score_kind,
-            "id_accuracy": self.id_accuracy,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "ood_sets": [
-                {"set_name": r.set_name, "fpr95": r.fpr95, "auroc": r.auroc, "aupr": r.aupr}
-                for r in rows
-            ],
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "DetectionReport":
-        """Inverse of ``to_dict``; a field of the wrong JSON type, or a rate
-        outside [0, 1], raises DataError."""
-        rows = [OodSetResult(_field(r, "set_name", str), _rate(r, "fpr95"),
-                             _rate(r, "auroc"), _rate(r, "aupr"))
-                for r in doc["ood_sets"] if r["set_name"] != "average"]
-        return DetectionReport(method=_field(doc, "method", str),
-                               score_kind=_field(doc, "score_kind", str),
-                               id_accuracy=_rate(doc, "id_accuracy"), results=rows,
-                               seed=_field(doc, "seed", (int, type(None))),
-                               config_digest=_field(doc, "config_digest", (str, type(None))))
-
-
-def _field(doc: dict, key: str, kind):
-    """``doc.get(key)`` if it is a ``kind``; a bool is never a number."""
-    value = doc.get(key)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DataError(f"report field {key!r} has the wrong type: {value!r}")
-    return value
-
-
-def _rate(doc: dict, key: str) -> float:
-    value = _field(doc, key, (int, float))
-    if not 0 <= value <= 1:
-        raise DataError(f"report field {key!r} must be a finite number in [0, 1], got {value!r}")
-    return float(value)
+    @property
+    def average(self) -> OodSetResult:
+        return self.ood_sets[-1]
 
 
 def assemble_report(id_scores, ood_score_sets: dict[str, np.ndarray], *,
                     method: str, score_kind: str, id_acc: float,
                     seed: int | None = None, config_digest: str | None = None) -> DetectionReport:
     """Assemble all metrics for one score kind from precomputed scores."""
-    results = [
-        OodSetResult(
-            set_name=name,
-            fpr95=fpr_at_tpr(id_scores, scores),
-            auroc=auroc(id_scores, scores),
-            aupr=aupr(id_scores, scores),
-        )
-        for name, scores in ood_score_sets.items()
-    ]
-    return DetectionReport(method=method, score_kind=score_kind, id_accuracy=id_acc,
-                           results=results, seed=seed, config_digest=config_digest)
-
+    return DetectionReport(
+        method=method, score_kind=score_kind, id_accuracy=id_acc, seed=seed,
+        config_digest=config_digest,
+        ood_sets=tuple(OodSetResult(name, fpr_at_tpr(id_scores, scores), auroc(id_scores, scores),
+                                    aupr(id_scores, scores))
+                       for name, scores in ood_score_sets.items()))

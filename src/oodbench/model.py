@@ -13,6 +13,10 @@ Memory order: each hidden layer adds its bias and applies the ReLU in place
 on its own fresh ``h @ w`` product, so a forward holds at most two
 activation arrays at once (the layer's input and its output) and never
 writes into the caller's batch.
+
+checkpoint.json is the ``Checkpoint`` record, written by ``data.dump`` and
+read by ``data.parse``, the walker that types the config; ``_parameters``
+then types its weights and biases with numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import read_json
-from .errors import DataError, NumericError
+from .data import dump, parse, read_json
+from .errors import ConfigError, DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -173,45 +177,40 @@ def param_bindings(model: MlpClassifier) -> dict[str, np.ndarray]:
     return out
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """checkpoint.json's keys, in order; each layer's weights are flat, row-major."""
+
+    format_version: int
+    dims: tuple[int, ...]
+    weights: list  # numbers typed by ``_parameters``, not by the walker
+    biases: list
+    seed: int | None = None
+
+
 def save_checkpoint(model: MlpClassifier, path, seed: int | None = None) -> None:
     """Write the model as JSON: dims, flat row-major weights, biases, seed."""
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "dims": list(model.dims),
-        "weights": [w.reshape(-1).tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "seed": seed,
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    ckpt = Checkpoint(CHECKPOINT_FORMAT_VERSION, model.dims,
+                      [w.reshape(-1).tolist() for w in model.weights],
+                      [b.tolist() for b in model.biases], seed)
+    Path(path).write_text(json.dumps(dump(ckpt)), encoding="utf-8")
 
 
 def load_checkpoint(path) -> MlpClassifier:
     doc = read_json(path, DataError, "checkpoint")
-    if not isinstance(doc, dict):
-        raise DataError(f"checkpoint {path} is not a JSON object")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"checkpoint {path} has unsupported format_version "
-                        f"{doc.get('format_version')!r}")
     try:
-        dims = tuple(_layer_dim(d) for d in doc["dims"])
-        weights = tuple(_parameters(flat).reshape(dims[i], dims[i + 1])
-                        for i, flat in enumerate(doc["weights"]))
-        biases = tuple(_parameters(b) for b in doc["biases"])
-        return MlpClassifier(dims, weights, biases)
-    except KeyError as exc:
-        raise DataError(f"checkpoint {path} has no {exc} entry") from None
+        ckpt = parse(Checkpoint, doc, "checkpoint")
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path} is malformed: {exc}") from None
+    if ckpt.format_version != CHECKPOINT_FORMAT_VERSION:
+        raise DataError(f"checkpoint {path} has unsupported format_version {ckpt.format_version}")
+    try:
+        weights = tuple(_parameters(flat).reshape(ckpt.dims[i], ckpt.dims[i + 1])
+                        for i, flat in enumerate(ckpt.weights))
+        biases = tuple(_parameters(b) for b in ckpt.biases)
+        return MlpClassifier(ckpt.dims, weights, biases)
     except (IndexError, TypeError, ValueError, OverflowError, NumericError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc
-
-
-def _layer_dim(value) -> int:
-    """A checkpoint's layer width: an integer, or a float with an integral value,
-    as the config parser accepts; a bool or a fractional number is refused."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise TypeError(f"layer dims must be integers, got {value!r}")
 
 
 def _parameters(values) -> np.ndarray:

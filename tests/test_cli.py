@@ -27,7 +27,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, probe):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("epsilons", ["abc", "0.1,x", "nan", "inf", "0.1,-0.05", ",", ""])
+@pytest.mark.parametrize("epsilons", ["abc", "0.1,x", "nan", "inf", "0.1,-0.05", ",", "",
+                                      "1e308"])
 def test_malformed_epsilon_grid_exits_2(tmp_path, capsys, epsilons):
     argv = ["--out", str(tmp_path / "run"), "extrapolate", "--input", str(tmp_path / "in.csv"),
             "--dump", str(tmp_path / "dump" / "extrap.csv"), "--epsilons", epsilons]
@@ -173,7 +174,7 @@ def test_report_rewrites_the_eval_csv_byte_for_byte(tmp_path):
 # weight list, more layers than dims, dims not a list, no layers at all, an
 # unknown format version; then values Python's json accepts but a checkpoint
 # must not hold: NaN, infinities (also by overflow), a bool or fractional dim,
-# a string or bool parameter.
+# a string or bool parameter, an unknown key.
 BAD_CHECKPOINTS = [
     b'{"format_version": 1}',
     b"[1]",
@@ -194,6 +195,8 @@ BAD_CHECKPOINTS = [
     b'{"format_version": 1, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
     b'{"format_version": 1, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], "biases": [[0, 0]]}',
     b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, true]]}',
+    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
+    b'"extra": 1}',
     # Documents json.loads refuses: nested too deep, and an integer of too many digits.
     pytest.param(b"[" * 100000, id="nested-too-deep"),
     pytest.param(b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 5000
@@ -210,31 +213,39 @@ def test_malformed_checkpoint_exits_3(tmp_path, capsys, content):
     assert cli.main(base + ["eval", "--checkpoint", str(bad)]) == 3
     assert capsys.readouterr().err.startswith(f"error: checkpoint {bad} ")
 
-@pytest.mark.parametrize("content", [
-    b'[{"method": "x"}]', b"not json", b"\xff", b'{"method": "x"}', b"[1]",
-    pytest.param(b"[" * 100000, id="nested-too-deep"),
-    pytest.param(b'[{"id_accuracy": ' + b"9" * 5000 + b"}]", id="integer-of-5000-digits"),
-])
-def test_malformed_report_exits_3(tmp_path, capsys, content):
-    bad = tmp_path / "report.json"
-    bad.write_bytes(content)
-    out_csv = tmp_path / "out" / "merged.csv"
-    assert cli.main(["report", str(bad), "--out-csv", str(out_csv)]) == 3
-    assert capsys.readouterr().err.startswith(f"error: {bad} is not a report list")
-    assert not out_csv.exists()
-
 
 _REPORT = {"method": "oe", "score_kind": "msp", "id_accuracy": 0.75, "seed": 1,
            "config_digest": "ab12",
            "ood_sets": [{"set_name": "ring", "fpr95": 0.5, "auroc": 0.625, "aupr": 0.25}]}
 
 
-# (key, value, in the OOD-set row?): a wrong JSON type, or a rate outside [0, 1].
+@pytest.mark.parametrize("content", [
+    b'[{"method": "x"}]', b"not json", b"\xff", b'{"method": "x"}', b"[1]",
+    pytest.param(b"[" * 100000, id="nested-too-deep"),
+    pytest.param(b'[{"id_accuracy": ' + b"9" * 5000 + b"}]", id="integer-of-5000-digits"),
+    pytest.param(None, id="missing-file"),
+    pytest.param(json.dumps([dict(_REPORT, extra=1)]).encode(), id="unknown-key"),
+])
+def test_malformed_report_exits_3(tmp_path, capsys, content):
+    bad = tmp_path / "report.json"
+    if content is not None:
+        bad.write_bytes(content)
+    out_csv = tmp_path / "out" / "merged.csv"
+    assert cli.main(["report", str(bad), "--out-csv", str(out_csv)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {bad} ") and err.count("\n") == 1
+    assert "DataError(" not in err
+    assert not out_csv.exists()
+
+
+# (key, value, in the OOD-set row?): a wrong JSON type, a rate outside [0, 1],
+# or an unknown key.
 BAD_REPORT_FIELDS = [
     ("method", 7, False), ("score_kind", None, False), ("id_accuracy", None, False),
     ("id_accuracy", 1.5, False), ("seed", "1", False), ("seed", True, False),
     ("config_digest", 5, False), ("set_name", 3, True), ("auroc", True, True),
     ("fpr95", -0.1, True), ("aupr", float("nan"), True), ("auroc", float("inf"), True),
+    ("extra", 1, False), ("extra", 1, True),
 ]
 
 
@@ -250,7 +261,8 @@ def test_report_field_of_wrong_type_exits_3(tmp_path, capsys, key, value, in_row
     bad = tmp_path / "report.json"
     bad.write_text(json.dumps([doc]), encoding="utf-8")
     assert cli.main(["report", str(bad), "--out-csv", str(out_csv)]) == 3
-    assert f"report field {key!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {bad} ") and key in err[len(f"error: report {bad} "):]
     assert not out_csv.exists()
 
 

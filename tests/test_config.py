@@ -53,6 +53,15 @@ PROBES = [
     'data.ood_sets={"a/b": {"count": 16}}',
     'data.ood_sets={"": {"count": 16}}',
     'scores=[{"kind": "msp"}, {"kind": "msp"}]',
+    # The report names its mean row "average", so no OOD set may.
+    'data.ood_sets={"average": {"count": 16}}',
+    # Magnitudes whose square (a radius, sigma, mu_norm) or double (a pool
+    # radius) overflows, which gen-data, theory-verify and the ascent compute.
+    "data.aux.outer_radius=1e200",
+    "data.ood_sets.ring.outer_radius=1e300",
+    "theory.sigma=1e200",
+    "theory.mu_norm=1e200",
+    "extrapolation.pool=[[1e308, 1.0]]",
     # Values json.loads refuses (too deep, too many digits) stay raw strings, and
     # an integer too large for a float is not a finite float.
     pytest.param("seed=" + "[" * 5000, id="seed=[*5000"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oodbench import metrics
+from oodbench import data, metrics
 from oodbench.errors import DataError, NumericError
 
 score_lists = st.lists(st.floats(-5, 5).map(lambda v: round(v, 1)), min_size=1, max_size=40)
@@ -133,12 +133,16 @@ def test_report_roundtrip_and_average():
     report = metrics.assemble_report(
         ids, {"ring": np.array([0.0, 1.0]), "blob": np.array([5.0, 6.0])},
         method="oe", score_kind="energy", id_acc=0.9, seed=1, config_digest="abc")
-    names = [r.set_name for r in report.results]
-    assert names == ["ring", "blob"]
+    names = [r.set_name for r in report.ood_sets]
+    assert names == ["ring", "blob", "average"]
+    assert report.average is report.ood_sets[-1]
     assert report.average.fpr95 == pytest.approx(
-        np.mean([r.fpr95 for r in report.results]))
-    doc = json.loads(json.dumps(report.to_dict()))
-    assert metrics.DetectionReport.from_dict(doc).to_dict() == report.to_dict()
+        np.mean([r.fpr95 for r in report.ood_sets[:-1]]))
+    doc = json.loads(json.dumps(data.dump(report)))
+    assert list(doc) == ["method", "score_kind", "id_accuracy", "seed", "config_digest",
+                         "ood_sets"]
+    assert data.parse(metrics.DetectionReport, doc, "report") == report
+    assert data.dump(data.parse(metrics.DetectionReport, doc, "report")) == data.dump(report)
     assert [r["set_name"] for r in doc["ood_sets"]] == ["ring", "blob", "average"]
 
 
@@ -146,5 +150,9 @@ def test_detection_report_identical_sets_auroc_half():
     scores = np.round(np.random.default_rng(6).normal(size=30), 1)
     report = metrics.assemble_report(scores, {"same": scores.copy()}, method="model",
                                      score_kind="msp", id_acc=1.0)
-    assert report.results[0].auroc == 0.5
+    assert report.ood_sets[0].auroc == 0.5
     assert report.average.auroc == 0.5
+    # A report without a seed or digest writes them as null and reads them back.
+    doc = json.loads(json.dumps(data.dump(report)))
+    assert (doc["seed"], doc["config_digest"]) == (None, None)
+    assert data.parse(metrics.DetectionReport, doc, "report") == report

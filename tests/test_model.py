@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,21 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.dims == m.dims
     for a, b in zip(loaded.weights, m.weights):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [13, None])
+def test_checkpoint_bytes_and_arrays_are_unchanged(tmp_path, seed):
+    m = model.init_model([2, 5, 3], seed=13)
+    path = tmp_path / "ckpt.json"
+    model.save_checkpoint(m, path, seed=seed)
+    assert path.read_bytes() == json.dumps({
+        "format_version": 1, "dims": [2, 5, 3],
+        "weights": [w.reshape(-1).tolist() for w in m.weights],
+        "biases": [b.tolist() for b in m.biases], "seed": seed}).encode("utf-8")
+    loaded = model.load_checkpoint(path)
+    assert loaded.dims == m.dims
+    for a, b in zip(loaded.weights + loaded.biases, m.weights + m.biases):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_missing_file():
