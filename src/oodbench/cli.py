@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -295,15 +294,16 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
 
 
 def _epsilon_grid(text: str) -> list[float]:
-    """Parse ``--epsilons``: comma-separated radii, at least one, each >= 0 with a finite double."""
+    """Parse ``--epsilons``: comma-separated radii, at least one, each in
+    [0, data.MAX_MAGNITUDE], the bound ``data.parse`` puts on every float input."""
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--epsilons: {exc}") from None
     if not grid:
         raise ConfigError(f"--epsilons names no radius, got {text!r}")
-    if not all(math.isfinite(2.0 * e) and e >= 0 for e in grid):
-        raise ConfigError(f"--epsilons must be >= 0 and finite when doubled, got {text!r}")
+    if not all(0 <= e <= data_mod.MAX_MAGNITUDE for e in grid):
+        raise ConfigError(f"--epsilons must lie in [0, {data_mod.MAX_MAGNITUDE:g}], got {text!r}")
     return grid
 
 

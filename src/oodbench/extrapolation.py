@@ -37,6 +37,8 @@ class ExtrapolationConfig:
     for the row's own radius, so the ball stays reachable.
     pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
     input units and the fractions summing to 1; ((epsilon, 1.0),) is one radius.
+    Like every float input, a radius read from JSON is at most
+    data.MAX_MAGNITUDE, so 2*epsilon/steps is finite.
     """
 
     ratio: float = 0.5
@@ -55,8 +57,6 @@ class ExtrapolationConfig:
             raise ConfigError(f"pool fractions sum to {total}, expected 1")
         if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
             raise ConfigError("pool entries must be non-negative")
-        if not all(math.isfinite(2.0 * e) for e, _ in self.pool):
-            raise ConfigError("pool radii must be finite when doubled: a step is 2*epsilon/steps")
 
 
 @dataclass

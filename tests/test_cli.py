@@ -28,7 +28,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, probe):
 
 
 @pytest.mark.parametrize("epsilons", ["abc", "0.1,x", "nan", "inf", "0.1,-0.05", ",", "",
-                                      "1e308"])
+                                      "1e308", "1e101"])
 def test_malformed_epsilon_grid_exits_2(tmp_path, capsys, epsilons):
     argv = ["--out", str(tmp_path / "run"), "extrapolate", "--input", str(tmp_path / "in.csv"),
             "--dump", str(tmp_path / "dump" / "extrap.csv"), "--epsilons", epsilons]
@@ -45,7 +45,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 def test_config_directory_exits_2(tmp_path, capsys):
     # A --config that cannot be read is a config error, like a missing one.
     assert cli.main(["--config", str(tmp_path), "--out", str(tmp_path / "run"), "gen-data"]) == 2
-    assert "cannot read config file" in capsys.readouterr().err
+    assert f"config file {tmp_path} cannot be read" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -236,6 +236,21 @@ def test_malformed_report_exits_3(tmp_path, capsys, content):
     assert err.startswith(f"error: report {bad} ") and err.count("\n") == 1
     assert "DataError(" not in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("what", ["report", "checkpoint"])
+def test_json_input_that_is_a_directory_exits_3(tmp_path, capsys, what):
+    folder = tmp_path / "folder.json"
+    if what == "report":
+        argv = ["report", str(folder), "--out-csv", str(tmp_path / "out" / "merged.csv")]
+    else:
+        argv = _evaluated_run(tmp_path) + ["eval", "--checkpoint", str(folder)]
+    folder.mkdir()
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {folder} cannot be read: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # (key, value, in the OOD-set row?): a wrong JSON type, a rate outside [0, 1],
@@ -464,6 +479,24 @@ def test_theory_verify_exits_4_when_the_level_is_infeasible(tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert "exhausted 2000000 draws" in captured.err
     assert captured.out == "" and not (tmp_path / "theory.csv").exists()
+
+
+def test_inputs_at_the_magnitude_cap_finish_or_fail_typed(tmp_path):
+    # pytest turns a numpy RuntimeWarning into an error, so an overflow of a
+    # product of capped inputs would raise here instead of returning an exit code.
+    cap = json.dumps(data.MAX_MAGNITUDE)
+    radii = f'"inner_radius": {data.MAX_MAGNITUDE / 2}, "outer_radius": {cap}'
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+    at_cap = base + ["--set", f"data.aux={{{radii}, \"count\": 16}}",
+                     "--set", f'data.ood_sets={{"ring": {{{radii}, "count": 8}}}}']
+    run = tmp_path / "run"
+    assert cli.main(at_cap + ["gen-data"]) == 0
+    assert cli.main(base + ["train"]) == 0
+    assert cli.main(base + ["extrapolate", "--input", str(run / "aux_out.csv"),
+                            "--dump", str(run / "extrap.csv"), "--epsilons", cap]) in (0, 4)
+    theory = [f"theory.{key}={cap}" for key in ("mu_norm", "sigma", "alpha")]
+    argv = base + [arg for item in [*theory, "theory.trials=3"] for arg in ("--set", item)]
+    assert cli.main(argv + ["theory-verify"]) in (0, 4)
 
 
 def test_extrapolate_creates_the_samples_directory(tmp_path):

@@ -1,5 +1,10 @@
+import copy
+import dataclasses
 import importlib.util
 import json
+import math
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -62,6 +67,10 @@ PROBES = [
     "theory.sigma=1e200",
     "theory.mu_norm=1e200",
     "extrapolation.pool=[[1e308, 1.0]]",
+    # Values above data.MAX_MAGNITUDE whose products overflow: s * mu_norm in the
+    # theory sampler, and lr times a gradient in the SGD step.
+    'theory={"mu_norm": 1.34e154, "sigma": 1.34e154, "trials": 3}',
+    "train.lr=1e308",
     # Values json.loads refuses (too deep, too many digits) stay raw strings, and
     # an integer too large for a float is not a finite float.
     pytest.param("seed=" + "[" * 5000, id="seed=[*5000"),
@@ -177,6 +186,47 @@ def test_ints_widen_to_float_and_integral_floats_narrow_to_int():
     assert cfg.model.hidden == (8,) and type(cfg.model.hidden[0]) is int
 
 
+def _float_keys(tp, doc, where="", path=()):
+    """(key as ``data.parse`` names it, path into ``doc``) for each float in the
+    schema ``tp``, following the items and set names present in ``doc``."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is float:
+        yield where, path
+    elif dataclasses.is_dataclass(tp):
+        for f, ftp in data._schema(tp):
+            yield from _float_keys(ftp, doc[f.name], f"{where}.{f.name}" if where else f.name,
+                                   path + (f.name,))
+    elif origin is dict:
+        for name, item in doc.items():
+            yield from _float_keys(args[1], item, f"{where}.{name}", path + (name,))
+    elif origin is tuple:
+        item_types = args[:1] * len(doc) if args[-1] is Ellipsis else args
+        for i, (item_tp, item) in enumerate(zip(item_types, doc)):
+            yield from _float_keys(item_tp, item, f"{where}[{i}]", path + (i,))
+    elif origin in (typing.Union, types.UnionType):
+        for arg in args:
+            if arg is not type(None):
+                yield from _float_keys(arg, doc, where, path)
+
+
+def test_every_float_key_refuses_a_magnitude_above_the_cap():
+    # The walk finds a float key added later too, so it inherits the check.
+    default = config.RunConfig().to_dict()
+    keys = dict(_float_keys(config.RunConfig, default))
+    assert {"train.lr", "theory.sigma", "data.aux.inner_radius", "data.ood_sets.ring.outer_radius",
+            "extrapolation.pool[0][0]", "extrapolation.pool[0][1]"} <= set(keys)
+    for key, path in keys.items():
+        for value in (math.nextafter(data.MAX_MAGNITUDE, math.inf), 10 ** 101):
+            doc = copy.deepcopy(default)
+            node = doc
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+            with pytest.raises(ConfigError, match="magnitude") as info:
+                config.parse_config(doc)
+            assert str(info.value).startswith(f"{key} "), (key, value)
+
+
 def test_digest_ignores_output_dir_but_not_training_knobs():
     a = config.parse_config({"outputs": {"dir": "runs/a"}})
     b = config.parse_config({"outputs": {"dir": "runs/b"}})
@@ -195,7 +245,7 @@ def test_load_config_applies_overrides_then_seed_and_out(tmp_path):
 
 @pytest.mark.parametrize("content, match", [
     (None, "not found"), (b"{", "not valid JSON"), (b"\xff\xfe", "not valid JSON"),
-    (b"[1]", "JSON object"), ("dir", "cannot read config file"),
+    (b"[1]", "JSON object"), ("dir", "config file .* cannot be read"),
     pytest.param(b"[" * 100000, "not valid JSON", id="nested-too-deep"),
     pytest.param(b'{"train": {"lr": ' + b"9" * 5000 + b"}}", "not valid JSON",
                  id="integer-of-5000-digits"),
