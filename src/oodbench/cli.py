@@ -150,11 +150,15 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     and feeds both the reports and scores.csv; nothing is written unless
     every report could be assembled.
 
-    Memory order: sets are scored one at a time. A set's features are
-    dropped once the kinds that read them are done, before ODIN runs (it
-    reads only the predicted class, the argmax of the logits) and before the
-    next set's forward. So eval holds either one set's features (with ASH's
-    shaped copy) or ODIN's perturbed forward, never both.
+    Memory order: sets are scored one at a time. ash_energy shapes a set's
+    features in place, so it scores after every other kind that reads them;
+    results are still stored, and written, in config order. The features
+    are dropped once those kinds are done, before ODIN runs (it reads only
+    the predicted class, the argmax of the logits) and before the next
+    set's forward. So eval holds either one set's features (ASH adds one
+    block's temporaries, no copy) or ODIN's perturbed forward, never both.
+    The config digest, the one use of hashlib and so of OpenSSL's library,
+    is taken after scoring, when the features are gone.
     """
     out = _out_dir(cfg)
     mlp = _load_model(cfg, checkpoint, [spec.kind for spec in cfg.scores])
@@ -168,7 +172,9 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
         logits = model_mod.head(mlp, features)
         if set_name == "id_test":
             id_acc = metrics_mod.id_accuracy(logits, id_test.y)
-        for spec, by_set in zip(cfg.scores, scores):
+        # ash_energy consumes the features (it shapes them in place), so it scores last.
+        for spec, by_set in sorted(zip(cfg.scores, scores),
+                                   key=lambda pair: pair[0].kind == "ash_energy"):
             if spec.kind != "odin":
                 by_set[set_name] = scoring.compute_scores(mlp, x, spec, features=features)
         del features  # before ODIN's perturbed forward and the next set's forward
@@ -248,7 +254,7 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
                          [*([t.trial, t.ratio, t.rhs, int(t.satisfied)] for t in check.trials),
                           ["violation_fraction", check.violation_fraction, None, None]])
     print(f"violation fraction: {check.violation_fraction:.2f} over {t.trials} trials, "
-          f"smallest margin (ratio - rhs) {check.min_margin:.4f}")
+          f"smallest margin (ratio - rhs) {check.min_margin:.4g}")
     if check.trials[0].rhs <= 0:
         print(f"warning: the bound's right-hand side is {check.trials[0].rhs!r} <= 0, "
               "so the check tests nothing", file=sys.stderr)

@@ -18,12 +18,11 @@ All randomness flows from the one top-level seed, split per component
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 
-from .data import dump, parse, read_json
+from .data import MAX_MAGNITUDE, dump, parse, read_json
 from .errors import ConfigError
 from .extrapolation import ExtrapolationConfig
 from .numerics import derive_seed
@@ -31,6 +30,8 @@ from .scoring import ScoreSpec
 from .trainer import TrainConfig
 
 SCHEMA_VERSION = 1
+
+MIN_DIVISOR = 1.0 / MAX_MAGNITUDE  # the least |value| of a config value the program divides by
 
 COMPONENT_STREAMS = {"data": 0, "model": 1, "train": 2, "theory": 4}  # 3 is retired
 
@@ -109,10 +110,13 @@ class TheoryConfig:
     trials: int = 100
 
     def __post_init__(self):
-        if self.mu_norm == 0:
-            raise ConfigError("mu_norm must be non-zero")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        # The two values the bound and the sampler divide by; at 1 / MAX_MAGNITUDE
+        # their squares and quotients stay normal floats, where 1e-300 squared is 0.
+        if abs(self.mu_norm) < MIN_DIVISOR:
+            raise ConfigError(f"mu_norm must have magnitude >= {MIN_DIVISOR:g}, "
+                              f"got {self.mu_norm!r}")
+        if self.sigma < MIN_DIVISOR:
+            raise ConfigError(f"sigma must be >= {MIN_DIVISOR:g}, got {self.sigma!r}")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.n1 < 1 or self.n2 < 1:
@@ -157,7 +161,14 @@ class RunConfig:
 
     def digest(self) -> str:
         """sha256 of the canonical document, without ``outputs.dir``: where a
-        run is written does not change what it computes."""
+        run is written does not change what it computes.
+
+        hashlib is imported here, not with the module: it maps OpenSSL's
+        libcrypto into the process (3.5 MB of RSS). eval draws no random
+        numbers (numpy.random loads it too), so it loads it only for this
+        digest, which it takes after scoring."""
+        import hashlib
+
         doc = self.to_dict()
         del doc["outputs"]["dir"]
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -36,9 +36,11 @@ dataset rows 55-94 ms against 89-92 ms, 272k scores 0.25-0.30 s against 0.59-0.7
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import types
 import typing
@@ -51,6 +53,7 @@ from .errors import ConfigError, DataError, OodbenchError
 
 DOMAIN = (0.0, 1.0)
 MAX_MAGNITUDE = 1e100  # the largest |value| ``parse`` accepts for a float
+CSV_BLOCK_ROWS = 4096  # rows ``load_csv`` holds as field strings at a time
 ID_RADIUS = 1.0  # raw-coordinate radius of the circle the ID blob means sit on
 ID_SIGMA = 0.18  # per-coordinate standard deviation of each ID blob
 
@@ -266,8 +269,13 @@ def dump(value):
 def load_csv(path):
     """Parse a dataset CSV; a "label" column makes it labeled.
 
-    The rows are checked and parsed in whole-file passes; if one fails, a
-    second scan names the first bad line (field count, float, finite, label).
+    The rows are read, checked and parsed in blocks of CSV_BLOCK_ROWS, so
+    only one block's field strings are held at a time. If a block fails, a
+    second scan of that block names its first bad line (field count, float,
+    finite, label), which is the file's first: every earlier block passed.
+    The rest of the file is still read, so a line that cannot be decoded,
+    as UTF-8 or as CSV, is reported wherever it lies, as a whole-file read
+    would report it.
     """
     path = Path(path)
     if not path.exists():
@@ -275,36 +283,53 @@ def load_csv(path):
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
+            try:
+                return _parse_rows(path, reader)
+            except DataError:
+                collections.deque(reader, maxlen=0)  # an undecodable later line takes precedence
+                raise
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _parse_rows(path: Path, reader):
+    """The dataset whose header and rows ``reader`` yields, parsed block by block."""
+    header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file")
     has_label = bool(header) and header[-1] == "label"
     k = len(header) - has_label
     if not all(name == f"x{i}" for i, name in enumerate(header[:k])):
         raise DataError(f"{path}: unexpected header {header}")
-    try:
-        if any(len(row) != len(header) for row in rows):
-            raise ValueError("field count")
-        x = np.array([float(v) for row in rows for v in row[:k]],
-                     dtype=np.float64).reshape(len(rows), k)
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite value")
-        y = np.array([int(row[-1]) for row in rows], dtype=np.intp) if has_label else None
-    except (ValueError, OverflowError):
-        raise DataError(_first_bad_line(path, rows, len(header), has_label)) from None
+    xs, ys = [np.empty((0, k))], [np.empty(0, dtype=np.intp)]
+    lineno = 2
+    while rows := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+        try:
+            if any(len(row) != len(header) for row in rows):
+                raise ValueError("field count")
+            x = np.array([float(v) for row in rows for v in row[:k]],
+                         dtype=np.float64).reshape(len(rows), k)
+            if not np.isfinite(x).all():
+                raise ValueError("non-finite value")
+            if has_label:
+                ys.append(np.array([int(row[-1]) for row in rows], dtype=np.intp))
+        except (ValueError, OverflowError):
+            raise DataError(_first_bad_line(path, rows, lineno, len(header), has_label)) from None
+        xs.append(x)
+        lineno += len(rows)
+    x = np.concatenate(xs)
     if has_label:
-        return LabeledDataset(x, y)
+        return LabeledDataset(x, np.concatenate(ys))
     return UnlabeledDataset(x)
 
 
-def _first_bad_line(path: Path, rows: list[list[str]], n_fields: int, has_label: bool) -> str:
-    """The error for the first bad line of ``rows`` (line 2 onward), checking
-    each line's field count, then its floats, their finiteness and its label."""
+def _first_bad_line(path: Path, rows: list[list[str]], start: int, n_fields: int,
+                    has_label: bool) -> str:
+    """The error for the first bad line of ``rows``, the block that begins on
+    line ``start``, checking each line's field count, then its floats, their
+    finiteness and its label."""
     k = n_fields - has_label
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in enumerate(rows, start=start):
         if len(row) != n_fields:
             return f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}"
         try:
@@ -318,7 +343,7 @@ def _first_bad_line(path: Path, rows: list[list[str]], n_fields: int, has_label:
                 np.intp(int(row[-1]))
             except (ValueError, OverflowError):
                 return f"{path}:{lineno}: bad label {row[-1]!r}"
-    raise AssertionError("the whole-file parse failed on no line")
+    raise AssertionError("the block parse failed on no line")
 
 
 # -- batching --------------------------------------------------------------------

@@ -102,19 +102,22 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     return np.max(numerics.softmax(logits / ODIN_TEMPERATURE, axis=-1), axis=1)
 
 
-def ash_s(activations) -> np.ndarray:
+def ash_s(activations, out=None) -> np.ndarray:
     """Zero activations below the per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
 
     Rows whose survivor sum is not positive are returned unchanged, and one
     warning gives their count (nothing sensible to rescale).
 
-    Memory order: every step is per row, so rows are shaped in blocks of
-    BLOCK_ROWS into one preallocated output. Beside its input, ash holds
-    that output and one block's temporaries, not several copies of the
-    whole matrix; the result is bitwise that of a whole-matrix pass.
+    As in numpy, the result goes to ``out``, a float64 array of the input's
+    shape, when given, and to a new array otherwise; ``out`` may be the input
+    itself, which then holds the shaped rows. Every step is per row, so rows
+    are shaped in blocks of BLOCK_ROWS: beside its input and its output, ash
+    holds one block's temporaries, and shaping in place holds no copy of the
+    whole matrix. The result is bitwise that of a whole-matrix pass.
     """
     acts = np.asarray(activations, dtype=np.float64)
-    out = np.empty_like(acts)
+    if out is None:
+        out = np.empty_like(acts)
     unshaped = 0
     for start in range(0, acts.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
@@ -126,8 +129,9 @@ def ash_s(activations) -> np.ndarray:
         ok = (before > 0) & (after > 0)
         unshaped += int(np.sum(~ok))
         scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
-        np.multiply(shaped, scale[:, None], out=out[rows])
-        np.copyto(out[rows], block, where=~ok[:, None])
+        shaped *= scale[:, None]
+        np.copyto(shaped, block, where=~ok[:, None])  # before ``out`` overwrites the block
+        out[rows] = shaped
     if unshaped:
         warnings.warn(f"{unshaped} rows left unshaped (non-positive sum)", stacklevel=2)
     return out
@@ -139,12 +143,16 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
 
     ``features`` are the batch's ``model.penultimate_features``; a caller
     that scores one batch several ways computes them once and passes them
-    in. Left unset, they are computed here. msp, energy and ash_energy read
-    the logits ``model.head`` makes from them, which equal ``model.forward``
-    bit for bit. ODIN reads no features, only ``top``, the argmax of those
-    logits: a caller that holds the logits passes it, and ``odin_score``
-    forwards the batch for it otherwise. ash_energy needs a hidden layer to
-    shape, which the CLI checks where it loads the model.
+    in. Left unset, they are computed here. msp and energy read the logits
+    ``model.head`` makes from them, which equal ``model.forward`` bit for
+    bit. ash_energy shapes the features in place (``ash_s`` with ``out``)
+    and reads the logits of the shaped rows, so features handed to it are
+    consumed: a caller scores ash_energy after every other kind that reads
+    them. ODIN reads no features, only ``top``, the argmax of those logits:
+    a caller that holds the logits passes it, and ``odin_score`` forwards
+    the batch for it otherwise. ash_energy needs a hidden layer to shape,
+    which the config and the CLI check before any scoring; without one the
+    features are the batch itself, which is shaped into a copy.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":
@@ -152,7 +160,9 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     if features is None:
         features = model_mod.penultimate_features(mlp, batch)
     if spec.kind == "ash_energy":
-        return energy_score(model_mod.head(mlp, ash_s(features)))
+        # In place, unless the features are the caller's batch (a model with no hidden layer).
+        shaped = ash_s(features, out=None if features is batch else features)
+        return energy_score(model_mod.head(mlp, shaped))
     logits = model_mod.head(mlp, features)
     if spec.kind == "msp":
         return msp_score(logits)

@@ -456,7 +456,7 @@ def test_theory_verify_fails_against_a_bound_no_ratio_can_meet(tmp_path, capsys,
     margin = min(float(row[1]) - float(row[2]) for row in rows[1:-1])
     assert margin < 0
     assert capsys.readouterr().out == (
-        f"violation fraction: 1.00 over 4 trials, smallest margin (ratio - rhs) {margin:.4f}\n")
+        f"violation fraction: 1.00 over 4 trials, smallest margin (ratio - rhs) {margin:.4g}\n")
 
 
 def test_theory_verify_prints_the_smallest_margin(tmp_path, capsys):
@@ -467,7 +467,7 @@ def test_theory_verify_prints_the_smallest_margin(tmp_path, capsys):
     margin = min(float(ratio) - float(rhs) for _, ratio, rhs, _ in rows)
     assert margin > 0
     out = capsys.readouterr().out
-    assert out == f"violation fraction: 0.00 over 5 trials, smallest margin (ratio - rhs) {margin:.4f}\n"
+    assert out == f"violation fraction: 0.00 over 5 trials, smallest margin (ratio - rhs) {margin:.4g}\n"
 
 
 def test_theory_verify_exits_4_when_the_level_is_infeasible(tmp_path, capsys):
@@ -496,6 +496,17 @@ def test_inputs_at_the_magnitude_cap_finish_or_fail_typed(tmp_path):
                             "--dump", str(run / "extrap.csv"), "--epsilons", cap]) in (0, 4)
     theory = [f"theory.{key}={cap}" for key in ("mu_norm", "sigma", "alpha")]
     argv = base + [arg for item in [*theory, "theory.trials=3"] for arg in ("--set", item)]
+    assert cli.main(argv + ["theory-verify"]) in (0, 4)
+
+
+@pytest.mark.parametrize("divisors", [["mu_norm"], ["sigma"], ["mu_norm", "sigma"]])
+def test_theory_verify_at_the_divisor_bound_finishes_or_fails_typed(tmp_path, divisors):
+    # pytest turns a numpy RuntimeWarning into an error, so a division by an
+    # underflowed square would raise here instead of returning an exit code.
+    bound = json.dumps(1 / data.MAX_MAGNITUDE)
+    argv = ["--out", str(tmp_path), "--set", "theory.trials=3"]
+    for key in divisors:
+        argv += ["--set", f"theory.{key}={bound}"]
     assert cli.main(argv + ["theory-verify"]) in (0, 4)
 
 
@@ -537,3 +548,35 @@ def test_eval_forwards_each_set_once_plus_odin(tmp_path, monkeypatch):
     assert cli.main(base + ["eval"]) == 0
     sizes = [3 * 4, 5, 8]  # id_test, then the OOD sets in name order
     assert rows == {"penultimate_features": sizes, "forward": sizes}
+
+
+def _scores_by_kind(run):
+    """scores.csv rows per score kind, and report.csv rows and report.json
+    documents (less the config digest) per score kind, in file order."""
+    with (run / "scores.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with (run / "report.csv").open(encoding="utf-8", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    docs = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    kinds = list(dict.fromkeys(row["score_kind"] for row in rows))
+    return kinds, {kind: ([row for row in rows if row["score_kind"] == kind],
+                          [row for row in table if row["score"] == kind],
+                          [{**doc, "config_digest": None} for doc in docs
+                           if doc["score_kind"] == kind]) for kind in kinds}
+
+
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+def test_eval_scores_match_whatever_the_place_of_ash_energy(tmp_path):
+    # ash_energy shapes the features in place; listed first, it must still
+    # leave msp and energy the unshaped features.
+    kinds = ["msp", "energy", "odin", "ash_energy"]
+    results = []
+    for name, order in (("last", kinds), ("first", kinds[-1:] + kinds[:-1])):
+        base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / name),
+                "--set", f"scores={json.dumps([{'kind': kind} for kind in order])}"]
+        for command in ("gen-data", "train", "eval"):
+            assert cli.main(base + [command]) == 0
+        written, by_kind = _scores_by_kind(tmp_path / name)
+        assert written == order  # stored and written in config order
+        results.append(by_kind)
+    assert results[0] == results[1]

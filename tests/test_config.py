@@ -71,6 +71,11 @@ PROBES = [
     # theory sampler, and lr times a gradient in the SGD step.
     'theory={"mu_norm": 1.34e154, "sigma": 1.34e154, "trials": 3}',
     "train.lr=1e308",
+    # Divisors below 1 / data.MAX_MAGNITUDE: mu_norm squared underflows to 0 in the
+    # theory sampler, and 1 / sigma overflows in the bound.
+    'theory={"mu_norm": 1e-300, "trials": 3}',
+    'theory={"mu_norm": 1e-300, "sigma": 1e-300, "trials": 3}',
+    "theory.sigma=1e-300",
     # Values json.loads refuses (too deep, too many digits) stay raw strings, and
     # an integer too large for a float is not a finite float.
     pytest.param("seed=" + "[" * 5000, id="seed=[*5000"),
@@ -177,6 +182,25 @@ def test_theory_config_rejects_alpha_below_tau():
     with pytest.raises(ConfigError, match="alpha must be >= tau"):
         config.TheoryConfig(alpha=0.5, tau=1.0)
     config.TheoryConfig(alpha=1.0, tau=1.0)
+
+
+def test_theory_config_bounds_its_divisors_at_one_over_the_magnitude_cap():
+    bound = 1 / data.MAX_MAGNITUDE
+    below = math.nextafter(bound, 0.0)
+    for mu_norm in (bound, -bound):
+        config.TheoryConfig(mu_norm=mu_norm, sigma=bound)
+    for mu_norm in (below, -below):
+        with pytest.raises(ConfigError, match="mu_norm must have magnitude >= 1e-100"):
+            config.TheoryConfig(mu_norm=mu_norm)
+    with pytest.raises(ConfigError, match="sigma must be >= 1e-100"):
+        config.TheoryConfig(sigma=below)
+
+
+def test_default_digest_is_pinned():
+    # Every report carries its config's digest: a change to the canonical
+    # document, or to how it is hashed, would change them all.
+    assert config.RunConfig().digest() == \
+        "2b90e4f02f068869f4b7d98bec31300163ef015f71c1af685835cef7df48780e"
 
 
 def test_ints_widen_to_float_and_integral_floats_narrow_to_int():

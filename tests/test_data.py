@@ -39,11 +39,40 @@ def test_csv_round_trip_empty_dataset(tmp_path):
     ("x0,label\n0.1,0\n0.2,99999999999999999999\n", ":3: bad label"),
     pytest.param(b"x0,x1\n0.1,\xff\n", "can't decode byte 0xff", id="not-utf-8"),
     pytest.param("x0,x1\n0." + "1" * 131072 + ",0.2\n", "field limit", id="field-over-limit"),
+    # One line past the first block of rows, which spans lines 2 to CSV_BLOCK_ROWS + 1.
+    pytest.param("x0,x1\n" + "0.1,0.2\n" * data.CSV_BLOCK_ROWS + "0.1,abc\n",
+                 f":{data.CSV_BLOCK_ROWS + 2}: could not convert string to float: 'abc'",
+                 id="bad-float-past-the-first-block"),
+    pytest.param("x0,x1\n" + "0.1,0.2\n" * data.CSV_BLOCK_ROWS + "0.1\n",
+                 f":{data.CSV_BLOCK_ROWS + 2}: expected 2 fields, got 1",
+                 id="short-row-past-the-first-block"),
 ])
 def test_load_csv_rejects_malformed_rows(tmp_path, text, match):
     path = tmp_path / "bad.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(DataError, match=match):
+        data.load_csv(path)
+
+
+def test_csv_round_trip_over_several_blocks(tmp_path):
+    # 2.5 blocks: two full ones and a ragged third.
+    n = data.CSV_BLOCK_ROWS * 5 // 2
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+    labeled = data.LabeledDataset(x, rng.integers(0, 4, n))
+    data.save_csv(labeled, tmp_path / "l.csv")
+    back = data.load_csv(tmp_path / "l.csv")
+    assert back.x.tobytes() == x.tobytes() and back.y.tobytes() == labeled.y.tobytes()
+    data.save_csv(data.UnlabeledDataset(x), tmp_path / "u.csv")
+    assert data.load_csv(tmp_path / "u.csv").x.tobytes() == x.tobytes()
+
+
+def test_load_csv_reports_an_undecodable_line_past_a_bad_one(tmp_path):
+    # A bad float in the first block, bytes that are not UTF-8 two blocks on:
+    # the decoding error is reported, as a whole-file read reports it.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x0,x1\n0.1,abc\n" + b"0.1,0.2\n" * (2 * data.CSV_BLOCK_ROWS) + b"\xff,0\n")
+    with pytest.raises(DataError, match="can't decode byte 0xff"):
         data.load_csv(path)
 
 

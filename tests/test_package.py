@@ -34,6 +34,39 @@ def test_every_module_imports_only_numpy_and_the_standard_library():
     assert {"oodbench.cli", "oodbench.metrics", "oodbench.scoring"} <= set(names)
 
 
+# eval in a fresh interpreter, noting at each digest whether OpenSSL is loaded.
+EVAL_SCRIPT = """
+import sys
+from oodbench import cli, config
+digest = config.RunConfig.digest
+def noted(cfg):
+    print("_hashlib" in sys.modules)
+    return digest(cfg)
+config.RunConfig.digest = noted
+assert cli.main(sys.argv[1:]) == 0
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_eval_scores_before_it_loads_openssl(tmp_path):
+    # hashlib's _hashlib maps OpenSSL's libcrypto. eval loads it only for the
+    # config digest, after scoring. (numpy.random imports it through secrets
+    # and hmac, so gen-data and train, which draw from numpy's generators, do.)
+    from oodbench import cli
+
+    tiny = ["--out", str(tmp_path), "--set", "data.per_class=8", "--set", "data.test_per_class=4",
+            "--set", "data.aux.count=16", "--set", 'data.ood_sets={"ring": {"count": 8}}',
+            "--set", "model.hidden=[4]", "--set", "train.epochs=1",
+            "--set", 'scores=[{"kind": "msp"}, {"kind": "odin"}, {"kind": "ash_energy"}]']
+    assert cli.main([*tiny, "gen-data"]) == 0 and cli.main([*tiny, "train"]) == 0
+    src = str(Path(oodbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", EVAL_SCRIPT,
+                             *tiny, "eval"], env=env, capture_output=True, text=True, check=True)
+    assert [line for line in result.stdout.splitlines() if line in ("False", "True")] == \
+        ["False", "True"]
+
+
 # Public definitions that no module of the package uses, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "losses.oe_total_loss_expr": "the plain-OE graph that perfbench/micro.py times",

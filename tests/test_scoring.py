@@ -217,6 +217,62 @@ def test_blocked_ash_equals_the_whole_matrix_formula(percentile, monkeypatch):
     assert acts.tobytes() == kept.tobytes()
 
 
+def _ragged_relu_acts():
+    """The fixture of the blocked-ASH test: about 2.5 blocks of ReLU rows with one
+    all-zero, so unshaped, row each in the first and the third block."""
+    acts = np.maximum(np.random.default_rng(15).normal(size=(scoring.BLOCK_ROWS * 5 // 2 + 7, 24)),
+                      0.0)
+    acts[3] = 0.0
+    acts[2 * scoring.BLOCK_ROWS + 5] = 0.0
+    return acts
+
+
+@pytest.mark.parametrize("percentile", [50.0, 95.0])
+def test_in_place_ash_equals_the_allocating_call(percentile, monkeypatch):
+    monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
+    acts = _ragged_relu_acts()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = scoring.ash_s(acts)
+        shaped = acts.copy()
+        assert scoring.ash_s(shaped, out=shaped) is shaped
+    # One warning per call, each counting both unshaped rows, which keep their zeros.
+    assert [str(w.message) for w in caught] == ["2 rows left unshaped (non-positive sum)"] * 2
+    assert shaped.tobytes() == expected.tobytes()
+
+
+def test_ash_energy_consumes_features_but_never_the_batch():
+    x = np.random.default_rng(18).uniform(0, 1, (40, 2))
+    kept = x.copy()
+    spec = scoring.ScoreSpec(kind="ash_energy")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # rows left unshaped
+        # Without a hidden layer the features are the batch itself.
+        scoring.compute_scores(model.init_model((2, 3), seed=19), x, spec)
+        assert x.tobytes() == kept.tobytes()
+        m = model.init_model((2, 8, 3), seed=20)
+        features = model.penultimate_features(m, x)
+        scoring.compute_scores(m, x, spec, features=features)
+    assert x.tobytes() == kept.tobytes()
+    assert features.tobytes() != model.penultimate_features(m, x).tobytes()
+
+
+def test_in_place_ash_holds_no_copy_of_its_input():
+    # Eight blocks: shaping in place holds one block's temporaries, well under
+    # one copy of the matrix, where the allocating call holds its whole output.
+    acts = np.maximum(np.random.default_rng(17).normal(size=(8 * scoring.BLOCK_ROWS, 64)), 0.0)
+    peaks = []
+    for out in (None, acts):
+        tracemalloc.start()
+        try:
+            scoring.ash_s(acts, out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    allocating, in_place = peaks
+    assert in_place < acts.nbytes / 2 and allocating > acts.nbytes
+
+
 def test_ash_peak_memory():
     # Beside its input, ash holds its output and one block's temporaries.
     acts = np.maximum(np.random.default_rng(16).normal(size=(16384, 64)), 0.0)
