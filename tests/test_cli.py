@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_config import PROBES
 
-from oodbench import cli, config, data, gmm_theory, model, scoring
+from oodbench import cli, config, data, gmm_theory, losses, model, scoring
 from oodbench.extrapolation import ExtrapolationConfig, pgd_extrapolate
 
 
@@ -46,6 +46,15 @@ def test_config_directory_exits_2(tmp_path, capsys):
     # A --config that cannot be read is a config error, like a missing one.
     assert cli.main(["--config", str(tmp_path), "--out", str(tmp_path / "run"), "gen-data"]) == 2
     assert f"config file {tmp_path} cannot be read" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_nested_too_deep_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 100000)
+    assert cli.main(["--config", str(deep), "--out", str(tmp_path / "run"), "gen-data"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {deep} is not valid JSON: ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 
@@ -290,6 +299,49 @@ def test_ce_train_reads_no_auxiliary_outliers(tmp_path, capsys):
     assert "aux_out.csv" in capsys.readouterr().err
 
 
+# The outlier columns of history.csv each loss kind fills: the batches it binds.
+FILLED_COLUMNS = {"ce": set(), "oe": {"outlier_loss"}, "energy_bounded": {"outlier_loss"},
+                  "divoe": {"outlier_loss", "extrapolated_loss"}}
+
+
+def _filled_columns(history) -> set[str]:
+    """The outlier columns of a history.csv filled on every row; each must be
+    filled on every row or on none."""
+    with history.open(encoding="utf-8", newline="") as fh:
+        filled = [{column for column in ("outlier_loss", "extrapolated_loss") if row[column]}
+                  for row in csv.DictReader(fh)]
+    assert filled and all(row == filled[0] for row in filled)
+    return filled[0]
+
+
+@pytest.mark.parametrize("kind", losses.KINDS)
+def test_history_fills_the_outlier_columns_of_each_kind(tmp_path, kind):
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run"),
+            "--set", f"train.loss.kind={kind}"]
+    assert cli.main(base + ["gen-data"]) == 0 and cli.main(base + ["train"]) == 0
+    assert _filled_columns(tmp_path / "run" / "history.csv") == FILLED_COLUMNS[kind]
+
+
+# divoe's ascent runs on a model with no hidden layer as on one with a hidden
+# layer; ash_energy, refused without one, is scored only with one.
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+@pytest.mark.parametrize("hidden, kinds", [
+    pytest.param([], ["msp", "energy", "odin"], id="no-hidden-layer"),
+    pytest.param([4], ["msp", "energy", "odin", "ash_energy"], id="one-hidden-layer"),
+])
+def test_divoe_trains_and_evaluates_end_to_end(tmp_path, hidden, kinds):
+    run = tmp_path / "run"
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(run),
+            "--set", f"model.hidden={hidden}", "--set", "train.loss.kind=divoe",
+            "--set", f"scores={json.dumps([{'kind': kind} for kind in kinds])}"]
+    for command in ("gen-data", "train", "eval"):
+        assert cli.main(base + [command]) == 0
+    assert model.load_checkpoint(run / "checkpoint.json").dims == (2, *hidden, 3)
+    assert _filled_columns(run / "history.csv") == FILLED_COLUMNS["divoe"]
+    reports = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    assert [doc["score_kind"] for doc in reports] == kinds
+
+
 _CE = ["--set", "train.loss.kind=ce"]
 _OE = ["--set", "train.loss.kind=oe"]
 _DIVOE = ["--set", "train.loss.kind=divoe"]
@@ -353,6 +405,19 @@ def test_bad_data_exits_3(tmp_path, capsys, command, extra, name, content):
     assert captured.err.startswith("error: ") and str(bad) in captured.err
     assert captured.out == ""
     assert not any((run / output).exists() for output in OUTPUTS[command])
+
+
+def test_eval_names_the_line_of_a_bad_value_past_the_first_csv_block(tmp_path, capsys):
+    # load_csv parses rows in blocks of CSV_BLOCK_ROWS; the line number counts the header.
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+    for command in ("gen-data", "train"):
+        assert cli.main(base + [command]) == 0
+    bad = tmp_path / "run" / "ood_ring.csv"
+    bad.write_text("x0,x1\n" + "0.5,0.5\n" * data.CSV_BLOCK_ROWS + "0.5,abc\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(base + ["eval"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{data.CSV_BLOCK_ROWS + 2}: ") and err.count("\n") == 1
 
 
 def test_extrapolate_grid_matches_one_run_per_epsilon(tmp_path):
@@ -497,6 +562,18 @@ def test_inputs_at_the_magnitude_cap_finish_or_fail_typed(tmp_path):
     theory = [f"theory.{key}={cap}" for key in ("mu_norm", "sigma", "alpha")]
     argv = base + [arg for item in [*theory, "theory.trials=3"] for arg in ("--set", item)]
     assert cli.main(argv + ["theory-verify"]) in (0, 4)
+
+
+def test_theory_verify_at_the_magnitude_cap_exits_0(tmp_path, capsys):
+    # At mu_norm = sigma = alpha = data.MAX_MAGNITUDE the right-hand side is about
+    # -2.3e199, so every trial passes.
+    cap = json.dumps(data.MAX_MAGNITUDE)
+    argv = ["--out", str(tmp_path), "--set", "theory.trials=3"]
+    for key in ("mu_norm", "sigma", "alpha"):
+        argv += ["--set", f"theory.{key}={cap}"]
+    assert cli.main(argv + ["theory-verify"]) == 0
+    assert capsys.readouterr().out.startswith("violation fraction: 0.00 over 3 trials")
+    assert len((tmp_path / "theory.csv").read_text(encoding="utf-8").splitlines()) == 3 + 2
 
 
 @pytest.mark.parametrize("divisors", [["mu_norm"], ["sigma"], ["mu_norm", "sigma"]])

@@ -19,9 +19,11 @@ PROBES = [
     "model.hidden=5",
     "data.ood_sets=[]",
     "train.loss=3",
+    'train.loss.kind="bogus"',
     "extrapolation.pool=[[0.1]]",
     # Removed keys (a single radius is a one-slice extrapolation.pool).
     "extrapolation.clamp=[0]",
+    "extrapolation.epsilon=0.1",
     "extrapolation.epsilon=Infinity",
     "extrapolation.epsilon=-0.1",
     "train.weight_decay=NaN",

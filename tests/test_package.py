@@ -5,8 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oodbench
 from oodbench.errors import ConfigError, DataError, NumericError, OodbenchError
+
+
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(oodbench.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
 
 # The baseline is taken first, so what site hooks import at startup is not counted.
 SCRIPT = """
@@ -25,10 +34,8 @@ print(json.dumps([names, sorted(added)]))
 def test_every_module_imports_only_numpy_and_the_standard_library():
     # A fresh interpreter, so nothing the test session imported is counted;
     # __main__ is skipped because importing it runs the CLI.
-    src = str(Path(oodbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
-                            text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", SCRIPT], env=_fresh_env(),
+                            capture_output=True, text=True, check=True)
     names, added = json.loads(result.stdout)
     assert added == ["numpy", "oodbench"]
     assert {"oodbench.cli", "oodbench.metrics", "oodbench.scoring"} <= set(names)
@@ -59,12 +66,31 @@ def test_eval_scores_before_it_loads_openssl(tmp_path):
             "--set", "model.hidden=[4]", "--set", "train.epochs=1",
             "--set", 'scores=[{"kind": "msp"}, {"kind": "odin"}, {"kind": "ash_energy"}]']
     assert cli.main([*tiny, "gen-data"]) == 0 and cli.main([*tiny, "train"]) == 0
-    src = str(Path(oodbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", EVAL_SCRIPT,
-                             *tiny, "eval"], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", EVAL_SCRIPT, *tiny, "eval"], env=_fresh_env(),
+                            capture_output=True, text=True, check=True)
     assert [line for line in result.stdout.splitlines() if line in ("False", "True")] == \
         ["False", "True"]
+
+
+# `python -m oodbench` runs __main__.py, which must pass main()'s return to sys.exit:
+# (arguments, exit code), each run in a fresh interpreter from an empty directory.
+MODULE_RUNS = [
+    pytest.param(["gradcheck", "--cases", "1"], 0, id="gradcheck-0"),
+    pytest.param(["--set", "train.loss.kind=bogus", "train"], 2, id="bogus-loss-kind-2"),
+    pytest.param(["report", "missing.json", "--out-csv", "merged.csv"], 3, id="missing-report-3"),
+    pytest.param(["--set", "theory.alpha=0.1", "--set", "theory.trials=1", "theory-verify"], 4,
+                 id="infeasible-level-4"),
+]
+
+
+@pytest.mark.parametrize("argv, code", MODULE_RUNS)
+def test_python_m_oodbench_passes_the_exit_code_through(tmp_path, argv, code):
+    result = subprocess.run([sys.executable, "-m", "oodbench", *argv], cwd=tmp_path,
+                            env=_fresh_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == code
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == (code != 0)
+    assert "Traceback" not in result.stderr
 
 
 # Public definitions that no module of the package uses, each with the reason it stays.
