@@ -162,12 +162,6 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
     return grads
 
 
-def gradient(objective: Objective, bindings: Mapping[str, np.ndarray],
-             wrt: Iterable[str]) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of ``objective`` for each name in ``wrt``."""
-    return value_and_grad(objective, bindings, wrt)[1]
-
-
 def value_and_grad(objective: Objective, bindings: Mapping[str, np.ndarray],
                    wrt: Iterable[str]):
     """Value, the gradient for each batch or parameter name in ``wrt``, and each

@@ -10,7 +10,9 @@ length or a float of magnitude above data.MAX_MAGNITUDE (1e100; JSON's
 NaN/Infinity too) raises ConfigError, so stale or malformed manifests fail
 loudly. Each value is checked once, in its dataclass's ``__post_init__``,
 so a bad value fails before a command does any work, and the code below the
-CLI trusts the values it receives.
+CLI trusts the values it receives. Integer sizes obey one rule, ``_check_size``:
+no array a config sizes may hold more than data.MAX_ELEMENTS values. Counts
+that cost only time (epochs, extrapolation steps, theory trials) stay unbounded.
 
 All randomness flows from the one top-level seed, split per component
 (data / model / train / theory) through named substreams.
@@ -19,12 +21,14 @@ All randomness flows from the one top-level seed, split per component
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
-from .data import MAX_MAGNITUDE, dump, parse, read_json
+from .data import FEATURES, MAX_ELEMENTS, MAX_MAGNITUDE, dump, parse, read_json
 from .errors import ConfigError
 from .extrapolation import ExtrapolationConfig
+from .gmm_theory import chunk_rows
 from .numerics import derive_seed
 from .scoring import ScoreSpec
 from .trainer import TrainConfig
@@ -38,6 +42,13 @@ COMPONENT_STREAMS = {"data": 0, "model": 1, "train": 2, "theory": 4}  # 3 is ret
 
 def component_seed(seed: int, component: str) -> int:
     return derive_seed(seed, COMPONENT_STREAMS[component])
+
+
+def _check_size(what: str, *factors: int) -> None:
+    """Refuse ``what``, an array of prod(factors) values, above data.MAX_ELEMENTS."""
+    if math.prod(factors) > MAX_ELEMENTS:
+        raise ConfigError(f"{what} of {' x '.join(map(str, factors))} values exceeds "
+                          f"data.MAX_ELEMENTS ({MAX_ELEMENTS})")
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,8 @@ class TheoryConfig:
             raise ConfigError("alpha must be >= tau for a feasible constraint")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        _check_size("the sampler's chunk", chunk_rows(self.n2), self.dim)
+        _check_size("the ID sample", self.n1, self.dim)
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,14 @@ class RunConfig:
             raise ConfigError("scores name a score kind more than once")
         if not self.model.hidden and any(spec.kind == "ash_energy" for spec in self.scores):
             raise ConfigError("ash_energy shapes the last hidden layer, but model.hidden is empty")
+        d = self.data
+        widths = (FEATURES, *self.model.hidden, d.classes)
+        for i, fans in enumerate(zip(widths, widths[1:])):
+            _check_size(f"weight matrix W{i}", *fans)
+        # Every set is FEATURES wide and eval forwards it whole, so this bounds each set too.
+        rows = max(d.classes * max(d.per_class, d.test_per_class), d.aux.count,
+                   *(spec.count for spec in d.ood_sets.values()))
+        _check_size("the largest set through the widest layer", rows, max(widths))
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **dump(self)}

@@ -53,6 +53,12 @@ from .errors import ConfigError, DataError, OodbenchError
 
 DOMAIN = (0.0, 1.0)
 MAX_MAGNITUDE = 1e100  # the largest |value| ``parse`` accepts for a float
+# The most values of one array a config may size (see ``config``): 2**27 float64 is
+# 1 GiB, which a desk machine holds, and 1024 times the default config's largest
+# array (a 2048-row set through a 64-wide layer). A size no machine could allocate
+# is then a ConfigError before any work, not numpy's MemoryError midway.
+MAX_ELEMENTS = 2 ** 27
+FEATURES = 2  # columns of each generated set
 CSV_BLOCK_ROWS = 4096  # rows ``load_csv`` holds as field strings at a time
 ID_RADIUS = 1.0  # raw-coordinate radius of the circle the ID blob means sit on
 ID_SIGMA = 0.18  # per-coordinate standard deviation of each ID blob

@@ -32,7 +32,7 @@ from .errors import ConfigError, NumericError
 class ExtrapolationConfig:
     """Knobs for the constrained multi-step update.
 
-    ratio: fraction of each outlier batch to synthesize (ceil rounding).
+    ratio: fraction of each outlier batch to synthesize (fine_tune rounds up).
     steps: number of sign-gradient updates, each of size 2*epsilon/steps
     for the row's own radius, so the ball stays reachable.
     pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
@@ -142,19 +142,17 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 
-def select_subbatch(outlier_batch, ratio: float, rng: np.random.Generator):
-    """Uniform without-replacement split into (to_extrapolate, untouched).
+def select_subbatch(outlier_batch, k: int, rng: np.random.Generator):
+    """Uniform without-replacement split into (to_extrapolate, untouched): ``k``
+    rows, the count ``trainer.fine_tune`` takes from the ratio, and the rest.
 
-    Both parts keep ascending original-index order, so a zero ratio leaves
-    the batch bit-identical in its original order.
+    Both parts keep ascending original-index order, so ``k = 0`` leaves the
+    batch bit-identical in its original order.
     """
     batch = np.asarray(outlier_batch, dtype=np.float64)
-    n = batch.shape[0]
-    k = math.ceil(ratio * n)
-    chosen = np.sort(rng.choice(n, size=k, replace=False))
-    mask = np.zeros(n, dtype=bool)
-    mask[chosen] = True
-    return batch[mask], batch[~mask]
+    chosen = np.zeros(batch.shape[0], dtype=bool)
+    chosen[rng.choice(batch.shape[0], size=k, replace=False)] = True
+    return batch[chosen], batch[~chosen]
 
 
 def largest_remainder_counts(fractions, total: int) -> list[int]:

@@ -24,6 +24,11 @@ from .errors import NumericError
 MAX_REJECTION_DRAWS = 2_000_000
 
 
+def chunk_rows(n: int) -> int:
+    """Candidates the sampler draws at a time for ``n`` points, each of ``dim`` values."""
+    return max(2048, 4 * n)
+
+
 @dataclass(frozen=True)
 class GmmSpec:
     """Mixture parameters: component mean mu (the other component is -mu), shared sigma."""
@@ -95,7 +100,7 @@ def sample_constrained_outliers(spec: GmmSpec, n: int, level: float,
     accepted: list[np.ndarray] = []
     kept = 0
     drawn = 0
-    chunk = max(2048, 4 * n)
+    chunk = chunk_rows(n)
     while kept < n:
         if drawn >= MAX_REJECTION_DRAWS:
             raise NumericError(

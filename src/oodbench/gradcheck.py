@@ -99,7 +99,7 @@ def _case(kind: str, rng: np.random.Generator):
         # Exact-zero coordinates (dead relu paths) are locally constant, so the
         # difference quotient is exactly zero too; only small nonzero gradients
         # fall below the oracle's resolution.
-        grads = ad.gradient(objective, bindings, wrt)
+        grads = ad.value_and_grad(objective, bindings, wrt)[1]
         flat = np.concatenate([g.reshape(-1) for g in grads.values()])
         nonzero = np.abs(flat[flat != 0.0])
         if nonzero.size and nonzero.min() >= MIN_GRAD_MAGNITUDE:

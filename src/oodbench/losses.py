@@ -11,6 +11,9 @@ outlier term per outlier batch (energy_bounded adds its ID hinge first), so
 DivOE's hybrid objective is plain OE with a second, synthesized batch. The
 trainer differentiates that sum and the extrapolation engine ascends the
 per-row uniform loss, so every loss has one definition.
+``OUTLIER_BATCHES`` alone says which outlier batches a kind binds: ``x_out``
+from the aux stream and ``x_ext`` synthesized from it; ``trainer.fine_tune``
+sizes the split and binds each batch of the row that gets a row.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from . import numerics
 from .errors import ConfigError
 from .model import Logits
 
-# The outlier batches each loss kind binds (see trainer.fine_tune).
 OUTLIER_BATCHES = {"ce": (), "oe": ("x_out",), "energy_bounded": ("x_out",),
                    "divoe": ("x_out", "x_ext")}
 KINDS = tuple(OUTLIER_BATCHES)
@@ -79,7 +81,10 @@ def objective(lc: LossConfig, id_logits: Logits, target, outlier_logits) -> ad.O
     """Mean ce of ``id_logits`` at ``target`` (one-hot labels or their binding's
     name) plus ``lc.balance`` times the group: for energy_bounded the ID hinge
     (energy below m_in), then an outlier hinge (energy above m_out) per handle
-    in ``outlier_logits``; for the other kinds each handle's uniform loss."""
+    in ``outlier_logits``; for the other kinds each handle's uniform loss.
+    Each outlier batch is its own mean times ``balance``: at 0 < n_ext < n_out
+    divoe's outlier terms weigh 2 * balance against oe's balance, and a synthesized
+    row weighs (n_out - n_ext) / n_ext untouched rows (127 at 128 and 1)."""
     if lc.kind == "energy_bounded":
         group = (ad.Term(energy_hinge_rows, id_logits, (1.0, -float(lc.m_in))),
                  *(ad.Term(energy_hinge_rows, z, (-1.0, float(lc.m_out)))

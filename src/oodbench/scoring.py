@@ -96,8 +96,8 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     for start in range(0, batch.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         bindings["x"] = batch[rows]
-        grads = ad.gradient(odin_graph(mlp.dims, top[rows], ODIN_TEMPERATURE), bindings, ["x"])
-        step[rows] = np.sign(grads["x"])
+        objective = odin_graph(mlp.dims, top[rows], ODIN_TEMPERATURE)
+        step[rows] = np.sign(ad.value_and_grad(objective, bindings, ["x"])[1]["x"])
     logits = model_mod.forward(mlp, np.clip(batch + ODIN_EPSILON * step, *DOMAIN))
     return np.max(numerics.softmax(logits / ODIN_TEMPERATURE, axis=-1), axis=1)
 

@@ -115,10 +115,11 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
     ``aux_outliers`` is a non-empty pool (the CLI checks), None for a kind that
-    binds no outlier batch (``losses.OUTLIER_BATCHES``). ``x_out`` is drawn from the
-    aux stream; ``x_ext`` extrapolates a ``ceil(ratio * n)``-row sub-batch split
-    off it across extrapolation.pool, and a split that takes every row leaves
-    no ``x_out``.
+    binds no outlier batch. Each step draws an ``n_out``-row batch from the aux
+    stream; a kind whose ``losses.OUTLIER_BATCHES`` row names ``x_ext`` splits
+    ``n_ext = ceil(ratio * n_out)`` rows off it and extrapolates them across
+    extrapolation.pool, and ``x_out`` keeps the other ``n_out - n_ext``. The
+    step binds each batch of the kind's row that gets at least one row.
     Deterministic per ``seed``: batch shuffling, sub-batch selection and any
     extrapolation randomness come from per-component seed streams.
     A non-finite loss aborts with NumericError rather than being skipped.
@@ -135,14 +136,12 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     total_steps = cfg.epochs * n_batches
     shuffle_seed = derive_seed(seed, 0)
     select_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
-    out_stream = None
-    n_out = 0
-    if outlier_batches:
-        n_out = min(cfg.outlier_batch, aux.shape[0])
-        out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))
-    # Every step splits an n_out-row outlier batch the same way, so one objective serves the run.
+    n_out = min(cfg.outlier_batch, aux.shape[0]) if outlier_batches else 0
+    out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))  # read only if n_out
+    # Every step splits its outlier batch the same way, so one objective serves the run.
     n_ext = math.ceil(extrapolation.ratio * n_out) if "x_ext" in outlier_batches else 0
-    inputs = ("x_out",) * (n_out > n_ext) + ("x_ext",) * (n_ext > 0)
+    rows = {"x_out": n_out - n_ext, "x_ext": n_ext}
+    inputs = tuple(name for name in outlier_batches if rows[name])
     objective = _build_loss_graph(mlp.dims, cfg.loss, inputs)
     terms = (objective.head, *objective.group)
 
@@ -153,9 +152,9 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                                       seed=derive_seed(shuffle_seed, epoch))
         for x_id, y_id in epoch_iter:
             bindings = dict(params, x=x_id, y=losses.onehot(y_id, mlp.n_classes))
-            out_batch = next(out_stream) if out_stream is not None else None
-            if "x_ext" in inputs:
-                to_ext, out_batch = select_subbatch(out_batch, extrapolation.ratio, select_rng)
+            outliers = {"x_out": next(out_stream)} if n_out else {}
+            if n_ext:
+                to_ext, outliers["x_out"] = select_subbatch(outliers["x_out"], n_ext, select_rng)
                 extrap = build_extrapolation_pool(_model(mlp.dims, params), to_ext, extrapolation)
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
@@ -163,9 +162,8 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                     raise NumericError(
                         f"best-iterate extrapolation lost ground on the uniform loss "
                         f"at epoch {epoch} step {step}")
-                bindings["x_ext"] = extrap.synthesized
-            if "x_out" in inputs:
-                bindings["x_out"] = out_batch
+                outliers["x_ext"] = extrap.synthesized
+            bindings.update((name, outliers[name]) for name in inputs)
             try:
                 total_value, grads, outputs = ad.value_and_grad(objective, bindings, param_names)
             except NumericError as exc:

@@ -166,8 +166,8 @@ def test_duplicate_input_name_rejected_on_every_call():
 
 def test_gradient_quadratic():
     # mean((x + 0)^2) over two rows: the gradient is x itself.
-    grads = ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.array([[1.0], [2.0]])},
-                        ["x"])
+    grads = ad.value_and_grad(_hinge_objective(),
+                              {**_IDENTITY_1, "x": np.array([[1.0], [2.0]])}, ["x"])[1]
     np.testing.assert_array_equal(grads["x"], [[1.0], [2.0]])
 
 
@@ -175,19 +175,19 @@ def test_gradient_logsumexp_is_softmax():
     # The uniform-loss row is logsumexp - mean: its gradient is softmax - 1/C.
     x = np.array([[0.3, -1.2, 2.5, 0.0]])
     objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 4)), reduce="sum"))
-    grads = ad.gradient(objective, {**_layers((np.eye(4), np.zeros(4))), "x": x}, ["x"])
+    grads = ad.value_and_grad(objective, {**_layers((np.eye(4), np.zeros(4))), "x": x}, ["x"])[1]
     np.testing.assert_allclose(grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
 
 
 def test_gradient_unknown_name():
     with pytest.raises(KeyError, match="'y'"):
-        ad.gradient(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, ["y"])
+        ad.value_and_grad(_hinge_objective(), {**_IDENTITY_1, "x": np.ones((2, 1))}, ["y"])[1]
 
 
 def test_gradient_shapes_match_inputs():
     objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 2))))
     bindings = {"x": np.ones((3, 4)), **_layers((np.ones((4, 2)), np.zeros(2)))}
-    grads = ad.gradient(objective, bindings, ["x", "W0", "b0"])
+    grads = ad.value_and_grad(objective, bindings, ["x", "W0", "b0"])[1]
     assert grads["x"].shape == (3, 4)
     assert grads["W0"].shape == (4, 2)
     assert grads["b0"].shape == (2,)
@@ -205,8 +205,8 @@ def test_gradient_broadcast_add_bias():
 def test_gradient_deterministic_accumulation():
     dims = (3, 6, 4)
     bindings = _divoe_bindings(dims, np.random.default_rng(5), 4, seed=2)
-    g1 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
-    g2 = ad.gradient(_divoe(dims), bindings, ["W0", "x"])
+    g1 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "x"])[1]
+    g2 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "x"])[1]
     assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
 
 
@@ -220,7 +220,8 @@ def test_finite_diff_quadratic_function_exact():
     # A central difference has no truncation error on a quadratic.
     objective = _hinge_objective()
     bindings = {**_IDENTITY_1, "x": np.array([[0.3], [0.7], [1.2]])}
-    err = gradcheck.finite_diff_check(objective, bindings, ad.gradient(objective, bindings, ["x"]))
+    grads = ad.value_and_grad(objective, bindings, ["x"])[1]
+    err = gradcheck.finite_diff_check(objective, bindings, grads)
     assert err <= 1e-10
 
 
@@ -228,7 +229,7 @@ def test_finite_diff_constant_expression():
     # Cross-entropy over one class is log 1 = 0 whatever the logits.
     objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 1)), np.ones((2, 1))))
     bindings = {**_layers((np.ones((3, 1)), np.zeros(1))), "x": np.ones((2, 3))}
-    grads = ad.gradient(objective, bindings, ["x"])
+    grads = ad.value_and_grad(objective, bindings, ["x"])[1]
     np.testing.assert_array_equal(grads["x"], np.zeros((2, 3)))
     assert gradcheck.finite_diff_check(objective, bindings, grads) == 0.0
 
@@ -249,7 +250,7 @@ def test_finite_diff_random_three_layer_net(dims):
     objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims),
                                      losses.onehot(labels, dims[-1])))
     names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")] + ["x"]
-    grads = ad.gradient(objective, bindings, names)
+    grads = ad.value_and_grad(objective, bindings, names)[1]
     assert gradcheck.finite_diff_check(objective, bindings, grads, h=1e-5) < 1e-6
 
 

@@ -83,6 +83,11 @@ PROBES = [
     pytest.param("seed=" + "[" * 5000, id="seed=[*5000"),
     pytest.param("train.lr=" + "9" * 5000, id="train.lr=9*5000"),
     pytest.param("train.lr=" + "9" * 400, id="train.lr=9*400"),
+    # Sizes whose arrays would hold more than data.MAX_ELEMENTS values.
+    "data.per_class=1000000000000",
+    "data.per_class=1000000000000000000",
+    "theory.dim=1000000000000000000",
+    "model.hidden=[1000000000000]",
 ]
 
 UNKNOWN_KEYS = [
@@ -196,6 +201,37 @@ def test_theory_config_bounds_its_divisors_at_one_over_the_magnitude_cap():
             config.TheoryConfig(mu_norm=mu_norm)
     with pytest.raises(ConfigError, match="sigma must be >= 1e-100"):
         config.TheoryConfig(sigma=below)
+
+
+# (overrides whose largest array holds exactly data.MAX_ELEMENTS values, one more
+# override that adds to it); the arrays' sizes are in the comments.
+AT_THE_SIZE_CAP = [
+    (["data.classes=2", "model.hidden=[]", f"data.per_class={2 ** 25}"],
+     f"data.per_class={2 ** 25 + 1}"),  # id_train 2**26 rows x 2 columns, and x 2 logits
+    (["data.classes=2", "model.hidden=[]", f"data.test_per_class={2 ** 25}"],
+     f"data.test_per_class={2 ** 25 + 1}"),
+    (["data.classes=2", "model.hidden=[]", f"data.aux.count={2 ** 26}"],
+     f"data.aux.count={2 ** 26 + 1}"),
+    (["model.hidden=[8192, 16384]"], "model.hidden=[8192, 16385]"),  # W1
+    (["model.hidden=[65536]"], "data.ood_sets.ring.count=2049"),  # 2048 ring rows x 65536
+    (["theory.dim=65536"], "theory.dim=65537"),  # the sampler's 2048-row chunk
+    (["theory.dim=65536", "theory.n2=512"], "theory.n2=513"),  # its chunk is 4 * n2 rows
+    (["theory.dim=65536", "theory.n1=2048"], "theory.n1=2049"),
+]
+
+
+@pytest.mark.parametrize("overrides, one_more", AT_THE_SIZE_CAP)
+def test_a_size_at_the_cap_parses_and_one_more_does_not(overrides, one_more):
+    config.parse_config(config.apply_overrides({}, overrides))
+    with pytest.raises(ConfigError, match=r"exceeds data\.MAX_ELEMENTS \(134217728\)"):
+        config.parse_config(config.apply_overrides({}, [*overrides, one_more]))
+
+
+def test_counts_that_cost_only_time_are_unbounded():
+    huge = 10 ** 18
+    cfg = config.parse_config({"train": {"epochs": huge}, "extrapolation": {"steps": huge},
+                               "theory": {"trials": huge}})
+    assert (cfg.train.epochs, cfg.extrapolation.steps, cfg.theory.trials) == (huge,) * 3
 
 
 def test_default_digest_is_pinned():

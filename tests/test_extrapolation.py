@@ -238,23 +238,15 @@ def _uniform_loss_grad(m, w, x):
 def test_select_subbatch_extremes_and_split():
     rng = np.random.default_rng(1)
     batch = _batch(128, seed=10)
-    none_sel, all_kept = select_subbatch(batch, 0.0, rng)
+    none_sel, all_kept = select_subbatch(batch, 0, rng)
     assert none_sel.shape[0] == 0
     assert all_kept.tobytes() == batch.tobytes()  # original order preserved
-    all_sel, none_kept = select_subbatch(batch, 1.0, rng)
+    all_sel, none_kept = select_subbatch(batch, 128, rng)
     assert all_sel.shape[0] == 128 and none_kept.shape[0] == 0
-    half, rest = select_subbatch(batch, 0.5, rng)
+    half, rest = select_subbatch(batch, 64, rng)
     assert half.shape[0] == 64 and rest.shape[0] == 64
     combined = np.concatenate([half, rest])
     assert {tuple(r) for r in combined} == {tuple(r) for r in batch}
-
-
-def test_select_subbatch_ceil_rounding():
-    rng = np.random.default_rng(2)
-    batch = _batch(5, seed=11)
-    chosen, rest = select_subbatch(batch, 0.3, rng)
-    assert chosen.shape[0] == 2  # ceil(1.5)
-    assert rest.shape[0] == 3
 
 
 def test_largest_remainder_counts():

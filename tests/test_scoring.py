@@ -108,13 +108,13 @@ def test_blocked_odin_equals_one_pass(monkeypatch):
     x = np.random.default_rng(12).uniform(0, 1, (n, 2))
     spec = scoring.ScoreSpec.odin_default()
     passes = []
-    gradient = scoring.ad.gradient
+    value_and_grad = scoring.ad.value_and_grad
 
     def counted(expr, bindings, wrt):
         passes.append(bindings["x"].shape[0])
-        return gradient(expr, bindings, wrt)
+        return value_and_grad(expr, bindings, wrt)
 
-    monkeypatch.setattr(scoring.ad, "gradient", counted)
+    monkeypatch.setattr(scoring.ad, "value_and_grad", counted)
     blocked = scoring.compute_scores(m, x, spec)
     assert passes == [scoring.BLOCK_ROWS] * 2 + [n - 2 * scoring.BLOCK_ROWS]
     monkeypatch.setattr(scoring, "BLOCK_ROWS", n)

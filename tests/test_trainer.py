@@ -92,6 +92,36 @@ def test_fine_tune_divoe_at_ratio_one_extrapolates_the_whole_batch(monkeypatch):
     assert all(r.outlier_loss is None and r.extrapolated_loss is not None for r in records)
 
 
+def test_fine_tune_binds_only_the_batches_of_the_kinds_row(monkeypatch):
+    monkeypatch.setitem(losses.OUTLIER_BATCHES, "divoe", ("x_ext",))
+    _, records = _run("divoe", 0.5)
+    assert all(r.outlier_loss is None and r.extrapolated_loss is not None for r in records)
+
+
+def test_fine_tune_rounds_the_synthesized_rows_up(monkeypatch):
+    synthesized, bound = [], []
+    real_pool, real_pass = trainer.build_extrapolation_pool, trainer.ad.value_and_grad
+
+    def pool(mlp, subbatch, cfg):
+        synthesized.append(subbatch.shape[0])
+        return real_pool(mlp, subbatch, cfg)
+
+    def value_and_grad(objective, bindings, wrt):
+        if "x_out" in bindings:
+            bound.append(bindings["x_out"].shape[0])
+        return real_pass(objective, bindings, wrt)
+
+    monkeypatch.setattr(trainer, "build_extrapolation_pool", pool)
+    monkeypatch.setattr(trainer.ad, "value_and_grad", value_and_grad)
+    id_train, aux = _toy()
+    cfg = trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=5,
+                              loss=losses.LossConfig(kind="divoe"))
+    trainer.fine_tune(model.init_model([2, 8, 3], seed=1), id_train, aux, cfg,
+                      ExtrapolationConfig(ratio=0.3, steps=2), 0)
+    assert synthesized == [2, 2]  # ceil(0.3 * 5)
+    assert bound == [3, 3]
+
+
 def test_fine_tune_rejects_lost_ground_with_numeric_error(monkeypatch):
     id_train, aux = _toy()
     monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(1.0, 0.5, False))
