@@ -117,7 +117,7 @@ def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None,
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
     out = _out_dir(cfg)
-    binds_aux = bool(losses.OUTLIER_BATCHES[cfg.train.loss.kind])
+    binds_aux = losses.KINDS[cfg.train.loss.kind].binds_aux
     names = ("id_train", "aux_out") if binds_aux else ("id_train",)
     id_train, *aux = _load_sets(cfg, names, None, cfg.data.classes)
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
@@ -212,6 +212,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
     # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
     n = x.shape[0]
+    config_mod._check_size("the grid of --epsilons (or of the pool's radii) x input rows x "
+                           "widest layer", len(grid), n, max(mlp.dims))
     eps = np.repeat(np.asarray(grid, dtype=np.float64), n)
     batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation, epsilon=eps)
     score_before = scoring.compute_scores(mlp, x, score_spec)

@@ -8,10 +8,10 @@ iterate seen, origin included, so no row's loss falls below its initial
 value.
 
 The whole batch ascends together. The target is the sum over the rows of
-``losses.oe_rows``, the uniform loss ``losses.objective`` averages per outlier
-batch. Rows do not interact under the model, so one pass over that sum gives
-every row's value and input gradient. Each row keeps its own radius (its
-slice of ``ExtrapolationConfig.pool``), step size and best iterate.
+``losses.oe_rows``, the uniform loss ``losses.objective`` averages over the
+outlier batch the rows rejoin. Rows do not interact under the model, so one
+pass over that sum gives every row's value and input gradient. Each row keeps
+its own radius (its slice of the pool), step size and best iterate.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import ConfigError, NumericError
 class ExtrapolationConfig:
     """Knobs for the constrained multi-step update.
 
-    ratio: fraction of each outlier batch to synthesize (fine_tune rounds up).
+    ratio: fraction of each outlier batch synthesized in place (fine_tune rounds up).
     steps: number of sign-gradient updates, each of size 2*epsilon/steps
     for the row's own radius, so the ball stays reachable.
     pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
@@ -142,17 +142,12 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 
-def select_subbatch(outlier_batch, k: int, rng: np.random.Generator):
-    """Uniform without-replacement split into (to_extrapolate, untouched): ``k``
-    rows, the count ``trainer.fine_tune`` takes from the ratio, and the rest.
-
-    Both parts keep ascending original-index order, so ``k = 0`` leaves the
-    batch bit-identical in its original order.
-    """
-    batch = np.asarray(outlier_batch, dtype=np.float64)
-    chosen = np.zeros(batch.shape[0], dtype=bool)
-    chosen[rng.choice(batch.shape[0], size=k, replace=False)] = True
-    return batch[chosen], batch[~chosen]
+def select_subbatch(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Mask of ``k`` of ``n`` rows drawn uniformly without replacement: the rows
+    of an outlier batch ``trainer.fine_tune`` synthesizes in place."""
+    chosen = np.zeros(n, dtype=bool)
+    chosen[rng.choice(n, size=k, replace=False)] = True
+    return chosen
 
 
 def largest_remainder_counts(fractions, total: int) -> list[int]:

@@ -75,9 +75,8 @@ def _case(kind: str, rng: np.random.Generator):
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
         lc = losses.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
-        outlier_inputs = losses.OUTLIER_BATCHES[kind]
-        objective = trainer._build_loss_graph(dims, lc, outlier_inputs)
-        batch_names = ("x", *outlier_inputs)
+        objective = trainer._build_loss_graph(dims, lc)
+        batch_names = ("x", "x_out") if losses.KINDS[kind].binds_aux else ("x",)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
         objective, batch_names = extrapolation._target_graph(dims), ("x",)

@@ -6,19 +6,19 @@ the (..., m, C) logits z of one batch: one value per row and, in closed form,
 each value's gradient with respect to its own row. Each reduces the class
 axis, the last one, so a stack of batches (``autodiff``'s stack axis) gets
 the values each batch would get alone. ``objective`` makes them
-``autodiff.Term``s: ce on the ID logits plus ``LossConfig.balance`` times one
-outlier term per outlier batch (energy_bounded adds its ID hinge first), so
-DivOE's hybrid objective is plain OE with a second, synthesized batch. The
-trainer differentiates that sum and the extrapolation engine ascends the
-per-row uniform loss, so every loss has one definition.
-``OUTLIER_BATCHES`` alone says which outlier batches a kind binds: ``x_out``
-from the aux stream and ``x_ext`` synthesized from it; ``trainer.fine_tune``
-sizes the split and binds each batch of the row that gets a row.
+``autodiff.Term``s: ce on the ID logits plus ``LossConfig.balance`` times at
+most one outlier term, the mean over the one outlier batch (energy_bounded
+adds its ID hinge first). The trainer differentiates that sum and the
+extrapolation engine ascends the per-row uniform loss, so every loss has one
+definition. ``KINDS`` alone says what each kind trains on. DivOE's
+synthesized rows take their origins' places in the outlier batch
+(``trainer.fine_tune``), so its objective is oe's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +27,17 @@ from . import numerics
 from .errors import ConfigError
 from .model import Logits
 
-OUTLIER_BATCHES = {"ce": (), "oe": ("x_out",), "energy_bounded": ("x_out",),
-                   "divoe": ("x_out", "x_ext")}
-KINDS = tuple(OUTLIER_BATCHES)
+
+class Kind(NamedTuple):
+    """What a loss kind trains on besides the ce of the ID batch."""
+
+    binds_aux: bool    # an aux outlier batch, bound as x_out
+    synthesizes: bool  # ceil(ratio * n_out) of its rows extrapolated in place
+    hinge: bool        # the energy hinges at m_in and m_out, not the uniform loss
+
+
+KINDS = {"ce": Kind(False, False, False), "oe": Kind(True, False, False),
+         "energy_bounded": Kind(True, False, True), "divoe": Kind(True, True, False)}
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ class LossConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"loss kind must be one of {KINDS}")
+            raise ConfigError(f"loss kind must be one of {tuple(KINDS)}")
         if self.balance < 0:
             raise ConfigError("balance must be >= 0")
 
@@ -77,23 +85,22 @@ def energy_hinge_rows(payload, z):
     return r * r, (-2.0 * sign * r)[..., None] * np.exp(z - lse[..., None])
 
 
-def objective(lc: LossConfig, id_logits: Logits, target, outlier_logits) -> ad.Objective:
+def objective(lc: LossConfig, id_logits: Logits, target,
+              outlier_logits: Logits | None) -> ad.Objective:
     """Mean ce of ``id_logits`` at ``target`` (one-hot labels or their binding's
-    name) plus ``lc.balance`` times the group: for energy_bounded the ID hinge
-    (energy below m_in), then an outlier hinge (energy above m_out) per handle
-    in ``outlier_logits``; for the other kinds each handle's uniform loss.
-    Each outlier batch is its own mean times ``balance``: at 0 < n_ext < n_out
-    divoe's outlier terms weigh 2 * balance against oe's balance, and a synthesized
-    row weighs (n_out - n_ext) / n_ext untouched rows (127 at 128 and 1)."""
-    if lc.kind == "energy_bounded":
-        group = (ad.Term(energy_hinge_rows, id_logits, (1.0, -float(lc.m_in))),
-                 *(ad.Term(energy_hinge_rows, z, (-1.0, float(lc.m_out)))
-                   for z in outlier_logits))
-    else:
-        group = tuple(ad.Term(oe_rows, z) for z in outlier_logits)
+    name) plus ``lc.balance`` times the group: for a hinge kind the ID hinge
+    (energy below m_in) and the outlier hinge (energy above m_out), for the
+    others the uniform loss, the outlier term a mean over ``outlier_logits``'
+    batch, so every outlier row, synthesized or not, weighs the same. There
+    is no outlier term without ``outlier_logits``."""
+    hinge = KINDS[lc.kind].hinge
+    group = (ad.Term(energy_hinge_rows, id_logits, (1.0, -float(lc.m_in))),) if hinge else ()
+    if outlier_logits is not None:
+        group += (ad.Term(energy_hinge_rows, outlier_logits, (-1.0, float(lc.m_out))) if hinge
+                  else ad.Term(oe_rows, outlier_logits),)
     return ad.Objective(ad.Term(ce_rows, id_logits, target), lc.balance, group)
 
 
 def oe_total_loss_expr(id_logits: Logits, labels, n_classes: int,
                        out_logits: Logits, lam: float) -> ad.Objective:
-    return objective(LossConfig("oe", lam), id_logits, onehot(labels, n_classes), (out_logits,))
+    return objective(LossConfig("oe", lam), id_logits, onehot(labels, n_classes), out_logits)

@@ -1,11 +1,11 @@
 """Fine-tuning loop: SGD with Nesterov momentum, weight decay and a
 per-step cosine-annealed learning rate.
 
-Per batch: sample an ID mini-batch and an outlier mini-batch, split off a
-sub-batch by the extrapolation ratio, synthesize it against the current
-model snapshot, then take one gradient step on the kind's objective,
-``losses.objective``, which ``_build_loss_graph`` binds once per run.
-The outlier stream reshuffles and cycles so every ID batch is paired.
+Per batch: sample an ID mini-batch and an outlier mini-batch, synthesize a
+share of its rows in place against the current model snapshot, then take
+one gradient step on the kind's objective, ``losses.objective``, which
+``_build_loss_graph`` binds once per run. The outlier stream reshuffles and
+cycles so every ID batch is paired.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
         pass_idx += 1
 
 
-def _build_loss_graph(dims, lc: losses.LossConfig, outlier_inputs: tuple[str, ...]):
-    """``losses.objective`` over batches x / y and the named outlier batches; ``y``
-    is the one-hot label batch, so one objective serves every step and row count."""
-    return losses.objective(lc, model_mod.logits_graph(dims, "x"), "y",
-                            [model_mod.logits_graph(dims, name) for name in outlier_inputs])
+def _build_loss_graph(dims, lc: losses.LossConfig):
+    """``losses.objective`` over batches x / y and, for a kind that binds it, x_out;
+    ``y`` is the one-hot labels, so one objective serves every step and row count."""
+    x_out = model_mod.logits_graph(dims, "x_out") if losses.KINDS[lc.kind].binds_aux else None
+    return losses.objective(lc, model_mod.logits_graph(dims, "x"), "y", x_out)
 
 
 def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
@@ -115,16 +115,17 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
     ``aux_outliers`` is a non-empty pool (the CLI checks), None for a kind that
-    binds no outlier batch. Each step draws an ``n_out``-row batch from the aux
-    stream; a kind whose ``losses.OUTLIER_BATCHES`` row names ``x_ext`` splits
-    ``n_ext = ceil(ratio * n_out)`` rows off it and extrapolates them across
-    extrapolation.pool, and ``x_out`` keeps the other ``n_out - n_ext``. The
-    step binds each batch of the kind's row that gets at least one row.
-    Deterministic per ``seed``: batch shuffling, sub-batch selection and any
-    extrapolation randomness come from per-component seed streams.
-    A non-finite loss aborts with NumericError rather than being skipped.
+    binds no aux batch. A kind whose ``losses.KINDS`` row binds it trains each
+    step on an ``n_out``-row batch of the aux stream, bound as ``x_out``; one
+    that synthesizes extrapolates ``n_ext = ceil(ratio * n_out)`` of its rows
+    across extrapolation.pool and writes them back in their origins' places
+    (in the step's copy: the pool is never written). ``outlier_loss`` is the
+    outlier term, ``extrapolated_loss`` the mean uniform loss of the
+    synthesized rows. Deterministic per ``seed``: batch shuffling, row
+    selection and any extrapolation randomness come from per-component seed
+    streams. A non-finite loss aborts with NumericError rather than being skipped.
     """
-    outlier_batches = losses.OUTLIER_BATCHES[cfg.loss.kind]
+    kind = losses.KINDS[cfg.loss.kind]
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
     params = dict(model_mod.param_bindings(mlp))
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
@@ -136,13 +137,10 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     total_steps = cfg.epochs * n_batches
     shuffle_seed = derive_seed(seed, 0)
     select_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
-    n_out = min(cfg.outlier_batch, aux.shape[0]) if outlier_batches else 0
+    n_out = min(cfg.outlier_batch, aux.shape[0]) if kind.binds_aux else 0
     out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))  # read only if n_out
-    # Every step splits its outlier batch the same way, so one objective serves the run.
-    n_ext = math.ceil(extrapolation.ratio * n_out) if "x_ext" in outlier_batches else 0
-    rows = {"x_out": n_out - n_ext, "x_ext": n_ext}
-    inputs = tuple(name for name in outlier_batches if rows[name])
-    objective = _build_loss_graph(mlp.dims, cfg.loss, inputs)
+    n_ext = math.ceil(extrapolation.ratio * n_out) if kind.synthesizes else 0
+    objective = _build_loss_graph(mlp.dims, cfg.loss)
     terms = (objective.head, *objective.group)
 
     param_names = model_mod.param_names(mlp)
@@ -152,32 +150,32 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                                       seed=derive_seed(shuffle_seed, epoch))
         for x_id, y_id in epoch_iter:
             bindings = dict(params, x=x_id, y=losses.onehot(y_id, mlp.n_classes))
-            outliers = {"x_out": next(out_stream)} if n_out else {}
+            if n_out:
+                bindings["x_out"] = x_out = next(out_stream)  # a copy: the pool stays unwritten
             if n_ext:
-                to_ext, outliers["x_out"] = select_subbatch(outliers["x_out"], n_ext, select_rng)
-                extrap = build_extrapolation_pool(_model(mlp.dims, params), to_ext, extrapolation)
+                chosen = select_subbatch(n_out, n_ext, select_rng)
+                extrap = build_extrapolation_pool(_model(mlp.dims, params), x_out[chosen],
+                                                  extrapolation)
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
                                  < np.mean(extrap.initial_values[ok]) - 1e-12):
                     raise NumericError(
                         f"best-iterate extrapolation lost ground on the uniform loss "
                         f"at epoch {epoch} step {step}")
-                outliers["x_ext"] = extrap.synthesized
-            bindings.update((name, outliers[name]) for name in inputs)
+                x_out[chosen] = extrap.synthesized
             try:
                 total_value, grads, outputs = ad.value_and_grad(objective, bindings, param_names)
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
             ce_value, *values = (float(t.reduced(out)) for t, out in zip(terms, outputs))
-            outlier_values = {t.logits.batch: v for t, v in zip(objective.group, values)}
 
             lr = cosine_lr(step, total_steps, cfg.lr)
             params, velocity = sgd_step(params, grads, velocity, lr)
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
-                outlier_loss=outlier_values.get("x_out"),
-                extrapolated_loss=outlier_values.get("x_ext"),
+                outlier_loss=values[-1] if n_out else None,
+                extrapolated_loss=float(np.mean(outputs[-1][chosen])) if n_ext else None,
                 total_loss=float(total_value)))
             step += 1
     return _model(mlp.dims, params), history

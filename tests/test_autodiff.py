@@ -33,12 +33,12 @@ _IDENTITY_1 = _layers((np.ones((1, 1)), np.zeros(1)))
 
 
 def _divoe(dims):
-    return trainer._build_loss_graph(dims, losses.LossConfig(kind="divoe"), ("x_out", "x_ext"))
+    return trainer._build_loss_graph(dims, losses.LossConfig(kind="divoe"))
 
 
 def _divoe_bindings(dims, rng, rows, seed):
     return {**model.param_bindings(model.init_model(dims, seed=seed)),
-            **{name: rng.uniform(size=(rows, dims[0])) for name in ("x", "x_out", "x_ext")},
+            **{name: rng.uniform(size=(rows, dims[0])) for name in ("x", "x_out")},
             "y": losses.onehot(rng.integers(0, dims[-1], rows), dims[-1])}
 
 
@@ -347,19 +347,19 @@ def test_outputs_are_each_terms_kernel_value():
     objective = _divoe(dims)
     bindings = _divoe_bindings(dims, np.random.default_rng(6), 5, seed=3)
     value, _, outputs = ad.value_and_grad(objective, bindings, ["b1"])
-    assert [out.shape for out in outputs] == [(5,)] * 3
-    ce, *terms = (t.reduced(out) for t, out in zip((objective.head, *objective.group), outputs))
-    assert value == ce + 0.5 * (terms[0] + terms[1])
+    assert [out.shape for out in outputs] == [(5,)] * 2
+    ce, outlier = (t.reduced(out) for t, out in zip((objective.head, *objective.group), outputs))
+    assert value == ce + 0.5 * outlier
     assert ad.evaluate(objective, bindings) == value
 
 
-@pytest.mark.parametrize("wrt", [["x"], ["x_ext", "x_out"], ["W0", "b0", "W1", "b1"], ["b1"]])
+@pytest.mark.parametrize("wrt", [["x"], ["x", "x_out"], ["W0", "b0", "W1", "b1"], ["b1"]])
 def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
     dims = (3, 5, 4)
     objective = _divoe(dims)
     bindings = _divoe_bindings(dims, np.random.default_rng(8), 6, seed=4)
     _, every, _ = ad.value_and_grad(objective, bindings,
-                                    ["x", "x_out", "x_ext", "W0", "b0", "W1", "b1"])
+                                    ["x", "x_out", "W0", "b0", "W1", "b1"])
     real = ad._accumulate
     fed: set[str] = set()
 

@@ -299,7 +299,9 @@ def test_ce_train_reads_no_auxiliary_outliers(tmp_path, capsys):
     assert "aux_out.csv" in capsys.readouterr().err
 
 
-# The outlier columns of history.csv each loss kind fills: the batches it binds.
+# The outlier columns of history.csv each loss kind fills: outlier_loss, the one
+# outlier term, when it binds the aux batch, and extrapolated_loss when it
+# synthesizes rows of that batch.
 FILLED_COLUMNS = {"ce": set(), "oe": {"outlier_loss"}, "energy_bounded": {"outlier_loss"},
                   "divoe": {"outlier_loss", "extrapolated_loss"}}
 
@@ -466,6 +468,21 @@ def test_extrapolate_without_epsilons_uses_the_pool_radii(tmp_path, pool, grid):
     rows = [line.split(",")[:2] for line in outputs[0][0].decode().splitlines()[1:]]
     assert [(int(i), float(e)) for i, e in rows] == \
         [(i, float(e)) for e in grid.split(",") for i in range(n)]
+
+
+def test_extrapolate_grid_over_the_size_rule_exits_2(tmp_path, capsys):
+    # The grid ascends as one batch through the widest layer: 513 x 4096 x 64
+    # values is past data.MAX_ELEMENTS (2**27), from a short argument.
+    checkpoint, inputs, dump = tmp_path / "ckpt.json", tmp_path / "in.csv", tmp_path / "d.csv"
+    model.save_checkpoint(model.init_model((2, 64, 4), seed=0), checkpoint)
+    data.save_csv(data.UnlabeledDataset(np.full((4096, 2), 0.5)), inputs)
+    argv = ["--out", str(tmp_path / "run"), "extrapolate", "--checkpoint", str(checkpoint),
+            "--input", str(inputs), "--dump", str(dump), "--epsilons", ",".join(["0.1"] * 513)]
+    assert 513 * 4096 * 64 > data.MAX_ELEMENTS
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--epsilons" in err
+    assert not dump.exists()
 
 
 @pytest.mark.parametrize("cases", ["0", "-5"])

@@ -236,17 +236,15 @@ def _uniform_loss_grad(m, w, x):
 
 
 def test_select_subbatch_extremes_and_split():
+    # A mask over the batch's rows, so the chosen rows keep their places; the
+    # draw is one rng.choice of k indices.
     rng = np.random.default_rng(1)
-    batch = _batch(128, seed=10)
-    none_sel, all_kept = select_subbatch(batch, 0, rng)
-    assert none_sel.shape[0] == 0
-    assert all_kept.tobytes() == batch.tobytes()  # original order preserved
-    all_sel, none_kept = select_subbatch(batch, 128, rng)
-    assert all_sel.shape[0] == 128 and none_kept.shape[0] == 0
-    half, rest = select_subbatch(batch, 64, rng)
-    assert half.shape[0] == 64 and rest.shape[0] == 64
-    combined = np.concatenate([half, rest])
-    assert {tuple(r) for r in combined} == {tuple(r) for r in batch}
+    assert not select_subbatch(128, 0, rng).any()
+    assert select_subbatch(128, 128, rng).all()
+    half = select_subbatch(128, 64, np.random.default_rng(2))
+    assert half.shape == (128,) and half.dtype == bool and half.sum() == 64
+    np.testing.assert_array_equal(
+        np.flatnonzero(half), np.sort(np.random.default_rng(2).choice(128, size=64, replace=False)))
 
 
 def test_largest_remainder_counts():

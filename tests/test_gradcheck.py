@@ -49,9 +49,10 @@ def test_stacked_check_is_the_per_coordinate_loop_bitwise(kind):
             oracles.finite_diff_check_loop(*case, h=gradcheck.DEFAULT_STEP)
 
 
-def test_third_contribution_to_an_input_is_checked(monkeypatch):
-    # Only a parameter that feeds three batches' logits (divoe's x, x_out and
-    # x_ext) receives a third contribution; skewing just that one must show.
+def test_second_contribution_to_a_parameter_is_checked(monkeypatch):
+    # A parameter receives one contribution per batch whose logits it feeds;
+    # in every kind but ce that is x and x_out, and skewing just the second
+    # (x's, which the backward runs last) must show.
     real_backward, real_accumulate = ad._backward, ad._accumulate
     seen: dict[str, int] = {}
 
@@ -61,7 +62,7 @@ def test_third_contribution_to_an_input_is_checked(monkeypatch):
 
     def skewed(grads, name, grad):
         seen[name] = seen.get(name, 0) + 1
-        real_accumulate(grads, name, grad * (1.0 + 1e-3) if seen[name] == 3 else grad)
+        real_accumulate(grads, name, grad * (1.0 + 1e-3) if seen[name] == 2 else grad)
 
     monkeypatch.setattr(ad, "_backward", backward_counting)
     monkeypatch.setattr(ad, "_accumulate", skewed)

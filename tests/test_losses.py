@@ -37,16 +37,15 @@ def _oe(logits) -> float:
 
 
 def _objective(kind, batches, lam=0.5):
-    """trainer._build_loss_graph's total, ce and outlier terms over the named outlier
-    batches; the model is one identity layer, so every batch is its own logits."""
+    """trainer._build_loss_graph's total, ce and outlier term (if the kind binds
+    x_out); the model is one identity layer, so every batch is its own logits."""
     c = batches["x"].shape[1]
-    inputs = tuple(name for name in batches if name not in ("x", "y"))
-    objective = trainer._build_loss_graph((c, c), losses.LossConfig(kind=kind, balance=lam),
-                                          inputs)
+    objective = trainer._build_loss_graph((c, c), losses.LossConfig(kind=kind, balance=lam))
     total, _, outputs = ad.value_and_grad(objective, {"W0": np.eye(c), "b0": np.zeros(c),
                                                       **batches}, [])
-    terms = [float(t.reduced(out)) for t, out in zip((objective.head, *objective.group), outputs)]
-    return (float(total), terms[0], *terms[len(terms) - len(inputs):])
+    ce, *group = (float(t.reduced(out)) for t, out in zip((objective.head, *objective.group),
+                                                          outputs))
+    return (float(total), ce, *group[-1:])
 
 
 def test_ce_uniform_logits():
@@ -169,20 +168,26 @@ def test_divoe_reduces_to_oe_total_bitwise():
 
 
 def test_divoe_full_extrapolation_uses_extrap_only():
+    # At ratio 1 every row of the outlier batch is synthesized, so the one
+    # outlier term is the uniform loss of the synthesized rows alone.
     rng = np.random.default_rng(3)
-    _, batches = _id_batch(rng, 4, 3)
+    labels, batches = _id_batch(rng, 4, 3)
     ext = rng.normal(size=(6, 3))
-    assert _objective("divoe", {**batches, "x_ext": ext}) == \
-        _objective("divoe", {**batches, "x_out": ext})
+    total, ce, outlier = _objective("divoe", {**batches, "x_out": ext})
+    assert (ce, outlier) == (_ce(batches["x"], labels), _oe(ext))
+    assert total == ce + 0.5 * outlier
 
 
 def test_divoe_hand_composed_two_sides():
+    # An untouched row and a synthesized one share the outlier batch: one
+    # uniform term, in which each row weighs half.
     rng = np.random.default_rng(4)
     labels, batches = _id_batch(rng, 2, 3)
     orig, ext = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
-    total, ce, oe_orig, oe_ext = _objective("divoe", {**batches, "x_out": orig, "x_ext": ext})
-    assert (ce, oe_orig, oe_ext) == (_ce(batches["x"], labels), _oe(orig), _oe(ext))
-    expected = _ce(batches["x"], labels) + 0.5 * (_oe(orig) + _oe(ext))
+    total, ce, outlier = _objective("divoe", {**batches, "x_out": np.concatenate([orig, ext])})
+    assert ce == _ce(batches["x"], labels)
+    assert outlier == pytest.approx((_oe(orig) + _oe(ext)) / 2, rel=1e-12)
+    expected = _ce(batches["x"], labels) + 0.5 * (_oe(orig) + _oe(ext)) / 2
     assert total == pytest.approx(expected, rel=1e-12)
 
 

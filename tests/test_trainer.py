@@ -78,24 +78,15 @@ def test_fine_tune_divoe_at_ratio_zero_trains_as_oe():
     assert all(r.extrapolated_loss is None for r in divoe_records)
 
 
-def test_fine_tune_divoe_at_ratio_one_extrapolates_the_whole_batch(monkeypatch):
-    calls = []
-    real = trainer.build_extrapolation_pool
-
-    def counting(*args, **kwargs):
-        calls.append(args[1].shape[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(trainer, "build_extrapolation_pool", counting)
-    _, records = _run("divoe", 1.0)
-    assert calls == [8] * len(records) == [8] * 4
-    assert all(r.outlier_loss is None and r.extrapolated_loss is not None for r in records)
-
-
 def test_fine_tune_binds_only_the_batches_of_the_kinds_row(monkeypatch):
-    monkeypatch.setitem(losses.OUTLIER_BATCHES, "divoe", ("x_ext",))
-    _, records = _run("divoe", 0.5)
-    assert all(r.outlier_loss is None and r.extrapolated_loss is not None for r in records)
+    # losses.KINDS alone decides what a kind binds, synthesizes and hinges: ce
+    # given another kind's row trains as that kind, bit for bit.
+    for kind in ("oe", "energy_bounded", "divoe"):
+        monkeypatch.setitem(losses.KINDS, "ce", losses.KINDS[kind])
+        params, records = _run("ce", 0.5)
+        expected_params, expected_records = _run(kind, 0.5)
+        assert all(np.array_equal(a, b) for a, b in zip(params, expected_params))
+        assert records == expected_records
 
 
 def test_fine_tune_rounds_the_synthesized_rows_up(monkeypatch):
@@ -118,8 +109,8 @@ def test_fine_tune_rounds_the_synthesized_rows_up(monkeypatch):
                               loss=losses.LossConfig(kind="divoe"))
     trainer.fine_tune(model.init_model([2, 8, 3], seed=1), id_train, aux, cfg,
                       ExtrapolationConfig(ratio=0.3, steps=2), 0)
-    assert synthesized == [2, 2]  # ceil(0.3 * 5)
-    assert bound == [3, 3]
+    assert synthesized == [2, 2]  # ceil(0.3 * 5), written back into the batch
+    assert bound == [5, 5]
 
 
 def test_fine_tune_rejects_lost_ground_with_numeric_error(monkeypatch):
@@ -153,11 +144,13 @@ def test_cli_train_maps_lost_ground_to_exit_4(monkeypatch, tmp_path, capsys):
 
 
 # sha256 of the trained parameters (W0, W1, b0, b1 bytes) and of history.csv for
-# the short-batch toy run below (x86-64, numpy 2.4.6, OpenBLAS 0.3.31). The
-# parameter digests were pinned from the trainer that built a new loss graph on
-# every step, the history digests from the one whose outlier columns hold one
-# term per bound batch. Another BLAS kernel or numpy build may round
-# differently; re-pin from those trainers there.
+# the short-batch toy run below (x86-64, numpy 2.4.6, OpenBLAS 0.3.31). The ce,
+# oe and energy_bounded parameter digests were pinned from the trainer that built
+# a new loss graph on every step, their history digests from the one whose
+# outlier columns hold one term per bound batch; divoe's from the one that
+# writes the synthesized rows into the outlier batch in their origins' places.
+# Another BLAS kernel or numpy build may round differently; re-pin from those
+# trainers there.
 SHORT_BATCH_DIGESTS = {
     "ce": ("9dd7a9770954fd260f71bc348c6f1866eb91c1a86ab8a3d2483735df9caff459",
            "5db9b52ef15e57c0498b8f3126c7da936d679b6a591008c511c5e762b894cee3"),
@@ -165,19 +158,35 @@ SHORT_BATCH_DIGESTS = {
            "32695bf34dbab8d62da789f6a101180936f83464551231b4098869c1b9b6dc7b"),
     "energy_bounded": ("eb87c2382a98a1aec8b2c6e1fd96df88f9d0b2e1ae92f6a3947ab5143f8b9621",
                        "9534e3dcd431749d0e5daeef55370e6ebc8c7b3e8061841f29fe8f101d972a83"),
-    "divoe": ("458fbf0f81224e4a480cbf5552ebe087900bfa50422a42cb6a14e2e4f6cddb9d",
-              "d43dafca9c9087bfef6974ae83be295a21ad6e4f15a69ef6e7fd5379b4c5ed35"),
+    "divoe": ("e3040c8e9823c1e5bc885904a7093e8a34e9ac2bf56009fd031d7fa1b4055a68",
+              "c847d17a221f6ff05ed81d99b5b3dcc1a394577318ee847586ab62ad3defda93"),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SHORT_BATCH_DIGESTS))
-def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path):
-    # 20 ID rows in batches of 8: every epoch ends on a 4-row batch, so one
-    # objective must serve two row counts.
+def _short_batch_run(kind, extrapolation, tmp_path):
+    """sha256 of the trained parameters and of history.csv, and the history's
+    records, for 20 ID rows in batches of 8: every epoch ends on a 4-row batch,
+    so one objective must serve two row counts. The run must leave the aux
+    pool it is given as it was: synthesized rows go into a copy."""
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, (20, 2))
     y = (x[:, 0] > 0.5).astype(int) + (x[:, 1] > 0.5).astype(int)
     aux = rng.uniform(0.0, 1.0, (32, 2))
+    passed = aux.copy()
+    cfg = trainer.TrainConfig(epochs=2, lr=0.05, id_batch=8, outlier_batch=8,
+                              loss=losses.LossConfig(kind=kind))
+    out, history = trainer.fine_tune(model.init_model([2, 8, 3], seed=1),
+                                     data.LabeledDataset(x, y), aux, cfg, extrapolation, 0)
+    assert aux.tobytes() == passed.tobytes()
+    history.to_csv(tmp_path / "history.csv")
+    digests = (hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                       for a in (*out.weights, *out.biases))).hexdigest(),
+               hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest())
+    return digests, history.records
+
+
+@pytest.mark.parametrize("kind", sorted(SHORT_BATCH_DIGESTS))
+def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path):
     builds = []
     real = trainer._build_loss_graph
 
@@ -186,17 +195,40 @@ def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path
         return real(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "_build_loss_graph", counting)
-    cfg = trainer.TrainConfig(epochs=2, lr=0.05, id_batch=8, outlier_batch=8,
-                              loss=losses.LossConfig(kind=kind))
-    out, history = trainer.fine_tune(model.init_model([2, 8, 3], seed=1),
-                                     data.LabeledDataset(x, y), aux, cfg,
-                                     ExtrapolationConfig(ratio=0.5, steps=2), 0)
-    assert len(history.records) == 6 and len(builds) == 1
-    history.to_csv(tmp_path / "history.csv")
-    digests = (hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
-                                       for a in (*out.weights, *out.biases))).hexdigest(),
-               hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest())
+    digests, records = _short_batch_run(kind, ExtrapolationConfig(ratio=0.5, steps=2), tmp_path)
+    assert len(records) == 6 and len(builds) == 1
     assert digests == SHORT_BATCH_DIGESTS[kind]
+
+
+def test_divoe_with_zero_radii_trains_as_oe(tmp_path):
+    # Synthesized rows take their origins' places in the one outlier batch,
+    # so rows that do not move leave oe's step, and its outlier term, as they are.
+    (params, _), records = _short_batch_run(
+        "divoe", ExtrapolationConfig(ratio=0.5, steps=2, pool=((0.0, 1.0),)), tmp_path)
+    _, oe_records = _short_batch_run("oe", ExtrapolationConfig(ratio=0.5, steps=2), tmp_path)
+    assert params == SHORT_BATCH_DIGESTS["oe"][0]
+    assert [r.outlier_loss for r in records] == [r.outlier_loss for r in oe_records]
+    assert all(r.extrapolated_loss is not None for r in records)
+
+
+def test_fine_tune_divoe_at_ratio_one_extrapolates_the_whole_batch(monkeypatch, tmp_path):
+    # Every row is synthesized, so the outlier term is the synthesized rows' mean,
+    # as when they were bound as a batch of their own: the parameters keep the
+    # digest of that trainer.
+    calls = []
+    real = trainer.build_extrapolation_pool
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "build_extrapolation_pool", counting)
+    (params, _), records = _short_batch_run(
+        "divoe", ExtrapolationConfig(ratio=1.0, steps=2), tmp_path)
+    assert params == "2fb314ba913b53074ed53b1098b561deac2b98a42d7c92ee39518ab3161cc80e"
+    assert calls == [8] * len(records) == [8] * 6
+    assert all(r.outlier_loss is not None and r.outlier_loss == r.extrapolated_loss
+               for r in records)
 
 
 @pytest.mark.parametrize("kind, classifiers", [("oe", 1), ("divoe", 2 + 1)])
