@@ -36,6 +36,7 @@ from . import scoring
 from . import trainer as trainer_mod
 from .errors import ConfigError, DataError, OodbenchError
 from .extrapolation import pgd_extrapolate
+from .numerics import derive_seed
 
 
 def _out_dir(cfg: config_mod.RunConfig) -> Path:
@@ -45,22 +46,34 @@ def _out_dir(cfg: config_mod.RunConfig) -> Path:
 
 
 def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
-    """Write id_train/id_test/aux_out/ood_<name> CSVs, each scaled by the min-max
-    transform fitted on the raw id_train set, plus the transform record."""
+    """Write id_train/id_test/aux_out/ood_<name> CSVs and transform.json.
+
+    Each set draws from its own stream, derived from the data seed and its file
+    stem, so adding a set reseeds no other. Every set is written as
+    ``(x + R) / (2R)``, the box [-R, R] per feature with R from
+    ``data.fit_minmax``, which holds every set; transform.json records the box.
+    """
     out = _out_dir(cfg)
     d = cfg.data
-    seed = config_mod.component_seed(cfg.seed, "data")
-    sets = {"id_train": data_mod.gen_id_mixture_raw(d.classes, d.per_class, seed),
-            "id_test": data_mod.gen_id_mixture_raw(d.classes, d.test_per_class, seed + 1),
+    data_seed = config_mod.component_seed(cfg.seed, "data")
+
+    def seed(stem: str) -> int:
+        return derive_seed(data_seed, *stem.encode())
+
+    sets = {"id_train": data_mod.gen_id_mixture_raw(d.classes, d.per_class, seed("id_train")),
+            "id_test": data_mod.gen_id_mixture_raw(d.classes, d.test_per_class, seed("id_test")),
             "aux_out": data_mod.gen_arc_outliers(d.aux.inner_radius, d.aux.outer_radius,
-                                                 d.aux.arc_fraction, d.aux.count, seed + 2)}
-    for i, (name, spec) in enumerate(sorted(d.ood_sets.items())):
+                                                 d.aux.arc_fraction, d.aux.count, seed("aux_out"))}
+    for name, spec in d.ood_sets.items():
         sets[f"ood_{name}"] = data_mod.gen_ring_ood(spec.inner_radius, spec.outer_radius,
-                                                    spec.count, seed + 3 + i)
-    transform = data_mod.fit_minmax(sets["id_train"].x)
+                                                    spec.count, seed(f"ood_{name}"))
+    r = data_mod.fit_minmax([d.aux.outer_radius, *(s.outer_radius for s in d.ood_sets.values())],
+                            *(ds.x for ds in sets.values()))
     for name, ds in sets.items():
-        data_mod.save_csv(dataclasses.replace(ds, x=transform.apply(ds.x)), out / f"{name}.csv")
-    (out / "transform.json").write_text(transform.to_json(), encoding="utf-8")
+        data_mod.save_csv(dataclasses.replace(ds, x=(ds.x + r) / (2 * r)), out / f"{name}.csv")
+    (out / "transform.json").write_text(
+        json.dumps({"mins": [-r] * data_mod.FEATURES, "maxs": [r] * data_mod.FEATURES}),
+        encoding="utf-8")
     print(f"wrote benchmark data to {out}")
     return 0
 
@@ -205,7 +218,6 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
 def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv: str,
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
     """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records."""
-    _out_dir(cfg)
     score_spec = cfg.scores[0]
     mlp = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x

@@ -3,10 +3,11 @@
 The benchmark geometry: C Gaussian blobs on a circle form the ID task;
 auxiliary outliers live on an annulus arc (limited angular coverage) and
 the unseen OOD test set covers the full ring. The generators return raw
-coordinates. gen-data maps every set into DOMAIN, [0,1] per feature, by the
-one min-max transform fitted on the raw ID training set; perturbation radii
-are in normalized input units, and every perturbed input (extrapolation,
-ODIN) is clipped back into DOMAIN.
+coordinates. gen-data maps every set into DOMAIN, [0,1] per feature, through
+one symmetric box [-R, R] per feature (``fit_minmax``) that holds every set,
+so no value is clipped and one normalized unit is 2R raw units. Perturbation
+radii are in normalized input units, and every perturbed input
+(extrapolation, ODIN) is clipped back into DOMAIN.
 
 The generators and ``batches`` take values the run configuration has
 already checked (see ``config``); the CSV reader checks each line it reads.
@@ -88,28 +89,12 @@ class UnlabeledDataset:
         return self.x.shape[0]
 
 
-@dataclass
-class MinMaxTransform:
-    """Per-feature min-max into DOMAIN with clipping; ID_SIGMA > 0 keeps every range non-zero."""
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    def __post_init__(self):
-        self.mins = np.asarray(self.mins, dtype=np.float64)
-        self.maxs = np.asarray(self.maxs, dtype=np.float64)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.clip((x - self.mins) / (self.maxs - self.mins), *DOMAIN)
-
-    def to_json(self) -> str:
-        return json.dumps({"mins": self.mins.tolist(), "maxs": self.maxs.tolist()})
-
-
-def fit_minmax(reference: np.ndarray) -> MinMaxTransform:
-    reference = np.asarray(reference, dtype=np.float64)
-    return MinMaxTransform(reference.min(axis=0), reference.max(axis=0))
+def fit_minmax(outer_radii, *xs: np.ndarray) -> float:
+    """R, the half-width of the box [-R, R] per feature that gen-data maps onto
+    DOMAIN: the largest of ``outer_radii``, or the largest |coordinate| of the
+    raw sets ``xs`` if one lies further out (an ID blob's tail can). Every
+    coordinate then has |x| <= R, so ``(x + R) / (2 * R)`` lies in DOMAIN."""
+    return max([*outer_radii, *(float(np.abs(x).max()) for x in xs)])
 
 
 # -- generators ------------------------------------------------------------------

@@ -11,9 +11,8 @@ import numpy as np
 
 def derive_seed(*entropy: int) -> int:
     """One 32-bit seed drawn from ``SeedSequence(entropy)``: the config's component
-    streams and the trainer's substreams come from it, except the sets
-    ``cli.cmd_gen_data`` seeds with the data seed plus 1, 2 and 3 + i (i counts the
-    OOD sets by sorted name) and ``trainer._outlier_batches``' ``PCG64([seed, pass])``."""
+    streams, gen-data's per-set streams and the trainer's substreams come from it,
+    except ``trainer._outlier_batches``' ``PCG64([seed, pass])``."""
     return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1)[0])
 
 

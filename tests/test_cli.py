@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from test_config import PROBES
 
-from oodbench import cli, config, data, gmm_theory, losses, model, scoring
+from oodbench import cli, config, data, gmm_theory, losses, model, numerics, scoring
 from oodbench.extrapolation import ExtrapolationConfig, pgd_extrapolate
 
 
@@ -64,33 +65,55 @@ def test_train_before_gen_data_exits_3(tmp_path, capsys):
     assert "run gen-data first" in capsys.readouterr().err
 
 
-def test_gen_data_scales_every_set_by_the_id_train_transform(tmp_path):
-    # "far" sorts before "ring", so the OOD seeds follow sorted, not insertion, order.
+@pytest.mark.parametrize("radii", [(1.5, 2.2), (0.2, 0.5)], ids=["default-radii", "inside-id"])
+def test_gen_data_writes_every_set_through_one_symmetric_box(tmp_path, radii):
+    # At radii (0.2, 0.5) the ID blobs reach further out, so R is their farthest coordinate.
+    inner, outer = radii
     doc = {"seed": 4, "outputs": {"dir": str(tmp_path / "run")},
            "data": {"classes": 3, "per_class": 8, "test_per_class": 4,
-                    "aux": {"count": 16, "arc_fraction": 0.5},
-                    "ood_sets": {"ring": {"count": 8},
-                                 "far": {"inner_radius": 3.0, "outer_radius": 4.0, "count": 6}}}}
+                    "aux": {"inner_radius": inner, "outer_radius": outer, "count": 16,
+                            "arc_fraction": 0.5},
+                    "ood_sets": {"ring": {"inner_radius": inner, "outer_radius": outer,
+                                          "count": 8}}}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["--config", str(path), "gen-data"]) == 0
-    seed = config.component_seed(4, "data")
-    raw = {"id_train": data.gen_id_mixture_raw(3, 8, seed),
-           "id_test": data.gen_id_mixture_raw(3, 4, seed + 1),
-           "aux_out": data.gen_arc_outliers(1.5, 2.2, 0.5, 16, seed + 2),
-           "ood_far": data.gen_ring_ood(3.0, 4.0, 6, seed + 3),
-           "ood_ring": data.gen_ring_ood(1.5, 2.2, 8, seed + 4)}
+    data_seed = config.component_seed(4, "data")
+    seed = {stem: numerics.derive_seed(data_seed, *stem.encode())
+            for stem in ("id_train", "id_test", "aux_out", "ood_ring")}
+    raw = {"id_train": data.gen_id_mixture_raw(3, 8, seed["id_train"]),
+           "id_test": data.gen_id_mixture_raw(3, 4, seed["id_test"]),
+           "aux_out": data.gen_arc_outliers(inner, outer, 0.5, 16, seed["aux_out"]),
+           "ood_ring": data.gen_ring_ood(inner, outer, 8, seed["ood_ring"])}
+    r = max(outer, *(np.abs(raw[name].x).max() for name in ("id_train", "id_test")))
+    assert (r == outer) == (radii == (1.5, 2.2))
     run = tmp_path / "run"
     assert sorted(p.name for p in run.iterdir()) == sorted(
         [*(f"{name}.csv" for name in raw), "transform.json"])
-    transform = data.MinMaxTransform(**json.loads((run / "transform.json").read_text("utf-8")))
-    assert transform.to_json() == data.fit_minmax(raw["id_train"].x).to_json()
+    assert json.loads((run / "transform.json").read_text("utf-8")) == {"mins": [-r, -r],
+                                                                       "maxs": [r, r]}
+    edges = 0
     for name, ds in raw.items():
         written = data.load_csv(run / f"{name}.csv")
-        assert written.x.tobytes() == transform.apply(ds.x).tobytes(), name
+        assert written.x.tobytes() == ((ds.x + r) / (2 * r)).tobytes(), name
+        assert ((written.x >= data.DOMAIN[0]) & (written.x <= data.DOMAIN[1])).all(), name
+        edges += np.isin(written.x, data.DOMAIN).sum()
         assert isinstance(written, data.LabeledDataset) == name.startswith("id_")
         if name.startswith("id_"):
             assert np.array_equal(written.y, ds.y), name
+    assert (edges > 0) == (r != outer)  # the coordinate that sets R lands on 0 or 1
+
+
+def test_gen_data_seeds_each_set_by_its_name(tmp_path):
+    # Adding an OOD set changes no other set's bytes: each set's stream is its own.
+    digests = []
+    for i, ood_sets in enumerate([{"ring": {}}, {"a": {}, "ring": {}}]):
+        run = tmp_path / str(i)
+        assert cli.main(["--out", str(run), "--set", f"data.ood_sets={json.dumps(ood_sets)}",
+                         "gen-data"]) == 0
+        digests.append({name: hashlib.sha256((run / f"{name}.csv").read_bytes()).hexdigest()
+                        for name in ("id_train", "id_test", "aux_out", "ood_ring")})
+    assert digests[0] == digests[1]
 
 
 def test_report_digest_does_not_depend_on_out(tmp_path):
@@ -482,7 +505,7 @@ def test_extrapolate_grid_over_the_size_rule_exits_2(tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--epsilons" in err
-    assert not dump.exists()
+    assert not dump.exists() and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("cases", ["0", "-5"])

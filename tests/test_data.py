@@ -1,6 +1,5 @@
 import csv
 import io
-import json
 
 import numpy as np
 import pytest
@@ -150,14 +149,14 @@ def test_load_csv_reads_crlf_line_ends(tmp_path):
     assert back.y.tolist() == [1, 0]
 
 
-def test_minmax_applies_clips_and_round_trips_through_json():
-    ref = np.array([[0.0, 10.0], [2.0, 30.0], [1.0, 20.0]])
-    t = data.fit_minmax(ref)
-    np.testing.assert_array_equal(t.apply(ref), [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
-    np.testing.assert_array_equal(t.apply(np.array([[-1.0, 40.0]])), [[0.0, 1.0]])
-    assert json.loads(t.to_json()) == {"mins": [0.0, 10.0], "maxs": [2.0, 30.0]}
-    again = data.MinMaxTransform(**json.loads(t.to_json()))
-    assert again.apply(ref).tobytes() == t.apply(ref).tobytes()
+def test_fit_minmax_takes_the_largest_radius_or_the_farthest_coordinate():
+    inside = np.array([[0.5, -1.0], [2.0, 0.25]])
+    assert data.fit_minmax([2.2, 3.0], inside) == 3.0
+    outside = np.array([[0.5, -4.5], [2.0, 0.25]])
+    assert data.fit_minmax([2.2, 3.0], inside, outside) == 4.5
+    r = data.fit_minmax([0.5], outside)
+    scaled = (outside + r) / (2 * r)  # the farthest coordinate lands on the box's edge
+    assert r == 4.5 and scaled.min() == 0.0 and scaled.max() <= 1.0
 
 
 def test_id_mixture_is_deterministic_per_seed():
