@@ -1,18 +1,38 @@
 """Batch-oriented command-line front end.
 
 Subcommands: gen-data, train, eval, extrapolate, theory-verify, gradcheck,
-report. Every command is deterministic given (config, seed) and writes
-only under the declared output directory. Exit codes: 0 success, 2 a
-ConfigError (config or argument), 3 a DataError or OSError (input file), 4 a
-NumericError or a gradcheck FAIL. Each input is checked once, where it is
-read: a dataset CSV by ``_read_csv`` (one that cannot be decoded, UTF-8 or CSV,
-is a DataError too), a checkpoint by ``model.load_checkpoint``, the config by
-its dataclasses. The config, checkpoint and report files are read by
-``data.read_json``: one that is missing or unreadable, or that the JSON parser
-refuses (nested too deep, an integer too long), is its reader's typed error.
-Each is then typed by ``data.parse`` against its dataclasses, so an unknown
-key is refused in a report or a checkpoint (exit 3) as in the config (exit 2).
-Any other exception is a programming error and escapes.
+report. Every command is deterministic given (config, seed). What each writes,
+with ``<out>`` the config's ``outputs.dir``:
+
+- gen-data: ``<out>/`` id_train.csv, id_test.csv, aux_out.csv, one
+  ood_<name>.csv per OOD set, and transform.json
+- train: ``<out>/`` checkpoint.json and history.csv
+- eval: ``<out>/`` report.json, report.csv and scores.csv
+- extrapolate: the ``--dump`` CSV and the ``--samples`` CSV (default:
+  synthesized.csv beside the dump), nothing under ``<out>``
+- theory-verify: the ``--out-csv`` CSV (default: ``<out>/theory.csv``)
+- report: the ``--out-csv`` CSV
+- gradcheck: nothing; it prints its result
+
+A command creates the directory of a file just before its first write, so one
+refused on its config or its inputs leaves no directory behind.
+
+Exit codes: 0 success, 2 a ConfigError (config or argument), 3 a DataError or
+OSError (input file), 4 a NumericError or a gradcheck FAIL. Each input is
+checked once, where it is read: a dataset CSV by ``_read_csv`` (one that cannot
+be decoded, UTF-8 or CSV, is a DataError too), a checkpoint by
+``model.load_checkpoint``, the config by its dataclasses. The config, checkpoint
+and report files are read by ``data.read_json``: one that is missing or
+unreadable, or that the JSON parser refuses (nested too deep, an integer too
+long), is its reader's typed error. Each is then typed by ``data.parse`` against
+its dataclasses, so an unknown key is refused in a report or a checkpoint
+(exit 3) as in the config (exit 2). Any other exception is a programming error
+and escapes.
+
+Every command is a cold process, so its imports count in its wall time. At
+load this module imports only modules that ``config`` loads anyway; trainer,
+scoring, metrics, gmm_theory and gradcheck are imported inside the commands
+that run them.
 """
 
 from __future__ import annotations
@@ -27,13 +47,8 @@ import numpy as np
 
 from . import config as config_mod
 from . import data as data_mod
-from . import gradcheck as gradcheck_mod
-from . import gmm_theory
 from . import losses
-from . import metrics as metrics_mod
 from . import model as model_mod
-from . import scoring
-from . import trainer as trainer_mod
 from .errors import ConfigError, DataError, OodbenchError
 from .extrapolation import pgd_extrapolate
 from .numerics import derive_seed
@@ -53,7 +68,6 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     ``(x + R) / (2R)``, the box [-R, R] per feature with R from
     ``data.fit_minmax``, which holds every set; transform.json records the box.
     """
-    out = _out_dir(cfg)
     d = cfg.data
     data_seed = config_mod.component_seed(cfg.seed, "data")
 
@@ -69,6 +83,7 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
                                                     spec.count, seed(f"ood_{name}"))
     r = data_mod.fit_minmax([d.aux.outer_radius, *(s.outer_radius for s in d.ood_sets.values())],
                             *(ds.x for ds in sets.values()))
+    out = _out_dir(cfg)
     for name, ds in sets.items():
         data_mod.save_csv(dataclasses.replace(ds, x=(ds.x + r) / (2 * r)), out / f"{name}.csv")
     (out / "transform.json").write_text(
@@ -129,7 +144,8 @@ def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None,
 
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
-    out = _out_dir(cfg)
+    from . import trainer as trainer_mod
+
     binds_aux = losses.KINDS[cfg.train.loss.kind].binds_aux
     names = ("id_train", "aux_out") if binds_aux else ("id_train",)
     id_train, *aux = _load_sets(cfg, names, None, cfg.data.classes)
@@ -138,6 +154,7 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
     trained, history = trainer_mod.fine_tune(mlp, id_train, aux[0].x if aux else None,
                                              cfg.train, cfg.extrapolation,
                                              config_mod.component_seed(cfg.seed, "train"))
+    out = _out_dir(cfg)
     model_mod.save_checkpoint(trained, out / "checkpoint.json", seed=cfg.seed)
     history.to_csv(out / "history.csv")
     if history.records:
@@ -173,7 +190,9 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     The config digest, the one use of hashlib and so of OpenSSL's library,
     is taken after scoring, when the features are gone.
     """
-    out = _out_dir(cfg)
+    from . import metrics as metrics_mod
+    from . import scoring
+
     mlp = _load_model(cfg, checkpoint, [spec.kind for spec in cfg.scores])
     names = sorted(cfg.data.ood_sets)
     id_test, *oods = _load_sets(cfg, ("id_test", *(f"ood_{name}" for name in names)),
@@ -204,6 +223,7 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
             by_set["id_test"], {name: by_set[f"ood_{name}"] for name in names}, method=method,
             score_kind=spec.kind, id_acc=id_acc, seed=cfg.seed, config_digest=digest))
         score_blocks.extend((set_name, spec.kind, s) for set_name, s in by_set.items())
+    out = _out_dir(cfg)
     (out / "report.json").write_text(json.dumps(data_mod.dump(tuple(reports)), indent=2),
                                      encoding="utf-8")
     _write_report_csv(out / "report.csv", reports)
@@ -218,6 +238,8 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
 def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv: str,
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
     """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records."""
+    from . import scoring
+
     score_spec = cfg.scores[0]
     mlp = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
@@ -254,7 +276,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
 def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
     """Monte Carlo bound check; writes per-trial rows, prints the violation fraction and
     the smallest margin."""
-    out = _out_dir(cfg)
+    from . import gmm_theory
+
     t = cfg.theory
     mu = np.full(t.dim, t.mu_norm / np.sqrt(t.dim))
     spec = gmm_theory.GmmSpec(mu=mu, sigma=t.sigma)
@@ -262,7 +285,7 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
                                      trials=t.trials)
     rng = np.random.Generator(np.random.PCG64(config_mod.component_seed(cfg.seed, "theory")))
     check = gmm_theory.verify_bound(spec, params, rng)
-    path = Path(out_csv) if out_csv else out / "theory.csv"
+    path = Path(out_csv) if out_csv else Path(cfg.outputs.dir) / "theory.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     data_mod.write_table(path, ["trial", "ratio", "rhs", "satisfied"],
                          [*([t.trial, t.ratio, t.rhs, int(t.satisfied)] for t in check.trials),
@@ -280,6 +303,8 @@ def cmd_gradcheck(cases: int, seed: int) -> int:
         raise ConfigError(f"--cases must be >= 1, got {cases}")
     if seed < 0:
         raise ConfigError(f"--gc-seed must be >= 0, got {seed}")
+    from . import gradcheck as gradcheck_mod
+
     result = gradcheck_mod.run_suite(cases=cases, seed=seed)
     status = "PASS" if result.passed else "FAIL"
     print(f"gradcheck {status}: max relative error {result.max_relative_error:.3e} "
@@ -287,8 +312,9 @@ def cmd_gradcheck(cases: int, seed: int) -> int:
     return 0 if result.passed else 4
 
 
-def _write_report_csv(path: Path, reports: list[metrics_mod.DetectionReport]) -> int:
-    """One row per (report, OOD set), average row included; returns the row count."""
+def _write_report_csv(path: Path, reports: list) -> int:
+    """One row per (metrics.DetectionReport, OOD set), average row included; returns the
+    row count."""
     rows = [[report.method, report.score_kind, row.set_name, row.fpr95, row.auroc, row.aupr,
              report.id_accuracy] for report in reports for row in report.ood_sets]
     data_mod.write_table(path, ["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"],
@@ -298,6 +324,8 @@ def _write_report_csv(path: Path, reports: list[metrics_mod.DetectionReport]) ->
 
 def cmd_report(report_paths: list[str], out_csv: str) -> int:
     """Merge the report lists that ``eval`` writes as report.json into one CSV table."""
+    from . import metrics as metrics_mod
+
     reports = []
     for rp in report_paths:
         path = Path(rp)

@@ -16,6 +16,14 @@ that cost only time (epochs, extrapolation steps, theory trials) stay unbounded.
 
 All randomness flows from the one top-level seed, split per component
 (data / model / train / theory) through named substreams.
+
+This module holds every section's dataclass except ``losses.LossConfig``,
+kept beside the kinds table ``losses.KINDS``, and
+``extrapolation.ExtrapolationConfig``, kept beside the routine that reads it.
+``cli`` loads it for every command, so it may import only modules that every
+command loads anyway (data, errors, numerics, losses, extrapolation); a module
+only some commands run (trainer, scoring, metrics, gmm_theory, gradcheck) is
+imported by those commands.
 """
 
 from __future__ import annotations
@@ -28,10 +36,8 @@ from dataclasses import dataclass, field
 from .data import FEATURES, MAX_ELEMENTS, MAX_MAGNITUDE, dump, parse, read_json
 from .errors import ConfigError
 from .extrapolation import ExtrapolationConfig
-from .gmm_theory import chunk_rows
+from .losses import LossConfig
 from .numerics import derive_seed
-from .scoring import ScoreSpec
-from .trainer import TrainConfig
 
 SCHEMA_VERSION = 1
 
@@ -107,6 +113,50 @@ class ModelConfig:
     def __post_init__(self):
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Fine-tuning hyperparameters; defaults follow the standard protocol."""
+
+    epochs: int = 10
+    lr: float = 0.001
+    id_batch: int = 128
+    outlier_batch: int = 128
+    loss: LossConfig = field(default_factory=LossConfig)
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
+        if self.lr < 0:
+            raise ConfigError("learning rate must be >= 0")
+        if self.id_batch < 1 or self.outlier_batch < 1:
+            raise ConfigError("batch sizes must be >= 1")
+
+
+@dataclass(frozen=True)
+class ScoreSpec:
+    """Which score to compute, one of KINDS. Each kind's settings are fixed in
+    ``scoring``: energy and ash_energy at temperature 1, odin at ODIN_TEMPERATURE
+    and ODIN_EPSILON, ash_energy at ASH_PERCENTILE."""
+
+    kind: str
+
+    KINDS = ("msp", "energy", "odin", "ash_energy")
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ConfigError(f"unknown score kind {self.kind!r}; expected one of {self.KINDS}")
+
+    @staticmethod
+    def odin_default() -> "ScoreSpec":
+        return ScoreSpec(kind="odin")
+
+
+def chunk_rows(n: int) -> int:
+    """Candidates ``gmm_theory``'s sampler draws at a time for ``n`` points, each of
+    ``dim`` values."""
+    return max(2048, 4 * n)
 
 
 @dataclass(frozen=True)

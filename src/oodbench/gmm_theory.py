@@ -19,14 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import chunk_rows
 from .errors import NumericError
 
 MAX_REJECTION_DRAWS = 2_000_000
-
-
-def chunk_rows(n: int) -> int:
-    """Candidates the sampler draws at a time for ``n`` points, each of ``dim`` values."""
-    return max(2048, 4 * n)
 
 
 @dataclass(frozen=True)

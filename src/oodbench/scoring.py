@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,32 +21,13 @@ from . import autodiff as ad
 from . import losses
 from . import model as model_mod
 from . import numerics
+from .config import ScoreSpec
 from .data import DOMAIN
-from .errors import ConfigError
 
 ODIN_TEMPERATURE = 1.0e4
 ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
 ASH_PERCENTILE = 95.0  # ash_energy zeroes each row's activations below this percentile
 BLOCK_ROWS = 4096  # rows per ODIN input-gradient pass and per ASH shaping block
-
-
-@dataclass(frozen=True)
-class ScoreSpec:
-    """Which score to compute, one of KINDS. Each kind's settings are fixed: energy
-    and ash_energy at temperature 1, odin at ODIN_TEMPERATURE and ODIN_EPSILON,
-    ash_energy at ASH_PERCENTILE."""
-
-    kind: str
-
-    KINDS = ("msp", "energy", "odin", "ash_energy")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"unknown score kind {self.kind!r}; expected one of {self.KINDS}")
-
-    @staticmethod
-    def odin_default() -> "ScoreSpec":
-        return ScoreSpec(kind="odin")
 
 
 def msp_score(logits) -> np.ndarray:

@@ -20,31 +20,13 @@ from . import autodiff as ad
 from . import data as data_mod
 from . import losses
 from . import model as model_mod
-from .errors import ConfigError, NumericError
+from .config import TrainConfig
+from .errors import NumericError
 from .extrapolation import ExtrapolationConfig, build_extrapolation_pool, select_subbatch
 from .numerics import derive_seed
 
 MOMENTUM = 0.9  # Nesterov momentum of every SGD step
 WEIGHT_DECAY = 1e-4
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Fine-tuning hyperparameters; defaults follow the standard protocol."""
-
-    epochs: int = 10
-    lr: float = 0.001
-    id_batch: int = 128
-    outlier_batch: int = 128
-    loss: losses.LossConfig = field(default_factory=losses.LossConfig)
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.lr < 0:
-            raise ConfigError("learning rate must be >= 0")
-        if self.id_batch < 1 or self.outlier_batch < 1:
-            raise ConfigError("batch sizes must be >= 1")
 
 
 @dataclass

@@ -508,6 +508,27 @@ def test_extrapolate_grid_over_the_size_rule_exits_2(tmp_path, capsys):
     assert not dump.exists() and not (tmp_path / "run").exists()
 
 
+# Each run starts in an empty working directory: (arguments, exit code, what it
+# holds after). A refused command creates no <out>, and theory-verify with
+# --out-csv elsewhere writes nothing under it, so runs/default does not appear.
+NO_OUT_DIR_RUNS = [
+    pytest.param(["--out", "fresh", "train"], 3, [], id="train-before-gen-data"),
+    pytest.param(["--out", "fresh", "eval"], 3, [], id="eval-without-checkpoint"),
+    pytest.param(["--out", "fresh", "--set", "theory.alpha=0.1", "theory-verify"], 4, [],
+                 id="theory-verify-infeasible"),
+    pytest.param(["--set", "theory.trials=3", "theory-verify", "--out-csv", "elsewhere/t.csv"],
+                 0, ["elsewhere"], id="theory-verify-out-csv-elsewhere"),
+]
+
+
+@pytest.mark.parametrize("argv, code, left", NO_OUT_DIR_RUNS)
+def test_a_command_creates_no_output_directory_it_does_not_write(tmp_path, monkeypatch, capsys,
+                                                                  argv, code, left):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    assert sorted(path.name for path in tmp_path.iterdir()) == left
+
+
 @pytest.mark.parametrize("cases", ["0", "-5"])
 def test_gradcheck_without_cases_exits_2(capsys, cases):
     assert cli.main(["gradcheck", "--cases", cases]) == 2

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oodbench import config, data, losses, model, numerics, scoring, trainer
+from oodbench import config, data, losses, model, numerics, trainer
 from oodbench.errors import ConfigError
 from oodbench.extrapolation import ExtrapolationConfig
 
@@ -132,10 +132,10 @@ def _non_default() -> config.RunConfig:
                                ood_sets={"near": config.OodSetConfig(1.2, 1.5, 32),
                                          "far": config.OodSetConfig(2.2, 4.0, 16)}),
         model=config.ModelConfig(hidden=(16,)),
-        train=trainer.TrainConfig(epochs=2, lr=0.05,
-                                  loss=losses.LossConfig(kind="divoe", balance=0.25)),
+        train=config.TrainConfig(epochs=2, lr=0.05,
+                                 loss=losses.LossConfig(kind="divoe", balance=0.25)),
         extrapolation=ExtrapolationConfig(steps=3, pool=((0.02, 0.5), (0.1, 0.5))),
-        scores=(scoring.ScoreSpec("odin"), scoring.ScoreSpec("ash_energy")),
+        scores=(config.ScoreSpec("odin"), config.ScoreSpec("ash_energy")),
         outputs=config.OutputsConfig(dir="runs/x", method_label="mine"),
         theory=config.TheoryConfig(trials=5, tau=0.1))
 
@@ -336,7 +336,7 @@ def test_seed_streams_are_pinned(monkeypatch):
     monkeypatch.setattr(trainer.data_mod, "batches", recording)
     x = data.LabeledDataset(numerics.as_tensor([[0.1, 0.2], [0.8, 0.9]]), [0, 1])
     trainer.fine_tune(model.init_model([2, 4, 2], seed=1), x, None,
-                      trainer.TrainConfig(epochs=2, loss=losses.LossConfig(kind="ce")),
+                      config.TrainConfig(epochs=2, loss=losses.LossConfig(kind="ce")),
                       ExtrapolationConfig(), train_seed)
     assert seen == [2810413366, 2350297174]
 

@@ -11,6 +11,9 @@ import oodbench
 from oodbench.errors import ConfigError, DataError, NumericError, OodbenchError
 
 
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
 def _fresh_env() -> dict[str, str]:
     """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(oodbench.__file__).resolve().parents[1])
@@ -72,6 +75,58 @@ def test_eval_scores_before_it_loads_openssl(tmp_path):
         ["False", "True"]
 
 
+# Prints the package modules loaded after the set-up path of perfbench/child.py
+# (import cli and config, parse a config) or after `cli.main(argv)`.
+LOADED_SCRIPT = """
+import json, runpy, sys
+if sys.argv[1] == "setup":
+    runpy.run_path(sys.argv[2])["setup"](*sys.argv[3:])
+else:
+    from oodbench import cli
+    assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m.split(".")[1] for m in sys.modules if m.startswith("oodbench."))))
+"""
+# The modules every command loads: cli, config and what config imports for
+# LossConfig and ExtrapolationConfig (cli also binds pgd_extrapolate at import).
+COMMON_MODULES = {"autodiff", "cli", "config", "data", "errors", "extrapolation", "losses",
+                  "model", "numerics"}
+# What each entry loads beside them: a command imports a module only it runs when it runs.
+ENTRY_MODULES = [
+    pytest.param("setup", set(), id="perfbench-setup"),
+    pytest.param("gen-data", set(), id="gen-data"),
+    pytest.param("train", {"trainer"}, id="train"),
+    pytest.param("eval", {"scoring", "metrics"}, id="eval"),
+    pytest.param("extrapolate", {"scoring"}, id="extrapolate"),
+    pytest.param("theory-verify", {"gmm_theory"}, id="theory-verify"),
+    pytest.param("report", {"metrics"}, id="report"),
+    pytest.param("gradcheck", {"gradcheck", "trainer", "scoring"}, id="gradcheck"),
+]
+
+
+@pytest.mark.parametrize("entry, modules", ENTRY_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, entry, modules):
+    from oodbench import cli
+
+    run = tmp_path / "run"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"data": {"per_class": 8, "test_per_class": 4,
+                                           "aux": {"count": 16},
+                                           "ood_sets": {"ring": {"count": 8}}},
+                                  "model": {"hidden": [4]}, "train": {"epochs": 1},
+                                  "theory": {"trials": 3}}), encoding="utf-8")
+    base = ["--config", str(config), "--out", str(run)]
+    for command in ("gen-data", "train", "eval"):
+        assert cli.main([*base, command]) == 0
+    args = {"setup": ["setup", str(CHILD), str(config), "0", str(run)],
+            "extrapolate": [*base, "extrapolate", "--input", str(run / "aux_out.csv"),
+                            "--dump", str(run / "extrap.csv")],
+            "report": ["report", str(run / "report.json"), "--out-csv", str(run / "all.csv")],
+            "gradcheck": ["gradcheck", "--cases", "1"]}.get(entry, [*base, entry])
+    result = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *args], env=_fresh_env(),
+                            capture_output=True, text=True, check=True)
+    assert set(json.loads(result.stdout.splitlines()[-1])) == COMMON_MODULES | modules
+
+
 # `python -m oodbench` runs __main__.py, which must pass main()'s return to sys.exit:
 # (arguments, exit code), each run in a fresh interpreter from an empty directory.
 MODULE_RUNS = [
@@ -96,7 +151,7 @@ def test_python_m_oodbench_passes_the_exit_code_through(tmp_path, argv, code):
 # Public definitions that no module of the package uses, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "losses.oe_total_loss_expr": "the plain-OE graph that perfbench/micro.py times",
-    "scoring.ScoreSpec.odin_default": "the ODIN spec that perfbench/micro.py scores with",
+    "config.ScoreSpec.odin_default": "the ODIN spec that perfbench/micro.py scores with",
 }
 
 
