@@ -3,28 +3,30 @@
 Every objective the workbench differentiates is a head term plus ``scale``
 times the sum of a group of terms. A ``Term`` applies a per-row loss
 ``f(payload, z) -> (values, gradient)`` to the (m, C) MLP logits z of one
-named batch (``model.Logits``): one value per row and, in closed form, each
+named batch (``model.Logits``, which names the batch and the one binding of
+the model's parameter vector θ): one value per row and, in closed form, each
 value's gradient with respect to its own row of z. A payload that is a
 string names a binding, such as the one-hot labels ``y``. ``Term.reduced``,
 the mean or the sum of the rows, is the one place a batch is reduced. Rows
 do not interact, so a term's dL/dz is its row gradient times the weight
 each row enters with: 1 or 1/m, times ``scale`` in the group.
 
-``value_and_grad`` forwards each distinct batch once through
+``value_and_grad`` reads and checks each binding once, builds θ's layer
+views once (``model.layers``), forwards each distinct batch once through
 ``model.mlp_forward``, adds the reduced values as
 ``head + scale * ((t1 + t2) + ...)``, sums each batch's dL/dz over its terms
 in reverse order and runs ``model.mlp_backward`` per batch in reverse
-first-use order, so the parameter gradients add up in one fixed order and
+first-use order, so the batches' θ gradients add up in one fixed order and
 repeated runs are bit-identical. An objective is an immutable tuple and a
 pass keeps its state local, so threads can share one. Every pass checks that
 the bindings it reads, its value and the gradients it returns are finite,
 and raises NumericError naming the one that is not.
 
 The bindings ``evaluate`` reads may carry a leading stack axis of S slices:
-batches (S, m, d), weights (S, fan_in, fan_out) and biases (S, 1, fan_out),
-while unstacked ones broadcast. Every layer multiplies slice by slice and
-every reduction runs along the last axis, so ``evaluate`` then returns the S
-values that S separate passes would, bit for bit (``gradcheck`` relies on it).
+batches (S, m, d) and θ (S, P), while unstacked ones broadcast. Every layer
+multiplies slice by slice and every reduction runs along the last axis, so
+``evaluate`` then returns the S values that S separate passes would, bit for
+bit (``gradcheck`` relies on it).
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ class Objective(NamedTuple):
 
 
 def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
-    """One pass: (value, each batch's (handle, logits, layer inputs) in first-use
-    order, the bindings read, each term's per-row values, each term's row gradients)."""
+    """One pass: (value, each batch's (handle, logits, layer inputs, θ's layers) in
+    first-use order, the bindings read, each term's per-row values, each term's
+    row gradients)."""
     bound: dict[str, np.ndarray] = {}
 
     def read(name):
@@ -79,6 +82,7 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
 
     terms = (objective.head, *objective.group)
     logits: dict[str, tuple] = {}
+    views: dict[tuple, tuple] = {}  # θ's layers, by (θ's binding, dims)
     outputs, rowgrads = [], []
     # Non-finite intermediates are caught by the explicit checks, so numpy's
     # own overflow warnings are redundant noise here.
@@ -86,11 +90,14 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
         for term in terms:
             handle = term.logits
             if handle.batch not in logits:
-                if handle.batch in handle.params:
+                if handle.batch == handle.theta:
                     raise ValueError(f"duplicate input name {handle.batch!r}")
                 x = read(handle.batch)
-                z, acts = model.mlp_forward(x, [read(p) for p in handle.params])
-                logits[handle.batch] = (handle, z, acts)
+                layout = (handle.theta, handle.dims)
+                if layout not in views:
+                    views[layout] = model.layers(handle.dims, read(handle.theta))
+                z, acts = model.mlp_forward(x, views[layout])
+                logits[handle.batch] = (handle, z, acts, views[layout])
             elif logits[handle.batch][0] != handle:
                 raise ValueError(f"duplicate input name {handle.batch!r}: "
                                  "its terms read different parameters")
@@ -106,7 +113,7 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
                 rest = rest + v
             value = value + objective.scale * rest
     if not np.isfinite(value).all():
-        stages = [*((f"mlp_forward on {b!r}", z) for b, (_, z, _) in logits.items()),
+        stages = [*((f"mlp_forward on {b!r}", z) for b, (_, z, *_) in logits.items()),
                   *((f"{t.rows.__name__} on {t.logits.batch!r}", out)
                     for t, out in zip(terms, outputs))]
         culprit = next((name for name, v in stages if not np.isfinite(v).all()), "the sum")
@@ -124,17 +131,22 @@ def evaluate(objective: Objective, bindings: Mapping[str, np.ndarray]):
 
 
 def _accumulate(grads: dict, name: str, grad: np.ndarray) -> None:
+    """Add ``grad`` into the pass's gradient for ``name``: the first
+    contribution, a fresh array of the pass, takes each later one in place."""
     prev = grads.get(name)
-    grads[name] = grad if prev is None else prev + grad
+    if prev is None:
+        grads[name] = grad
+    else:
+        prev += grad
 
 
 def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
     """Gradients of the value of the pass ``fwd`` for the inputs in ``wrt``: no
     batch whose logits reach none of them is run back, and the MLP backward
-    computes no gradient for a parameter or batch outside them."""
-    _, logits, bound, outputs, rowgrads = fwd
-    needs = {batch: [name in wrt for name in (batch, *handle.params)]
-             for batch, (handle, _, _) in logits.items()}
+    computes no gradient for a θ or batch outside them."""
+    _, logits, _, outputs, rowgrads = fwd
+    needs = {batch: (batch in wrt, handle.theta in wrt)
+             for batch, (handle, *_) in logits.items()}
     terms = (objective.head, *objective.group)
     dz: dict[str, np.ndarray] = {}
     grads: dict[str, np.ndarray] = {}
@@ -153,9 +165,8 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
         for batch in reversed(logits):  # reverse first-use order, so x goes last
             if batch not in dz:
                 continue
-            handle, _, acts = logits[batch]
-            params = [bound[p] for p in handle.params]
-            for name, g in zip((batch, *handle.params),
+            handle, _, acts, params = logits[batch]
+            for name, g in zip((batch, handle.theta),
                                model.mlp_backward(dz[batch], params, acts, needs[batch])):
                 if g is not None:
                     _accumulate(grads, name, g)
@@ -164,7 +175,7 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
 
 def value_and_grad(objective: Objective, bindings: Mapping[str, np.ndarray],
                    wrt: Iterable[str]):
-    """Value, the gradient for each batch or parameter name in ``wrt``, and each
+    """Value, the gradient for each batch or θ name in ``wrt``, and each
     term's per-row values (head first), all from one pass. A name the objective
     does not read raises KeyError."""
     wrt = tuple(wrt)

@@ -296,10 +296,12 @@ def _parse_rows(path: Path, reader):
     lineno = 2
     while rows := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
         try:
-            if any(len(row) != len(header) for row in rows):
+            # numpy converts each field with float() and refuses a ragged block;
+            # the label column is converted too, but only its int() parse is kept.
+            table = np.array(rows, dtype=np.float64)
+            if table.shape[1] != len(header):
                 raise ValueError("field count")
-            x = np.array([float(v) for row in rows for v in row[:k]],
-                         dtype=np.float64).reshape(len(rows), k)
+            x = table[:, :k]
             if not np.isfinite(x).all():
                 raise ValueError("non-finite value")
             if has_label:

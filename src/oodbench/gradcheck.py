@@ -10,10 +10,10 @@ checked: the MLP backward (``model.mlp_backward``), each per-row loss in
 their rows. Weights are kept at unit scale so the difference quotient stays accurate.
 
 A case is (objective, bindings, grads), where ``grads`` holds the analytic
-gradient of each checked input, computed once when the case is sampled.
-``finite_diff_check`` takes one ``autodiff.evaluate`` per input in ``grads``,
-on the stack of that input's 2n perturbed copies, whose values are those of
-the 2n separate passes bit for bit.
+gradient of the checked input, the parameter vector θ or the batch x,
+computed once when the case is sampled. ``finite_diff_check`` takes one
+``autodiff.evaluate`` per case, on the stack of that input's 2n perturbed
+copies, whose values are those of the 2n separate passes bit for bit.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _case(kind: str, rng: np.random.Generator):
         layers = [(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)),
                    rng.normal(0.0, 0.5, size=fan_out))
                   for fan_in, fan_out in zip(dims[:-1], dims[1:])]
-        mlp = model_mod.MlpClassifier(dims, *zip(*layers))
+        mlp = model_mod.from_layers(dims, *zip(*layers))
         batches = {name: rng.uniform(0.05, 0.95, size=(m, d)) for name in batch_names}
         if _hidden_preactivations(mlp, batches.values()) <= KINK_CLEARANCE:
             continue
@@ -112,13 +112,12 @@ def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = 1e-5)
     The central difference is the independent oracle for ``grads``, the
     analytic gradient of each checked input; a clean objective keeps this
     below ~1e-6 for h=1e-5 at unit scales. For each input in ``grads`` with
-    n coordinates, one pass evaluates a stack of 2n copies of the bindings:
-    slice 2i has coordinate i at +h and slice 2i+1 at -h. A 1-D binding (a
-    bias) stacks as (2n, 1, n), so it broadcasts as a row, and every batch is
-    broadcast to the stack, so each layer's output is stacked.
+    n coordinates, one pass evaluates a stack of 2n copies of it: slice 2i has
+    coordinate i at +h and slice 2i+1 at -h. A stacked θ (2n, P) stacks every
+    layer, and a stacked batch every layer's output, so the other bindings
+    broadcast.
     """
     bindings = {k: numerics.as_tensor(v) for k, v in bindings.items()}
-    batches = {t.logits.batch for t in (objective.head, *objective.group)}
     worst = 0.0
     for name, grad in grads.items():
         arr = bindings[name]
@@ -127,9 +126,7 @@ def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = 1e-5)
         i = np.arange(n)
         stack[2 * i, i] += h
         stack[2 * i + 1, i] -= h
-        stacked = {b: np.broadcast_to(bindings[b], (2 * n, *bindings[b].shape)) for b in batches}
-        stacked[name] = stack.reshape(2 * n, *np.atleast_2d(arr).shape)
-        values = ad.evaluate(objective, {**bindings, **stacked})
+        values = ad.evaluate(objective, {**bindings, name: stack.reshape(2 * n, *arr.shape)})
         fd = (values[0::2] - values[1::2]) / (2.0 * h)
         analytic = grad.reshape(-1)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / (np.abs(analytic) + 1e-12))))

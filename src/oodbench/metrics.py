@@ -33,13 +33,23 @@ def _validate_scores(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     return id_scores, ood_scores
 
 
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, the first of each run of
+    equal ones: what np.unique returns, without its masked-array check, which
+    imports numpy.ma."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def tpr_threshold(id_scores) -> float:
     """Largest threshold keeping at least TPR of the ID scores at or above it."""
-    id_scores = np.asarray(id_scores, dtype=np.float64).reshape(-1)
-    n = id_scores.size
+    ordered = np.sort(np.asarray(id_scores, dtype=np.float64).reshape(-1))
+    n = ordered.size
     # #(id >= v) jumps only at observed values; candidates ascend, counts descend.
-    candidates = np.unique(id_scores)
-    counts = n - np.searchsorted(np.sort(id_scores), candidates, side="left")
+    candidates = _distinct(ordered)
+    counts = n - np.searchsorted(ordered, candidates, side="left")
     reaching = np.nonzero(counts / n >= TPR)[0]
     return float(candidates[reaching[-1]])
 
@@ -71,7 +81,7 @@ def aupr(id_scores, ood_scores) -> float:
     n = id_scores.size
     # Counts at or above every distinct threshold, highest first; a threshold
     # above every ID score has no precision and adds no recall.
-    thresholds = np.unique(np.concatenate([id_scores, ood_scores]))[::-1]
+    thresholds = _distinct(np.sort(np.concatenate([id_scores, ood_scores])))[::-1]
     tp = n - np.searchsorted(np.sort(id_scores), thresholds, side="left")
     fp = ood_scores.size - np.searchsorted(np.sort(ood_scores), thresholds, side="left")
     keep = tp > 0

@@ -1,13 +1,17 @@
 """Multilayer perceptron classifier with a penultimate feature tap.
 
-The network is relu -> ... -> relu -> affine with C-way logits. The layer
-arithmetic is written once: ``_hidden`` runs the hidden layers (the batch
-itself for a model with no hidden layer) and ``head`` the output layer, so
-``forward`` is exactly ``head(model, penultimate_features(model, batch))``.
-A caller that needs both features and logits of a set forwards it once.
-``mlp_forward`` runs them on bound parameters and ``mlp_backward`` is their
-closed-form backward, giving input and weight gradients, for the ``Logits``
-of a batch that an objective term reads (``logits_graph``).
+The network is relu -> ... -> relu -> affine with C-way logits. Its
+parameters are one float64 vector θ, laid out W0, b0, W1, b1, ... with each
+weight matrix row-major, the order of checkpoint.json; ``layers`` gives each
+layer's weights and bias as views of θ, and of each slice of a stacked
+(S, P) θ. The layer arithmetic is written once: ``_hidden`` runs the hidden
+layers (the batch itself for a model with no hidden layer) and ``head`` the
+output layer, so ``forward`` is exactly ``head(model, penultimate_features(model,
+batch))``. A caller that needs both features and logits of a set forwards it
+once. ``mlp_forward`` runs them on a bound θ's layers and ``mlp_backward`` is
+their closed-form backward, giving the input gradient and one flat θ
+gradient, for the ``Logits`` of a batch that an objective term reads
+(``logits_graph``).
 
 Memory order: each hidden layer adds its bias and applies the ReLU in place
 on its own fresh ``h @ w`` product, so a forward holds at most two
@@ -22,7 +26,7 @@ then types its weights and biases with numpy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,13 +38,44 @@ from .errors import ConfigError, DataError, NumericError
 CHECKPOINT_FORMAT_VERSION = 1
 
 
+THETA = "theta"  # the binding of a model's parameter vector
+
+
+class _Layers(NamedTuple):  # each layer's weights and bias, without an MlpClassifier's checks
+    weights: tuple
+    biases: tuple
+
+
+def layers(dims, theta: np.ndarray) -> _Layers:
+    """Each layer's weights (fan_in, fan_out) and bias (fan_out,) as views of θ,
+    laid out W0, b0, W1, b1, ...; a stacked (S, P) θ gives weights
+    (S, fan_in, fan_out) and biases (S, 1, fan_out), each slice its own θ's layers."""
+    lead = theta.shape[:-1]
+    sizes = [(fan_in, fan_out) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in sizes)
+    if theta.shape[-1:] != (size,):
+        raise ValueError(f"θ of shape {theta.shape} does not hold the {size} parameters "
+                         f"of dims {tuple(dims)}")
+    bias_lead = (*lead, 1) if lead else ()
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in sizes:
+        end = at + fan_in * fan_out
+        weights.append(theta[..., at:end].reshape(*lead, fan_in, fan_out))
+        biases.append(theta[..., end:end + fan_out].reshape(*bias_lead, fan_out))
+        at = end + fan_out
+    return _Layers(tuple(weights), tuple(biases))
+
+
 @dataclass(frozen=True, eq=False)
 class MlpClassifier:
-    """Immutable MLP: ``dims = [d, h1, ..., hL, C]`` with per-layer weights/biases."""
+    """Immutable MLP: ``dims = [d, h1, ..., hL, C]`` and its parameter vector
+    ``theta``; ``weights`` and ``biases`` are each layer's views of it."""
 
     dims: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    theta: np.ndarray
+    weights: tuple = field(init=False, repr=False)
+    biases: tuple = field(init=False, repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -53,13 +88,24 @@ class MlpClassifier:
     def __post_init__(self):
         if len(self.dims) < 2 or any(d <= 0 for d in self.dims):
             raise ValueError(f"invalid layer dims {self.dims}")
-        if len(self.weights) != len(self.dims) - 1 or len(self.biases) != len(self.dims) - 1:
-            raise ValueError("layer count does not match dims")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.dims[i], self.dims[i + 1]) or b.shape != (self.dims[i + 1],):
-                raise ValueError(f"layer {i} shapes {w.shape}/{b.shape} do not chain with dims")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NumericError(f"layer {i} contains non-finite parameters")
+        views = layers(self.dims, self.theta)
+        if not np.isfinite(self.theta).all():
+            raise NumericError("the model contains non-finite parameters")
+        object.__setattr__(self, "weights", views.weights)
+        object.__setattr__(self, "biases", views.biases)
+
+
+def from_layers(dims, weights, biases) -> MlpClassifier:
+    """The classifier whose layer i has weights ``weights[i]`` (dims[i], dims[i + 1])
+    and bias ``biases[i]`` (dims[i + 1],), laid out in one θ."""
+    dims = tuple(dims)
+    if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+        raise ValueError("layer count does not match dims")
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if np.shape(w) != dims[i:i + 2] or np.shape(b) != dims[i + 1:i + 2]:
+            raise ValueError(f"layer {i} shapes {np.shape(w)}/{np.shape(b)} do not chain with dims")
+    flat = [np.ravel(a) for pair in zip(weights, biases) for a in pair]
+    return MlpClassifier(dims, np.concatenate(flat, dtype=np.float64) if flat else np.empty(0))
 
 
 def init_model(dims, seed: int) -> MlpClassifier:
@@ -72,12 +118,7 @@ def init_model(dims, seed: int) -> MlpClassifier:
         std = np.sqrt(2.0 / fan_in)
         weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpClassifier(dims, tuple(weights), tuple(biases))
-
-
-class _Layers(NamedTuple):  # an MlpClassifier's parameters, without its checks
-    weights: tuple
-    biases: tuple
+    return from_layers(dims, weights, biases)
 
 
 def _hidden(model: MlpClassifier | _Layers, batch: np.ndarray, acts: list | None = None):
@@ -109,60 +150,57 @@ def penultimate_features(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     return _hidden(model, batch)
 
 
-def make_param_nodes(dims) -> dict[str, str]:
-    """The binding of each parameter W0/b0, W1/b1, ...: its own name, as in ``param_bindings``."""
-    return {f"{kind}{i}": f"{kind}{i}" for i in range(len(tuple(dims)) - 1) for kind in "Wb"}
+def make_param_nodes(dims) -> str:
+    """The binding of a ``dims`` model's parameters, as in ``param_bindings``: θ's one name."""
+    return THETA
 
 
 class Logits(NamedTuple):
-    """The MLP logits of the batch bound to ``batch``, under the parameters bound to
-    ``params`` (W0, b0, W1, b1, ... in layer order)."""
+    """The logits of the batch bound to ``batch`` under the ``dims`` MLP whose
+    parameter vector is bound to ``theta``."""
 
     batch: str
-    params: tuple[str, ...]
+    theta: str
+    dims: tuple[int, ...]
 
 
-def mlp_forward(x, params):
-    """Logits of the batch ``x`` on bound parameters (W0, b0, W1, b1, ...), and
-    each layer's input: the batch, then each hidden activation."""
-    layers = _Layers(params[0::2], params[1::2])
+def mlp_forward(x, params: _Layers):
+    """Logits of the batch ``x`` under a θ's ``layers``, and each layer's
+    input: the batch, then each hidden activation."""
     acts = [x]
-    return head(layers, _hidden(layers, x, acts)), acts
+    return head(params, _hidden(params, x, acts)), acts
 
 
-def mlp_backward(grad, params, acts, needs):
-    """Gradients for (x, W0, b0, ...) where ``needs`` says, from the logits'
-    gradient and the top layer down: db = g.sum(0), dW = h.T @ g, then g @ W.T
-    and the ReLU mask (subgradient 0 at 0) while a lower one is needed."""
-    out = [None] * len(needs)
+def mlp_backward(grad, params: _Layers, acts, needs):
+    """(input gradient, θ gradient) from the logits' gradient ``grad``, each None
+    unless ``needs``, a pair for (x, θ), asks for it. From the top layer down:
+    db = g.sum(0), dW = h.T @ g, each written into its slice of the θ gradient,
+    then g @ W.T and the ReLU mask (subgradient 0 at 0) while a lower layer is
+    needed."""
+    need_x, need_theta = needs
+    gtheta = np.empty(sum(w.size + b.size for w, b in zip(*params))) if need_theta else None
+    end = gtheta.size if need_theta else 0  # where the current layer's slice ends
     g = grad
     for i in range(len(acts) - 1, -1, -1):
-        if needs[2 + 2 * i]:
-            out[2 + 2 * i] = g.sum(axis=0)
-        if needs[1 + 2 * i]:
-            out[1 + 2 * i] = acts[i].T @ g
-        if not any(needs[:1 + 2 * i]):
+        if need_theta:
+            fan_in, fan_out = params.weights[i].shape
+            bias = end - fan_out
+            end = bias - fan_in * fan_out
+            np.add.reduce(g, axis=0, out=gtheta[bias:bias + fan_out])
+            np.matmul(acts[i].T, g, out=gtheta[end:bias].reshape(fan_in, fan_out))
+        if i == 0 and not need_x:
             break
-        g = g @ params[2 * i].T
+        g = g @ params.weights[i].T
         if i:
             g = g * (acts[i] > 0.0)
-    if needs[0]:
-        out[0] = g
-    return out
+    return g if need_x else None, gtheta
 
 
-def logits_graph(dims, input_name: str = "x", params: dict[str, str] | None = None) -> Logits:
-    """The logits of the batch bound to ``input_name`` under a ``dims`` model.
-
-    ``params`` maps each parameter name (W0, b0, ...) to its binding, by default
-    ``make_param_nodes(dims)``, so the same handle serves weight gradients
-    (training) and input gradients (perturbation).
-    """
-    dims = tuple(dims)
-    if params is None:
-        params = make_param_nodes(dims)
-    return Logits(input_name, tuple(params[f"{kind}{i}"]
-                                    for i in range(len(dims) - 1) for kind in "Wb"))
+def logits_graph(dims, input_name: str = "x", theta: str = THETA) -> Logits:
+    """The logits of the batch bound to ``input_name`` under a ``dims`` model
+    whose θ is bound to ``theta``; the same handle serves θ gradients
+    (training) and input gradients (perturbation)."""
+    return Logits(input_name, theta, tuple(dims))
 
 
 def param_names(model: MlpClassifier) -> list[str]:
@@ -170,11 +208,7 @@ def param_names(model: MlpClassifier) -> list[str]:
 
 
 def param_bindings(model: MlpClassifier) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        out[f"W{i}"] = w
-        out[f"b{i}"] = b
-    return out
+    return {THETA: model.theta}
 
 
 @dataclass(frozen=True)
@@ -208,7 +242,7 @@ def load_checkpoint(path) -> MlpClassifier:
         weights = tuple(_parameters(flat).reshape(ckpt.dims[i], ckpt.dims[i + 1])
                         for i, flat in enumerate(ckpt.weights))
         biases = tuple(_parameters(b) for b in ckpt.biases)
-        return MlpClassifier(ckpt.dims, weights, biases)
+        return from_layers(ckpt.dims, weights, biases)
     except (IndexError, TypeError, ValueError, OverflowError, NumericError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc
 

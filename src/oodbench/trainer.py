@@ -4,7 +4,9 @@ per-step cosine-annealed learning rate.
 Per batch: sample an ID mini-batch and an outlier mini-batch, synthesize a
 share of its rows in place against the current model snapshot, then take
 one gradient step on the kind's objective, ``losses.objective``, which
-``_build_loss_graph`` binds once per run. The outlier stream reshuffles and
+``_build_loss_graph`` binds once per run. The parameters, their gradient and
+the velocity are each one vector laid out as the model's θ, so a step's
+update is three whole-vector expressions. The outlier stream reshuffles and
 cycles so every ID batch is paired.
 """
 
@@ -55,18 +57,12 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return 0.5 * lr0 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             velocity: dict[str, np.ndarray], lr: float):
-    """One Nesterov update: g += wd*p; v' = m*v + g; p' = p - lr*(g + m*v'),
-    with m = MOMENTUM and wd = WEIGHT_DECAY."""
-    new_params = {}
-    new_velocity = {}
-    for name, p in params.items():
-        g = grads[name] + WEIGHT_DECAY * p
-        v = MOMENTUM * velocity[name] + g
-        new_params[name] = p - lr * (g + MOMENTUM * v)
-        new_velocity[name] = v
-    return new_params, new_velocity
+def sgd_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float):
+    """One Nesterov update of θ, elementwise: g = grad + wd*θ; v' = m*v + g;
+    θ' = θ - lr*(g + m*v'), with m = MOMENTUM and wd = WEIGHT_DECAY. Returns (θ', v')."""
+    g = grad + WEIGHT_DECAY * theta
+    v = MOMENTUM * velocity + g
+    return theta - lr * (g + MOMENTUM * v), v
 
 
 def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
@@ -109,8 +105,8 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     """
     kind = losses.KINDS[cfg.loss.kind]
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
-    params = dict(model_mod.param_bindings(mlp))
-    velocity = {name: np.zeros_like(p) for name, p in params.items()}
+    theta = mlp.theta
+    velocity = np.zeros_like(theta)
     history = TrainHistory()
     if cfg.epochs == 0:
         return mlp, history
@@ -125,19 +121,19 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     objective = _build_loss_graph(mlp.dims, cfg.loss)
     terms = (objective.head, *objective.group)
 
-    param_names = model_mod.param_names(mlp)
     step = 0
     for epoch in range(cfg.epochs):
         epoch_iter = data_mod.batches(id_train, cfg.id_batch,
                                       seed=derive_seed(shuffle_seed, epoch))
         for x_id, y_id in epoch_iter:
-            bindings = dict(params, x=x_id, y=losses.onehot(y_id, mlp.n_classes))
+            bindings = {model_mod.THETA: theta, "x": x_id,
+                        "y": losses.onehot(y_id, mlp.n_classes)}
             if n_out:
                 bindings["x_out"] = x_out = next(out_stream)  # a copy: the pool stays unwritten
             if n_ext:
                 chosen = select_subbatch(n_out, n_ext, select_rng)
-                extrap = build_extrapolation_pool(_model(mlp.dims, params), x_out[chosen],
-                                                  extrapolation)
+                extrap = build_extrapolation_pool(model_mod.MlpClassifier(mlp.dims, theta),
+                                                  x_out[chosen], extrapolation)
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
                                  < np.mean(extrap.initial_values[ok]) - 1e-12):
@@ -146,26 +142,20 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
                         f"at epoch {epoch} step {step}")
                 x_out[chosen] = extrap.synthesized
             try:
-                total_value, grads, outputs = ad.value_and_grad(objective, bindings, param_names)
+                total_value, grads, outputs = ad.value_and_grad(objective, bindings,
+                                                                [model_mod.THETA])
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: {exc}") from exc
             ce_value, *values = (float(t.reduced(out)) for t, out in zip(terms, outputs))
 
             lr = cosine_lr(step, total_steps, cfg.lr)
-            params, velocity = sgd_step(params, grads, velocity, lr)
+            theta, velocity = sgd_step(theta, grads[model_mod.THETA], velocity, lr)
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
                 outlier_loss=values[-1] if n_out else None,
                 extrapolated_loss=float(np.mean(outputs[-1][chosen])) if n_ext else None,
                 total_loss=float(total_value)))
             step += 1
-    return _model(mlp.dims, params), history
-
-
-def _model(dims, params: dict[str, np.ndarray]) -> model_mod.MlpClassifier:
-    """The classifier holding the current parameters (checked to be finite)."""
-    n_layers = len(dims) - 1
-    return model_mod.MlpClassifier(dims, tuple(params[f"W{i}"] for i in range(n_layers)),
-                                   tuple(params[f"b{i}"] for i in range(n_layers)))
+    return model_mod.MlpClassifier(mlp.dims, theta), history
 

@@ -10,17 +10,13 @@ from oodbench.errors import NumericError
 
 
 def _layers(*pairs):
-    """Bindings W0/b0, W1/b1, ... of an MLP from (weights, bias) pairs."""
-    out = {}
-    for i, (w, b) in enumerate(pairs):
-        out[f"W{i}"], out[f"b{i}"] = np.asarray(w, dtype=float), np.asarray(b, dtype=float)
-    return out
+    """The θ binding of an MLP from (weights, bias) pairs: W0, b0, W1, b1, ... flat."""
+    return {"theta": np.concatenate([np.ravel(a) for pair in pairs for a in pair], dtype=float)}
 
 
-def _forward(bindings, n_layers):
-    """The logits ``model.mlp_forward`` gives for x under W0/b0, ..."""
-    params = [bindings[f"{kind}{i}"] for i in range(n_layers) for kind in "Wb"]
-    return model.mlp_forward(bindings["x"], params)
+def _forward(bindings, dims):
+    """The logits ``model.mlp_forward`` gives for x under the ``dims`` layers of θ."""
+    return model.mlp_forward(bindings["x"], model.layers(dims, bindings["theta"]))
 
 
 def _hinge_objective():
@@ -45,7 +41,7 @@ def _divoe_bindings(dims, rng, rows, seed):
 def test_relu_evaluate():
     # Identity layers around the MLP's ReLU show it alone.
     eye = (np.eye(3), np.zeros(3))
-    out, _ = _forward({**_layers(eye, eye), "x": np.array([[-1.0, 0.0, 2.0]])}, 2)
+    out, _ = _forward({**_layers(eye, eye), "x": np.array([[-1.0, 0.0, 2.0]])}, (3, 3, 3))
     np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
 
@@ -59,7 +55,7 @@ def test_softmax_uniform_on_zero_logits():
 def test_matmul_hand_example():
     # The MLP of a model with no hidden layer is x @ W0 + b0.
     out, _ = _forward({**_layers(([[1.0], [1.0]], [0.0])),
-                       "x": np.array([[1.0, 2.0], [3.0, 4.0]])}, 1)
+                       "x": np.array([[1.0, 2.0], [3.0, 4.0]])}, (2, 1))
     np.testing.assert_array_equal(out, [[3.0], [7.0]])
 
 
@@ -68,10 +64,12 @@ def test_mlp_node_hand_gradient_with_a_unit_at_exactly_zero():
     # so its bias, its weight column and its path to x all receive 0.
     bindings = {**_layers(([[1.0, 1.0], [-1.0, 1.0]], [0.0, 0.5]), ([[2.0], [3.0]], [0.25])),
                 "x": np.array([[1.0, 1.0]])}
-    z, acts = _forward(bindings, 2)
+    dims = (2, 2, 1)
+    z, acts = _forward(bindings, dims)
     assert z.tolist() == [[7.75]]
-    params = [bindings[name] for name in ("W0", "b0", "W1", "b1")]
-    gx, gw0, gb0, gw1, gb1 = model.mlp_backward(np.ones((1, 1)), params, acts, [True] * 5)
+    gx, gtheta = model.mlp_backward(np.ones((1, 1)), model.layers(dims, bindings["theta"]), acts,
+                                    (True, True))
+    (gw0, gw1), (gb0, gb1) = model.layers(dims, gtheta)
     np.testing.assert_array_equal(gb1, [1.0])
     np.testing.assert_array_equal(gw1, [[0.0], [2.5]])
     np.testing.assert_array_equal(gb0, [0.0, 3.0])
@@ -86,9 +84,12 @@ def test_evaluate_unbound_input_raises():
 
 def test_evaluate_shape_mismatch_raises():
     # numpy's matmul, through the MLP: W0 has 2 rows for 3 input columns.
-    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((3, 3))))
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 3))))
     with pytest.raises(ValueError):
         ad.evaluate(objective, {**_layers((np.ones((2, 3)), np.zeros(3))), "x": np.ones((2, 3))})
+    # A θ whose length is not the dims' parameter count is refused before any layer runs.
+    with pytest.raises(ValueError, match=r"θ of shape \(8,\) does not hold the 9 parameters"):
+        ad.evaluate(objective, {"theta": np.ones(8), "x": np.ones((2, 2))})
 
 
 def test_evaluate_nonfinite_overflow_raises():
@@ -109,7 +110,7 @@ def test_evaluate_on_a_stack_is_each_slice_alone():
 @pytest.mark.parametrize("stacked, culprit", [
     ({"x": np.array([[[0.3]], [[1e300]], [[0.5]]])}, "energy_hinge_rows on 'x'"),
     ({"x": np.full((3, 1, 1), 10.0),
-      "W0": np.array([[[1.0]], [[1e308]], [[1.0]]])}, "mlp_forward on 'x'"),
+      "theta": np.array([[1.0, 0.0], [1e308, 0.0], [1.0, 0.0]])}, "mlp_forward on 'x'"),
 ], ids=["loss", "mlp"])
 def test_evaluate_on_a_stack_names_the_stage_of_a_nonfinite_slice(stacked, culprit):
     # One slice overflows; the stack as a whole fails, naming the first stage
@@ -130,9 +131,8 @@ def test_reduced_stack_equals_separate_reductions(reduce, m):
 
 
 def test_evaluate_rejects_nonfinite_bindings():
-    with pytest.raises(NumericError, match="binding for 'b0'"):
-        ad.evaluate(_hinge_objective(), {**_IDENTITY_1, "b0": np.array([np.nan]),
-                                         "x": np.ones((1, 1))})
+    with pytest.raises(NumericError, match="binding for 'theta'"):
+        ad.evaluate(_hinge_objective(), {"theta": np.array([1.0, np.nan]), "x": np.ones((1, 1))})
 
 
 def test_evaluate_is_pure():
@@ -145,23 +145,23 @@ def test_evaluate_is_pure():
 
 
 def test_duplicate_input_name_rejected():
-    # One batch read under two parameter sets would be forwarded once and
-    # silently lose the second set's gradients.
-    shadow = model.logits_graph((2, 2), "x", {"W0": "V0", "b0": "c0"})
+    # One batch read under two parameter vectors would be forwarded once and
+    # silently lose the second vector's gradient.
+    shadow = model.logits_graph((2, 2), "x", "shadow")
     objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2))), 1.0,
                              (ad.Term(losses.oe_rows, shadow),))
-    bindings = {**_layers((np.eye(2), np.zeros(2))), "V0": np.eye(2), "c0": np.zeros(2),
-                "x": np.ones((1, 2))}
+    theta = _layers((np.eye(2), np.zeros(2)))["theta"]
+    bindings = {"theta": theta, "shadow": theta, "x": np.ones((1, 2))}
     with pytest.raises(ValueError, match="duplicate input name 'x'"):
         ad.evaluate(objective, bindings)
 
 
 def test_duplicate_input_name_rejected_on_every_call():
-    # A batch named like a parameter would mix its gradient into the parameter's.
-    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2), "W0")))
+    # A batch named like θ would mix its gradient into θ's.
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((2, 2), "theta")))
     for _ in range(2):
-        with pytest.raises(ValueError, match="duplicate input name 'W0'"):
-            ad.value_and_grad(objective, _layers((np.eye(2), np.zeros(2))), ["W0"])
+        with pytest.raises(ValueError, match="duplicate input name 'theta'"):
+            ad.value_and_grad(objective, _layers((np.eye(2), np.zeros(2))), ["theta"])
 
 
 def test_gradient_quadratic():
@@ -187,26 +187,25 @@ def test_gradient_unknown_name():
 def test_gradient_shapes_match_inputs():
     objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 2))))
     bindings = {"x": np.ones((3, 4)), **_layers((np.ones((4, 2)), np.zeros(2)))}
-    grads = ad.value_and_grad(objective, bindings, ["x", "W0", "b0"])[1]
+    grads = ad.value_and_grad(objective, bindings, ["x", "theta"])[1]
     assert grads["x"].shape == (3, 4)
-    assert grads["W0"].shape == (4, 2)
-    assert grads["b0"].shape == (2,)
+    assert grads["theta"].shape == (4 * 2 + 2,)
 
 
 def test_gradient_broadcast_add_bias():
     # The bias is added to every row, so its gradient sums the rows'.
     bindings = {"x": np.ones((3, 4)), **_layers((np.eye(4), np.zeros(4)))}
-    _, acts = _forward(bindings, 1)
-    _, _, db = model.mlp_backward(np.ones((3, 4)), [bindings["W0"], bindings["b0"]],
-                                  acts, [False, False, True])
-    np.testing.assert_array_equal(db, [3.0, 3.0, 3.0, 3.0])
+    _, acts = _forward(bindings, (4, 4))
+    _, gtheta = model.mlp_backward(np.ones((3, 4)), model.layers((4, 4), bindings["theta"]),
+                                   acts, (False, True))
+    np.testing.assert_array_equal(model.layers((4, 4), gtheta).biases[0], [3.0, 3.0, 3.0, 3.0])
 
 
 def test_gradient_deterministic_accumulation():
     dims = (3, 6, 4)
     bindings = _divoe_bindings(dims, np.random.default_rng(5), 4, seed=2)
-    g1 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "x"])[1]
-    g2 = ad.value_and_grad(_divoe(dims), bindings, ["W0", "x"])[1]
+    g1 = ad.value_and_grad(_divoe(dims), bindings, ["theta", "x"])[1]
+    g2 = ad.value_and_grad(_divoe(dims), bindings, ["theta", "x"])[1]
     assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
 
 
@@ -241,16 +240,13 @@ def test_finite_diff_constant_expression():
 def test_finite_diff_random_three_layer_net(dims):
     # Pre-calibrated: unit-scale weights, inputs away from relu kinks.
     rng = np.random.default_rng(123)
-    bindings = {}
-    for i, (fi, fo) in enumerate(zip(dims[:-1], dims[1:])):
-        bindings[f"W{i}"] = rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo))
-        bindings[f"b{i}"] = rng.normal(0.0, 0.5, size=fo)
+    bindings = _layers(*((rng.normal(0.0, np.sqrt(2.0 / fi), size=(fi, fo)),
+                          rng.normal(0.0, 0.5, size=fo)) for fi, fo in zip(dims[:-1], dims[1:])))
     bindings["x"] = rng.uniform(0.1, 0.9, size=(4, dims[0]))
     labels = rng.integers(0, dims[-1], size=4)
     objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims),
                                      losses.onehot(labels, dims[-1])))
-    names = [f"{p}{i}" for i in range(len(dims) - 1) for p in ("W", "b")] + ["x"]
-    grads = ad.value_and_grad(objective, bindings, names)[1]
+    grads = ad.value_and_grad(objective, bindings, ["theta", "x"])[1]
     assert gradcheck.finite_diff_check(objective, bindings, grads, h=1e-5) < 1e-6
 
 
@@ -277,7 +273,7 @@ def test_threads_share_one_compiled_divoe_graph():
     objective = _divoe(dims)
     rng = np.random.default_rng(12)
     bindings = [_divoe_bindings(dims, rng, 4 + 3 * i, seed=i) for i in range(4)]
-    names = ["W0", "b0", "W1", "b1"]
+    names = ["theta"]
 
     def run(i):
         value, grads, outputs = ad.value_and_grad(objective, bindings[i], names)
@@ -313,30 +309,33 @@ def _mlp_ce_objective(dims):
 def test_compiled_graph_reruns_bitwise_on_any_row_count():
     dims = (3, 5, 4)
     rng = np.random.default_rng(11)
-    params = {"W0": rng.normal(size=(3, 5)), "b0": rng.normal(size=5),
-              "W1": rng.normal(size=(5, 4)), "b1": rng.normal(size=4)}
+    params = _layers((rng.normal(size=(3, 5)), rng.normal(size=5)),
+                     (rng.normal(size=(5, 4)), rng.normal(size=4)))
     reused = _mlp_ce_objective(dims)
     for rows in (7, 2, 7, 1):
         bindings = dict(params, x=rng.uniform(size=(rows, 3)),
                         y=np.eye(4)[rng.integers(0, 4, rows)])
-        value, grads, _ = ad.value_and_grad(reused, bindings, ["W0", "b1", "x"])
+        value, grads, _ = ad.value_and_grad(reused, bindings, ["theta", "x"])
         fresh_value, fresh_grads, _ = ad.value_and_grad(_mlp_ce_objective(dims), bindings,
-                                                        ["W0", "b1", "x"])
+                                                        ["theta", "x"])
         assert value.tobytes() == fresh_value.tobytes()
         assert all(grads[k].tobytes() == fresh_grads[k].tobytes() for k in grads)
         assert ad.evaluate(reused, bindings).tobytes() == fresh_value.tobytes()
 
 
-@pytest.mark.parametrize("op", ["add", "mul"])
-def test_broadcast_mismatch_message(op):
-    # A kernel's own add (the MLP's bias) or multiply (the cross-entropy's target)
-    # raises numpy's message, and a failed pass leaves the objective reusable.
+@pytest.mark.parametrize("bad, message", [
+    ({"theta": np.zeros(13)}, r"θ of shape \(13,\) does not hold the 12 parameters"),
+    ({"y": np.ones(4)}, r"could not be broadcast.*\(2,3\) \(4,\)"),
+], ids=["theta", "mul"])
+def test_broadcast_mismatch_message(bad, message):
+    # A θ the dims' layout cannot split, or a kernel's own multiply (the
+    # cross-entropy's target) that numpy refuses, raises its message, and a
+    # failed pass leaves the objective reusable.
     objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph((3, 3)), "y"))
     good = {**_layers((np.eye(3), np.zeros(3))), "x": np.ones((2, 3)), "y": np.eye(3)[[0, 1]]}
-    bad = {**good, **({"b0": np.zeros(4)} if op == "add" else {"y": np.ones(4)})}
     for _ in range(2):
-        with pytest.raises(ValueError, match=r"could not be broadcast.*\(2,3\) \(4,\)"):
-            ad.evaluate(objective, bad)
+        with pytest.raises(ValueError, match=message):
+            ad.evaluate(objective, {**good, **bad})
     assert ad.evaluate(objective, good).shape == ()
 
 
@@ -346,20 +345,19 @@ def test_outputs_are_each_terms_kernel_value():
     dims = (3, 5, 4)
     objective = _divoe(dims)
     bindings = _divoe_bindings(dims, np.random.default_rng(6), 5, seed=3)
-    value, _, outputs = ad.value_and_grad(objective, bindings, ["b1"])
+    value, _, outputs = ad.value_and_grad(objective, bindings, ["theta"])
     assert [out.shape for out in outputs] == [(5,)] * 2
     ce, outlier = (t.reduced(out) for t, out in zip((objective.head, *objective.group), outputs))
     assert value == ce + 0.5 * outlier
     assert ad.evaluate(objective, bindings) == value
 
 
-@pytest.mark.parametrize("wrt", [["x"], ["x", "x_out"], ["W0", "b0", "W1", "b1"], ["b1"]])
+@pytest.mark.parametrize("wrt", [["x"], ["x", "x_out"], ["theta"], ["x_out", "theta"]])
 def test_pass_computes_only_the_requested_gradients(monkeypatch, wrt):
     dims = (3, 5, 4)
     objective = _divoe(dims)
     bindings = _divoe_bindings(dims, np.random.default_rng(8), 6, seed=4)
-    _, every, _ = ad.value_and_grad(objective, bindings,
-                                    ["x", "x_out", "W0", "b0", "W1", "b1"])
+    _, every, _ = ad.value_and_grad(objective, bindings, ["x", "x_out", "theta"])
     real = ad._accumulate
     fed: set[str] = set()
 

@@ -347,8 +347,9 @@ def test_history_fills_the_outlier_columns_of_each_kind(tmp_path, kind):
     assert _filled_columns(tmp_path / "run" / "history.csv") == FILLED_COLUMNS[kind]
 
 
-# divoe's ascent runs on a model with no hidden layer as on one with a hidden
-# layer; ash_energy, refused without one, is scored only with one.
+# divoe's ascent, eval and extrapolate run on a model with no hidden layer,
+# whose θ is W0 and b0 alone, as on one with a hidden layer; ash_energy,
+# refused without one, is scored only with one.
 @pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
 @pytest.mark.parametrize("hidden, kinds", [
     pytest.param([], ["msp", "energy", "odin"], id="no-hidden-layer"),
@@ -361,10 +362,18 @@ def test_divoe_trains_and_evaluates_end_to_end(tmp_path, hidden, kinds):
             "--set", f"scores={json.dumps([{'kind': kind} for kind in kinds])}"]
     for command in ("gen-data", "train", "eval"):
         assert cli.main(base + [command]) == 0
-    assert model.load_checkpoint(run / "checkpoint.json").dims == (2, *hidden, 3)
+    assert cli.main(base + ["extrapolate", "--input", str(run / "aux_out.csv"),
+                            "--epsilons", "0.05", "--dump", str(run / "extrap.csv")]) == 0
+    trained = model.load_checkpoint(run / "checkpoint.json")
+    assert trained.dims == (2, *hidden, 3)
+    assert trained.theta.size == sum(a * b + b for a, b in zip(trained.dims, trained.dims[1:]))
     assert _filled_columns(run / "history.csv") == FILLED_COLUMNS["divoe"]
     reports = json.loads((run / "report.json").read_text(encoding="utf-8"))
     assert [doc["score_kind"] for doc in reports] == kinds
+    with (run / "extrap.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(data.load_csv(run / "aux_out.csv"))
+    assert all(float(r["loss_after"]) >= float(r["loss_before"]) for r in rows)
 
 
 _CE = ["--set", "train.loss.kind=ce"]

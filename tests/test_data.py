@@ -45,6 +45,10 @@ def test_csv_round_trip_empty_dataset(tmp_path):
     pytest.param("x0,x1\n" + "0.1,0.2\n" * data.CSV_BLOCK_ROWS + "0.1\n",
                  f":{data.CSV_BLOCK_ROWS + 2}: expected 2 fields, got 1",
                  id="short-row-past-the-first-block"),
+    # A block that is not ragged but one field too wide in every row.
+    pytest.param("x0,x1\n0.1,0.2,0.3\n0.4,0.5,0.6\n", ":2: expected 2 fields, got 3",
+                 id="every-row-one-field-too-many"),
+    pytest.param("x0,label\n0.1,0\n0.2,1.0\n", ":3: bad label '1.0'", id="float-label"),
 ])
 def test_load_csv_rejects_malformed_rows(tmp_path, text, match):
     path = tmp_path / "bad.csv"

@@ -136,7 +136,7 @@ def _overflow_model():
     # float64 range, so those rows (or iterates) overflow and the rest stay finite.
     w0 = np.array([[1.0, -1.0, 1e200], [0.5, 1.0, 0.0]])
     w1 = np.array([[1.0, -1.0, 0.5], [-0.5, 1.0, 0.2], [1e200, 0.0, 0.0]])
-    return model.MlpClassifier((2, 3, 3), (w0, w1), (np.array([0.0, 0.0, -0.5e200]), np.zeros(3)))
+    return model.from_layers((2, 3, 3), (w0, w1), (np.array([0.0, 0.0, -0.5e200]), np.zeros(3)))
 
 
 _OVERFLOW_X = np.array([[0.2, 0.3], [0.8, 0.1], [0.47, 0.6], [0.1, 0.9],
@@ -163,7 +163,7 @@ def test_row_held_at_origin_never_aborts_on_its_gradient():
     # At x = (1e-250, 0) the logits are finite but the input gradient passes
     # through two 1e200 weights and overflows; at x = (0, 0) the relu blocks it.
     w1 = np.array([[1e200, -1e200], [0.0, 0.0]])
-    mlp = model.MlpClassifier((2, 2, 2), (np.full((2, 2), 1e200), w1), (np.zeros(2), np.zeros(2)))
+    mlp = model.from_layers((2, 2, 2), (np.full((2, 2), 1e200), w1), (np.zeros(2), np.zeros(2)))
     x = np.array([[1e-250, 0.0], [0.0, 0.0], [1e-250, 0.0]])
     eps = [0.0, 0.05, 0.05]
     cfg = ExtrapolationConfig(steps=3)
@@ -194,7 +194,7 @@ def test_linear_model_single_step_moves_by_alpha():
     # with a nonzero gradient by exactly alpha, and a second step in the same
     # signs is projected back onto it.
     w = np.array([[1.5, -0.5, 0.2], [-0.3, 0.8, 0.1]])
-    m = model.MlpClassifier((2, 3), (w,), (np.zeros(3),))
+    m = model.from_layers((2, 3), (w,), (np.zeros(3),))
 
     def grad(x):
         p = np.exp(model.forward(m, x)) / np.exp(model.forward(m, x)).sum()
@@ -214,7 +214,7 @@ def test_default_step_size_traverses_ball():
     # the gradient keeps its signs. On this affine model the uniform loss is
     # convex and rises along the whole path, so the best iterate is the corner.
     w = np.array([[1.5, -0.5, 0.2], [-0.3, 0.8, 0.1]])
-    m = model.MlpClassifier((2, 3), (w,), (np.zeros(3),))
+    m = model.from_layers((2, 3), (w,), (np.zeros(3),))
     x = np.full((3, 2), 0.5)
     radii = [0.02, 0.08, 0.2]
     direction = np.sign(_uniform_loss_grad(m, w, x[:1]))
@@ -321,8 +321,8 @@ def _sha256(*arrays):
 def test_ascent_and_odin_outputs_unchanged():
     base = model.init_model([2, 16, 16, 4], seed=11)
     rng = np.random.default_rng(12)
-    mlp = model.MlpClassifier(base.dims, base.weights,
-                              tuple(rng.normal(0.0, 0.5, b.shape) for b in base.biases))
+    mlp = model.from_layers(base.dims, base.weights,
+                            tuple(rng.normal(0.0, 0.5, b.shape) for b in base.biases))
     cfg = ExtrapolationConfig(ratio=1.0, steps=5,
                               pool=((0.02, 0.34), (0.05, 0.33), (0.1, 0.33)))
     digests = {}

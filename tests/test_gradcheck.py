@@ -15,8 +15,8 @@ def test_run_suite_passes():
 
 
 def test_corrupted_backward_pass_fails(monkeypatch, capsys):
-    # Skew every gradient the backward pass accumulates into an input (a
-    # parameter or a batch).
+    # Skew every gradient the backward pass accumulates into an input (θ or
+    # a batch).
     real_accumulate = ad._accumulate
 
     def skewed(grads, name, grad):
@@ -50,9 +50,9 @@ def test_stacked_check_is_the_per_coordinate_loop_bitwise(kind):
 
 
 def test_second_contribution_to_a_parameter_is_checked(monkeypatch):
-    # A parameter receives one contribution per batch whose logits it feeds;
-    # in every kind but ce that is x and x_out, and skewing just the second
-    # (x's, which the backward runs last) must show.
+    # θ receives one contribution per batch whose logits it feeds; in every
+    # kind but ce that is x and x_out, and skewing just the second (x's, which
+    # the backward runs last) must show.
     real_backward, real_accumulate = ad._backward, ad._accumulate
     seen: dict[str, int] = {}
 
@@ -72,10 +72,11 @@ def test_second_contribution_to_a_parameter_is_checked(monkeypatch):
 
 
 def _skew_first_layer_dw(real, grad, params, acts, needs):
-    out = list(real(grad, params, acts, needs))
-    if out[1] is not None:
-        out[1] = out[1] * (1.0 + 1e-3)
-    return out
+    gx, gtheta = real(grad, params, acts, needs)
+    if gtheta is not None:  # W0 leads θ
+        n = params.weights[0].size
+        gtheta = np.concatenate([gtheta[:n] * (1.0 + 1e-3), gtheta[n:]])
+    return gx, gtheta
 
 
 class _PassEveryUnit(np.ndarray):

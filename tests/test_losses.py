@@ -11,7 +11,7 @@ from oodbench import gradcheck, losses, model, scoring, trainer
 
 def _identity(c, **batches):
     """Bindings of a one-layer identity model, under which every batch is its own logits."""
-    return {"W0": np.eye(c), "b0": np.zeros(c),
+    return {"theta": np.concatenate([np.eye(c).ravel(), np.zeros(c)]),
             **{name: np.asarray(z, dtype=np.float64) for name, z in batches.items()}}
 
 
@@ -41,8 +41,7 @@ def _objective(kind, batches, lam=0.5):
     x_out); the model is one identity layer, so every batch is its own logits."""
     c = batches["x"].shape[1]
     objective = trainer._build_loss_graph((c, c), losses.LossConfig(kind=kind, balance=lam))
-    total, _, outputs = ad.value_and_grad(objective, {"W0": np.eye(c), "b0": np.zeros(c),
-                                                      **batches}, [])
+    total, _, outputs = ad.value_and_grad(objective, _identity(c, **batches), [])
     ce, *group = (float(t.reduced(out)) for t, out in zip((objective.head, *objective.group),
                                                           outputs))
     return (float(total), ce, *group[-1:])

@@ -42,14 +42,14 @@ def test_init_model_invalid_dims():
 
 def test_forward_zero_parameters():
     dims = (3, 4, 2)
-    m = model.MlpClassifier(dims, (np.zeros((3, 4)), np.zeros((4, 2))),
-                            (np.zeros(4), np.zeros(2)))
+    m = model.from_layers(dims, (np.zeros((3, 4)), np.zeros((4, 2))),
+                          (np.zeros(4), np.zeros(2)))
     out = model.forward(m, np.ones((5, 3)))
     np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
 def test_forward_identity_single_layer():
-    m = model.MlpClassifier((2, 2), (np.eye(2),), (np.zeros(2),))
+    m = model.from_layers((2, 2), (np.eye(2),), (np.zeros(2),))
     out = model.forward(m, np.array([[3.0, -1.0]]))
     np.testing.assert_array_equal(out, [[3.0, -1.0]])
 
@@ -59,7 +59,7 @@ def test_forward_hand_computed_two_layer():
     b0 = np.array([0.0, -1.0])
     w1 = np.array([[1.0], [1.0]])
     b1 = np.array([0.5])
-    m = model.MlpClassifier((2, 2, 1), (w0, w1), (b0, b1))
+    m = model.from_layers((2, 2, 1), (w0, w1), (b0, b1))
     x = np.array([[1.0, 1.0], [2.0, 0.0]])
     h = np.maximum(x @ w0 + b0, 0.0)
     expected = h @ w1 + b1
@@ -94,7 +94,7 @@ def test_penultimate_hand_computed_one_hidden():
     b0 = np.array([0.25])
     w1 = np.array([[1.0]])
     b1 = np.array([0.0])
-    m = model.MlpClassifier((2, 1, 1), (w0, w1), (b0, b1))
+    m = model.from_layers((2, 1, 1), (w0, w1), (b0, b1))
     feats = model.penultimate_features(m, np.array([[1.0, 0.5]]))
     np.testing.assert_allclose(feats, [[1.75]])
 
@@ -102,8 +102,8 @@ def test_penultimate_hand_computed_one_hidden():
 @pytest.mark.parametrize("dims", [(2, 16, 16, 3), (3, 7, 2), (2, 3)])
 def test_forward_equals_the_plain_chain_and_leaves_its_input(dims):
     m = model.init_model(dims, seed=31)
-    m = model.MlpClassifier(m.dims, m.weights, tuple(np.random.default_rng(32).normal(size=b.shape)
-                                                     for b in m.biases))
+    m = model.from_layers(m.dims, m.weights, tuple(np.random.default_rng(32).normal(size=b.shape)
+                                                   for b in m.biases))
     x = np.random.default_rng(33).uniform(-1, 1, (257, dims[0]))
     kept = x.copy()
     h = x
@@ -131,7 +131,7 @@ def test_penultimate_features_peak_memory():
 @given(st.integers(0, 10_000), st.floats(-5.0, 5.0))
 def test_final_bias_translation_covariance(seed, shift):
     m = model.init_model([3, 6, 4], seed=seed)
-    shifted = model.MlpClassifier(
+    shifted = model.from_layers(
         m.dims, m.weights, (m.biases[0], m.biases[1] + shift))
     x = np.random.default_rng(seed).uniform(0, 1, (4, 3))
     np.testing.assert_allclose(model.forward(shifted, x),
@@ -144,34 +144,52 @@ def test_graph_matches_numpy_forward_bitwise():
     x = np.random.default_rng(4).uniform(0, 1, (7, 3))
     bindings = model.param_bindings(m)
     handle = model.logits_graph(m.dims)
-    via_kernel, _ = model.mlp_forward(x, [bindings[name] for name in handle.params])
-    assert handle == ("x", ("W0", "b0", "W1", "b1"))
+    via_kernel, _ = model.mlp_forward(x, model.layers(handle.dims, bindings[handle.theta]))
+    assert handle == ("x", "theta", (3, 8, 5))
     assert via_kernel.tobytes() == model.forward(m, x).tobytes()
 
 
 @pytest.mark.parametrize("dims", [(3, 4), (3, 6, 5, 4)], ids=["no_hidden", "two_hidden"])
 def test_kernel_forward_on_a_stack_equals_separate_passes(dims):
-    # gradcheck's stacked pass: the batch broadcast to (S, m, d) and one input
-    # stacked, a weight as (S, fan_in, fan_out), a bias as (S, 1, fan_out). Each
-    # slice's logits and activations are a pass on that slice's input alone, byte
-    # for byte; a numpy whose stacked matmul fused the slices would fail here.
+    # gradcheck's stacked pass: one input stacked, the batch as (S, m, d) or θ
+    # as (S, P), whose layers are then (S, fan_in, fan_out) weights and
+    # (S, 1, fan_out) biases. Each slice's logits and activations are a pass on
+    # that slice's input alone, byte for byte; a numpy whose stacked matmul
+    # fused the slices would fail here.
     rng = np.random.default_rng(6)
     m = model.init_model(dims, seed=3)
-    names = model.logits_graph(dims).params
     inputs = {"x": rng.uniform(0, 1, (4, dims[0])),
-              **{k: v + rng.normal(0.0, 0.5, v.shape) for k, v in model.param_bindings(m).items()}}
+              "theta": m.theta + rng.normal(0.0, 0.5, m.theta.shape)}
     stack = 9
     for name, value in inputs.items():
-        stacked = dict(inputs, x=np.broadcast_to(inputs["x"], (stack, *inputs["x"].shape)))
-        stacked[name] = value + rng.normal(size=(stack, *np.atleast_2d(value).shape))
-        z, acts = model.mlp_forward(stacked["x"], [stacked[k] for k in names])
+        stacked = dict(inputs, **{name: value + rng.normal(size=(stack, *value.shape))})
+        z, acts = model.mlp_forward(stacked["x"], model.layers(dims, stacked["theta"]))
         assert z.shape == (stack, 4, dims[-1])
         for s in range(stack):
-            alone = dict(inputs)
-            alone[name] = stacked[name][s].reshape(value.shape)
-            z1, acts1 = model.mlp_forward(alone["x"], [alone[k] for k in names])
+            alone = dict(inputs, **{name: stacked[name][s]})
+            z1, acts1 = model.mlp_forward(alone["x"], model.layers(dims, alone["theta"]))
             assert z[s].tobytes() == z1.tobytes()
-            assert [a[s].tobytes() for a in acts] == [a.tobytes() for a in acts1]
+            assert [np.broadcast_to(a, (stack, *a.shape[-2:]))[s].tobytes() for a in acts] == \
+                [a.tobytes() for a in acts1]
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (3, 6, 5, 4)], ids=["no_hidden", "two_hidden"])
+def test_layers_are_views_of_theta_and_of_each_stacked_slice(dims):
+    # θ is W0, b0, W1, b1, ... with each weight row-major, the checkpoint's order.
+    m = model.init_model(dims, seed=5)
+    m = model.from_layers(dims, m.weights, tuple(np.arange(1.0, 1.0 + d) for d in dims[1:]))
+    assert m.theta.tobytes() == np.concatenate(
+        [a.ravel() for pair in zip(m.weights, m.biases) for a in pair]).tobytes()
+    assert all(np.shares_memory(a, m.theta) for a in (*m.weights, *m.biases))
+    thetas = np.random.default_rng(7).normal(size=(3, m.theta.size))
+    stacked = model.layers(dims, thetas)
+    for s in range(3):
+        alone = model.layers(dims, thetas[s])
+        for a, b in zip((*stacked.weights, *stacked.biases), (*alone.weights, *alone.biases)):
+            assert np.shares_memory(a, thetas) and a.shape[0] == 3
+            assert a[s].reshape(b.shape).tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="does not hold"):
+        model.layers(dims, np.zeros(m.theta.size + 1))
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -75,6 +75,23 @@ def test_eval_scores_before_it_loads_openssl(tmp_path):
         ["False", "True"]
 
 
+def test_eval_with_msp_and_energy_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 9 ms of import; np.unique imports it for its mask
+    # check, and metrics no longer calls np.unique. (ASH's np.percentile still does.)
+    from oodbench import cli
+
+    tiny = ["--out", str(tmp_path), "--set", "data.per_class=8", "--set", "data.test_per_class=4",
+            "--set", "data.aux.count=16", "--set", 'data.ood_sets={"ring": {"count": 8}}',
+            "--set", "model.hidden=[4]", "--set", "train.epochs=1",
+            "--set", 'scores=[{"kind": "msp"}, {"kind": "energy"}]']
+    assert cli.main([*tiny, "gen-data"]) == 0 and cli.main([*tiny, "train"]) == 0
+    script = ("import sys\nfrom oodbench import cli\nassert cli.main(sys.argv[1:]) == 0\n"
+              "print('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", script, *tiny, "eval"], env=_fresh_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 # Prints the package modules loaded after the set-up path of perfbench/child.py
 # (import cli and config, parse a config) or after `cli.main(argv)`.
 LOADED_SCRIPT = """
@@ -152,6 +169,7 @@ def test_python_m_oodbench_passes_the_exit_code_through(tmp_path, argv, code):
 UNREFERENCED_ALLOWED = {
     "losses.oe_total_loss_expr": "the plain-OE graph that perfbench/micro.py times",
     "config.ScoreSpec.odin_default": "the ODIN spec that perfbench/micro.py scores with",
+    "model.make_param_nodes": "the θ binding perfbench/micro.py passes to logits_graph",
 }
 
 

@@ -69,7 +69,7 @@ def test_odin_defaults_match_reference_values():
 def test_odin_linear_model_score_increases(monkeypatch):
     # Single affine layer: one sign step moves the top-class confidence up.
     w = np.array([[2.0, -1.0], [0.5, 1.5]])
-    m = model.MlpClassifier((2, 2), (w,), (np.zeros(2),))
+    m = model.from_layers((2, 2), (w,), (np.zeros(2),))
     x = np.array([[0.5, 0.5], [0.4, 0.6]])
     base = scoring.msp_score(model.forward(m, x))
     monkeypatch.setattr(scoring, "ODIN_TEMPERATURE", 1.0)
@@ -85,7 +85,7 @@ def test_odin_gradient_is_taken_at_the_temperature():
     # the second coordinate -(2 p_1 - 3 p_2) changes sign between the two.
     w = np.array([[0.0, -1.0, -1.0], [0.0, 2.0, -3.0]])
     b = np.array([5.0, 2.0, 0.0])
-    m = model.MlpClassifier((2, 3), (w,), (b,))
+    m = model.from_layers((2, 3), (w,), (b,))
     x = np.array([[0.5, 0.5], [0.2, 0.6], [0.8, 0.3]])
     z = x @ w + b
     top = np.argmax(z, axis=1)
@@ -129,8 +129,8 @@ def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block, monkeypatch
     # Rows with x0 < x1 sit in the dead half of the one ReLU unit. A row with
     # x0 == x1 keeps it alive at 1e-3, so its logits are finite while its input
     # gradient carries the 1e307 first-layer weights times about 240.
-    m = model.MlpClassifier((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e3, -1e3]])),
-                            (np.array([1e-3]), np.zeros(2)))
+    m = model.from_layers((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e3, -1e3]])),
+                          (np.array([1e-3]), np.zeros(2)))
     x = np.tile([0.2, 0.7], (scoring.BLOCK_ROWS * 5 // 2, 1))
     monkeypatch.setattr(scoring, "ODIN_TEMPERATURE", 1.0)
     spec = scoring.ScoreSpec("odin")

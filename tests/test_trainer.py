@@ -33,10 +33,36 @@ def _fake_pool(initial, final, aborted):
 
 def test_sgd_step_hand_value():
     # g = 0.5 + 1e-4 * 1; v' = 0.9 * 0.2 + g; p' = 1 - 0.1 * (g + 0.9 * v')
-    params, velocity = trainer.sgd_step({"W0": np.array([1.0])}, {"W0": np.array([0.5])},
-                                        {"W0": np.array([0.2])}, 0.1)
-    assert velocity["W0"][0] == pytest.approx(0.6801, rel=1e-12)
-    assert params["W0"][0] == pytest.approx(0.888781, rel=1e-12)
+    theta, velocity = trainer.sgd_step(np.array([1.0, 2.0]), np.array([0.5, 0.0]),
+                                       np.array([0.2, 0.0]), 0.1)
+    assert velocity[0] == pytest.approx(0.6801, rel=1e-12)
+    assert theta[0] == pytest.approx(0.888781, rel=1e-12)
+    # g = 2e-4; v' = g; p' = 2 - 0.1 * 1.9 * g
+    assert velocity[1] == pytest.approx(2e-4, rel=1e-12)
+    assert theta[1] == pytest.approx(2.0 - 3.8e-5, rel=1e-12)
+
+
+def _sgd_step_per_array(params, grads, velocity, lr):
+    """The update one array at a time, as a dict of W0, b0, ... of their own."""
+    new_params, new_velocity = {}, {}
+    for name, p in params.items():
+        g = grads[name] + trainer.WEIGHT_DECAY * p
+        v = trainer.MOMENTUM * velocity[name] + g
+        new_params[name] = p - lr * (g + trainer.MOMENTUM * v)
+        new_velocity[name] = v
+    return new_params, new_velocity
+
+
+@pytest.mark.parametrize("dims", [(2, 64, 64, 4), (3, 5), (4, 7, 2)])
+def test_sgd_step_on_theta_is_the_per_array_update_bitwise(dims):
+    rng = np.random.default_rng(len(dims))
+    theta, grad, velocity = (rng.normal(size=model.init_model(dims, 0).theta.size) for _ in "tgv")
+    as_arrays = [{f"{kind}{i}": a for i, pair in enumerate(zip(*model.layers(dims, flat)))
+                  for kind, a in zip("Wb", pair)} for flat in (theta, grad, velocity)]
+    new_theta, new_velocity = trainer.sgd_step(theta, grad, velocity, 0.0375)
+    params, vel = _sgd_step_per_array(*as_arrays, 0.0375)
+    for got, want in ((new_theta, params), (new_velocity, vel)):
+        assert got.tobytes() == b"".join(a.tobytes() for a in want.values())
 
 
 def test_cosine_lr_starts_at_lr0_and_halves_midway():
