@@ -4,8 +4,8 @@ Subcommands: gen-data, train, eval, extrapolate, theory-verify, gradcheck,
 report. Every command is deterministic given (config, seed). What each writes,
 with ``<out>`` the config's ``outputs.dir``:
 
-- gen-data: ``<out>/`` id_train.csv, id_test.csv, aux_out.csv, one
-  ood_<name>.csv per OOD set, and transform.json
+- gen-data: ``<out>/`` id_train.csv, id_test.csv, aux_out.csv and one
+  ood_<name>.csv per OOD set
 - train: ``<out>/`` checkpoint.json and history.csv
 - eval: ``<out>/`` report.json, report.csv and scores.csv
 - extrapolate: the ``--dump`` CSV and the ``--samples`` CSV (default:
@@ -61,12 +61,11 @@ def _out_dir(cfg: config_mod.RunConfig) -> Path:
 
 
 def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
-    """Write id_train/id_test/aux_out/ood_<name> CSVs and transform.json.
+    """Write the id_train/id_test/aux_out/ood_<name> CSVs.
 
     Each set draws from its own stream, derived from the data seed and its file
-    stem, so adding a set reseeds no other. Every set is written as
-    ``(x + R) / (2R)``, the box [-R, R] per feature with R from
-    ``data.fit_minmax``, which holds every set; transform.json records the box.
+    stem, and is mapped onto DOMAIN through the fixed box of ``data.fit_minmax``,
+    so adding a set changes no other set's bytes.
     """
     d = cfg.data
     data_seed = config_mod.component_seed(cfg.seed, "data")
@@ -81,14 +80,9 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     for name, spec in d.ood_sets.items():
         sets[f"ood_{name}"] = data_mod.gen_ring_ood(spec.inner_radius, spec.outer_radius,
                                                     spec.count, seed(f"ood_{name}"))
-    r = data_mod.fit_minmax([d.aux.outer_radius, *(s.outer_radius for s in d.ood_sets.values())],
-                            *(ds.x for ds in sets.values()))
     out = _out_dir(cfg)
     for name, ds in sets.items():
-        data_mod.save_csv(dataclasses.replace(ds, x=(ds.x + r) / (2 * r)), out / f"{name}.csv")
-    (out / "transform.json").write_text(
-        json.dumps({"mins": [-r] * data_mod.FEATURES, "maxs": [r] * data_mod.FEATURES}),
-        encoding="utf-8")
+        data_mod.save_csv(dataclasses.replace(ds, x=data_mod.fit_minmax(ds.x)), out / f"{name}.csv")
     print(f"wrote benchmark data to {out}")
     return 0
 

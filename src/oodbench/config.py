@@ -33,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .data import FEATURES, MAX_ELEMENTS, MAX_MAGNITUDE, dump, parse, read_json
+from .data import BOX_RADIUS, FEATURES, MAX_ELEMENTS, MAX_MAGNITUDE, dump, parse, read_json
 from .errors import ConfigError
 from .extrapolation import ExtrapolationConfig
 from .losses import LossConfig
@@ -59,7 +59,7 @@ def _check_size(what: str, *factors: int) -> None:
 
 @dataclass(frozen=True)
 class OodSetConfig:
-    """An annulus of raw-coordinate radii inner < outer, sampled ``count`` times."""
+    """An annulus of raw radii inner < outer <= data.BOX_RADIUS, sampled ``count`` times."""
 
     inner_radius: float = 1.5
     outer_radius: float = 2.2
@@ -68,8 +68,9 @@ class OodSetConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("count must be >= 1")
-        if not 0 < self.inner_radius < self.outer_radius:
-            raise ConfigError("need 0 < inner_radius < outer_radius")
+        if not 0 < self.inner_radius < self.outer_radius <= BOX_RADIUS:
+            raise ConfigError("need 0 < inner_radius < outer_radius <= data.BOX_RADIUS "
+                              f"({BOX_RADIUS})")
 
 
 @dataclass(frozen=True)

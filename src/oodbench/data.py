@@ -4,10 +4,12 @@ The benchmark geometry: C Gaussian blobs on a circle form the ID task;
 auxiliary outliers live on an annulus arc (limited angular coverage) and
 the unseen OOD test set covers the full ring. The generators return raw
 coordinates. gen-data maps every set into DOMAIN, [0,1] per feature, through
-one symmetric box [-R, R] per feature (``fit_minmax``) that holds every set,
-so no value is clipped and one normalized unit is 2R raw units. Perturbation
-radii are in normalized input units, and every perturbed input
-(extrapolation, ODIN) is clipped back into DOMAIN.
+one fixed box [-BOX_RADIUS, BOX_RADIUS] per feature (``fit_minmax``), so no
+set's bytes depend on the other sets, and one normalized unit is 8.0 raw
+units. The config keeps every aux and OOD row inside the box; an ID row
+outside it (a draw about 16 sigma out) lands outside DOMAIN, which
+``cli._read_csv`` refuses. Perturbation radii are in normalized input units,
+and every perturbed input (extrapolation, ODIN) is clipped back into DOMAIN.
 
 The generators and ``batches`` take values the run configuration has
 already checked (see ``config``); the CSV reader checks each line it reads.
@@ -63,6 +65,9 @@ FEATURES = 2  # columns of each generated set
 CSV_BLOCK_ROWS = 4096  # rows ``load_csv`` holds as field strings at a time
 ID_RADIUS = 1.0  # raw-coordinate radius of the circle the ID blob means sit on
 ID_SIGMA = 0.18  # per-coordinate standard deviation of each ID blob
+# Half-width of gen-data's raw box: fixed, so no test set rescales the training data,
+# and the smallest that holds a far OOD set out to radius 4.0.
+BOX_RADIUS = 4.0
 
 
 @dataclass
@@ -89,12 +94,11 @@ class UnlabeledDataset:
         return self.x.shape[0]
 
 
-def fit_minmax(outer_radii, *xs: np.ndarray) -> float:
-    """R, the half-width of the box [-R, R] per feature that gen-data maps onto
-    DOMAIN: the largest of ``outer_radii``, or the largest |coordinate| of the
-    raw sets ``xs`` if one lies further out (an ID blob's tail can). Every
-    coordinate then has |x| <= R, so ``(x + R) / (2 * R)`` lies in DOMAIN."""
-    return max([*outer_radii, *(float(np.abs(x).max()) for x in xs)])
+def fit_minmax(x: np.ndarray) -> np.ndarray:
+    """Raw coordinates ``x`` mapped from the box [-BOX_RADIUS, BOX_RADIUS] onto DOMAIN.
+
+    It fits nothing; perfbench traces gen-data's mapping under this name."""
+    return (x + BOX_RADIUS) / (2 * BOX_RADIUS)
 
 
 # -- generators ------------------------------------------------------------------

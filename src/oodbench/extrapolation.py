@@ -37,8 +37,7 @@ class ExtrapolationConfig:
     for the row's own radius, so the ball stays reachable.
     pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
     input units and the fractions summing to 1; ((epsilon, 1.0),) is one radius.
-    One normalized unit is 2R raw units, R from data.fit_minmax: 4.4 at the
-    default radii.
+    One normalized unit is 2 * data.BOX_RADIUS = 8.0 raw units.
     Like every float input, a radius read from JSON is at most
     data.MAX_MAGNITUDE, so 2*epsilon/steps is finite.
     """

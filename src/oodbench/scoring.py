@@ -79,7 +79,7 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
         objective = odin_graph(mlp.dims, top[rows], ODIN_TEMPERATURE)
         step[rows] = np.sign(ad.value_and_grad(objective, bindings, ["x"])[1]["x"])
     logits = model_mod.forward(mlp, np.clip(batch + ODIN_EPSILON * step, *DOMAIN))
-    return np.max(numerics.softmax(logits / ODIN_TEMPERATURE, axis=-1), axis=1)
+    return msp_score(logits / ODIN_TEMPERATURE)
 
 
 def ash_s(activations, out=None) -> np.ndarray:

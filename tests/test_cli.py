@@ -65,16 +65,11 @@ def test_train_before_gen_data_exits_3(tmp_path, capsys):
     assert "run gen-data first" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radii", [(1.5, 2.2), (0.2, 0.5)], ids=["default-radii", "inside-id"])
-def test_gen_data_writes_every_set_through_one_symmetric_box(tmp_path, radii):
-    # At radii (0.2, 0.5) the ID blobs reach further out, so R is their farthest coordinate.
-    inner, outer = radii
+def test_gen_data_writes_every_set_through_one_symmetric_box(tmp_path):
     doc = {"seed": 4, "outputs": {"dir": str(tmp_path / "run")},
            "data": {"classes": 3, "per_class": 8, "test_per_class": 4,
-                    "aux": {"inner_radius": inner, "outer_radius": outer, "count": 16,
-                            "arc_fraction": 0.5},
-                    "ood_sets": {"ring": {"inner_radius": inner, "outer_radius": outer,
-                                          "count": 8}}}}
+                    "aux": {"count": 16, "arc_fraction": 0.5},
+                    "ood_sets": {"ring": {"count": 8}}}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["--config", str(path), "gen-data"]) == 0
@@ -83,31 +78,25 @@ def test_gen_data_writes_every_set_through_one_symmetric_box(tmp_path, radii):
             for stem in ("id_train", "id_test", "aux_out", "ood_ring")}
     raw = {"id_train": data.gen_id_mixture_raw(3, 8, seed["id_train"]),
            "id_test": data.gen_id_mixture_raw(3, 4, seed["id_test"]),
-           "aux_out": data.gen_arc_outliers(inner, outer, 0.5, 16, seed["aux_out"]),
-           "ood_ring": data.gen_ring_ood(inner, outer, 8, seed["ood_ring"])}
-    r = max(outer, *(np.abs(raw[name].x).max() for name in ("id_train", "id_test")))
-    assert (r == outer) == (radii == (1.5, 2.2))
+           "aux_out": data.gen_arc_outliers(1.5, 2.2, 0.5, 16, seed["aux_out"]),
+           "ood_ring": data.gen_ring_ood(1.5, 2.2, 8, seed["ood_ring"])}
     run = tmp_path / "run"
-    assert sorted(p.name for p in run.iterdir()) == sorted(
-        [*(f"{name}.csv" for name in raw), "transform.json"])
-    assert json.loads((run / "transform.json").read_text("utf-8")) == {"mins": [-r, -r],
-                                                                       "maxs": [r, r]}
-    edges = 0
+    assert sorted(p.name for p in run.iterdir()) == sorted(f"{name}.csv" for name in raw)
+    r = data.BOX_RADIUS
     for name, ds in raw.items():
         written = data.load_csv(run / f"{name}.csv")
         assert written.x.tobytes() == ((ds.x + r) / (2 * r)).tobytes(), name
-        assert ((written.x >= data.DOMAIN[0]) & (written.x <= data.DOMAIN[1])).all(), name
-        edges += np.isin(written.x, data.DOMAIN).sum()
         assert isinstance(written, data.LabeledDataset) == name.startswith("id_")
         if name.startswith("id_"):
             assert np.array_equal(written.y, ds.y), name
-    assert (edges > 0) == (r != outer)  # the coordinate that sets R lands on 0 or 1
 
 
 def test_gen_data_seeds_each_set_by_its_name(tmp_path):
-    # Adding an OOD set changes no other set's bytes: each set's stream is its own.
+    # Adding an OOD set changes no other set's bytes: each set's stream is its own,
+    # and a set reaching further out does not widen the box the others are mapped by.
     digests = []
-    for i, ood_sets in enumerate([{"ring": {}}, {"a": {}, "ring": {}}]):
+    far = {"inner_radius": 2.2, "outer_radius": 4.0}
+    for i, ood_sets in enumerate([{"ring": {}}, {"far": far, "ring": {}}]):
         run = tmp_path / str(i)
         assert cli.main(["--out", str(run), "--set", f"data.ood_sets={json.dumps(ood_sets)}",
                          "gen-data"]) == 0
@@ -622,10 +611,13 @@ def test_inputs_at_the_magnitude_cap_finish_or_fail_typed(tmp_path):
     cap = json.dumps(data.MAX_MAGNITUDE)
     radii = f'"inner_radius": {data.MAX_MAGNITUDE / 2}, "outer_radius": {cap}'
     base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
-    at_cap = base + ["--set", f"data.aux={{{radii}, \"count\": 16}}",
-                     "--set", f'data.ood_sets={{"ring": {{{radii}, "count": 8}}}}']
     run = tmp_path / "run"
-    assert cli.main(at_cap + ["gen-data"]) == 0
+    for key, value in [("data.aux", f'{{{radii}, "count": 16}}'),
+                       ("data.ood_sets", f'{{"ring": {{{radii}, "count": 8}}}}')]:
+        # Radii past data.BOX_RADIUS are refused at parse, before anything is written.
+        assert cli.main(base + ["--set", f"{key}={value}", "gen-data"]) == 2
+        assert not run.exists()
+    assert cli.main(base + ["gen-data"]) == 0
     assert cli.main(base + ["train"]) == 0
     assert cli.main(base + ["extrapolate", "--input", str(run / "aux_out.csv"),
                             "--dump", str(run / "extrap.csv"), "--epsilons", cap]) in (0, 4)

@@ -53,6 +53,9 @@ PROBES = [
     "data.aux.arc_fraction=0",
     "data.ood_sets.ring.inner_radius=3",
     "data.aux.outer_radius=1",
+    # Every aux and OOD row must lie in gen-data's fixed box.
+    "data.aux.outer_radius=4.5",
+    "data.ood_sets.ring.outer_radius=4.000000000000001",
     "model.hidden=[0]",
     "train.id_batch=0",
     "extrapolation.pool=[[-0.1, 1.0]]",

@@ -153,14 +153,10 @@ def test_load_csv_reads_crlf_line_ends(tmp_path):
     assert back.y.tolist() == [1, 0]
 
 
-def test_fit_minmax_takes_the_largest_radius_or_the_farthest_coordinate():
-    inside = np.array([[0.5, -1.0], [2.0, 0.25]])
-    assert data.fit_minmax([2.2, 3.0], inside) == 3.0
-    outside = np.array([[0.5, -4.5], [2.0, 0.25]])
-    assert data.fit_minmax([2.2, 3.0], inside, outside) == 4.5
-    r = data.fit_minmax([0.5], outside)
-    scaled = (outside + r) / (2 * r)  # the farthest coordinate lands on the box's edge
-    assert r == 4.5 and scaled.min() == 0.0 and scaled.max() <= 1.0
+def test_fit_minmax_maps_the_fixed_box_onto_the_domain():
+    r = data.BOX_RADIUS
+    x = np.array([[-r, 0.0], [r, -r / 2]])
+    assert data.fit_minmax(x).tolist() == [[0.0, 0.5], [1.0, 0.25]]
 
 
 def test_id_mixture_is_deterministic_per_seed():
