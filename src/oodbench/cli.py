@@ -9,7 +9,8 @@ with ``<out>`` the config's ``outputs.dir``:
 - train: ``<out>/`` checkpoint.json and history.csv
 - eval: ``<out>/`` report.json, report.csv and scores.csv
 - extrapolate: the ``--dump`` CSV and the ``--samples`` CSV (default:
-  synthesized.csv beside the dump), nothing under ``<out>``
+  synthesized.csv beside the dump), nothing under ``<out>``; neither may name
+  the other or the ``--input`` CSV
 - theory-verify: the ``--out-csv`` CSV (default: ``<out>/theory.csv``)
 - report: the ``--out-csv`` CSV
 - gradcheck: nothing; it prints its result
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -49,7 +51,7 @@ from . import config as config_mod
 from . import data as data_mod
 from . import losses
 from . import model as model_mod
-from .errors import ConfigError, DataError, OodbenchError
+from .errors import ConfigError, DataError, NumericError, OodbenchError
 from .extrapolation import pgd_extrapolate
 from .numerics import derive_seed
 
@@ -193,21 +195,23 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
                                 mlp.n_features, mlp.n_classes)
     sets = {"id_test": id_test.x, **{f"ood_{name}": ds.x for name, ds in zip(names, oods)}}
     scores = [{} for _ in cfg.scores]  # per spec: set name -> scores
-    for set_name, x in sets.items():
-        features = model_mod.penultimate_features(mlp, x)
-        logits = model_mod.head(mlp, features)
-        if set_name == "id_test":
-            id_acc = metrics_mod.id_accuracy(logits, id_test.y)
-        # ash_energy consumes the features (it shapes them in place), so it scores last.
-        for spec, by_set in sorted(zip(cfg.scores, scores),
-                                   key=lambda pair: pair[0].kind == "ash_energy"):
-            if spec.kind != "odin":
-                by_set[set_name] = scoring.compute_scores(mlp, x, spec, features=features)
-        del features  # before ODIN's perturbed forward and the next set's forward
-        top = np.argmax(logits, axis=1)
-        for spec, by_set in zip(cfg.scores, scores):
-            if spec.kind == "odin":
-                by_set[set_name] = scoring.compute_scores(mlp, x, spec, top=top)
+    # Logits that overflow give non-finite scores, which the metrics refuse (exit 4).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for set_name, x in sets.items():
+            features = model_mod.penultimate_features(mlp, x)
+            logits = model_mod.head(mlp, features)
+            if set_name == "id_test":
+                id_acc = metrics_mod.id_accuracy(logits, id_test.y)
+            # ash_energy consumes the features (it shapes them in place), so it scores last.
+            for spec, by_set in sorted(zip(cfg.scores, scores),
+                                       key=lambda pair: pair[0].kind == "ash_energy"):
+                if spec.kind != "odin":
+                    by_set[set_name] = scoring.compute_scores(mlp, x, spec, features=features)
+            del features  # before ODIN's perturbed forward and the next set's forward
+            top = np.argmax(logits, axis=1)
+            for spec, by_set in zip(cfg.scores, scores):
+                if spec.kind == "odin":
+                    by_set[set_name] = scoring.compute_scores(mlp, x, spec, top=top)
     method = cfg.method_label()
     digest = cfg.digest()
     reports = []
@@ -231,9 +235,20 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
 
 def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv: str,
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
-    """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records."""
+    """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records.
+
+    Two of the input, dump and samples paths naming one file are a ConfigError before
+    any read; a score that is not finite is a NumericError before any write."""
     from . import scoring
 
+    dump_path = Path(dump_csv)
+    samples_path = Path(samples_csv) if samples_csv else dump_path.with_name("synthesized.csv")
+    named = {}
+    for flag, path in (("--input", input_csv), ("--dump", dump_path), ("--samples", samples_path)):
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ConfigError(f"{flag} names the same file as {other}: {path} "
+                              "(--samples defaults to synthesized.csv beside the dump)")
     score_spec = cfg.scores[0]
     mlp = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
@@ -244,10 +259,11 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
                            "widest layer", len(grid), n, max(mlp.dims))
     eps = np.repeat(np.asarray(grid, dtype=np.float64), n)
     batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation, epsilon=eps)
-    score_before = scoring.compute_scores(mlp, x, score_spec)
-    score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
-    dump_path = Path(dump_csv)
-    samples_path = Path(samples_csv) if samples_csv else dump_path.with_name("synthesized.csv")
+    with np.errstate(over="ignore", invalid="ignore"):
+        score_before = scoring.compute_scores(mlp, x, score_spec)
+        score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
+    if not (np.isfinite(score_before).all() and np.isfinite(score_after).all()):
+        raise NumericError(f"the checkpoint's {score_spec.kind} scores are not finite")
     for path in (dump_path, samples_path):
         path.parent.mkdir(parents=True, exist_ok=True)
     index, radii = list(range(n)) * len(grid), eps.tolist()

@@ -32,7 +32,8 @@ from .errors import ConfigError, NumericError
 class ExtrapolationConfig:
     """Knobs for the constrained multi-step update.
 
-    ratio: fraction of each outlier batch synthesized in place (fine_tune rounds up).
+    ratio: fraction of each outlier batch synthesized in place, its first
+    ceil(ratio * n_out) rows (fine_tune rounds up).
     steps: number of sign-gradient updates, each of size 2*epsilon/steps
     for the row's own radius, so the ball stays reachable.
     pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
@@ -143,14 +144,6 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 
-def select_subbatch(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Mask of ``k`` of ``n`` rows drawn uniformly without replacement: the rows
-    of an outlier batch ``trainer.fine_tune`` synthesizes in place."""
-    chosen = np.zeros(n, dtype=bool)
-    chosen[rng.choice(n, size=k, replace=False)] = True
-    return chosen
-
-
 def largest_remainder_counts(fractions, total: int) -> list[int]:
     """Integer slice sizes summing to ``total``; ties go to lower indices."""
     raw = [f * total for f in fractions]
@@ -164,5 +157,6 @@ def largest_remainder_counts(fractions, total: int) -> list[int]:
 
 def build_extrapolation_pool(mlp: model_mod.MlpClassifier, subbatch,
                              cfg: ExtrapolationConfig) -> ExtrapolatedBatch:
-    """Synthesize a training step's sub-batch across the pool's epsilon slices."""
+    """Synthesize a training step's sub-batch, the head of its outlier batch,
+    across the pool's epsilon slices."""
     return pgd_extrapolate(mlp, subbatch, cfg)

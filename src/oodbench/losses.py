@@ -11,8 +11,8 @@ most one outlier term, the mean over the one outlier batch (energy_bounded
 adds its ID hinge first). The trainer differentiates that sum and the
 extrapolation engine ascends the per-row uniform loss, so every loss has one
 definition. ``KINDS`` alone says what each kind trains on. DivOE's
-synthesized rows take their origins' places in the outlier batch
-(``trainer.fine_tune``), so its objective is oe's.
+synthesized rows are the head of the outlier batch (``trainer.fine_tune``),
+so its objective is oe's.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Kind(NamedTuple):
     """What a loss kind trains on besides the ce of the ID batch."""
 
     binds_aux: bool    # an aux outlier batch, bound as x_out
-    synthesizes: bool  # ceil(ratio * n_out) of its rows extrapolated in place
+    synthesizes: bool  # its first ceil(ratio * n_out) rows extrapolated in place
     hinge: bool        # the energy hinges at m_in and m_out, not the uniform loss
 
 

@@ -1,9 +1,9 @@
 """Fine-tuning loop: SGD with Nesterov momentum, weight decay and a
 per-step cosine-annealed learning rate.
 
-Per batch: sample an ID mini-batch and an outlier mini-batch, synthesize a
-share of its rows in place against the current model snapshot, then take
-one gradient step on the kind's objective, ``losses.objective``, which
+Per batch: sample an ID mini-batch and an outlier mini-batch, synthesize the
+head of the outlier batch in place against the current model snapshot, then
+take one gradient step on the kind's objective, ``losses.objective``, which
 ``_build_loss_graph`` binds once per run. The parameters, their gradient and
 the velocity are each one vector laid out as the model's θ, so a step's
 update is three whole-vector expressions. The outlier stream reshuffles and
@@ -24,7 +24,7 @@ from . import losses
 from . import model as model_mod
 from .config import TrainConfig
 from .errors import NumericError
-from .extrapolation import ExtrapolationConfig, build_extrapolation_pool, select_subbatch
+from .extrapolation import ExtrapolationConfig, build_extrapolation_pool
 from .numerics import derive_seed
 
 MOMENTUM = 0.9  # Nesterov momentum of every SGD step
@@ -95,26 +95,24 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     ``aux_outliers`` is a non-empty pool (the CLI checks), None for a kind that
     binds no aux batch. A kind whose ``losses.KINDS`` row binds it trains each
     step on an ``n_out``-row batch of the aux stream, bound as ``x_out``; one
-    that synthesizes extrapolates ``n_ext = ceil(ratio * n_out)`` of its rows
-    across extrapolation.pool and writes them back in their origins' places
-    (in the step's copy: the pool is never written). ``outlier_loss`` is the
-    outlier term, ``extrapolated_loss`` the mean uniform loss of the
-    synthesized rows. Deterministic per ``seed``: batch shuffling, row
-    selection and any extrapolation randomness come from per-component seed
-    streams. A non-finite loss aborts with NumericError rather than being skipped.
+    that synthesizes extrapolates the batch's first ``n_ext = ceil(ratio * n_out)``
+    rows across extrapolation.pool and writes them back over those rows (in the
+    step's copy: the pool is never written). The batch is a slice of a uniform
+    permutation of the pool, so its head is as random a choice as any.
+    ``outlier_loss`` is the outlier term, ``extrapolated_loss`` the mean uniform
+    loss of the synthesized rows. Deterministic per ``seed``: the ID and outlier
+    batch shuffles come from their own seed streams. A non-finite loss aborts
+    with NumericError rather than being skipped.
     """
     kind = losses.KINDS[cfg.loss.kind]
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
     theta = mlp.theta
     velocity = np.zeros_like(theta)
     history = TrainHistory()
-    if cfg.epochs == 0:
-        return mlp, history
 
     n_batches = max(1, math.ceil(len(id_train) / cfg.id_batch))
     total_steps = cfg.epochs * n_batches
-    shuffle_seed = derive_seed(seed, 0)
-    select_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 1)))
+    shuffle_seed = derive_seed(seed, 0)  # 1 (row selection) is retired; 2 keeps its number
     n_out = min(cfg.outlier_batch, aux.shape[0]) if kind.binds_aux else 0
     out_stream = _outlier_batches(aux, n_out, derive_seed(seed, 2))  # read only if n_out
     n_ext = math.ceil(extrapolation.ratio * n_out) if kind.synthesizes else 0
@@ -131,16 +129,15 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             if n_out:
                 bindings["x_out"] = x_out = next(out_stream)  # a copy: the pool stays unwritten
             if n_ext:
-                chosen = select_subbatch(n_out, n_ext, select_rng)
                 extrap = build_extrapolation_pool(model_mod.MlpClassifier(mlp.dims, theta),
-                                                  x_out[chosen], extrapolation)
+                                                  x_out[:n_ext], extrapolation)
                 ok = ~extrap.aborted
                 if ok.any() and (np.mean(extrap.final_values[ok])
                                  < np.mean(extrap.initial_values[ok]) - 1e-12):
                     raise NumericError(
                         f"best-iterate extrapolation lost ground on the uniform loss "
                         f"at epoch {epoch} step {step}")
-                x_out[chosen] = extrap.synthesized
+                x_out[:n_ext] = extrap.synthesized
             try:
                 total_value, grads, outputs = ad.value_and_grad(objective, bindings,
                                                                 [model_mod.THETA])
@@ -154,7 +151,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
                 outlier_loss=values[-1] if n_out else None,
-                extrapolated_loss=float(np.mean(outputs[-1][chosen])) if n_ext else None,
+                extrapolated_loss=float(np.mean(outputs[-1][:n_ext])) if n_ext else None,
                 total_loss=float(total_value)))
             step += 1
     return model_mod.MlpClassifier(mlp.dims, theta), history

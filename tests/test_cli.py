@@ -119,8 +119,9 @@ def test_report_digest_does_not_depend_on_out(tmp_path):
         (tmp_path / "b" / "checkpoint.json").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_with_non_finite_scores_exits_4(tmp_path, capsys):
+    # Logits that overflow give non-finite scores: eval and extrapolate both
+    # refuse them before writing, and no numpy warning escapes either.
     base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
     for command in ("gen-data", "train"):
         assert cli.main(base + [command]) == 0
@@ -132,6 +133,11 @@ def test_eval_with_non_finite_scores_exits_4(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
     assert not any((tmp_path / "run" / name).exists()
                    for name in ("report.json", "report.csv", "scores.csv"))
+    dump = tmp_path / "dump" / "extrap.csv"
+    assert cli.main(base + ["extrapolate", "--checkpoint", str(blown), "--input",
+                            str(tmp_path / "run" / "aux_out.csv"), "--dump", str(dump)]) == 4
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "dump").exists()
 
 
 def _evaluated_run(tmp_path):
@@ -334,6 +340,24 @@ def test_history_fills_the_outlier_columns_of_each_kind(tmp_path, kind):
             "--set", f"train.loss.kind={kind}"]
     assert cli.main(base + ["gen-data"]) == 0 and cli.main(base + ["train"]) == 0
     assert _filled_columns(tmp_path / "run" / "history.csv") == FILLED_COLUMNS[kind]
+
+
+@pytest.mark.parametrize("kind", losses.KINDS)
+def test_train_at_zero_epochs_saves_the_seeded_init(tmp_path, capsys, kind):
+    cfg_path = _tiny_config(tmp_path)
+    overrides = ["train.epochs=0", f"train.loss.kind={kind}"]
+    base = ["--config", str(cfg_path), "--out", str(tmp_path / "run"),
+            *(arg for o in overrides for arg in ("--set", o))]
+    assert cli.main(base + ["gen-data"]) == 0 and cli.main(base + ["train"]) == 0
+    assert "no training steps executed (epochs=0)" in capsys.readouterr().out
+    run = tmp_path / "run"
+    assert (run / "history.csv").read_text(encoding="utf-8") == \
+        "epoch,step,lr,ce_loss,outlier_loss,extrapolated_loss,total_loss\n"
+    cfg = config.load_config(cfg_path, overrides)
+    init = model.init_model((2, *cfg.model.hidden, cfg.data.classes),
+                            config.component_seed(cfg.seed, "model"))
+    model.save_checkpoint(init, tmp_path / "init.json", seed=cfg.seed)
+    assert (run / "checkpoint.json").read_bytes() == (tmp_path / "init.json").read_bytes()
 
 
 # divoe's ascent, eval and extrapolate run on a model with no hidden layer,
@@ -659,6 +683,34 @@ def test_extrapolate_creates_the_samples_directory(tmp_path):
     n = len(data.load_csv(run / "aux_out.csv"))
     assert len(samples.read_text(encoding="utf-8").splitlines()) == n + 1
     assert len((run / "extrap.csv").read_text(encoding="utf-8").splitlines()) == n + 1
+
+
+# extrapolate refuses two of --input, --dump and the samples path (default
+# synthesized.csv beside the dump) that name one file, before it reads the
+# checkpoint or the input, and before it writes.
+@pytest.mark.parametrize("input_csv, dump, samples", [
+    pytest.param("run/aux_out.csv", "out/synthesized.csv", None, id="dump-is-default-samples"),
+    pytest.param("run/aux_out.csv", "out/d.csv", "out/sub/../d.csv", id="samples-is-dump"),
+    pytest.param("run/aux_out.csv", "run/aux_out.csv", "out/s.csv", id="dump-is-input"),
+])
+def test_extrapolate_refuses_one_file_named_twice(tmp_path, monkeypatch, capsys,
+                                                  input_csv, dump, samples):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "sub").mkdir(parents=True)
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", "run"]
+    assert cli.main(base + ["gen-data"]) == 0 and cli.main(base + ["train"]) == 0
+    before = {path: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+    reads = []
+    for module, name in ((model, "load_checkpoint"), (data, "load_csv")):
+        monkeypatch.setattr(module, name, lambda path, real=getattr(module, name):
+                            reads.append(path) or real(path))
+    argv = base + ["extrapolate", "--input", input_csv, "--dump", dump]
+    assert cli.main(argv + (["--samples", samples] if samples else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "names the same file as" in err
+    assert reads == []
+    assert {path: path.read_bytes() for path in (tmp_path / "run").iterdir()} == before
+    assert [path.name for path in (tmp_path / "out").iterdir()] == ["sub"]
 
 
 def test_ash_energy_without_a_hidden_layer_exits_2_before_writing(tmp_path, capsys):

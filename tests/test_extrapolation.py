@@ -12,7 +12,6 @@ from oodbench.extrapolation import (
     build_extrapolation_pool,
     largest_remainder_counts,
     pgd_extrapolate,
-    select_subbatch,
 )
 
 
@@ -233,18 +232,6 @@ def _uniform_loss_grad(m, w, x):
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     return p @ w.T - w.mean(axis=1)
-
-
-def test_select_subbatch_extremes_and_split():
-    # A mask over the batch's rows, so the chosen rows keep their places; the
-    # draw is one rng.choice of k indices.
-    rng = np.random.default_rng(1)
-    assert not select_subbatch(128, 0, rng).any()
-    assert select_subbatch(128, 128, rng).all()
-    half = select_subbatch(128, 64, np.random.default_rng(2))
-    assert half.shape == (128,) and half.dtype == bool and half.sum() == 64
-    np.testing.assert_array_equal(
-        np.flatnonzero(half), np.sort(np.random.default_rng(2).choice(128, size=64, replace=False)))
 
 
 def test_largest_remainder_counts():

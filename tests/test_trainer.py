@@ -139,6 +139,44 @@ def test_fine_tune_rounds_the_synthesized_rows_up(monkeypatch):
     assert bound == [5, 5]
 
 
+def test_fine_tune_synthesizes_the_head_of_each_outlier_batch(monkeypatch):
+    # The rows synthesized are the batch's first n_ext, and the batch bound is
+    # those rows, synthesized, then the batch's untouched tail.
+    drawn, subbatches, synthesized, bound = [], [], [], []
+    real_batches, real_pool = trainer._outlier_batches, trainer.build_extrapolation_pool
+    real_pass = trainer.ad.value_and_grad
+
+    def batches(*args):
+        for batch in real_batches(*args):
+            drawn.append(batch.copy())
+            yield batch
+
+    def pool(mlp, subbatch, cfg):
+        subbatches.append(subbatch.copy())
+        extrap = real_pool(mlp, subbatch, cfg)
+        synthesized.append(extrap.synthesized.copy())
+        return extrap
+
+    def value_and_grad(objective, bindings, wrt):
+        if "x_out" in bindings:
+            bound.append(bindings["x_out"].copy())
+        return real_pass(objective, bindings, wrt)
+
+    monkeypatch.setattr(trainer, "_outlier_batches", batches)
+    monkeypatch.setattr(trainer, "build_extrapolation_pool", pool)
+    monkeypatch.setattr(trainer.ad, "value_and_grad", value_and_grad)
+    id_train, aux = _toy()
+    cfg = trainer.TrainConfig(epochs=2, lr=0.05, id_batch=8, outlier_batch=8,
+                              loss=losses.LossConfig(kind="divoe"))
+    trainer.fine_tune(model.init_model([2, 8, 3], seed=1), id_train, aux, cfg,
+                      ExtrapolationConfig(ratio=0.3, steps=2), 0)
+    assert len(drawn) == len(subbatches) == len(bound) == 4
+    for batch, subbatch, synth, x_out in zip(drawn, subbatches, synthesized, bound):
+        np.testing.assert_array_equal(subbatch, batch[:3])  # ceil(0.3 * 8)
+        assert not np.array_equal(synth, subbatch)
+        np.testing.assert_array_equal(x_out, np.concatenate([synth, batch[3:]]))
+
+
 def test_fine_tune_rejects_lost_ground_with_numeric_error(monkeypatch):
     id_train, aux = _toy()
     monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(1.0, 0.5, False))
@@ -174,7 +212,7 @@ def test_cli_train_maps_lost_ground_to_exit_4(monkeypatch, tmp_path, capsys):
 # oe and energy_bounded parameter digests were pinned from the trainer that built
 # a new loss graph on every step, their history digests from the one whose
 # outlier columns hold one term per bound batch; divoe's from the one that
-# writes the synthesized rows into the outlier batch in their origins' places.
+# synthesizes the head of each outlier batch and writes it back over those rows.
 # Another BLAS kernel or numpy build may round differently; re-pin from those
 # trainers there.
 SHORT_BATCH_DIGESTS = {
@@ -184,8 +222,8 @@ SHORT_BATCH_DIGESTS = {
            "32695bf34dbab8d62da789f6a101180936f83464551231b4098869c1b9b6dc7b"),
     "energy_bounded": ("eb87c2382a98a1aec8b2c6e1fd96df88f9d0b2e1ae92f6a3947ab5143f8b9621",
                        "9534e3dcd431749d0e5daeef55370e6ebc8c7b3e8061841f29fe8f101d972a83"),
-    "divoe": ("e3040c8e9823c1e5bc885904a7093e8a34e9ac2bf56009fd031d7fa1b4055a68",
-              "c847d17a221f6ff05ed81d99b5b3dcc1a394577318ee847586ab62ad3defda93"),
+    "divoe": ("037c7db95e5df06bfb718b045d2d4b99c6d879a9fada3e6fd552d2e84035a918",
+              "139c44e749c54f1675914833bdad3d683017943aeee5a89eeff1e2886edc61a3"),
 }
 
 
