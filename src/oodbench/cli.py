@@ -31,9 +31,10 @@ its dataclasses, so an unknown key is refused in a report or a checkpoint
 and escapes.
 
 Every command is a cold process, so its imports count in its wall time. At
-load this module imports only modules that ``config`` loads anyway; trainer,
+load this module imports only config and the modules it loads (data, errors,
+numerics). The model stack (model, autodiff, losses, extrapolation), trainer,
 scoring, metrics, gmm_theory and gradcheck are imported inside the commands
-that run them.
+that run them, so gen-data, theory-verify and report load no model code.
 """
 
 from __future__ import annotations
@@ -49,10 +50,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import data as data_mod
-from . import losses
-from . import model as model_mod
 from .errors import ConfigError, DataError, NumericError, OodbenchError
-from .extrapolation import pgd_extrapolate
 from .numerics import derive_seed
 
 
@@ -127,10 +125,11 @@ def _load_sets(cfg: config_mod.RunConfig, names: tuple[str, ...], width: int | N
     return sets
 
 
-def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None,
-                kinds: list[str]) -> model_mod.MlpClassifier:
-    """The checkpoint (default ``<out>/checkpoint.json``), refused without a
-    hidden layer when ``kinds``, the score kinds to compute, need one."""
+def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None, kinds: list[str]):
+    """The checkpoint's ``model.MlpClassifier`` (default ``<out>/checkpoint.json``),
+    refused without a hidden layer when ``kinds``, the score kinds to compute, need one."""
+    from . import model as model_mod
+
     path = Path(checkpoint) if checkpoint else Path(cfg.outputs.dir) / "checkpoint.json"
     mlp = model_mod.load_checkpoint(path)
     if "ash_energy" in kinds and len(mlp.dims) < 3:
@@ -140,9 +139,10 @@ def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None,
 
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
+    from . import model as model_mod
     from . import trainer as trainer_mod
 
-    binds_aux = losses.KINDS[cfg.train.loss.kind].binds_aux
+    binds_aux = config_mod.KINDS[cfg.train.loss.kind].binds_aux
     names = ("id_train", "aux_out") if binds_aux else ("id_train",)
     id_train, *aux = _load_sets(cfg, names, None, cfg.data.classes)
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
@@ -158,8 +158,8 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
         finals = [r for r in history.records if r.epoch == last_epoch]
         mean_total = float(np.mean([r.total_loss for r in finals]))
         mean_ce = float(np.mean([r.ce_loss for r in finals]))
-        print(f"final epoch {last_epoch}: mean total loss {mean_total:.6f}, "
-              f"mean ce loss {mean_ce:.6f}")
+        print(f"final epoch {last_epoch}: mean total loss {mean_total:.6g}, "
+              f"mean ce loss {mean_ce:.6g}")
     else:
         print("no training steps executed (epochs=0)")
     print(f"checkpoint written to {out / 'checkpoint.json'}")
@@ -187,6 +187,7 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     is taken after scoring, when the features are gone.
     """
     from . import metrics as metrics_mod
+    from . import model as model_mod
     from . import scoring
 
     mlp = _load_model(cfg, checkpoint, [spec.kind for spec in cfg.scores])
@@ -233,6 +234,17 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     return 0
 
 
+def pgd_extrapolate(mlp, x0, cfg, epsilon=None):
+    """``extrapolation.pgd_extrapolate``, imported on the first call, so only
+    extrapolate loads it. A module function, not a local import: perfbench's
+    traced mode wraps this name, and ``cmd_extrapolate`` calls it through the
+    module global with ``cfg`` as the third positional argument, which the
+    wrap reads."""
+    from .extrapolation import pgd_extrapolate as extrapolate
+
+    return extrapolate(mlp, x0, cfg, epsilon)
+
+
 def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv: str,
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
     """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records.
@@ -277,9 +289,9 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
          for i, e, row in zip(index, radii, batch.synthesized.tolist())))
     for k, radius in enumerate(grid):
         rows = slice(k * n, (k + 1) * n)
-        print(f"epsilon {radius}: mean uniform loss {batch.initial_values[rows].mean():.6f} -> "
-              f"{batch.final_values[rows].mean():.6f}, mean {score_spec.kind} "
-              f"{score_before.mean():.6f} -> {score_after[rows].mean():.6f}")
+        print(f"epsilon {radius}: mean uniform loss {batch.initial_values[rows].mean():.6g} -> "
+              f"{batch.final_values[rows].mean():.6g}, mean {score_spec.kind} "
+              f"{score_before.mean():.6g} -> {score_after[rows].mean():.6g}")
     return 0
 
 
@@ -353,7 +365,8 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
 
 def _epsilon_grid(text: str) -> list[float]:
     """Parse ``--epsilons``: comma-separated radii, at least one, each in
-    [0, data.MAX_MAGNITUDE], the bound ``data.parse`` puts on every float input."""
+    [0, data.MAX_MAGNITUDE], the bound ``data.parse`` puts on every float input,
+    and no two equal (each radius writes its own rows, keyed by index and radius)."""
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
@@ -362,6 +375,11 @@ def _epsilon_grid(text: str) -> list[float]:
         raise ConfigError(f"--epsilons names no radius, got {text!r}")
     if not all(0 <= e <= data_mod.MAX_MAGNITUDE for e in grid):
         raise ConfigError(f"--epsilons must lie in [0, {data_mod.MAX_MAGNITUDE:g}], got {text!r}")
+    seen = set()
+    for e in grid:
+        if e in seen:
+            raise ConfigError(f"--epsilons names the radius {e!r} more than once, got {text!r}")
+        seen.add(e)
     return grid
 
 

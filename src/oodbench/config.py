@@ -17,13 +17,13 @@ that cost only time (epochs, extrapolation steps, theory trials) stay unbounded.
 All randomness flows from the one top-level seed, split per component
 (data / model / train / theory) through named substreams.
 
-This module holds every section's dataclass except ``losses.LossConfig``,
-kept beside the kinds table ``losses.KINDS``, and
-``extrapolation.ExtrapolationConfig``, kept beside the routine that reads it.
-``cli`` loads it for every command, so it may import only modules that every
-command loads anyway (data, errors, numerics, losses, extrapolation); a module
-only some commands run (trainer, scoring, metrics, gmm_theory, gradcheck) is
-imported by those commands.
+This module holds every section's dataclass and the loss kinds table
+``KINDS``, which says what each loss kind trains on (the score kinds are
+``ScoreSpec.KINDS``); ``losses`` and ``extrapolation`` import the names they
+read from here. ``cli`` loads it for every command, so it imports only data,
+errors and numerics, the modules every command loads anyway. A module only
+some commands run (the model stack, trainer, scoring, metrics, gmm_theory,
+gradcheck) is imported by those commands.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .data import BOX_RADIUS, FEATURES, MAX_ELEMENTS, MAX_MAGNITUDE, dump, parse, read_json
 from .errors import ConfigError
-from .extrapolation import ExtrapolationConfig
-from .losses import LossConfig
 from .numerics import derive_seed
 
 SCHEMA_VERSION = 1
@@ -116,6 +115,34 @@ class ModelConfig:
             raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
 
+class Kind(NamedTuple):
+    """What a loss kind trains on besides the ce of the ID batch."""
+
+    binds_aux: bool    # an aux outlier batch, bound as x_out
+    synthesizes: bool  # its first ceil(ratio * n_out) rows extrapolated in place
+    hinge: bool        # the energy hinges at m_in and m_out, not the uniform loss
+
+
+KINDS = {"ce": Kind(False, False, False), "oe": Kind(True, False, False),
+         "energy_bounded": Kind(True, False, True), "divoe": Kind(True, True, False)}
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    """Objective family and its parameters; margins only matter for the hinge loss."""
+
+    kind: str = "oe"
+    balance: float = 0.5
+    m_in: float = -23.0
+    m_out: float = -5.0
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"loss kind must be one of {tuple(KINDS)}")
+        if self.balance < 0:
+            raise ConfigError("balance must be >= 0")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Fine-tuning hyperparameters; defaults follow the standard protocol."""
@@ -136,8 +163,41 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
+class ExtrapolationConfig:
+    """Knobs for the constrained multi-step update.
+
+    ratio: fraction of each outlier batch synthesized in place, its first
+    ceil(ratio * n_out) rows (fine_tune rounds up).
+    steps: number of sign-gradient updates, each of size 2*epsilon/steps
+    for the row's own radius, so the ball stays reachable.
+    pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
+    input units and the fractions summing to 1; ((epsilon, 1.0),) is one radius.
+    One normalized unit is 2 * data.BOX_RADIUS = 8.0 raw units.
+    Like every float input, a radius read from JSON is at most
+    data.MAX_MAGNITUDE, so 2*epsilon/steps is finite.
+    """
+
+    ratio: float = 0.5
+    steps: int = 5
+    pool: tuple[tuple[float, float], ...] = ((0.05, 1.0),)
+
+    def __post_init__(self):
+        if not 0.0 <= self.ratio <= 1.0:
+            raise ConfigError("ratio must lie in [0, 1]")
+        if self.steps < 0:
+            raise ConfigError("steps must be >= 0")
+        if not self.pool:
+            raise ConfigError("pool spec must not be empty")
+        total = math.fsum(f for _, f in self.pool)
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"pool fractions sum to {total}, expected 1")
+        if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
+            raise ConfigError("pool entries must be non-negative")
+
+
+@dataclass(frozen=True)
 class ScoreSpec:
-    """Which score to compute, one of KINDS. Each kind's settings are fixed in
+    """Which score to compute, one of ``ScoreSpec.KINDS``. Each kind's settings are fixed in
     ``scoring``: energy and ash_energy at temperature 1, odin at ODIN_TEMPERATURE
     and ODIN_EPSILON, ash_energy at ASH_PERCENTILE."""
 

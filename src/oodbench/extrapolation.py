@@ -11,7 +11,9 @@ The whole batch ascends together. The target is the sum over the rows of
 ``losses.oe_rows``, the uniform loss ``losses.objective`` averages over the
 outlier batch the rows rejoin. Rows do not interact under the model, so one
 pass over that sum gives every row's value and input gradient. Each row keeps
-its own radius (its slice of the pool), step size and best iterate.
+its own radius (its slice of the pool), step size and best iterate. The knobs,
+``ExtrapolationConfig``, live with the other config sections in ``config`` and
+are imported here from there.
 """
 
 from __future__ import annotations
@@ -24,41 +26,9 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from . import model as model_mod
+from .config import ExtrapolationConfig
 from .data import DOMAIN
-from .errors import ConfigError, NumericError
-
-
-@dataclass(frozen=True)
-class ExtrapolationConfig:
-    """Knobs for the constrained multi-step update.
-
-    ratio: fraction of each outlier batch synthesized in place, its first
-    ceil(ratio * n_out) rows (fine_tune rounds up).
-    steps: number of sign-gradient updates, each of size 2*epsilon/steps
-    for the row's own radius, so the ball stays reachable.
-    pool: (epsilon, fraction) slices, epsilon an l-inf radius in normalized
-    input units and the fractions summing to 1; ((epsilon, 1.0),) is one radius.
-    One normalized unit is 2 * data.BOX_RADIUS = 8.0 raw units.
-    Like every float input, a radius read from JSON is at most
-    data.MAX_MAGNITUDE, so 2*epsilon/steps is finite.
-    """
-
-    ratio: float = 0.5
-    steps: int = 5
-    pool: tuple[tuple[float, float], ...] = ((0.05, 1.0),)
-
-    def __post_init__(self):
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ConfigError("ratio must lie in [0, 1]")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
-        if not self.pool:
-            raise ConfigError("pool spec must not be empty")
-        total = math.fsum(f for _, f in self.pool)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"pool fractions sum to {total}, expected 1")
-        if any(e < 0 for e, _ in self.pool) or any(f < 0 for _, f in self.pool):
-            raise ConfigError("pool entries must be non-negative")
+from .errors import NumericError
 
 
 @dataclass

@@ -29,10 +29,11 @@ from . import model as model_mod
 from . import numerics
 from . import scoring
 from . import trainer
+from .config import KINDS, LossConfig
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_STEP = 1e-5
-CASES = (*losses.KINDS, "extrapolation", "odin")
+CASES = (*KINDS, "extrapolation", "odin")
 
 
 @dataclass
@@ -71,12 +72,12 @@ def _case(kind: str, rng: np.random.Generator):
     dims = (d, *hidden, c)
     m = int(rng.integers(2, 5))
     labels = {}
-    if kind in losses.KINDS:
+    if kind in KINDS:
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
-        lc = losses.LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
+        lc = LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
         objective = trainer._build_loss_graph(dims, lc)
-        batch_names = ("x", "x_out") if losses.KINDS[kind].binds_aux else ("x",)
+        batch_names = ("x", "x_out") if KINDS[kind].binds_aux else ("x",)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
         objective, batch_names = extrapolation._target_graph(dims), ("x",)
@@ -94,7 +95,7 @@ def _case(kind: str, rng: np.random.Generator):
         if _hidden_preactivations(mlp, batches.values()) <= KINK_CLEARANCE:
             continue
         bindings = {**model_mod.param_bindings(mlp), **labels, **batches}
-        wrt = model_mod.param_names(mlp) if kind in losses.KINDS else ["x"]
+        wrt = model_mod.param_names(mlp) if kind in KINDS else ["x"]
         # Exact-zero coordinates (dead relu paths) are locally constant, so the
         # difference quotient is exactly zero too; only small nonzero gradients
         # fall below the oracle's resolution.

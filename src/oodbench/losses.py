@@ -10,50 +10,20 @@ the values each batch would get alone. ``objective`` makes them
 most one outlier term, the mean over the one outlier batch (energy_bounded
 adds its ID hinge first). The trainer differentiates that sum and the
 extrapolation engine ascends the per-row uniform loss, so every loss has one
-definition. ``KINDS`` alone says what each kind trains on. DivOE's
-synthesized rows are the head of the outlier batch (``trainer.fine_tune``),
-so its objective is oe's.
+definition. The kinds table ``KINDS`` alone says what each kind trains on;
+it and ``LossConfig`` live in ``config``, which every command loads, and are
+imported here from there. DivOE's synthesized rows are the head of the
+outlier batch (``trainer.fine_tune``), so its objective is oe's.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import numerics
-from .errors import ConfigError
+from .config import KINDS, LossConfig
 from .model import Logits
-
-
-class Kind(NamedTuple):
-    """What a loss kind trains on besides the ce of the ID batch."""
-
-    binds_aux: bool    # an aux outlier batch, bound as x_out
-    synthesizes: bool  # its first ceil(ratio * n_out) rows extrapolated in place
-    hinge: bool        # the energy hinges at m_in and m_out, not the uniform loss
-
-
-KINDS = {"ce": Kind(False, False, False), "oe": Kind(True, False, False),
-         "energy_bounded": Kind(True, False, True), "divoe": Kind(True, True, False)}
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Objective family and its parameters; margins only matter for the hinge loss."""
-
-    kind: str = "oe"
-    balance: float = 0.5
-    m_in: float = -23.0
-    m_out: float = -5.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"loss kind must be one of {tuple(KINDS)}")
-        if self.balance < 0:
-            raise ConfigError("balance must be >= 0")
 
 
 def onehot(labels, n_classes: int) -> np.ndarray:

@@ -29,7 +29,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, probe):
 
 
 @pytest.mark.parametrize("epsilons", ["abc", "0.1,x", "nan", "inf", "0.1,-0.05", ",", "",
-                                      "1e308", "1e101"])
+                                      "1e308", "1e101", "0.1,0.1", "0.05,0.1,1e-1"])
 def test_malformed_epsilon_grid_exits_2(tmp_path, capsys, epsilons):
     argv = ["--out", str(tmp_path / "run"), "extrapolate", "--input", str(tmp_path / "in.csv"),
             "--dump", str(tmp_path / "dump" / "extrap.csv"), "--epsilons", epsilons]
@@ -516,18 +516,68 @@ def test_extrapolate_without_epsilons_uses_the_pool_radii(tmp_path, pool, grid):
 
 
 def test_extrapolate_grid_over_the_size_rule_exits_2(tmp_path, capsys):
-    # The grid ascends as one batch through the widest layer: 513 x 4096 x 64
-    # values is past data.MAX_ELEMENTS (2**27), from a short argument.
+    # The grid ascends as one batch through the widest layer: 513 distinct radii
+    # x 4096 x 64 values is past data.MAX_ELEMENTS (2**27), from a short argument.
     checkpoint, inputs, dump = tmp_path / "ckpt.json", tmp_path / "in.csv", tmp_path / "d.csv"
     model.save_checkpoint(model.init_model((2, 64, 4), seed=0), checkpoint)
     data.save_csv(data.UnlabeledDataset(np.full((4096, 2), 0.5)), inputs)
+    grid = ",".join(str(i / 1000) for i in range(513))
     argv = ["--out", str(tmp_path / "run"), "extrapolate", "--checkpoint", str(checkpoint),
-            "--input", str(inputs), "--dump", str(dump), "--epsilons", ",".join(["0.1"] * 513)]
+            "--input", str(inputs), "--dump", str(dump), "--epsilons", grid]
     assert 513 * 4096 * 64 > data.MAX_ELEMENTS
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--epsilons" in err
+    assert err.startswith("error: the grid of --epsilons") and "widest layer" in err
+    assert "513 x 4096 x 64 values exceeds data.MAX_ELEMENTS" in err
     assert not dump.exists() and not (tmp_path / "run").exists()
+
+
+def test_extrapolate_calls_the_traced_pgd_extrapolate_once_per_grid(tmp_path, monkeypatch):
+    # perfbench's traced mode wraps cli.pgd_extrapolate and reads the
+    # ExtrapolationConfig at position 2, so the whole grid goes through that name.
+    base = _evaluated_run(tmp_path)
+    run = tmp_path / "run"
+    calls = []
+    real = cli.pgd_extrapolate
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pgd_extrapolate", recorder)
+    assert cli.main(base + ["extrapolate", "--input", str(run / "aux_out.csv"), "--dump",
+                            str(run / "extrap.csv"), "--epsilons", "0.02,0.1"]) == 0
+    x = data.load_csv(run / "aux_out.csv").x
+    n, d = x.shape
+    [(args, kwargs)] = calls
+    assert args[1].shape == (2 * n, d)
+    assert args[2] == config.load_config(_tiny_config(tmp_path)).extrapolation
+    epsilon = args[3] if len(args) > 3 else kwargs["epsilon"]
+    assert np.array_equal(epsilon, np.repeat([0.02, 0.1], n))
+
+
+def test_huge_finite_losses_print_in_exponent_form(tmp_path, capsys):
+    # Finite losses near 1e200 or 1e300 print as 6 significant digits and an
+    # exponent, not as hundreds of digits.
+    run = tmp_path / "run"
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(run)]
+    assert cli.main(base + ["gen-data"]) == 0
+    capsys.readouterr()
+    one_step = ["--set", "train.id_batch=24", "--set", "train.loss.kind=energy_bounded",
+                "--set", "train.loss.m_in=-1e100"]
+    assert cli.main(base + one_step + ["train"]) == 0
+    outputs = [capsys.readouterr().out]
+    mlp = model.init_model((2, 4, 3), seed=0)
+    huge = run / "huge.json"
+    model.save_checkpoint(model.from_layers(mlp.dims, (mlp.weights[0] * 1e300, mlp.weights[1]),
+                                            mlp.biases), huge)
+    assert cli.main(base + ["extrapolate", "--checkpoint", str(huge), "--input",
+                            str(run / "aux_out.csv"), "--dump", str(run / "extrap.csv")]) == 0
+    outputs.append(capsys.readouterr().out)
+    for out, summary in zip(outputs, ("final epoch 0: mean total loss", "epsilon 0.05:")):
+        [line] = [line for line in out.splitlines() if line.startswith(summary)]
+        assert "e+" in line
+        assert all(len(line) < 200 for line in out.splitlines())
 
 
 # Each run starts in an empty working directory: (arguments, exit code, what it

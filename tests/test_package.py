@@ -103,20 +103,23 @@ else:
     assert cli.main(sys.argv[1:]) == 0
 print(json.dumps(sorted(m.split(".")[1] for m in sys.modules if m.startswith("oodbench."))))
 """
-# The modules every command loads: cli, config and what config imports for
-# LossConfig and ExtrapolationConfig (cli also binds pgd_extrapolate at import).
-COMMON_MODULES = {"autodiff", "cli", "config", "data", "errors", "extrapolation", "losses",
-                  "model", "numerics"}
-# What each entry loads beside them: a command imports a module only it runs when it runs.
+# The modules every command loads: cli, config and what config imports. config
+# holds every section and the kinds table, so none of them is model code.
+COMMON_MODULES = {"cli", "config", "data", "errors", "numerics"}
+# What each entry loads beside them: a command imports a module only it runs when
+# it runs. The model stack (model, autodiff, losses) loads only where a model is
+# trained or scored, and extrapolation only where outliers may be synthesized.
+MODEL_STACK = {"model", "autodiff", "losses"}
 ENTRY_MODULES = [
     pytest.param("setup", set(), id="perfbench-setup"),
     pytest.param("gen-data", set(), id="gen-data"),
-    pytest.param("train", {"trainer"}, id="train"),
-    pytest.param("eval", {"scoring", "metrics"}, id="eval"),
-    pytest.param("extrapolate", {"scoring"}, id="extrapolate"),
+    pytest.param("train", {"trainer", "extrapolation", *MODEL_STACK}, id="train"),
+    pytest.param("eval", {"scoring", "metrics", *MODEL_STACK}, id="eval"),
+    pytest.param("extrapolate", {"extrapolation", "scoring", *MODEL_STACK}, id="extrapolate"),
     pytest.param("theory-verify", {"gmm_theory"}, id="theory-verify"),
     pytest.param("report", {"metrics"}, id="report"),
-    pytest.param("gradcheck", {"gradcheck", "trainer", "scoring"}, id="gradcheck"),
+    pytest.param("gradcheck", {"gradcheck", "trainer", "scoring", "extrapolation", *MODEL_STACK},
+                 id="gradcheck"),
 ]
 
 
