@@ -51,7 +51,7 @@ import numpy as np
 from . import config as config_mod
 from . import data as data_mod
 from .errors import ConfigError, DataError, NumericError, OodbenchError
-from .numerics import derive_seed
+from .numerics import derive_seed, rng
 
 
 def _out_dir(cfg: config_mod.RunConfig) -> Path:
@@ -142,7 +142,7 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
     from . import model as model_mod
     from . import trainer as trainer_mod
 
-    binds_aux = config_mod.KINDS[cfg.train.loss.kind].binds_aux
+    binds_aux = config_mod.LOSS_KINDS[cfg.train.loss.kind].binds_aux
     names = ("id_train", "aux_out") if binds_aux else ("id_train",)
     id_train, *aux = _load_sets(cfg, names, None, cfg.data.classes)
     dims = (id_train.x.shape[1], *cfg.model.hidden, cfg.data.classes)
@@ -305,8 +305,8 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
     spec = gmm_theory.GmmSpec(mu=mu, sigma=t.sigma)
     params = gmm_theory.TheoryParams(n1=t.n1, n2=t.n2, alpha=t.alpha, tau=t.tau,
                                      trials=t.trials)
-    rng = np.random.Generator(np.random.PCG64(config_mod.component_seed(cfg.seed, "theory")))
-    check = gmm_theory.verify_bound(spec, params, rng)
+    check = gmm_theory.verify_bound(spec, params,
+                                    rng(config_mod.component_seed(cfg.seed, "theory")))
     path = Path(out_csv) if out_csv else Path(cfg.outputs.dir) / "theory.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     data_mod.write_table(path, ["trial", "ratio", "rhs", "satisfied"],

@@ -18,9 +18,9 @@ All randomness flows from the one top-level seed, split per component
 (data / model / train / theory) through named substreams.
 
 This module holds every section's dataclass and the loss kinds table
-``KINDS``, which says what each loss kind trains on (the score kinds are
-``ScoreSpec.KINDS``); ``losses`` and ``extrapolation`` import the names they
-read from here. ``cli`` loads it for every command, so it imports only data,
+``LOSS_KINDS``, which says what each loss kind trains on (the score kinds
+are ``ScoreSpec.KINDS``); ``losses`` and ``extrapolation`` import the names
+they read from here. ``cli`` loads it for every command, so it imports only data,
 errors and numerics, the modules every command loads anyway. A module only
 some commands run (the model stack, trainer, scoring, metrics, gmm_theory,
 gradcheck) is imported by those commands.
@@ -123,7 +123,7 @@ class Kind(NamedTuple):
     hinge: bool        # the energy hinges at m_in and m_out, not the uniform loss
 
 
-KINDS = {"ce": Kind(False, False, False), "oe": Kind(True, False, False),
+LOSS_KINDS = {"ce": Kind(False, False, False), "oe": Kind(True, False, False),
          "energy_bounded": Kind(True, False, True), "divoe": Kind(True, True, False)}
 
 
@@ -137,8 +137,8 @@ class LossConfig:
     m_out: float = -5.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"loss kind must be one of {tuple(KINDS)}")
+        if self.kind not in LOSS_KINDS:
+            raise ConfigError(f"loss kind must be one of {tuple(LOSS_KINDS)}")
         if self.balance < 0:
             raise ConfigError("balance must be >= 0")
 

@@ -52,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigError, DataError, OodbenchError
 
 DOMAIN = (0.0, 1.0)
@@ -104,13 +105,9 @@ def fit_minmax(x: np.ndarray) -> np.ndarray:
 # -- generators ------------------------------------------------------------------
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def gen_id_mixture_raw(n_classes: int, per_class: int, seed: int) -> LabeledDataset:
     """C Gaussian blobs of spread ID_SIGMA, means equally spaced on a circle of radius ID_RADIUS."""
-    rng = _rng(seed)
+    rng = numerics.rng(seed)
     xs = []
     ys = []
     for c in range(n_classes):
@@ -125,7 +122,7 @@ def gen_arc_outliers(inner_r: float, outer_r: float, arc_fraction: float, n: int
                      seed: int) -> UnlabeledDataset:
     """Limited-coverage auxiliary outliers: area-uniform annulus samples on the
     arc of angles [0, 2*pi*arc_fraction)."""
-    rng = _rng(seed)
+    rng = numerics.rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi * arc_fraction, size=n)
     u = rng.uniform(0.0, 1.0, size=n)
     r = np.sqrt(inner_r ** 2 + u * (outer_r ** 2 - inner_r ** 2))
@@ -348,7 +345,7 @@ def _first_bad_line(path: Path, rows: list[list[str]], start: int, n_fields: int
 
 def batches(dataset: LabeledDataset, batch_size: int, seed: int):
     """One seeded-shuffle pass over (x, y) batches in deterministic order."""
-    order = _rng(seed).permutation(len(dataset))
+    order = numerics.rng(seed).permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = order[start:start + batch_size]
         yield dataset.x[idx], dataset.y[idx]

@@ -29,11 +29,11 @@ from . import model as model_mod
 from . import numerics
 from . import scoring
 from . import trainer
-from .config import KINDS, LossConfig
+from .config import LOSS_KINDS, LossConfig
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_STEP = 1e-5
-CASES = (*KINDS, "extrapolation", "odin")
+CASES = (*LOSS_KINDS, "extrapolation", "odin")
 
 
 @dataclass
@@ -72,12 +72,12 @@ def _case(kind: str, rng: np.random.Generator):
     dims = (d, *hidden, c)
     m = int(rng.integers(2, 5))
     labels = {}
-    if kind in KINDS:
+    if kind in LOSS_KINDS:
         # Margins a few units outside the reachable energy range keep both
         # hinges active and smooth without inflating the loss magnitude.
         lc = LossConfig(kind=kind, m_in=-8.0, m_out=5.0)
         objective = trainer._build_loss_graph(dims, lc)
-        batch_names = ("x", "x_out") if KINDS[kind].binds_aux else ("x",)
+        batch_names = ("x", "x_out") if LOSS_KINDS[kind].binds_aux else ("x",)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
         objective, batch_names = extrapolation._target_graph(dims), ("x",)
@@ -95,7 +95,7 @@ def _case(kind: str, rng: np.random.Generator):
         if _hidden_preactivations(mlp, batches.values()) <= KINK_CLEARANCE:
             continue
         bindings = {**model_mod.param_bindings(mlp), **labels, **batches}
-        wrt = model_mod.param_names(mlp) if kind in KINDS else ["x"]
+        wrt = model_mod.param_names(mlp) if kind in LOSS_KINDS else ["x"]
         # Exact-zero coordinates (dead relu paths) are locally constant, so the
         # difference quotient is exactly zero too; only small nonzero gradients
         # fall below the oracle's resolution.
@@ -135,7 +135,7 @@ def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = 1e-5)
 
 
 def run_suite(cases: int = 100, seed: int = 7) -> GradcheckResult:
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = numerics.rng(seed)
     worst = 0.0
     for _ in range(cases):
         case = _case(CASES[int(rng.integers(len(CASES)))], rng)

@@ -10,9 +10,9 @@ the values each batch would get alone. ``objective`` makes them
 most one outlier term, the mean over the one outlier batch (energy_bounded
 adds its ID hinge first). The trainer differentiates that sum and the
 extrapolation engine ascends the per-row uniform loss, so every loss has one
-definition. The kinds table ``KINDS`` alone says what each kind trains on;
-it and ``LossConfig`` live in ``config``, which every command loads, and are
-imported here from there. DivOE's synthesized rows are the head of the
+definition. The kinds table ``LOSS_KINDS`` alone says what each kind trains
+on; it and ``LossConfig`` live in ``config``, which every command loads, and
+are imported here from there. DivOE's synthesized rows are the head of the
 outlier batch (``trainer.fine_tune``), so its objective is oe's.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import numerics
-from .config import KINDS, LossConfig
+from .config import LOSS_KINDS, LossConfig
 from .model import Logits
 
 
@@ -63,7 +63,7 @@ def objective(lc: LossConfig, id_logits: Logits, target,
     others the uniform loss, the outlier term a mean over ``outlier_logits``'
     batch, so every outlier row, synthesized or not, weighs the same. There
     is no outlier term without ``outlier_logits``."""
-    hinge = KINDS[lc.kind].hinge
+    hinge = LOSS_KINDS[lc.kind].hinge
     group = (ad.Term(energy_hinge_rows, id_logits, (1.0, -float(lc.m_in))),) if hinge else ()
     if outlier_logits is not None:
         group += (ad.Term(energy_hinge_rows, outlier_logits, (-1.0, float(lc.m_out))) if hinge

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics
 from .data import dump, parse, read_json
 from .errors import ConfigError, DataError, NumericError
 
@@ -109,9 +110,9 @@ def from_layers(dims, weights, biases) -> MlpClassifier:
 
 
 def init_model(dims, seed: int) -> MlpClassifier:
-    """He-style initialization: weights ~ N(0, 2/fan_in) from a PCG64 stream, zero biases."""
+    """He-style initialization: weights ~ N(0, 2/fan_in) from ``numerics.rng``, zero biases."""
     dims = tuple(int(d) for d in dims)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = numerics.rng(seed)
     weights = []
     biases = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -174,20 +175,20 @@ def mlp_forward(x, params: _Layers):
 def mlp_backward(grad, params: _Layers, acts, needs):
     """(input gradient, θ gradient) from the logits' gradient ``grad``, each None
     unless ``needs``, a pair for (x, θ), asks for it. From the top layer down:
-    db = g.sum(0), dW = h.T @ g, each written into its slice of the θ gradient,
-    then g @ W.T and the ReLU mask (subgradient 0 at 0) while a lower layer is
-    needed."""
+    db = g.sum(0), dW = h.T @ g, each written into its ``layers`` view of the
+    θ gradient, then g @ W.T and the ReLU mask (subgradient 0 at 0) while a
+    lower layer is needed."""
     need_x, need_theta = needs
-    gtheta = np.empty(sum(w.size + b.size for w, b in zip(*params))) if need_theta else None
-    end = gtheta.size if need_theta else 0  # where the current layer's slice ends
+    gtheta = None
+    if need_theta:
+        dims = (params.weights[0].shape[0], *(b.size for b in params.biases))
+        gtheta = np.empty(sum(w.size + b.size for w, b in zip(*params)))
+        gparams = layers(dims, gtheta)
     g = grad
     for i in range(len(acts) - 1, -1, -1):
         if need_theta:
-            fan_in, fan_out = params.weights[i].shape
-            bias = end - fan_out
-            end = bias - fan_in * fan_out
-            np.add.reduce(g, axis=0, out=gtheta[bias:bias + fan_out])
-            np.matmul(acts[i].T, g, out=gtheta[end:bias].reshape(fan_in, fan_out))
+            np.add.reduce(g, axis=0, out=gparams.biases[i])
+            np.matmul(acts[i].T, g, out=gparams.weights[i])
         if i == 0 and not need_x:
             break
         g = g @ params.weights[i].T

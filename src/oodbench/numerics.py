@@ -11,9 +11,15 @@ import numpy as np
 
 def derive_seed(*entropy: int) -> int:
     """One 32-bit seed drawn from ``SeedSequence(entropy)``: the config's component
-    streams, gen-data's per-set streams and the trainer's substreams come from it,
-    except ``trainer._outlier_batches``' ``PCG64([seed, pass])``."""
+    streams, gen-data's per-set streams and the trainer's substreams come from it."""
     return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1)[0])
+
+
+def rng(*entropy: int) -> np.random.Generator:
+    """The random stream of ``entropy``, a PCG64 seeded with ``SeedSequence(entropy)``:
+    every stream the program draws comes from here. ``rng(s)`` draws what
+    ``PCG64(s)`` draws."""
+    return np.random.Generator(np.random.PCG64(list(entropy)))
 
 
 def as_tensor(x) -> np.ndarray:

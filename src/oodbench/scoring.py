@@ -82,26 +82,19 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     return msp_score(logits / ODIN_TEMPERATURE)
 
 
-def ash_s(activations, out=None) -> np.ndarray:
-    """Zero activations below the per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
+def ash_s(acts: np.ndarray) -> np.ndarray:
+    """Shape the float64 rows of ``acts`` in place and return it: zero activations
+    below the per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
 
-    Rows whose survivor sum is not positive are returned unchanged, and one
-    warning gives their count (nothing sensible to rescale).
-
-    As in numpy, the result goes to ``out``, a float64 array of the input's
-    shape, when given, and to a new array otherwise; ``out`` may be the input
-    itself, which then holds the shaped rows. Every step is per row, so rows
-    are shaped in blocks of BLOCK_ROWS: beside its input and its output, ash
-    holds one block's temporaries, and shaping in place holds no copy of the
-    whole matrix. The result is bitwise that of a whole-matrix pass.
+    Rows whose survivor sum is not positive are left unchanged, and one
+    warning gives their count (nothing sensible to rescale). Every step is
+    per row, so rows are shaped in blocks of BLOCK_ROWS: beside its argument,
+    ash holds one block's temporaries and no copy of the whole matrix. The
+    result is bitwise that of a whole-matrix pass.
     """
-    acts = np.asarray(activations, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(acts)
     unshaped = 0
     for start in range(0, acts.shape[0], BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        block = acts[rows]
+        block = acts[start:start + BLOCK_ROWS]
         cut = np.percentile(block, ASH_PERCENTILE, axis=1, keepdims=True)
         shaped = np.where(block >= cut, block, 0.0)
         before = block.sum(axis=1)
@@ -110,11 +103,10 @@ def ash_s(activations, out=None) -> np.ndarray:
         unshaped += int(np.sum(~ok))
         scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
         shaped *= scale[:, None]
-        np.copyto(shaped, block, where=~ok[:, None])  # before ``out`` overwrites the block
-        out[rows] = shaped
+        np.copyto(block, shaped, where=ok[:, None])
     if unshaped:
         warnings.warn(f"{unshaped} rows left unshaped (non-positive sum)", stacklevel=2)
-    return out
+    return acts
 
 
 def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
@@ -125,14 +117,14 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     that scores one batch several ways computes them once and passes them
     in. Left unset, they are computed here. msp and energy read the logits
     ``model.head`` makes from them, which equal ``model.forward`` bit for
-    bit. ash_energy shapes the features in place (``ash_s`` with ``out``)
-    and reads the logits of the shaped rows, so features handed to it are
-    consumed: a caller scores ash_energy after every other kind that reads
-    them. ODIN reads no features, only ``top``, the argmax of those logits:
-    a caller that holds the logits passes it, and ``odin_score`` forwards
-    the batch for it otherwise. ash_energy needs a hidden layer to shape,
-    which the config and the CLI check before any scoring; without one the
-    features are the batch itself, which is shaped into a copy.
+    bit. ash_energy shapes the features in place (``ash_s``) and reads the
+    logits of the shaped rows, so features handed to it are consumed: a
+    caller scores ash_energy after every other kind that reads them. ODIN
+    reads no features, only ``top``, the argmax of those logits: a caller
+    that holds the logits passes it, and ``odin_score`` forwards the batch
+    for it otherwise. ash_energy needs a hidden layer to shape, which the
+    config and the CLI check before any scoring; without one the features
+    are the batch itself, and a copy of it is shaped.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":
@@ -140,8 +132,8 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     if features is None:
         features = model_mod.penultimate_features(mlp, batch)
     if spec.kind == "ash_energy":
-        # In place, unless the features are the caller's batch (a model with no hidden layer).
-        shaped = ash_s(features, out=None if features is batch else features)
+        # The caller's batch itself (a model with no hidden layer) is never shaped.
+        shaped = ash_s(features.copy() if features is batch else features)
         return energy_score(model_mod.head(mlp, shaped))
     logits = model_mod.head(mlp, features)
     if spec.kind == "msp":

@@ -22,10 +22,10 @@ from . import autodiff as ad
 from . import data as data_mod
 from . import losses
 from . import model as model_mod
-from .config import KINDS, ExtrapolationConfig, LossConfig, TrainConfig
+from .config import LOSS_KINDS, ExtrapolationConfig, LossConfig, TrainConfig
 from .errors import NumericError
 from .extrapolation import build_extrapolation_pool
-from .numerics import derive_seed
+from .numerics import derive_seed, rng
 
 MOMENTUM = 0.9  # Nesterov momentum of every SGD step
 WEIGHT_DECAY = 1e-4
@@ -74,7 +74,7 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
     n = outliers.shape[0]
     pass_idx = 0
     while True:
-        order = np.random.Generator(np.random.PCG64([seed, pass_idx])).permutation(n)
+        order = rng(seed, pass_idx).permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):
             yield outliers[order[start:start + batch_size]]
         pass_idx += 1
@@ -83,7 +83,7 @@ def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
 def _build_loss_graph(dims, lc: LossConfig):
     """``losses.objective`` over batches x / y and, for a kind that binds it, x_out;
     ``y`` is the one-hot labels, so one objective serves every step and row count."""
-    x_out = model_mod.logits_graph(dims, "x_out") if KINDS[lc.kind].binds_aux else None
+    x_out = model_mod.logits_graph(dims, "x_out") if LOSS_KINDS[lc.kind].binds_aux else None
     return losses.objective(lc, model_mod.logits_graph(dims, "x"), "y", x_out)
 
 
@@ -93,7 +93,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     """Run the full fine-tuning loop; returns (model', TrainHistory).
 
     ``aux_outliers`` is a non-empty pool (the CLI checks), None for a kind that
-    binds no aux batch. A kind whose ``config.KINDS`` row binds it trains each
+    binds no aux batch. A kind whose ``config.LOSS_KINDS`` row binds it trains each
     step on an ``n_out``-row batch of the aux stream, bound as ``x_out``; one
     that synthesizes extrapolates the batch's first ``n_ext = ceil(ratio * n_out)``
     rows across extrapolation.pool and writes them back over those rows (in the
@@ -104,7 +104,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     batch shuffles come from their own seed streams. A non-finite loss aborts
     with NumericError rather than being skipped.
     """
-    kind = KINDS[cfg.loss.kind]
+    kind = LOSS_KINDS[cfg.loss.kind]
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
     theta = mlp.theta
     velocity = np.zeros_like(theta)

@@ -334,7 +334,7 @@ def _filled_columns(history) -> set[str]:
     return filled[0]
 
 
-@pytest.mark.parametrize("kind", losses.KINDS)
+@pytest.mark.parametrize("kind", losses.LOSS_KINDS)
 def test_history_fills_the_outlier_columns_of_each_kind(tmp_path, kind):
     base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run"),
             "--set", f"train.loss.kind={kind}"]
@@ -342,7 +342,7 @@ def test_history_fills_the_outlier_columns_of_each_kind(tmp_path, kind):
     assert _filled_columns(tmp_path / "run" / "history.csv") == FILLED_COLUMNS[kind]
 
 
-@pytest.mark.parametrize("kind", losses.KINDS)
+@pytest.mark.parametrize("kind", losses.LOSS_KINDS)
 def test_train_at_zero_epochs_saves_the_seeded_init(tmp_path, capsys, kind):
     cfg_path = _tiny_config(tmp_path)
     overrides = ["train.epochs=0", f"train.loss.kind={kind}"]

@@ -119,6 +119,19 @@ def test_derive_seed_is_a_deterministic_32_bit_value():
     assert 0 <= a < 2**32
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 5, 10**30])
+def test_rng_draws_the_stream_of_pcg64(seed):
+    # rng(s) is the stream PCG64(s) seeds, and rng(s, p) that of PCG64([s, p]).
+    def draws(*entropy):
+        return numerics.rng(*entropy).integers(0, 2**63, size=8).tolist()
+
+    assert draws(seed) == np.random.Generator(np.random.PCG64(seed)).integers(
+        0, 2**63, size=8).tolist()
+    assert draws(seed, 3) == np.random.Generator(np.random.PCG64([seed, 3])).integers(
+        0, 2**63, size=8).tolist()
+    assert draws(seed, 3) != draws(seed)
+
+
 def test_as_tensor_does_not_copy_a_float64_array():
     x = np.ones(3)
     assert numerics.as_tensor(x) is x

@@ -159,7 +159,7 @@ def test_ash_identity_at_zero_percentile(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 0.0)
     rng = np.random.default_rng(5)
     acts = rng.uniform(0, 1, (4, 6))
-    out = scoring.ash_s(acts)
+    out = scoring.ash_s(acts.copy())
     assert out.tobytes() == acts.tobytes()
 
 
@@ -173,7 +173,7 @@ def test_ash_preserves_row_sums_and_argmax(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 60.0)
     rng = np.random.default_rng(6)
     acts = rng.uniform(0.01, 1, (10, 8))
-    out = scoring.ash_s(acts)
+    out = scoring.ash_s(acts.copy())
     np.testing.assert_allclose(out.sum(axis=1), acts.sum(axis=1), rtol=1e-12)
     np.testing.assert_array_equal(np.argmax(out, axis=1), np.argmax(acts, axis=1))
 
@@ -183,6 +183,16 @@ def test_ash_all_zero_row_flagged():
     with pytest.warns(UserWarning, match="unshaped"):
         out = scoring.ash_s(acts)
     np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
+
+
+def _ragged_relu_acts():
+    """About 2.5 blocks of ReLU rows, so the last block is ragged, with one
+    all-zero, so unshaped, row each in the first and the third block."""
+    acts = np.maximum(np.random.default_rng(15).normal(size=(scoring.BLOCK_ROWS * 5 // 2 + 7, 24)),
+                      0.0)
+    acts[3] = 0.0
+    acts[2 * scoring.BLOCK_ROWS + 5] = 0.0
+    return acts
 
 
 def _ash_whole_matrix(acts, percentile):
@@ -200,45 +210,35 @@ def _ash_whole_matrix(acts, percentile):
 @pytest.mark.parametrize("percentile", [50.0, 95.0])
 def test_blocked_ash_equals_the_whole_matrix_formula(percentile, monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
-    # About 2.5 blocks, so the last block is ragged; one unshaped row each in
-    # the first and the third block, and one warning with their total.
-    n = scoring.BLOCK_ROWS * 5 // 2 + 7
-    acts = np.maximum(np.random.default_rng(15).normal(size=(n, 24)), 0.0)
-    acts[3] = 0.0
-    acts[2 * scoring.BLOCK_ROWS + 5] = 0.0
+    # One warning with the total of the unshaped rows.
+    acts = _ragged_relu_acts()
     expected, unshaped = _ash_whole_matrix(acts, percentile)
     assert unshaped == 2
-    kept = acts.copy()
+    shaped = acts.copy()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = scoring.ash_s(acts)
+        assert scoring.ash_s(shaped) is shaped
     assert [str(w.message) for w in caught] == ["2 rows left unshaped (non-positive sum)"]
-    assert out.tobytes() == expected.tobytes()
-    assert acts.tobytes() == kept.tobytes()
-
-
-def _ragged_relu_acts():
-    """The fixture of the blocked-ASH test: about 2.5 blocks of ReLU rows with one
-    all-zero, so unshaped, row each in the first and the third block."""
-    acts = np.maximum(np.random.default_rng(15).normal(size=(scoring.BLOCK_ROWS * 5 // 2 + 7, 24)),
-                      0.0)
-    acts[3] = 0.0
-    acts[2 * scoring.BLOCK_ROWS + 5] = 0.0
-    return acts
+    assert shaped.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("percentile", [50.0, 95.0])
 def test_in_place_ash_equals_the_allocating_call(percentile, monkeypatch):
+    # The allocating call shapes a copy of the whole matrix. Shaping a view of
+    # rows 2 onward in place, whose blocks start 2 rows later, writes those
+    # rows alone, each as the copy has it.
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
     acts = _ragged_relu_acts()
+    shaped = acts.copy()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        expected = scoring.ash_s(acts)
-        shaped = acts.copy()
-        assert scoring.ash_s(shaped, out=shaped) is shaped
+        expected = scoring.ash_s(acts.copy())
+        view = shaped[2:]
+        assert scoring.ash_s(view) is view
     # One warning per call, each counting both unshaped rows, which keep their zeros.
     assert [str(w.message) for w in caught] == ["2 rows left unshaped (non-positive sum)"] * 2
-    assert shaped.tobytes() == expected.tobytes()
+    assert shaped[2:].tobytes() == expected[2:].tobytes()
+    assert shaped[:2].tobytes() == acts[:2].tobytes()
 
 
 def test_ash_energy_consumes_features_but_never_the_batch():
@@ -259,22 +259,19 @@ def test_ash_energy_consumes_features_but_never_the_batch():
 
 def test_in_place_ash_holds_no_copy_of_its_input():
     # Eight blocks: shaping in place holds one block's temporaries, well under
-    # one copy of the matrix, where the allocating call holds its whole output.
+    # one copy of the matrix.
     acts = np.maximum(np.random.default_rng(17).normal(size=(8 * scoring.BLOCK_ROWS, 64)), 0.0)
-    peaks = []
-    for out in (None, acts):
-        tracemalloc.start()
-        try:
-            scoring.ash_s(acts, out=out)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    allocating, in_place = peaks
-    assert in_place < acts.nbytes / 2 and allocating > acts.nbytes
+    tracemalloc.start()
+    try:
+        scoring.ash_s(acts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < acts.nbytes / 2
 
 
 def test_ash_peak_memory():
-    # Beside its input, ash holds its output and one block's temporaries.
+    # Beside its argument, ash holds one block's temporaries, less than a copy.
     acts = np.maximum(np.random.default_rng(16).normal(size=(16384, 64)), 0.0)
     tracemalloc.start()
     try:
@@ -282,7 +279,7 @@ def test_ash_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * acts.nbytes
+    assert peak < acts.nbytes
 
 
 def test_detect_rule():

@@ -105,10 +105,10 @@ def test_fine_tune_divoe_at_ratio_zero_trains_as_oe():
 
 
 def test_fine_tune_binds_only_the_batches_of_the_kinds_row(monkeypatch):
-    # losses.KINDS alone decides what a kind binds, synthesizes and hinges: ce
-    # given another kind's row trains as that kind, bit for bit.
+    # losses.LOSS_KINDS alone decides what a kind binds, synthesizes and
+    # hinges: ce given another kind's row trains as that kind, bit for bit.
     for kind in ("oe", "energy_bounded", "divoe"):
-        monkeypatch.setitem(losses.KINDS, "ce", losses.KINDS[kind])
+        monkeypatch.setitem(losses.LOSS_KINDS, "ce", losses.LOSS_KINDS[kind])
         params, records = _run("ce", 0.5)
         expected_params, expected_records = _run(kind, 0.5)
         assert all(np.array_equal(a, b) for a, b in zip(params, expected_params))
