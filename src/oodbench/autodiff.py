@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import model, numerics
+from . import model
 from .errors import NumericError
 
 
@@ -72,7 +72,7 @@ def _forward(objective: Objective, bindings: Mapping[str, np.ndarray]):
 
     def read(name):
         if name not in bound:
-            v = numerics.as_tensor(bindings[name])
+            v = np.asarray(bindings[name], dtype=np.float64)
             if not np.isfinite(v).all():
                 raise NumericError(f"binding for {name!r} contains non-finite values")
             bound[name] = v

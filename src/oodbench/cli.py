@@ -267,8 +267,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
     # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
     n = x.shape[0]
-    config_mod._check_size("the grid of --epsilons (or of the pool's radii) x input rows x "
-                           "widest layer", len(grid), n, max(mlp.dims))
+    config_mod.check_size("the grid of --epsilons (or of the pool's radii) x input rows x "
+                          "widest layer", len(grid), n, max(mlp.dims))
     eps = np.repeat(np.asarray(grid, dtype=np.float64), n)
     batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation, epsilon=eps)
     with np.errstate(over="ignore", invalid="ignore"):

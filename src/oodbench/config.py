@@ -10,7 +10,7 @@ length or a float of magnitude above data.MAX_MAGNITUDE (1e100; JSON's
 NaN/Infinity too) raises ConfigError, so stale or malformed manifests fail
 loudly. Each value is checked once, in its dataclass's ``__post_init__``,
 so a bad value fails before a command does any work, and the code below the
-CLI trusts the values it receives. Integer sizes obey one rule, ``_check_size``:
+CLI trusts the values it receives. Integer sizes obey one rule, ``check_size``:
 no array a config sizes may hold more than data.MAX_ELEMENTS values. Counts
 that cost only time (epochs, extrapolation steps, theory trials) stay unbounded.
 
@@ -49,7 +49,7 @@ def component_seed(seed: int, component: str) -> int:
     return derive_seed(seed, COMPONENT_STREAMS[component])
 
 
-def _check_size(what: str, *factors: int) -> None:
+def check_size(what: str, *factors: int) -> None:
     """Refuse ``what``, an array of prod(factors) values, above data.MAX_ELEMENTS."""
     if math.prod(factors) > MAX_ELEMENTS:
         raise ConfigError(f"{what} of {' x '.join(map(str, factors))} values exceeds "
@@ -249,8 +249,8 @@ class TheoryConfig:
             raise ConfigError("alpha must be >= tau for a feasible constraint")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        _check_size("the sampler's chunk", chunk_rows(self.n2), self.dim)
-        _check_size("the ID sample", self.n1, self.dim)
+        check_size("the sampler's chunk", chunk_rows(self.n2), self.dim)
+        check_size("the ID sample", self.n1, self.dim)
 
 
 @dataclass(frozen=True)
@@ -282,11 +282,11 @@ class RunConfig:
         d = self.data
         widths = (FEATURES, *self.model.hidden, d.classes)
         for i, fans in enumerate(zip(widths, widths[1:])):
-            _check_size(f"weight matrix W{i}", *fans)
+            check_size(f"weight matrix W{i}", *fans)
         # Every set is FEATURES wide and eval forwards it whole, so this bounds each set too.
         rows = max(d.classes * max(d.per_class, d.test_per_class), d.aux.count,
                    *(spec.count for spec in d.ood_sets.values()))
-        _check_size("the largest set through the widest layer", rows, max(widths))
+        check_size("the largest set through the widest layer", rows, max(widths))
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **dump(self)}

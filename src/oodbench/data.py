@@ -1,4 +1,4 @@
-"""Synthetic benchmark generators, CSV I/O and batching.
+"""Synthetic benchmark generators, CSV I/O and the one training batch order.
 
 The benchmark geometry: C Gaussian blobs on a circle form the ID task;
 auxiliary outliers live on an annulus arc (limited angular coverage) and
@@ -343,9 +343,9 @@ def _first_bad_line(path: Path, rows: list[list[str]], start: int, n_fields: int
 # -- batching --------------------------------------------------------------------
 
 
-def batches(dataset: LabeledDataset, batch_size: int, seed: int):
-    """One seeded-shuffle pass over (x, y) batches in deterministic order."""
-    order = numerics.rng(seed).permutation(len(dataset))
-    for start in range(0, len(dataset), batch_size):
-        idx = order[start:start + batch_size]
-        yield dataset.x[idx], dataset.y[idx]
+def batches(n: int, batch_size: int, *entropy: int):
+    """The seeded batch order of both training streams: index slices of
+    ``numerics.rng(*entropy).permutation(n)``, ``batch_size`` at a time; the last holds the rest."""
+    order = numerics.rng(*entropy).permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]

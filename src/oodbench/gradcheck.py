@@ -48,7 +48,7 @@ class GradcheckResult:
 
 KINK_CLEARANCE = 1e-3  # min |relu preactivation|; finite differences are
                        # not a valid oracle within h of the kink
-MIN_GRAD_MAGNITUDE = 0.01  # below this the h=1e-5 difference quotient's own
+MIN_GRAD_MAGNITUDE = 0.01  # below this the DEFAULT_STEP difference quotient's own
                            # truncation error dominates the relative test
 
 
@@ -107,18 +107,18 @@ def _case(kind: str, rng: np.random.Generator):
     raise RuntimeError("could not sample a well-conditioned gradcheck case")
 
 
-def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = 1e-5) -> float:
+def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = DEFAULT_STEP) -> float:
     """Max over coordinates of |analytic - central difference| / (|analytic| + 1e-12).
 
     The central difference is the independent oracle for ``grads``, the
-    analytic gradient of each checked input; a clean objective keeps this
-    below ~1e-6 for h=1e-5 at unit scales. For each input in ``grads`` with
-    n coordinates, one pass evaluates a stack of 2n copies of it: slice 2i has
-    coordinate i at +h and slice 2i+1 at -h. A stacked θ (2n, P) stacks every
-    layer, and a stacked batch every layer's output, so the other bindings
-    broadcast.
+    analytic gradient of each checked input; a clean objective keeps this below
+    DEFAULT_TOLERANCE for h = DEFAULT_STEP at unit scales. For each input in
+    ``grads`` with n coordinates, one pass evaluates a stack of 2n copies of it:
+    slice 2i has coordinate i at +h and slice 2i+1 at -h. A stacked θ (2n, P)
+    stacks every layer, and a stacked batch every layer's output, so the other
+    bindings broadcast.
     """
-    bindings = {k: numerics.as_tensor(v) for k, v in bindings.items()}
+    bindings = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
     worst = 0.0
     for name, grad in grads.items():
         arr = bindings[name]
@@ -134,10 +134,10 @@ def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = 1e-5)
     return worst
 
 
-def run_suite(cases: int = 100, seed: int = 7) -> GradcheckResult:
+def run_suite(cases: int, seed: int) -> GradcheckResult:
     rng = numerics.rng(seed)
     worst = 0.0
     for _ in range(cases):
         case = _case(CASES[int(rng.integers(len(CASES)))], rng)
-        worst = max(worst, finite_diff_check(*case, h=DEFAULT_STEP))
+        worst = max(worst, finite_diff_check(*case))
     return GradcheckResult(cases=cases, max_relative_error=worst)

@@ -1,7 +1,8 @@
-"""Stable elementwise numerics shared by the per-row losses and the scorers.
+"""Seeds, random streams and the stable numerics of the losses and scorers.
 
-All functions take and return float64 arrays. The log-sum-exp family uses
-max-subtraction so inputs with magnitude up to ~1e3 stay finite.
+``derive_seed`` and ``rng`` are the program's one seed helper and one stream
+constructor. The log-sum-exp family reads its input as a float64 array and
+uses max-subtraction, so inputs with magnitude up to ~1e3 stay finite.
 """
 
 from __future__ import annotations
@@ -22,17 +23,12 @@ def rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(list(entropy)))
 
 
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a float64 ndarray without copying when already one."""
-    return np.asarray(x, dtype=np.float64)
-
-
 def logsumexp(x, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(x))) along ``axis`` with max-subtraction for stability.
 
     An empty reduction or an axis out of range raises numpy's ValueError.
     """
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     m = np.maximum.reduce(x, axis=axis, keepdims=True)
     out = m + np.log(np.add.reduce(np.exp(x - m), axis=axis, keepdims=True))
     if not keepdims:
@@ -42,12 +38,12 @@ def logsumexp(x, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
 
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Row-stable softmax along ``axis``."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     e = np.exp(x - np.max(x, axis=axis, keepdims=True))
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def log_softmax(x, axis: int = -1) -> np.ndarray:
     """Stable log(softmax(x)) along ``axis``."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     return x - logsumexp(x, axis=axis, keepdims=True)

@@ -6,12 +6,14 @@ head of the outlier batch in place against the current model snapshot, then
 take one gradient step on the kind's objective, ``losses.objective``, which
 ``_build_loss_graph`` binds once per run. The parameters, their gradient and
 the velocity are each one vector laid out as the model's θ, so a step's
-update is three whole-vector expressions. The outlier stream reshuffles and
-cycles so every ID batch is paired.
+update is three whole-vector expressions. Both batch streams cut one seeded
+order, ``data.batches``: the ID stream one pass per epoch, the outlier stream
+the full slices of pass after pass, so every ID batch is paired.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -25,7 +27,7 @@ from . import model as model_mod
 from .config import LOSS_KINDS, ExtrapolationConfig, LossConfig, TrainConfig
 from .errors import NumericError
 from .extrapolation import build_extrapolation_pool
-from .numerics import derive_seed, rng
+from .numerics import derive_seed
 
 MOMENTUM = 0.9  # Nesterov momentum of every SGD step
 WEIGHT_DECAY = 1e-4
@@ -66,18 +68,16 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: floa
 
 
 def _outlier_batches(outliers: np.ndarray, batch_size: int, seed: int):
-    """Endless stream of fixed-size outlier batches; reshuffles when exhausted.
+    """Endless stream of fixed-size outlier batches: the full slices of
+    ``data.batches`` passes p = 0, 1, ... with entropy (seed, p).
 
     ``batch_size`` must not exceed the pool (``fine_tune`` caps it there);
     rows left over from a pass are dropped.
     """
-    n = outliers.shape[0]
-    pass_idx = 0
-    while True:
-        order = rng(seed, pass_idx).permutation(n)
-        for start in range(0, n - batch_size + 1, batch_size):
-            yield outliers[order[start:start + batch_size]]
-        pass_idx += 1
+    for p in itertools.count():
+        for idx in data_mod.batches(len(outliers), batch_size, seed, p):
+            if idx.size == batch_size:
+                yield outliers[idx]
 
 
 def _build_loss_graph(dims, lc: LossConfig):
@@ -100,9 +100,10 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     step's copy: the pool is never written). The batch is a slice of a uniform
     permutation of the pool, so its head is as random a choice as any.
     ``outlier_loss`` is the outlier term, ``extrapolated_loss`` the mean uniform
-    loss of the synthesized rows. Deterministic per ``seed``: the ID and outlier
-    batch shuffles come from their own seed streams. A non-finite loss aborts
-    with NumericError rather than being skipped.
+    loss of the synthesized rows. Deterministic per ``seed``: epoch e's ID
+    batches are ``data.batches`` with entropy derive_seed(derive_seed(seed, 0), e),
+    and the outlier stream's pass p with (derive_seed(seed, 2), p). A non-finite
+    loss aborts with NumericError rather than being skipped.
     """
     kind = LOSS_KINDS[cfg.loss.kind]
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
@@ -121,11 +122,9 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
 
     step = 0
     for epoch in range(cfg.epochs):
-        epoch_iter = data_mod.batches(id_train, cfg.id_batch,
-                                      seed=derive_seed(shuffle_seed, epoch))
-        for x_id, y_id in epoch_iter:
-            bindings = {model_mod.THETA: theta, "x": x_id,
-                        "y": losses.onehot(y_id, mlp.n_classes)}
+        for idx in data_mod.batches(len(id_train), cfg.id_batch, derive_seed(shuffle_seed, epoch)):
+            bindings = {model_mod.THETA: theta, "x": id_train.x[idx],
+                        "y": losses.onehot(id_train.y[idx], mlp.n_classes)}
             if n_out:
                 bindings["x_out"] = x_out = next(out_stream)  # a copy: the pool stays unwritten
             if n_ext:

@@ -14,7 +14,6 @@ from oodbench import autodiff as ad
 from oodbench import gmm_theory
 from oodbench import losses
 from oodbench import model as model_mod
-from oodbench import numerics
 from oodbench.data import DOMAIN
 from oodbench.errors import NumericError
 from oodbench.extrapolation import ExtrapolatedBatch
@@ -119,7 +118,7 @@ def finite_diff_check_loop(objective, bindings, grads, h=1e-5) -> float:
     """Max over coordinates of |analytic - central difference| / (|analytic| + 1e-12),
     for the analytic gradients ``grads``, perturbing one coordinate at a time
     with two unstacked passes each."""
-    work = {k: numerics.as_tensor(v).copy() for k, v in bindings.items()}
+    work = {k: np.asarray(v, dtype=np.float64).copy() for k, v in bindings.items()}
     worst = 0.0
     for name, grad in grads.items():
         flat = work[name].reshape(-1)

@@ -332,12 +332,12 @@ def test_seed_streams_are_pinned(monkeypatch):
     seen = []
     real = data.batches
 
-    def recording(ds, batch_size, seed):
+    def recording(n, batch_size, seed):
         seen.append(seed)
-        return real(ds, batch_size, seed=seed)
+        return real(n, batch_size, seed)
 
     monkeypatch.setattr(trainer.data_mod, "batches", recording)
-    x = data.LabeledDataset(numerics.as_tensor([[0.1, 0.2], [0.8, 0.9]]), [0, 1])
+    x = data.LabeledDataset([[0.1, 0.2], [0.8, 0.9]], [0, 1])
     trainer.fine_tune(model.init_model([2, 4, 2], seed=1), x, None,
                       config.TrainConfig(epochs=2, loss=losses.LossConfig(kind="ce")),
                       ExtrapolationConfig(), train_seed)

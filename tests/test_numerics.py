@@ -130,9 +130,3 @@ def test_rng_draws_the_stream_of_pcg64(seed):
     assert draws(seed, 3) == np.random.Generator(np.random.PCG64([seed, 3])).integers(
         0, 2**63, size=8).tolist()
     assert draws(seed, 3) != draws(seed)
-
-
-def test_as_tensor_does_not_copy_a_float64_array():
-    x = np.ones(3)
-    assert numerics.as_tensor(x) is x
-    assert numerics.as_tensor([1, 2]).dtype == np.float64

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from oodbench import trainer
+from oodbench import data, trainer
 
 
 def _stream(outliers, batch_size, seed, count):
@@ -32,3 +32,7 @@ def test_random_sample_determinism_and_extremes():
     # A remainder that does not fill a batch is dropped for that pass.
     for batch in _stream(pool, 4, seed=2, count=6):
         assert batch.shape == (4, 2)
+    # Pass p is the full slices of the one seeded batch order, data.batches(n, k, seed, p).
+    expected = [pool[idx] for p in (0, 1) for idx in data.batches(10, 4, 2, p) if idx.size == 4]
+    assert [b.tobytes() for b in _stream(pool, 4, seed=2, count=4)] == \
+        [b.tobytes() for b in expected]
