@@ -7,10 +7,10 @@ logits handle (``model.Logits``: the name of a batch, the binding of the
 model's parameter vector θ it runs under, and the layer dims): one value per
 row and, in closed form, each value's gradient with respect to its own row
 of z. A payload that is a string names a binding, such as the one-hot labels
-``y``. ``Term.reduced``, the sum of the rows for a "sum" term and their mean
-otherwise, is the one place a batch is reduced. Rows do not interact, so a
-term's dL/dz is its row gradient times the weight each row enters with: 1
-or 1/m by the same rule, times ``scale`` in the group.
+``y``. One reduction rule holds: every term is the mean of its m rows, and
+``Term.reduced`` is the one place a batch is reduced. Rows do not interact,
+so a term's dL/dz is its row gradient times the weight each row enters
+with: 1/m, times ``scale`` in the group.
 
 ``value_and_grad`` reads and checks each binding once, builds the layer views
 of each (θ binding, dims) once (``model.layers``), forwards each distinct
@@ -43,18 +43,15 @@ from .errors import NumericError
 
 
 class Term(NamedTuple):
-    """The per-row loss ``rows`` on one logits handle; its rows enter the
-    objective through ``reduce``: their sum if it is "sum", else their mean."""
+    """The per-row loss ``rows`` on one logits handle; the objective adds their mean."""
 
     rows: Callable
     logits: model.Logits
     payload: object = None
-    reduce: str = "mean"
 
     def reduced(self, values):
-        """The term's value as the objective adds it, from its per-row values."""
-        total = np.add.reduce(values, axis=-1)
-        return total if self.reduce == "sum" else total / values.shape[-1]
+        """The term's value as the objective adds it: the mean of its per-row values."""
+        return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 class Objective(NamedTuple):
@@ -146,14 +143,11 @@ def _backward(objective: Objective, fwd, wrt: tuple[str, ...]) -> dict:
     # As in _forward: value_and_grad checks every gradient it returns.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(len(terms) - 1, -1, -1):
-            term = terms[i]
-            handle = term.logits
+            handle = terms[i].logits
             if not any(needs[handle]):
                 continue
-            g = 1.0 if i == 0 else objective.scale
-            if term.reduce != "sum":  # the mean, as ``Term.reduced`` takes it
-                g = g / outputs[i].size
-            d = g * rowgrads[i]
+            # The mean, as ``Term.reduced`` takes it.
+            d = (1.0 if i == 0 else objective.scale) / outputs[i].size * rowgrads[i]
             dz[handle] = d if handle not in dz else dz[handle] + d
         for handle in reversed(logits):  # reverse first-use order, so x goes last
             if handle not in dz:

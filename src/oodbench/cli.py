@@ -126,15 +126,15 @@ def _load_sets(cfg: config_mod.RunConfig, names: tuple[str, ...], width: int | N
 
 
 def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None, kinds: list[str]):
-    """The checkpoint's ``model.MlpClassifier`` (default ``<out>/checkpoint.json``),
-    refused without a hidden layer when ``kinds``, the score kinds to compute, need one."""
+    """The checkpoint's ``model.MlpClassifier`` (default ``<out>/checkpoint.json``) and
+    run, refused without a hidden layer when ``kinds``, the score kinds, need one."""
     from . import model as model_mod
 
     path = Path(checkpoint) if checkpoint else Path(cfg.outputs.dir) / "checkpoint.json"
-    mlp = model_mod.load_checkpoint(path)
+    mlp, run = model_mod.load_checkpoint(path)
     if "ash_energy" in kinds and len(mlp.dims) < 3:
         raise DataError(f"checkpoint {path} has no hidden layer for ash_energy to shape")
-    return mlp
+    return mlp, run
 
 
 def cmd_train(cfg: config_mod.RunConfig) -> int:
@@ -151,7 +151,8 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
                                              cfg.train, cfg.extrapolation,
                                              config_mod.component_seed(cfg.seed, "train"))
     out = _out_dir(cfg)
-    model_mod.save_checkpoint(trained, out / "checkpoint.json", seed=cfg.seed)
+    model_mod.save_checkpoint(trained, out / "checkpoint.json",
+                              (cfg.method_label(), cfg.seed, cfg.digest()))
     history.to_csv(out / "history.csv")
     if history.records:
         last_epoch = history.records[-1].epoch
@@ -168,6 +169,8 @@ def cmd_train(cfg: config_mod.RunConfig) -> int:
 
 def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     """Evaluate a checkpoint: report.json, report.csv and per-sample scores.csv.
+    Each report names the run that trained the checkpoint (its method, seed
+    and config digest), not eval's config, whose scores and sets may differ.
 
     Each set goes through the model once: its last hidden layer
     (``model.penultimate_features``) feeds every score kind, and the
@@ -183,14 +186,12 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     the predicted class, the argmax of the logits) and before the next
     set's forward. So eval holds either one set's features (ASH adds one
     block's temporaries, no copy) or ODIN's perturbed forward, never both.
-    The config digest, the one use of hashlib and so of OpenSSL's library,
-    is taken after scoring, when the features are gone.
     """
     from . import metrics as metrics_mod
     from . import model as model_mod
     from . import scoring
 
-    mlp = _load_model(cfg, checkpoint, [spec.kind for spec in cfg.scores])
+    mlp, (method, seed, digest) = _load_model(cfg, checkpoint, [spec.kind for spec in cfg.scores])
     names = sorted(cfg.data.ood_sets)
     id_test, *oods = _load_sets(cfg, ("id_test", *(f"ood_{name}" for name in names)),
                                 mlp.n_features, mlp.n_classes)
@@ -213,14 +214,12 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
             for spec, by_set in zip(cfg.scores, scores):
                 if spec.kind == "odin":
                     by_set[set_name] = scoring.compute_scores(mlp, x, spec, top=top)
-    method = cfg.method_label()
-    digest = cfg.digest()
     reports = []
     score_blocks = []
     for spec, by_set in zip(cfg.scores, scores):
         reports.append(metrics_mod.assemble_report(
             by_set["id_test"], {name: by_set[f"ood_{name}"] for name in names}, method=method,
-            score_kind=spec.kind, id_acc=id_acc, seed=cfg.seed, config_digest=digest))
+            score_kind=spec.kind, id_acc=id_acc, seed=seed, config_digest=digest))
         score_blocks.extend((set_name, spec.kind, s) for set_name, s in by_set.items())
     out = _out_dir(cfg)
     (out / "report.json").write_text(json.dumps(data_mod.dump(tuple(reports)), indent=2),
@@ -262,7 +261,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
             raise ConfigError(f"{flag} names the same file as {other}: {path} "
                               "(--samples defaults to synthesized.csv beside the dump)")
     score_spec = cfg.scores[0]
-    mlp = _load_model(cfg, checkpoint, [score_spec.kind])
+    mlp, _ = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
     grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
     # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.

@@ -296,9 +296,8 @@ class RunConfig:
         run is written does not change what it computes.
 
         hashlib is imported here, not with the module: it maps OpenSSL's
-        libcrypto into the process (3.5 MB of RSS). eval draws no random
-        numbers (numpy.random loads it too), so it loads it only for this
-        digest, which it takes after scoring."""
+        libcrypto into the process (3.5 MB of RSS). Only train takes a
+        digest, and numpy.random has loaded it there already."""
         import hashlib
 
         doc = self.to_dict()

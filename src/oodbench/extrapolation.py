@@ -7,13 +7,13 @@ into the l-inf ball around its origin. The returned sample is the best
 iterate seen, origin included, so no row's loss falls below its initial
 value.
 
-The whole batch ascends together. The target is the sum over the rows of
+The whole batch ascends together. The target is the mean over the rows of
 ``losses.oe_rows``, the uniform loss ``losses.objective`` averages over the
 outlier batch the rows rejoin. Rows do not interact under the model, so one
-pass over that sum gives every row's value and input gradient. Each row keeps
-its own radius (its slice of the pool), step size and best iterate. The knobs,
-``ExtrapolationConfig``, live with the other config sections in ``config`` and
-are imported here from there.
+pass gives every row's value and its input gradient over m, whose sign a
+step takes. Each row keeps its own radius (its slice of the pool), step
+size and best iterate. The knobs, ``ExtrapolationConfig``, live with the
+other config sections in ``config`` and are imported here from there.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class ExtrapolatedBatch:
 
 
 def _target_graph(dims: tuple[int, ...]) -> ad.Objective:
-    """The sum of the per-row uniform loss over a batch bound to "x"."""
-    return ad.Objective(ad.Term(losses.oe_rows, model_mod.logits_graph(dims), reduce="sum"))
+    """The mean of the per-row uniform loss over a batch bound to "x"."""
+    return ad.Objective(ad.Term(losses.oe_rows, model_mod.logits_graph(dims)))
 
 
 def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
@@ -89,8 +89,8 @@ def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.nda
             halves = (_ascend(target, bindings, x0[:h], eps[:h], steps),
                       _ascend(target, bindings, x0[h:], eps[h:], steps))
             return tuple(np.concatenate(parts) for parts in zip(*halves))
-        v = np.full(1, np.nan) if v0 is None else v0
-        return x0.copy(), v, v.copy(), np.ones(1, dtype=bool)
+        v = np.full(n, np.nan) if v0 is None else v0
+        return x0.copy(), v, v.copy(), np.ones(n, dtype=bool)
     return best_x, v0, best_v, np.zeros(n, dtype=bool)
 
 

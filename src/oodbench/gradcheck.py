@@ -6,8 +6,8 @@ with respect to the parameters, as ``fine_tune`` steps it, and
 ``extrapolation._target_graph`` and ``scoring.odin_graph`` with respect to
 the input, as the ascent and ODIN push it. So every closed-form gradient is
 checked: the MLP backward (``model.mlp_backward``), each per-row loss in
-``losses`` and ``scoring.odin_rows``, and the weight ``autodiff`` gives
-their rows. Weights are kept at unit scale so the difference quotient stays accurate.
+``losses`` and ``scoring.odin_rows``, and the weight 1/m ``autodiff`` gives
+each of a term's m rows. Weights are kept at unit scale for accurate quotients.
 
 A case is (objective, bindings, grads), where ``grads`` holds the analytic
 gradient of the checked input, the parameter vector θ or the batch x,

@@ -36,7 +36,7 @@ from . import numerics
 from .data import dump, parse, read_json
 from .errors import ConfigError, DataError, NumericError
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 THETA = "theta"  # the binding of a model's parameter vector
@@ -214,36 +214,40 @@ def param_bindings(model: MlpClassifier) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """checkpoint.json's keys, in order; each layer's weights are flat, row-major."""
+    """checkpoint.json's keys, in order: flat row-major weights, then the training run."""
 
     format_version: int
     dims: tuple[int, ...]
     weights: list  # numbers typed by ``_parameters``, not by the walker
     biases: list
-    seed: int | None = None
+    method: str
+    seed: int | None
+    config_digest: str
 
 
-def save_checkpoint(model: MlpClassifier, path, seed: int | None = None) -> None:
-    """Write the model as JSON: dims, flat row-major weights, biases, seed."""
+def save_checkpoint(model: MlpClassifier, path, run: tuple) -> None:
+    """Write the model and ``run``, its training run's (method, seed, config_digest), as JSON."""
     ckpt = Checkpoint(CHECKPOINT_FORMAT_VERSION, model.dims,
                       [w.reshape(-1).tolist() for w in model.weights],
-                      [b.tolist() for b in model.biases], seed)
+                      [b.tolist() for b in model.biases], *run)
     Path(path).write_text(json.dumps(dump(ckpt)), encoding="utf-8")
 
 
-def load_checkpoint(path) -> MlpClassifier:
+def load_checkpoint(path) -> tuple[MlpClassifier, tuple]:
+    """The model and its training run; a file of another format version is refused first."""
     doc = read_json(path, DataError, "checkpoint")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version not in (None, CHECKPOINT_FORMAT_VERSION):
+        raise DataError(f"checkpoint {path} has unsupported format_version {version!r}")
     try:
         ckpt = parse(Checkpoint, doc, "checkpoint")
     except ConfigError as exc:
         raise DataError(f"checkpoint {path} is malformed: {exc}") from None
-    if ckpt.format_version != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"checkpoint {path} has unsupported format_version {ckpt.format_version}")
     try:
         weights = tuple(_parameters(flat).reshape(ckpt.dims[i], ckpt.dims[i + 1])
                         for i, flat in enumerate(ckpt.weights))
         biases = tuple(_parameters(b) for b in ckpt.biases)
-        return from_layers(ckpt.dims, weights, biases)
+        return from_layers(ckpt.dims, weights, biases), (ckpt.method, ckpt.seed, ckpt.config_digest)
     except (IndexError, TypeError, ValueError, OverflowError, NumericError) as exc:
         raise DataError(f"checkpoint {path} is inconsistent: {exc}") from exc
 

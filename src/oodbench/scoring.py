@@ -3,9 +3,9 @@
 Every score follows one orientation: higher means more in-distribution,
 so a single threshold rule ``ID iff score >= lambda`` serves all of them.
 The energy score is therefore logsumexp(logits); the hinge-loss sign
-convention lives in the losses module only. ODIN's push follows the input
-gradient of a one-term objective: the sum over the batch of ``odin_rows``,
-each row's log-softmax at its predicted class.
+convention lives in the losses module only. ODIN's push follows the sign of
+the input gradient of a one-term objective: the mean over the batch of
+``odin_rows``, each row's log-softmax at its predicted class.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ def odin_rows(payload, z):
 
 
 def odin_graph(dims, top, temperature: float) -> ad.Objective:
-    """Sum over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
+    """Mean over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
     return ad.Objective(ad.Term(odin_rows, model_mod.logits_graph(dims),
-                                (losses.onehot(top, dims[-1]), 1.0 / temperature), "sum"))
+                                (losses.onehot(top, dims[-1]), 1.0 / temperature)))
 
 
 def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:

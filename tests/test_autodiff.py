@@ -119,12 +119,11 @@ def test_evaluate_on_a_stack_names_the_stage_of_a_nonfinite_slice(stacked, culpr
         ad.evaluate(_hinge_objective(), {**_IDENTITY_1, **stacked})
 
 
-@pytest.mark.parametrize("m", [3, 37, 300])
-@pytest.mark.parametrize("reduce", ["mean", "sum"])
-def test_reduced_stack_equals_separate_reductions(reduce, m):
+@pytest.mark.parametrize("m", [3, 37, 300], ids="mean-{}".format)
+def test_reduced_stack_equals_separate_reductions(m):
     # Pairwise summation starts above 8 rows and blocks at 128.
     values = np.random.default_rng(m).normal(size=(5, m))
-    term = ad.Term(losses.oe_rows, model.logits_graph((2, 2)), reduce=reduce)
+    term = ad.Term(losses.oe_rows, model.logits_graph((2, 2)))
     stacked = term.reduced(values)
     assert stacked.shape == (5,)
     assert [v.tobytes() for v in stacked] == [term.reduced(v).tobytes() for v in values]
@@ -146,17 +145,21 @@ def test_evaluate_is_pure():
 
 def test_a_batch_read_under_two_parameter_vectors_gets_both_gradients():
     # x is forwarded once under theta and once under shadow: the pass is the
-    # two one-θ objectives combined, and x's gradient is the sum of both.
+    # two one-θ objectives combined, each the mean of its rows, and x's
+    # gradient is the sum of both.
     dims = (3, 4, 2)
     bindings = {"theta": model.init_model(dims, seed=1).theta,
                 "shadow": model.init_model(dims, seed=2).theta,
                 "x": np.random.default_rng(21).uniform(size=(5, 3))}
     head = ad.Term(losses.oe_rows, model.logits_graph(dims))
-    other = ad.Term(losses.oe_rows, model.logits_graph(dims, "x", "shadow"), reduce="sum")
+    other = ad.Term(losses.oe_rows, model.logits_graph(dims, "x", "shadow"))
     value, grads, _ = ad.value_and_grad(ad.Objective(head, 0.3, (other,)), bindings,
                                         ["x", "theta", "shadow"])
     v_head, g_head, _ = ad.value_and_grad(ad.Objective(head), bindings, ["x", "theta"])
-    v_other, g_other, _ = ad.value_and_grad(ad.Objective(other), bindings, ["x", "shadow"])
+    v_other, g_other, (rows,) = ad.value_and_grad(ad.Objective(other), bindings,
+                                                  ["x", "shadow"])
+    assert rows.shape == (5,)
+    np.testing.assert_allclose(v_other, rows.mean(), rtol=1e-15)
     np.testing.assert_allclose(value, v_head + 0.3 * v_other, rtol=1e-13)
     np.testing.assert_allclose(grads["theta"], g_head["theta"], rtol=1e-13)
     np.testing.assert_allclose(grads["shadow"], 0.3 * g_other["shadow"], rtol=1e-13)
@@ -179,11 +182,12 @@ def test_gradient_quadratic():
 
 
 def test_gradient_logsumexp_is_softmax():
-    # The uniform-loss row is logsumexp - mean: its gradient is softmax - 1/C.
-    x = np.array([[0.3, -1.2, 2.5, 0.0]])
-    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 4)), reduce="sum"))
+    # The uniform-loss row is logsumexp - mean: its gradient is softmax - 1/C,
+    # and the mean over m = 2 rows weighs each row's by 1/m.
+    x = np.array([[0.3, -1.2, 2.5, 0.0], [-0.7, 1.1, 0.4, 2.0]])
+    objective = ad.Objective(ad.Term(losses.oe_rows, model.logits_graph((4, 4))))
     grads = ad.value_and_grad(objective, {**_layers((np.eye(4), np.zeros(4))), "x": x}, ["x"])[1]
-    np.testing.assert_allclose(grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
+    np.testing.assert_allclose(2.0 * grads["x"] + 0.25, numerics.softmax(x), rtol=1e-14)
 
 
 def test_gradient_unknown_name():

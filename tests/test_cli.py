@@ -105,18 +105,43 @@ def test_gen_data_seeds_each_set_by_its_name(tmp_path):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
 def test_report_digest_does_not_depend_on_out(tmp_path):
+    # The whole chain, divoe scored every way, writes the same bytes into
+    # either output directory: 4 data sets, 2 train, 3 eval, 2 extrapolate
+    # and 1 theory-verify files.
     path = _tiny_config(tmp_path)
-    digests = []
+    kinds = json.dumps([{"kind": kind} for kind in scoring.ScoreSpec.KINDS])
+    digests, written = [], []
     for name in ("a", "b"):
-        base = ["--config", str(path), "--out", str(tmp_path / name), "--seed", "3"]
+        out = tmp_path / name
+        base = ["--config", str(path), "--out", str(out), "--seed", "3",
+                "--set", "train.loss.kind=divoe", "--set", f"scores={kinds}"]
         for command in ("gen-data", "train", "eval"):
             assert cli.main(base + [command]) == 0
-        reports = json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8"))
+        assert cli.main(base + ["extrapolate", "--input", str(out / "aux_out.csv"),
+                                "--dump", str(out / "extrap.csv")]) == 0
+        assert cli.main(base + ["theory-verify"]) == 0
+        reports = json.loads((out / "report.json").read_text(encoding="utf-8"))
         digests.append({r["config_digest"] for r in reports})
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert digests[0] == digests[1] and len(digests[0]) == 1
-    assert (tmp_path / "a" / "checkpoint.json").read_bytes() == \
-        (tmp_path / "b" / "checkpoint.json").read_bytes()
+    assert len(written[0]) == 12 and written[0] == written[1]
+
+
+def test_eval_labels_reports_with_the_run_that_trained_the_checkpoint(tmp_path):
+    # A divoe checkpoint trained at seed 96 and evaluated under the default
+    # config reports the training run's method, seed and config digest.
+    path = _tiny_config(tmp_path)
+    base = ["--config", str(path), "--out", str(tmp_path / "run")]
+    trained = ["--seed", "96", "--set", "train.loss.kind=divoe"]
+    for command in ("gen-data", "train"):
+        assert cli.main(base + trained + [command]) == 0
+    assert cli.main(base + ["eval"]) == 0
+    digest = config.load_config(path, ["train.loss.kind=divoe"], seed=96).digest()
+    reports = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    assert {(r["method"], r["seed"], r["config_digest"]) for r in reports} == \
+        {("divoe", 96, digest)}
 
 
 def test_eval_with_non_finite_scores_exits_4(tmp_path, capsys):
@@ -198,36 +223,50 @@ def test_report_rewrites_the_eval_csv_byte_for_byte(tmp_path):
 
 
 # Each fails a different way: no dims, not an object, not UTF-8, a short
-# weight list, more layers than dims, dims not a list, no layers at all, an
-# unknown format version; then values Python's json accepts but a checkpoint
-# must not hold: NaN, infinities (also by overflow), a bool or fractional dim,
-# a string or bool parameter, an unknown key.
+# weight list, more layers than dims, dims not a list, no layers at all, format
+# version 1 (as it was written, with no method or config digest), no method;
+# then values Python's json accepts but a checkpoint must not hold: NaN,
+# infinities (also by overflow), a bool or fractional dim, a string or bool
+# parameter, an unknown key. Every version-2 document has just that one fault;
+# _RUN closes it with the training run it names.
+_RUN = b'"method": "oe", "seed": 0, "config_digest": "ab12"}'
 BAD_CHECKPOINTS = [
-    b'{"format_version": 1}',
+    b'{"format_version": 2}',
     b"[1]",
     b"\xff",
-    b'{"format_version": 1, "dims": [2, 3], "weights": [[0.5]], "biases": [[0, 0, 0]]}',
-    b'{"format_version": 1, "dims": [2], "weights": [[0.5]], "biases": [[0]]}',
-    b'{"format_version": 1, "dims": 5, "weights": [], "biases": []}',
-    b'{"format_version": 1, "dims": [], "weights": [], "biases": []}',
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, 2], "weights": [[NaN, 0, 0, 1]], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, Infinity]]}',
-    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, -Infinity]], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1e999]], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 400
-    + b']], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, 1e300], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, true], "weights": [[1, 1]], "biases": [[0]]}',
-    b'{"format_version": 1, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], "biases": [[0, 0]]}',
-    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, true]]}',
+    b'{"format_version": 2, "dims": [2, 3], "weights": [[0.5]], "biases": [[0, 0, 0]], ' + _RUN,
+    b'{"format_version": 2, "dims": [2], "weights": [[0.5]], "biases": [[0]], ' + _RUN,
+    b'{"format_version": 2, "dims": 5, "weights": [], "biases": [], ' + _RUN,
+    b'{"format_version": 2, "dims": [], "weights": [], "biases": [], ' + _RUN,
     b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
-    b'"extra": 1}',
+    b'"seed": 0}',
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
+    b'"seed": 0, "config_digest": "ab12"}',
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[NaN, 0, 0, 1]], "biases": [[0, 0]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, Infinity]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, -Infinity]], "biases": [[0, 0]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1e999]], "biases": [[0, 0]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 400
+    + b']], "biases": [[0, 0]], ' + _RUN,
+    b'{"format_version": 2, "dims": [2, 1e300], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, true], "weights": [[1, 1]], "biases": [[0]], ' + _RUN,
+    b'{"format_version": 2, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], "biases": [[0, 0]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, true]], '
+    + _RUN,
+    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
+    b'"extra": 1, ' + _RUN,
     # Documents json.loads refuses: nested too deep, and an integer of too many digits.
     pytest.param(b"[" * 100000, id="nested-too-deep"),
-    pytest.param(b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 5000
-                 + b']], "biases": [[0, 0]]}', id="integer-of-5000-digits"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 5000
+                 + b']], "biases": [[0, 0]], ' + _RUN, id="integer-of-5000-digits"),
 ]
 
 
@@ -356,7 +395,7 @@ def test_train_at_zero_epochs_saves_the_seeded_init(tmp_path, capsys, kind):
     cfg = config.load_config(cfg_path, overrides)
     init = model.init_model((2, *cfg.model.hidden, cfg.data.classes),
                             config.component_seed(cfg.seed, "model"))
-    model.save_checkpoint(init, tmp_path / "init.json", seed=cfg.seed)
+    model.save_checkpoint(init, tmp_path / "init.json", (kind, cfg.seed, cfg.digest()))
     assert (run / "checkpoint.json").read_bytes() == (tmp_path / "init.json").read_bytes()
 
 
@@ -377,7 +416,7 @@ def test_divoe_trains_and_evaluates_end_to_end(tmp_path, hidden, kinds):
         assert cli.main(base + [command]) == 0
     assert cli.main(base + ["extrapolate", "--input", str(run / "aux_out.csv"),
                             "--epsilons", "0.05", "--dump", str(run / "extrap.csv")]) == 0
-    trained = model.load_checkpoint(run / "checkpoint.json")
+    trained, _ = model.load_checkpoint(run / "checkpoint.json")
     assert trained.dims == (2, *hidden, 3)
     assert trained.theta.size == sum(a * b + b for a, b in zip(trained.dims, trained.dims[1:]))
     assert _filled_columns(run / "history.csv") == FILLED_COLUMNS["divoe"]
@@ -393,8 +432,8 @@ _CE = ["--set", "train.loss.kind=ce"]
 _OE = ["--set", "train.loss.kind=oe"]
 _DIVOE = ["--set", "train.loss.kind=divoe"]
 _ASH = ["--set", 'scores=[{"kind": "msp"}, {"kind": "ash_energy"}]']
-_NO_HIDDEN_LAYER = ('{"format_version": 1, "dims": [2, 3], "weights": [[1, 0, 0, 0, 1, 0]], '
-                    '"biases": [[0, 0, 0]]}')
+_NO_HIDDEN_LAYER = ('{"format_version": 2, "dims": [2, 3], "weights": [[1, 0, 0, 0, 1, 0]], '
+                    '"biases": [[0, 0, 0]], ' + _RUN.decode())
 
 # Each is one input file with the one fault a check where the CLI reads it
 # refuses: a label outside [0, classes) (3 here) or outside intp, a width
@@ -474,7 +513,7 @@ def test_extrapolate_grid_matches_one_run_per_epsilon(tmp_path):
     argv = base + ["extrapolate", "--input", str(run / "aux_out.csv"), "--dump",
                    str(run / "extrap.csv"), "--epsilons", ",".join(map(str, grid))]
     assert cli.main(argv) == 0
-    mlp = model.load_checkpoint(run / "checkpoint.json")
+    mlp, _ = model.load_checkpoint(run / "checkpoint.json")
     x = data.load_csv(run / "aux_out.csv").x
     spec = scoring.ScoreSpec(kind="msp")
     before = scoring.compute_scores(mlp, x, spec)
@@ -519,7 +558,7 @@ def test_extrapolate_grid_over_the_size_rule_exits_2(tmp_path, capsys):
     # The grid ascends as one batch through the widest layer: 513 distinct radii
     # x 4096 x 64 values is past data.MAX_ELEMENTS (2**27), from a short argument.
     checkpoint, inputs, dump = tmp_path / "ckpt.json", tmp_path / "in.csv", tmp_path / "d.csv"
-    model.save_checkpoint(model.init_model((2, 64, 4), seed=0), checkpoint)
+    model.save_checkpoint(model.init_model((2, 64, 4), seed=0), checkpoint, ("ce", 0, "ab12"))
     data.save_csv(data.UnlabeledDataset(np.full((4096, 2), 0.5)), inputs)
     grid = ",".join(str(i / 1000) for i in range(513))
     argv = ["--out", str(tmp_path / "run"), "extrapolate", "--checkpoint", str(checkpoint),
@@ -570,7 +609,7 @@ def test_huge_finite_losses_print_in_exponent_form(tmp_path, capsys):
     mlp = model.init_model((2, 4, 3), seed=0)
     huge = run / "huge.json"
     model.save_checkpoint(model.from_layers(mlp.dims, (mlp.weights[0] * 1e300, mlp.weights[1]),
-                                            mlp.biases), huge)
+                                            mlp.biases), huge, ("ce", 0, "ab12"))
     assert cli.main(base + ["extrapolate", "--checkpoint", str(huge), "--input",
                             str(run / "aux_out.csv"), "--dump", str(run / "extrap.csv")]) == 0
     outputs.append(capsys.readouterr().out)

@@ -290,9 +290,10 @@ def test_per_row_epsilon_and_empty_batch(small_model):
 # 3072 rows over the benchmark's 3-slice pool, and of ODIN on 5000 rows (one
 # full 4096-row block and a partial one), from the model below (x86-64, numpy
 # 2.4.6, OpenBLAS 0.3.31). Pinned from the per-row loss kernels that reduced
-# inside their own forward and backward. Both targets are sums, whose rows
-# enter with weight exactly 1, so no row count may move these. Another BLAS
-# kernel or numpy build may round differently; re-pin from those kernels there.
+# inside their own forward and backward. Both targets are means: each row's
+# input gradient enters with the positive weight 1/m, which the sign steps
+# read past. Another BLAS kernel or numpy build may round differently; re-pin
+# from those kernels there.
 ROW_OUTPUT_DIGESTS = {
     21: "36708aa09002aa6c9988b9e650fac7216ef8c057dbba82042a06fc54f8c8d859",
     64: "c1837207ae53e0a106b78ad51a7ca5d9cfaa53cdaba48f9e1e810a1b4ddf24fb",

@@ -195,8 +195,9 @@ def test_layers_are_views_of_theta_and_of_each_stacked_slice(dims):
 def test_checkpoint_roundtrip(tmp_path):
     m = model.init_model([2, 5, 3], seed=13)
     path = tmp_path / "ckpt.json"
-    model.save_checkpoint(m, path, seed=13)
-    loaded = model.load_checkpoint(path)
+    model.save_checkpoint(m, path, ("divoe", 13, "ab12"))
+    loaded, run = model.load_checkpoint(path)
+    assert run == ("divoe", 13, "ab12")
     assert loaded.dims == m.dims
     for a, b in zip(loaded.weights, m.weights):
         assert a.tobytes() == b.tobytes()
@@ -206,12 +207,14 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_bytes_and_arrays_are_unchanged(tmp_path, seed):
     m = model.init_model([2, 5, 3], seed=13)
     path = tmp_path / "ckpt.json"
-    model.save_checkpoint(m, path, seed=seed)
+    model.save_checkpoint(m, path, ("oe", seed, "ab12"))
     assert path.read_bytes() == json.dumps({
-        "format_version": 1, "dims": [2, 5, 3],
+        "format_version": 2, "dims": [2, 5, 3],
         "weights": [w.reshape(-1).tolist() for w in m.weights],
-        "biases": [b.tolist() for b in m.biases], "seed": seed}).encode("utf-8")
-    loaded = model.load_checkpoint(path)
+        "biases": [b.tolist() for b in m.biases],
+        "method": "oe", "seed": seed, "config_digest": "ab12"}).encode("utf-8")
+    loaded, run = model.load_checkpoint(path)
+    assert run == ("oe", seed, "ab12")
     assert loaded.dims == m.dims
     for a, b in zip(loaded.weights + loaded.biases, m.weights + m.biases):
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -223,15 +226,21 @@ def test_checkpoint_missing_file():
 
 
 def test_checkpoint_bad_version(tmp_path):
+    # The version is read before the keys: a version-1 checkpoint, which names
+    # no method or config digest, is refused for its version.
     p = tmp_path / "bad.json"
-    p.write_text('{"format_version": 99}')
-    with pytest.raises(DataError):
-        model.load_checkpoint(p)
+    for doc in ('{"format_version": 99}',
+                '{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
+                '"biases": [[0, 0]], "seed": 0}'):
+        p.write_text(doc)
+        with pytest.raises(DataError, match="unsupported format_version"):
+            model.load_checkpoint(p)
 
 
 def test_checkpoint_dims_may_be_integral_floats(tmp_path):
     # As in a config, 2.0 is the integer 2; a bool or 2.5 is refused (test_cli.BAD_CHECKPOINTS).
     p = tmp_path / "ckpt.json"
-    p.write_text('{"format_version": 1, "dims": [2.0, 2], "weights": [[1, 0, 0, 1]], '
-                 '"biases": [[0, 0]]}', encoding="utf-8")
-    assert model.load_checkpoint(p).dims == (2, 2)
+    p.write_text('{"format_version": 2, "dims": [2.0, 2], "weights": [[1, 0, 0, 1]], '
+                 '"biases": [[0, 0]], "method": "oe", "seed": 0, "config_digest": "ab12"}',
+                 encoding="utf-8")
+    assert model.load_checkpoint(p)[0].dims == (2, 2)

@@ -127,10 +127,11 @@ def test_blocked_odin_equals_one_pass(monkeypatch):
 @pytest.mark.parametrize("bad_block", [1, 2])
 def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block, monkeypatch):
     # Rows with x0 < x1 sit in the dead half of the one ReLU unit. A row with
-    # x0 == x1 keeps it alive at 1e-3, so its logits are finite while its input
-    # gradient carries the 1e307 first-layer weights times about 240.
-    m = model.from_layers((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e3, -1e3]])),
-                          (np.array([1e-3]), np.zeros(2)))
+    # x0 == x1 keeps it alive at 1e-300, so its logits are ±1 while its input
+    # gradient carries the 1e300 output weights times the 1e307 first-layer
+    # weights: it overflows even after the mean weighs the row 1/BLOCK_ROWS.
+    m = model.from_layers((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e300, -1e300]])),
+                          (np.array([1e-300]), np.zeros(2)))
     x = np.tile([0.2, 0.7], (scoring.BLOCK_ROWS * 5 // 2, 1))
     monkeypatch.setattr(scoring, "ODIN_TEMPERATURE", 1.0)
     spec = scoring.ScoreSpec("odin")
