@@ -30,6 +30,9 @@ batches (S, m, d) and θ (S, P), while unstacked ones broadcast. Every layer
 multiplies slice by slice and every reduction runs along the last axis, so
 ``evaluate`` then returns the S values that S separate passes would, bit for
 bit (``gradcheck`` relies on it).
+
+The ascent and ODIN take every input-gradient pass through ``input_gradient``,
+which binds the model's θ and the batch of an ``input_objective`` itself.
 """
 
 from __future__ import annotations
@@ -173,3 +176,17 @@ def value_and_grad(objective: Objective, bindings: Mapping[str, np.ndarray],
             raise NumericError(f"non-finite gradient for input {name!r}")
     return fwd[0], {name: grads[name] for name in wrt}, tuple(fwd[2])
 
+
+def input_objective(dims, rows: Callable, payload=None) -> Objective:
+    """The mean, over the batch bound to "x", of the per-row loss ``rows`` of
+    its logits under a ``dims`` model: what the ascent and ODIN push along."""
+    return Objective(Term(rows, model.logits_graph(dims), payload))
+
+
+def input_gradient(mlp: model.MlpClassifier, x: np.ndarray, objective: Objective, grad=True):
+    """One ``value_and_grad`` pass of an ``input_objective`` with ``mlp``'s θ
+    and the batch ``x`` bound: (each row's value, the gradient for x), the
+    gradient None unless ``grad``."""
+    bindings = {**model.param_bindings(mlp), "x": x}
+    _, grads, (values,) = value_and_grad(objective, bindings, ["x"] if grad else [])
+    return values, grads.get("x")

@@ -7,13 +7,14 @@ into the l-inf ball around its origin. The returned sample is the best
 iterate seen, origin included, so no row's loss falls below its initial
 value.
 
-The whole batch ascends together. The target is the mean over the rows of
-``losses.oe_rows``, the uniform loss ``losses.objective`` averages over the
-outlier batch the rows rejoin. Rows do not interact under the model, so one
-pass gives every row's value and its input gradient over m, whose sign a
-step takes. Each row keeps its own radius (its slice of the pool), step
-size and best iterate. The knobs, ``ExtrapolationConfig``, live with the
-other config sections in ``config`` and are imported here from there.
+The whole batch ascends together. The target is the
+``autodiff.input_objective`` of ``losses.oe_rows``, the uniform loss
+``losses.objective`` averages over the outlier batch the rows rejoin. Rows
+do not interact under the model, so one ``autodiff.input_gradient`` pass
+gives every row's value and its input gradient over m, whose sign a step
+takes. Each row keeps its own radius (its slice of the pool), step size and
+best iterate. The knobs, ``ExtrapolationConfig``, live with the other config
+sections in ``config`` and are imported here from there.
 """
 
 from __future__ import annotations
@@ -43,14 +44,9 @@ class ExtrapolatedBatch:
     aborted: np.ndarray          # (n,) bool, non-finite value or gradient encountered
 
 
-def _target_graph(dims: tuple[int, ...]) -> ad.Objective:
-    """The mean of the per-row uniform loss over a batch bound to "x"."""
-    return ad.Objective(ad.Term(losses.oe_rows, model_mod.logits_graph(dims)))
-
-
-def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.ndarray,
-            steps: int):
-    """Best-iterate constrained ascent on a block of rows.
+def _ascend(target: ad.Objective, mlp: model_mod.MlpClassifier, x0: np.ndarray,
+            eps: np.ndarray, steps: int):
+    """Best-iterate constrained ascent of ``target`` on a block of rows.
 
     Returns (synthesized, v0, v_best, aborted). A block whose radii are all
     0 is only evaluated. Rows are independent, so a block whose value or
@@ -64,7 +60,6 @@ def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.nda
     alpha = 2.0 * radius / steps if steps else 0.0
     lo = x0 - radius
     hi = x0 + radius
-    b = dict(bindings)
 
     x = x0
     v0 = None
@@ -72,8 +67,7 @@ def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.nda
         # Visit x_0 ... x_steps; the origin is a candidate, so no row's best
         # value falls below its initial one. The last visit needs no gradient.
         for t in range(steps + 1):
-            b["x"] = x
-            _, grads, (v,) = ad.value_and_grad(target, b, ["x"] if t < steps else [])
+            v, dx = ad.input_gradient(mlp, x, target, grad=t < steps)
             if t == 0:
                 v0 = v
                 best_x, best_v = x0.copy(), v.copy()
@@ -82,12 +76,12 @@ def _ascend(target, bindings: dict[str, np.ndarray], x0: np.ndarray, eps: np.nda
                 best_x[improved] = x[improved]
                 best_v[improved] = v[improved]
             if t < steps:
-                x = np.clip(np.clip(x + alpha * np.sign(grads["x"]), *DOMAIN), lo, hi)
+                x = np.clip(np.clip(x + alpha * np.sign(dx), *DOMAIN), lo, hi)
     except NumericError:
         if n > 1:
             h = n // 2
-            halves = (_ascend(target, bindings, x0[:h], eps[:h], steps),
-                      _ascend(target, bindings, x0[h:], eps[h:], steps))
+            halves = (_ascend(target, mlp, x0[:h], eps[:h], steps),
+                      _ascend(target, mlp, x0[h:], eps[h:], steps))
             return tuple(np.concatenate(parts) for parts in zip(*halves))
         v = np.full(n, np.nan) if v0 is None else v0
         return x0.copy(), v, v.copy(), np.ones(n, dtype=bool)
@@ -110,7 +104,7 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
                             largest_remainder_counts([f for _, f in cfg.pool], x0.shape[0]))
     eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), x0.shape[:1]).copy()
     synthesized, v0, v_best, aborted = _ascend(
-        _target_graph(mlp.dims), model_mod.param_bindings(mlp), x0, eps, cfg.steps)
+        ad.input_objective(mlp.dims, losses.oe_rows), mlp, x0, eps, cfg.steps)
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 

@@ -3,11 +3,12 @@
 Each case is an objective the program differentiates, from the builder it
 uses: each kind's ``losses.objective`` from ``trainer._build_loss_graph``
 with respect to the parameters, as ``fine_tune`` steps it, and
-``extrapolation._target_graph`` and ``scoring.odin_graph`` with respect to
-the input, as the ascent and ODIN push it. So every closed-form gradient is
-checked: the MLP backward (``model.mlp_backward``), each per-row loss in
-``losses`` and ``scoring.odin_rows``, and the weight 1/m ``autodiff`` gives
-each of a term's m rows. Weights are kept at unit scale for accurate quotients.
+``autodiff.input_objective`` of ``losses.oe_rows`` and of
+``scoring.odin_rows`` with respect to the input, as the ascent and ODIN
+push it. So every closed-form gradient is checked: the MLP backward
+(``model.mlp_backward``), each per-row loss in ``losses`` and
+``scoring.odin_rows``, and the weight 1/m ``autodiff`` gives each of a
+term's m rows. Weights are kept at unit scale for accurate quotients.
 
 A case is (objective, bindings, grads), where ``grads`` holds the analytic
 gradient of the checked input, the parameter vector θ or the batch x,
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import extrapolation
 from . import losses
 from . import model as model_mod
 from . import numerics
@@ -80,11 +80,12 @@ def _case(kind: str, rng: np.random.Generator):
         batch_names = ("x", "x_out") if LOSS_KINDS[kind].binds_aux else ("x",)
         labels["y"] = losses.onehot(rng.integers(0, c, size=m), c)
     elif kind == "extrapolation":
-        objective, batch_names = extrapolation._target_graph(dims), ("x",)
+        objective, batch_names = ad.input_objective(dims, losses.oe_rows), ("x",)
     else:
         # T = 1: at ODIN_TEMPERATURE the input gradient shrinks
         # with 1/T below MIN_GRAD_MAGNITUDE, so no case would be accepted.
-        objective, batch_names = scoring.odin_graph(dims, rng.integers(0, c, size=m), 1.0), ("x",)
+        target = losses.onehot(rng.integers(0, c, size=m), c)
+        objective, batch_names = ad.input_objective(dims, scoring.odin_rows, (target, 1.0)), ("x",)
 
     for _ in range(1000):
         layers = [(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)),

@@ -4,14 +4,16 @@ Every score follows one orientation: higher means more in-distribution,
 so a single threshold rule ``ID iff score >= lambda`` serves all of them.
 The energy score is therefore logsumexp(logits); the hinge-loss sign
 convention lives in the losses module only. ODIN's push follows the sign of
-the input gradient of a one-term objective: the mean over the batch of
-``odin_rows``, each row's log-softmax at its predicted class.
+the ``autodiff.input_gradient`` of the ``autodiff.input_objective`` of
+``odin_rows``: the mean over the batch of each row's log-softmax at its
+predicted class.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import warnings
 from pathlib import Path
 
@@ -48,12 +50,6 @@ def odin_rows(payload, z):
     return np.add.reduce(log_p * onehot, axis=-1), (onehot - np.exp(log_p)) * inv_t
 
 
-def odin_graph(dims, top, temperature: float) -> ad.Objective:
-    """Mean over the rows bound to "x" of log S_top(x; T), at each row's class in ``top``."""
-    return ad.Objective(ad.Term(odin_rows, model_mod.logits_graph(dims),
-                                (losses.onehot(top, dims[-1]), 1.0 / temperature)))
-
-
 def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     """Confidence after a one-step sign-gradient push toward the predicted class.
 
@@ -63,21 +59,22 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     data.DOMAIN; at an epsilon of 0 and T=1 this is exactly ``msp_score``.
 
     The input gradient is taken in blocks of BLOCK_ROWS rows, keeping
-    only each block's sign, so its memory does not grow with the batch. The
-    perturbed batch is forwarded whole: OpenBLAS rounding depends on the row
-    count, so a blocked forward would change the low bits of the logits,
-    while the signs of a blocked gradient match a whole-batch pass.
+    only each block's sign, so its memory does not grow with the batch; the
+    signs of a blocked gradient match a whole-batch pass. The perturbed batch
+    is forwarded whole, because the output layer's rounding depends on the
+    row count. Hidden features computed in row blocks equal the whole-batch
+    ones bit for bit, but the output layer's product (OpenBLAS, a 2-64-64-4
+    model) in blocks below about 3,900 rows changes the low bits of the logits.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if top is None:
         top = np.argmax(model_mod.forward(mlp, batch), axis=1)
-    bindings = model_mod.param_bindings(mlp)
     step = np.empty_like(batch)
     for start in range(0, batch.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        bindings["x"] = batch[rows]
-        objective = odin_graph(mlp.dims, top[rows], ODIN_TEMPERATURE)
-        step[rows] = np.sign(ad.value_and_grad(objective, bindings, ["x"])[1]["x"])
+        objective = ad.input_objective(mlp.dims, odin_rows, (
+            losses.onehot(top[rows], mlp.n_classes), 1.0 / ODIN_TEMPERATURE))
+        step[rows] = np.sign(ad.input_gradient(mlp, batch[rows], objective)[1])
     logits = model_mod.forward(mlp, np.clip(batch + ODIN_EPSILON * step, *DOMAIN))
     return msp_score(logits / ODIN_TEMPERATURE)
 
@@ -154,5 +151,8 @@ def write_score_csv(path, blocks) -> None:
             prefix = io.StringIO()
             csv.writer(prefix, lineterminator="").writerow([set_name, kind])
             tag = prefix.getvalue()
-            fh.write("".join(f"{i},{tag},{s}\n" for i, s in
-                             enumerate(map(repr, np.asarray(scores, dtype=np.float64).tolist()))))
+            values = np.asarray(scores, dtype=np.float64).tolist()
+            if values:
+                fh.write("\n".join(map(",".join, zip(map(str, range(len(values))),
+                                                      itertools.repeat(tag),
+                                                      map(repr, values)))) + "\n")

@@ -39,6 +39,7 @@ class StepRecord:
     step: int
     lr: float
     ce_loss: float
+    id_hinge_loss: float | None
     outlier_loss: float | None
     extrapolated_loss: float | None
     total_loss: float
@@ -99,8 +100,10 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     rows across extrapolation.pool and writes them back over those rows (in the
     step's copy: the pool is never written). The batch is a slice of a uniform
     permutation of the pool, so its head is as random a choice as any.
-    ``outlier_loss`` is the outlier term, ``extrapolated_loss`` the mean uniform
-    loss of the synthesized rows. Deterministic per ``seed``: epoch e's ID
+    ``id_hinge_loss`` is a hinge kind's ID hinge term, ``outlier_loss`` the
+    outlier term, so ``total_loss`` = ce + balance * (ID hinge + outlier) reads
+    off one record, and ``extrapolated_loss`` is the mean uniform loss of the
+    synthesized rows. Deterministic per ``seed``: epoch e's ID
     batches are ``data.batches`` with entropy derive_seed(derive_seed(seed, 0), e),
     and the outlier stream's pass p with (derive_seed(seed, 2), p). A non-finite
     loss aborts with NumericError rather than being skipped.
@@ -149,6 +152,7 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             theta, velocity = sgd_step(theta, grads[model_mod.THETA], velocity, lr)
             history.records.append(StepRecord(
                 epoch=epoch, step=step, lr=lr, ce_loss=ce_value,
+                id_hinge_loss=values[0] if kind.hinge else None,
                 outlier_loss=values[-1] if n_out else None,
                 extrapolated_loss=float(np.mean(outputs[-1][:n_ext])) if n_ext else None,
                 total_loss=float(total_value)))

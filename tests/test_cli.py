@@ -228,7 +228,8 @@ def test_report_rewrites_the_eval_csv_byte_for_byte(tmp_path):
 # then values Python's json accepts but a checkpoint must not hold: NaN,
 # infinities (also by overflow), a bool or fractional dim, a string or bool
 # parameter, an unknown key. Every version-2 document has just that one fault;
-# _RUN closes it with the training run it names.
+# _RUN closes it with the training run it names. The 2-2 documents would print
+# under one truncated name, so each carries an id of its fault.
 _RUN = b'"method": "oe", "seed": 0, "config_digest": "ab12"}'
 BAD_CHECKPOINTS = [
     b'{"format_version": 2}',
@@ -240,29 +241,29 @@ BAD_CHECKPOINTS = [
     b'{"format_version": 2, "dims": [], "weights": [], "biases": [], ' + _RUN,
     b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
     b'"seed": 0}',
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
-    b'"seed": 0, "config_digest": "ab12"}',
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[NaN, 0, 0, 1]], "biases": [[0, 0]], '
-    + _RUN,
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, Infinity]], '
-    + _RUN,
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, -Infinity]], "biases": [[0, 0]], '
-    + _RUN,
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1e999]], "biases": [[0, 0]], '
-    + _RUN,
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 400
-    + b']], "biases": [[0, 0]], ' + _RUN,
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
+                 b'"biases": [[0, 0]], "seed": 0, "config_digest": "ab12"}', id="no-method"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[NaN, 0, 0, 1]], '
+                 b'"biases": [[0, 0]], ' + _RUN, id="nan-weight"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
+                 b'"biases": [[0, Infinity]], ' + _RUN, id="infinite-bias"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, -Infinity]], '
+                 b'"biases": [[0, 0]], ' + _RUN, id="negative-infinite-weight"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1e999]], '
+                 b'"biases": [[0, 0]], ' + _RUN, id="weight-overflowing-as-float"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 400
+                 + b']], "biases": [[0, 0]], ' + _RUN, id="weight-of-400-digits"),
     b'{"format_version": 2, "dims": [2, 1e300], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
     + _RUN,
     b'{"format_version": 2, "dims": [2, true], "weights": [[1, 1]], "biases": [[0]], ' + _RUN,
     b'{"format_version": 2, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
     + _RUN,
-    b'{"format_version": 2, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], "biases": [[0, 0]], '
-    + _RUN,
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, true]], '
-    + _RUN,
-    b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
-    b'"extra": 1, ' + _RUN,
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], '
+                 b'"biases": [[0, 0]], ' + _RUN, id="string-weight"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
+                 b'"biases": [[0, true]], ' + _RUN, id="bool-bias"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
+                 b'"biases": [[0, 0]], "extra": 1, ' + _RUN, id="unknown-key"),
     # Documents json.loads refuses: nested too deep, and an integer of too many digits.
     pytest.param(b"[" * 100000, id="nested-too-deep"),
     pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 5000
@@ -356,18 +357,20 @@ def test_ce_train_reads_no_auxiliary_outliers(tmp_path, capsys):
     assert "aux_out.csv" in capsys.readouterr().err
 
 
-# The outlier columns of history.csv each loss kind fills: outlier_loss, the one
-# outlier term, when it binds the aux batch, and extrapolated_loss when it
-# synthesizes rows of that batch.
-FILLED_COLUMNS = {"ce": set(), "oe": {"outlier_loss"}, "energy_bounded": {"outlier_loss"},
+# The optional columns of history.csv each loss kind fills: id_hinge_loss, the
+# ID hinge term, for a hinge kind, outlier_loss, the one outlier term, when it
+# binds the aux batch, and extrapolated_loss when it synthesizes rows of that batch.
+FILLED_COLUMNS = {"ce": set(), "oe": {"outlier_loss"},
+                  "energy_bounded": {"id_hinge_loss", "outlier_loss"},
                   "divoe": {"outlier_loss", "extrapolated_loss"}}
+OPTIONAL_COLUMNS = ("id_hinge_loss", "outlier_loss", "extrapolated_loss")
 
 
 def _filled_columns(history) -> set[str]:
-    """The outlier columns of a history.csv filled on every row; each must be
+    """The optional columns of a history.csv filled on every row; each must be
     filled on every row or on none."""
     with history.open(encoding="utf-8", newline="") as fh:
-        filled = [{column for column in ("outlier_loss", "extrapolated_loss") if row[column]}
+        filled = [{column for column in OPTIONAL_COLUMNS if row[column]}
                   for row in csv.DictReader(fh)]
     assert filled and all(row == filled[0] for row in filled)
     return filled[0]
@@ -391,7 +394,7 @@ def test_train_at_zero_epochs_saves_the_seeded_init(tmp_path, capsys, kind):
     assert "no training steps executed (epochs=0)" in capsys.readouterr().out
     run = tmp_path / "run"
     assert (run / "history.csv").read_text(encoding="utf-8") == \
-        "epoch,step,lr,ce_loss,outlier_loss,extrapolated_loss,total_loss\n"
+        "epoch,step,lr,ce_loss,id_hinge_loss,outlier_loss,extrapolated_loss,total_loss\n"
     cfg = config.load_config(cfg_path, overrides)
     init = model.init_model((2, *cfg.model.hidden, cfg.data.classes),
                             config.component_seed(cfg.seed, "model"))

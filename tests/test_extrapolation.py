@@ -320,3 +320,25 @@ def test_ascent_and_odin_outputs_unchanged():
     x = np.random.default_rng(5000).uniform(0.0, 1.0, (5000, 2))
     digests["odin"] = _sha256(scoring.odin_score(mlp, x))
     assert digests == ROW_OUTPUT_DIGESTS
+
+
+def test_ascent_and_odin_take_every_pass_through_input_gradient(small_model, monkeypatch):
+    # One pass per visited iterate, the last without a gradient, and one per
+    # ODIN block: the two pushes share autodiff's input-gradient pass.
+    calls = []
+    real = ad.input_gradient
+
+    def counted(mlp, x, objective, grad=True):
+        calls.append((x.shape[0], grad))
+        return real(mlp, x, objective, grad)
+
+    monkeypatch.setattr(ad, "input_gradient", counted)
+    steps = 4
+    out = pgd_extrapolate(small_model, _batch(8, seed=9),
+                          ExtrapolationConfig(steps=steps, pool=((0.05, 1.0),)))
+    assert not out.aborted.any()
+    assert calls == [(8, True)] * steps + [(8, False)]
+    calls.clear()
+    n = 2 * scoring.BLOCK_ROWS + 1
+    scoring.odin_score(small_model, np.random.default_rng(10).uniform(0.0, 1.0, (n, 2)))
+    assert calls == [(scoring.BLOCK_ROWS, True)] * 2 + [(1, True)]

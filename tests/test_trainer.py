@@ -217,13 +217,13 @@ def test_cli_train_maps_lost_ground_to_exit_4(monkeypatch, tmp_path, capsys):
 # trainers there.
 SHORT_BATCH_DIGESTS = {
     "ce": ("9dd7a9770954fd260f71bc348c6f1866eb91c1a86ab8a3d2483735df9caff459",
-           "5db9b52ef15e57c0498b8f3126c7da936d679b6a591008c511c5e762b894cee3"),
+           "4ebdf0a742c2fc16b04d71915e43e40b937a8ae0f2bc76151412bb1d02a31a1d"),
     "oe": ("98e27242acb9dd5abb3673f068f5e3291295ecb358e4eb6a430ac0fe20d074c0",
-           "32695bf34dbab8d62da789f6a101180936f83464551231b4098869c1b9b6dc7b"),
+           "09ddc28ed715479d8f5e70772ff198c5d879e01afbe50d989ad4b3b70ca5afb9"),
     "energy_bounded": ("eb87c2382a98a1aec8b2c6e1fd96df88f9d0b2e1ae92f6a3947ab5143f8b9621",
-                       "9534e3dcd431749d0e5daeef55370e6ebc8c7b3e8061841f29fe8f101d972a83"),
+                       "da4f1bb294636ce99096e2a22537a74e79722f0a295c5c12343e54af729e042b"),
     "divoe": ("037c7db95e5df06bfb718b045d2d4b99c6d879a9fada3e6fd552d2e84035a918",
-              "139c44e749c54f1675914833bdad3d683017943aeee5a89eeff1e2886edc61a3"),
+              "594d061693c1a4f3836cd60681e17fb42e38586bb143fadb7eddcf5212b30f4c"),
 }
 
 
@@ -262,6 +262,17 @@ def test_loss_graph_built_once_and_outputs_unchanged(kind, monkeypatch, tmp_path
     digests, records = _short_batch_run(kind, ExtrapolationConfig(ratio=0.5, steps=2), tmp_path)
     assert len(records) == 6 and len(builds) == 1
     assert digests == SHORT_BATCH_DIGESTS[kind]
+
+
+def test_energy_bounded_history_row_sums_to_its_total(tmp_path):
+    # The objective adds its group left to right, so one history row gives the
+    # step's total bit for bit; a kind without a hinge leaves the column empty.
+    _, records = _short_batch_run("energy_bounded", ExtrapolationConfig(), tmp_path)
+    balance = losses.LossConfig(kind="energy_bounded").balance
+    assert all(r.total_loss == r.ce_loss + balance * (r.id_hinge_loss + r.outlier_loss)
+               for r in records)
+    _, records = _short_batch_run("oe", ExtrapolationConfig(), tmp_path)
+    assert all(r.id_hinge_loss is None for r in records)
 
 
 def test_divoe_with_zero_radii_trains_as_oe(tmp_path):
