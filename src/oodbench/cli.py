@@ -7,7 +7,9 @@ with ``<out>`` the config's ``outputs.dir``:
 - gen-data: ``<out>/`` id_train.csv, id_test.csv, aux_out.csv and one
   ood_<name>.csv per OOD set
 - train: ``<out>/`` checkpoint.json and history.csv
-- eval: ``<out>/`` report.json, report.csv and scores.csv
+- eval: ``<out>/`` report.json, report.csv and scores.csv; it scores each set
+  in row blocks of ``scoring.BLOCK_ROWS`` to 2 * BLOCK_ROWS - 1 rows, so it
+  holds one block's working set, never a set-sized features array
 - extrapolate: the ``--dump`` CSV and the ``--samples`` CSV (default:
   synthesized.csv beside the dump), nothing under ``<out>``; neither may name
   the other or the ``--input`` CSV
@@ -172,20 +174,26 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     Each report names the run that trained the checkpoint (its method, seed
     and config digest), not eval's config, whose scores and sets may differ.
 
-    Each set goes through the model once: its last hidden layer
-    (``model.penultimate_features``) feeds every score kind, and the
+    Each set goes through the model once, in row blocks: blocks start at
+    every multiple of scoring.BLOCK_ROWS, and the rows after the last full
+    block join it, so a block holds BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows and
+    a set under 2 * BLOCK_ROWS rows is one block. A block's last hidden layer
+    (``model.penultimate_features``) feeds every score kind but ODIN, and the
     id_test logits made from it give the ID accuracy. ODIN adds one forward
-    pass over its perturbed inputs. Each (score, set) array is computed once
-    and feeds both the reports and scores.csv; nothing is written unless
-    every report could be assembled.
+    pass over the block's perturbed inputs. Each (score, set) array is the
+    concatenation of its blocks and feeds both the reports and scores.csv;
+    nothing is written unless every report could be assembled. At the layer
+    widths scoring.BLOCK_ROWS names, the scores are the whole set's, byte for
+    byte.
 
-    Memory order: sets are scored one at a time. ash_energy shapes a set's
-    features in place, so it scores after every other kind that reads them;
-    results are still stored, and written, in config order. The features
-    are dropped once those kinds are done, before ODIN runs (it reads only
-    the predicted class, the argmax of the logits) and before the next
-    set's forward. So eval holds either one set's features (ASH adds one
-    block's temporaries, no copy) or ODIN's perturbed forward, never both.
+    Memory order: ash_energy shapes a block's features in place, so it scores
+    after every other kind that reads them; results are still stored, and
+    written, in config order. The features are dropped once those kinds are
+    done, before ODIN runs (it reads only the predicted class, the argmax of
+    the logits) and before the next block's forward. So eval holds one
+    block's working set, either its features (ASH adds its temporaries, no
+    copy) or ODIN's pass over it, and never a set-sized features array or a
+    set-sized ODIN forward.
     """
     from . import metrics as metrics_mod
     from . import model as model_mod
@@ -196,24 +204,35 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     id_test, *oods = _load_sets(cfg, ("id_test", *(f"ood_{name}" for name in names)),
                                 mlp.n_features, mlp.n_classes)
     sets = {"id_test": id_test.x, **{f"ood_{name}": ds.x for name, ds in zip(names, oods)}}
+    # ash_energy shapes the features in place, so it scores after every other kind
+    # that reads them; ODIN reads only the predicted class, so it scores after them.
+    rank = {"ash_energy": 1, "odin": 2}
+    order = sorted(range(len(cfg.scores)), key=lambda i: rank.get(cfg.scores[i].kind, 0))
     scores = [{} for _ in cfg.scores]  # per spec: set name -> scores
     # Logits that overflow give non-finite scores, which the metrics refuse (exit 4).
     with np.errstate(over="ignore", invalid="ignore"):
         for set_name, x in sets.items():
-            features = model_mod.penultimate_features(mlp, x)
-            logits = model_mod.head(mlp, features)
+            parts = [[] for _ in cfg.scores]  # per spec: the set's blocks of scores
+            logits_parts = []
+            n_blocks = max(x.shape[0] // scoring.BLOCK_ROWS, 1)
+            for b in range(n_blocks):
+                block = x[b * scoring.BLOCK_ROWS:
+                          None if b == n_blocks - 1 else (b + 1) * scoring.BLOCK_ROWS]
+                features = model_mod.penultimate_features(mlp, block)
+                logits = model_mod.head(mlp, features)
+                top = np.argmax(logits, axis=1)
+                for i in order:
+                    if cfg.scores[i].kind == "odin":
+                        features = None  # dropped before ODIN's pass
+                    parts[i].append(scoring.compute_scores(mlp, block, cfg.scores[i],
+                                                           features=features, top=top))
+                del features  # before the next block's forward
+                if set_name == "id_test":
+                    logits_parts.append(logits)
+            for by_set, part in zip(scores, parts):
+                by_set[set_name] = np.concatenate(part)
             if set_name == "id_test":
-                id_acc = metrics_mod.id_accuracy(logits, id_test.y)
-            # ash_energy consumes the features (it shapes them in place), so it scores last.
-            for spec, by_set in sorted(zip(cfg.scores, scores),
-                                       key=lambda pair: pair[0].kind == "ash_energy"):
-                if spec.kind != "odin":
-                    by_set[set_name] = scoring.compute_scores(mlp, x, spec, features=features)
-            del features  # before ODIN's perturbed forward and the next set's forward
-            top = np.argmax(logits, axis=1)
-            for spec, by_set in zip(cfg.scores, scores):
-                if spec.kind == "odin":
-                    by_set[set_name] = scoring.compute_scores(mlp, x, spec, top=top)
+                id_acc = metrics_mod.id_accuracy(np.concatenate(logits_parts), id_test.y)
     reports = []
     score_blocks = []
     for spec, by_set in zip(cfg.scores, scores):

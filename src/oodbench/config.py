@@ -256,7 +256,12 @@ class TheoryConfig:
 @dataclass(frozen=True)
 class OutputsConfig:
     dir: str = "runs/default"
-    method_label: str | None = None
+    method_label: str | None = None  # None labels a run by its loss kind
+
+    def __post_init__(self):
+        if self.method_label == "":
+            raise ConfigError("method_label must not be empty; leave it unset "
+                              "to label the run by its loss kind")
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def method_label(self) -> str:
-        if self.outputs.method_label:
+        if self.outputs.method_label is not None:
             return self.outputs.method_label
         return self.train.loss.kind
 

@@ -108,17 +108,18 @@ def _case(kind: str, rng: np.random.Generator):
     raise RuntimeError("could not sample a well-conditioned gradcheck case")
 
 
-def finite_diff_check(objective: ad.Objective, bindings, grads, h: float = DEFAULT_STEP) -> float:
+def finite_diff_check(objective: ad.Objective, bindings, grads) -> float:
     """Max over coordinates of |analytic - central difference| / (|analytic| + 1e-12).
 
-    The central difference is the independent oracle for ``grads``, the
-    analytic gradient of each checked input; a clean objective keeps this below
-    DEFAULT_TOLERANCE for h = DEFAULT_STEP at unit scales. For each input in
-    ``grads`` with n coordinates, one pass evaluates a stack of 2n copies of it:
-    slice 2i has coordinate i at +h and slice 2i+1 at -h. A stacked θ (2n, P)
+    The central difference, at step h = DEFAULT_STEP, is the independent
+    oracle for ``grads``, the analytic gradient of each checked input; a clean
+    objective keeps this below DEFAULT_TOLERANCE at unit scales. For each input
+    in ``grads`` with n coordinates, one pass evaluates a stack of 2n copies of
+    it: slice 2i has coordinate i at +h and slice 2i+1 at -h. A stacked θ (2n, P)
     stacks every layer, and a stacked batch every layer's output, so the other
     bindings broadcast.
     """
+    h = DEFAULT_STEP
     bindings = {k: np.asarray(v, dtype=np.float64) for k, v in bindings.items()}
     worst = 0.0
     for name, grad in grads.items():

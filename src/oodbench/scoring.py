@@ -29,7 +29,18 @@ from .data import DOMAIN
 ODIN_TEMPERATURE = 1.0e4
 ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
 ASH_PERCENTILE = 95.0  # ash_energy zeroes each row's activations below this percentile
-BLOCK_ROWS = 4096  # rows per ODIN input-gradient pass and per ASH shaping block
+# Rows per ODIN input-gradient pass and per ASH shaping block, and the unit of
+# ``cli.cmd_eval``'s row blocks (BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows each).
+# Those blocks score a set byte for byte as a whole when each matrix product
+# runs the whole set's BLAS kernel. With numpy's OpenBLAS 0.3.31 (Haswell
+# kernels) the hidden features matched at every width tried, but below about
+# 10**6 / (width x classes) rows the output layer takes OpenBLAS's small-matrix
+# kernel, which rounds differently. Checked on sets of 8192 to 26624 rows:
+# scores matched at last hidden widths 1-15 and 62-256 with 4 classes (the
+# default and benchmark model (2, 64, 64, 4) among them) and at (2, 100, 50, 7);
+# at widths 16-61 with 4 classes a set of 2 * BLOCK_ROWS rows or more scores
+# differently in the last bits.
+BLOCK_ROWS = 4096
 
 
 def msp_score(logits) -> np.ndarray:
@@ -62,9 +73,9 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     only each block's sign, so its memory does not grow with the batch; the
     signs of a blocked gradient match a whole-batch pass. The perturbed batch
     is forwarded whole, because the output layer's rounding depends on the
-    row count. Hidden features computed in row blocks equal the whole-batch
-    ones bit for bit, but the output layer's product (OpenBLAS, a 2-64-64-4
-    model) in blocks below about 3,900 rows changes the low bits of the logits.
+    row count (see BLOCK_ROWS). ``cli.cmd_eval`` hands it one row block of a
+    set at a time, which starts at a multiple of BLOCK_ROWS, so the gradient
+    blocks fall on the set's own BLOCK_ROWS boundaries.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if top is None:
@@ -112,16 +123,18 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
 
     ``features`` are the batch's ``model.penultimate_features``; a caller
     that scores one batch several ways computes them once and passes them
-    in. Left unset, they are computed here. msp and energy read the logits
-    ``model.head`` makes from them, which equal ``model.forward`` bit for
-    bit. ash_energy shapes the features in place (``ash_s``) and reads the
-    logits of the shaped rows, so features handed to it are consumed: a
-    caller scores ash_energy after every other kind that reads them. ODIN
-    reads no features, only ``top``, the argmax of those logits: a caller
-    that holds the logits passes it, and ``odin_score`` forwards the batch
-    for it otherwise. ash_energy needs a hidden layer to shape, which the
-    config and the CLI check before any scoring; without one the features
-    are the batch itself, and a copy of it is shaped.
+    in. Left unset, they are computed here. ``cli.cmd_eval`` calls this on
+    one row block of a set at a time, with that block's features. msp and
+    energy read the logits ``model.head`` makes from them, which equal
+    ``model.forward`` bit for bit. ash_energy shapes the features in place
+    (``ash_s``) and reads the logits of the shaped rows, so features handed
+    to it are consumed: a caller scores ash_energy after every other kind
+    that reads them. ODIN reads no features, only ``top``, the argmax of
+    those logits: a caller that holds the logits passes it, and
+    ``odin_score`` forwards the batch for it otherwise. ash_energy needs a
+    hidden layer to shape, which the config and the CLI check before any
+    scoring; without one the features are the batch itself, and a copy of
+    it is shaped.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":

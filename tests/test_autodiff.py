@@ -258,7 +258,7 @@ def test_finite_diff_random_three_layer_net(dims):
     objective = ad.Objective(ad.Term(losses.ce_rows, model.logits_graph(dims),
                                      losses.onehot(labels, dims[-1])))
     grads = ad.value_and_grad(objective, bindings, ["theta", "x"])[1]
-    assert gradcheck.finite_diff_check(objective, bindings, grads, h=1e-5) < 1e-6
+    assert gradcheck.finite_diff_check(objective, bindings, grads) < 1e-6
 
 
 def test_concurrent_evaluation_of_disjoint_expressions():

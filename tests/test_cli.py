@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,19 +229,25 @@ def test_report_rewrites_the_eval_csv_byte_for_byte(tmp_path):
 # then values Python's json accepts but a checkpoint must not hold: NaN,
 # infinities (also by overflow), a bool or fractional dim, a string or bool
 # parameter, an unknown key. Every version-2 document has just that one fault;
-# _RUN closes it with the training run it names. The 2-2 documents would print
-# under one truncated name, so each carries an id of its fault.
+# _RUN closes it with the training run it names. Each document that names a
+# format version carries an id of its fault, so a format bump renames no case
+# and none prints under a truncated name; the two short documents hold no
+# version and print as themselves.
 _RUN = b'"method": "oe", "seed": 0, "config_digest": "ab12"}'
 BAD_CHECKPOINTS = [
-    b'{"format_version": 2}',
+    pytest.param(b'{"format_version": 2}', id="no-dims"),
     b"[1]",
     b"\xff",
-    b'{"format_version": 2, "dims": [2, 3], "weights": [[0.5]], "biases": [[0, 0, 0]], ' + _RUN,
-    b'{"format_version": 2, "dims": [2], "weights": [[0.5]], "biases": [[0]], ' + _RUN,
-    b'{"format_version": 2, "dims": 5, "weights": [], "biases": [], ' + _RUN,
-    b'{"format_version": 2, "dims": [], "weights": [], "biases": [], ' + _RUN,
-    b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
-    b'"seed": 0}',
+    pytest.param(b'{"format_version": 2, "dims": [2, 3], "weights": [[0.5]], '
+                 b'"biases": [[0, 0, 0]], ' + _RUN, id="short-weight-list"),
+    pytest.param(b'{"format_version": 2, "dims": [2], "weights": [[0.5]], "biases": [[0]], '
+                 + _RUN, id="more-layers-than-dims"),
+    pytest.param(b'{"format_version": 2, "dims": 5, "weights": [], "biases": [], ' + _RUN,
+                 id="dims-not-a-list"),
+    pytest.param(b'{"format_version": 2, "dims": [], "weights": [], "biases": [], ' + _RUN,
+                 id="no-layers"),
+    pytest.param(b'{"format_version": 1, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
+                 b'"biases": [[0, 0]], "seed": 0}', id="format-version-1"),
     pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
                  b'"biases": [[0, 0]], "seed": 0, "config_digest": "ab12"}', id="no-method"),
     pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[NaN, 0, 0, 1]], '
@@ -253,11 +260,12 @@ BAD_CHECKPOINTS = [
                  b'"biases": [[0, 0]], ' + _RUN, id="weight-overflowing-as-float"),
     pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, ' + b"9" * 400
                  + b']], "biases": [[0, 0]], ' + _RUN, id="weight-of-400-digits"),
-    b'{"format_version": 2, "dims": [2, 1e300], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
-    + _RUN,
-    b'{"format_version": 2, "dims": [2, true], "weights": [[1, 1]], "biases": [[0]], ' + _RUN,
-    b'{"format_version": 2, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], "biases": [[0, 0]], '
-    + _RUN,
+    pytest.param(b'{"format_version": 2, "dims": [2, 1e300], "weights": [[1, 0, 0, 1]], '
+                 b'"biases": [[0, 0]], ' + _RUN, id="dim-of-1e300"),
+    pytest.param(b'{"format_version": 2, "dims": [2, true], "weights": [[1, 1]], '
+                 b'"biases": [[0]], ' + _RUN, id="bool-dim"),
+    pytest.param(b'{"format_version": 2, "dims": [2, 2.5], "weights": [[1, 0, 0, 1]], '
+                 b'"biases": [[0, 0]], ' + _RUN, id="fractional-dim"),
     pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [["1.5", 0, 0, 1]], '
                  b'"biases": [[0, 0]], ' + _RUN, id="string-weight"),
     pytest.param(b'{"format_version": 2, "dims": [2, 2], "weights": [[1, 0, 0, 1]], '
@@ -831,6 +839,47 @@ def test_eval_forwards_each_set_once_plus_odin(tmp_path, monkeypatch):
     assert cli.main(base + ["eval"]) == 0
     sizes = [3 * 4, 5, 8]  # id_test, then the OOD sets in name order
     assert rows == {"penultimate_features": sizes, "forward": sizes}
+
+
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+def test_eval_scores_each_set_in_row_blocks(tmp_path, monkeypatch):
+    # A set of 8 * BLOCK_ROWS + 7 rows, on the benchmark's (2, 64, 64, 4) model:
+    # eval forwards it in seven blocks of BLOCK_ROWS and one of the rest, holds
+    # less than one set-sized features array, and writes the whole set's scores.
+    n = 8 * scoring.BLOCK_ROWS + 7
+    kinds = ["msp", "energy", "odin", "ash_energy"]
+    run = tmp_path / "run"
+    base = ["--out", str(run), "--set", "data.test_per_class=16",
+            "--set", f'data.ood_sets={{"ring": {{"count": {n}}}}}',
+            "--set", f"scores={json.dumps([{'kind': kind} for kind in kinds])}"]
+    assert cli.main(base + ["gen-data"]) == 0
+    mlp = model.init_model((2, 64, 64, 4), seed=41)
+    model.save_checkpoint(mlp, run / "checkpoint.json", ("oe", 0, "ab12"))
+    rows = []
+
+    def counted(mlp, batch, fn=model.penultimate_features):
+        rows.append(batch.shape[0])
+        return fn(mlp, batch)
+    monkeypatch.setattr(model, "penultimate_features", counted)
+    tracemalloc.start()
+    try:
+        assert cli.main(base + ["eval"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    block = scoring.BLOCK_ROWS
+    assert rows == [4 * 16] + [block] * 7 + [block + 7]
+    assert peak < n * 64 * 8
+    written = {}  # (set_name, score_kind) -> scores, from scores.csv's plain rows
+    for line in (run / "scores.csv").read_text(encoding="utf-8").splitlines()[1:]:
+        _, set_name, kind, score = line.split(",")
+        written.setdefault((set_name, kind), []).append(float(score))
+    for set_name in ("id_test", "ood_ring"):
+        x = data.load_csv(run / f"{set_name}.csv").x
+        for kind in kinds:
+            whole = scoring.compute_scores(mlp, x, config.ScoreSpec(kind))
+            assert np.array(written[set_name, kind]).tobytes() == whole.tobytes(), (set_name, kind)
 
 
 def _scores_by_kind(run):

@@ -65,6 +65,8 @@ PROBES = [
     'scores=[{"kind": "msp"}, {"kind": "msp"}]',
     # The report names its mean row "average", so no OOD set may.
     'data.ood_sets={"average": {"count": 16}}',
+    # An empty label would silently become the loss kind; unset is how to ask for that.
+    'outputs.method_label=""',
     # Magnitudes whose square (a radius, sigma, mu_norm) or double (a pool
     # radius) overflows, which gen-data, theory-verify and the ascent compute.
     "data.aux.outer_radius=1e200",
