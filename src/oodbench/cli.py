@@ -7,9 +7,8 @@ with ``<out>`` the config's ``outputs.dir``:
 - gen-data: ``<out>/`` id_train.csv, id_test.csv, aux_out.csv and one
   ood_<name>.csv per OOD set
 - train: ``<out>/`` checkpoint.json and history.csv
-- eval: ``<out>/`` report.json, report.csv and scores.csv; it scores each set
-  in row blocks of ``scoring.BLOCK_ROWS`` to 2 * BLOCK_ROWS - 1 rows, so it
-  holds one block's working set, never a set-sized features array
+- eval: ``<out>/`` report.json, report.csv and scores.csv; each set is scored
+  by ``scoring.score_set``, which holds one row block's working set at a time
 - extrapolate: the ``--dump`` CSV and the ``--samples`` CSV (default:
   synthesized.csv beside the dump), nothing under ``<out>``; neither may name
   the other or the ``--input`` CSV
@@ -52,7 +51,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import data as data_mod
-from .errors import ConfigError, DataError, NumericError, OodbenchError
+from .errors import ConfigError, DataError, OodbenchError
 from .numerics import derive_seed, rng
 
 
@@ -174,29 +173,11 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     Each report names the run that trained the checkpoint (its method, seed
     and config digest), not eval's config, whose scores and sets may differ.
 
-    Each set goes through the model once, in row blocks: blocks start at
-    every multiple of scoring.BLOCK_ROWS, and the rows after the last full
-    block join it, so a block holds BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows and
-    a set under 2 * BLOCK_ROWS rows is one block. A block's last hidden layer
-    (``model.penultimate_features``) feeds every score kind but ODIN, and the
-    id_test logits made from it give the ID accuracy. ODIN adds one forward
-    pass over the block's perturbed inputs. Each (score, set) array is the
-    concatenation of its blocks and feeds both the reports and scores.csv;
-    nothing is written unless every report could be assembled. At the layer
-    widths scoring.BLOCK_ROWS names, the scores are the whole set's, byte for
-    byte.
-
-    Memory order: ash_energy shapes a block's features in place, so it scores
-    after every other kind that reads them; results are still stored, and
-    written, in config order. The features are dropped once those kinds are
-    done, before ODIN runs (it reads only the predicted class, the argmax of
-    the logits) and before the next block's forward. So eval holds one
-    block's working set, either its features (ASH adds its temporaries, no
-    copy) or ODIN's pass over it, and never a set-sized features array or a
-    set-sized ODIN forward.
+    Each set is scored once by ``scoring.score_set``, and the id_test logits
+    give the ID accuracy. Each (score, set) array feeds both the reports and
+    scores.csv; nothing is written unless every report could be assembled.
     """
     from . import metrics as metrics_mod
-    from . import model as model_mod
     from . import scoring
 
     mlp, (method, seed, digest) = _load_model(cfg, checkpoint, [spec.kind for spec in cfg.scores])
@@ -204,35 +185,14 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
     id_test, *oods = _load_sets(cfg, ("id_test", *(f"ood_{name}" for name in names)),
                                 mlp.n_features, mlp.n_classes)
     sets = {"id_test": id_test.x, **{f"ood_{name}": ds.x for name, ds in zip(names, oods)}}
-    # ash_energy shapes the features in place, so it scores after every other kind
-    # that reads them; ODIN reads only the predicted class, so it scores after them.
-    rank = {"ash_energy": 1, "odin": 2}
-    order = sorted(range(len(cfg.scores)), key=lambda i: rank.get(cfg.scores[i].kind, 0))
     scores = [{} for _ in cfg.scores]  # per spec: set name -> scores
-    # Logits that overflow give non-finite scores, which the metrics refuse (exit 4).
-    with np.errstate(over="ignore", invalid="ignore"):
-        for set_name, x in sets.items():
-            parts = [[] for _ in cfg.scores]  # per spec: the set's blocks of scores
-            logits_parts = []
-            n_blocks = max(x.shape[0] // scoring.BLOCK_ROWS, 1)
-            for b in range(n_blocks):
-                block = x[b * scoring.BLOCK_ROWS:
-                          None if b == n_blocks - 1 else (b + 1) * scoring.BLOCK_ROWS]
-                features = model_mod.penultimate_features(mlp, block)
-                logits = model_mod.head(mlp, features)
-                top = np.argmax(logits, axis=1)
-                for i in order:
-                    if cfg.scores[i].kind == "odin":
-                        features = None  # dropped before ODIN's pass
-                    parts[i].append(scoring.compute_scores(mlp, block, cfg.scores[i],
-                                                           features=features, top=top))
-                del features  # before the next block's forward
-                if set_name == "id_test":
-                    logits_parts.append(logits)
-            for by_set, part in zip(scores, parts):
-                by_set[set_name] = np.concatenate(part)
-            if set_name == "id_test":
-                id_acc = metrics_mod.id_accuracy(np.concatenate(logits_parts), id_test.y)
+    for set_name, x in sets.items():
+        per_spec, logits = scoring.score_set(mlp, x, cfg.scores)
+        for by_set, set_scores in zip(scores, per_spec):
+            by_set[set_name] = set_scores
+        if set_name == "id_test":
+            id_acc = metrics_mod.id_accuracy(logits, id_test.y)
+        del logits  # not held through the next set's scoring, where eval peaks
     reports = []
     score_blocks = []
     for spec, by_set in zip(cfg.scores, scores):
@@ -267,10 +227,15 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
     """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records.
 
-    Two of the input, dump and samples paths naming one file are a ConfigError before
-    any read; a score that is not finite is a NumericError before any write."""
+    A dump or samples path that names no file, or two of the input, dump and samples
+    paths naming one file, are a ConfigError before any read. The origins and the
+    synthesized rows are scored by ``scoring.score_set``, whose NumericError on a
+    score that is not finite comes before any write."""
     from . import scoring
 
+    for flag, path in (("--dump", dump_csv), ("--samples", samples_csv)):
+        if path is not None and Path(path).name in ("", ".."):
+            raise ConfigError(f"{flag} names no file: {path!r}")
     dump_path = Path(dump_csv)
     samples_path = Path(samples_csv) if samples_csv else dump_path.with_name("synthesized.csv")
     named = {}
@@ -289,11 +254,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
                           "widest layer", len(grid), n, max(mlp.dims))
     eps = np.repeat(np.asarray(grid, dtype=np.float64), n)
     batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation, epsilon=eps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        score_before = scoring.compute_scores(mlp, x, score_spec)
-        score_after = scoring.compute_scores(mlp, batch.synthesized, score_spec)
-    if not (np.isfinite(score_before).all() and np.isfinite(score_after).all()):
-        raise NumericError(f"the checkpoint's {score_spec.kind} scores are not finite")
+    (score_before,), _ = scoring.score_set(mlp, x, [score_spec])
+    (score_after,), _ = scoring.score_set(mlp, batch.synthesized, [score_spec])
     for path in (dump_path, samples_path):
         path.parent.mkdir(parents=True, exist_ok=True)
     index, radii = list(range(n)) * len(grid), eps.tolist()

@@ -259,6 +259,8 @@ class OutputsConfig:
     method_label: str | None = None  # None labels a run by its loss kind
 
     def __post_init__(self):
+        if not self.dir:
+            raise ConfigError('dir must not be empty; name "." for the current directory')
         if self.method_label == "":
             raise ConfigError("method_label must not be empty; leave it unset "
                               "to label the run by its loss kind")
@@ -288,7 +290,8 @@ class RunConfig:
         widths = (FEATURES, *self.model.hidden, d.classes)
         for i, fans in enumerate(zip(widths, widths[1:])):
             check_size(f"weight matrix W{i}", *fans)
-        # Every set is FEATURES wide and eval forwards it whole, so this bounds each set too.
+        # Every set is FEATURES wide, so this bounds gen-data's sets and a training
+        # batch, which can be a whole set (eval and extrapolate score in row blocks).
         rows = max(d.classes * max(d.per_class, d.test_per_class), d.aux.count,
                    *(spec.count for spec in d.ood_sets.values()))
         check_size("the largest set through the widest layer", rows, max(widths))

@@ -25,21 +25,21 @@ from . import model as model_mod
 from . import numerics
 from .config import ScoreSpec
 from .data import DOMAIN
+from .errors import NumericError
 
 ODIN_TEMPERATURE = 1.0e4
 ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
 ASH_PERCENTILE = 95.0  # ash_energy zeroes each row's activations below this percentile
-# Rows per ODIN input-gradient pass and per ASH shaping block, and the unit of
-# ``cli.cmd_eval``'s row blocks (BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows each).
-# Those blocks score a set byte for byte as a whole when each matrix product
-# runs the whole set's BLAS kernel. With numpy's OpenBLAS 0.3.31 (Haswell
-# kernels) the hidden features matched at every width tried, but below about
-# 10**6 / (width x classes) rows the output layer takes OpenBLAS's small-matrix
-# kernel, which rounds differently. Checked on sets of 8192 to 26624 rows:
-# scores matched at last hidden widths 1-15 and 62-256 with 4 classes (the
-# default and benchmark model (2, 64, 64, 4) among them) and at (2, 100, 50, 7);
-# at widths 16-61 with 4 classes a set of 2 * BLOCK_ROWS rows or more scores
-# differently in the last bits.
+# Rows per ODIN input-gradient pass, per ASH shaping block and per ``score_set``
+# block. Row blocks score a set byte for byte as a whole when each matrix
+# product runs the whole set's BLAS kernel. With numpy's OpenBLAS 0.3.31
+# (Haswell kernels) the hidden features matched at every width tried, but below
+# about 10**6 / (width x classes) rows the output layer takes OpenBLAS's
+# small-matrix kernel, which rounds differently. Checked on sets of 8192 to
+# 26624 rows: scores matched at last hidden widths 1-15 and 62-256 with 4
+# classes (the default and benchmark model (2, 64, 64, 4) among them) and at
+# (2, 100, 50, 7); at widths 16-61 with 4 classes a set of 2 * BLOCK_ROWS rows
+# or more scores differently in the last bits.
 BLOCK_ROWS = 4096
 
 
@@ -73,9 +73,7 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     only each block's sign, so its memory does not grow with the batch; the
     signs of a blocked gradient match a whole-batch pass. The perturbed batch
     is forwarded whole, because the output layer's rounding depends on the
-    row count (see BLOCK_ROWS). ``cli.cmd_eval`` hands it one row block of a
-    set at a time, which starts at a multiple of BLOCK_ROWS, so the gradient
-    blocks fall on the set's own BLOCK_ROWS boundaries.
+    row count (see BLOCK_ROWS); ``score_set`` bounds it to one row block.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if top is None:
@@ -121,20 +119,11 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
                    features=None, top=None) -> np.ndarray:
     """Evaluate the configured score for a batch of raw inputs.
 
-    ``features`` are the batch's ``model.penultimate_features``; a caller
-    that scores one batch several ways computes them once and passes them
-    in. Left unset, they are computed here. ``cli.cmd_eval`` calls this on
-    one row block of a set at a time, with that block's features. msp and
-    energy read the logits ``model.head`` makes from them, which equal
-    ``model.forward`` bit for bit. ash_energy shapes the features in place
-    (``ash_s``) and reads the logits of the shaped rows, so features handed
-    to it are consumed: a caller scores ash_energy after every other kind
-    that reads them. ODIN reads no features, only ``top``, the argmax of
-    those logits: a caller that holds the logits passes it, and
-    ``odin_score`` forwards the batch for it otherwise. ash_energy needs a
-    hidden layer to shape, which the config and the CLI check before any
-    scoring; without one the features are the batch itself, and a copy of
-    it is shaped.
+    ``features`` are the batch's ``model.penultimate_features`` and ``top``
+    the argmax of their logits, computed here when not given (``score_set``
+    gives both). ash_energy shapes the features in place, so features handed
+    to it are consumed; ODIN reads only ``top``. Without a hidden layer the
+    features are the batch itself, and a copy of it is shaped.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":
@@ -150,6 +139,44 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
         return msp_score(logits)
     # energy, the one kind left
     return energy_score(logits)
+
+
+def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray], np.ndarray]:
+    """Score every row of ``x`` by each of ``specs``: one score array per spec,
+    in spec order, and the set's logits.
+
+    This is the one place a set is cut into row blocks. A block starts at each
+    multiple of BLOCK_ROWS and the trailing rows join the last full block, so
+    a set under 2 * BLOCK_ROWS rows is one block. Each block's features and
+    logits are computed once, then ``compute_scores`` runs the kinds that read
+    the features, then ash_energy, which shapes them in place, then ODIN, which
+    reads only the argmax, once the features are dropped. So scoring holds one
+    block's working set, never a set-sized features array or ODIN forward. At
+    the layer widths BLOCK_ROWS names, every score is the whole set's, byte for
+    byte. Logits that overflow raise no numpy warning; the first non-finite
+    score is a NumericError naming its kind.
+    """
+    rank = {"ash_energy": 1, "odin": 2}
+    order = sorted(range(len(specs)), key=lambda i: rank.get(specs[i].kind, 0))
+    parts = [[] for _ in specs]
+    logits_parts = []
+    n_blocks = max(x.shape[0] // BLOCK_ROWS, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(n_blocks):
+            block = x[b * BLOCK_ROWS:None if b == n_blocks - 1 else (b + 1) * BLOCK_ROWS]
+            features = model_mod.penultimate_features(mlp, block)
+            logits = model_mod.head(mlp, features)
+            top = np.argmax(logits, axis=1)
+            for i in order:
+                if specs[i].kind == "odin":
+                    features = None
+                scores = compute_scores(mlp, block, specs[i], features=features, top=top)
+                if not np.isfinite(scores).all():
+                    raise NumericError(f"the model's {specs[i].kind} scores are not finite")
+                parts[i].append(scores)
+            del features  # before the next block's forward
+            logits_parts.append(logits)
+    return [np.concatenate(part) for part in parts], np.concatenate(logits_parts)
 
 
 def write_score_csv(path, blocks) -> None:

@@ -813,6 +813,32 @@ def test_extrapolate_refuses_one_file_named_twice(tmp_path, monkeypatch, capsys,
     assert [path.name for path in (tmp_path / "out").iterdir()] == ["sub"]
 
 
+# A --dump or --samples path that names no file is refused before extrapolate
+# reads the checkpoint or the input, and before it writes.
+@pytest.mark.parametrize("dump, samples", [("", None), (".", None), ("/", None), ("out/..", None),
+                                           ("out/d.csv", ""), ("out/d.csv", "out/..")])
+def test_extrapolate_refuses_a_path_that_names_no_file(tmp_path, monkeypatch, capsys,
+                                                       dump, samples):
+    monkeypatch.chdir(tmp_path)
+    reads = []
+    for module, name in ((model, "load_checkpoint"), (data, "load_csv")):
+        monkeypatch.setattr(module, name, lambda path: reads.append(path))
+    argv = ["--out", "run", "extrapolate", "--input", "in.csv", "--dump", dump]
+    assert cli.main(argv + ([] if samples is None else ["--samples", samples])) == 2
+    flag = "--dump" if samples is None else "--samples"
+    named = dump if samples is None else samples
+    assert capsys.readouterr().err == f"error: {flag} names no file: {named!r}\n"
+    assert reads == [] and list(tmp_path.iterdir()) == []
+
+
+def test_empty_output_directory_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    # An unset shell variable in --out "$OUT" must not write into the current directory.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--out", "", "gen-data"]) == 2
+    assert "dir must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ash_energy_without_a_hidden_layer_exits_2_before_writing(tmp_path, capsys):
     argv = ["--out", str(tmp_path / "run"), "--set", "model.hidden=[]",
             "--set", 'scores=[{"kind": "msp"}, {"kind": "ash_energy"}]', "gen-data"]
@@ -880,6 +906,38 @@ def test_eval_scores_each_set_in_row_blocks(tmp_path, monkeypatch):
         for kind in kinds:
             whole = scoring.compute_scores(mlp, x, config.ScoreSpec(kind))
             assert np.array(written[set_name, kind]).tobytes() == whole.tobytes(), (set_name, kind)
+
+
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+@pytest.mark.parametrize("kind", ["msp", "energy", "odin", "ash_energy"])
+def test_extrapolate_scores_in_row_blocks(tmp_path, monkeypatch, kind):
+    # 2 * BLOCK_ROWS + 5 input rows over two radii, on the benchmark's
+    # (2, 64, 64, 4) model: the origins and the synthesized rows are scored in
+    # blocks of BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows, and both score columns
+    # are the whole arrays' scores, byte for byte.
+    block = scoring.BLOCK_ROWS
+    run = tmp_path / "run"
+    base = ["--out", str(run), "--set", f"data.aux.count={2 * block + 5}",
+            "--set", f'scores=[{{"kind": "{kind}"}}]']
+    assert cli.main(base + ["gen-data"]) == 0
+    mlp = model.init_model((2, 64, 64, 4), seed=43)
+    model.save_checkpoint(mlp, run / "checkpoint.json", ("oe", 0, "ab12"))
+    rows = []
+
+    def counted(mlp, batch, fn=model.penultimate_features):
+        rows.append(batch.shape[0])
+        return fn(mlp, batch)
+    monkeypatch.setattr(model, "penultimate_features", counted)
+    assert cli.main(base + ["extrapolate", "--input", str(run / "aux_out.csv"), "--dump",
+                            str(run / "extrap.csv"), "--epsilons", "0.02,0.1"]) == 0
+    monkeypatch.undo()
+    assert rows == [block, block + 5] + [block] * 3 + [block + 10]  # origins, then 2 radii
+    x = data.load_csv(run / "aux_out.csv").x
+    synthesized = np.loadtxt(run / "synthesized.csv", delimiter=",", skiprows=1)[:, 2:]
+    dump = np.loadtxt(run / "extrap.csv", delimiter=",", skiprows=1)
+    spec = config.ScoreSpec(kind)
+    assert dump[:, 4].tobytes() == np.tile(scoring.compute_scores(mlp, x, spec), 2).tobytes()
+    assert dump[:, 5].tobytes() == scoring.compute_scores(mlp, synthesized, spec).tobytes()
 
 
 def _scores_by_kind(run):

@@ -184,6 +184,7 @@ def test_malformed_value_raises_config_error(probe):
     ({"extrapolation": {"pool": [[0.1, float("inf")]]}},
      r"extrapolation.pool\[0\]\[1\] must be finite"),
     ({"model": {"hidden": []}, "scores": [{"kind": "ash_energy"}]}, "model.hidden is empty"),
+    ({"outputs": {"dir": ""}}, "dir must not be empty"),
 ])
 def test_invalid_document_rejected(doc, match):
     with pytest.raises(ConfigError, match=match):
