@@ -10,26 +10,26 @@ with ``<out>`` the config's ``outputs.dir``:
 - eval: ``<out>/`` report.json, report.csv and scores.csv; each set is scored
   by ``scoring.score_set``, which holds one row block's working set at a time
 - extrapolate: the ``--dump`` CSV and the ``--samples`` CSV (default:
-  synthesized.csv beside the dump), nothing under ``<out>``; neither may name
-  the other or the ``--input`` CSV
+  synthesized.csv beside the dump), nothing under ``<out>``
 - theory-verify: the ``--out-csv`` CSV (default: ``<out>/theory.csv``)
 - report: the ``--out-csv`` CSV
 - gradcheck: nothing; it prints its result
 
-A command creates the directory of a file just before its first write, so one
-refused on its config or its inputs leaves no directory behind.
+A path a flag names for writing passes ``_check_paths`` before any read, and a
+command creates a file's directory just before its first write, so one refused
+on its config, its paths or its inputs leaves no directory behind.
 
-Exit codes: 0 success, 2 a ConfigError (config or argument), 3 a DataError or
-OSError (input file), 4 a NumericError or a gradcheck FAIL. Each input is
-checked once, where it is read: a dataset CSV by ``_read_csv`` (one that cannot
-be decoded, UTF-8 or CSV, is a DataError too), a checkpoint by
-``model.load_checkpoint``, the config by its dataclasses. The config, checkpoint
-and report files are read by ``data.read_json``: one that is missing or
-unreadable, or that the JSON parser refuses (nested too deep, an integer too
-long), is its reader's typed error. Each is then typed by ``data.parse`` against
-its dataclasses, so an unknown key is refused in a report or a checkpoint
-(exit 3) as in the config (exit 2). Any other exception is a programming error
-and escapes.
+Exit codes: 0 success, 2 a ConfigError (config, argument or written path), 3 a
+DataError or OSError (input file), 4 a NumericError or a gradcheck FAIL. Each
+input is checked once, where it is read: a dataset CSV by ``_read_csv`` (one
+that cannot be decoded, UTF-8 or CSV, is a DataError too), a checkpoint by
+``model.load_checkpoint``, the config by its dataclasses. The config,
+checkpoint and report files are read by ``data.read_json``: one that is missing
+or unreadable, or that the JSON parser refuses (nested too deep, an integer too
+long), is its reader's typed error. Each is then typed by ``data.parse``
+against its dataclasses, so an unknown key is refused in a report or a
+checkpoint (exit 3) as in the config (exit 2). Any other exception is a
+programming error and escapes.
 
 Every command is a cold process, so its imports count in its wall time. At
 load this module imports only config and the modules it loads (data, errors,
@@ -124,6 +124,18 @@ def _load_sets(cfg: config_mod.RunConfig, names: tuple[str, ...], width: int | N
         sets.append(_read_csv(path, width, classes if name.startswith("id_") else None))
         width = sets[0].x.shape[1]
     return sets
+
+
+def _check_paths(reads, writes, note: str = "") -> None:
+    """ConfigError unless each (flag, path) in ``writes`` names a file no other flag names."""
+    for flag, path in writes:
+        if Path(path).name in ("", ".."):
+            raise ConfigError(f"{flag} names no file: {path!r}")
+    named = {}
+    for flag, path in (*reads, *writes):
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ConfigError(f"{flag} names the same file as {other}: {path}{note}")
 
 
 def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None, kinds: list[str]):
@@ -227,23 +239,14 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
                     dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
     """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records.
 
-    A dump or samples path that names no file, or two of the input, dump and samples
-    paths naming one file, are a ConfigError before any read. The origins and the
-    synthesized rows are scored by ``scoring.score_set``, whose NumericError on a
-    score that is not finite comes before any write."""
+    ``_check_paths`` checks the dump and samples paths before any read. The origins
+    and the synthesized rows are scored by ``scoring.score_set``, whose NumericError
+    on a score that is not finite comes before any write."""
     from . import scoring
 
-    for flag, path in (("--dump", dump_csv), ("--samples", samples_csv)):
-        if path is not None and Path(path).name in ("", ".."):
-            raise ConfigError(f"{flag} names no file: {path!r}")
-    dump_path = Path(dump_csv)
-    samples_path = Path(samples_csv) if samples_csv else dump_path.with_name("synthesized.csv")
-    named = {}
-    for flag, path in (("--input", input_csv), ("--dump", dump_path), ("--samples", samples_path)):
-        other = named.setdefault(os.path.realpath(path), flag)
-        if other != flag:
-            raise ConfigError(f"{flag} names the same file as {other}: {path} "
-                              "(--samples defaults to synthesized.csv beside the dump)")
+    samples_csv = Path(dump_csv).parent / "synthesized.csv" if samples_csv is None else samples_csv
+    _check_paths([("--input", input_csv)], [("--dump", dump_csv), ("--samples", samples_csv)],
+                 " (--samples defaults to synthesized.csv beside the dump)")
     score_spec = cfg.scores[0]
     mlp, _ = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
@@ -256,15 +259,15 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     batch = pgd_extrapolate(mlp, np.tile(x, (len(grid), 1)), cfg.extrapolation, epsilon=eps)
     (score_before,), _ = scoring.score_set(mlp, x, [score_spec])
     (score_after,), _ = scoring.score_set(mlp, batch.synthesized, [score_spec])
-    for path in (dump_path, samples_path):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    for path in (dump_csv, samples_csv):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     index, radii = list(range(n)) * len(grid), eps.tolist()
     data_mod.write_table(
-        dump_path, ["index", "epsilon", "loss_before", "loss_after", "score_before", "score_after"],
+        dump_csv, ["index", "epsilon", "loss_before", "loss_after", "score_before", "score_after"],
         zip(index, radii, batch.initial_values.tolist(), batch.final_values.tolist(),
             score_before.tolist() * len(grid), score_after.tolist()))
     data_mod.write_table(
-        samples_path, ["index", "epsilon", *(f"x{i}" for i in range(x.shape[1]))],
+        samples_csv, ["index", "epsilon", *(f"x{i}" for i in range(x.shape[1]))],
         ([i, e, *(format(v, ".17g") for v in row)]
          for i, e, row in zip(index, radii, batch.synthesized.tolist())))
     for k, radius in enumerate(grid):
@@ -280,6 +283,8 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
     the smallest margin."""
     from . import gmm_theory
 
+    path = Path(cfg.outputs.dir) / "theory.csv" if out_csv is None else out_csv
+    _check_paths((), [("--out-csv", path)])
     t = cfg.theory
     mu = np.full(t.dim, t.mu_norm / np.sqrt(t.dim))
     spec = gmm_theory.GmmSpec(mu=mu, sigma=t.sigma)
@@ -287,8 +292,7 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
                                      trials=t.trials)
     check = gmm_theory.verify_bound(spec, params,
                                     rng(config_mod.component_seed(cfg.seed, "theory")))
-    path = Path(out_csv) if out_csv else Path(cfg.outputs.dir) / "theory.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     data_mod.write_table(path, ["trial", "ratio", "rhs", "satisfied"],
                          [*([t.trial, t.ratio, t.rhs, int(t.satisfied)] for t in check.trials),
                           ["violation_fraction", check.violation_fraction, None, None]])
@@ -328,9 +332,9 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
     """Merge the report lists that ``eval`` writes as report.json into one CSV table."""
     from . import metrics as metrics_mod
 
+    _check_paths([("an input report", rp) for rp in report_paths], [("--out-csv", out_csv)])
     reports = []
-    for rp in report_paths:
-        path = Path(rp)
+    for path in map(Path, report_paths):
         docs = data_mod.read_json(path, DataError, "report")
         try:
             reports.extend(data_mod.parse(tuple[metrics_mod.DetectionReport, ...], docs, "reports"))

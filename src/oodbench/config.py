@@ -1,18 +1,19 @@
 """Run configuration: a strict JSON document with sections
 {data, model, train, extrapolation, scores, outputs, theory, seed}.
 
-The dataclasses are the schema. ``parse_config`` builds a RunConfig from
-JSON with ``data.parse``, the walker over their fields and type hints that
-types every JSON file, and ``RunConfig.to_dict`` walks the same fields back
-with ``data.dump``, so every default is stated once, on its field. An
-unknown key, a missing required key, a wrong JSON type, a wrong tuple
-length or a float of magnitude above data.MAX_MAGNITUDE (1e100; JSON's
-NaN/Infinity too) raises ConfigError, so stale or malformed manifests fail
-loudly. Each value is checked once, in its dataclass's ``__post_init__``,
-so a bad value fails before a command does any work, and the code below the
-CLI trusts the values it receives. Integer sizes obey one rule, ``check_size``:
-no array a config sizes may hold more than data.MAX_ELEMENTS values. Counts
-that cost only time (epochs, extrapolation steps, theory trials) stay unbounded.
+The dataclasses are the schema. ``parse_config`` builds a RunConfig from JSON
+with ``data.parse``, the walker over their fields and type hints that types
+every JSON file, and ``RunConfig.to_dict`` walks the same fields back with
+``data.dump``, so every default is stated once, on its field. An unknown key, a
+missing required key, a wrong JSON type, a wrong tuple length or a float of
+magnitude above data.MAX_MAGNITUDE (1e100; JSON's NaN/Infinity too) raises
+ConfigError, so stale or malformed manifests fail loudly. Each value is checked
+once, in its dataclass's ``__post_init__``, so a bad value fails before a
+command does any work, and the code below the CLI trusts the values it receives.
+A checkpoint's layers, not ``model.hidden``, say if ASH can score it. Integer
+sizes obey one rule, ``check_size``: no array a config sizes may hold more than
+data.MAX_ELEMENTS values. Counts that cost only time (epochs, extrapolation
+steps, theory trials) stay unbounded.
 
 All randomness flows from the one top-level seed, split per component
 (data / model / train / theory) through named substreams.
@@ -268,6 +269,9 @@ class OutputsConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The whole run. ``model.hidden`` shapes train's initial model only: the scored
+    checkpoint says whether ash_energy has a hidden layer (``cli._load_model``)."""
+
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -284,8 +288,6 @@ class RunConfig:
             raise ConfigError("scores must name at least one score")
         if len({spec.kind for spec in self.scores}) != len(self.scores):
             raise ConfigError("scores name a score kind more than once")
-        if not self.model.hidden and any(spec.kind == "ash_energy" for spec in self.scores):
-            raise ConfigError("ash_energy shapes the last hidden layer, but model.hidden is empty")
         d = self.data
         widths = (FEATURES, *self.model.hidden, d.classes)
         for i, fans in enumerate(zip(widths, widths[1:])):

@@ -47,11 +47,9 @@ def tpr_threshold(id_scores) -> float:
     """Largest threshold keeping at least TPR of the ID scores at or above it."""
     ordered = np.sort(np.asarray(id_scores, dtype=np.float64).reshape(-1))
     n = ordered.size
-    # #(id >= v) jumps only at observed values; candidates ascend, counts descend.
-    candidates = _distinct(ordered)
-    counts = n - np.searchsorted(ordered, candidates, side="left")
-    reaching = np.nonzero(counts / n >= TPR)[0]
-    return float(candidates[reaching[-1]])
+    # ordered[k] has at least n - k scores at or above it (its run of ties starts
+    # at or before k), and (n - k) / n falls with k: take the last k reaching TPR.
+    return float(ordered[np.count_nonzero((n - np.arange(n)) / n >= TPR) - 1])
 
 
 def fpr_at_tpr(id_scores, ood_scores) -> float:

@@ -2,13 +2,14 @@
 per-step cosine-annealed learning rate.
 
 Per batch: sample an ID mini-batch and an outlier mini-batch, synthesize the
-head of the outlier batch in place against the current model snapshot, then
-take one gradient step on the kind's objective, ``losses.objective``, which
-``_build_loss_graph`` binds once per run. The parameters, their gradient and
-the velocity are each one vector laid out as the model's θ, so a step's
-update is three whole-vector expressions. Both batch streams cut one seeded
-order, ``data.batches``: the ID stream one pass per epoch, the outlier stream
-the full slices of pass after pass, so every ID batch is paired.
+head of the outlier batch in place against the current model snapshot (only the
+ascent keeps each row's best iterate), then take one gradient step on the
+kind's objective, ``losses.objective``, which ``_build_loss_graph`` binds once
+per run. The parameters, their gradient and the velocity are each one vector
+laid out as the model's θ, so a step's update is three whole-vector
+expressions. Both batch streams cut one seeded order, ``data.batches``: the ID
+stream one pass per epoch, the outlier stream the full slices of pass after
+pass, so every ID batch is paired.
 """
 
 from __future__ import annotations
@@ -103,10 +104,11 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
     ``id_hinge_loss`` is a hinge kind's ID hinge term, ``outlier_loss`` the
     outlier term, so ``total_loss`` = ce + balance * (ID hinge + outlier) reads
     off one record, and ``extrapolated_loss`` is the mean uniform loss of the
-    synthesized rows. Deterministic per ``seed``: epoch e's ID
-    batches are ``data.batches`` with entropy derive_seed(derive_seed(seed, 0), e),
-    and the outlier stream's pass p with (derive_seed(seed, 2), p). A non-finite
-    loss aborts with NumericError rather than being skipped.
+    synthesized rows, none below its origin's: the ascent alone keeps
+    best-iterate. Deterministic per ``seed``: epoch e's ID batches are
+    ``data.batches`` with entropy derive_seed(derive_seed(seed, 0), e), and the
+    outlier stream's pass p with (derive_seed(seed, 2), p). A non-finite loss
+    aborts with NumericError rather than being skipped.
     """
     kind = LOSS_KINDS[cfg.loss.kind]
     aux = None if aux_outliers is None else np.asarray(aux_outliers, dtype=np.float64)
@@ -131,15 +133,8 @@ def fine_tune(mlp: model_mod.MlpClassifier, id_train: data_mod.LabeledDataset,
             if n_out:
                 bindings["x_out"] = x_out = next(out_stream)  # a copy: the pool stays unwritten
             if n_ext:
-                extrap = build_extrapolation_pool(model_mod.MlpClassifier(mlp.dims, theta),
-                                                  x_out[:n_ext], extrapolation)
-                ok = ~extrap.aborted
-                if ok.any() and (np.mean(extrap.final_values[ok])
-                                 < np.mean(extrap.initial_values[ok]) - 1e-12):
-                    raise NumericError(
-                        f"best-iterate extrapolation lost ground on the uniform loss "
-                        f"at epoch {epoch} step {step}")
-                x_out[:n_ext] = extrap.synthesized
+                x_out[:n_ext] = build_extrapolation_pool(model_mod.MlpClassifier(mlp.dims, theta),
+                                                         x_out[:n_ext], extrapolation).synthesized
             try:
                 total_value, grads, outputs = ad.value_and_grad(objective, bindings,
                                                                 [model_mod.THETA])

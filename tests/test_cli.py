@@ -813,21 +813,48 @@ def test_extrapolate_refuses_one_file_named_twice(tmp_path, monkeypatch, capsys,
     assert [path.name for path in (tmp_path / "out").iterdir()] == ["sub"]
 
 
-# A --dump or --samples path that names no file is refused before extrapolate
-# reads the checkpoint or the input, and before it writes.
-@pytest.mark.parametrize("dump, samples", [("", None), (".", None), ("/", None), ("out/..", None),
-                                           ("out/d.csv", ""), ("out/d.csv", "out/..")])
-def test_extrapolate_refuses_a_path_that_names_no_file(tmp_path, monkeypatch, capsys,
-                                                       dump, samples):
+# report refuses an --out-csv that names one of its inputs, however spelled,
+# before it reads them; an input named twice is no such clash.
+def test_report_refuses_an_out_csv_that_names_an_input(tmp_path, capsys):
+    _evaluated_run(tmp_path)
+    report = tmp_path / "run" / "report.json"
+    before = report.read_bytes()
+    out_csv = f"{tmp_path}/run/../run/report.json"
+    capsys.readouterr()
+    assert cli.main(["report", str(report), str(report), "--out-csv", out_csv]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out-csv names the same file as an input report: {out_csv}\n"
+    assert report.read_bytes() == before
+    assert cli.main(["report", str(report), str(report), "--out-csv", str(tmp_path / "m.csv")]) == 0
+
+
+# Each command refuses a path it is told to write that names no file, before it
+# reads the checkpoint, an input CSV or a report, and before it writes. The
+# last two arguments are the flag and its path; the extrapolate rows are
+# named by their (--dump, --samples) pair.
+_EXTRAPOLATE = ["extrapolate", "--input", "in.csv", "--dump"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([*_EXTRAPOLATE, ""], id="-None"),
+    pytest.param([*_EXTRAPOLATE, "."], id=".-None"),
+    pytest.param([*_EXTRAPOLATE, "/"], id="/-None"),
+    pytest.param([*_EXTRAPOLATE, "out/.."], id="out/..-None"),
+    pytest.param([*_EXTRAPOLATE, "out/d.csv", "--samples", ""], id="out/d.csv-"),
+    pytest.param([*_EXTRAPOLATE, "out/d.csv", "--samples", "out/.."], id="out/d.csv-out/.."),
+    pytest.param(["theory-verify", "--out-csv", ""], id="theory-verify-"),
+    pytest.param(["theory-verify", "--out-csv", "out/.."], id="theory-verify-out/.."),
+    pytest.param(["report", "r.json", "--out-csv", ""], id="report-"),
+    pytest.param(["report", "r.json", "--out-csv", "out/.."], id="report-out/.."),
+])
+def test_extrapolate_refuses_a_path_that_names_no_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     reads = []
-    for module, name in ((model, "load_checkpoint"), (data, "load_csv")):
-        monkeypatch.setattr(module, name, lambda path: reads.append(path))
-    argv = ["--out", "run", "extrapolate", "--input", "in.csv", "--dump", dump]
-    assert cli.main(argv + ([] if samples is None else ["--samples", samples])) == 2
-    flag = "--dump" if samples is None else "--samples"
-    named = dump if samples is None else samples
-    assert capsys.readouterr().err == f"error: {flag} names no file: {named!r}\n"
+    for module, name in ((model, "load_checkpoint"), (data, "load_csv"), (data, "read_json")):
+        monkeypatch.setattr(module, name, lambda path, *_: reads.append(path))
+    assert cli.main(["--out", "run", *argv]) == 2
+    flag, path = argv[-2:]
+    assert capsys.readouterr().err == f"error: {flag} names no file: {path!r}\n"
     assert reads == [] and list(tmp_path.iterdir()) == []
 
 
@@ -839,12 +866,16 @@ def test_empty_output_directory_exits_2_before_writing(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ash_energy_without_a_hidden_layer_exits_2_before_writing(tmp_path, capsys):
-    argv = ["--out", str(tmp_path / "run"), "--set", "model.hidden=[]",
-            "--set", 'scores=[{"kind": "msp"}, {"kind": "ash_energy"}]', "gen-data"]
-    assert cli.main(argv) == 2
-    assert "model.hidden is empty" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+def test_ash_energy_needs_a_hidden_layer_in_the_checkpoint_not_in_model_hidden(tmp_path, capsys):
+    # The checkpoint, trained with one hidden layer, is what eval scores;
+    # model.hidden shapes no model here, so it cannot refuse the run.
+    base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
+    assert cli.main(base + ["gen-data"]) == 0 and cli.main(base + ["train"]) == 0
+    flat = base + ["--set", "model.hidden=[]", "--set", 'scores=[{"kind": "ash_energy"}]']
+    for command in ("gen-data", "eval"):
+        assert cli.main(flat + [command]) == 0
+    assert "[ash_energy] average FPR95" in capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")

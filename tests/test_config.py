@@ -183,7 +183,7 @@ def test_malformed_value_raises_config_error(probe):
     ({"scores": [{"kind": "mahalanobis"}]}, "unknown score kind"),
     ({"extrapolation": {"pool": [[0.1, float("inf")]]}},
      r"extrapolation.pool\[0\]\[1\] must be finite"),
-    ({"model": {"hidden": []}, "scores": [{"kind": "ash_energy"}]}, "model.hidden is empty"),
+    ({"scores": [{"kind": "msp"}, {"kind": "msp"}]}, "score kind more than once"),
     ({"outputs": {"dir": ""}}, "dir must not be empty"),
 ])
 def test_invalid_document_rejected(doc, match):

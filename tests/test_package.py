@@ -195,6 +195,18 @@ def test_every_public_definition_is_used_in_the_package():
     assert _unreferenced_public_definitions(src) == set(UNREFERENCED_ALLOWED)
 
 
+def test_the_benchmark_still_calls_each_allowed_definition():
+    # Once the benchmark stops calling one, this names the definition to delete.
+    names = set()
+    for path in (CHILD, CHILD.with_name("micro.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    assert {q for q in UNREFERENCED_ALLOWED if q.rsplit(".", 1)[1] not in names} == set()
+
+
 def test_each_exit_code_has_one_error_class():
     assert {cls: cls.exit_code for cls in OodbenchError.__subclasses__()} == \
         {ConfigError: 2, DataError: 3, NumericError: 4}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oodbench import cli, data, losses, model, trainer
-from oodbench.errors import NumericError
 from oodbench.extrapolation import ExtrapolatedBatch, ExtrapolationConfig
 
 
@@ -21,14 +20,6 @@ def _divoe_args():
     return (trainer.TrainConfig(epochs=1, lr=0.01, id_batch=8, outlier_batch=8,
                                 loss=losses.LossConfig(kind="divoe")),
             ExtrapolationConfig(ratio=0.5, steps=2), 0)
-
-
-def _fake_pool(initial, final, aborted):
-    def pool(mlp, subbatch, cfg):
-        n = subbatch.shape[0]
-        return ExtrapolatedBatch(subbatch.copy(), subbatch.copy(), np.zeros(n),
-                                 np.full(n, initial), np.full(n, final), np.full(n, aborted))
-    return pool
 
 
 def test_sgd_step_hand_value():
@@ -177,34 +168,37 @@ def test_fine_tune_synthesizes_the_head_of_each_outlier_batch(monkeypatch):
         np.testing.assert_array_equal(x_out, np.concatenate([synth, batch[3:]]))
 
 
-def test_fine_tune_rejects_lost_ground_with_numeric_error(monkeypatch):
-    id_train, aux = _toy()
-    monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(1.0, 0.5, False))
-    mlp = model.init_model([2, 8, 3], seed=1)
-    with pytest.raises(NumericError, match="lost ground"):
-        trainer.fine_tune(mlp, id_train, aux, *_divoe_args())
+def test_fine_tune_trains_on_past_aborted_rows(monkeypatch):
+    # A row the ascent aborts comes back at its origin with a NaN value; the
+    # step trains on it as drawn.
+    def aborted(mlp, subbatch, cfg):
+        n = subbatch.shape[0]
+        return ExtrapolatedBatch(subbatch.copy(), subbatch.copy(), np.zeros(n), np.full(n, np.nan),
+                                 np.full(n, np.nan), np.ones(n, dtype=bool))
 
-
-def test_fine_tune_ignores_aborted_rows_in_best_iterate_check(monkeypatch):
     id_train, aux = _toy()
-    monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(np.nan, np.nan, True))
+    monkeypatch.setattr(trainer, "build_extrapolation_pool", aborted)
     mlp = model.init_model([2, 8, 3], seed=1)
     _, history = trainer.fine_tune(mlp, id_train, aux, *_divoe_args())
     assert len(history.records) == 2
 
 
-def test_cli_train_maps_lost_ground_to_exit_4(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["oe", "divoe"])
+def test_cli_train_of_a_diverging_run_exits_4(tmp_path, capsys, kind):
+    # At lr 1e100 the first steps send θ so far that a later forward pass overflows.
     cfg = {"data": {"classes": 3, "per_class": 8, "test_per_class": 4, "aux": {"count": 16},
-                    "ood_sets": {"ring": {"inner_radius": 1.5, "outer_radius": 2.2, "count": 8}}},
-           "train": {"loss": {"kind": "divoe"}, "epochs": 1, "id_batch": 8, "outlier_batch": 8}}
+                    "ood_sets": {"ring": {"count": 8}}},
+           "train": {"loss": {"kind": kind}, "lr": 1e100, "epochs": 1, "id_batch": 8,
+                     "outlier_batch": 8}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     base = ["--config", str(path), "--out", str(tmp_path / "run")]
     assert cli.main(base + ["gen-data"]) == 0
-    monkeypatch.setattr(trainer, "build_extrapolation_pool", _fake_pool(1.0, 0.5, False))
+    capsys.readouterr()
     assert cli.main(base + ["train"]) == 4
-    assert "lost ground" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "checkpoint.json").exists()
+    assert capsys.readouterr().err.startswith("error: non-finite loss at epoch")
+    assert not any((tmp_path / "run" / name).exists()
+                   for name in ("checkpoint.json", "history.csv"))
 
 
 # sha256 of the trained parameters (W0, W1, b0, b1 bytes) and of history.csv for
