@@ -15,9 +15,11 @@ with ``<out>`` the config's ``outputs.dir``:
 - report: the ``--out-csv`` CSV
 - gradcheck: nothing; it prints its result
 
-A path a flag names for writing passes ``_check_paths`` before any read, and a
-command creates a file's directory just before its first write, so one refused
-on its config, its paths or its inputs leaves no directory behind.
+A path a flag names for writing passes ``_check_paths`` before any read: it
+may name no file the command reads (its config, checkpoint or inputs) and no
+file another flag writes. A command creates a file's directory just before its
+first write, so one refused on its config, its paths or its inputs leaves no
+directory behind.
 
 Exit codes: 0 success, 2 a ConfigError (config, argument or written path), 3 a
 DataError or OSError (input file), 4 a NumericError or a gradcheck FAIL. Each
@@ -127,23 +129,33 @@ def _load_sets(cfg: config_mod.RunConfig, names: tuple[str, ...], width: int | N
 
 
 def _check_paths(reads, writes, note: str = "") -> None:
-    """ConfigError unless each (flag, path) in ``writes`` names a file no other flag names."""
+    """ConfigError unless each (flag, path) in ``writes`` names a file no other
+    flag names; a read whose path is None, a flag not given, names none. Two
+    reads may name one file."""
     for flag, path in writes:
         if Path(path).name in ("", ".."):
             raise ConfigError(f"{flag} names no file: {path!r}")
     named = {}
-    for flag, path in (*reads, *writes):
+    for flag, path in reads:
+        if path is not None:
+            named.setdefault(os.path.realpath(path), flag)
+    for flag, path in writes:
         other = named.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ConfigError(f"{flag} names the same file as {other}: {path}{note}")
 
 
+def _checkpoint_path(cfg: config_mod.RunConfig, checkpoint: str | None) -> Path:
+    """The ``--checkpoint`` path, default ``<out>/checkpoint.json``."""
+    return Path(checkpoint) if checkpoint else Path(cfg.outputs.dir) / "checkpoint.json"
+
+
 def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None, kinds: list[str]):
-    """The checkpoint's ``model.MlpClassifier`` (default ``<out>/checkpoint.json``) and
-    run, refused without a hidden layer when ``kinds``, the score kinds, need one."""
+    """The ``_checkpoint_path``'s ``model.MlpClassifier`` and run, refused
+    without a hidden layer when ``kinds``, the score kinds, need one."""
     from . import model as model_mod
 
-    path = Path(checkpoint) if checkpoint else Path(cfg.outputs.dir) / "checkpoint.json"
+    path = _checkpoint_path(cfg, checkpoint)
     mlp, run = model_mod.load_checkpoint(path)
     if "ash_energy" in kinds and len(mlp.dims) < 3:
         raise DataError(f"checkpoint {path} has no hidden layer for ash_energy to shape")
@@ -235,23 +247,27 @@ def pgd_extrapolate(mlp, x0, cfg, epsilon=None):
     return extrapolate(mlp, x0, cfg, epsilon)
 
 
-def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv: str,
-                    dump_csv: str, samples_csv: str | None, epsilons: list[float] | None) -> int:
+def cmd_extrapolate(cfg: config_mod.RunConfig, config_path: str | None, checkpoint: str | None,
+                    input_csv: str, dump_csv: str, samples_csv: str | None,
+                    epsilons: list[float] | None) -> int:
     """Synthesize over an epsilon grid (default: the pool's radii); dump per-sample records.
 
-    ``_check_paths`` checks the dump and samples paths before any read. The origins
+    ``_check_paths`` checks the dump and samples paths against each other and
+    against the config, the checkpoint and the input before any read. The origins
     and the synthesized rows are scored by ``scoring.score_set``, whose NumericError
     on a score that is not finite comes before any write."""
     from . import scoring
 
     samples_csv = Path(dump_csv).parent / "synthesized.csv" if samples_csv is None else samples_csv
-    _check_paths([("--input", input_csv)], [("--dump", dump_csv), ("--samples", samples_csv)],
+    _check_paths([("--config", config_path), ("--checkpoint", _checkpoint_path(cfg, checkpoint)),
+                  ("--input", input_csv)], [("--dump", dump_csv), ("--samples", samples_csv)],
                  " (--samples defaults to synthesized.csv beside the dump)")
     score_spec = cfg.scores[0]
     mlp, _ = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
     grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
-    # The whole grid ascends as one batch: a copy of the inputs per radius, in grid order.
+    # The grid is one batch, a copy of the inputs per radius in grid order;
+    # pgd_extrapolate ascends it in the model.row_slices of model.CHUNK_ROWS rows.
     n = x.shape[0]
     config_mod.check_size("the grid of --epsilons (or of the pool's radii) x input rows x "
                           "widest layer", len(grid), n, max(mlp.dims))
@@ -278,13 +294,14 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, checkpoint: str | None, input_csv
     return 0
 
 
-def cmd_theory_verify(cfg: config_mod.RunConfig, out_csv: str | None) -> int:
+def cmd_theory_verify(cfg: config_mod.RunConfig, config_path: str | None,
+                      out_csv: str | None) -> int:
     """Monte Carlo bound check; writes per-trial rows, prints the violation fraction and
     the smallest margin."""
     from . import gmm_theory
 
     path = Path(cfg.outputs.dir) / "theory.csv" if out_csv is None else out_csv
-    _check_paths((), [("--out-csv", path)])
+    _check_paths([("--config", config_path)], [("--out-csv", path)])
     t = cfg.theory
     mu = np.full(t.dim, t.mu_norm / np.sqrt(t.dim))
     spec = gmm_theory.GmmSpec(mu=mu, sigma=t.sigma)
@@ -421,9 +438,9 @@ def main(argv=None) -> int:
             return cmd_eval(cfg, args.checkpoint)
         if args.command == "extrapolate":
             eps = None if args.epsilons is None else _epsilon_grid(args.epsilons)
-            return cmd_extrapolate(cfg, args.checkpoint, args.input, args.dump,
+            return cmd_extrapolate(cfg, args.config, args.checkpoint, args.input, args.dump,
                                    args.samples, eps)
-        return cmd_theory_verify(cfg, args.out_csv)
+        return cmd_theory_verify(cfg, args.config, args.out_csv)
     except OodbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

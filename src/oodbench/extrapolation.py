@@ -7,14 +7,16 @@ into the l-inf ball around its origin. The returned sample is the best
 iterate seen, origin included, so no row's loss falls below its initial
 value.
 
-The whole batch ascends together. The target is the
-``autodiff.input_objective`` of ``losses.oe_rows``, the uniform loss
-``losses.objective`` averages over the outlier batch the rows rejoin. Rows
-do not interact under the model, so one ``autodiff.input_gradient`` pass
-gives every row's value and its input gradient over m, whose sign a step
-takes. Each row keeps its own radius (its slice of the pool), step size and
-best iterate. The knobs, ``ExtrapolationConfig``, live with the other config
-sections in ``config`` and are imported here from there.
+The batch ascends per ``model.row_slices`` slice of ``model.CHUNK_ROWS`` rows,
+each slice together; a training step's sub-batch, under 2 * CHUNK_ROWS rows, is
+one slice. The target is the ``autodiff.input_objective`` of
+``losses.oe_rows``, the uniform loss ``losses.objective`` averages over the
+outlier batch the rows rejoin. Rows do not interact under the model, so one
+``autodiff.input_gradient`` pass gives every row of a slice its value and its
+input gradient over m, whose sign a step takes, and a row's iterates do not
+depend on the slice it ascends in. Each row keeps its own radius (its slice of
+the pool), step size and best iterate. The knobs, ``ExtrapolationConfig``, live
+with the other config sections in ``config`` and are imported here from there.
 """
 
 from __future__ import annotations
@@ -96,15 +98,19 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
     gives the rows their radii (a scalar, or one per row); by default the rows
     are split, in order, across cfg.pool's slices. A row with radius 0 stays at
     its origin. Rows whose value or gradient turns non-finite are returned as
-    their origin and flagged, without affecting the other rows.
+    their origin and flagged, without affecting the other rows. ``_ascend``
+    runs once per ``model.row_slices`` slice, so a slice whose radii are all
+    0 is only evaluated.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if epsilon is None:
         epsilon = np.repeat([e for e, _ in cfg.pool],
                             largest_remainder_counts([f for _, f in cfg.pool], x0.shape[0]))
     eps = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), x0.shape[:1]).copy()
-    synthesized, v0, v_best, aborted = _ascend(
-        ad.input_objective(mlp.dims, losses.oe_rows), mlp, x0, eps, cfg.steps)
+    target = ad.input_objective(mlp.dims, losses.oe_rows)
+    parts = [_ascend(target, mlp, x0[rows], eps[rows], cfg.steps)
+             for rows in model_mod.row_slices(x0.shape[0], model_mod.CHUNK_ROWS)]
+    synthesized, v0, v_best, aborted = (np.concatenate(p) for p in zip(*parts))
     return ExtrapolatedBatch(x0.copy(), synthesized, eps, v0, v_best, aborted)
 
 

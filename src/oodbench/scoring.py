@@ -30,16 +30,23 @@ from .errors import NumericError
 ODIN_TEMPERATURE = 1.0e4
 ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
 ASH_PERCENTILE = 95.0  # ash_energy zeroes each row's activations below this percentile
-# Rows per ODIN input-gradient pass, per ASH shaping block and per ``score_set``
-# block. Row blocks score a set byte for byte as a whole when each matrix
-# product runs the whole set's BLAS kernel. With numpy's OpenBLAS 0.3.31
-# (Haswell kernels) the hidden features matched at every width tried, but below
-# about 10**6 / (width x classes) rows the output layer takes OpenBLAS's
-# small-matrix kernel, which rounds differently. Checked on sets of 8192 to
-# 26624 rows: scores matched at last hidden widths 1-15 and 62-256 with 4
-# classes (the default and benchmark model (2, 64, 64, 4) among them) and at
-# (2, 100, 50, 7); at widths 16-61 with 4 classes a set of 2 * BLOCK_ROWS rows
-# or more scores differently in the last bits.
+# Rows of one output-layer product in ``score_set``. Every other pass over a
+# set is row-local and runs in slices of ``model.CHUNK_ROWS`` rows, whose
+# bytes do not depend on the slice size. The output layer's do: with numpy's
+# OpenBLAS 0.3.31 on this machine's SkylakeX core (``OPENBLAS_VERBOSE=2``
+# prints "Core: SkylakeX"), a product of fewer than about
+# 10**6 / (width x classes) rows takes OpenBLAS's small-matrix kernel, which
+# rounds differently. So a set scored in blocks is byte for byte the whole
+# set's only where each block takes the whole set's kernel. Checked on
+# SkylakeX, on sets of 8192 to 26624 rows: scores matched at last hidden
+# widths 1-15 and 62-256 with 4 classes (the default and benchmark model
+# (2, 64, 64, 4) among them) and at (2, 100, 50, 7); at widths 16-61 with 4
+# classes a set of 2 * BLOCK_ROWS rows or more scores differently in the last
+# bits. Under a forced OPENBLAS_CORETYPE=Haswell with two BLAS threads it
+# already fails at (2, 64, 64, 4) for energy and ash_energy: OpenBLAS splits a
+# product's rows among its threads, and on Haswell a row next to a split rounds
+# differently, so its bytes depend on where the split falls. At one BLAS
+# thread, as perfbench runs, it holds on Haswell too.
 BLOCK_ROWS = 4096
 
 
@@ -69,18 +76,18 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     of the logits when not given). The perturbed input is clipped to
     data.DOMAIN; at an epsilon of 0 and T=1 this is exactly ``msp_score``.
 
-    The input gradient is taken in blocks of BLOCK_ROWS rows, keeping
-    only each block's sign, so its memory does not grow with the batch; the
-    signs of a blocked gradient match a whole-batch pass. The perturbed batch
-    is forwarded whole, because the output layer's rounding depends on the
-    row count (see BLOCK_ROWS); ``score_set`` bounds it to one row block.
+    The input gradient is taken per ``model.row_slices`` slice of CHUNK_ROWS,
+    keeping only each slice's sign, so its memory does not grow with the
+    batch; the signs of a sliced gradient match a whole-batch pass. The
+    perturbed batch goes through ``model.forward`` whole, because the output
+    layer's rounding depends on the row count (see BLOCK_ROWS); ``score_set``
+    bounds it to one row block.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if top is None:
         top = np.argmax(model_mod.forward(mlp, batch), axis=1)
     step = np.empty_like(batch)
-    for start in range(0, batch.shape[0], BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
+    for rows in model_mod.row_slices(batch.shape[0], model_mod.CHUNK_ROWS):
         objective = ad.input_objective(mlp.dims, odin_rows, (
             losses.onehot(top[rows], mlp.n_classes), 1.0 / ODIN_TEMPERATURE))
         step[rows] = np.sign(ad.input_gradient(mlp, batch[rows], objective)[1])
@@ -94,13 +101,13 @@ def ash_s(acts: np.ndarray) -> np.ndarray:
 
     Rows whose survivor sum is not positive are left unchanged, and one
     warning gives their count (nothing sensible to rescale). Every step is
-    per row, so rows are shaped in blocks of BLOCK_ROWS: beside its argument,
-    ash holds one block's temporaries and no copy of the whole matrix. The
-    result is bitwise that of a whole-matrix pass.
+    per row, so rows are shaped per ``model.row_slices`` slice of CHUNK_ROWS:
+    beside its argument, ash holds one slice's temporaries and no copy of the
+    whole matrix. The result is bitwise that of a whole-matrix pass.
     """
     unshaped = 0
-    for start in range(0, acts.shape[0], BLOCK_ROWS):
-        block = acts[start:start + BLOCK_ROWS]
+    for rows in model_mod.row_slices(acts.shape[0], model_mod.CHUNK_ROWS):
+        block = acts[rows]
         cut = np.percentile(block, ASH_PERCENTILE, axis=1, keepdims=True)
         shaped = np.where(block >= cut, block, 0.0)
         before = block.sum(axis=1)
@@ -145,38 +152,39 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
     """Score every row of ``x`` by each of ``specs``: one score array per spec,
     in spec order, and the set's logits.
 
-    This is the one place a set is cut into row blocks. A block starts at each
-    multiple of BLOCK_ROWS and the trailing rows join the last full block, so
-    a set under 2 * BLOCK_ROWS rows is one block. Each block's features and
-    logits are computed once, then ``compute_scores`` runs the kinds that read
-    the features, then ash_energy, which shapes them in place, then ODIN, which
+    This is the one place a set is cut into row blocks, the rows of one
+    output-layer product: the ``model.row_slices`` of BLOCK_ROWS, so a set
+    under 2 * BLOCK_ROWS rows is one block. Each block's features and logits
+    are computed once, then ``compute_scores`` runs the kinds that read the
+    features, then ash_energy, which shapes them in place, then ODIN, which
     reads only the argmax, once the features are dropped. So scoring holds one
-    block's working set, never a set-sized features array or ODIN forward. At
-    the layer widths BLOCK_ROWS names, every score is the whole set's, byte for
-    byte. Logits that overflow raise no numpy warning; the first non-finite
-    score is a NumericError naming its kind.
+    block's working set, never a set-sized features array or ODIN forward; each
+    block's scores and logits are written into arrays allocated once per set.
+    Where each block takes the whole set's output-layer kernel (see
+    BLOCK_ROWS), every score is the whole set's, byte for byte. Logits that
+    overflow raise no numpy warning; the first non-finite score is a
+    NumericError naming its kind.
     """
     rank = {"ash_energy": 1, "odin": 2}
     order = sorted(range(len(specs)), key=lambda i: rank.get(specs[i].kind, 0))
-    parts = [[] for _ in specs]
-    logits_parts = []
-    n_blocks = max(x.shape[0] // BLOCK_ROWS, 1)
+    n = x.shape[0]
+    scores = [np.empty(n) for _ in specs]
+    logits = np.empty((n, mlp.n_classes))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(n_blocks):
-            block = x[b * BLOCK_ROWS:None if b == n_blocks - 1 else (b + 1) * BLOCK_ROWS]
+        for rows in model_mod.row_slices(n, BLOCK_ROWS):
+            block = x[rows]
             features = model_mod.penultimate_features(mlp, block)
-            logits = model_mod.head(mlp, features)
-            top = np.argmax(logits, axis=1)
+            logits[rows] = model_mod.head(mlp, features)
+            top = np.argmax(logits[rows], axis=1)
             for i in order:
                 if specs[i].kind == "odin":
                     features = None
-                scores = compute_scores(mlp, block, specs[i], features=features, top=top)
-                if not np.isfinite(scores).all():
+                block_scores = compute_scores(mlp, block, specs[i], features=features, top=top)
+                if not np.isfinite(block_scores).all():
                     raise NumericError(f"the model's {specs[i].kind} scores are not finite")
-                parts[i].append(scores)
+                scores[i][rows] = block_scores
             del features  # before the next block's forward
-            logits_parts.append(logits)
-    return [np.concatenate(part) for part in parts], np.concatenate(logits_parts)
+    return scores, logits
 
 
 def write_score_csv(path, blocks) -> None:

@@ -785,13 +785,17 @@ def test_extrapolate_creates_the_samples_directory(tmp_path):
     assert len((run / "extrap.csv").read_text(encoding="utf-8").splitlines()) == n + 1
 
 
-# extrapolate refuses two of --input, --dump and the samples path (default
-# synthesized.csv beside the dump) that name one file, before it reads the
-# checkpoint or the input, and before it writes.
+# extrapolate refuses a --dump or samples path (default synthesized.csv beside
+# the dump) that names the other, the input, the config or the checkpoint
+# (default <out>/checkpoint.json), before it reads the checkpoint or the
+# input, and before it writes.
 @pytest.mark.parametrize("input_csv, dump, samples", [
     pytest.param("run/aux_out.csv", "out/synthesized.csv", None, id="dump-is-default-samples"),
     pytest.param("run/aux_out.csv", "out/d.csv", "out/sub/../d.csv", id="samples-is-dump"),
     pytest.param("run/aux_out.csv", "run/aux_out.csv", "out/s.csv", id="dump-is-input"),
+    pytest.param("run/aux_out.csv", "run/checkpoint.json", "out/s.csv",
+                 id="dump-is-default-checkpoint"),
+    pytest.param("run/aux_out.csv", "out/d.csv", "cfg.json", id="samples-is-config"),
 ])
 def test_extrapolate_refuses_one_file_named_twice(tmp_path, monkeypatch, capsys,
                                                   input_csv, dump, samples):
@@ -799,7 +803,8 @@ def test_extrapolate_refuses_one_file_named_twice(tmp_path, monkeypatch, capsys,
     (tmp_path / "out" / "sub").mkdir(parents=True)
     base = ["--config", str(_tiny_config(tmp_path)), "--out", "run"]
     assert cli.main(base + ["gen-data"]) == 0 and cli.main(base + ["train"]) == 0
-    before = {path: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+    before = {path: path.read_bytes()
+              for path in (*(tmp_path / "run").iterdir(), tmp_path / "cfg.json")}
     reads = []
     for module, name in ((model, "load_checkpoint"), (data, "load_csv")):
         monkeypatch.setattr(module, name, lambda path, real=getattr(module, name):
@@ -809,8 +814,16 @@ def test_extrapolate_refuses_one_file_named_twice(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "names the same file as" in err
     assert reads == []
-    assert {path: path.read_bytes() for path in (tmp_path / "run").iterdir()} == before
+    assert {path: path.read_bytes() for path in before} == before
     assert [path.name for path in (tmp_path / "out").iterdir()] == ["sub"]
+
+
+def test_theory_verify_refuses_an_out_csv_that_names_the_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    before = _tiny_config(tmp_path).read_bytes()
+    assert cli.main(["--config", "cfg.json", "theory-verify", "--out-csv", "cfg.json"]) == 2
+    assert capsys.readouterr().err == "error: --out-csv names the same file as --config: cfg.json\n"
+    assert (tmp_path / "cfg.json").read_bytes() == before
 
 
 # report refuses an --out-csv that names one of its inputs, however spelled,

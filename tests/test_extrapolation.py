@@ -9,6 +9,7 @@ from oodbench import losses, model, numerics, scoring
 from oodbench.errors import ConfigError
 from oodbench.extrapolation import (
     ExtrapolationConfig,
+    _ascend,
     build_extrapolation_pool,
     largest_remainder_counts,
     pgd_extrapolate,
@@ -286,14 +287,46 @@ def test_per_row_epsilon_and_empty_batch(small_model):
     assert empty.synthesized.shape == (0, 2) and empty.final_values.shape == (0,)
 
 
+@pytest.mark.parametrize("pool", [((0.02, 0.34), (0.05, 0.33), (0.1, 0.33)),
+                                  ((0.0, 0.5), (0.05, 0.5))],
+                         ids=["three-radii", "zero-radius-slice"])
+def test_sliced_ascent_equals_one_pass(pool, monkeypatch):
+    # 2 * CHUNK_ROWS + 3 rows ascend in two slices, the tail joining the
+    # second, with the bytes of one whole-batch ascent. Under the second pool
+    # the first 514 rows have radius 0, so the first slice is only evaluated.
+    base = model.init_model([2, 64, 64, 4], seed=11)
+    rng = np.random.default_rng(12)
+    mlp = model.from_layers(base.dims, base.weights,
+                            tuple(rng.normal(0.0, 0.5, b.shape) for b in base.biases))
+    steps, chunk = 5, model.CHUNK_ROWS
+    cfg = ExtrapolationConfig(ratio=1.0, steps=steps, pool=pool)
+    x = np.random.default_rng(13).uniform(0.0, 1.0, (2 * chunk + 3, 2))
+    passes = []
+    real = ad.input_gradient
+
+    def counted(mlp, x, objective, grad=True):
+        passes.append((x.shape[0], grad))
+        return real(mlp, x, objective, grad)
+    monkeypatch.setattr(ad, "input_gradient", counted)
+    sliced = pgd_extrapolate(mlp, x, cfg)
+    monkeypatch.undo()
+    ascent = [[(rows, True)] * steps + [(rows, False)] for rows in (chunk, chunk + 3)]
+    if pool[0][0] == 0.0:
+        ascent[0] = [(chunk, False)]
+    assert passes == [p for slice_passes in ascent for p in slice_passes]
+    whole = _ascend(ad.input_objective(mlp.dims, losses.oe_rows), mlp, x, sliced.epsilons, steps)
+    for field, array in zip(("synthesized", "initial_values", "final_values", "aborted"), whole):
+        assert getattr(sliced, field).tobytes() == array.tobytes(), field
+
+
 # sha256 of the ascent's (synthesized, initial, final, aborted) on 21, 64 and
-# 3072 rows over the benchmark's 3-slice pool, and of ODIN on 5000 rows (one
-# full 4096-row block and a partial one), from the model below (x86-64, numpy
-# 2.4.6, OpenBLAS 0.3.31). Pinned from the per-row loss kernels that reduced
-# inside their own forward and backward. Both targets are means: each row's
-# input gradient enters with the positive weight 1/m, which the sign steps
-# read past. Another BLAS kernel or numpy build may round differently; re-pin
-# from those kernels there.
+# 3072 rows over the benchmark's 3-slice pool, and of ODIN on 5000 rows (nine
+# slices of model.CHUNK_ROWS rows, the last holding the rest), from the model
+# below (x86-64, numpy 2.4.6, OpenBLAS 0.3.31). Pinned from the per-row loss
+# kernels that reduced inside their own forward and backward. Both targets are
+# means: each row's input gradient enters with the positive weight 1/m, which
+# the sign steps read past. Another BLAS kernel or numpy build may round
+# differently; re-pin from those kernels there.
 ROW_OUTPUT_DIGESTS = {
     21: "36708aa09002aa6c9988b9e650fac7216ef8c057dbba82042a06fc54f8c8d859",
     64: "c1837207ae53e0a106b78ad51a7ca5d9cfaa53cdaba48f9e1e810a1b4ddf24fb",
@@ -324,7 +357,7 @@ def test_ascent_and_odin_outputs_unchanged():
 
 def test_ascent_and_odin_take_every_pass_through_input_gradient(small_model, monkeypatch):
     # One pass per visited iterate, the last without a gradient, and one per
-    # ODIN block: the two pushes share autodiff's input-gradient pass.
+    # ODIN slice: the two pushes share autodiff's input-gradient pass.
     calls = []
     real = ad.input_gradient
 
@@ -339,6 +372,6 @@ def test_ascent_and_odin_take_every_pass_through_input_gradient(small_model, mon
     assert not out.aborted.any()
     assert calls == [(8, True)] * steps + [(8, False)]
     calls.clear()
-    n = 2 * scoring.BLOCK_ROWS + 1
+    n = 2 * model.CHUNK_ROWS + 1
     scoring.odin_score(small_model, np.random.default_rng(10).uniform(0.0, 1.0, (n, 2)))
-    assert calls == [(scoring.BLOCK_ROWS, True)] * 2 + [(1, True)]
+    assert calls == [(model.CHUNK_ROWS, True), (model.CHUNK_ROWS + 1, True)]

@@ -102,8 +102,8 @@ def test_odin_gradient_is_taken_at_the_temperature():
 
 
 def test_blocked_odin_equals_one_pass(monkeypatch):
-    # About 2.5 blocks, so the last block is ragged.
-    n = scoring.BLOCK_ROWS * 5 // 2 + 7
+    # About 2.5 slices, so the ragged tail joins the second slice.
+    n = model.CHUNK_ROWS * 5 // 2 + 7
     m = model.init_model([2, 16, 16, 4], seed=11)
     x = np.random.default_rng(12).uniform(0, 1, (n, 2))
     spec = scoring.ScoreSpec.odin_default()
@@ -116,8 +116,8 @@ def test_blocked_odin_equals_one_pass(monkeypatch):
 
     monkeypatch.setattr(scoring.ad, "value_and_grad", counted)
     blocked = scoring.compute_scores(m, x, spec)
-    assert passes == [scoring.BLOCK_ROWS] * 2 + [n - 2 * scoring.BLOCK_ROWS]
-    monkeypatch.setattr(scoring, "BLOCK_ROWS", n)
+    assert passes == [model.CHUNK_ROWS, n - model.CHUNK_ROWS]
+    monkeypatch.setattr(model, "CHUNK_ROWS", n)
     passes.clear()
     whole = scoring.compute_scores(m, x, spec)
     assert passes == [n]
@@ -129,7 +129,8 @@ def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block, monkeypatch
     # Rows with x0 < x1 sit in the dead half of the one ReLU unit. A row with
     # x0 == x1 keeps it alive at 1e-300, so its logits are ±1 while its input
     # gradient carries the 1e300 output weights times the 1e307 first-layer
-    # weights: it overflows even after the mean weighs the row 1/BLOCK_ROWS.
+    # weights: it overflows even after the mean weighs the row by one over its
+    # slice's rows.
     m = model.from_layers((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e300, -1e300]])),
                           (np.array([1e-300]), np.zeros(2)))
     x = np.tile([0.2, 0.7], (scoring.BLOCK_ROWS * 5 // 2, 1))
@@ -187,12 +188,13 @@ def test_ash_all_zero_row_flagged():
 
 
 def _ragged_relu_acts():
-    """About 2.5 blocks of ReLU rows, so the last block is ragged, with one
-    all-zero, so unshaped, row each in the first and the third block."""
-    acts = np.maximum(np.random.default_rng(15).normal(size=(scoring.BLOCK_ROWS * 5 // 2 + 7, 24)),
+    """About 3.5 slices of ReLU rows, so the ragged tail joins the third
+    slice, with one all-zero, so unshaped, row each in the first and the
+    third slice."""
+    acts = np.maximum(np.random.default_rng(15).normal(size=(model.CHUNK_ROWS * 7 // 2 + 7, 24)),
                       0.0)
     acts[3] = 0.0
-    acts[2 * scoring.BLOCK_ROWS + 5] = 0.0
+    acts[2 * model.CHUNK_ROWS + 5] = 0.0
     return acts
 
 
@@ -259,8 +261,8 @@ def test_ash_energy_consumes_features_but_never_the_batch():
 
 
 def test_in_place_ash_holds_no_copy_of_its_input():
-    # Eight blocks: shaping in place holds one block's temporaries, well under
-    # one copy of the matrix.
+    # Shaping in place holds one slice's temporaries, well under one copy of
+    # the matrix.
     acts = np.maximum(np.random.default_rng(17).normal(size=(8 * scoring.BLOCK_ROWS, 64)), 0.0)
     tracemalloc.start()
     try:
@@ -272,7 +274,7 @@ def test_in_place_ash_holds_no_copy_of_its_input():
 
 
 def test_ash_peak_memory():
-    # Beside its argument, ash holds one block's temporaries, less than a copy.
+    # Beside its argument, ash holds one slice's temporaries, less than a copy.
     acts = np.maximum(np.random.default_rng(16).normal(size=(16384, 64)), 0.0)
     tracemalloc.start()
     try:
