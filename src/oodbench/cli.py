@@ -8,7 +8,7 @@ with ``<out>`` the config's ``outputs.dir``:
   ood_<name>.csv per OOD set
 - train: ``<out>/`` checkpoint.json and history.csv
 - eval: ``<out>/`` report.json, report.csv and scores.csv; each set is scored
-  by ``scoring.score_set``, which holds one row block's working set at a time
+  by ``scoring.score_set``, which holds one row slice's working set at a time
 - extrapolate: the ``--dump`` CSV and the ``--samples`` CSV (default:
   synthesized.csv beside the dump), nothing under ``<out>``
 - theory-verify: the ``--out-csv`` CSV (default: ``<out>/theory.csv``)
@@ -267,7 +267,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, config_path: str | None, checkpoi
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
     grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
     # The grid is one batch, a copy of the inputs per radius in grid order;
-    # pgd_extrapolate ascends it in the model.row_slices of model.CHUNK_ROWS rows.
+    # pgd_extrapolate ascends it, and score_set scores it, in the
+    # model.row_slices of model.CHUNK_ROWS rows.
     n = x.shape[0]
     config_mod.check_size("the grid of --epsilons (or of the pool's radii) x input rows x "
                           "widest layer", len(grid), n, max(mlp.dims))

@@ -53,11 +53,10 @@ MIN_GRAD_MAGNITUDE = 0.01  # below this the DEFAULT_STEP difference quotient's o
 
 
 def _hidden_preactivations(mlp: model_mod.MlpClassifier, batches) -> float:
-    """Least |preactivation| of a hidden unit, from the layer inputs ``_hidden`` gives."""
+    """Least |preactivation| of a hidden unit, over the layer inputs of ``model.mlp_forward``."""
     least = np.inf
     for x in batches:
-        acts = [x]
-        model_mod._hidden(mlp, x, acts)
+        acts = model_mod.mlp_forward(x, mlp)[1]
         for h, w, b in zip(acts, mlp.weights[:-1], mlp.biases[:-1]):
             least = min(least, np.min(np.abs(h @ w + b)))
     return least

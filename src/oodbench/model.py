@@ -16,14 +16,10 @@ gradient, for the ``Logits`` of a batch that an objective term reads
 Memory order: each hidden layer adds its bias and applies the ReLU in place
 on its own fresh ``h @ w`` product, so a pass holds at most two activation
 arrays at once (the layer's input and its output) and never writes into the
-caller's batch. ``forward`` and ``penultimate_features`` run the hidden
-layers per ``row_slices`` slice, CHUNK_ROWS to 2 * CHUNK_ROWS - 1 rows, into
-one (m, h_L) array, so their temporaries are a slice's, a few hundred KB
-that stay in cache, not a dozen fresh multi-MB arrays per large batch. The
-hidden layers are row-local and their bytes do not depend on the slice
-size. The output layer is not sliced: OpenBLAS's small-matrix kernel takes
-a product of few enough rows and rounds it differently (see
-``scoring.BLOCK_ROWS``), so ``head`` runs once over the whole batch.
+caller's batch. Nothing here cuts rows: a pass is over the rows it is given.
+``scoring.score_set`` and ``extrapolation.pgd_extrapolate`` pass a large set
+in ``row_slices`` of CHUNK_ROWS, so its temporaries are a slice's, a few
+hundred KB that stay in cache.
 
 checkpoint.json is the ``Checkpoint`` record, written by ``data.dump`` and
 read by ``data.parse``, the walker that types the config; ``_parameters``
@@ -44,9 +40,8 @@ from .data import dump, parse, read_json
 from .errors import ConfigError, DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 2
-# Rows per slice of every row-local pass over a large batch: the hidden
-# layers here, ODIN's input-gradient pass and ASH's shaping in ``scoring``,
-# and the ascent in ``extrapolation``. A slice of the benchmark's (2, 64, 64, 4)
+# Rows per slice of a large set, the one row size of ``scoring.score_set`` and
+# of the ascent in ``extrapolation``. A slice of the benchmark's (2, 64, 64, 4)
 # model holds 256 KB per activation array.
 CHUNK_ROWS = 512
 
@@ -161,29 +156,15 @@ def row_slices(m: int, size: int) -> list[slice]:
     return [slice(i * size, None if i == n - 1 else (i + 1) * size) for i in range(n)]
 
 
-def _features(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
-    """``_hidden`` of the batch, run per ``row_slices`` slice into one (m, h_L)
-    array; a batch of one slice, or a model with no hidden layer, goes
-    through ``_hidden`` whole."""
-    batch = np.asarray(batch, dtype=np.float64)
-    slices = row_slices(batch.shape[0], CHUNK_ROWS)
-    if len(slices) == 1 or len(model.dims) < 3:
-        return _hidden(model, batch)
-    features = np.empty((batch.shape[0], model.dims[-2]))
-    for rows in slices:
-        features[rows] = _hidden(model, batch[rows])
-    return features
-
-
 def forward(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     """Logits for a (m, d) batch; pure function of (model, batch)."""
-    return head(model, _features(model, batch))
+    return head(model, _hidden(model, batch))
 
 
 def penultimate_features(model: MlpClassifier, batch: np.ndarray) -> np.ndarray:
     """Post-activation values of the last hidden layer, shape (m, h_L); the
     batch itself for a model with no hidden layer."""
-    return _features(model, batch)
+    return _hidden(model, batch)
 
 
 def make_param_nodes(dims) -> str:

@@ -30,24 +30,6 @@ from .errors import NumericError
 ODIN_TEMPERATURE = 1.0e4
 ODIN_EPSILON = 1.4e-3  # ODIN's input perturbation size, in normalized input units
 ASH_PERCENTILE = 95.0  # ash_energy zeroes each row's activations below this percentile
-# Rows of one output-layer product in ``score_set``. Every other pass over a
-# set is row-local and runs in slices of ``model.CHUNK_ROWS`` rows, whose
-# bytes do not depend on the slice size. The output layer's do: with numpy's
-# OpenBLAS 0.3.31 on this machine's SkylakeX core (``OPENBLAS_VERBOSE=2``
-# prints "Core: SkylakeX"), a product of fewer than about
-# 10**6 / (width x classes) rows takes OpenBLAS's small-matrix kernel, which
-# rounds differently. So a set scored in blocks is byte for byte the whole
-# set's only where each block takes the whole set's kernel. Checked on
-# SkylakeX, on sets of 8192 to 26624 rows: scores matched at last hidden
-# widths 1-15 and 62-256 with 4 classes (the default and benchmark model
-# (2, 64, 64, 4) among them) and at (2, 100, 50, 7); at widths 16-61 with 4
-# classes a set of 2 * BLOCK_ROWS rows or more scores differently in the last
-# bits. Under a forced OPENBLAS_CORETYPE=Haswell with two BLAS threads it
-# already fails at (2, 64, 64, 4) for energy and ash_energy: OpenBLAS splits a
-# product's rows among its threads, and on Haswell a row next to a split rounds
-# differently, so its bytes depend on where the split falls. At one BLAS
-# thread, as perfbench runs, it holds on Haswell too.
-BLOCK_ROWS = 4096
 
 
 def msp_score(logits) -> np.ndarray:
@@ -75,22 +57,15 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     softmax at T = ODIN_TEMPERATURE at the predicted class ``top`` (the argmax
     of the logits when not given). The perturbed input is clipped to
     data.DOMAIN; at an epsilon of 0 and T=1 this is exactly ``msp_score``.
-
-    The input gradient is taken per ``model.row_slices`` slice of CHUNK_ROWS,
-    keeping only each slice's sign, so its memory does not grow with the
-    batch; the signs of a sliced gradient match a whole-batch pass. The
-    perturbed batch goes through ``model.forward`` whole, because the output
-    layer's rounding depends on the row count (see BLOCK_ROWS); ``score_set``
-    bounds it to one row block.
+    One input-gradient pass and one forward run over the rows given;
+    ``score_set`` gives one ``model.CHUNK_ROWS`` slice at a time.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if top is None:
         top = np.argmax(model_mod.forward(mlp, batch), axis=1)
-    step = np.empty_like(batch)
-    for rows in model_mod.row_slices(batch.shape[0], model_mod.CHUNK_ROWS):
-        objective = ad.input_objective(mlp.dims, odin_rows, (
-            losses.onehot(top[rows], mlp.n_classes), 1.0 / ODIN_TEMPERATURE))
-        step[rows] = np.sign(ad.input_gradient(mlp, batch[rows], objective)[1])
+    objective = ad.input_objective(mlp.dims, odin_rows, (
+        losses.onehot(top, mlp.n_classes), 1.0 / ODIN_TEMPERATURE))
+    step = np.sign(ad.input_gradient(mlp, batch, objective)[1])
     logits = model_mod.forward(mlp, np.clip(batch + ODIN_EPSILON * step, *DOMAIN))
     return msp_score(logits / ODIN_TEMPERATURE)
 
@@ -100,23 +75,19 @@ def ash_s(acts: np.ndarray) -> np.ndarray:
     below the per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
 
     Rows whose survivor sum is not positive are left unchanged, and one
-    warning gives their count (nothing sensible to rescale). Every step is
-    per row, so rows are shaped per ``model.row_slices`` slice of CHUNK_ROWS:
-    beside its argument, ash holds one slice's temporaries and no copy of the
-    whole matrix. The result is bitwise that of a whole-matrix pass.
+    warning per call gives their count (nothing sensible to rescale). Every
+    step is per row; its temporaries are a few copies of ``acts``, which
+    ``score_set`` bounds to one ``model.CHUNK_ROWS`` slice.
     """
-    unshaped = 0
-    for rows in model_mod.row_slices(acts.shape[0], model_mod.CHUNK_ROWS):
-        block = acts[rows]
-        cut = np.percentile(block, ASH_PERCENTILE, axis=1, keepdims=True)
-        shaped = np.where(block >= cut, block, 0.0)
-        before = block.sum(axis=1)
-        after = shaped.sum(axis=1)
-        ok = (before > 0) & (after > 0)
-        unshaped += int(np.sum(~ok))
-        scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
-        shaped *= scale[:, None]
-        np.copyto(block, shaped, where=ok[:, None])
+    cut = np.percentile(acts, ASH_PERCENTILE, axis=1, keepdims=True)
+    shaped = np.where(acts >= cut, acts, 0.0)
+    before = acts.sum(axis=1)
+    after = shaped.sum(axis=1)
+    ok = (before > 0) & (after > 0)
+    scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
+    shaped *= scale[:, None]
+    np.copyto(acts, shaped, where=ok[:, None])
+    unshaped = int(np.sum(~ok))
     if unshaped:
         warnings.warn(f"{unshaped} rows left unshaped (non-positive sum)", stacklevel=2)
     return acts
@@ -124,7 +95,8 @@ def ash_s(acts: np.ndarray) -> np.ndarray:
 
 def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
                    features=None, top=None) -> np.ndarray:
-    """Evaluate the configured score for a batch of raw inputs.
+    """Evaluate the configured score for a batch of raw inputs, in one pass
+    over its rows.
 
     ``features`` are the batch's ``model.penultimate_features`` and ``top``
     the argmax of their logits, computed here when not given (``score_set``
@@ -152,18 +124,17 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
     """Score every row of ``x`` by each of ``specs``: one score array per spec,
     in spec order, and the set's logits.
 
-    This is the one place a set is cut into row blocks, the rows of one
-    output-layer product: the ``model.row_slices`` of BLOCK_ROWS, so a set
-    under 2 * BLOCK_ROWS rows is one block. Each block's features and logits
+    This is the one scoring code that cuts rows: it runs every pass per
+    ``model.row_slices`` slice of CHUNK_ROWS. Each slice's features and logits
     are computed once, then ``compute_scores`` runs the kinds that read the
     features, then ash_energy, which shapes them in place, then ODIN, which
     reads only the argmax, once the features are dropped. So scoring holds one
-    block's working set, never a set-sized features array or ODIN forward; each
-    block's scores and logits are written into arrays allocated once per set.
-    Where each block takes the whole set's output-layer kernel (see
-    BLOCK_ROWS), every score is the whole set's, byte for byte. Logits that
-    overflow raise no numpy warning; the first non-finite score is a
-    NumericError naming its kind.
+    slice's working set; each slice's scores and logits are written into
+    arrays allocated once per set. A row's scores and logits depend only on
+    its slice: ``score_set(x)`` on a slice's rows equals ``score_set`` of that
+    slice alone, on any BLAS kernel and thread count. Logits that overflow
+    raise no numpy warning; the first non-finite score is a NumericError
+    naming its kind.
     """
     rank = {"ash_energy": 1, "odin": 2}
     order = sorted(range(len(specs)), key=lambda i: rank.get(specs[i].kind, 0))
@@ -171,19 +142,19 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
     scores = [np.empty(n) for _ in specs]
     logits = np.empty((n, mlp.n_classes))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in model_mod.row_slices(n, BLOCK_ROWS):
-            block = x[rows]
-            features = model_mod.penultimate_features(mlp, block)
+        for rows in model_mod.row_slices(n, model_mod.CHUNK_ROWS):
+            batch = x[rows]
+            features = model_mod.penultimate_features(mlp, batch)
             logits[rows] = model_mod.head(mlp, features)
             top = np.argmax(logits[rows], axis=1)
             for i in order:
                 if specs[i].kind == "odin":
                     features = None
-                block_scores = compute_scores(mlp, block, specs[i], features=features, top=top)
-                if not np.isfinite(block_scores).all():
+                batch_scores = compute_scores(mlp, batch, specs[i], features=features, top=top)
+                if not np.isfinite(batch_scores).all():
                     raise NumericError(f"the model's {specs[i].kind} scores are not finite")
-                scores[i][rows] = block_scores
-            del features  # before the next block's forward
+                scores[i][rows] = batch_scores
+            del features  # before the next slice's forward
     return scores, logits
 
 

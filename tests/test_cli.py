@@ -913,10 +913,12 @@ def test_eval_forwards_each_set_once_plus_odin(tmp_path, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
 def test_eval_scores_each_set_in_row_blocks(tmp_path, monkeypatch):
-    # A set of 8 * BLOCK_ROWS + 7 rows, on the benchmark's (2, 64, 64, 4) model:
-    # eval forwards it in seven blocks of BLOCK_ROWS and one of the rest, holds
-    # less than one set-sized features array, and writes the whole set's scores.
-    n = 8 * scoring.BLOCK_ROWS + 7
+    # A set of 64 * CHUNK_ROWS + 7 rows, on the benchmark's (2, 64, 64, 4)
+    # model: eval forwards it in 63 slices of CHUNK_ROWS and one of the rest,
+    # holds less than one set-sized features array, and writes each slice's
+    # scores as that slice alone scores.
+    chunk = model.CHUNK_ROWS
+    n = 64 * chunk + 7
     kinds = ["msp", "energy", "odin", "ash_energy"]
     run = tmp_path / "run"
     base = ["--out", str(run), "--set", "data.test_per_class=16",
@@ -938,8 +940,7 @@ def test_eval_scores_each_set_in_row_blocks(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     monkeypatch.undo()
-    block = scoring.BLOCK_ROWS
-    assert rows == [4 * 16] + [block] * 7 + [block + 7]
+    assert rows == [4 * 16] + [chunk] * 63 + [chunk + 7]
     assert peak < n * 64 * 8
     written = {}  # (set_name, score_kind) -> scores, from scores.csv's plain rows
     for line in (run / "scores.csv").read_text(encoding="utf-8").splitlines()[1:]:
@@ -948,20 +949,22 @@ def test_eval_scores_each_set_in_row_blocks(tmp_path, monkeypatch):
     for set_name in ("id_test", "ood_ring"):
         x = data.load_csv(run / f"{set_name}.csv").x
         for kind in kinds:
-            whole = scoring.compute_scores(mlp, x, config.ScoreSpec(kind))
-            assert np.array(written[set_name, kind]).tobytes() == whole.tobytes(), (set_name, kind)
+            by_slice = np.concatenate([scoring.compute_scores(mlp, x[s], config.ScoreSpec(kind))
+                                       for s in model.row_slices(x.shape[0], chunk)])
+            assert np.array(written[set_name, kind]).tobytes() == by_slice.tobytes(), \
+                (set_name, kind)
 
 
 @pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
 @pytest.mark.parametrize("kind", ["msp", "energy", "odin", "ash_energy"])
 def test_extrapolate_scores_in_row_blocks(tmp_path, monkeypatch, kind):
-    # 2 * BLOCK_ROWS + 5 input rows over two radii, on the benchmark's
+    # 2 * CHUNK_ROWS + 5 input rows over two radii, on the benchmark's
     # (2, 64, 64, 4) model: the origins and the synthesized rows are scored in
-    # blocks of BLOCK_ROWS to 2 * BLOCK_ROWS - 1 rows, and both score columns
-    # are the whole arrays' scores, byte for byte.
-    block = scoring.BLOCK_ROWS
+    # slices of CHUNK_ROWS to 2 * CHUNK_ROWS - 1 rows, and each score column
+    # holds each slice's scores as that slice alone scores.
+    chunk = model.CHUNK_ROWS
     run = tmp_path / "run"
-    base = ["--out", str(run), "--set", f"data.aux.count={2 * block + 5}",
+    base = ["--out", str(run), "--set", f"data.aux.count={2 * chunk + 5}",
             "--set", f'scores=[{{"kind": "{kind}"}}]']
     assert cli.main(base + ["gen-data"]) == 0
     mlp = model.init_model((2, 64, 64, 4), seed=43)
@@ -975,13 +978,17 @@ def test_extrapolate_scores_in_row_blocks(tmp_path, monkeypatch, kind):
     assert cli.main(base + ["extrapolate", "--input", str(run / "aux_out.csv"), "--dump",
                             str(run / "extrap.csv"), "--epsilons", "0.02,0.1"]) == 0
     monkeypatch.undo()
-    assert rows == [block, block + 5] + [block] * 3 + [block + 10]  # origins, then 2 radii
+    assert rows == [chunk, chunk + 5] + [chunk] * 3 + [chunk + 10]  # origins, then 2 radii
     x = data.load_csv(run / "aux_out.csv").x
     synthesized = np.loadtxt(run / "synthesized.csv", delimiter=",", skiprows=1)[:, 2:]
     dump = np.loadtxt(run / "extrap.csv", delimiter=",", skiprows=1)
     spec = config.ScoreSpec(kind)
-    assert dump[:, 4].tobytes() == np.tile(scoring.compute_scores(mlp, x, spec), 2).tobytes()
-    assert dump[:, 5].tobytes() == scoring.compute_scores(mlp, synthesized, spec).tobytes()
+
+    def by_slice(rows):
+        return np.concatenate([scoring.compute_scores(mlp, rows[s], spec)
+                               for s in model.row_slices(rows.shape[0], chunk)])
+    assert dump[:, 4].tobytes() == np.tile(by_slice(x), 2).tobytes()
+    assert dump[:, 5].tobytes() == by_slice(synthesized).tobytes()
 
 
 def _scores_by_kind(run):

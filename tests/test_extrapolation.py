@@ -320,13 +320,13 @@ def test_sliced_ascent_equals_one_pass(pool, monkeypatch):
 
 
 # sha256 of the ascent's (synthesized, initial, final, aborted) on 21, 64 and
-# 3072 rows over the benchmark's 3-slice pool, and of ODIN on 5000 rows (nine
-# slices of model.CHUNK_ROWS rows, the last holding the rest), from the model
-# below (x86-64, numpy 2.4.6, OpenBLAS 0.3.31). Pinned from the per-row loss
-# kernels that reduced inside their own forward and backward. Both targets are
-# means: each row's input gradient enters with the positive weight 1/m, which
-# the sign steps read past. Another BLAS kernel or numpy build may round
-# differently; re-pin from those kernels there.
+# 3072 rows over the benchmark's 3-slice pool, and of ODIN on 5000 rows in one
+# input-gradient pass, from the model below (x86-64, numpy 2.4.6, OpenBLAS
+# 0.3.31, SkylakeX core). Pinned from the per-row loss kernels that reduced inside their own
+# forward and backward. Both targets are means: each row's input gradient
+# enters with the positive weight 1/m, which the sign steps read past.
+# Another BLAS kernel or numpy build may round differently; re-pin from those
+# kernels there.
 ROW_OUTPUT_DIGESTS = {
     21: "36708aa09002aa6c9988b9e650fac7216ef8c057dbba82042a06fc54f8c8d859",
     64: "c1837207ae53e0a106b78ad51a7ca5d9cfaa53cdaba48f9e1e810a1b4ddf24fb",
@@ -357,7 +357,8 @@ def test_ascent_and_odin_outputs_unchanged():
 
 def test_ascent_and_odin_take_every_pass_through_input_gradient(small_model, monkeypatch):
     # One pass per visited iterate, the last without a gradient, and one per
-    # ODIN slice: the two pushes share autodiff's input-gradient pass.
+    # slice score_set gives ODIN: the two pushes share autodiff's
+    # input-gradient pass.
     calls = []
     real = ad.input_gradient
 
@@ -373,5 +374,6 @@ def test_ascent_and_odin_take_every_pass_through_input_gradient(small_model, mon
     assert calls == [(8, True)] * steps + [(8, False)]
     calls.clear()
     n = 2 * model.CHUNK_ROWS + 1
-    scoring.odin_score(small_model, np.random.default_rng(10).uniform(0.0, 1.0, (n, 2)))
+    scoring.score_set(small_model, np.random.default_rng(10).uniform(0.0, 1.0, (n, 2)),
+                      [scoring.ScoreSpec.odin_default()])
     assert calls == [(model.CHUNK_ROWS, True), (model.CHUNK_ROWS + 1, True)]

@@ -114,29 +114,6 @@ def test_forward_equals_the_plain_chain_and_leaves_its_input(dims):
     assert x.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize("dims", [(2, 64, 64, 4), (2, 4)], ids=["two_hidden", "no_hidden"])
-def test_sliced_forward_equals_one_pass(dims, monkeypatch):
-    # Two slices, the ragged tail joining the second: the hidden layers run
-    # per slice and give the bytes of one unsliced pass; a model with no
-    # hidden layer hands back the batch itself.
-    m = model.init_model(dims, seed=36)
-    x = np.random.default_rng(37).uniform(0, 1, (2 * model.CHUNK_ROWS + 7, dims[0]))
-    whole = model._hidden(m, x)
-    rows = []
-
-    def counted(mlp, batch, fn=model._hidden):
-        rows.append(batch.shape[0])
-        return fn(mlp, batch)
-    monkeypatch.setattr(model, "_hidden", counted)
-    feats = model.penultimate_features(m, x)
-    logits = model.forward(m, x)
-    sliced = [model.CHUNK_ROWS, model.CHUNK_ROWS + 7] if len(dims) > 2 else [x.shape[0]]
-    assert rows == sliced * 2
-    assert feats.tobytes() == whole.tobytes()
-    assert logits.tobytes() == model.head(m, whole).tobytes()
-    assert (feats is x) == (len(dims) == 2)
-
-
 def test_penultimate_features_peak_memory():
     # A hidden layer holds its input and its output, never a third array.
     m = model.init_model((2, 64, 64, 4), seed=34)

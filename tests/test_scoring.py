@@ -101,45 +101,41 @@ def test_odin_gradient_is_taken_at_the_temperature():
     assert scoring.odin_score(m, x).tobytes() == expected.tobytes()
 
 
-def test_blocked_odin_equals_one_pass(monkeypatch):
-    # About 2.5 slices, so the ragged tail joins the second slice.
-    n = model.CHUNK_ROWS * 5 // 2 + 7
-    m = model.init_model([2, 16, 16, 4], seed=11)
-    x = np.random.default_rng(12).uniform(0, 1, (n, 2))
-    spec = scoring.ScoreSpec.odin_default()
-    passes = []
-    value_and_grad = scoring.ad.value_and_grad
-
-    def counted(expr, bindings, wrt):
-        passes.append(bindings["x"].shape[0])
-        return value_and_grad(expr, bindings, wrt)
-
-    monkeypatch.setattr(scoring.ad, "value_and_grad", counted)
-    blocked = scoring.compute_scores(m, x, spec)
-    assert passes == [model.CHUNK_ROWS, n - model.CHUNK_ROWS]
-    monkeypatch.setattr(model, "CHUNK_ROWS", n)
-    passes.clear()
-    whole = scoring.compute_scores(m, x, spec)
-    assert passes == [n]
-    assert blocked.tobytes() == whole.tobytes()
-
-
 @pytest.mark.parametrize("bad_block", [1, 2])
 def test_odin_non_finite_gradient_in_a_later_block_raises(bad_block, monkeypatch):
     # Rows with x0 < x1 sit in the dead half of the one ReLU unit. A row with
     # x0 == x1 keeps it alive at 1e-300, so its logits are ±1 while its input
     # gradient carries the 1e300 output weights times the 1e307 first-layer
     # weights: it overflows even after the mean weighs the row by one over its
-    # slice's rows.
+    # slice's rows. score_set refuses it in the second slice as in the first.
     m = model.from_layers((2, 1, 2), (np.array([[1e307], [-1e307]]), np.array([[1e300, -1e300]])),
                           (np.array([1e-300]), np.zeros(2)))
-    x = np.tile([0.2, 0.7], (scoring.BLOCK_ROWS * 5 // 2, 1))
+    x = np.tile([0.2, 0.7], (model.CHUNK_ROWS * 5 // 2, 1))
     monkeypatch.setattr(scoring, "ODIN_TEMPERATURE", 1.0)
-    spec = scoring.ScoreSpec("odin")
-    assert np.all(np.isfinite(scoring.compute_scores(m, x, spec)))
-    x[bad_block * scoring.BLOCK_ROWS + 5] = 0.5
+    specs = [scoring.ScoreSpec("odin")]
+    assert np.all(np.isfinite(scoring.score_set(m, x, specs)[0][0]))
+    x[bad_block * model.CHUNK_ROWS + 5] = 0.5
     with pytest.raises(NumericError, match="non-finite gradient"):
-        scoring.compute_scores(m, x, spec)
+        scoring.score_set(m, x, specs)
+
+
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+def test_score_set_scores_each_slice_alone():
+    # About 5.5 slices, the ragged tail joining the fifth, on the benchmark's
+    # model with every kind on: a row's scores and logits depend only on its
+    # slice, so each slice of the set's equals score_set of that slice alone,
+    # byte for byte on any BLAS kernel and thread count.
+    m = model.init_model((2, 64, 64, 4), seed=21)
+    x = np.random.default_rng(22).uniform(0, 1, (model.CHUNK_ROWS * 11 // 2, 2))
+    specs = [scoring.ScoreSpec(kind) for kind in scoring.ScoreSpec.KINDS]
+    scores, logits = scoring.score_set(m, x, specs)
+    slices = model.row_slices(x.shape[0], model.CHUNK_ROWS)
+    assert len(slices) == 5
+    for rows in slices:
+        alone, alone_logits = scoring.score_set(m, x[rows], specs)
+        assert logits[rows].tobytes() == alone_logits.tobytes()
+        for spec, got, want in zip(specs, scores, alone):
+            assert got[rows].tobytes() == want.tobytes(), (rows, spec.kind)
 
 
 @pytest.mark.parametrize("dims, kind", [((2, 8, 8, 3), kind) for kind in scoring.ScoreSpec.KINDS]
@@ -188,9 +184,7 @@ def test_ash_all_zero_row_flagged():
 
 
 def _ragged_relu_acts():
-    """About 3.5 slices of ReLU rows, so the ragged tail joins the third
-    slice, with one all-zero, so unshaped, row each in the first and the
-    third slice."""
+    """ReLU rows with two all-zero, so unshaped, rows: row 3 and one near the end."""
     acts = np.maximum(np.random.default_rng(15).normal(size=(model.CHUNK_ROWS * 7 // 2 + 7, 24)),
                       0.0)
     acts[3] = 0.0
@@ -228,8 +222,7 @@ def test_blocked_ash_equals_the_whole_matrix_formula(percentile, monkeypatch):
 @pytest.mark.parametrize("percentile", [50.0, 95.0])
 def test_in_place_ash_equals_the_allocating_call(percentile, monkeypatch):
     # The allocating call shapes a copy of the whole matrix. Shaping a view of
-    # rows 2 onward in place, whose blocks start 2 rows later, writes those
-    # rows alone, each as the copy has it.
+    # rows 2 onward in place writes those rows alone, each as the copy has it.
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
     acts = _ragged_relu_acts()
     shaped = acts.copy()
@@ -260,29 +253,35 @@ def test_ash_energy_consumes_features_but_never_the_batch():
     assert features.tobytes() != model.penultimate_features(m, x).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
 def test_in_place_ash_holds_no_copy_of_its_input():
-    # Shaping in place holds one slice's temporaries, well under one copy of
-    # the matrix.
-    acts = np.maximum(np.random.default_rng(17).normal(size=(8 * scoring.BLOCK_ROWS, 64)), 0.0)
+    # score_set shapes each slice's features in place: beside its outputs it
+    # holds one slice's temporaries, well under half a set-sized features array.
+    m = model.init_model((2, 64, 64, 4), seed=23)
+    x = np.random.default_rng(17).uniform(0, 1, (64 * model.CHUNK_ROWS, 2))
     tracemalloc.start()
     try:
-        scoring.ash_s(acts)
+        scoring.score_set(m, x, [scoring.ScoreSpec("ash_energy")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < acts.nbytes / 2
+    assert peak < x.shape[0] * 64 * 8 / 2
 
 
 def test_ash_peak_memory():
-    # Beside its argument, ash holds one slice's temporaries, less than a copy.
-    acts = np.maximum(np.random.default_rng(16).normal(size=(16384, 64)), 0.0)
+    # Without a hidden layer the features are the set itself: score_set shapes
+    # a copy of one slice at a time, never a copy of the set, and leaves the set.
+    m = model.init_model((64, 4), seed=24)
+    x = np.random.default_rng(16).uniform(0, 1, (16384, 64))
+    kept = x.copy()
     tracemalloc.start()
     try:
-        scoring.ash_s(acts)
+        scoring.score_set(m, x, [scoring.ScoreSpec("ash_energy")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < acts.nbytes
+    assert peak < x.nbytes / 4
+    assert x.tobytes() == kept.tobytes()
 
 
 def test_detect_rule():
