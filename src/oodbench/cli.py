@@ -26,18 +26,21 @@ DataError or OSError (input file), 4 a NumericError or a gradcheck FAIL. Each
 input is checked once, where it is read: a dataset CSV by ``_read_csv`` (one
 that cannot be decoded, UTF-8 or CSV, is a DataError too), a checkpoint by
 ``model.load_checkpoint``, the config by its dataclasses. The config,
-checkpoint and report files are read by ``data.read_json``: one that is missing
-or unreadable, or that the JSON parser refuses (nested too deep, an integer too
-long), is its reader's typed error. Each is then typed by ``data.parse``
-against its dataclasses, so an unknown key is refused in a report or a
-checkpoint (exit 3) as in the config (exit 2). Any other exception is a
-programming error and escapes.
+checkpoint and report files are read by ``config.read_json``: one that is
+missing or unreadable, or that the JSON parser refuses (nested too deep, an
+integer too long), is its reader's typed error. Each is then typed by
+``config.parse`` against its dataclasses, so an unknown key is refused in a
+report or a checkpoint (exit 3) as in the config (exit 2). Any other
+exception is a programming error and escapes.
 
 Every command is a cold process, so its imports count in its wall time. At
-load this module imports only config and the modules it loads (data, errors,
-numerics). The model stack (model, autodiff, losses, extrapolation), trainer,
-scoring, metrics, gmm_theory and gradcheck are imported inside the commands
-that run them, so gen-data, theory-verify and report load no model code.
+load this module imports only config and errors, which import no numpy, so
+``--help``, parsing the config and a refused config or argument cost no numpy
+import. numpy, data and numerics are imported inside the commands that use
+them, as are the model stack (model, autodiff, losses, extrapolation),
+trainer, scoring, metrics, gmm_theory and gradcheck, so gen-data,
+theory-verify and report load no model code. A command imports its modules
+after it has checked the paths its flags name.
 """
 
 from __future__ import annotations
@@ -49,12 +52,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as config_mod
-from . import data as data_mod
 from .errors import ConfigError, DataError, OodbenchError
-from .numerics import derive_seed, rng
 
 
 def _out_dir(cfg: config_mod.RunConfig) -> Path:
@@ -70,6 +69,9 @@ def cmd_gen_data(cfg: config_mod.RunConfig) -> int:
     stem, and is mapped onto DOMAIN through the fixed box of ``data.fit_minmax``,
     so adding a set changes no other set's bytes.
     """
+    from . import data as data_mod
+    from .numerics import derive_seed
+
     d = cfg.data
     data_seed = config_mod.component_seed(cfg.seed, "data")
 
@@ -94,6 +96,8 @@ def _read_csv(path: Path, width: int | None, classes: int | None):
     """A dataset CSV with rows, ``width`` feature columns (any non-zero count
     when None), values inside data.DOMAIN and, when ``classes`` is given,
     labels in [0, classes); any other is a DataError naming the file."""
+    from . import data as data_mod
+
     ds = data_mod.load_csv(path)
     x = ds.x
     expected = width if width is not None else max(x.shape[1], 1)
@@ -164,6 +168,8 @@ def _load_model(cfg: config_mod.RunConfig, checkpoint: str | None, kinds: list[s
 
 def cmd_train(cfg: config_mod.RunConfig) -> int:
     """Fine-tune from a seeded init; writes checkpoint.json and history.csv."""
+    import numpy as np
+
     from . import model as model_mod
     from . import trainer as trainer_mod
 
@@ -225,7 +231,7 @@ def cmd_eval(cfg: config_mod.RunConfig, checkpoint: str | None) -> int:
             score_kind=spec.kind, id_acc=id_acc, seed=seed, config_digest=digest))
         score_blocks.extend((set_name, spec.kind, s) for set_name, s in by_set.items())
     out = _out_dir(cfg)
-    (out / "report.json").write_text(json.dumps(data_mod.dump(tuple(reports)), indent=2),
+    (out / "report.json").write_text(json.dumps(config_mod.dump(tuple(reports)), indent=2),
                                      encoding="utf-8")
     _write_report_csv(out / "report.csv", reports)
     scoring.write_score_csv(out / "scores.csv", score_blocks)
@@ -256,12 +262,15 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, config_path: str | None, checkpoi
     against the config, the checkpoint and the input before any read. The origins
     and the synthesized rows are scored by ``scoring.score_set``, whose NumericError
     on a score that is not finite comes before any write."""
-    from . import scoring
-
     samples_csv = Path(dump_csv).parent / "synthesized.csv" if samples_csv is None else samples_csv
     _check_paths([("--config", config_path), ("--checkpoint", _checkpoint_path(cfg, checkpoint)),
                   ("--input", input_csv)], [("--dump", dump_csv), ("--samples", samples_csv)],
                  " (--samples defaults to synthesized.csv beside the dump)")
+    import numpy as np
+
+    from . import data as data_mod
+    from . import scoring
+
     score_spec = cfg.scores[0]
     mlp, _ = _load_model(cfg, checkpoint, [score_spec.kind])
     x = _read_csv(Path(input_csv), mlp.n_features, None).x
@@ -299,10 +308,14 @@ def cmd_theory_verify(cfg: config_mod.RunConfig, config_path: str | None,
                       out_csv: str | None) -> int:
     """Monte Carlo bound check; writes per-trial rows, prints the violation fraction and
     the smallest margin."""
-    from . import gmm_theory
-
     path = Path(cfg.outputs.dir) / "theory.csv" if out_csv is None else out_csv
     _check_paths([("--config", config_path)], [("--out-csv", path)])
+    import numpy as np
+
+    from . import data as data_mod
+    from . import gmm_theory
+    from .numerics import rng
+
     t = cfg.theory
     mu = np.full(t.dim, t.mu_norm / np.sqrt(t.dim))
     spec = gmm_theory.GmmSpec(mu=mu, sigma=t.sigma)
@@ -339,6 +352,8 @@ def cmd_gradcheck(cases: int, seed: int) -> int:
 def _write_report_csv(path: Path, reports: list) -> int:
     """One row per (metrics.DetectionReport, OOD set), average row included; returns the
     row count."""
+    from . import data as data_mod
+
     rows = [[report.method, report.score_kind, row.set_name, row.fpr95, row.auroc, row.aupr,
              report.id_accuracy] for report in reports for row in report.ood_sets]
     data_mod.write_table(path, ["method", "score", "ood_set", "fpr95", "auroc", "aupr", "id_acc"],
@@ -348,14 +363,14 @@ def _write_report_csv(path: Path, reports: list) -> int:
 
 def cmd_report(report_paths: list[str], out_csv: str) -> int:
     """Merge the report lists that ``eval`` writes as report.json into one CSV table."""
+    _check_paths([("an input report", rp) for rp in report_paths], [("--out-csv", out_csv)])
     from . import metrics as metrics_mod
 
-    _check_paths([("an input report", rp) for rp in report_paths], [("--out-csv", out_csv)])
     reports = []
     for path in map(Path, report_paths):
-        docs = data_mod.read_json(path, DataError, "report")
+        docs = config_mod.read_json(path, DataError, "report")
         try:
-            reports.extend(data_mod.parse(tuple[metrics_mod.DetectionReport, ...], docs, "reports"))
+            reports.extend(config_mod.parse(tuple[metrics_mod.DetectionReport, ...], docs, "reports"))
         except (ConfigError, DataError) as exc:
             raise DataError(f"report {path} is malformed: {exc}") from None
     out_path = Path(out_csv)
@@ -367,7 +382,7 @@ def cmd_report(report_paths: list[str], out_csv: str) -> int:
 
 def _epsilon_grid(text: str) -> list[float]:
     """Parse ``--epsilons``: comma-separated radii, at least one, each in
-    [0, data.MAX_MAGNITUDE], the bound ``data.parse`` puts on every float input,
+    [0, config.MAX_MAGNITUDE], the bound ``config.parse`` puts on every float input,
     and no two equal (each radius writes its own rows, keyed by index and radius)."""
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
@@ -375,8 +390,8 @@ def _epsilon_grid(text: str) -> list[float]:
         raise ConfigError(f"--epsilons: {exc}") from None
     if not grid:
         raise ConfigError(f"--epsilons names no radius, got {text!r}")
-    if not all(0 <= e <= data_mod.MAX_MAGNITUDE for e in grid):
-        raise ConfigError(f"--epsilons must lie in [0, {data_mod.MAX_MAGNITUDE:g}], got {text!r}")
+    if not all(0 <= e <= config_mod.MAX_MAGNITUDE for e in grid):
+        raise ConfigError(f"--epsilons must lie in [0, {config_mod.MAX_MAGNITUDE:g}], got {text!r}")
     seen = set()
     for e in grid:
         if e in seen:

@@ -17,21 +17,9 @@ The CLI then checks each dataset CSV against what the code below it relies
 on: at least one row, the model's feature width, every value inside DOMAIN
 and every label in [0, C). gen-data output always meets this contract.
 
-``read_json`` reads each JSON input (config, checkpoint, report) and maps
-any file it cannot read or parse to the caller's typed error. ``parse`` and
-``dump`` then type every JSON file in one walk over a dataclass schema:
-``config.RunConfig``, ``metrics.DetectionReport`` (report.json is a list of
-them) and ``model.Checkpoint``, whose fields are each file's keys in order.
-``parse`` holds the one magnitude rule for float inputs: a float, or an int
-read as one, needs ``abs(value) <= MAX_MAGNITUDE`` (1e100), which also
-refuses NaN and infinities. No formula multiplies more than three inputs
-(sigma**2 * (alpha - tau), balance * hinge**2, lr * gradient), so every such
-product stays below about 1e300 and finite in float64.
-A checkpoint's weights and biases stay bare lists that
-``model._parameters`` types with numpy: walking the 4612 numbers of a
-2-64-64-4 model one at a time took 7.0 ms against numpy's 0.5 ms (2-vCPU
-Xeon VM, in process), while the walk over the rest costs about 30 us.
-``write_table`` writes the small result tables. ``save_csv`` and
+The JSON files are read and typed by ``config``'s schema layer, which also
+holds the box half-width BOX_RADIUS that the config checks the radii
+against. ``write_table`` writes the small result tables. ``save_csv`` and
 ``scoring.write_score_csv`` format the two large ones in blocks, the bytes of
 a per-row ``csv.writer`` in less time (2-vCPU Xeon VM, best 3 of 7: 40k
 dataset rows 55-94 ms against 89-92 ms, 272k scores 0.25-0.30 s against 0.59-0.70 s).
@@ -41,34 +29,20 @@ from __future__ import annotations
 
 import collections
 import csv
-import dataclasses
-import functools
 import itertools
-import json
-import types
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, DataError, OodbenchError
+from .config import BOX_RADIUS
+from .errors import DataError
 
 DOMAIN = (0.0, 1.0)
-MAX_MAGNITUDE = 1e100  # the largest |value| ``parse`` accepts for a float
-# The most values of one array a config may size (see ``config``): 2**27 float64 is
-# 1 GiB, which a desk machine holds, and 1024 times the default config's largest
-# array (a 2048-row set through a 64-wide layer). A size no machine could allocate
-# is then a ConfigError before any work, not numpy's MemoryError midway.
-MAX_ELEMENTS = 2 ** 27
-FEATURES = 2  # columns of each generated set
 CSV_BLOCK_ROWS = 4096  # rows ``load_csv`` holds as field strings at a time
 ID_RADIUS = 1.0  # raw-coordinate radius of the circle the ID blob means sit on
 ID_SIGMA = 0.18  # per-coordinate standard deviation of each ID blob
-# Half-width of gen-data's raw box: fixed, so no test set rescales the training data,
-# and the smallest that holds a far OOD set out to radius 4.0.
-BOX_RADIUS = 4.0
 
 
 @dataclass
@@ -161,101 +135,6 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_json(path, error: type[Exception], what: str):
-    """The JSON document at ``path``; a file that is missing, cannot be read, or
-    is not JSON the parser accepts (not UTF-8, nested too deep, an integer of
-    too many digits) raises ``error`` naming ``what`` and the path."""
-    path = Path(path)
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise error(f"{what} {path} not found") from None
-    except OSError as exc:  # a directory, or a file we may not read
-        raise error(f"{what} {path} cannot be read: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:
-        raise error(f"{what} {path} is not valid JSON: {exc}") from None
-
-
-@functools.cache
-def _schema(cls) -> tuple[tuple[dataclasses.Field, typing.Any], ...]:
-    """(field, resolved type) for each key of a dataclass."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in dataclasses.fields(cls))
-
-
-def parse(tp, value, where: str):
-    """Build a value of type ``tp`` from its JSON form; ``where`` names it in errors.
-
-    A dataclass is an object with no unknown key and every key without a
-    default; a ``tuple[T, ...]`` is a list; a bool is not a number, an
-    integral float is an int, and an int widens to a float. A float must have
-    ``abs(value) <= MAX_MAGNITUDE``, which refuses NaN and the infinities too:
-    a product of up to three such values stays finite. A wrong value raises
-    ConfigError; an error a dataclass raises from its own checks keeps its
-    class and gains the dataclass's place.
-    """
-    if dataclasses.is_dataclass(tp):
-        label = where or "config"
-        if not isinstance(value, dict):
-            raise ConfigError(f"{label} must be an object, got {value!r}")
-        schema = _schema(tp)
-        unknown = sorted(set(value) - {f.name for f, _ in schema})
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {label}: {unknown}")
-        kwargs = {}
-        for f, ftp in schema:
-            if f.name in value:
-                kwargs[f.name] = parse(ftp, value[f.name], f"{where}.{f.name}" if where else f.name)
-            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-                raise ConfigError(f"{label} needs a {f.name!r} key")
-        try:
-            return tp(**kwargs)
-        except OodbenchError as exc:
-            raise type(exc)(f"{label}: {exc}") from None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return parse(inner, value, where)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        if len(args) == 2 and args[1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{where} must have {len(args)} items, got {len(value)}")
-        return tuple(parse(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be an object, got {value!r}")
-        return {parse(args[0], k, where): parse(args[1], v, f"{where}.{k}")
-                for k, v in value.items()}
-    if isinstance(value, bool) and tp is not bool:
-        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    if tp is float and isinstance(value, (int, float)):
-        if not abs(value) <= MAX_MAGNITUDE:  # also false for NaN
-            raise ConfigError(f"{where} must be finite, of magnitude <= {MAX_MAGNITUDE:g}, "
-                              f"got {value!r}")
-        return float(value)
-    if tp is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, tp):
-        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    return value
-
-
-def dump(value):
-    """JSON form of a value ``parse`` builds; its inverse."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: dump(getattr(value, f.name)) for f, _ in _schema(type(value))}
-    if isinstance(value, tuple):
-        return [dump(v) for v in value]
-    if isinstance(value, dict):
-        return {k: dump(v) for k, v in value.items()}
-    return value
 
 
 def load_csv(path):

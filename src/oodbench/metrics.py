@@ -7,8 +7,8 @@ precision-recall step curve from a descending-score sweep. A non-finite
 score has no rank, so every metric rejects it with NumericError.
 
 ``DetectionReport`` and ``OodSetResult`` are report.json's schema: eval
-writes a list of reports with ``data.dump`` and ``report`` reads it back
-with ``data.parse``, the walker that also types the config. Their
+writes a list of reports with ``config.dump`` and ``report`` reads it back
+with ``config.parse``, the walker that also types the config. Their
 ``__post_init__`` checks each rate and rebuilds the average row.
 """
 

@@ -21,8 +21,8 @@ caller's batch. Nothing here cuts rows: a pass is over the rows it is given.
 in ``row_slices`` of CHUNK_ROWS, so its temporaries are a slice's, a few
 hundred KB that stay in cache.
 
-checkpoint.json is the ``Checkpoint`` record, written by ``data.dump`` and
-read by ``data.parse``, the walker that types the config; ``_parameters``
+checkpoint.json is the ``Checkpoint`` record, written by ``config.dump`` and
+read by ``config.parse``, the walker that types the config; ``_parameters``
 then types its weights and biases with numpy.
 """
 
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .data import dump, parse, read_json
+from .config import dump, parse, read_json
 from .errors import ConfigError, DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 2

@@ -70,14 +70,15 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     return msp_score(logits / ODIN_TEMPERATURE)
 
 
-def ash_s(acts: np.ndarray) -> np.ndarray:
-    """Shape the float64 rows of ``acts`` in place and return it: zero activations
-    below the per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
+def ash_s(acts: np.ndarray) -> int:
+    """Shape the float64 rows of ``acts`` in place: zero activations below the
+    per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
 
-    Rows whose survivor sum is not positive are left unchanged, and one
-    warning per call gives their count (nothing sensible to rescale). Every
-    step is per row; its temporaries are a few copies of ``acts``, which
-    ``score_set`` bounds to one ``model.CHUNK_ROWS`` slice.
+    Rows whose survivor sum is not positive are left unchanged (nothing
+    sensible to rescale); the return is their count, which ``score_set`` sums
+    over a set for its one warning. Every step is per row; its temporaries
+    are a few copies of ``acts``, which ``score_set`` bounds to one
+    ``model.CHUNK_ROWS`` slice.
     """
     cut = np.percentile(acts, ASH_PERCENTILE, axis=1, keepdims=True)
     shaped = np.where(acts >= cut, acts, 0.0)
@@ -87,14 +88,11 @@ def ash_s(acts: np.ndarray) -> np.ndarray:
     scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
     shaped *= scale[:, None]
     np.copyto(acts, shaped, where=ok[:, None])
-    unshaped = int(np.sum(~ok))
-    if unshaped:
-        warnings.warn(f"{unshaped} rows left unshaped (non-positive sum)", stacklevel=2)
-    return acts
+    return int(np.sum(~ok))
 
 
 def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
-                   features=None, top=None) -> np.ndarray:
+                   features=None, top=None, unshaped=None) -> np.ndarray:
     """Evaluate the configured score for a batch of raw inputs, in one pass
     over its rows.
 
@@ -102,7 +100,9 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     the argmax of their logits, computed here when not given (``score_set``
     gives both). ash_energy shapes the features in place, so features handed
     to it are consumed; ODIN reads only ``top``. Without a hidden layer the
-    features are the batch itself, and a copy of it is shaped.
+    features are the batch itself, and a copy of it is shaped. ash_energy
+    appends the count of rows ``ash_s`` left unshaped to the list
+    ``unshaped`` when one is given (``score_set`` does).
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":
@@ -111,7 +111,10 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
         features = model_mod.penultimate_features(mlp, batch)
     if spec.kind == "ash_energy":
         # The caller's batch itself (a model with no hidden layer) is never shaped.
-        shaped = ash_s(features.copy() if features is batch else features)
+        shaped = features.copy() if features is batch else features
+        count = ash_s(shaped)
+        if unshaped is not None:
+            unshaped.append(count)
         return energy_score(model_mod.head(mlp, shaped))
     logits = model_mod.head(mlp, features)
     if spec.kind == "msp":
@@ -134,13 +137,15 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
     its slice: ``score_set(x)`` on a slice's rows equals ``score_set`` of that
     slice alone, on any BLAS kernel and thread count. Logits that overflow
     raise no numpy warning; the first non-finite score is a NumericError
-    naming its kind.
+    naming its kind. The rows ash_energy leaves unshaped are summed over the
+    set's slices, and a set with any gets one warning giving their total.
     """
     rank = {"ash_energy": 1, "odin": 2}
     order = sorted(range(len(specs)), key=lambda i: rank.get(specs[i].kind, 0))
     n = x.shape[0]
     scores = [np.empty(n) for _ in specs]
     logits = np.empty((n, mlp.n_classes))
+    unshaped = []
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in model_mod.row_slices(n, model_mod.CHUNK_ROWS):
             batch = x[rows]
@@ -150,11 +155,14 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
             for i in order:
                 if specs[i].kind == "odin":
                     features = None
-                batch_scores = compute_scores(mlp, batch, specs[i], features=features, top=top)
+                batch_scores = compute_scores(mlp, batch, specs[i], features=features, top=top,
+                                              unshaped=unshaped)
                 if not np.isfinite(batch_scores).all():
                     raise NumericError(f"the model's {specs[i].kind} scores are not finite")
                 scores[i][rows] = batch_scores
             del features  # before the next slice's forward
+    if total := sum(unshaped):
+        warnings.warn(f"{total} rows left unshaped (non-positive sum)", stacklevel=2)
     return scores, logits
 
 

@@ -83,7 +83,7 @@ def test_gen_data_writes_every_set_through_one_symmetric_box(tmp_path):
            "ood_ring": data.gen_ring_ood(1.5, 2.2, 8, seed["ood_ring"])}
     run = tmp_path / "run"
     assert sorted(p.name for p in run.iterdir()) == sorted(f"{name}.csv" for name in raw)
-    r = data.BOX_RADIUS
+    r = config.BOX_RADIUS
     for name, ds in raw.items():
         written = data.load_csv(run / f"{name}.csv")
         assert written.x.tobytes() == ((ds.x + r) / (2 * r)).tobytes(), name
@@ -567,18 +567,18 @@ def test_extrapolate_without_epsilons_uses_the_pool_radii(tmp_path, pool, grid):
 
 def test_extrapolate_grid_over_the_size_rule_exits_2(tmp_path, capsys):
     # The grid ascends as one batch through the widest layer: 513 distinct radii
-    # x 4096 x 64 values is past data.MAX_ELEMENTS (2**27), from a short argument.
+    # x 4096 x 64 values is past config.MAX_ELEMENTS (2**27), from a short argument.
     checkpoint, inputs, dump = tmp_path / "ckpt.json", tmp_path / "in.csv", tmp_path / "d.csv"
     model.save_checkpoint(model.init_model((2, 64, 4), seed=0), checkpoint, ("ce", 0, "ab12"))
     data.save_csv(data.UnlabeledDataset(np.full((4096, 2), 0.5)), inputs)
     grid = ",".join(str(i / 1000) for i in range(513))
     argv = ["--out", str(tmp_path / "run"), "extrapolate", "--checkpoint", str(checkpoint),
             "--input", str(inputs), "--dump", str(dump), "--epsilons", grid]
-    assert 513 * 4096 * 64 > data.MAX_ELEMENTS
+    assert 513 * 4096 * 64 > config.MAX_ELEMENTS
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the grid of --epsilons") and "widest layer" in err
-    assert "513 x 4096 x 64 values exceeds data.MAX_ELEMENTS" in err
+    assert "513 x 4096 x 64 values exceeds config.MAX_ELEMENTS" in err
     assert not dump.exists() and not (tmp_path / "run").exists()
 
 
@@ -732,13 +732,13 @@ def test_theory_verify_exits_4_when_the_level_is_infeasible(tmp_path, capsys):
 def test_inputs_at_the_magnitude_cap_finish_or_fail_typed(tmp_path):
     # pytest turns a numpy RuntimeWarning into an error, so an overflow of a
     # product of capped inputs would raise here instead of returning an exit code.
-    cap = json.dumps(data.MAX_MAGNITUDE)
-    radii = f'"inner_radius": {data.MAX_MAGNITUDE / 2}, "outer_radius": {cap}'
+    cap = json.dumps(config.MAX_MAGNITUDE)
+    radii = f'"inner_radius": {config.MAX_MAGNITUDE / 2}, "outer_radius": {cap}'
     base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / "run")]
     run = tmp_path / "run"
     for key, value in [("data.aux", f'{{{radii}, "count": 16}}'),
                        ("data.ood_sets", f'{{"ring": {{{radii}, "count": 8}}}}')]:
-        # Radii past data.BOX_RADIUS are refused at parse, before anything is written.
+        # Radii past config.BOX_RADIUS are refused at parse, before anything is written.
         assert cli.main(base + ["--set", f"{key}={value}", "gen-data"]) == 2
         assert not run.exists()
     assert cli.main(base + ["gen-data"]) == 0
@@ -751,9 +751,9 @@ def test_inputs_at_the_magnitude_cap_finish_or_fail_typed(tmp_path):
 
 
 def test_theory_verify_at_the_magnitude_cap_exits_0(tmp_path, capsys):
-    # At mu_norm = sigma = alpha = data.MAX_MAGNITUDE the right-hand side is about
+    # At mu_norm = sigma = alpha = config.MAX_MAGNITUDE the right-hand side is about
     # -2.3e199, so every trial passes.
-    cap = json.dumps(data.MAX_MAGNITUDE)
+    cap = json.dumps(config.MAX_MAGNITUDE)
     argv = ["--out", str(tmp_path), "--set", "theory.trials=3"]
     for key in ("mu_norm", "sigma", "alpha"):
         argv += ["--set", f"theory.{key}={cap}"]
@@ -766,7 +766,7 @@ def test_theory_verify_at_the_magnitude_cap_exits_0(tmp_path, capsys):
 def test_theory_verify_at_the_divisor_bound_finishes_or_fails_typed(tmp_path, divisors):
     # pytest turns a numpy RuntimeWarning into an error, so a division by an
     # underflowed square would raise here instead of returning an exit code.
-    bound = json.dumps(1 / data.MAX_MAGNITUDE)
+    bound = json.dumps(1 / config.MAX_MAGNITUDE)
     argv = ["--out", str(tmp_path), "--set", "theory.trials=3"]
     for key in divisors:
         argv += ["--set", f"theory.{key}={bound}"]
@@ -863,7 +863,7 @@ _EXTRAPOLATE = ["extrapolate", "--input", "in.csv", "--dump"]
 def test_extrapolate_refuses_a_path_that_names_no_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     reads = []
-    for module, name in ((model, "load_checkpoint"), (data, "load_csv"), (data, "read_json")):
+    for module, name in ((model, "load_checkpoint"), (data, "load_csv"), (config, "read_json")):
         monkeypatch.setattr(module, name, lambda path, *_: reads.append(path))
     assert cli.main(["--out", "run", *argv]) == 2
     flag, path = argv[-2:]

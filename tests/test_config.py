@@ -74,11 +74,11 @@ PROBES = [
     "theory.sigma=1e200",
     "theory.mu_norm=1e200",
     "extrapolation.pool=[[1e308, 1.0]]",
-    # Values above data.MAX_MAGNITUDE whose products overflow: s * mu_norm in the
+    # Values above config.MAX_MAGNITUDE whose products overflow: s * mu_norm in the
     # theory sampler, and lr times a gradient in the SGD step.
     'theory={"mu_norm": 1.34e154, "sigma": 1.34e154, "trials": 3}',
     "train.lr=1e308",
-    # Divisors below 1 / data.MAX_MAGNITUDE: mu_norm squared underflows to 0 in the
+    # Divisors below 1 / config.MAX_MAGNITUDE: mu_norm squared underflows to 0 in the
     # theory sampler, and 1 / sigma overflows in the bound.
     'theory={"mu_norm": 1e-300, "trials": 3}',
     'theory={"mu_norm": 1e-300, "sigma": 1e-300, "trials": 3}',
@@ -88,7 +88,7 @@ PROBES = [
     pytest.param("seed=" + "[" * 5000, id="seed=[*5000"),
     pytest.param("train.lr=" + "9" * 5000, id="train.lr=9*5000"),
     pytest.param("train.lr=" + "9" * 400, id="train.lr=9*400"),
-    # Sizes whose arrays would hold more than data.MAX_ELEMENTS values.
+    # Sizes whose arrays would hold more than config.MAX_ELEMENTS values.
     "data.per_class=1000000000000",
     "data.per_class=1000000000000000000",
     "theory.dim=1000000000000000000",
@@ -198,7 +198,7 @@ def test_theory_config_rejects_alpha_below_tau():
 
 
 def test_theory_config_bounds_its_divisors_at_one_over_the_magnitude_cap():
-    bound = 1 / data.MAX_MAGNITUDE
+    bound = 1 / config.MAX_MAGNITUDE
     below = math.nextafter(bound, 0.0)
     for mu_norm in (bound, -bound):
         config.TheoryConfig(mu_norm=mu_norm, sigma=bound)
@@ -209,7 +209,7 @@ def test_theory_config_bounds_its_divisors_at_one_over_the_magnitude_cap():
         config.TheoryConfig(sigma=below)
 
 
-# (overrides whose largest array holds exactly data.MAX_ELEMENTS values, one more
+# (overrides whose largest array holds exactly config.MAX_ELEMENTS values, one more
 # override that adds to it); the arrays' sizes are in the comments.
 AT_THE_SIZE_CAP = [
     (["data.classes=2", "model.hidden=[]", f"data.per_class={2 ** 25}"],
@@ -229,7 +229,7 @@ AT_THE_SIZE_CAP = [
 @pytest.mark.parametrize("overrides, one_more", AT_THE_SIZE_CAP)
 def test_a_size_at_the_cap_parses_and_one_more_does_not(overrides, one_more):
     config.parse_config(config.apply_overrides({}, overrides))
-    with pytest.raises(ConfigError, match=r"exceeds data\.MAX_ELEMENTS \(134217728\)"):
+    with pytest.raises(ConfigError, match=r"exceeds config\.MAX_ELEMENTS \(134217728\)"):
         config.parse_config(config.apply_overrides({}, [*overrides, one_more]))
 
 
@@ -255,13 +255,13 @@ def test_ints_widen_to_float_and_integral_floats_narrow_to_int():
 
 
 def _float_keys(tp, doc, where="", path=()):
-    """(key as ``data.parse`` names it, path into ``doc``) for each float in the
+    """(key as ``config.parse`` names it, path into ``doc``) for each float in the
     schema ``tp``, following the items and set names present in ``doc``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is float:
         yield where, path
     elif dataclasses.is_dataclass(tp):
-        for f, ftp in data._schema(tp):
+        for f, ftp in config._schema(tp):
             yield from _float_keys(ftp, doc[f.name], f"{where}.{f.name}" if where else f.name,
                                    path + (f.name,))
     elif origin is dict:
@@ -284,7 +284,7 @@ def test_every_float_key_refuses_a_magnitude_above_the_cap():
     assert {"train.lr", "theory.sigma", "data.aux.inner_radius", "data.ood_sets.ring.outer_radius",
             "extrapolation.pool[0][0]", "extrapolation.pool[0][1]"} <= set(keys)
     for key, path in keys.items():
-        for value in (math.nextafter(data.MAX_MAGNITUDE, math.inf), 10 ** 101):
+        for value in (math.nextafter(config.MAX_MAGNITUDE, math.inf), 10 ** 101):
             doc = copy.deepcopy(default)
             node = doc
             for part in path[:-1]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oodbench import data, metrics
+from oodbench import config, metrics
 from oodbench.errors import DataError, NumericError
 
 score_lists = st.lists(st.floats(-5, 5).map(lambda v: round(v, 1)), min_size=1, max_size=40)
@@ -138,11 +138,11 @@ def test_report_roundtrip_and_average():
     assert report.average is report.ood_sets[-1]
     assert report.average.fpr95 == pytest.approx(
         np.mean([r.fpr95 for r in report.ood_sets[:-1]]))
-    doc = json.loads(json.dumps(data.dump(report)))
+    doc = json.loads(json.dumps(config.dump(report)))
     assert list(doc) == ["method", "score_kind", "id_accuracy", "seed", "config_digest",
                          "ood_sets"]
-    assert data.parse(metrics.DetectionReport, doc, "report") == report
-    assert data.dump(data.parse(metrics.DetectionReport, doc, "report")) == data.dump(report)
+    assert config.parse(metrics.DetectionReport, doc, "report") == report
+    assert config.dump(config.parse(metrics.DetectionReport, doc, "report")) == config.dump(report)
     assert [r["set_name"] for r in doc["ood_sets"]] == ["ring", "blob", "average"]
 
 
@@ -153,6 +153,6 @@ def test_detection_report_identical_sets_auroc_half():
     assert report.ood_sets[0].auroc == 0.5
     assert report.average.auroc == 0.5
     # A report without a seed or digest writes them as null and reads them back.
-    doc = json.loads(json.dumps(data.dump(report)))
+    doc = json.loads(json.dumps(config.dump(report)))
     assert (doc["seed"], doc["config_digest"]) == (None, None)
-    assert data.parse(metrics.DetectionReport, doc, "report") == report
+    assert config.parse(metrics.DetectionReport, doc, "report") == report

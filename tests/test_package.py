@@ -91,23 +91,26 @@ else:
     assert cli.main(sys.argv[1:]) == 0
 print(json.dumps(sorted(m.split(".")[1] for m in sys.modules if m.startswith("oodbench."))))
 """
-# The modules every command loads: cli, config and what config imports. config
-# holds every section and the kinds table, so none of them is model code.
-COMMON_MODULES = {"cli", "config", "data", "errors", "numerics"}
+# The modules every entry loads: cli and config, which imports only errors, so
+# perfbench's set-up path loads nothing more. Every command also loads data and
+# numerics (numpy), where it reads, writes or draws.
+COMMON_MODULES = {"cli", "config", "errors"}
+DATA = {"data", "numerics"}
 # What each entry loads beside them: a command imports a module only it runs when
 # it runs. The model stack (model, autodiff, losses) loads only where a model is
 # trained or scored, and extrapolation only where outliers may be synthesized.
 MODEL_STACK = {"model", "autodiff", "losses"}
 ENTRY_MODULES = [
     pytest.param("setup", set(), id="perfbench-setup"),
-    pytest.param("gen-data", set(), id="gen-data"),
-    pytest.param("train", {"trainer", "extrapolation", *MODEL_STACK}, id="train"),
-    pytest.param("eval", {"scoring", "metrics", *MODEL_STACK}, id="eval"),
-    pytest.param("extrapolate", {"extrapolation", "scoring", *MODEL_STACK}, id="extrapolate"),
-    pytest.param("theory-verify", {"gmm_theory"}, id="theory-verify"),
-    pytest.param("report", {"metrics"}, id="report"),
-    pytest.param("gradcheck", {"gradcheck", "trainer", "scoring", "extrapolation", *MODEL_STACK},
-                 id="gradcheck"),
+    pytest.param("gen-data", DATA, id="gen-data"),
+    pytest.param("train", {"trainer", "extrapolation", *MODEL_STACK, *DATA}, id="train"),
+    pytest.param("eval", {"scoring", "metrics", *MODEL_STACK, *DATA}, id="eval"),
+    pytest.param("extrapolate", {"extrapolation", "scoring", *MODEL_STACK, *DATA},
+                 id="extrapolate"),
+    pytest.param("theory-verify", {"gmm_theory", *DATA}, id="theory-verify"),
+    pytest.param("report", {"metrics", *DATA}, id="report"),
+    pytest.param("gradcheck", {"gradcheck", "trainer", "scoring", "extrapolation", *MODEL_STACK,
+                               *DATA}, id="gradcheck"),
 ]
 
 
@@ -133,6 +136,42 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, entry, modules):
     result = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *args], env=_fresh_env(),
                             capture_output=True, text=True, check=True)
     assert set(json.loads(result.stdout.splitlines()[-1])) == COMMON_MODULES | modules
+
+
+# Runs perfbench/child.py's set-up path, or `python -m oodbench ARGV`, then
+# prints its exit code and whether numpy was imported.
+NUMPY_FREE_SCRIPT = """
+import runpy, sys
+code = 0
+try:
+    if sys.argv[1] == "setup":
+        runpy.run_path(sys.argv[2])["setup"](*sys.argv[3:])
+    else:
+        sys.argv = ["oodbench", *sys.argv[1:]]
+        runpy.run_module("oodbench", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+NUMPY_FREE_RUNS = [
+    pytest.param(["setup", str(CHILD), "cfg.json", "0", "run"], 0, id="perfbench-setup"),
+    pytest.param(["--help"], 0, id="help-0"),
+    pytest.param(["--set", "train.loss.kind=bogus", "train"], 2, id="bogus-loss-kind-2"),
+    pytest.param(["theory-verify", "--out-csv", ""], 2, id="theory-verify-no-file-2"),
+    pytest.param(["extrapolate", "--input", "in.csv", "--dump", "in.csv"], 2,
+                 id="extrapolate-dump-is-input-2"),
+    pytest.param(["report", "r.json", "--out-csv", "r.json"], 2, id="report-out-is-input-2"),
+]
+
+
+@pytest.mark.parametrize("argv, code", NUMPY_FREE_RUNS)
+def test_set_up_help_and_refused_arguments_import_no_numpy(tmp_path, argv, code):
+    # Parsing a config or the arguments needs no numpy, so none of these pays its import.
+    (tmp_path / "cfg.json").write_text("{}", encoding="utf-8")
+    result = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT, *argv], cwd=tmp_path,
+                            env=_fresh_env(), capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines()[-1] == f"{code} False", result.stderr
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 # `python -m oodbench` runs __main__.py, which must pass main()'s return to sys.exit:

@@ -157,13 +157,15 @@ def test_ash_identity_at_zero_percentile(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 0.0)
     rng = np.random.default_rng(5)
     acts = rng.uniform(0, 1, (4, 6))
-    out = scoring.ash_s(acts.copy())
+    out = acts.copy()
+    assert scoring.ash_s(out) == 0
     assert out.tobytes() == acts.tobytes()
 
 
 def test_ash_hand_example(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 50.0)
-    out = scoring.ash_s(np.array([[4.0, 3.0, 2.0, 1.0]]))
+    out = np.array([[4.0, 3.0, 2.0, 1.0]])
+    assert scoring.ash_s(out) == 0
     np.testing.assert_allclose(out, [[40.0 / 7.0, 30.0 / 7.0, 0.0, 0.0]], rtol=1e-12)
 
 
@@ -171,16 +173,19 @@ def test_ash_preserves_row_sums_and_argmax(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 60.0)
     rng = np.random.default_rng(6)
     acts = rng.uniform(0.01, 1, (10, 8))
-    out = scoring.ash_s(acts.copy())
+    out = acts.copy()
+    assert scoring.ash_s(out) == 0
     np.testing.assert_allclose(out.sum(axis=1), acts.sum(axis=1), rtol=1e-12)
     np.testing.assert_array_equal(np.argmax(out, axis=1), np.argmax(acts, axis=1))
 
 
 def test_ash_all_zero_row_flagged():
+    # ash_s counts the row and warns nothing itself: score_set warns once per set.
     acts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-    with pytest.warns(UserWarning, match="unshaped"):
-        out = scoring.ash_s(acts)
-    np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scoring.ash_s(acts) == 1
+    np.testing.assert_array_equal(acts[0], [0.0, 0.0, 0.0])
 
 
 def _ragged_relu_acts():
@@ -207,15 +212,15 @@ def _ash_whole_matrix(acts, percentile):
 @pytest.mark.parametrize("percentile", [50.0, 95.0])
 def test_blocked_ash_equals_the_whole_matrix_formula(percentile, monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
-    # One warning with the total of the unshaped rows.
+    # The count of the unshaped rows, and no warning.
     acts = _ragged_relu_acts()
     expected, unshaped = _ash_whole_matrix(acts, percentile)
     assert unshaped == 2
     shaped = acts.copy()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert scoring.ash_s(shaped) is shaped
-    assert [str(w.message) for w in caught] == ["2 rows left unshaped (non-positive sum)"]
+        assert scoring.ash_s(shaped) == 2
+    assert caught == []
     assert shaped.tobytes() == expected.tobytes()
 
 
@@ -226,15 +231,45 @@ def test_in_place_ash_equals_the_allocating_call(percentile, monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
     acts = _ragged_relu_acts()
     shaped = acts.copy()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        expected = scoring.ash_s(acts.copy())
-        view = shaped[2:]
-        assert scoring.ash_s(view) is view
-    # One warning per call, each counting both unshaped rows, which keep their zeros.
-    assert [str(w.message) for w in caught] == ["2 rows left unshaped (non-positive sum)"] * 2
+    expected = acts.copy()
+    # Each call counts both unshaped rows, which keep their zeros.
+    assert scoring.ash_s(expected) == 2
+    assert scoring.ash_s(shaped[2:]) == 2
     assert shaped[2:].tobytes() == expected[2:].tobytes()
     assert shaped[:2].tobytes() == acts[:2].tobytes()
+
+
+def _dead_unit_model():
+    """A (2, 3, 2) model whose hidden units are all dead on rows with x0 <= 0.5."""
+    return model.from_layers((2, 3, 2), (np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
+                                         np.array([[1.0, -1.0], [0.5, 0.2], [-0.3, 0.4]])),
+                             (np.full(3, -0.5), np.zeros(2)))
+
+
+def test_score_set_warns_once_per_set_with_the_summed_count():
+    # Three slices of a set, each with dead rows that ash_s leaves unshaped: one
+    # warning per set gives the set's total, and the scores are each slice's.
+    m = _dead_unit_model()
+    specs = [scoring.ScoreSpec("msp"), scoring.ScoreSpec("ash_energy")]
+    rng = np.random.default_rng(25)
+    for x in (rng.uniform(0, 1, (model.CHUNK_ROWS * 7 // 2, 2)),
+              rng.uniform(0, 0.5, (model.CHUNK_ROWS * 3, 2))):
+        slices = model.row_slices(x.shape[0], model.CHUNK_ROWS)
+        dead = [int(np.sum(x[rows, 0] <= 0.5)) for rows in slices]
+        assert len(slices) == 3 and min(dead) > 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scores, _ = scoring.score_set(m, x, specs)
+        assert [str(w.message) for w in caught] == \
+            [f"{sum(dead)} rows left unshaped (non-positive sum)"]
+        for spec, got in zip(specs, scores):
+            by_slice = np.concatenate([scoring.compute_scores(m, x[rows], spec)
+                                       for rows in slices])
+            assert got.tobytes() == by_slice.tobytes(), spec.kind
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scoring.score_set(m, rng.uniform(0.6, 1, (model.CHUNK_ROWS * 3, 2)), specs)
+    assert caught == []  # a set with no dead row
 
 
 def test_ash_energy_consumes_features_but_never_the_batch():
