@@ -16,10 +16,10 @@ with ``<out>`` the config's ``outputs.dir``:
 - gradcheck: nothing; it prints its result
 
 A path a flag names for writing passes ``_check_paths`` before any read: it
-may name no file the command reads (its config, checkpoint or inputs) and no
-file another flag writes. A command creates a file's directory just before its
-first write, so one refused on its config, its paths or its inputs leaves no
-directory behind.
+may name no directory, no file the command reads (its config, checkpoint or
+inputs) and no file another flag writes. A command creates a file's directory
+just before its first write, so one refused on its config, its paths or its
+inputs leaves no directory behind.
 
 Exit codes: 0 success, 2 a ConfigError (config, argument or written path), 3 a
 DataError or OSError (input file), 4 a NumericError or a gradcheck FAIL. Each
@@ -133,12 +133,14 @@ def _load_sets(cfg: config_mod.RunConfig, names: tuple[str, ...], width: int | N
 
 
 def _check_paths(reads, writes, note: str = "") -> None:
-    """ConfigError unless each (flag, path) in ``writes`` names a file no other
-    flag names; a read whose path is None, a flag not given, names none. Two
-    reads may name one file."""
+    """ConfigError unless each (flag, path) in ``writes`` names a file, not an
+    existing directory, that no other flag names; a read whose path is None, a
+    flag not given, names none. Two reads may name one file."""
     for flag, path in writes:
         if Path(path).name in ("", ".."):
             raise ConfigError(f"{flag} names no file: {path!r}")
+        if Path(path).is_dir():
+            raise ConfigError(f"{flag} names a directory: {path}")
     named = {}
     for flag, path in reads:
         if path is not None:
@@ -277,7 +279,8 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, config_path: str | None, checkpoi
     grid = epsilons if epsilons else list(dict.fromkeys(e for e, _ in cfg.extrapolation.pool))
     # The grid is one batch, a copy of the inputs per radius in grid order;
     # pgd_extrapolate ascends it, and score_set scores it, in the
-    # model.row_slices of model.CHUNK_ROWS rows.
+    # model.row_slices of model.CHUNK_ROWS rows, so a row's result is that of
+    # its slice alone (the contract row_slices states).
     n = x.shape[0]
     config_mod.check_size("the grid of --epsilons (or of the pool's radii) x input rows x "
                           "widest layer", len(grid), n, max(mlp.dims))

@@ -8,15 +8,16 @@ iterate seen, origin included, so no row's loss falls below its initial
 value.
 
 The batch ascends per ``model.row_slices`` slice of ``model.CHUNK_ROWS`` rows,
-each slice together; a training step's sub-batch, under 2 * CHUNK_ROWS rows, is
-one slice. The target is the ``autodiff.input_objective`` of
-``losses.oe_rows``, the uniform loss ``losses.objective`` averages over the
-outlier batch the rows rejoin. Rows do not interact under the model, so one
-``autodiff.input_gradient`` pass gives every row of a slice its value and its
-input gradient over m, whose sign a step takes, and a row's iterates do not
-depend on the slice it ascends in. Each row keeps its own radius (its slice of
-the pool), step size and best iterate. The knobs, ``ExtrapolationConfig``, live
-with the other config sections in ``config`` and are imported here from there.
+each slice together, so a row's result equals that of its slice ascended alone
+(the contract ``row_slices`` states); a training step's sub-batch, under
+2 * CHUNK_ROWS rows, is one slice. The target is the
+``autodiff.input_objective`` of ``losses.oe_rows``, the uniform loss
+``losses.objective`` averages over the outlier batch the rows rejoin. Rows do
+not interact under the model, so one ``autodiff.input_gradient`` pass gives
+every row of a slice its value and its input gradient over m, whose sign a step
+takes. Each row keeps its own radius (its slice of the pool), step size and
+best iterate. The knobs, ``ExtrapolationConfig``, live with the other config
+sections in ``config`` and are imported here from there.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def pgd_extrapolate(mlp: model_mod.MlpClassifier, x0, cfg: ExtrapolationConfig,
     are split, in order, across cfg.pool's slices. A row with radius 0 stays at
     its origin. Rows whose value or gradient turns non-finite are returned as
     their origin and flagged, without affecting the other rows. ``_ascend``
-    runs once per ``model.row_slices`` slice, so a slice whose radii are all
-    0 is only evaluated.
+    runs once per ``model.row_slices`` slice, so a row's result equals that of
+    its slice ascended alone, and a slice whose radii are all 0 is only
+    evaluated.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if epsilon is None:

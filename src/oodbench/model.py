@@ -41,8 +41,9 @@ from .errors import ConfigError, DataError, NumericError
 
 CHECKPOINT_FORMAT_VERSION = 2
 # Rows per slice of a large set, the one row size of ``scoring.score_set`` and
-# of the ascent in ``extrapolation``. A slice of the benchmark's (2, 64, 64, 4)
-# model holds 256 KB per activation array.
+# of the ascent in ``extrapolation``, under the contract ``row_slices`` states.
+# A slice of the benchmark's (2, 64, 64, 4) model holds 256 KB per activation
+# array.
 CHUNK_ROWS = 512
 
 
@@ -150,8 +151,14 @@ def head(model: MlpClassifier | _Layers, features: np.ndarray) -> np.ndarray:
 def row_slices(m: int, size: int) -> list[slice]:
     """Slices that cut m rows at each multiple of ``size``, the trailing rows
     joining the last full slice: one slice when m < 2 * size, and none shorter
-    than ``size`` otherwise. A ragged tail of one row would take BLAS's
-    matrix-vector kernel, which rounds differently from the whole batch's."""
+    than ``size`` otherwise, so no one-row product cut from a larger batch
+    reaches BLAS's matrix-vector kernel.
+
+    The row rule of ``scoring.score_set`` and of the ascent in
+    ``extrapolation.pgd_extrapolate``: each runs every pass per slice, so a
+    row's result equals that of its slice run alone, on any BLAS kernel and
+    thread count. It need not equal a whole-batch pass's, which BLAS may block,
+    or split among its threads, elsewhere."""
     n = max(m // size, 1)
     return [slice(i * size, None if i == n - 1 else (i + 1) * size) for i in range(n)]
 

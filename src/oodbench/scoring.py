@@ -133,12 +133,12 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
     features, then ash_energy, which shapes them in place, then ODIN, which
     reads only the argmax, once the features are dropped. So scoring holds one
     slice's working set; each slice's scores and logits are written into
-    arrays allocated once per set. A row's scores and logits depend only on
-    its slice: ``score_set(x)`` on a slice's rows equals ``score_set`` of that
-    slice alone, on any BLAS kernel and thread count. Logits that overflow
-    raise no numpy warning; the first non-finite score is a NumericError
-    naming its kind. The rows ash_energy leaves unshaped are summed over the
-    set's slices, and a set with any gets one warning giving their total.
+    arrays allocated once per set. A row's scores and logits equal those of
+    its slice scored alone, the contract ``model.row_slices`` states. Logits
+    that overflow raise no numpy warning; the first non-finite score is a
+    NumericError naming its kind. The rows ash_energy leaves unshaped are
+    summed over the set's slices, and a set with any gets one warning giving
+    their total.
     """
     rank = {"ash_energy": 1, "odin": 2}
     order = sorted(range(len(specs)), key=lambda i: rank.get(specs[i].kind, 0))

@@ -841,10 +841,10 @@ def test_report_refuses_an_out_csv_that_names_an_input(tmp_path, capsys):
     assert cli.main(["report", str(report), str(report), "--out-csv", str(tmp_path / "m.csv")]) == 0
 
 
-# Each command refuses a path it is told to write that names no file, before it
-# reads the checkpoint, an input CSV or a report, and before it writes. The
-# last two arguments are the flag and its path; the extrapolate rows are
-# named by their (--dump, --samples) pair.
+# Each command refuses a path it is told to write that names no file, or that
+# names the existing directory "made", before it reads the checkpoint, an input
+# CSV or a report, and before it writes. The last two arguments are the flag
+# and its path; the extrapolate rows are named by their (--dump, --samples) pair.
 _EXTRAPOLATE = ["extrapolate", "--input", "in.csv", "--dump"]
 
 
@@ -859,16 +859,22 @@ _EXTRAPOLATE = ["extrapolate", "--input", "in.csv", "--dump"]
     pytest.param(["theory-verify", "--out-csv", "out/.."], id="theory-verify-out/.."),
     pytest.param(["report", "r.json", "--out-csv", ""], id="report-"),
     pytest.param(["report", "r.json", "--out-csv", "out/.."], id="report-out/.."),
+    pytest.param([*_EXTRAPOLATE, "made"], id="made-None"),
+    pytest.param([*_EXTRAPOLATE, "out/d.csv", "--samples", "made"], id="out/d.csv-made"),
+    pytest.param(["theory-verify", "--out-csv", "made"], id="theory-verify-made"),
+    pytest.param(["report", "r.json", "--out-csv", "made"], id="report-made"),
 ])
 def test_extrapolate_refuses_a_path_that_names_no_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "made").mkdir()
     reads = []
     for module, name in ((model, "load_checkpoint"), (data, "load_csv"), (config, "read_json")):
         monkeypatch.setattr(module, name, lambda path, *_: reads.append(path))
     assert cli.main(["--out", "run", *argv]) == 2
     flag, path = argv[-2:]
-    assert capsys.readouterr().err == f"error: {flag} names no file: {path!r}\n"
-    assert reads == [] and list(tmp_path.iterdir()) == []
+    why = "names a directory: made" if path == "made" else f"names no file: {path!r}"
+    assert capsys.readouterr().err == f"error: {flag} {why}\n"
+    assert reads == [] and list(tmp_path.iterdir()) == [tmp_path / "made"]
 
 
 def test_empty_output_directory_exits_2_before_writing(tmp_path, monkeypatch, capsys):

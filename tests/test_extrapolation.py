@@ -9,7 +9,6 @@ from oodbench import losses, model, numerics, scoring
 from oodbench.errors import ConfigError
 from oodbench.extrapolation import (
     ExtrapolationConfig,
-    _ascend,
     build_extrapolation_pool,
     largest_remainder_counts,
     pgd_extrapolate,
@@ -290,10 +289,11 @@ def test_per_row_epsilon_and_empty_batch(small_model):
 @pytest.mark.parametrize("pool", [((0.02, 0.34), (0.05, 0.33), (0.1, 0.33)),
                                   ((0.0, 0.5), (0.05, 0.5))],
                          ids=["three-radii", "zero-radius-slice"])
-def test_sliced_ascent_equals_one_pass(pool, monkeypatch):
+def test_ascent_ascends_each_slice_alone(pool, monkeypatch):
     # 2 * CHUNK_ROWS + 3 rows ascend in two slices, the tail joining the
-    # second, with the bytes of one whole-batch ascent. Under the second pool
-    # the first 514 rows have radius 0, so the first slice is only evaluated.
+    # second. Each slice's rows come back with the bytes of that slice ascended
+    # alone, on any BLAS kernel and thread count. Under the second pool the
+    # first 514 rows have radius 0, so the first slice is only evaluated.
     base = model.init_model([2, 64, 64, 4], seed=11)
     rng = np.random.default_rng(12)
     mlp = model.from_layers(base.dims, base.weights,
@@ -314,23 +314,23 @@ def test_sliced_ascent_equals_one_pass(pool, monkeypatch):
     if pool[0][0] == 0.0:
         ascent[0] = [(chunk, False)]
     assert passes == [p for slice_passes in ascent for p in slice_passes]
-    whole = _ascend(ad.input_objective(mlp.dims, losses.oe_rows), mlp, x, sliced.epsilons, steps)
-    for field, array in zip(("synthesized", "initial_values", "final_values", "aborted"), whole):
-        assert getattr(sliced, field).tobytes() == array.tobytes(), field
+    for rows in model.row_slices(x.shape[0], chunk):
+        alone = pgd_extrapolate(mlp, x[rows], cfg, epsilon=sliced.epsilons[rows])
+        for field in ("synthesized", "initial_values", "final_values", "aborted"):
+            assert getattr(sliced, field)[rows].tobytes() == getattr(alone, field).tobytes(), \
+                (rows, field)
 
 
 # sha256 of the ascent's (synthesized, initial, final, aborted) on 21, 64 and
 # 3072 rows over the benchmark's 3-slice pool, and of ODIN on 5000 rows in one
 # input-gradient pass, from the model below (x86-64, numpy 2.4.6, OpenBLAS
-# 0.3.31, SkylakeX core). Pinned from the per-row loss kernels that reduced inside their own
-# forward and backward. Both targets are means: each row's input gradient
-# enters with the positive weight 1/m, which the sign steps read past.
-# Another BLAS kernel or numpy build may round differently; re-pin from those
-# kernels there.
+# 0.3.31), taken under the BLAS core and thread count tests/conftest.py names.
+# Both targets are means: each row's input gradient enters with the positive
+# weight 1/m, which the sign steps read past.
 ROW_OUTPUT_DIGESTS = {
-    21: "36708aa09002aa6c9988b9e650fac7216ef8c057dbba82042a06fc54f8c8d859",
-    64: "c1837207ae53e0a106b78ad51a7ca5d9cfaa53cdaba48f9e1e810a1b4ddf24fb",
-    3072: "c695a47c1fff8d50a67bf2123f7ce1043e34a6290b885ec783da53669367d273",
+    21: "caa0305ca2721f58c7a45fe1d4f3f8f87dd3f0ef43a320e896ceffc01c44c188",
+    64: "43c98bb656dde882b56fde15540d184815368494205f37184924748107cfac65",
+    3072: "c634d832cb2f9ddae66df5c6cbacbc835432724caa5751d47e91f7925355aee6",
     "odin": "bf7dfc30fde47500f67a3b6c5e96582a847b2209d5b8b46997b465c68534cc39",
 }
 

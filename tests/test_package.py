@@ -20,6 +20,16 @@ def _fresh_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
+def test_the_kernel_conftest_names_runs():
+    # The byte pins hold on the BLAS core tests/conftest.py names, and every
+    # interpreter a test starts inherits it. An OpenBLAS that ignores the
+    # variable fails here by name, not as a digest mismatch elsewhere.
+    result = subprocess.run([sys.executable, "-c", "import numpy"],
+                            env=dict(_fresh_env(), OPENBLAS_VERBOSE="2"),
+                            capture_output=True, text=True, check=True)
+    assert "Core: Haswell" in result.stderr
+
+
 # The baseline is taken first, so what site hooks import at startup is not counted.
 SCRIPT = """
 import importlib, json, pkgutil, sys

@@ -202,13 +202,12 @@ def test_cli_train_of_a_diverging_run_exits_4(tmp_path, capsys, kind):
 
 
 # sha256 of the trained parameters (W0, W1, b0, b1 bytes) and of history.csv for
-# the short-batch toy run below (x86-64, numpy 2.4.6, OpenBLAS 0.3.31). The ce,
-# oe and energy_bounded parameter digests were pinned from the trainer that built
-# a new loss graph on every step, their history digests from the one whose
-# outlier columns hold one term per bound batch; divoe's from the one that
-# synthesizes the head of each outlier batch and writes it back over those rows.
-# Another BLAS kernel or numpy build may round differently; re-pin from those
-# trainers there.
+# the short-batch toy run below (x86-64, numpy 2.4.6, OpenBLAS 0.3.31), taken
+# under the BLAS core and thread count tests/conftest.py names. The ce, oe and
+# energy_bounded parameter digests were pinned from the trainer that built a new
+# loss graph on every step, their history digests from the one whose outlier
+# columns hold one term per bound batch; divoe's from the one that synthesizes
+# the head of each outlier batch and writes it back over those rows.
 SHORT_BATCH_DIGESTS = {
     "ce": ("9dd7a9770954fd260f71bc348c6f1866eb91c1a86ab8a3d2483735df9caff459",
            "4ebdf0a742c2fc16b04d71915e43e40b937a8ae0f2bc76151412bb1d02a31a1d"),
