@@ -16,10 +16,10 @@ with ``<out>`` the config's ``outputs.dir``:
 - gradcheck: nothing; it prints its result
 
 A path a flag names for writing passes ``_check_paths`` before any read: it
-may name no directory, no file the command reads (its config, checkpoint or
-inputs) and no file another flag writes. A command creates a file's directory
-just before its first write, so one refused on its config, its paths or its
-inputs leaves no directory behind.
+may name no directory, no path under a file, no file the command reads (its
+config, checkpoint or inputs) and no file another flag writes. A command
+creates a file's directory just before its first write, so one refused on its
+config, its paths or its inputs leaves no directory behind.
 
 Exit codes: 0 success, 2 a ConfigError (config, argument or written path), 3 a
 DataError or OSError (input file), 4 a NumericError or a gradcheck FAIL. Each
@@ -135,12 +135,18 @@ def _load_sets(cfg: config_mod.RunConfig, names: tuple[str, ...], width: int | N
 def _check_paths(reads, writes, note: str = "") -> None:
     """ConfigError unless each (flag, path) in ``writes`` names a file, not an
     existing directory, that no other flag names; a read whose path is None, a
-    flag not given, names none. Two reads may name one file."""
+    flag not given, names none. Two reads may name one file. A path whose text
+    ends in a separator, or in "." or "..", names no file (pathlib would drop
+    the separator and the "."), nor does one whose nearest existing ancestor is
+    not a directory."""
     for flag, path in writes:
-        if Path(path).name in ("", ".."):
+        if os.path.basename(path) in ("", ".", ".."):
             raise ConfigError(f"{flag} names no file: {path!r}")
         if Path(path).is_dir():
             raise ConfigError(f"{flag} names a directory: {path}")
+        up = next((p for p in Path(path).parents if p.exists()), None)
+        if up is not None and not up.is_dir():
+            raise ConfigError(f"{flag} names a path under the file {up}: {path}")
     named = {}
     for flag, path in reads:
         if path is not None:

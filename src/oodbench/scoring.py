@@ -6,7 +6,9 @@ The energy score is therefore logsumexp(logits); the hinge-loss sign
 convention lives in the losses module only. ODIN's push follows the sign of
 the ``autodiff.input_gradient`` of the ``autodiff.input_objective`` of
 ``odin_rows``: the mean over the batch of each row's log-softmax at its
-predicted class.
+predicted class. ash_energy is the energy of the head on ``ash_s``'s shaped
+copy of the penultimate features (ASH-S, Djurisic et al., ICLR 2023); no
+score writes its inputs.
 """
 
 from __future__ import annotations
@@ -70,15 +72,15 @@ def odin_score(mlp: model_mod.MlpClassifier, batch, top=None) -> np.ndarray:
     return msp_score(logits / ODIN_TEMPERATURE)
 
 
-def ash_s(acts: np.ndarray) -> int:
-    """Shape the float64 rows of ``acts`` in place: zero activations below the
-    per-row ASH_PERCENTILE, rescale survivors to keep the row sum.
+def ash_s(acts: np.ndarray) -> tuple[np.ndarray, int]:
+    """ASH-S on the float64 rows of ``acts``: a copy with activations below the
+    per-row ASH_PERCENTILE zeroed and survivors rescaled to keep the row sum,
+    and the count of rows left unshaped. ``acts`` is not written.
 
-    Rows whose survivor sum is not positive are left unchanged (nothing
-    sensible to rescale); the return is their count, which ``score_set`` sums
-    over a set for its one warning. Every step is per row; its temporaries
-    are a few copies of ``acts``, which ``score_set`` bounds to one
-    ``model.CHUNK_ROWS`` slice.
+    Rows whose survivor sum is not positive come back unchanged (nothing
+    sensible to rescale); ``score_set`` sums their count over a set for its
+    one warning. Every step is per row; its temporaries are a few copies of
+    ``acts``, which ``score_set`` bounds to one ``model.CHUNK_ROWS`` slice.
     """
     cut = np.percentile(acts, ASH_PERCENTILE, axis=1, keepdims=True)
     shaped = np.where(acts >= cut, acts, 0.0)
@@ -87,8 +89,8 @@ def ash_s(acts: np.ndarray) -> int:
     ok = (before > 0) & (after > 0)
     scale = np.where(ok, before / np.where(after == 0, 1.0, after), 1.0)
     shaped *= scale[:, None]
-    np.copyto(acts, shaped, where=ok[:, None])
-    return int(np.sum(~ok))
+    np.copyto(shaped, acts, where=~ok[:, None])
+    return shaped, int(np.sum(~ok))
 
 
 def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
@@ -98,11 +100,10 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
 
     ``features`` are the batch's ``model.penultimate_features`` and ``top``
     the argmax of their logits, computed here when not given (``score_set``
-    gives both). ash_energy shapes the features in place, so features handed
-    to it are consumed; ODIN reads only ``top``. Without a hidden layer the
-    features are the batch itself, and a copy of it is shaped. ash_energy
-    appends the count of rows ``ash_s`` left unshaped to the list
-    ``unshaped`` when one is given (``score_set`` does).
+    gives both); ODIN reads only ``top``. Without a hidden layer the features
+    are the batch itself. No input is written. ash_energy appends the count of
+    rows ``ash_s`` left unshaped to the list ``unshaped`` when one is given
+    (``score_set`` does).
     """
     batch = np.asarray(batch, dtype=np.float64)
     if spec.kind == "odin":
@@ -110,9 +111,7 @@ def compute_scores(mlp: model_mod.MlpClassifier, batch, spec: ScoreSpec,
     if features is None:
         features = model_mod.penultimate_features(mlp, batch)
     if spec.kind == "ash_energy":
-        # The caller's batch itself (a model with no hidden layer) is never shaped.
-        shaped = features.copy() if features is batch else features
-        count = ash_s(shaped)
+        shaped, count = ash_s(features)
         if unshaped is not None:
             unshaped.append(count)
         return energy_score(model_mod.head(mlp, shaped))
@@ -129,19 +128,15 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
 
     This is the one scoring code that cuts rows: it runs every pass per
     ``model.row_slices`` slice of CHUNK_ROWS. Each slice's features and logits
-    are computed once, then ``compute_scores`` runs the kinds that read the
-    features, then ash_energy, which shapes them in place, then ODIN, which
-    reads only the argmax, once the features are dropped. So scoring holds one
-    slice's working set; each slice's scores and logits are written into
-    arrays allocated once per set. A row's scores and logits equal those of
-    its slice scored alone, the contract ``model.row_slices`` states. Logits
-    that overflow raise no numpy warning; the first non-finite score is a
-    NumericError naming its kind. The rows ash_energy leaves unshaped are
-    summed over the set's slices, and a set with any gets one warning giving
-    their total.
+    are computed once, then ``compute_scores`` runs the kinds in spec order,
+    so scoring holds one slice's working set; each slice's scores and logits
+    are written into arrays allocated once per set. A row's scores and logits
+    equal those of its slice scored alone, the contract ``model.row_slices``
+    states. Logits that overflow raise no numpy warning; the first non-finite
+    score is a NumericError naming its kind. The rows ash_energy leaves
+    unshaped are summed over the set's slices, and a set with any gets one
+    warning giving their total.
     """
-    rank = {"ash_energy": 1, "odin": 2}
-    order = sorted(range(len(specs)), key=lambda i: rank.get(specs[i].kind, 0))
     n = x.shape[0]
     scores = [np.empty(n) for _ in specs]
     logits = np.empty((n, mlp.n_classes))
@@ -152,15 +147,12 @@ def score_set(mlp: model_mod.MlpClassifier, x, specs) -> tuple[list[np.ndarray],
             features = model_mod.penultimate_features(mlp, batch)
             logits[rows] = model_mod.head(mlp, features)
             top = np.argmax(logits[rows], axis=1)
-            for i in order:
-                if specs[i].kind == "odin":
-                    features = None
-                batch_scores = compute_scores(mlp, batch, specs[i], features=features, top=top,
+            for spec, out in zip(specs, scores):
+                batch_scores = compute_scores(mlp, batch, spec, features=features, top=top,
                                               unshaped=unshaped)
                 if not np.isfinite(batch_scores).all():
-                    raise NumericError(f"the model's {specs[i].kind} scores are not finite")
-                scores[i][rows] = batch_scores
-            del features  # before the next slice's forward
+                    raise NumericError(f"the model's {spec.kind} scores are not finite")
+                out[rows] = batch_scores
     if total := sum(unshaped):
         warnings.warn(f"{total} rows left unshaped (non-positive sum)", stacklevel=2)
     return scores, logits

@@ -841,10 +841,13 @@ def test_report_refuses_an_out_csv_that_names_an_input(tmp_path, capsys):
     assert cli.main(["report", str(report), str(report), "--out-csv", str(tmp_path / "m.csv")]) == 0
 
 
-# Each command refuses a path it is told to write that names no file, or that
-# names the existing directory "made", before it reads the checkpoint, an input
-# CSV or a report, and before it writes. The last two arguments are the flag
-# and its path; the extrapolate rows are named by their (--dump, --samples) pair.
+# Each command refuses a path it is told to write that names no file (one whose
+# text ends in a separator or "." among them), that names the existing
+# directory "made", or that lies under the existing file "afile", before it
+# reads the checkpoint, an input CSV or a report, and before it writes. The
+# last two arguments are the flag and its path, or --out and its value for
+# theory-verify's default --out-csv; the extrapolate rows are named by their
+# (--dump, --samples) pair.
 _EXTRAPOLATE = ["extrapolate", "--input", "in.csv", "--dump"]
 
 
@@ -863,18 +866,37 @@ _EXTRAPOLATE = ["extrapolate", "--input", "in.csv", "--dump"]
     pytest.param([*_EXTRAPOLATE, "out/d.csv", "--samples", "made"], id="out/d.csv-made"),
     pytest.param(["theory-verify", "--out-csv", "made"], id="theory-verify-made"),
     pytest.param(["report", "r.json", "--out-csv", "made"], id="report-made"),
+    pytest.param([*_EXTRAPOLATE, "new/"], id="new/-None"),
+    pytest.param([*_EXTRAPOLATE, "out/."], id="out/.-None"),
+    pytest.param([*_EXTRAPOLATE, "out/d.csv", "--samples", "new/"], id="out/d.csv-new/"),
+    pytest.param(["theory-verify", "--out-csv", "new/"], id="theory-verify-new/"),
+    pytest.param(["report", "r.json", "--out-csv", "new/"], id="report-new/"),
+    pytest.param([*_EXTRAPOLATE, "afile/d.csv"], id="afile/d.csv-None"),
+    pytest.param([*_EXTRAPOLATE, "out/d.csv", "--samples", "afile/s.csv"],
+                 id="out/d.csv-afile/s.csv"),
+    pytest.param(["theory-verify", "--out-csv", "afile/t.csv"], id="theory-verify-afile/t.csv"),
+    pytest.param(["--out", "afile"], id="out-afile-theory-verify"),
+    pytest.param(["report", "r.json", "--out-csv", "afile/r.csv"], id="report-afile/r.csv"),
 ])
 def test_extrapolate_refuses_a_path_that_names_no_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "made").mkdir()
+    (tmp_path / "afile").write_text("")
     reads = []
     for module, name in ((model, "load_checkpoint"), (data, "load_csv"), (config, "read_json")):
         monkeypatch.setattr(module, name, lambda path, *_: reads.append(path))
-    assert cli.main(["--out", "run", *argv]) == 2
     flag, path = argv[-2:]
-    why = "names a directory: made" if path == "made" else f"names no file: {path!r}"
+    if flag == "--out":
+        argv, flag, path = [*argv, "theory-verify"], "--out-csv", f"{path}/theory.csv"
+    assert cli.main(["--out", "run", *argv]) == 2
+    if path == "made":
+        why = "names a directory: made"
+    elif path.startswith("afile/"):
+        why = f"names a path under the file afile: {path}"
+    else:
+        why = f"names no file: {path!r}"
     assert capsys.readouterr().err == f"error: {flag} {why}\n"
-    assert reads == [] and list(tmp_path.iterdir()) == [tmp_path / "made"]
+    assert reads == [] and sorted(tmp_path.iterdir()) == [tmp_path / "afile", tmp_path / "made"]
 
 
 def test_empty_output_directory_exits_2_before_writing(tmp_path, monkeypatch, capsys):
@@ -1014,11 +1036,13 @@ def _scores_by_kind(run):
 
 @pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
 def test_eval_scores_match_whatever_the_place_of_ash_energy(tmp_path):
-    # ash_energy shapes the features in place; listed first, it must still
-    # leave msp and energy the unshaped features.
+    # score_set runs the kinds in config order: ash_energy listed first must
+    # leave msp and energy the unshaped features, and ODIN listed first must
+    # leave the others the features it does not read.
     kinds = ["msp", "energy", "odin", "ash_energy"]
     results = []
-    for name, order in (("last", kinds), ("first", kinds[-1:] + kinds[:-1])):
+    for name, order in (("last", kinds), ("first", kinds[-1:] + kinds[:-1]),
+                        ("odin-first", ["odin", "ash_energy", "msp", "energy"])):
         base = ["--config", str(_tiny_config(tmp_path)), "--out", str(tmp_path / name),
                 "--set", f"scores={json.dumps([{'kind': kind} for kind in order])}"]
         for command in ("gen-data", "train", "eval"):
@@ -1026,4 +1050,4 @@ def test_eval_scores_match_whatever_the_place_of_ash_energy(tmp_path):
         written, by_kind = _scores_by_kind(tmp_path / name)
         assert written == order  # stored and written in config order
         results.append(by_kind)
-    assert results[0] == results[1]
+    assert results[1:] == results[:-1]

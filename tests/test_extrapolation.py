@@ -186,6 +186,31 @@ def test_nonfinite_rows_leave_finite_rows_untouched():
     np.testing.assert_allclose(out.final_values[ok], clean.final_values, rtol=1e-12, atol=0)
 
 
+def test_nonfinite_rows_in_a_later_slice_split_that_slice_alone():
+    # The overflowing rows sit in the second of two slices; the first slice
+    # ascends as if alone, and the second splits down to its failing rows.
+    mlp = _overflow_model()
+    cfg = ExtrapolationConfig(steps=5, pool=((0.05, 1.0),))
+    chunk = model.CHUNK_ROWS
+    x = np.random.default_rng(26).uniform(0.0, 0.44, (2 * chunk + 3, 2))
+    x[chunk + 100:chunk + 108] = _OVERFLOW_X
+    out = pgd_extrapolate(mlp, x, cfg)
+    first = pgd_extrapolate(mlp, x[:chunk], cfg)
+    for field in ("synthesized", "initial_values", "final_values", "aborted"):
+        assert getattr(out, field)[:chunk].tobytes() == getattr(first, field).tobytes(), field
+    second = slice(chunk, None)
+    ok = ~out.aborted[second]
+    clean = pgd_extrapolate(mlp, x[second][ok], cfg)
+    assert not clean.aborted.any()
+    assert out.synthesized[second][ok].tobytes() == clean.synthesized.tobytes()
+    np.testing.assert_allclose(out.initial_values[second][ok], clean.initial_values,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(out.final_values[second][ok], clean.final_values,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(np.flatnonzero(out.aborted),
+                                  chunk + 100 + np.array([1, 2, 4, 5, 7]))
+
+
 def test_linear_model_single_step_moves_by_alpha():
     # On an affine model, the uniform-loss gradient has a closed form:
     # softmax(xW)-weighted columns minus their mean. With steps=2 the step is

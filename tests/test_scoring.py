@@ -153,30 +153,38 @@ def test_scores_from_precomputed_features_are_bitwise_equal(dims, kind):
         assert scoring.compute_scores(m, x, spec, top=top).tobytes() == with_features.tobytes()
 
 
+def _ash_s(acts):
+    """``scoring.ash_s``'s (shaped, count), checked to leave ``acts`` as it was."""
+    kept = acts.copy()
+    shaped, count = scoring.ash_s(acts)
+    assert acts.tobytes() == kept.tobytes()
+    return shaped, count
+
+
 def test_ash_identity_at_zero_percentile(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 0.0)
     rng = np.random.default_rng(5)
     acts = rng.uniform(0, 1, (4, 6))
-    out = acts.copy()
-    assert scoring.ash_s(out) == 0
-    assert out.tobytes() == acts.tobytes()
+    shaped, count = _ash_s(acts)
+    assert count == 0
+    assert shaped.tobytes() == acts.tobytes()
 
 
 def test_ash_hand_example(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 50.0)
-    out = np.array([[4.0, 3.0, 2.0, 1.0]])
-    assert scoring.ash_s(out) == 0
-    np.testing.assert_allclose(out, [[40.0 / 7.0, 30.0 / 7.0, 0.0, 0.0]], rtol=1e-12)
+    shaped, count = _ash_s(np.array([[4.0, 3.0, 2.0, 1.0]]))
+    assert count == 0
+    np.testing.assert_allclose(shaped, [[40.0 / 7.0, 30.0 / 7.0, 0.0, 0.0]], rtol=1e-12)
 
 
 def test_ash_preserves_row_sums_and_argmax(monkeypatch):
     monkeypatch.setattr(scoring, "ASH_PERCENTILE", 60.0)
     rng = np.random.default_rng(6)
     acts = rng.uniform(0.01, 1, (10, 8))
-    out = acts.copy()
-    assert scoring.ash_s(out) == 0
-    np.testing.assert_allclose(out.sum(axis=1), acts.sum(axis=1), rtol=1e-12)
-    np.testing.assert_array_equal(np.argmax(out, axis=1), np.argmax(acts, axis=1))
+    shaped, count = _ash_s(acts)
+    assert count == 0
+    np.testing.assert_allclose(shaped.sum(axis=1), acts.sum(axis=1), rtol=1e-12)
+    np.testing.assert_array_equal(np.argmax(shaped, axis=1), np.argmax(acts, axis=1))
 
 
 def test_ash_all_zero_row_flagged():
@@ -184,8 +192,9 @@ def test_ash_all_zero_row_flagged():
     acts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert scoring.ash_s(acts) == 1
-    np.testing.assert_array_equal(acts[0], [0.0, 0.0, 0.0])
+        shaped, count = _ash_s(acts)
+    assert count == 1
+    np.testing.assert_array_equal(shaped[0], [0.0, 0.0, 0.0])
 
 
 def _ragged_relu_acts():
@@ -216,27 +225,11 @@ def test_blocked_ash_equals_the_whole_matrix_formula(percentile, monkeypatch):
     acts = _ragged_relu_acts()
     expected, unshaped = _ash_whole_matrix(acts, percentile)
     assert unshaped == 2
-    shaped = acts.copy()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert scoring.ash_s(shaped) == 2
-    assert caught == []
+        shaped, count = _ash_s(acts)
+    assert caught == [] and count == 2
     assert shaped.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("percentile", [50.0, 95.0])
-def test_in_place_ash_equals_the_allocating_call(percentile, monkeypatch):
-    # The allocating call shapes a copy of the whole matrix. Shaping a view of
-    # rows 2 onward in place writes those rows alone, each as the copy has it.
-    monkeypatch.setattr(scoring, "ASH_PERCENTILE", percentile)
-    acts = _ragged_relu_acts()
-    shaped = acts.copy()
-    expected = acts.copy()
-    # Each call counts both unshaped rows, which keep their zeros.
-    assert scoring.ash_s(expected) == 2
-    assert scoring.ash_s(shaped[2:]) == 2
-    assert shaped[2:].tobytes() == expected[2:].tobytes()
-    assert shaped[:2].tobytes() == acts[:2].tobytes()
 
 
 def _dead_unit_model():
@@ -272,26 +265,25 @@ def test_score_set_warns_once_per_set_with_the_summed_count():
     assert caught == []  # a set with no dead row
 
 
-def test_ash_energy_consumes_features_but_never_the_batch():
+@pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
+@pytest.mark.parametrize("dims", [(2, 3), (2, 8, 3)], ids=["no-hidden-layer", "hidden-layer"])
+def test_compute_scores_writes_neither_the_features_nor_the_batch(dims):
+    # Without a hidden layer the features are the batch itself.
+    m = model.init_model(dims, seed=20)
     x = np.random.default_rng(18).uniform(0, 1, (40, 2))
-    kept = x.copy()
-    spec = scoring.ScoreSpec(kind="ash_energy")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # rows left unshaped
-        # Without a hidden layer the features are the batch itself.
-        scoring.compute_scores(model.init_model((2, 3), seed=19), x, spec)
-        assert x.tobytes() == kept.tobytes()
-        m = model.init_model((2, 8, 3), seed=20)
-        features = model.penultimate_features(m, x)
-        scoring.compute_scores(m, x, spec, features=features)
-    assert x.tobytes() == kept.tobytes()
-    assert features.tobytes() != model.penultimate_features(m, x).tobytes()
+    features = model.penultimate_features(m, x)
+    kept = x.copy(), features.copy()
+    for kind in scoring.ScoreSpec.KINDS:
+        scoring.compute_scores(m, x, scoring.ScoreSpec(kind), features=features)
+        assert x.tobytes() == kept[0].tobytes(), kind
+        assert features.tobytes() == kept[1].tobytes(), kind
 
 
 @pytest.mark.filterwarnings("ignore:.*rows left unshaped:UserWarning")
-def test_in_place_ash_holds_no_copy_of_its_input():
-    # score_set shapes each slice's features in place: beside its outputs it
-    # holds one slice's temporaries, well under half a set-sized features array.
+def test_ash_holds_no_set_sized_copy_of_the_features():
+    # score_set shapes a copy of one slice's features at a time: beside its
+    # outputs it holds one slice's temporaries, well under half a set-sized
+    # features array.
     m = model.init_model((2, 64, 64, 4), seed=23)
     x = np.random.default_rng(17).uniform(0, 1, (64 * model.CHUNK_ROWS, 2))
     tracemalloc.start()
